@@ -11,9 +11,7 @@ per-period scalar gate computed from the temporal features mixes the two.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -164,15 +162,3 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
     complement = ad.sub(1.0, gate_full)
     mixed = ad.add(ad.mul(gate_full, a_dynamic), ad.mul(complement, ad.constant(a_static)))
     return BlendedAdjacency(matrix=mixed, gate=gate)
-
-
-def dump_adjacency(matrix: np.ndarray, path) -> Path:
-    """Write flat (i, j, value) rows for inspection/plotting."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "value"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                writer.writerow([i, j, repr(float(matrix[i, j]))])
-    return path

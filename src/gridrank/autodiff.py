@@ -7,10 +7,9 @@ once per node. Design rules:
 * double precision everywhere;
 * no implicit broadcasting between tensors -- use :func:`broadcast_to`
   (scalar Python numbers are the one convenience exception);
-* subgradient conventions: relu'(0) = 0, the hinge boundary in
-  :func:`clamp_min` has derivative 0, abs'(0) = 0.
+* subgradient conventions: relu'(0) = 0, abs'(0) = 0.
 
-Kinked ops (relu, clamp_min, abs) report their active-branch masks to a
+Kinked ops (relu, abs) report their active-branch masks to a
 trace when one is installed, which lets :func:`grad_check` flag
 coordinates whose finite-difference stencil straddles a nondifferentiable
 point.
@@ -37,10 +36,6 @@ def set_debug(enabled: bool) -> None:
     """Toggle finiteness checks after every primitive (slow, used in tests)."""
     global _check_finite
     _check_finite = bool(enabled)
-
-
-def debug_enabled() -> bool:
-    return _check_finite
 
 
 @contextlib.contextmanager
@@ -96,9 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -321,16 +313,6 @@ def relu(a: Tensor) -> Tensor:
     return _result("relu", np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    mask = a.data > lo
-    _record_kink(mask)
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _result("clamp_min", np.where(mask, a.data, lo), (a,), backward)
-
-
 def abs_(a: Tensor) -> Tensor:
     _record_kink(a.data > 0.0)
     sign = np.sign(a.data)
@@ -348,34 +330,6 @@ def softplus(a: Tensor) -> Tensor:
         _accum(a, g * _stable_sigmoid(a.data))
 
     return _result("softplus", out_data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _result("exp", out_data, (a,), backward)
-
-
-def exp2(a: Tensor) -> Tensor:
-    out_data = np.exp2(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data * _LN2)
-
-    return _result("exp2", out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericalError("log of non-positive input")
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _result("log", np.log(a.data), (a,), backward)
 
 
 def log2(a: Tensor) -> Tensor:
@@ -591,7 +545,7 @@ def grad_check(f, params, eps: float = 1e-5, tol: float = 1e-6,
     ``f`` is a zero-argument callable returning a scalar Tensor that
     depends on ``params`` (a list of Tensors, perturbed in place).
     Relative error per coordinate is |a - n| / max(1, |a|, |n|).
-    Coordinates whose +/-eps evaluations cross a relu/clamp/abs branch are
+    Coordinates whose +/-eps evaluations cross a relu/abs branch are
     flagged as kinks and excluded from the pass/fail verdict.
     """
     if eps <= 0:

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -79,12 +80,9 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     out_dir: str = "runs/default"
-    threads: int = 1
 
     def validate(self) -> "RunConfig":
         self.train.validate()
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.eval.envelope not in crossk.ENVELOPE_METHODS:
             raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
         if self.eval.crossk_step <= 0 or self.eval.crossk_max_distance < 0:
@@ -92,24 +90,37 @@ class RunConfig:
         return self
 
 
-def _from_dict(cls, payload: dict, path: str = ""):
+def _from_dict(cls, payload, prefix: str = ""):
+    """Build a config dataclass from a JSON object, coercing each value by field type."""
+    section = prefix.rstrip(".") or "root"
     if not isinstance(payload, dict):
-        raise ConfigError(f"config section {path or cls.__name__} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(fields)
+        raise ConfigError(f"config section {section} must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in section {path or 'root'}")
-    kwargs = {}
-    for name, value in payload.items():
-        spec = fields[name]
-        if dataclasses.is_dataclass(spec.type) or spec.type in (DataConfig, ModelSection, TrainConfig, EvalConfig):
-            kwargs[name] = _from_dict(spec.type, value, f"{path}{name}.")
-        else:
-            kwargs[name] = value
-    return cls(**kwargs)
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in section {section}")
+    return cls(**{name: _coerce(value, hints[name], f"{prefix}{name}") for name, value in payload.items()})
 
 
-_SECTIONS = {"data": DataConfig, "model": ModelSection, "train": TrainConfig, "eval": EvalConfig}
+def _coerce(value, hint, key: str):
+    """``value`` as the annotated type ``hint``: a nested section, ``T | None``,
+    ``list[T]``, or a scalar (ints widen to float; bools never pass as numbers)."""
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, f"{key}.")
+    arms = typing.get_args(hint)
+    if type(None) in arms:
+        if value is None:
+            return None
+        (hint,) = [arm for arm in arms if arm is not type(None)]
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_coerce(item, typing.get_args(hint)[0], key) for item in value]
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
+    return value
 
 
 def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
@@ -122,50 +133,33 @@ def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from None
-    config = _build_config(payload)
+        if not isinstance(payload, dict):
+            raise ConfigError("config root must be a JSON object")
     for override in overrides:
-        _apply_override(config, override)
+        _apply_override(payload, override)
+    config = _from_dict(RunConfig, payload)
     env_out = os.environ.get("GRIDRANK_OUT_DIR")
     if env_out:
         config.out_dir = env_out
     return config.validate()
 
 
-def _build_config(payload: dict) -> RunConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(payload) - (set(_SECTIONS) | {"out_dir", "threads"})
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in section root")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in payload:
-            kwargs[name] = _from_dict(cls, payload[name], f"{name}.")
-    if "out_dir" in payload:
-        kwargs["out_dir"] = str(payload["out_dir"])
-    if "threads" in payload:
-        kwargs["threads"] = int(payload["threads"])
-    return RunConfig(**kwargs)
-
-
-def _apply_override(config: RunConfig, assignment: str) -> None:
+def _apply_override(payload: dict, assignment: str) -> None:
+    """Set one ``section.key=value`` in the raw payload; value is JSON or plain text."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} must look like section.key=value")
     dotted, text = assignment.split("=", 1)
-    parts = dotted.strip().split(".")
     try:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    target = config
-    for part in parts[:-1]:
-        if not hasattr(target, part):
+    *sections, leaf = dotted.strip().split(".")
+    target = payload
+    for part in sections:
+        target = target.setdefault(part, {})
+        if not isinstance(target, dict):
             raise ConfigError(f"unknown config key {dotted!r}")
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if not dataclasses.is_dataclass(target) or leaf not in {f.name for f in dataclasses.fields(target)}:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    setattr(target, leaf, value)
+    target[leaf] = value
 
 
 def config_hash(config: RunConfig) -> str:
@@ -368,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override a config value (flags win)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset manifest")
@@ -418,9 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_run_config(args.config, args.overrides)
-        if args.threads is not None:
-            config.threads = args.threads
-            config.validate()
         if getattr(args, "seed", None) is not None:
             config.data.seed = args.seed
         if getattr(args, "command", "") in ("evaluate", "rank", "crossk"):

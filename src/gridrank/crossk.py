@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .grid import cell_coordinates
+from .metrics import descending_order
 
 ENVELOPE_METHODS = ("minmax", "quantile")
 
@@ -75,12 +77,12 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
         raise DataError(f"envelope method must be one of {ENVELOPE_METHODS}")
     rows, cols = shape
     area = float(rows * cols)
+    coords = cell_coordinates(rows, cols)
     children = np.random.SeedSequence(seed).spawn(n_sim)
     curves = np.empty((n_sim, len(distances)))
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        cells = rng.integers(0, rows * cols, size=n_pred)
-        points = np.stack([cells // cols, cells % cols], axis=1)
+        points = coords[rng.integers(0, rows * cols, size=n_pred)]
         curves[i] = cross_k(points, true_points, distances, area)
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
@@ -91,18 +93,12 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
 
 def event_cells(day_risk: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """(n, 2) cells with positive risk on one day."""
-    rows, cols = shape
-    locations = np.flatnonzero(np.asarray(day_risk) > 0)
-    return np.stack([locations // cols, locations % cols], axis=1).astype(np.float64)
+    return cell_coordinates(*shape)[np.flatnonzero(np.asarray(day_risk) > 0)]
 
 
 def top_k_cells(scores: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
     """(k, 2) cells of the k highest scores (ties by ascending location)."""
-    from .metrics import descending_order
-
-    rows, cols = shape
-    top = descending_order(np.asarray(scores))[:k]
-    return np.stack([top // cols, top % cols], axis=1).astype(np.float64)
+    return cell_coordinates(*shape)[descending_order(np.asarray(scores))[:k]]
 
 
 def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,33 @@ def cell_coordinates(rows: int, cols: int) -> np.ndarray:
     """(S, 2) array of (row, col) cell centers in row-major location order."""
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     return np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(np.float64)
+
+
+@lru_cache(maxsize=64)
+def neighbourhood_stencil(rows: int, cols: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's circular neighbourhood as an (S, m) member matrix and mask.
+
+    Cell j is a member of cell i's neighbourhood when their centers lie
+    within ``radius`` cells: dr^2 + dc^2 <= radius^2 + 1e-12, so the
+    relation is symmetric and includes the center. Row i lists the members
+    in ascending location order, then padding (``mask`` False, member 0)
+    up to the largest neighbourhood size m. Built from the integer offsets
+    inside the radius in O(S * m); cached per shape and radius, and the
+    returned arrays are read-only.
+    """
+    reach = math.isqrt(int(min(radius * radius + 1e-12, (max(rows, cols) - 1) ** 2)))
+    dr, dc = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1), indexing="ij")
+    inside = dr * dr + dc * dc <= radius * radius + 1e-12
+    row, col = np.divmod(np.arange(rows * cols), cols)
+    rr, cc = row[:, None] + dr[inside], col[:, None] + dc[inside]
+    valid = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
+    # offsets ascend in (dr, dc), so a stable sort of the valid ones to the
+    # front keeps each row's members in ascending location order
+    front = np.argsort(~valid, axis=1, kind="stable")[:, :int(valid.sum(axis=1).max())]
+    mask = np.take_along_axis(valid, front, axis=1)
+    members = np.where(mask, np.take_along_axis(rr * cols + cc, front, axis=1), 0)
+    members.flags.writeable = mask.flags.writeable = False
+    return members, mask
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
+from .grid import neighbourhood_stencil
 
 WEIGHT_MODES = ("weight", "sample")
 
@@ -31,7 +32,8 @@ WEIGHT_MODES = ("weight", "sample")
 class SurrogateConfig:
     """Knobs shared by the surrogate objectives.
 
-    margin: hinge offset c >= 0 (1 makes the rank bound tight at the top);
+    margin: hinge offset c > 0 (1 makes the rank bound tight at the top; at 0
+        the top location's bound is 0 and its discount log2(1) divides by 0);
     local_weight: mix of the neighborhood objective in [0, 1];
     radius: neighborhood radius in cells;
     weight_mode: "weight" (soft) or "sample" (hard subset);
@@ -47,8 +49,8 @@ class SurrogateConfig:
     gain_cap: float | None = None
 
     def validate(self) -> "SurrogateConfig":
-        if self.margin < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if not self.margin > 0:
+            raise ConfigError(f"margin must be > 0, got {self.margin}")
         if not 0.0 <= self.local_weight <= 1.0:
             raise ConfigError(f"local_weight must be in [0, 1], got {self.local_weight}")
         if self.radius < 0:
@@ -65,33 +67,51 @@ def positive_locations(relevance: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.asarray(relevance) > 0.0)
 
 
-def _gains(relevance: np.ndarray, gain_cap: float | None) -> np.ndarray:
-    rel = np.asarray(relevance, dtype=np.float64)
-    if gain_cap is not None:
-        rel = np.minimum(rel, gain_cap)
-    return np.exp2(rel) - 1.0
+def _rank_bounds(candidates: Tensor, targets: np.ndarray, margin: float,
+                 valid: np.ndarray | None = None) -> Tensor:
+    """(B, t) rank over-estimates of ``targets`` within (B, q) candidate lists.
 
-
-def surrogate_rank(scores: Tensor, position: int, margin: float = 1.0) -> Tensor:
-    """Smooth over-estimate of the rank of ``scores[position]``.
-
-    Sum over the whole candidate set (self term included, = margin^2) of
-    squared hinges on score differences.
+    Entry (b, i) sums max(0, s[b, j] - s[b, targets[b, i]] + margin)^2 over
+    the valid candidates j of list b (default: all), self term included.
+    A padded target's own self term is kept, so every bound is at least
+    margin^2.
     """
-    q = scores.size
-    if not 0 <= position < q:
-        raise DataError(f"position {position} outside the candidate set of size {q}")
-    return ad.reshape(_rank_bounds(scores, np.array([position]), margin), ())
+    (n_lists, q), t = candidates.shape, targets.shape[1]
+    if targets.size and (targets.min() < 0 or targets.max() >= q):
+        raise DataError(f"target positions outside the candidate lists of size {q}")
+    flat = (targets + q * np.arange(n_lists)[:, None]).reshape(-1)
+    row = ad.reshape(ad.gather_rows(ad.reshape(candidates, (n_lists * q,)), flat), (n_lists, 1, t))
+    column = ad.reshape(candidates, (n_lists, q, 1))
+    diff = ad.sub(ad.broadcast_to(column, (n_lists, q, t)), ad.broadcast_to(row, (n_lists, q, t)))
+    hinge = ad.square(ad.relu(ad.add(diff, float(margin))))
+    if valid is not None:
+        kept = valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
+        hinge = ad.mul(hinge, ad.constant(kept.astype(np.float64)))
+    return ad.sum_(hinge, axis=1)
 
 
-def _rank_bounds(scores: Tensor, targets: np.ndarray, margin: float) -> Tensor:
-    """Vector of rank over-estimates for ``targets`` within ``scores``."""
-    q = scores.size
-    m = len(targets)
-    column = ad.broadcast_to(ad.reshape(scores, (q, 1)), (q, m))
-    row = ad.broadcast_to(ad.reshape(ad.gather_rows(scores, targets), (1, m)), (q, m))
-    hinge = ad.relu(ad.add(ad.sub(column, row), float(margin)))
-    return ad.sum_(ad.square(hinge), axis=0)
+def _bounded_gain(coeff: np.ndarray, bounds: Tensor) -> Tensor:
+    """Sum of coeff / log2(1 + bound): the gain/discount form with rank bounds."""
+    return ad.sum_(ad.div(ad.constant(coeff), ad.log2(ad.add(bounds, 1.0))))
+
+
+def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
+                        gain_cap: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positives, their validated weights (default 1) and the gain-capped relevance."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    if relevance.size != scores.size:
+        raise ShapeError(f"relevance length {relevance.size} vs scores length {scores.size}")
+    positives = positive_locations(relevance)
+    if weights is None:
+        weights = np.ones(positives.size)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (positives.size,):
+            raise ShapeError(f"weights shape {weights.shape} does not match positives {positives.size}")
+        if np.any(weights < 0):
+            raise DataError("weights must be non-negative")
+    capped = relevance if gain_cap is None else np.minimum(relevance, gain_cap)
+    return positives, weights, capped
 
 
 def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
@@ -101,30 +121,14 @@ def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | 
     Sums gain / (Z * log2(rank_bound + 1)) over positive locations,
     optionally weighted. Value to maximize. Empty positive set -> 0.
     """
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if relevance.size != scores.size:
-        raise ShapeError(f"relevance length {relevance.size} vs scores length {scores.size}")
-    positives = positive_locations(relevance)
-    if positives.size == 0:
-        return ad.constant(0.0)
-    if weights is None:
-        weights = np.ones(positives.size)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (positives.size,):
-            raise ShapeError(f"weights shape {weights.shape} does not match positives {positives.size}")
-        if np.any(weights < 0):
-            raise DataError("weights must be non-negative")
+    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
     active = weights > 0
     if not active.any():
         return ad.constant(0.0)
     targets = positives[active]
-    capped = relevance if gain_cap is None else np.minimum(relevance, gain_cap)
-    z = metrics.ideal_dcg(capped, capped.size)
-    coeff = weights[active] * _gains(capped[targets], None) / z
-    bounds = _rank_bounds(scores, targets, margin)
-    discount = ad.log2(ad.add(bounds, 1.0))
-    return ad.sum_(ad.div(ad.constant(coeff), discount))
+    coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
+    bounds = _rank_bounds(ad.reshape(scores, (1, scores.size)), targets[None], margin)
+    return _bounded_gain(coeff[None], bounds)
 
 
 def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
@@ -136,39 +140,22 @@ def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray 
     each location's neighborhood (local ranks, local ideal gain).
     Neighborhoods with zero ideal gain contribute 0. Value to maximize.
     """
-    relevance = np.asarray(relevance, dtype=np.float64)
     rows, cols = shape
-    if relevance.size != scores.size or relevance.size != rows * cols:
-        raise ShapeError(f"relevance length {relevance.size}, scores {scores.size}, grid {shape}")
-    positives = positive_locations(relevance)
-    if positives.size == 0:
+    if scores.size != rows * cols:
+        raise ShapeError(f"relevance length {np.size(relevance)}, scores {scores.size}, grid {shape}")
+    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
+    members, valid = neighbourhood_stencil(rows, cols, float(radius))
+    local_rel = np.where(valid[positives], capped[members[positives]], 0.0)
+    z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
+    active = (weights > 0) & (z > 0)
+    if not active.any():
         return ad.constant(0.0)
-    if weights is None:
-        weights = np.ones(positives.size)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (positives.size,):
-            raise ShapeError(f"weights shape {weights.shape} does not match positives {positives.size}")
-    capped = relevance if gain_cap is None else np.minimum(relevance, gain_cap)
-    members_of = metrics.neighborhoods(rows, cols, float(radius))
-    total: Tensor | None = None
-    for weight, location in zip(weights, positives):
-        if weight == 0.0:
-            continue
-        members = members_of[location]
-        local_rel = capped[members]
-        z = metrics.ideal_dcg(local_rel, local_rel.size)
-        if z == 0.0:
-            continue
-        local_scores = ad.gather_rows(scores, members)
-        bounds = _rank_bounds(local_scores, np.arange(members.size), margin)
-        discount = ad.log2(ad.add(bounds, 1.0))
-        coeff = float(weight) * _gains(local_rel, None) / z
-        term = ad.sum_(ad.div(ad.constant(coeff), discount))
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        return ad.constant(0.0)
-    return ad.div(total, float(positives.size))
+    centres, q = positives[active], members.shape[1]
+    local_scores = ad.reshape(ad.gather_rows(scores, members[centres].reshape(-1)), (centres.size, q))
+    coeff = weights[active, None] * (np.exp2(local_rel[active]) - 1.0) / z[active, None]
+    own = np.broadcast_to(np.arange(q), (centres.size, q))
+    bounds = _rank_bounds(local_scores, own, margin, valid[centres])
+    return ad.div(_bounded_gain(coeff, bounds), float(positives.size))
 
 
 def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateConfig,

@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .grid import neighbourhood_stencil
 
 
 def descending_order(scores: np.ndarray) -> np.ndarray:
@@ -30,29 +30,51 @@ def descending_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
-def rank_of(scores: np.ndarray, location: int) -> int:
-    """1-based rank of ``location`` under the descending-score order."""
-    return int(ranks(scores)[location])
-
-
 def ranks(scores: np.ndarray) -> np.ndarray:
-    """All 1-based ranks at once (same tie rule as :func:`rank_of`)."""
+    """1-based rank of every location under the descending-score order."""
     order = descending_order(scores)
     out = np.empty(order.size, dtype=np.int64)
     out[order] = np.arange(1, order.size + 1)
     return out
 
 
-def _dcg(gains_in_rank_order: np.ndarray) -> float:
-    positions = np.arange(gains_in_rank_order.size, dtype=np.float64)
-    return float((gains_in_rank_order / np.log2(positions + 2.0)).sum())
+def _discounted(gains_in_rank_order: np.ndarray) -> np.ndarray:
+    positions = np.arange(gains_in_rank_order.shape[-1], dtype=np.float64)
+    return (gains_in_rank_order / np.log2(positions + 2.0)).sum(axis=-1)
 
 
-def ideal_dcg(relevance: np.ndarray, k: int) -> float:
-    """Best achievable cumulative gain with a cutoff of k."""
+def ideal_dcg(relevance: np.ndarray, k: int) -> float | np.ndarray:
+    """Best achievable cumulative gain with a cutoff of k, per row of a (B, m) input."""
     gains = np.exp2(np.asarray(relevance, dtype=np.float64)) - 1.0
-    order = descending_order(relevance)
-    return _dcg(gains[order[:k]])
+    return _discounted(-np.sort(-gains, axis=-1)[..., :k])
+
+
+def _ndcg_rows(relevance: np.ndarray, scores: np.ndarray, k: int, valid: np.ndarray) -> np.ndarray:
+    """NDCG@min(k, m) of each row of (B, m) candidate lists.
+
+    Row b holds one list in ascending location order; ``valid`` marks its
+    members, the rest is padding that ranks last and carries no gain. Each
+    list is ranked by score descending, ties by ascending location. NaN
+    where the list's ideal gain is zero.
+    """
+    relevance = np.where(valid, relevance, 0.0)
+    position = np.broadcast_to(np.arange(relevance.shape[1]), relevance.shape)
+    top = np.lexsort((position, -scores, ~valid), axis=-1)[:, :k]
+    z = ideal_dcg(relevance, k)
+    dcg = _discounted(np.exp2(np.take_along_axis(relevance, top, axis=-1)) - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(z > 0.0, dcg / z, np.nan)
+
+
+def _day_list(relevance: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One day's relevance and scores as float arrays, checked against each other and k."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if relevance.shape != scores.shape:
+        raise DataError(f"length mismatch: relevance {relevance.shape} vs scores {scores.shape}")
+    if k < 1 or k > relevance.size:
+        raise DataError(f"cutoff k={k} outside [1, {relevance.size}]")
+    return relevance, scores
 
 
 def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None:
@@ -61,44 +83,16 @@ def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None
     Returns ``None`` when all relevance is zero (undefined day). Use
     k = S for the cutoff-free variant.
     """
-    relevance = np.asarray(relevance, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if relevance.shape != scores.shape:
-        raise DataError(f"length mismatch: relevance {relevance.shape} vs scores {scores.shape}")
-    if k < 1 or k > relevance.size:
-        raise DataError(f"cutoff k={k} outside [1, {relevance.size}]")
-    z = ideal_dcg(relevance, k)
-    if z == 0.0:
-        return None
-    gains = np.exp2(relevance) - 1.0
-    top = descending_order(scores)[:k]
-    return _dcg(gains[top]) / z
+    relevance, scores = _day_list(relevance, scores, k)
+    value = _ndcg_rows(relevance[None], scores[None], k, np.ones((1, relevance.size), dtype=bool))[0]
+    return None if np.isnan(value) else float(value)
 
 
 def precision_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float:
     """Fraction of the top-k scored locations that have positive relevance."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if relevance.shape != scores.shape:
-        raise DataError(f"length mismatch: relevance {relevance.shape} vs scores {scores.shape}")
-    if k < 1 or k > relevance.size:
-        raise DataError(f"cutoff k={k} outside [1, {relevance.size}]")
+    relevance, scores = _day_list(relevance, scores, k)
     top = descending_order(scores)[:k]
     return float((relevance[top] > 0).sum() / k)
-
-
-@lru_cache(maxsize=64)
-def neighborhoods(rows: int, cols: int, radius: float) -> tuple[np.ndarray, ...]:
-    """Per-location arrays of member locations within ``radius`` cells.
-
-    Membership is symmetric and includes the center. Cached per grid
-    shape and radius.
-    """
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    coords = np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(np.float64)
-    diff = coords[:, None, :] - coords[None, :, :]
-    within = (diff * diff).sum(axis=2) <= radius * radius + 1e-12
-    return tuple(np.flatnonzero(row) for row in within)
 
 
 def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
@@ -118,13 +112,13 @@ def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
         raise DataError(f"shape mismatch: relevance {relevance.shape}, scores {scores.shape}, grid {shape}")
     if radius < 0:
         raise DataError(f"radius must be non-negative, got {radius}")
-    values = []
-    for members in neighborhoods(rows, cols, float(radius)):
-        local_k = len(members) if k is None else min(k, len(members))
-        value = ndcg_at_k(relevance[members], scores[members], local_k)
-        if value is not None:
-            values.append(value)
-    if not values:
+    if k is not None and k < 1:
+        raise DataError(f"cutoff k={k} must be >= 1")
+    members, valid = neighbourhood_stencil(rows, cols, float(radius))
+    cutoff = members.shape[1] if k is None else k
+    values = _ndcg_rows(relevance[members], scores[members], cutoff, valid)
+    values = values[~np.isnan(values)]
+    if values.size == 0:
         return None
     return float(np.mean(values))
 

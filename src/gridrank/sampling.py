@@ -11,7 +11,6 @@ predictions) falls back to the uniform distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,24 +59,24 @@ def importance_scores(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return scores / n_days
 
 
-@lru_cache(maxsize=32)
-def _kernel(rows: int, cols: int, bandwidth: float) -> np.ndarray:
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    coords = np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(np.float64)
-    diff = coords[:, None, :] - coords[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    return np.exp(-sq / (2.0 * bandwidth * bandwidth)) / (2.0 * np.pi * bandwidth * bandwidth)
+def _axis_kernel(n: int, bandwidth: float) -> np.ndarray:
+    offsets = np.arange(n, dtype=np.float64)
+    diff = offsets[:, None] - offsets[None, :]
+    return np.exp(-diff * diff / (2.0 * bandwidth * bandwidth))
 
 
 def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]) -> np.ndarray:
     """Full-kernel Gaussian smoothing over the grid (no truncation).
 
     ``scores`` is a flat, row-major vector over a ``shape = (rows, cols)``
-    grid. Returns ``K @ scores`` with the dense S x S kernel
+    grid. Returns ``K @ scores`` for the S x S kernel
     ``K[i, j] = exp(-d_ij^2 / (2 b^2)) / (2 pi b^2)``, where ``d_ij`` is the
     Euclidean distance between the centers of cells ``i`` and ``j`` and ``b``
     is ``bandwidth``. The kernel is not truncated and does not wrap around
-    the grid edges. Two consequences:
+    the grid edges. It factorizes over the two axes, so the product is
+    computed as ``K_rows @ X @ K_cols / (2 pi b^2)`` on the (rows, cols) grid
+    ``X``, with ``K_rows[r, r'] = exp(-(r - r')^2 / (2 b^2))`` and likewise
+    ``K_cols``; no S x S matrix is built. Two consequences of the kernel:
 
     - mirror-symmetric input gives mirror-symmetric output, because ``d_ij``
       is unchanged when both cells are reflected across the grid's axis;
@@ -92,7 +91,8 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
     rows, cols = shape
     if scores.size != rows * cols:
         raise ShapeError(f"scores length {scores.size} does not match grid {shape}")
-    return _kernel(rows, cols, float(bandwidth)) @ scores
+    smoothed = _axis_kernel(rows, bandwidth) @ scores.reshape(rows, cols) @ _axis_kernel(cols, bandwidth)
+    return smoothed.reshape(-1) / (2.0 * np.pi * bandwidth * bandwidth)
 
 
 def normalize(smoothed: np.ndarray, epoch: int = 0, bandwidth: float = 1.0) -> ImportanceDist:
@@ -111,16 +111,3 @@ def refresh(actual: np.ndarray, predicted: np.ndarray, bandwidth: float,
     """One full update: score, smooth, normalize."""
     raw = importance_scores(actual, predicted)
     return normalize(gaussian_smooth(raw, bandwidth, shape), epoch=epoch, bandwidth=bandwidth)
-
-
-def dump_distribution(dist: ImportanceDist, shape: tuple[int, int], path) -> None:
-    """CSV heat-map rows (row, col, probability) for diagnostics."""
-    import csv
-
-    rows, cols = shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "probability"])
-        for r in range(rows):
-            for c in range(cols):
-                writer.writerow([r, c, repr(float(dist.probs[r * cols + c]))])

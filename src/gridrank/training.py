@@ -190,21 +190,6 @@ class TrainState:
         return restored
 
 
-def _day_metrics(actual: np.ndarray, predicted: np.ndarray, k: int, radius: float,
-                 shape: tuple[int, int]) -> tuple[float | None, float | None, float | None]:
-    ndcg_days, local_days, prec_days = [], [], []
-    for d in range(actual.shape[0]):
-        value = metrics.ndcg_at_k(actual[d], predicted[d], k)
-        if value is not None:
-            ndcg_days.append(value)
-        local = metrics.l_ndcg(actual[d], predicted[d], radius, shape)
-        if local is not None:
-            local_days.append(local)
-        prec_days.append(metrics.precision_at_k(actual[d], predicted[d], k))
-    mean = lambda xs: float(np.mean(xs)) if xs else None
-    return mean(ndcg_days), mean(local_days), mean(prec_days)
-
-
 def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
           train_config: TrainConfig) -> TrainState:
     """Run the full epoch loop and return the final state with its log."""
@@ -275,9 +260,10 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             state.importance = sampling.refresh(y_train, predicted, train_config.bandwidth,
                                                 shape, epoch + 1)
 
-        val_predicted = predictions_for(params, grid, val_windows)
-        val_ndcg, val_local, val_prec = _day_metrics(y_val, val_predicted, train_config.eval_k,
-                                                     train_config.radius, shape)
+        report = metrics.metric_report(y_val, predictions_for(params, grid, val_windows),
+                                       [train_config.eval_k], shape, train_config.radius)
+        val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
+                                         for name in ("ndcg", "lndcg", "prec"))
         elapsed = time.perf_counter() - started
         state.log.append({
             "epoch": epoch,
@@ -304,18 +290,15 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
 
 def write_training_log(state: TrainState, path) -> Path:
-    """CSV log, one row per epoch."""
+    """CSV log, one row per epoch under the log's own keys; empty when no epoch ran."""
     path = Path(path)
-    if state.log:
-        columns = list(state.log[0].keys())
-    else:
-        columns = ["epoch", "train_obj", "val_ndcg", "val_lndcg", "val_prec", "wall_time_s"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        if state.log:
+            writer.writerow(state.log[0])
         for row in state.log:
-            writer.writerow(["" if row[c] is None else (repr(row[c]) if isinstance(row[c], float) else row[c])
-                             for c in columns])
+            writer.writerow(["" if value is None else (repr(value) if isinstance(value, float) else value)
+                             for value in row.values()])
     return path
 
 

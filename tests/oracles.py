@@ -85,3 +85,24 @@ def brute_ndcg_surrogate(relevance, scores, margin):
         bound = brute_surrogate_rank(scores, location, margin)
         total += (2.0 ** rel - 1.0) / (z * math.log2(bound + 1.0))
     return total
+
+
+def brute_l_ndcg_surrogate(relevance, scores, weights, margin, radius, rows, cols):
+    """Local surrogate: per positive center with nonzero weight, the uncut
+    bound-based gain sum over its neighborhood (local ranks, local ideal
+    gain), summed and divided by the number of positives."""
+    positives = [location for location, rel in enumerate(relevance) if rel > 0]
+    total = 0.0
+    for weight, center in zip(weights, positives):
+        members = brute_neighborhood(center, rows, cols, radius)
+        local_rel = [relevance[m] for m in members]
+        local_scores = [scores[m] for m in members]
+        z = 0.0
+        for position, rel in enumerate(sorted(local_rel, reverse=True)):
+            z += (2.0 ** rel - 1.0) / math.log2(position + 2.0)
+        if weight == 0 or z == 0.0:
+            continue
+        for position, rel in enumerate(local_rel):
+            bound = brute_surrogate_rank(local_scores, position, margin)
+            total += weight * (2.0 ** rel - 1.0) / (z * math.log2(bound + 1.0))
+    return total / len(positives) if positives else 0.0

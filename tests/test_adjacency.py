@@ -161,12 +161,3 @@ class TestBlend:
         dyn = adjacency.dynamic_adjacency(params, features)
         with pytest.raises(ShapeError):
             adjacency.blend(dyn, np.zeros((4, 4)), np.ones(3), params.time_gate)
-
-
-def test_dump_adjacency_round_trips(tmp_path):
-    matrix = np.array([[0.0, 0.25], [-0.5, 1.0]])
-    path = adjacency.dump_adjacency(matrix, tmp_path / "a.csv")
-    rows = path.read_text().splitlines()
-    assert rows[0] == "i,j,value"
-    assert len(rows) == 5
-    assert float(rows[2].split(",")[2]) == 0.25

@@ -6,7 +6,7 @@ import pytest
 from gridrank import autodiff as ad
 from gridrank import losses, metrics
 from gridrank.errors import ConfigError, DataError
-from oracles import brute_ndcg, brute_ndcg_surrogate, brute_surrogate_rank
+from oracles import brute_l_ndcg_surrogate, brute_ndcg, brute_ndcg_surrogate, brute_surrogate_rank
 
 
 def random_instance(rng, n=None, rate=0.8):
@@ -16,40 +16,57 @@ def random_instance(rng, n=None, rate=0.8):
     return y, scores
 
 
+def rank_bound(scores, position, margin=1.0):
+    """Rank bound of one position in a single unpadded candidate list."""
+    return losses._rank_bounds(ad.constant([scores]), np.array([[position]]), margin).item()
+
+
 class TestSurrogateRank:
     def test_single_item_equals_margin_squared(self):
-        bound = losses.surrogate_rank(ad.constant([4.2]), 0, margin=1.0)
-        assert bound.item() == pytest.approx(1.0)
-        assert math.log2(bound.item() + 1.0) == pytest.approx(1.0)
+        bound = rank_bound([4.2], 0, margin=1.0)
+        assert bound == pytest.approx(1.0)
+        assert math.log2(bound + 1.0) == pytest.approx(1.0)
 
     def test_two_equal_scores(self):
-        scores = ad.constant([2.0, 2.0])
         for position in (0, 1):
-            assert losses.surrogate_rank(scores, position, 1.0).item() == pytest.approx(2.0)
+            assert rank_bound([2.0, 2.0], position, 1.0) == pytest.approx(2.0)
 
     def test_hinge_boundary_contributes_zero(self):
-        scores = ad.constant([1.0, 0.0])  # other item sits exactly margin below
-        assert losses.surrogate_rank(scores, 0, 1.0).item() == pytest.approx(1.0)
+        # other item sits exactly margin below
+        assert rank_bound([1.0, 0.0], 0, 1.0) == pytest.approx(1.0)
 
     def test_position_outside_set(self):
         with pytest.raises(DataError, match="outside"):
-            losses.surrogate_rank(ad.constant([1.0]), 1)
+            rank_bound([1.0], 1)
 
     def test_matches_brute_force(self, rng):
         for _ in range(30):
             scores = rng.normal(size=7)
             margin = float(rng.uniform(0.0, 2.0))
             position = int(rng.integers(0, 7))
-            got = losses.surrogate_rank(ad.constant(scores), position, margin).item()
+            got = rank_bound(scores, position, margin)
             assert got == pytest.approx(brute_surrogate_rank(scores.tolist(), position, margin), abs=1e-12)
 
     def test_overestimates_true_rank_at_unit_margin(self, rng):
         for _ in range(50):
             scores = rng.normal(size=9)
-            tensor = ad.constant(scores)
             for location in range(9):
-                bound = losses.surrogate_rank(tensor, location, 1.0).item()
-                assert bound >= metrics.rank_of(scores, location) - 1e-12
+                bound = rank_bound(scores, location, 1.0)
+                assert bound >= metrics.ranks(scores)[location] - 1e-12
+
+    def test_batched_lists_leave_padding_out(self, rng):
+        scores = rng.normal(size=(4, 6))
+        valid = np.arange(6) < np.array([[6], [4], [1], [3]])
+        targets = np.tile(np.arange(6), (4, 1))
+        bounds = losses._rank_bounds(ad.constant(scores), targets, 0.7, valid).data
+        for b in range(4):
+            kept = scores[b, valid[b]].tolist()
+            for position in range(6):
+                if valid[b, position]:
+                    expected = brute_surrogate_rank(kept, position, 0.7)
+                else:  # padding ranks against the valid members plus its own self term
+                    expected = brute_surrogate_rank(kept + [scores[b, position]], len(kept), 0.7)
+                assert bounds[b, position] == pytest.approx(expected, abs=1e-12)
 
 
 class TestNdcgSurrogate:
@@ -146,6 +163,24 @@ class TestLocalSurrogate:
         assert np.isfinite(masked.item())
 
 
+    def test_matches_brute_force(self, rng):
+        for trial in range(40):
+            rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            radius = float(rng.choice([0.0, 1.0, 1.5, 2.0, 9.0]))
+            margin = float(rng.uniform(0.5, 1.5))
+            y = rng.poisson(0.8, size=rows * cols).astype(float)
+            y[0] = max(y[0], 1.0)  # a corner center is always among the positives
+            scores = rng.normal(size=rows * cols)
+            if trial % 2:
+                scores = np.round(scores)  # ties
+            weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=int((y > 0).sum()))
+            ours = losses.l_ndcg_surrogate(y, ad.constant(scores), weights, margin=margin,
+                                           radius=radius, shape=(rows, cols)).item()
+            reference = brute_l_ndcg_surrogate(y.tolist(), scores.tolist(), weights.tolist(),
+                                               margin, radius, rows, cols)
+            assert ours == pytest.approx(reference, abs=1e-12)
+
+
 class TestHybrid:
     def test_extremes_reduce_to_parts(self, rng):
         y, scores = random_instance(rng, n=16)
@@ -233,8 +268,9 @@ class TestApplyImportance:
 
 
 def test_surrogate_config_validation():
-    with pytest.raises(ConfigError):
-        losses.SurrogateConfig(margin=-0.1).validate()
+    for margin in (-0.1, 0.0):
+        with pytest.raises(ConfigError, match="margin"):
+            losses.SurrogateConfig(margin=margin).validate()
     with pytest.raises(ConfigError):
         losses.SurrogateConfig(local_weight=1.2).validate()
     with pytest.raises(ConfigError):

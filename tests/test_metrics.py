@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridrank import metrics
+from gridrank import grid, metrics
 from gridrank.errors import DataError
-from oracles import brute_l_ndcg, brute_ndcg, brute_rank
+from oracles import brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_rank
 
 
 class TestRankOf:
     def test_highest_score_is_rank_one(self):
-        assert metrics.rank_of(np.array([5.0, 3.0, 9.0]), 2) == 1
+        assert metrics.ranks(np.array([5.0, 3.0, 9.0]))[2] == 1
 
     def test_tie_broken_by_index(self):
-        assert metrics.rank_of(np.array([5.0, 5.0, 3.0]), 1) == 2
+        assert metrics.ranks(np.array([5.0, 5.0, 3.0]))[1] == 2
 
     def test_all_tied(self):
-        assert metrics.rank_of(np.array([0.0, 0.0, 0.0]), 0) == 1
+        assert metrics.ranks(np.array([0.0, 0.0, 0.0]))[0] == 1
 
     def test_matches_brute_force(self, rng):
         for _ in range(50):
@@ -93,13 +93,16 @@ class TestLocalNdcg:
         assert metrics.l_ndcg(np.zeros(16), np.ones(16), 2.0, (4, 4)) is None
 
     def test_matches_brute_force_on_random_grids(self, rng):
-        for _ in range(40):
+        for trial in range(40):
             rows, cols = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             radius = float(rng.choice([0.0, 1.0, 1.5, 2.0]))
+            k = [None, 1, 3, 10][trial % 4]
             y = rng.poisson(0.6, size=rows * cols).astype(float)
             scores = rng.normal(size=rows * cols)
-            ours = metrics.l_ndcg(y, scores, radius, (rows, cols))
-            reference = brute_l_ndcg(y.tolist(), scores.tolist(), radius, rows, cols)
+            if trial % 8 >= 4:
+                scores = np.round(scores)  # ties, broken by ascending location
+            ours = metrics.l_ndcg(y, scores, radius, (rows, cols), k=k)
+            reference = brute_l_ndcg(y.tolist(), scores.tolist(), radius, rows, cols, k=k)
             if reference is None:
                 assert ours is None
             else:
@@ -113,17 +116,39 @@ class TestLocalNdcg:
         assert wide == pytest.approx(metrics.ndcg_at_k(y, scores, 25), abs=1e-12)
 
 
+def stencil_lists(rows, cols, radius):
+    members, mask = grid.neighbourhood_stencil(rows, cols, radius)
+    return [row[keep].tolist() for row, keep in zip(members, mask)]
+
+
 class TestNeighborhoods:
     def test_center_membership_and_symmetry(self):
-        hoods = metrics.neighborhoods(4, 5, 2.0)
+        hoods = stencil_lists(4, 5, 2.0)
         for center, members in enumerate(hoods):
             assert center in members
             for member in members:
                 assert center in hoods[member]
 
     def test_radius_two_neighborhood_size(self):
-        hoods = metrics.neighborhoods(5, 5, 2.0)
+        hoods = stencil_lists(5, 5, 2.0)
         assert len(hoods[12]) == 13  # interior cell: 5x5 diamond-with-corners
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (4, 5), (7, 3), (6, 6)])
+    @pytest.mark.parametrize("radius", [0.0, 1.5, 2.0, 9.0])
+    def test_matches_brute_force(self, rows, cols, radius):
+        members, mask = grid.neighbourhood_stencil(rows, cols, radius)
+        expected = [brute_neighborhood(c, rows, cols, radius) for c in range(rows * cols)]
+        assert stencil_lists(rows, cols, radius) == expected  # ascending location order
+        assert members.shape[1] == max(len(m) for m in expected)
+        assert not members[~mask].any()
+
+    def test_cached_arrays_are_read_only(self):
+        members, mask = grid.neighbourhood_stencil(4, 4, 1.0)
+        assert grid.neighbourhood_stencil(4, 4, 1.0)[0] is members
+        with pytest.raises(ValueError):
+            members[0, 0] = 3
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
 
 class TestPrecision:

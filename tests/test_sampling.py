@@ -62,6 +62,15 @@ class TestGaussianSmooth:
         dist = smoothed / smoothed.sum()
         assert np.abs(dist - scores / scores.sum()).max() <= 1e-12
 
+    def test_matches_dense_kernel_on_non_square_grid(self, rng):
+        rows, cols, bandwidth = 3, 5, 1.3
+        scores = rng.uniform(0, 3, size=rows * cols)
+        rr, cc = np.divmod(np.arange(rows * cols), cols)
+        sq = (rr[:, None] - rr[None, :]) ** 2 + (cc[:, None] - cc[None, :]) ** 2
+        dense = np.exp(-sq / (2 * bandwidth ** 2)) / (2 * np.pi * bandwidth ** 2)
+        smoothed = sampling.gaussian_smooth(scores, bandwidth, (rows, cols))
+        assert np.abs(smoothed - dense @ scores).max() <= 1e-12 * np.abs(dense @ scores).max()
+
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(DataError, match="bandwidth"):
             sampling.gaussian_smooth(np.ones(4), 0.0, (2, 2))
@@ -116,10 +125,3 @@ class TestPipeline:
         b = sampling.refresh(actual, predicted, 1.0, (4, 4), epoch=3)
         assert np.array_equal(a.probs, b.probs)
         assert a.epoch == 3 and a.bandwidth == 1.0
-
-    def test_dump_heatmap(self, rng, tmp_path):
-        dist = sampling.uniform_distribution(6, 1.0)
-        sampling.dump_distribution(dist, (2, 3), tmp_path / "p.csv")
-        lines = (tmp_path / "p.csv").read_text().splitlines()
-        assert lines[0] == "row,col,probability"
-        assert len(lines) == 7
