@@ -110,9 +110,18 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
 def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray) -> Tensor:
     """Directed per-period graph from embeddings + current features.
 
-    Zero diagonal and complementary sparsity hold by construction: the
-    pre-activation is antisymmetric and relu keeps one orientation of
+    With F the features, P the feature projection and a the saturation:
+    e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
+    A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
+    construction: C is antisymmetric and relu keeps one orientation of
     each pair.
+
+    One tape node with parents emb1, emb2, mix1, mix2 and feature_proj.
+    Backward, for output gradient G: G_C = a G * 1[A > 0] * (1 - A^2);
+    since C is antisymmetric everything flows through K = G_C - G_C^T, with
+    dz1 = K z2 and dz2 = -K z1. Then du_i = a dz_i * (1 - z_i^2),
+    dmix_i = e_i^T du_i, demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
+    The relu mask is reported as a kink.
     """
     s = params.emb1.shape[0]
     features = np.asarray(st_features_t, dtype=np.float64)
@@ -120,13 +129,36 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray)
         raise ShapeError(f"spatiotemporal slice shape {features.shape} does not match "
                          f"(S={s}, d_st={params.feature_proj.shape[0]})")
     alpha = params.saturation
-    lifted = ad.matmul(ad.constant(features), params.feature_proj)
-    e1 = ad.add(params.emb1, lifted)
-    e2 = ad.add(params.emb2, lifted)
-    z1 = ad.tanh(ad.mul(ad.matmul(e1, params.mix1), alpha))
-    z2 = ad.tanh(ad.mul(ad.matmul(e2, params.mix2), alpha))
-    cross = ad.sub(ad.matmul(z1, ad.transpose(z2)), ad.matmul(z2, ad.transpose(z1)))
-    return ad.relu(ad.tanh(ad.mul(cross, alpha)))
+    mix1, mix2 = params.mix1.data, params.mix2.data
+    lifted = features @ params.feature_proj.data
+    e1 = params.emb1.data + lifted
+    e2 = params.emb2.data + lifted
+    z1 = np.tanh((e1 @ mix1) * alpha)
+    z2 = np.tanh((e2 @ mix2) * alpha)
+    out = z1 @ z2.T
+    out -= z2 @ z1.T
+    out *= alpha
+    np.tanh(out, out=out)
+    active = out > 0.0
+    np.copyto(out, 0.0, where=~active)
+
+    def grads(g):
+        g_c = g * (1.0 - out * out)
+        g_c *= active
+        g_c *= alpha
+        k = g_c - g_c.T
+        del g_c
+        g_u1 = k @ z2
+        g_u1 *= (1.0 - z1 * z1) * alpha
+        g_u2 = k @ z1
+        g_u2 *= (z2 * z2 - 1.0) * alpha
+        g_e1 = g_u1 @ mix1.T
+        g_e2 = g_u2 @ mix2.T
+        return g_e1, g_e2, e1.T @ g_u1, e2.T @ g_u2, features.T @ (g_e1 + g_e2)
+
+    return ad.fused("dynamic_adjacency", out,
+                    (params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj),
+                    grads, kink=active)
 
 
 @dataclass
@@ -147,6 +179,10 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
 
     gate = sigmoid(f_t . time_gate); ``fixed_gate`` overrides the learned
     gate with a constant (the fixed-0.5 variant used for ablations).
+
+    The mix g A_dyn + (1 - g) A_static is one tape node with parents
+    A_dyn and the (1, 1) gate. Backward, for output gradient G:
+    dA_dyn = g G and dg = sum(G * A_dyn - G * A_static).
     """
     s = a_dynamic.shape[0]
     if a_static.shape != (s, s):
@@ -158,7 +194,17 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
         gate = ad.sigmoid(ad.matmul(ad.constant(f_t), time_gate))
     else:
         gate = ad.constant([[float(fixed_gate)]])
-    gate_full = ad.broadcast_to(gate, (s, s))
-    complement = ad.sub(1.0, gate_full)
-    mixed = ad.add(ad.mul(gate_full, a_dynamic), ad.mul(complement, ad.constant(a_static)))
-    return BlendedAdjacency(matrix=mixed, gate=gate)
+    weight = gate.data[0, 0]
+    dynamic = a_dynamic.data
+    mixed = dynamic * weight
+    mixed += a_static * (1.0 - weight)
+
+    def grads(g):
+        g_gate = None
+        if gate.requires_grad:
+            diff = g * dynamic
+            diff -= g * a_static
+            g_gate = np.full((1, 1), diff.sum())
+        return g * weight, g_gate
+
+    return BlendedAdjacency(matrix=ad.fused("blend", mixed, (a_dynamic, gate), grads), gate=gate)

@@ -9,10 +9,14 @@ once per node. Design rules:
   (scalar Python numbers are the one convenience exception);
 * subgradient conventions: relu'(0) = 0, abs'(0) = 0.
 
-Kinked ops (relu, abs) report their active-branch masks to a
-trace when one is installed, which lets :func:`grad_check` flag
-coordinates whose finite-difference stencil straddles a nondifferentiable
-point.
+Kinked ops (relu, abs, and fused blocks containing them) report their
+active-branch masks to a trace when one is installed, which lets
+:func:`grad_check` flag coordinates whose finite-difference stencil
+straddles a nondifferentiable point.
+
+Gradients are copied into ``.grad`` unless an op hands over an array it
+has just allocated for one parent; ``backward`` releases the ``.grad`` of
+each non-leaf node once that node's backward has run.
 """
 
 from __future__ import annotations
@@ -132,11 +136,14 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. ``owned`` lets the first gradient become
+    ``t.grad`` without a copy; pass it only for a float64 array the op has
+    just allocated and hands to no other parent."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
 
@@ -202,7 +209,7 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         _accum(a, g)
-        _accum(b, -g)
+        _accum(b, -g, owned=True)
 
     return _result("sub", a.data - b.data, (a, b), backward)
 
@@ -212,7 +219,7 @@ def mul(a, b) -> Tensor:
         k = float(b)
 
         def backward(g):
-            _accum(a, g * k)
+            _accum(a, g * k, owned=True)
 
         return _result("mul", a.data * k, (a,), backward)
     if isinstance(a, (int, float)):
@@ -220,8 +227,8 @@ def mul(a, b) -> Tensor:
     _binary_shapes("mul", a, b)
 
     def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum(a, g * b.data, owned=True)
+        _accum(b, g * a.data, owned=True)
 
     return _result("mul", a.data * b.data, (a, b), backward)
 
@@ -234,21 +241,21 @@ def div(a, b) -> Tensor:
         out_data = k / b.data
 
         def backward(g):
-            _accum(b, -g * out_data / b.data)
+            _accum(b, -g * out_data / b.data, owned=True)
 
         return _result("div", out_data, (b,), backward)
     _binary_shapes("div", a, b)
 
     def backward(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+        _accum(a, g / b.data, owned=True)
+        _accum(b, -g * a.data / (b.data * b.data), owned=True)
 
     return _result("div", a.data / b.data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        _accum(a, -g)
+        _accum(a, -g, owned=True)
 
     return _result("neg", -a.data, (a,), backward)
 
@@ -260,8 +267,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} differ")
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.T, owned=True)
+        _accum(b, a.data.T @ g, owned=True)
 
     return _result("matmul", a.data @ b.data, (a, b), backward)
 
@@ -284,7 +291,7 @@ def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        _accum(a, g * (1.0 - out_data * out_data))
+        _accum(a, g * (1.0 - out_data * out_data), owned=True)
 
     return _result("tanh", out_data, (a,), backward)
 
@@ -298,7 +305,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = _stable_sigmoid(a.data)
 
     def backward(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        _accum(a, g * out_data * (1.0 - out_data), owned=True)
 
     return _result("sigmoid", out_data, (a,), backward)
 
@@ -308,7 +315,7 @@ def relu(a: Tensor) -> Tensor:
     _record_kink(mask)
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * mask, owned=True)
 
     return _result("relu", np.where(mask, a.data, 0.0), (a,), backward)
 
@@ -318,7 +325,7 @@ def abs_(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
 
     def backward(g):
-        _accum(a, g * sign)
+        _accum(a, g * sign, owned=True)
 
     return _result("abs", np.abs(a.data), (a,), backward)
 
@@ -327,7 +334,7 @@ def softplus(a: Tensor) -> Tensor:
     out_data = np.logaddexp(0.0, a.data)
 
     def backward(g):
-        _accum(a, g * _stable_sigmoid(a.data))
+        _accum(a, g * _stable_sigmoid(a.data), owned=True)
 
     return _result("softplus", out_data, (a,), backward)
 
@@ -337,14 +344,14 @@ def log2(a: Tensor) -> Tensor:
         raise NumericalError("log2 of non-positive input")
 
     def backward(g):
-        _accum(a, g / (a.data * _LN2))
+        _accum(a, g / (a.data * _LN2), owned=True)
 
     return _result("log2", np.log2(a.data), (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
     def backward(g):
-        _accum(a, g * 2.0 * a.data)
+        _accum(a, g * 2.0 * a.data, owned=True)
 
     return _result("square", a.data * a.data, (a,), backward)
 
@@ -373,7 +380,7 @@ def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape) / count)
+        _accum(a, np.broadcast_to(gg, a.data.shape) / count, owned=True)
 
     return _result("mean", out_data, (a,), backward)
 
@@ -405,7 +412,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[slicer] = g
-            _accum(a, full)
+            _accum(a, full, owned=True)
 
     return _result("narrow", a.data[slicer], (a,), backward)
 
@@ -421,7 +428,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
-            _accum(a, full)
+            _accum(a, full, owned=True)
 
     return _result("gather_rows", a.data[idx], (a,), backward)
 
@@ -457,6 +464,32 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# hand-differentiated blocks
+
+
+def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
+          kink: np.ndarray | None = None) -> Tensor:
+    """One tape node for a block whose backward is written by hand.
+
+    ``grads(g)`` maps the output gradient to one array per parent, in
+    order, or ``None`` for a parent that needs none. Each array must be
+    float64, freshly allocated and returned for one parent only: the
+    parents take it without a copy. ``kink`` is the active-branch mask of
+    a relu or abs inside the block; it is reported like theirs, so
+    :func:`grad_check` flags coordinates that cross it.
+    """
+    if kink is not None:
+        _record_kink(kink)
+
+    def backward(g):
+        for parent, grad in zip(parents, grads(g)):
+            if grad is not None:
+                _accum(parent, grad, owned=True)
+
+    return _result(op, data, parents, backward)
+
+
+# ---------------------------------------------------------------------------
 # backward pass
 
 
@@ -483,8 +516,9 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
     Returns a map from leaf tensors (requires_grad, no parents) to their
-    gradients. Calling twice on the same loss tensor is an error; rebuild
-    the graph instead.
+    gradients. A non-leaf node's ``.grad`` is released once its backward
+    has run, so only the leaves keep gradients. Calling twice on the same
+    loss tensor is an error; rebuild the graph instead.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -497,6 +531,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
     return {t: t.grad for t in order if t.requires_grad and not t._parents and t.grad is not None}
 
 

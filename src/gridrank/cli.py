@@ -235,6 +235,9 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ks = list(config.eval.ks)
+    too_large = [k for k in ks if k > dataset.n_locations]
+    if too_large:
+        raise ConfigError(f"eval.ks cutoff(s) {too_large} exceed the grid's {dataset.n_locations} locations")
     if args.predictor == "model":
         params = load_checkpoint(Path(args.checkpoint))
         report = training.evaluate_split(params, dataset, splits, ks, config.eval.radius)

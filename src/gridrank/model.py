@@ -2,28 +2,39 @@
 adjacency, a recurrent cell shared across locations, and a linear score
 head.
 
-Per input period, node features (static spatial channels concatenated
-with that period's spatiotemporal channels) pass through two graph-conv
-layers H <- relu(A_hat H W) with A_hat = D^-1 (A + I). When the static
-graph contributes negative correlations the degree uses |row sum| + 1e-6
-to keep the normalization finite (signed message passing). The conv
-output, concatenated with the period's temporal features, drives one
-recurrent (LSTM-style) cell whose final state maps linearly to one
-unbounded score per location; ranking objectives are argsort-invariant,
-so no output activation is applied.
+A forward pass has two parts. The per-period step (``_period_step``)
+depends only on the parameters and the period t: it builds t's graph
+(dynamic adjacency, gate blend, D^-1 (A + I) normalization, one fused
+tape node each) and passes the node features (static spatial channels
+concatenated with t's spatiotemporal channels) through the graph-conv
+layers H <- relu(A_hat H W). When the static graph contributes negative
+correlations the degree uses |row sum| + 1e-6 to keep the normalization
+finite (signed message passing). The conv output, concatenated with t's
+temporal features, is the input of one recurrent step. The recurrent part
+(``_recurrent``) runs an LSTM-style cell over the window's steps in order
+and maps its final state linearly to one unbounded score per location;
+ranking objectives are argsort-invariant, so no output activation is
+applied.
+
+``forward`` builds every step of its window. ``predictions_for`` scores
+many overlapping windows without gradients, so it builds each distinct
+period's step once per call and reuses it in every window that contains
+it; the cache lives for that call only, since parameters change between
+calls.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import adjacency
 from . import autodiff as ad
-from .adjacency import DynamicAdjacencyParams, blend, dynamic_adjacency, init_adjacency_params
+from .adjacency import DynamicAdjacencyParams, init_adjacency_params
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericalError
 from .grid import StGrid, Window
@@ -143,21 +154,37 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
     )
 
 
-@lru_cache(maxsize=8)
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n)
+def _normalized_adjacency(matrix: Tensor, signed: bool) -> Tensor:
+    """A_hat = D^-1 (A + I) as one tape node, d_i = row sum r_i of A + I,
+    or |r_i| + 1e-6 when ``signed``.
 
-
-def _normalized_adjacency(matrix: Tensor, eye: np.ndarray, signed: bool) -> Tensor:
-    with_loops = ad.add(matrix, ad.constant(eye))
-    row_sums = ad.sum_(with_loops, axis=1, keepdims=True)
+    Backward, for output gradient G: dA = (G - s * rowsum(G * A_hat)) / d
+    with the row factor s = sign(r) when signed (abs'(0) = 0) and 1
+    otherwise. The signed case reports 1[r > 0] as a kink; the unsigned
+    case rejects a row sum <= 0.
+    """
+    out = matrix.data.copy()
+    out.flat[::out.shape[0] + 1] += 1.0
+    row_sums = out.sum(axis=1, keepdims=True)
+    kink = None
     if signed:
-        denom = ad.add(ad.abs_(row_sums), 1e-6)
+        kink = row_sums > 0.0
+        slope = np.sign(row_sums)
+        denom = np.abs(row_sums) + 1e-6
     else:
-        if np.any(row_sums.data <= 0.0):
+        if np.any(row_sums <= 0.0):
             raise NumericalError("adjacency row sum <= 0: degenerate graph normalization")
+        slope = 1.0
         denom = row_sums
-    return ad.div(with_loops, ad.broadcast_to(denom, with_loops.shape))
+    out /= denom
+
+    def grads(g):
+        inner = np.einsum("ij,ij->i", g, out)[:, None]
+        g_a = g - inner * slope
+        g_a /= denom
+        return (g_a,)
+
+    return ad.fused("normalized_adjacency", out, (matrix,), grads, kink=kink)
 
 
 def _period_inputs(grid: StGrid, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,32 +200,35 @@ def _period_inputs(grid: StGrid, t: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return entry
 
 
-def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
-    """Scores for every location at the window's target period."""
+def _check_window(params: ModelParams, grid: StGrid, window: Window) -> None:
     cfg = params.config
     if (grid.rows, grid.cols) != (cfg.rows, cfg.cols):
         raise DataError(f"grid {grid.rows}x{grid.cols} does not match model {cfg.rows}x{cfg.cols}")
     if window.target >= grid.periods:
         raise DataError(f"window target {window.target} outside study period {grid.periods}")
-    s = cfg.n_locations
-    hr = cfg.recurrent_hidden
-    eye = _eye(s)
-    signed = bool(np.any(params.static_graph < 0.0))
 
+
+def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool) -> Tensor:
+    """Input period t's graph, its graph convolutions and its temporal
+    features: the (S, hidden + d_t) input of one recurrent step."""
+    st_t, node_features, temporal_tiled = _period_inputs(grid, t)
+    dyn = adjacency.dynamic_adjacency(params.adjacency, st_t)
+    blended = adjacency.blend(dyn, params.static_graph, grid.temporal[t],
+                              params.adjacency.time_gate, params.config.fixed_gate)
+    a_hat = _normalized_adjacency(blended.matrix, signed)
+    h = ad.constant(node_features)
+    for conv in params.conv_weights:
+        h = ad.relu(ad.matmul(ad.matmul(a_hat, h), conv))
+    return ad.concat([h, ad.constant(temporal_tiled)], axis=1)
+
+
+def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
+    """The recurrent cell over the period steps in order, then the head."""
+    s = params.config.n_locations
+    hr = params.config.recurrent_hidden
     hidden_state = ad.constant(np.zeros((s, hr)))
     cell_state = ad.constant(np.zeros((s, hr)))
-    for t in window.inputs():
-        st_t, node_features, temporal_tiled = _period_inputs(grid, t)
-        f_t = grid.temporal[t]
-        dyn = dynamic_adjacency(params.adjacency, st_t)
-        blended = blend(dyn, params.static_graph, f_t, params.adjacency.time_gate, cfg.fixed_gate)
-        a_hat = _normalized_adjacency(blended.matrix, eye, signed)
-
-        h = ad.constant(node_features)
-        for conv in params.conv_weights:
-            h = ad.relu(ad.matmul(ad.matmul(a_hat, h), conv))
-
-        step_in = ad.concat([h, ad.constant(temporal_tiled)], axis=1)
+    for step_in in steps:
         gates = ad.add(ad.add(ad.matmul(step_in, params.lstm_wx), ad.matmul(hidden_state, params.lstm_wh)),
                        ad.broadcast_to(params.lstm_bias, (s, 4 * hr)))
         in_gate = ad.sigmoid(ad.narrow(gates, 1, 0, hr))
@@ -210,6 +240,17 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
 
     scores = ad.add(ad.matmul(hidden_state, params.head_weight), ad.broadcast_to(params.head_bias, (s, 1)))
     return ad.reshape(scores, (s,))
+
+
+def _signed(params: ModelParams) -> bool:
+    return bool(np.any(params.static_graph < 0.0))
+
+
+def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
+    """Scores for every location at the window's target period."""
+    _check_window(params, grid, window)
+    signed = _signed(params)
+    return _recurrent(params, [_period_step(params, grid, t, signed) for t in window.inputs()])
 
 
 def predict_topk(params: ModelParams, grid: StGrid, window: Window, k: int) -> list[tuple[int, float]]:
@@ -224,11 +265,21 @@ def predict_topk(params: ModelParams, grid: StGrid, window: Window, k: int) -> l
 
 
 def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) -> np.ndarray:
-    """(days, S) score matrix for a list of windows, gradient-free."""
+    """(days, S) score matrix for a list of windows, gradient-free.
+
+    Each distinct input period's step is computed once per call and reused
+    by every window that contains it; the values equal ``forward``'s.
+    """
     out = np.empty((len(windows), params.config.n_locations))
+    signed = _signed(params)
+    steps: dict[int, Tensor] = {}
     with ad.no_grad():
         for i, window in enumerate(windows):
-            out[i] = forward(params, grid, window).data
+            _check_window(params, grid, window)
+            for t in window.inputs():
+                if t not in steps:
+                    steps[t] = _period_step(params, grid, t, signed)
+            out[i] = _recurrent(params, [steps[t] for t in window.inputs()]).data
     return out
 
 
@@ -266,20 +317,37 @@ def load_checkpoint(directory) -> ModelParams:
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
         raise DataError(f"missing file: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = ModelConfig(**manifest["config"]).validate()
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        config = ModelConfig(**manifest["config"]).validate()
+        entries = manifest["tensors"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
     blob_path = manifest_path.parent / CHECKPOINT_BLOB
     if not blob_path.exists():
         raise DataError(f"missing file: {blob_path}")
     blob = blob_path.read_bytes()
     params = init_params(config, seed=config.seed if config.seed is not None else 0)
+    expected = {name: t.shape for name, t in params.named_tensors()}
+    expected["static_graph"] = (config.n_locations, config.n_locations)
     arrays = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
+        name = entry["name"]
+        if name not in expected:
+            raise DataError(f"checkpoint entry {name!r} is not a tensor of this model")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        if shape != expected[name]:
+            raise DataError(f"checkpoint entry {name} has shape {shape}, the config needs {expected[name]}")
+        count = math.prod(shape)
         start = entry["offset"]
-        arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8", count=count,
-                                              offset=start).reshape(shape).astype(np.float64)
+        if start < 0 or start + 8 * count > len(blob):
+            raise DataError(f"checkpoint entry {name} needs bytes [{start}, {start + 8 * count}) "
+                            f"but {blob_path.name} holds {len(blob)}")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=start).reshape(shape).astype(np.float64)
+    missing = sorted(expected.keys() - arrays.keys())
+    if missing:
+        raise DataError(f"checkpoint lacks entries {missing}")
     params.load_snapshot(arrays)
     return params

@@ -198,6 +198,9 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     shape = (grid.rows, grid.cols)
     surrogate = train_config.surrogate_config()
 
+    if train_config.eval_k > grid.n_locations:
+        raise ConfigError(f"train.eval_k={train_config.eval_k} exceeds the grid's "
+                          f"{grid.n_locations} locations")
     train_windows, val_windows = split_windows(grid, splits, model_config.window)
     risk = grid.risk_by_location()
     if not np.any(risk[:, :splits.train_end] > 0):
@@ -239,13 +242,13 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                     if train_config.use_importance and positives.size:
                         weights = losses.apply_importance(positives, state.importance.probs,
                                                           surrogate, rng)
-                    objective = losses.hybrid_objective(day_risk, scores, surrogate,
-                                                        weights, shape)
-                    loss = ad.neg(objective)
+                    loss = ad.neg(losses.hybrid_objective(day_risk, scores, surrogate,
+                                                          weights, shape))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
                 ad.backward(loss)
+                del scores, loss  # free this window's graph before the next one is built
                 epoch_loss += value
                 seen += 1
             grads = {}

@@ -1,9 +1,16 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Pure Python loops, no shared code with the package paths they check.
+Pure Python loops, no shared code with the package paths they check. The
+one exception is ``generic_graph_block``, which composes the per-period
+graph block from the generic autodiff ops as the reference for the fused
+nodes that replace that chain.
 """
 
 import math
+
+import numpy as np
+
+from gridrank import autodiff as ad
 
 
 def brute_rank(scores, location):
@@ -106,3 +113,31 @@ def brute_l_ndcg_surrogate(relevance, scores, weights, margin, radius, rows, col
             bound = brute_surrogate_rank(local_scores, position, margin)
             total += weight * (2.0 ** rel - 1.0) / (z * math.log2(bound + 1.0))
     return total / len(positives) if positives else 0.0
+
+
+def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
+    """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
+    about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
+    alpha = params.saturation
+    lifted = ad.matmul(ad.constant(features), params.feature_proj)
+    e1 = ad.add(params.emb1, lifted)
+    e2 = ad.add(params.emb2, lifted)
+    z1 = ad.tanh(ad.mul(ad.matmul(e1, params.mix1), alpha))
+    z2 = ad.tanh(ad.mul(ad.matmul(e2, params.mix2), alpha))
+    cross = ad.sub(ad.matmul(z1, ad.transpose(z2)), ad.matmul(z2, ad.transpose(z1)))
+    dynamic = ad.relu(ad.tanh(ad.mul(cross, alpha)))
+
+    s = dynamic.shape[0]
+    if fixed_gate is None:
+        gate = ad.sigmoid(ad.matmul(ad.constant(np.reshape(temporal, (1, -1))), params.time_gate))
+    else:
+        gate = ad.constant([[float(fixed_gate)]])
+    gate_full = ad.broadcast_to(gate, (s, s))
+    complement = ad.sub(1.0, gate_full)
+    blended = ad.add(ad.mul(gate_full, dynamic), ad.mul(complement, ad.constant(static)))
+
+    with_loops = ad.add(blended, ad.constant(np.eye(s)))
+    row_sums = ad.sum_(with_loops, axis=1, keepdims=True)
+    denom = ad.add(ad.abs_(row_sums), 1e-6) if signed else row_sums
+    normalized = ad.div(with_loops, ad.broadcast_to(denom, with_loops.shape))
+    return dynamic, gate, blended, normalized

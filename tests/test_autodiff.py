@@ -65,6 +65,16 @@ class TestBackward:
         ad.backward(loss)
         assert z.grad[0] == pytest.approx(0.25 * c, rel=1e-12)
 
+    def test_only_leaves_keep_gradients(self):
+        a = ad.parameter([1.0, 2.0])
+        b = ad.parameter([3.0, 4.0])
+        total = ad.add(a, b)
+        ad.backward(ad.sum_(ad.mul(total, total)))
+        assert total.grad is None
+        assert np.array_equal(a.grad, [8.0, 12.0]) and np.array_equal(b.grad, [8.0, 12.0])
+        # add hands the same array to both parents, so each must hold a copy
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_second_backward_is_an_error(self):
         w = ad.parameter([1.0])
         loss = ad.sum_(ad.square(w))

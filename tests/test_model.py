@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,8 @@ class TestForward:
         captured = {}
         original = model._normalized_adjacency
 
-        def spy(matrix, eye, signed):
-            out = original(matrix, eye, signed)
+        def spy(matrix, signed):
+            out = original(matrix, signed)
             captured.setdefault("row_sums", out.data.sum(axis=1))
             assert not signed
             return out
@@ -177,3 +179,34 @@ class TestCheckpoint:
                (tmp_path / "b" / "checkpoint.bin").read_bytes()
         assert (tmp_path / "a" / "checkpoint.json").read_text() == \
                (tmp_path / "b" / "checkpoint.json").read_text()
+
+    def test_truncated_blob_is_a_data_error(self, tiny_config, dataset, tmp_path):
+        model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        blob = tmp_path / "ckpt" / model.CHECKPOINT_BLOB
+        blob.write_bytes(blob.read_bytes()[:blob.stat().st_size // 2])
+        with pytest.raises(DataError, match="checkpoint.bin holds"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda entries: entries[0].update(name="adjacency.emb9"), "not a tensor of this model"),
+        (lambda entries: entries[0].update(shape=[3, 16]), "the config needs"),
+        (lambda entries: entries.pop(), "lacks entries"),
+    ], ids=["unknown-name", "wrong-shape", "missing-entry"])
+    def test_manifest_entries_checked_against_config(self, tiny_config, dataset, tmp_path, edit, message):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        edit(manifest["tensors"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=message):
+            model.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("text", [
+        '{"config": ',
+        '{"tensors": []}',
+        '{"config": {"rows": 4, "depth": 2}, "tensors": []}',
+    ], ids=["truncated-json", "no-config", "unknown-config-key"])
+    def test_malformed_manifest_is_a_data_error(self, tiny_config, dataset, tmp_path, text):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed checkpoint manifest"):
+            model.load_checkpoint(tmp_path / "ckpt")
