@@ -168,10 +168,6 @@ class BlendedAdjacency:
     matrix: Tensor
     gate: Tensor
 
-    @property
-    def gate_value(self) -> float:
-        return self.gate.item()
-
 
 def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
           time_gate: Tensor, fixed_gate: float | None = None) -> BlendedAdjacency:

@@ -6,10 +6,11 @@ once per node. Design rules:
 
 * double precision everywhere;
 * no implicit broadcasting between tensors -- use :func:`broadcast_to`
-  (scalar Python numbers are the one convenience exception);
+  (a Python number as the second operand of add, mul or div is the one
+  convenience exception);
 * subgradient conventions: relu'(0) = 0, abs'(0) = 0.
 
-Kinked ops (relu, abs, and fused blocks containing them) report their
+Kinked ops (relu, and fused blocks containing a relu or abs) report their
 active-branch masks to a trace when one is installed, which lets
 :func:`grad_check` flag coordinates whose finite-difference stencil
 straddles a nondifferentiable point.
@@ -99,34 +100,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -189,8 +162,6 @@ def add(a, b) -> Tensor:
             _accum(a, g)
 
         return _result("add", a.data + k, (a,), backward)
-    if isinstance(a, (int, float)):
-        return add(b, a)
     _binary_shapes("add", a, b)
 
     def backward(g):
@@ -201,10 +172,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        return add(a, -float(b))
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return add(neg(b), float(a))
     _binary_shapes("sub", a, b)
 
     def backward(g):
@@ -222,8 +189,6 @@ def mul(a, b) -> Tensor:
             _accum(a, g * k, owned=True)
 
         return _result("mul", a.data * k, (a,), backward)
-    if isinstance(a, (int, float)):
-        return mul(b, a)
     _binary_shapes("mul", a, b)
 
     def backward(g):
@@ -236,14 +201,6 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     if isinstance(b, (int, float)) and isinstance(a, Tensor):
         return mul(a, 1.0 / float(b))
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        k = float(a)
-        out_data = k / b.data
-
-        def backward(g):
-            _accum(b, -g * out_data / b.data, owned=True)
-
-        return _result("div", out_data, (b,), backward)
     _binary_shapes("div", a, b)
 
     def backward(g):
@@ -273,32 +230,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", a.data @ b.data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d operand, got {a.data.shape}")
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _result("transpose", a.data.T, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - out_data * out_data), owned=True)
-
-    return _result("tanh", out_data, (a,), backward)
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    decay = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
+    """sigmoid(x) = (1 + tanh(x / 2)) / 2, finite for every finite x."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -318,16 +256,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * mask, owned=True)
 
     return _result("relu", np.where(mask, a.data, 0.0), (a,), backward)
-
-
-def abs_(a: Tensor) -> Tensor:
-    _record_kink(a.data > 0.0)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        _accum(a, g * sign, owned=True)
-
-    return _result("abs", np.abs(a.data), (a,), backward)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -399,22 +327,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             _accum(t, g[tuple(slicer)])
 
     return _result("concat", np.concatenate([t.data for t in tensors], axis=axis), parents, backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if start < 0 or start + length > a.data.shape[axis]:
-        raise ShapeError(f"narrow [{start}:{start + length}) outside axis {axis} of shape {a.data.shape}")
-    slicer = [slice(None)] * a.data.ndim
-    slicer[axis] = slice(start, start + length)
-    slicer = tuple(slicer)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[slicer] = g
-            _accum(a, full, owned=True)
-
-    return _result("narrow", a.data[slicer], (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -512,22 +424,28 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    Returns a map from leaf tensors (requires_grad, no parents) to their
-    gradients. A non-leaf node's ``.grad`` is released once its backward
-    has run, so only the leaves keep gradients. Calling twice on the same
-    loss tensor is an error; rebuild the graph instead.
+    ``grad`` seeds the backward pass with d(objective)/d(loss) for a
+    non-scalar ``loss``; it defaults to 1 for a scalar one. Returns a map
+    from leaf tensors (requires_grad, no parents) to their gradients. A
+    non-leaf node's ``.grad`` is released once its backward has run, so
+    only the leaves keep gradients. Calling twice on the same loss tensor
+    is an error; rebuild the graph instead.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss or a seed gradient, got shape {loss.data.shape}")
+        grad = np.ones_like(loss.data)
+    elif np.shape(grad) != loss.data.shape:
+        raise ShapeError(f"seed gradient shape {np.shape(grad)} does not match {loss.data.shape}")
     if loss._backward_done:
         raise RuntimeError("backward already ran for this loss; rebuild the graph before calling again")
     loss._backward_done = True
     order = _toposort(loss)
     if loss.requires_grad:
-        _accum(loss, np.ones_like(loss.data))
+        _accum(loss, grad)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -562,9 +480,6 @@ class GradCheckReport:
     kinks: int
     passed: bool
     entries: list[GradCheckEntry] = field(default_factory=list, repr=False)
-
-    def failing(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if not e.kink and e.rel_error > self.tolerance]
 
 
 def _traces_match(a: list[np.ndarray], b: list[np.ndarray]) -> bool:

@@ -264,6 +264,8 @@ def _scores_for_day(args, config: RunConfig, dataset: griddata.StGrid, day: int)
         splits = _splits_for(config, dataset)
         return training.historical_average(dataset, splits)
     params = load_checkpoint(Path(args.checkpoint))
+    if day < params.config.window:
+        raise ConfigError(f"day {day} has no length-{params.config.window} input window")
     window = griddata.Window(day, params.config.window)
     with autodiff.no_grad():
         return forward(params, dataset, window).data
@@ -274,8 +276,6 @@ def cmd_rank(args, config: RunConfig) -> int:
     day = dataset.periods - 1 if args.day == "last" else int(args.day)
     if not 0 <= day < dataset.periods:
         raise ConfigError(f"day {day} outside study period [0, {dataset.periods})")
-    if args.predictor == "model" and day < config.model.window:
-        raise ConfigError(f"day {day} has no length-{config.model.window} input window")
     scores = _scores_for_day(args, config, dataset, day)
     k = args.k or min(10, dataset.n_locations)
     if k > dataset.n_locations:
@@ -295,12 +295,12 @@ def cmd_crossk(args, config: RunConfig) -> int:
     splits = _splits_for(config, dataset)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, val_windows = split_windows(dataset, splits, config.model.window)
-    risk = dataset.risk_by_location()
+    params = load_checkpoint(Path(args.checkpoint)) if args.predictor == "model" else None
+    window = config.model.window if params is None else params.config.window
+    _, val_windows = split_windows(dataset, splits, window)
     val_days = [w.target for w in val_windows]
-    actual = risk[:, val_days].T.copy()
-    if args.predictor == "model":
-        params = load_checkpoint(Path(args.checkpoint))
+    actual = dataset.risk_by_location()[:, val_days].T.copy()
+    if params is not None:
         predicted = predictions_for(params, dataset, val_windows)
         stem = "crossk_model"
     else:

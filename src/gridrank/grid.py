@@ -386,11 +386,39 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
         return [row for row in reader if row]
 
 
-def _parse_float(text: str, path: Path) -> float:
+_AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
+
+
+def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str]) -> np.ndarray:
+    """A CSV whose leading integer columns ``axes`` (header name -> size)
+    key one row each, as an array of shape (*sizes, len(columns)). Every
+    key must lie inside its axis and every cell must be present exactly
+    once; a repeated key is a data error."""
+    records = _read_rows(path, list(axes) + columns)
+    width = len(axes) + len(columns)
     try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"unparseable value {text!r} in {path.name}") from None
+        table = np.array(records, dtype=np.float64).reshape(len(records), width)
+    except ValueError as exc:
+        raise DataError(f"malformed rows in {path.name}: {exc}") from None
+    keys = table[:, :len(axes)].astype(int)
+    if not np.array_equal(keys, table[:, :len(axes)]):
+        raise DataError(f"non-integer key in {path.name}")
+    for position, (axis, size) in enumerate(axes.items()):
+        if keys.size and (keys[:, position].min() < 0 or keys[:, position].max() >= size):
+            raise DataError(f"dimension mismatch in {name}: axis {_AXIS_NAMES[axis]} index "
+                            f"{int(keys[:, position].max())} outside [0, {size})")
+    sizes = tuple(axes.values())
+    out = np.full(sizes + (len(columns),), np.nan)
+    seen = np.zeros(sizes, dtype=bool)
+    out[tuple(keys.T)] = table[:, len(axes):]
+    seen[tuple(keys.T)] = True
+    if not seen.all():
+        missing = ", ".join(f"{axis}={int(i)}" for axis, i in zip(axes, np.argwhere(~seen)[0]))
+        expected = ", ".join(f"{_AXIS_NAMES[axis]}={size}" for axis, size in axes.items())
+        raise DataError(f"dimension mismatch in {name}: missing record at ({missing}); expected {expected}")
+    if len(records) > seen.size:
+        raise DataError(f"repeated key in {name}: {len(records)} rows for {seen.size} cells")
+    return out
 
 
 def load_grid(manifest_path) -> StGrid:
@@ -413,62 +441,14 @@ def load_grid(manifest_path) -> StGrid:
     base = manifest_path.parent
     files = manifest["files"]
 
-    def axis_check(name: str, keys: np.ndarray, sizes: dict[str, int]) -> None:
-        for axis_pos, (axis, size) in enumerate(sizes.items()):
-            seen = keys[:, axis_pos]
-            if seen.size and (seen.min() < 0 or seen.max() >= size):
-                raise DataError(f"dimension mismatch in {name}: axis {axis} index "
-                                f"{int(seen.max())} outside [0, {size})")
+    def load(name: str, axes: dict[str, int], width: int) -> np.ndarray:
+        columns = [f"f{j}" for j in range(width)] if name != "y" else ["y"]
+        return _load_keyed(base / files[name], name, axes, columns)
 
-    # temporal
-    path = base / files["f_t"]
-    records = _read_rows(path, ["t"] + [f"f{j}" for j in range(d_t)])
-    temporal = np.full((periods, d_t), np.nan)
-    visited = np.zeros(periods, dtype=bool)
-    keys = np.array([[int(r[0])] for r in records]) if records else np.empty((0, 1), int)
-    axis_check("f_t", keys, {"T": periods})
-    for record in records:
-        t = int(record[0])
-        temporal[t] = [_parse_float(v, path) for v in record[1:]]
-        visited[t] = True
-    if not visited.all():
-        raise DataError(f"dimension mismatch in f_t: axis T has {int(visited.sum())} rows, expected {periods}")
-
-    # spatial
-    path = base / files["f_s"]
-    records = _read_rows(path, ["row", "col"] + [f"f{j}" for j in range(d_s)])
-    spatial = np.full((rows, cols, d_s), np.nan)
-    visited = np.zeros((rows, cols), dtype=bool)
-    keys = np.array([[int(r[0]), int(r[1])] for r in records]) if records else np.empty((0, 2), int)
-    axis_check("f_s", keys, {"rows": rows, "cols": cols})
-    for record in records:
-        r, c = int(record[0]), int(record[1])
-        spatial[r, c] = [_parse_float(v, path) for v in record[2:]]
-        visited[r, c] = True
-    if not visited.all():
-        raise DataError(f"dimension mismatch in f_s: {int(visited.sum())} cells, expected {rows * cols}")
-
-    # spatiotemporal + risk share key layout
-    def load_keyed(name: str, width: int) -> np.ndarray:
-        p = base / files[name]
-        header = ["row", "col", "t"] + ([f"f{j}" for j in range(width)] if name == "f_st" else ["y"])
-        recs = _read_rows(p, header)
-        out = np.full((rows, cols, periods, width), np.nan)
-        seen = np.zeros((rows, cols, periods), dtype=bool)
-        ks = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in recs]) if recs else np.empty((0, 3), int)
-        axis_check(name, ks, {"rows": rows, "cols": cols, "T": periods})
-        for rec in recs:
-            r, c, t = int(rec[0]), int(rec[1]), int(rec[2])
-            out[r, c, t] = [_parse_float(v, p) for v in rec[3:]]
-            seen[r, c, t] = True
-        if not seen.all():
-            missing = np.argwhere(~seen)[0]
-            raise DataError(f"dimension mismatch in {name}: missing record at "
-                            f"(row={missing[0]}, col={missing[1]}, t={missing[2]}); axis T expected {periods}")
-        return out
-
-    st = load_keyed("f_st", d_st)
-    risk = load_keyed("y", 1)[:, :, :, 0]
+    temporal = load("f_t", {"t": periods}, d_t)
+    spatial = load("f_s", {"row": rows, "col": cols}, d_s)
+    st = load("f_st", {"row": rows, "col": cols, "t": periods}, d_st)
+    risk = load("y", {"row": rows, "col": cols, "t": periods}, 1)[:, :, :, 0]
 
     grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
                   spatial=spatial, spatiotemporal=st, risk=risk,

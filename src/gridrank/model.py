@@ -11,16 +11,32 @@ layers H <- relu(A_hat H W). When the static graph contributes negative
 correlations the degree uses |row sum| + 1e-6 to keep the normalization
 finite (signed message passing). The conv output, concatenated with t's
 temporal features, is the input of one recurrent step. The recurrent part
-(``_recurrent``) runs an LSTM-style cell over the window's steps in order
-and maps its final state linearly to one unbounded score per location;
-ranking objectives are argsort-invariant, so no output activation is
-applied.
+(``_recurrent``) runs an LSTM-style cell over the window's steps in order,
+one fused tape node per step, and maps its final state linearly to one
+unbounded score per location; ranking objectives are argsort-invariant,
+so no output activation is applied.
 
 ``forward`` builds every step of its window. ``predictions_for`` scores
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
 it; the cache lives for that call only, since parameters change between
 calls.
+
+``batch_backward`` is one mini-batch's training step, checkpointed at
+the period boundary (Chen et al. 2016): (1) without gradients, each
+distinct input period's step is built once and held as a detached leaf;
+(2) per window, the recurrent part runs over its leaves and its loss is
+backpropagated into them and into the recurrent and head weights; (3) in
+ascending order, each period whose leaf got a gradient is rebuilt with
+gradients and that gradient seeds its backward. At most one window's
+recurrent tape and one period's S x S tape are alive at a time, and the
+gradients equal the per-window sum up to summation order. Keeping the
+period tapes, or stacking the windows into one (B S)-row recurrent pass,
+costs memory: prototypes on the benchmark workloads (2-vCPU VM, one BLAS
+thread) peaked at 59.1 against 49.6 MB on train-8x8 when keeping tapes,
+and at 886 against 330 MB on train-32x32 (67-92 MB on train-8x8) when
+stacking; stacking in ``predictions_for`` took eval-32x32 from 196 to
+255 MB.
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -222,24 +239,74 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool) -> Ten
     return ad.concat([h, ad.constant(temporal_tiled)], axis=1)
 
 
+def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
+    """One recurrent step as one tape node: the (R, 2h) state [h | c] and
+    the step input x give the next state [h' | c'].
+
+    Forward, with sigmoid(z) = (1 + tanh(z / 2)) / 2:
+    z = x Wx + h Wh + b, split into four h-wide blocks (i, f, g, o);
+    i, f, o = sigmoid of their blocks, g = tanh of its block;
+    c' = f * c + i * g, h' = o * tanh(c').
+
+    Backward, for the output gradient [dh' | dc'] (dc' is the part that
+    reaches c' directly): dC = dc' + dh' * o * (1 - tanh(c')^2);
+    do = dh' * tanh(c'), di = dC * g, df = dC * c, dg = dC * i;
+    dz = [di * i (1 - i), df * f (1 - f), dg (1 - g^2), do * o (1 - o)];
+    dx = dz Wx^T, dWx = x^T dz, dWh = h^T dz, db = column sums of dz,
+    d[h | c] = [dz Wh^T | dC * f]. Only the (R, 4h) activations
+    [i, f, g, o] and tanh(c') are kept for it.
+    """
+    hr = params.config.recurrent_hidden
+    x, wx, wh = step_in.data, params.lstm_wx.data, params.lstm_wh.data
+    h, c = state.data[:, :hr], state.data[:, hr:]
+    z = x @ wx
+    z += h @ wh
+    z += params.lstm_bias.data
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)  # sigmoid(z) = 0.5 + 0.5 tanh(z / 2)
+    act = np.tanh(z * scale) * scale + (1.0 - scale)
+    i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
+    c_next = f * c + i * g
+    tanh_c = np.tanh(c_next)
+    out = np.concatenate([o * tanh_c, c_next], axis=1)
+
+    def grads(grad):
+        dh, dc = grad[:, :hr], grad[:, hr:]
+        d_cell = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = act * (1.0 - act)
+        dz[:, 2 * hr:3 * hr] = 1.0 - g * g
+        dz[:, :hr] *= d_cell * g
+        dz[:, hr:2 * hr] *= d_cell * c
+        dz[:, 2 * hr:3 * hr] *= d_cell * i
+        dz[:, 3 * hr:] *= dh * tanh_c
+        d_state = np.concatenate([dz @ wh.T, d_cell * f], axis=1) if state.requires_grad else None
+        return (dz @ wx.T if step_in.requires_grad else None, d_state,
+                x.T @ dz, h.T @ dz, dz.sum(axis=0, keepdims=True))
+
+    return ad.fused("lstm_step", out, (step_in, state, params.lstm_wx, params.lstm_wh, params.lstm_bias),
+                    grads)
+
+
+def _head(params: ModelParams, state: Tensor) -> Tensor:
+    """Scores h W + b of the final state [h | c] as one (S,) tape node."""
+    hr = params.config.recurrent_hidden
+    h, w = state.data[:, :hr], params.head_weight.data
+    scores = (h @ w + params.head_bias.data).reshape(-1)
+
+    def grads(g):
+        col = g.reshape(-1, 1)
+        d_state = np.zeros_like(state.data)
+        np.matmul(col, w.T, out=d_state[:, :hr])
+        return d_state, h.T @ col, col.sum(axis=0, keepdims=True)
+
+    return ad.fused("score_head", scores, (state, params.head_weight, params.head_bias), grads)
+
+
 def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
     """The recurrent cell over the period steps in order, then the head."""
-    s = params.config.n_locations
-    hr = params.config.recurrent_hidden
-    hidden_state = ad.constant(np.zeros((s, hr)))
-    cell_state = ad.constant(np.zeros((s, hr)))
+    state = ad.constant(np.zeros((params.config.n_locations, 2 * params.config.recurrent_hidden)))
     for step_in in steps:
-        gates = ad.add(ad.add(ad.matmul(step_in, params.lstm_wx), ad.matmul(hidden_state, params.lstm_wh)),
-                       ad.broadcast_to(params.lstm_bias, (s, 4 * hr)))
-        in_gate = ad.sigmoid(ad.narrow(gates, 1, 0, hr))
-        forget_gate = ad.sigmoid(ad.narrow(gates, 1, hr, hr))
-        candidate = ad.tanh(ad.narrow(gates, 1, 2 * hr, hr))
-        out_gate = ad.sigmoid(ad.narrow(gates, 1, 3 * hr, hr))
-        cell_state = ad.add(ad.mul(forget_gate, cell_state), ad.mul(in_gate, candidate))
-        hidden_state = ad.mul(out_gate, ad.tanh(cell_state))
-
-    scores = ad.add(ad.matmul(hidden_state, params.head_weight), ad.broadcast_to(params.head_bias, (s, 1)))
-    return ad.reshape(scores, (s,))
+        state = _lstm_step(params, step_in, state)
+    return _head(params, state)
 
 
 def _signed(params: ModelParams) -> bool:
@@ -264,6 +331,20 @@ def predict_topk(params: ModelParams, grid: StGrid, window: Window, k: int) -> l
     return [(int(loc), float(scores[loc])) for loc in order]
 
 
+def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
+                  signed: bool) -> dict[int, Tensor]:
+    """Each distinct input period's step of ``windows``, built once and
+    without gradients."""
+    steps: dict[int, Tensor] = {}
+    with ad.no_grad():
+        for window in windows:
+            _check_window(params, grid, window)
+            for t in window.inputs():
+                if t not in steps:
+                    steps[t] = _period_step(params, grid, t, signed)
+    return steps
+
+
 def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) -> np.ndarray:
     """(days, S) score matrix for a list of windows, gradient-free.
 
@@ -271,16 +352,35 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
     by every window that contains it; the values equal ``forward``'s.
     """
     out = np.empty((len(windows), params.config.n_locations))
-    signed = _signed(params)
-    steps: dict[int, Tensor] = {}
+    steps = _shared_steps(params, grid, windows, _signed(params))
     with ad.no_grad():
         for i, window in enumerate(windows):
-            _check_window(params, grid, window)
-            for t in window.inputs():
-                if t not in steps:
-                    steps[t] = _period_step(params, grid, t, signed)
             out[i] = _recurrent(params, [steps[t] for t in window.inputs()]).data
     return out
+
+
+def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
+                   loss_of: Callable[[Window, Tensor], Tensor]) -> list[float]:
+    """Accumulate the gradient of the summed window losses into the
+    parameters' ``.grad`` and return each window's loss value, in order.
+
+    ``loss_of(window, scores)`` gives one window's scalar loss; it may
+    raise to abort the batch. The three stages are described in the module
+    docstring.
+    """
+    signed = _signed(params)
+    leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows, signed).items()}
+    values = []
+    for window in windows:
+        loss = loss_of(window, _recurrent(params, [leaves[t] for t in window.inputs()]))
+        values.append(loss.item())
+        ad.backward(loss)
+        del loss  # free this window's tape before the next one is built
+    for t in sorted(leaves):
+        seed = leaves.pop(t).grad
+        if seed is not None:
+            ad.backward(_period_step(params, grid, t, signed), seed)
+    return values
 
 
 # ---------------------------------------------------------------------------

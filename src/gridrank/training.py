@@ -8,6 +8,14 @@ uniform. Afterwards each day contributes the negated hybrid surrogate
 with weights drawn from the current importance distribution; the
 distribution is refreshed from full-training-split predictions at the
 end of every epoch.
+
+Each mini-batch's gradient comes from ``model.batch_backward``: every
+distinct input period's graph block is built once without gradients,
+each window's loss is backpropagated to those periods' outputs, and each
+period is then rebuilt once to carry its gradient into the graph
+parameters. Windows are not stacked into one recurrent pass, and period
+tapes are not kept, because both raised peak memory beyond the
+benchmark's bound (figures in the ``model`` docstring).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericalError
 from .grid import StGrid, Window
 from .losses import SurrogateConfig
-from .model import ModelConfig, ModelParams, forward, init_params, predictions_for
+from .model import ModelConfig, ModelParams, batch_backward, init_params, predictions_for
 
 WARMUP_MODES = ("mse", "bce")
 
@@ -224,33 +232,31 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         warm = epoch < train_config.warmup_epochs
         lr = train_config.lr_warmup if warm else train_config.lr_main
 
+        def loss_of(window: Window, scores: Tensor) -> Tensor:
+            day_risk = risk[:, window.target]
+            if warm:
+                loss = warmup_loss(day_risk, scores, train_config.warmup_mode)
+            else:
+                positives = losses.positive_locations(day_risk)
+                weights = None
+                if train_config.use_importance and positives.size:
+                    weights = losses.apply_importance(positives, state.importance.probs,
+                                                      surrogate, rng)
+                loss = ad.neg(losses.hybrid_objective(day_risk, scores, surrogate,
+                                                      weights, shape))
+            if not np.isfinite(loss.item()):
+                raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
+            return loss
+
         order = rng.permutation(len(train_windows))
         epoch_loss = 0.0
         seen = 0
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
             ad.zero_grads(params.tensors())
-            for index in batch:
-                window = train_windows[index]
-                day_risk = risk[:, window.target]
-                scores = forward(params, grid, window)
-                if warm:
-                    loss = warmup_loss(day_risk, scores, train_config.warmup_mode)
-                else:
-                    positives = losses.positive_locations(day_risk)
-                    weights = None
-                    if train_config.use_importance and positives.size:
-                        weights = losses.apply_importance(positives, state.importance.probs,
-                                                          surrogate, rng)
-                    loss = ad.neg(losses.hybrid_objective(day_risk, scores, surrogate,
-                                                          weights, shape))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
-                ad.backward(loss)
-                del scores, loss  # free this window's graph before the next one is built
-                epoch_loss += value
-                seen += 1
+            values = batch_backward(params, grid, [train_windows[i] for i in batch], loss_of)
+            epoch_loss = sum(values, epoch_loss)
+            seen += len(values)
             grads = {}
             for name, tensor in params.named_tensors():
                 if tensor.grad is not None:

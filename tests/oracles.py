@@ -1,9 +1,13 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Pure Python loops, no shared code with the package paths they check. The
-one exception is ``generic_graph_block``, which composes the per-period
-graph block from the generic autodiff ops as the reference for the fused
-nodes that replace that chain.
+exceptions are built on the package's autodiff: the ops ``transpose``,
+``tanh``, ``abs_`` and ``narrow``, which only tests use;
+``generic_graph_block`` and ``generic_recurrent``, which compose the
+per-period graph block and the recurrent cell from generic ops as the
+references for the fused nodes that replace those chains; and
+``per_window_gradients``, the per-window training step that the
+once-per-batch step must reproduce.
 """
 
 import math
@@ -11,6 +15,7 @@ import math
 import numpy as np
 
 from gridrank import autodiff as ad
+from gridrank import model
 
 
 def brute_rank(scores, location):
@@ -115,6 +120,21 @@ def brute_l_ndcg_surrogate(relevance, scores, weights, margin, radius, rows, col
     return total / len(positives) if positives else 0.0
 
 
+def transpose(a):
+    return ad.fused("transpose", a.data.T, (a,), lambda g: (g.T.copy(),))
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return ad.fused("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def abs_(a):
+    """|a| with abs'(0) = 0; reports the 1[a > 0] branch mask as a kink."""
+    sign = np.sign(a.data)
+    return ad.fused("abs", np.abs(a.data), (a,), lambda g: (g * sign,), kink=a.data > 0.0)
+
+
 def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
     about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
@@ -122,10 +142,10 @@ def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     lifted = ad.matmul(ad.constant(features), params.feature_proj)
     e1 = ad.add(params.emb1, lifted)
     e2 = ad.add(params.emb2, lifted)
-    z1 = ad.tanh(ad.mul(ad.matmul(e1, params.mix1), alpha))
-    z2 = ad.tanh(ad.mul(ad.matmul(e2, params.mix2), alpha))
-    cross = ad.sub(ad.matmul(z1, ad.transpose(z2)), ad.matmul(z2, ad.transpose(z1)))
-    dynamic = ad.relu(ad.tanh(ad.mul(cross, alpha)))
+    z1 = tanh(ad.mul(ad.matmul(e1, params.mix1), alpha))
+    z2 = tanh(ad.mul(ad.matmul(e2, params.mix2), alpha))
+    cross = ad.sub(ad.matmul(z1, transpose(z2)), ad.matmul(z2, transpose(z1)))
+    dynamic = ad.relu(tanh(ad.mul(cross, alpha)))
 
     s = dynamic.shape[0]
     if fixed_gate is None:
@@ -133,11 +153,59 @@ def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     else:
         gate = ad.constant([[float(fixed_gate)]])
     gate_full = ad.broadcast_to(gate, (s, s))
-    complement = ad.sub(1.0, gate_full)
+    complement = ad.add(ad.neg(gate_full), 1.0)
     blended = ad.add(ad.mul(gate_full, dynamic), ad.mul(complement, ad.constant(static)))
 
     with_loops = ad.add(blended, ad.constant(np.eye(s)))
     row_sums = ad.sum_(with_loops, axis=1, keepdims=True)
-    denom = ad.add(ad.abs_(row_sums), 1e-6) if signed else row_sums
+    denom = ad.add(abs_(row_sums), 1e-6) if signed else row_sums
     normalized = ad.div(with_loops, ad.broadcast_to(denom, with_loops.shape))
     return dynamic, gate, blended, normalized
+
+
+def narrow(a, axis, start, length):
+    """Slice [start, start + length) of ``axis`` as one tape node; the
+    backward scatters the gradient into zeros of the input's shape."""
+    slicer = [slice(None)] * a.data.ndim
+    slicer[axis] = slice(start, start + length)
+    slicer = tuple(slicer)
+
+    def grads(g):
+        full = np.zeros_like(a.data)
+        full[slicer] = g
+        return (full,)
+
+    return ad.fused("narrow", a.data[slicer], (a,), grads)
+
+
+def generic_recurrent(params, steps):
+    """The recurrent cell and the score head built from about fifteen
+    generic ops per step: the reference for the fused LSTM step and head."""
+    s = params.config.n_locations
+    hr = params.config.recurrent_hidden
+    hidden_state = ad.constant(np.zeros((s, hr)))
+    cell_state = ad.constant(np.zeros((s, hr)))
+    for step_in in steps:
+        gates = ad.add(ad.add(ad.matmul(step_in, params.lstm_wx), ad.matmul(hidden_state, params.lstm_wh)),
+                       ad.broadcast_to(params.lstm_bias, (s, 4 * hr)))
+        in_gate = ad.sigmoid(narrow(gates, 1, 0, hr))
+        forget_gate = ad.sigmoid(narrow(gates, 1, hr, hr))
+        candidate = tanh(narrow(gates, 1, 2 * hr, hr))
+        out_gate = ad.sigmoid(narrow(gates, 1, 3 * hr, hr))
+        cell_state = ad.add(ad.mul(forget_gate, cell_state), ad.mul(in_gate, candidate))
+        hidden_state = ad.mul(out_gate, tanh(cell_state))
+    scores = ad.add(ad.matmul(hidden_state, params.head_weight), ad.broadcast_to(params.head_bias, (s, 1)))
+    return ad.reshape(scores, (s,))
+
+
+def per_window_gradients(params, grid, windows, loss_of):
+    """The per-window training step: ``forward`` and one ``backward`` per
+    window, every period's graph rebuilt in every window that holds it.
+    Returns the loss values and a copy of every named parameter gradient."""
+    ad.zero_grads(params.tensors())
+    values = []
+    for window in windows:
+        loss = loss_of(window, model.forward(params, grid, window))
+        values.append(loss.item())
+        ad.backward(loss)
+    return values, {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}

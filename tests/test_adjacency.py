@@ -117,7 +117,7 @@ class TestBlend:
         dyn = adjacency.dynamic_adjacency(params, features)
         static = np.random.default_rng(8).uniform(-1, 1, size=(9, 9))
         blended = adjacency.blend(dyn, static, np.ones(3), params.time_gate)
-        assert blended.gate_value == pytest.approx(0.5, abs=0.0)
+        assert blended.gate.item() == pytest.approx(0.5, abs=0.0)
         assert np.allclose(blended.matrix.data, (dyn.data + static) / 2.0, atol=1e-15)
 
     def test_fixed_gate_override_matches_half_mix(self):
@@ -126,7 +126,7 @@ class TestBlend:
         dyn = adjacency.dynamic_adjacency(params, features)
         static = np.random.default_rng(12).uniform(-1, 1, size=(9, 9))
         fixed = adjacency.blend(dyn, static, np.ones(3), params.time_gate, fixed_gate=0.5)
-        assert fixed.gate_value == 0.5
+        assert fixed.gate.item() == 0.5
         assert np.allclose(fixed.matrix.data, 0.5 * dyn.data + 0.5 * static, atol=1e-15)
 
     def test_blend_definition_holds_elementwise(self):
@@ -136,7 +136,7 @@ class TestBlend:
         static = np.random.default_rng(15).uniform(-1, 1, size=(9, 9))
         temporal = np.array([0.4, 0.1, -0.7])
         blended = adjacency.blend(dyn, static, temporal, params.time_gate)
-        gate = blended.gate_value
+        gate = blended.gate.item()
         assert 0.0 < gate < 1.0
         expected = gate * dyn.data + (1 - gate) * static
         assert np.allclose(blended.matrix.data, expected, atol=1e-12)

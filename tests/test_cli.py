@@ -42,7 +42,7 @@ def one_line_error(capsys, prefix):
 
 def test_eval_k_above_grid_size_exits_before_any_epoch(manifest, tmp_path, capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(training, "forward", lambda *args: built.append(args))
+    monkeypatch.setattr(training, "batch_backward", lambda *args: built.append(args))
     code = cli.main(SMALL_MODEL + ["--set", "train.epochs=1", "--set", "train.warmup_epochs=1",
                                    "--set", "train.eval_k=17", "train", "--data", manifest,
                                    "--out", str(tmp_path / "run")])
@@ -85,3 +85,29 @@ def test_diverging_training_is_a_numerical_failure(manifest, tmp_path, capsys):
                                    "train", "--data", manifest, "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_NUMERIC
     one_line_error(capsys, "numerical failure:")
+
+
+@pytest.fixture
+def window3_checkpoint(manifest, tmp_path):
+    code = cli.main(SMALL_MODEL + ["--set", "train.epochs=0", "--set", "train.warmup_epochs=0",
+                                   "train", "--data", manifest, "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_OK
+    return str(tmp_path / "run" / "checkpoint")
+
+
+def test_crossk_takes_the_window_from_the_checkpoint(manifest, window3_checkpoint, tmp_path):
+    written = []
+    for extra in ([], ["--set", "model.window=3"]):
+        out = tmp_path / f"crossk{len(extra)}"
+        code = cli.main(extra + ["--set", "eval.crossk_sims=9", "crossk", "--data", manifest,
+                                 "--checkpoint", window3_checkpoint, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        written.append((out / "crossk_model.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_rank_checks_the_day_against_the_checkpoint_window(manifest, window3_checkpoint, capsys):
+    assert cli.main(["rank", "--data", manifest, "--checkpoint", window3_checkpoint, "--day", "5"]) == cli.EXIT_OK
+    assert "top-10 locations for period 5 (model):" in capsys.readouterr().out
+    assert cli.main(["rank", "--data", manifest, "--checkpoint", window3_checkpoint, "--day", "2"]) == cli.EXIT_CONFIG
+    assert "day 2 has no length-3 input window" in one_line_error(capsys, "config error:")

@@ -150,3 +150,16 @@ class TestManifestIO:
         y_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="negative risk"):
             grid.load_grid(manifest)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines + [lines[1]], "repeated key in y: 481 rows for 480 cells"),
+        (lambda lines: lines[:1] + ["0,0,0"] + lines[2:], "malformed rows in y.csv"),
+        (lambda lines: lines[:1] + ["0,0,0,abc"] + lines[2:], "malformed rows in y.csv: .*'abc'"),
+        (lambda lines: lines[:1] + ["0,0,0.5,1"] + lines[2:], "non-integer key in y.csv"),
+    ])
+    def test_malformed_rows_are_data_errors(self, small, tmp_path, edit, message):
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        y_path = tmp_path / "ds" / "y.csv"
+        y_path.write_text("\n".join(edit(y_path.read_text().splitlines())) + "\n")
+        with pytest.raises(DataError, match=message):
+            grid.load_grid(manifest)

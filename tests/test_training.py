@@ -1,16 +1,127 @@
+import csv
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from gridrank import grid, training
-from gridrank.model import ModelConfig
+from gridrank import grid, losses, metrics, sampling, training
+from gridrank.adjacency import pearson_static
+from gridrank.model import ModelConfig, init_params
+
+from oracles import per_window_gradients
+
+SPLITS = training.Splits(train_end=22)
 
 
-def test_logged_local_ndcg_applies_the_cutoff():
-    data = grid.generate_synthetic(7, 5, 5, 30, 2)
-    splits = training.Splits(train_end=22)
-    model_config = ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3, embed_dim=3)
-    train_config = training.TrainConfig(epochs=1, warmup_epochs=0, batch_size=8, eval_k=3)
-    state = training.train(data, splits, model_config, train_config)
-    report = training.evaluate_split(state.params, data, splits, [3], train_config.radius)
+@pytest.fixture(scope="module")
+def data():
+    return grid.generate_synthetic(7, 5, 5, 30, 2)
+
+
+def small_model(data):
+    return ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3, embed_dim=3)
+
+
+def run(data, **fields):
+    config = training.TrainConfig(**{"batch_size": 8, "eval_k": 3, **fields})
+    return training.train(data, SPLITS, small_model(data), config)
+
+
+def test_logged_local_ndcg_applies_the_cutoff(data):
+    state = run(data, epochs=1, warmup_epochs=0)
+    report = training.evaluate_split(state.params, data, SPLITS, [3], training.TrainConfig().radius)
     logged = state.log[-1]
     assert logged["val_lndcg@3"] == pytest.approx(report.lookup("lndcg", 3).mean, abs=1e-12)
     assert logged["val_ndcg@3"] == pytest.approx(report.lookup("ndcg", 3).mean, abs=1e-12)
+
+
+def scripted_validation(monkeypatch, values):
+    """Make the per-epoch validation report read ``values`` in turn."""
+    script = iter(values)
+
+    def report(*args, **kwargs):
+        value = next(script)
+        return SimpleNamespace(lookup=lambda name, k: SimpleNamespace(mean=value))
+
+    monkeypatch.setattr(metrics, "metric_report", report)
+
+
+def test_early_stopping_after_patience_epochs_without_gain(data, monkeypatch):
+    scripted_validation(monkeypatch, [0.1, 0.3, 0.2, 0.25, 0.5, 0.6])
+    state = run(data, epochs=6, warmup_epochs=1, early_stop_patience=2)
+    assert state.epochs_run == 4 and len(state.log) == 4
+    assert state.best_epoch == 1 and state.best_metric == 0.3
+
+
+def test_best_params_restore_the_best_validation_epoch(data, monkeypatch):
+    scripted_validation(monkeypatch, [0.1, 0.3, 0.2, 0.25])
+    state = run(data, epochs=4, warmup_epochs=1)
+    best = state.best_params().snapshot()
+    monkeypatch.undo()
+    two_epochs = run(data, epochs=2, warmup_epochs=1).params.snapshot()
+    last = state.params.snapshot()
+    assert all(np.array_equal(best[name], two_epochs[name]) for name in best)
+    assert not all(np.array_equal(best[name], last[name]) for name in best)
+
+
+def test_bce_warmup_epoch_matches_the_per_window_oracle(data):
+    state = run(data, epochs=1, warmup_epochs=1, warmup_mode="bce", batch_size=64, lr_warmup=1e-2)
+
+    config = training.TrainConfig(warmup_mode="bce", lr_warmup=1e-2)
+    params = init_params(small_model(data), seed=config.seed)
+    params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end]).matrix
+    windows, _ = training.split_windows(data, SPLITS, 3)
+    order = np.random.default_rng(config.seed).permutation(len(windows))
+    risk = data.risk_by_location()
+    values, grads = per_window_gradients(
+        params, data, [windows[i] for i in order],
+        lambda window, scores: training.warmup_loss(risk[:, window.target], scores, "bce"))
+    training.adam_step(params, training.AdamState.for_params(params),
+                       {name: grad / len(windows) for name, grad in grads.items()}, config.lr_warmup)
+
+    assert state.log[0]["train_obj"] == pytest.approx(np.mean(values), rel=1e-12)
+    want = params.snapshot()
+    for name, got in state.params.snapshot().items():
+        assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), name
+
+
+def test_each_epoch_draws_from_the_previous_refresh(data, monkeypatch):
+    events = []
+    apply_importance, refresh = losses.apply_importance, sampling.refresh
+
+    def spy_apply(positives, probs, *args):
+        events.append(("draw", probs))
+        return apply_importance(positives, probs, *args)
+
+    def spy_refresh(*args):
+        dist = refresh(*args)
+        events.append(("refresh", dist.probs))
+        return dist
+
+    monkeypatch.setattr(losses, "apply_importance", spy_apply)
+    monkeypatch.setattr(sampling, "refresh", spy_refresh)
+    state = run(data, epochs=3, warmup_epochs=0)
+
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("refresh") == 3 and kinds[0] == "draw" and kinds[-1] == "refresh"
+    assert all(kinds[i - 1] == "draw" for i, kind in enumerate(kinds) if kind == "refresh")
+    current = None
+    for kind, probs in events:
+        if kind == "refresh":
+            current = probs
+        elif current is None:
+            assert np.array_equal(probs, np.full(data.n_locations, 1.0 / data.n_locations))
+        else:
+            assert probs is current
+    assert state.importance.probs is current
+
+
+def test_training_log_has_one_header_and_one_row_per_epoch(data, tmp_path):
+    state = run(data, epochs=2, warmup_epochs=1)
+    path = training.write_training_log(state, tmp_path / "log.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(state.log[0]) and len(rows) == 1 + len(state.log) == 3
+    for row, logged in zip(rows[1:], state.log):
+        assert int(row[0]) == logged["epoch"]
+        assert [float(value) for value in row[1:]] == list(logged.values())[1:]
