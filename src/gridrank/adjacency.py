@@ -119,7 +119,8 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray)
     One tape node with parents emb1, emb2, mix1, mix2 and feature_proj.
     Backward, for output gradient G: G_C = a G * 1[A > 0] * (1 - A^2);
     since C is antisymmetric everything flows through K = G_C - G_C^T, with
-    dz1 = K z2 and dz2 = -K z1. Then du_i = a dz_i * (1 - z_i^2),
+    dz1 = K z2 and dz2 = -K z1, computed as G_C Z - G_C^T Z for Z = [z2 | z1]
+    so K itself is never formed. Then du_i = a dz_i * (1 - z_i^2),
     dmix_i = e_i^T du_i, demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
     The relu mask is reported as a kink.
     """
@@ -139,19 +140,22 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray)
     out -= z2 @ z1.T
     out *= alpha
     np.tanh(out, out=out)
+    np.maximum(out, 0.0, out=out)
     active = out > 0.0
-    np.copyto(out, 0.0, where=~active)
 
     def grads(g):
-        g_c = g * (1.0 - out * out)
+        g_c = np.multiply(out, out)
+        np.subtract(1.0, g_c, out=g_c)
+        g_c *= g
         g_c *= active
         g_c *= alpha
-        k = g_c - g_c.T
+        z = np.concatenate([z2, z1], axis=1)
+        k_z = g_c @ z
+        k_z -= g_c.T @ z
         del g_c
-        g_u1 = k @ z2
-        g_u1 *= (1.0 - z1 * z1) * alpha
-        g_u2 = k @ z1
-        g_u2 *= (z2 * z2 - 1.0) * alpha
+        d = z1.shape[1]
+        g_u1 = k_z[:, :d] * ((1.0 - z1 * z1) * alpha)
+        g_u2 = k_z[:, d:] * ((z2 * z2 - 1.0) * alpha)
         g_e1 = g_u1 @ mix1.T
         g_e2 = g_u2 @ mix2.T
         return g_e1, g_e2, e1.T @ g_u1, e2.T @ g_u2, features.T @ (g_e1 + g_e2)
@@ -178,7 +182,7 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
 
     The mix g A_dyn + (1 - g) A_static is one tape node with parents
     A_dyn and the (1, 1) gate. Backward, for output gradient G:
-    dA_dyn = g G and dg = sum(G * A_dyn - G * A_static).
+    dA_dyn = g G and dg = <G, A_dyn> - <G, A_static>.
     """
     s = a_dynamic.shape[0]
     if a_static.shape != (s, s):
@@ -198,9 +202,7 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
     def grads(g):
         g_gate = None
         if gate.requires_grad:
-            diff = g * dynamic
-            diff -= g * a_static
-            g_gate = np.full((1, 1), diff.sum())
+            g_gate = np.full((1, 1), np.vdot(g, dynamic) - np.vdot(g, a_static))
         return g * weight, g_gate
 
     return BlendedAdjacency(matrix=ad.fused("blend", mixed, (a_dynamic, gate), grads), gate=gate)

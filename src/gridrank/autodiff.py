@@ -8,7 +8,9 @@ once per node. Design rules:
 * no implicit broadcasting between tensors -- use :func:`broadcast_to`
   (a Python number as the second operand of add, mul or div is the one
   convenience exception);
-* subgradient conventions: relu'(0) = 0, abs'(0) = 0.
+* subgradient conventions: relu'(0) = 0, abs'(0) = 0;
+* no masked ``copyto`` or ``where`` over large arrays: ``np.maximum`` and
+  multiplying by a mask do the same job in a fraction of the time.
 
 Kinked ops (relu, and fused blocks containing a relu or abs) report their
 active-branch masks to a trace when one is installed, which lets
@@ -224,8 +226,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} differ")
 
     def backward(g):
-        _accum(a, g @ b.data.T, owned=True)
-        _accum(b, a.data.T @ g, owned=True)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T, owned=True)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g, owned=True)
 
     return _result("matmul", a.data @ b.data, (a, b), backward)
 
@@ -255,7 +259,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g * mask, owned=True)
 
-    return _result("relu", np.where(mask, a.data, 0.0), (a,), backward)
+    return _result("relu", np.maximum(a.data, 0.0), (a,), backward)
 
 
 def softplus(a: Tensor) -> Tensor:

@@ -66,24 +66,40 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     """Envelope of K(d) under uniform-random prediction placement.
 
     Simulates ``n_sim`` draws of ``n_pred`` uniform random cells, scores
-    each against the true points, and returns the pointwise min/max
-    (default) or quantile band. Deterministic for a fixed seed; per-
-    simulation generators are spawned so the reduction order does not
+    each against the true points (grid cells), and returns the pointwise
+    min/max (default) or quantile band. Deterministic for a fixed seed;
+    per-simulation generators are spawned so the reduction order does not
     matter.
+
+    All simulations are counted at once from integer squared distances v:
+    a pair lies within d exactly when sqrt(v) <= d, as in :func:`cross_k`,
+    so one histogram of v per simulation times that 0/1 table gives every
+    count. Values above floor(max d^2) + 1 share one bin that no d reaches.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
     if method not in ENVELOPE_METHODS:
         raise DataError(f"envelope method must be one of {ENVELOPE_METHODS}")
+    true_points = np.asarray(true_points, dtype=np.float64).reshape(-1, 2)
+    if n_pred < 1 or true_points.shape[0] == 0:
+        raise DataError("cross-K needs non-empty point sets (skip this day)")
+    cells = true_points.astype(np.int64)
+    if not np.array_equal(cells, true_points):
+        raise DataError("true points must be grid cells with integer (row, col)")
+    distances = np.asarray(distances, dtype=np.float64)
     rows, cols = shape
-    area = float(rows * cols)
-    coords = cell_coordinates(rows, cols)
     children = np.random.SeedSequence(seed).spawn(n_sim)
-    curves = np.empty((n_sim, len(distances)))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        points = coords[rng.integers(0, rows * cols, size=n_pred)]
-        curves[i] = cross_k(points, true_points, distances, area)
+    draws = np.stack([np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
+                      for child in children])
+    pred_rows, pred_cols = np.divmod(draws[:, None, :], cols)
+    sq = (cells[:, 0, None] - pred_rows) ** 2 + (cells[:, 1, None] - pred_cols) ** 2
+    reach = float(np.max(distances[distances >= 0.0], initial=0.0))
+    top = int(min(np.floor(reach * reach) + 1.0, sq.max()))
+    np.minimum(sq, top + 1, out=sq)
+    sq += (np.arange(n_sim) * (top + 2))[:, None, None]
+    per_value = np.bincount(sq.reshape(-1), minlength=n_sim * (top + 2)).reshape(n_sim, top + 2)
+    counts = per_value[:, :top + 1] @ (np.sqrt(np.arange(top + 1))[:, None] <= distances)
+    curves = counts / true_points.shape[0] / (n_pred / float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
     lo = np.quantile(curves, quantiles[0], axis=0)

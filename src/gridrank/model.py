@@ -41,9 +41,11 @@ stacking; stacking in ``predictions_for`` took eval-32x32 from 196 to
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -239,6 +241,17 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool) -> Ten
     return ad.concat([h, ad.constant(temporal_tiled)], axis=1)
 
 
+@lru_cache(maxsize=8)
+def _gate_scale(hr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale and shift that turn tanh into the sigmoid of the
+    i, f and o blocks: sigmoid(z) = 0.5 + 0.5 tanh(z / 2). Read-only, as
+    every call shares them."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     """One recurrent step as one tape node: the (R, 2h) state [h | c] and
     the step input x give the next state [h' | c'].
@@ -259,15 +272,20 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     hr = params.config.recurrent_hidden
     x, wx, wh = step_in.data, params.lstm_wx.data, params.lstm_wh.data
     h, c = state.data[:, :hr], state.data[:, hr:]
-    z = x @ wx
-    z += h @ wh
-    z += params.lstm_bias.data
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)  # sigmoid(z) = 0.5 + 0.5 tanh(z / 2)
-    act = np.tanh(z * scale) * scale + (1.0 - scale)
+    act = x @ wx
+    act += h @ wh
+    act += params.lstm_bias.data
+    scale, shift = _gate_scale(hr)
+    act *= scale
+    np.tanh(act, out=act)
+    act *= scale
+    act += shift
     i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
-    c_next = f * c + i * g
+    out = np.empty((act.shape[0], 2 * hr))
+    c_next = np.multiply(f, c, out=out[:, hr:])
+    c_next += i * g
     tanh_c = np.tanh(c_next)
-    out = np.concatenate([o * tanh_c, c_next], axis=1)
+    np.multiply(o, tanh_c, out=out[:, :hr])
 
     def grads(grad):
         dh, dc = grad[:, :hr], grad[:, hr:]
@@ -384,7 +402,8 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON manifest + raw little-endian float64 blob
+# checkpoints: JSON manifest (with the blob's sha256) + raw little-endian
+# float64 blob
 
 CHECKPOINT_JSON = "checkpoint.json"
 CHECKPOINT_BLOB = "checkpoint.bin"
@@ -402,7 +421,8 @@ def save_checkpoint(directory, params: ModelParams) -> Path:
         entries.append({"name": name, "shape": list(array.shape), "offset": len(blob),
                         "trainable": tensor is not None})
         blob.extend(raw)
-    manifest = {"config": asdict(params.config), "dtype": "<f8", "tensors": entries}
+    manifest = {"config": asdict(params.config), "dtype": "<f8", "tensors": entries,
+                "sha256": hashlib.sha256(blob).hexdigest()}
     with open(directory / CHECKPOINT_BLOB, "wb") as fh:
         fh.write(bytes(blob))
     path = directory / CHECKPOINT_JSON
@@ -449,5 +469,7 @@ def load_checkpoint(directory) -> ModelParams:
     missing = sorted(expected.keys() - arrays.keys())
     if missing:
         raise DataError(f"checkpoint lacks entries {missing}")
+    if manifest.get("sha256") != hashlib.sha256(blob).hexdigest():
+        raise DataError(f"{blob_path.name} does not match the sha256 digest in {manifest_path.name}")
     params.load_snapshot(arrays)
     return params

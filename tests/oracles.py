@@ -7,7 +7,8 @@ exceptions are built on the package's autodiff: the ops ``transpose``,
 per-period graph block and the recurrent cell from generic ops as the
 references for the fused nodes that replace those chains; and
 ``per_window_gradients``, the per-window training step that the
-once-per-batch step must reproduce.
+once-per-batch step must reproduce; and ``csr_envelope_loop``, the
+one-simulation-at-a-time cross-K envelope built on ``crossk.cross_k``.
 """
 
 import math
@@ -15,7 +16,8 @@ import math
 import numpy as np
 
 from gridrank import autodiff as ad
-from gridrank import model
+from gridrank import crossk, model
+from gridrank.grid import cell_coordinates
 
 
 def brute_rank(scores, location):
@@ -209,3 +211,18 @@ def per_window_gradients(params, grid, windows, loss_of):
         values.append(loss.item())
         ad.backward(loss)
     return values, {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
+
+
+def csr_envelope_loop(n_pred, true_points, distances, shape, n_sim=99, seed=0, method="minmax",
+                      quantiles=(0.025, 0.975)):
+    """The CSR envelope scored one simulation at a time with ``cross_k``,
+    from the same spawned generators and draws as ``crossk.csr_envelope``."""
+    rows, cols = shape
+    coords = cell_coordinates(rows, cols)
+    curves = np.empty((n_sim, len(distances)))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
+        points = coords[np.random.default_rng(child).integers(0, rows * cols, size=n_pred)]
+        curves[i] = crossk.cross_k(points, true_points, distances, float(rows * cols))
+    if method == "minmax":
+        return curves.min(axis=0), curves.max(axis=0)
+    return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)

@@ -209,6 +209,15 @@ class TestGradCheck:
             ad.grad_check(lambda: ad.square(w), [w])
 
 
+def test_relu_propagates_nan_with_a_zero_mask():
+    ad.set_debug(False)  # the finiteness check would stop the forward
+    w = ad.parameter([np.nan, -1.0, 2.0])
+    y = ad.relu(w)
+    assert np.isnan(y.data[0]) and y.data[1:].tolist() == [0.0, 2.0]
+    ad.backward(ad.sum_(y))
+    assert w.grad.tolist() == [0.0, 0.0, 1.0]
+
+
 def test_no_grad_blocks_recording():
     w = ad.parameter([1.0])
     with ad.no_grad():

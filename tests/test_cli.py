@@ -78,6 +78,21 @@ def test_truncated_checkpoint_is_a_data_error(manifest, tmp_path, capsys):
     assert "checkpoint.bin holds" in one_line_error(capsys, "data error:")
 
 
+def test_corrupted_checkpoint_is_a_data_error(manifest, tmp_path, capsys):
+    data = grid.load_grid(manifest)
+    params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3,
+                                                          embed_dim=3))
+    model.save_checkpoint(tmp_path / "ckpt", params)
+    blob = tmp_path / "ckpt" / model.CHECKPOINT_BLOB
+    raw = bytearray(blob.read_bytes())
+    raw[-1] ^= 0x80
+    blob.write_bytes(bytes(raw))
+    code = cli.main(SMALL_MODEL + ["--set", "eval.ks=[5, 10]", "evaluate", "--data", manifest,
+                                   "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_DATA
+    assert "sha256" in one_line_error(capsys, "data error:")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_diverging_training_is_a_numerical_failure(manifest, tmp_path, capsys):
     code = cli.main(SMALL_MODEL + ["--set", "train.epochs=1", "--set", "train.warmup_epochs=1",

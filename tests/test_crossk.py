@@ -6,6 +6,8 @@ import pytest
 from gridrank import crossk
 from gridrank.errors import DataError
 
+from oracles import csr_envelope_loop
+
 SHAPE = (5, 6)
 DISTANCES = np.arange(0.0, 4.01, 0.5)
 
@@ -49,6 +51,36 @@ def test_envelope_is_deterministic_per_seed_and_ordered(rng):
     for method in crossk.ENVELOPE_METHODS:
         lo, hi = crossk.csr_envelope(5, true, DISTANCES, SHAPE, n_sim=20, seed=3, method=method)
         assert np.all(lo <= hi)
+
+
+# unsorted, repeated, 0, off the 0.5 lattice, negative, beyond the 7x9 grid's
+# diagonal (10), and square roots of integers with their neighbouring floats.
+# np.sqrt(13.0) squares to just under 13, so as the largest distance it
+# checks that squared distance floor(max d^2) + 1 is still counted.
+ODD_DISTANCES = np.array([2.5, 0.0, 1.3, 1.3, -1.0, 12.0, 3.7, 0.5, 10.0,
+                          np.sqrt(3.0), np.nextafter(np.sqrt(3.0), 0.0), np.sqrt(2.0),
+                          np.nextafter(np.sqrt(5.0), 0.0), np.sqrt(5.0), np.sqrt(13.0)])
+
+
+@pytest.mark.parametrize("method", crossk.ENVELOPE_METHODS)
+@pytest.mark.parametrize("distances", [DISTANCES, ODD_DISTANCES, np.array([-0.5, 0.9]), np.array([1.0]),
+                                       np.array([0.5, np.sqrt(13.0)]), np.array([-2.0])],
+                         ids=["lattice", "odd", "short", "one", "root-13-largest", "negative-only"])
+def test_envelope_equals_the_per_simulation_loop(rng, method, distances):
+    shape = (7, 9)
+    for n_pred in range(1, 11):
+        true = crossk.event_cells(rng.poisson(0.3, size=63) + (np.arange(63) == n_pred), shape)
+        got = crossk.csr_envelope(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
+        want = csr_envelope_loop(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_envelope_needs_grid_cells_and_predictions():
+    with pytest.raises(DataError, match="integer"):
+        crossk.csr_envelope(3, np.array([[0.5, 1.0]]), DISTANCES, SHAPE)
+    with pytest.raises(DataError, match="non-empty"):
+        crossk.csr_envelope(0, np.array([[1.0, 1.0]]), DISTANCES, SHAPE)
 
 
 def test_event_free_days_are_skipped(rng):

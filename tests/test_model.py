@@ -187,6 +187,26 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checkpoint.bin holds"):
             model.load_checkpoint(tmp_path / "ckpt")
 
+    def test_flipped_blob_byte_is_a_data_error(self, tiny_config, dataset, tmp_path):
+        model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        blob = tmp_path / "ckpt" / model.CHECKPOINT_BLOB
+        raw = bytearray(blob.read_bytes())
+        raw[len(raw) // 3] ^= 0x01
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="sha256"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("digest", [None, "0" * 64], ids=["missing", "wrong"])
+    def test_manifest_digest_checked(self, tiny_config, dataset, tmp_path, digest):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        manifest.pop("sha256")
+        if digest is not None:
+            manifest["sha256"] = digest
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="sha256"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("edit,message", [
         (lambda entries: entries[0].update(name="adjacency.emb9"), "not a tensor of this model"),
         (lambda entries: entries[0].update(shape=[3, 16]), "the config needs"),
