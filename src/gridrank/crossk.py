@@ -71,10 +71,11 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     per-simulation generators are spawned so the reduction order does not
     matter.
 
-    All simulations are counted at once from integer squared distances v:
-    a pair lies within d exactly when sqrt(v) <= d, as in :func:`cross_k`,
-    so one histogram of v per simulation times that 0/1 table gives every
-    count. Values above floor(max d^2) + 1 share one bin that no d reaches.
+    Each simulation is counted from integer squared distances v: a pair
+    lies within d exactly when sqrt(v) <= d, as in :func:`cross_k`, so one
+    histogram of v per simulation times that 0/1 table gives every count.
+    Values above floor(max d^2) + 1 share one bin that no d reaches. Memory
+    stays O(true points * n_pred) whatever ``n_sim`` is.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
@@ -88,16 +89,16 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
         raise DataError("true points must be grid cells with integer (row, col)")
     distances = np.asarray(distances, dtype=np.float64)
     rows, cols = shape
-    children = np.random.SeedSequence(seed).spawn(n_sim)
-    draws = np.stack([np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
-                      for child in children])
-    pred_rows, pred_cols = np.divmod(draws[:, None, :], cols)
-    sq = (cells[:, 0, None] - pred_rows) ** 2 + (cells[:, 1, None] - pred_cols) ** 2
     reach = float(np.max(distances[distances >= 0.0], initial=0.0))
-    top = int(min(np.floor(reach * reach) + 1.0, sq.max()))
-    np.minimum(sq, top + 1, out=sq)
-    sq += (np.arange(n_sim) * (top + 2))[:, None, None]
-    per_value = np.bincount(sq.reshape(-1), minlength=n_sim * (top + 2)).reshape(n_sim, top + 2)
+    far = np.maximum(np.abs(cells), np.abs(cells - (rows - 1, cols - 1)))
+    top = int(min(np.floor(reach * reach) + 1.0, (far * far).sum(axis=1).max()))
+    per_value = np.empty((n_sim, top + 2), dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
+        draw = np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
+        pred_rows, pred_cols = np.divmod(draw, cols)
+        sq = (cells[:, 0, None] - pred_rows) ** 2 + (cells[:, 1, None] - pred_cols) ** 2
+        np.minimum(sq, top + 1, out=sq)
+        per_value[i] = np.bincount(sq.reshape(-1), minlength=top + 2)
     counts = per_value[:, :top + 1] @ (np.sqrt(np.arange(top + 1))[:, None] <= distances)
     curves = counts / true_points.shape[0] / (n_pred / float(rows * cols))
     if method == "minmax":

@@ -45,7 +45,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -241,17 +240,6 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool) -> Ten
     return ad.concat([h, ad.constant(temporal_tiled)], axis=1)
 
 
-@lru_cache(maxsize=8)
-def _gate_scale(hr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column scale and shift that turn tanh into the sigmoid of the
-    i, f and o blocks: sigmoid(z) = 0.5 + 0.5 tanh(z / 2). Read-only, as
-    every call shares them."""
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
-    shift = 1.0 - scale
-    scale.flags.writeable = shift.flags.writeable = False
-    return scale, shift
-
-
 def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     """One recurrent step as one tape node: the (R, 2h) state [h | c] and
     the step input x give the next state [h' | c'].
@@ -275,11 +263,11 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     act = x @ wx
     act += h @ wh
     act += params.lstm_bias.data
-    scale, shift = _gate_scale(hr)
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)  # sigmoid(z) = 0.5 + 0.5 tanh(z / 2)
     act *= scale
     np.tanh(act, out=act)
     act *= scale
-    act += shift
+    act += 1.0 - scale
     i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
     out = np.empty((act.shape[0], 2 * hr))
     c_next = np.multiply(f, c, out=out[:, hr:])

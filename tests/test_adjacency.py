@@ -89,6 +89,18 @@ class TestDynamicAdjacency:
         with pytest.raises(ShapeError):
             adjacency.dynamic_adjacency(params, np.zeros((9, 5)))
 
+    def test_nan_feature_propagates_with_a_zero_active_mask(self):
+        ad.set_debug(False)  # the finiteness check would stop the forward
+        features = np.random.default_rng(4).uniform(0, 1, size=(9, 2))
+        features[3, 1] = np.nan
+        with ad._kink_tracing() as kinks:
+            matrix = adjacency.dynamic_adjacency(random_params(1), features).data
+        touched = np.zeros((9, 9), dtype=bool)
+        touched[3, :] = touched[:, 3] = True
+        assert np.array_equal(np.isnan(matrix), touched)
+        assert len(kinks) == 1 and not kinks[0][touched].any()
+        assert np.array_equal(kinks[0], matrix > 0.0)
+
     def test_gradients_reach_every_parameter(self):
         params = random_params(2)
         features = np.random.default_rng(9).uniform(0.2, 0.8, size=(9, 2))

@@ -17,8 +17,9 @@ METRICS = [{"name": "pass_s", "better": "lower"}, {"name": "ndcg10", "better": "
 STUB = '''import json, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 trace = int(sys.argv[sys.argv.index("--trace") + 1])
+seconds = sys.argv[sys.argv.index("--seconds") + 1]
 with open("../order.log", "a") as fh:
-    fh.write(f"{SIDE} {seed} {trace}\\n")
+    fh.write(f"{SIDE} {seed} {trace} {seconds}\\n")
 metrics = {"pass_s": {"value": PASS + seed, "unit": "s"}, "ndcg10": {"value": 0.5, "unit": "ndcg"}}
 print(json.dumps({"record": {"seed": seed, "environment": {"side": SIDE}}}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
@@ -29,7 +30,7 @@ def stub_checkout(root: Path, side: str, pass_s: float) -> Path:
     checkout = root / side
     (checkout / "bench").mkdir(parents=True)
     (checkout / "bench" / "run.py").write_text(f"SIDE = {side!r}\nPASS = {pass_s}\n" + STUB)
-    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 4, "end_to_end": METRICS}))
     return checkout
 
 
@@ -46,9 +47,10 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert bench_pairs.main(common + ["--workload", "w1", "--seeds", "1-3", "--claim", "pass_s"]) == 0
     assert bench_pairs.main(common + ["--workload", "w2", "--seeds", "4", "--traced-seed", "21"]) == 0
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
-        "parent 1 0", "change 1 0", "change 2 0", "parent 2 0", "parent 3 0", "change 3 0",
-        "parent 4 0", "change 4 0", "parent 21 1", "change 21 1"]
+        "parent 1 0 4", "change 1 0 4", "change 2 0 4", "parent 2 0 4", "parent 3 0 4", "change 3 0 4",
+        "parent 4 0 4", "change 4 0 4", "parent 21 1 0.0", "change 21 1 0.0"]
     doc = json.loads(out.read_text())
+    assert "--seconds 4 --trace 0" in doc["command"]
     assert doc["claims"] == [{"workload": "w1", "metric": "pass_s"}]
     assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "parent"]
     assert doc["machine"] == {"side": "change"} and len(doc["traced"]) == 1

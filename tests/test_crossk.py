@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_envelope_equals_the_per_simulation_loop(rng, method, distances):
         want = csr_envelope_loop(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_large_envelope_matches_the_loop_in_per_simulation_memory(rng):
+    shape = (32, 32)
+    true = crossk.event_cells(rng.poisson(0.25, size=1024), shape)
+    distances = np.arange(0.0, 12.01, 1.0)
+    tracemalloc.start()
+    try:
+        got = crossk.csr_envelope(500, true, distances, shape, n_sim=120, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = csr_envelope_loop(500, true, distances, shape, n_sim=120, seed=4)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # a few (true, pred) int64 arrays, where all 120 simulations at once would be 120
+    assert peak < 8 * true.shape[0] * 500 * 8
 
 
 def test_envelope_needs_grid_cells_and_predictions():

@@ -7,11 +7,12 @@ records, with a per-metric summary, to one BENCH_<n>.json.
 
 Each pair runs both checkouts with the same ``--seed``, one after the
 other; the side that runs first alternates from pair to pair (the parent
-on the first pair). ``--traced-seed`` adds one ``--seconds 0 --trace 1``
-run per side. An existing ``--out`` file is extended: its pairs and traced
-runs are kept and the summary is recomputed over all of them. The
-end-to-end metrics and their directions come from the change's
-BENCHMARK.json. The tool exits 1 if any run printed ``"correct": false``.
+on the first pair). Every pair runs for the ``run_seconds`` of the
+change's BENCHMARK.json, which also gives the end-to-end metrics and their
+directions. ``--traced-seed`` adds one ``--seconds 0 --trace 1`` run per
+side. An existing ``--out`` file is extended: its pairs and traced runs are
+kept and the summary is recomputed over all of them. The tool exits 1 if
+any run printed ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -87,17 +88,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=[], help="e.g. 171-180 or 171,173")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--traced-seed", type=int, help="also one --trace 1 run per side")
     parser.add_argument("--claim", help="the end-to-end metric this workload's pairs back")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
         "what": "Alternating parent/change runs of bench/run.py: both sides of every pair, "
                 "plus one --trace 1 run per side and workload.",
-        "command": "python3 bench/run.py --workload <w> --seed <n> --seconds <s> --trace 0 (pairs); "
+        "command": f"python3 bench/run.py --workload <w> --seed <n> --seconds {seconds} --trace 0 (pairs); "
                    "--seconds 0 --trace 1 (traced)",
         "parent_commit": git_head(args.parent), "claims": [], "pairs": [], "traced": []}
     if args.claim:
@@ -107,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_bench(sides[side], args.workload, seed, args.seconds, 0)
+            pair[side] = run_bench(sides[side], args.workload, seed, seconds, 0)
         doc["pairs"].append(pair)
         print(f"{args.workload} seed {seed}: " + ", ".join(
             f"{side} {pair[side]['result']['metrics']['pass_s']['value']:.2f} s" for side in sides),
@@ -119,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
            [t[side] for t in doc["traced"] for side in sides]
     if runs:
         doc["machine"] = runs[-1]["environment"]  # a change-side run: sides end with "change"
-    doc["summary"] = summarise(doc["pairs"], metrics)
+    doc["summary"] = summarise(doc["pairs"], benchmark["end_to_end"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
 
