@@ -2,12 +2,14 @@
 
 Every op records a backward closure on the implicit tape formed by parent
 links; ``backward`` replays the tape in reverse topological order exactly
-once per node. Design rules:
+once per node. The generic ops are add, sub, mul, neg, matmul, sigmoid,
+relu, softplus, square, mean_ and concat; every larger block (graph
+block, LSTM step, score head, ranking surrogate) is one :func:`fused`
+node with a hand-written backward. Design rules:
 
 * double precision everywhere;
-* no implicit broadcasting between tensors -- use :func:`broadcast_to`
-  (a Python number as the second operand of add, mul or div is the one
-  convenience exception);
+* no implicit broadcasting between tensors (a Python number as the
+  second operand of add or mul is the one convenience exception);
 * subgradient conventions: relu'(0) = 0, abs'(0) = 0;
 * no masked ``copyto`` or ``where`` over large arrays: ``np.maximum`` and
   multiplying by a mask do the same job in a fraction of the time.
@@ -25,14 +27,11 @@ each non-leaf node once that node's backward has run.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-
-_LN2 = math.log(2.0)
 
 _grad_enabled = True
 _check_finite = False
@@ -200,18 +199,6 @@ def mul(a, b) -> Tensor:
     return _result("mul", a.data * b.data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        return mul(a, 1.0 / float(b))
-    _binary_shapes("div", a, b)
-
-    def backward(g):
-        _accum(a, g / b.data, owned=True)
-        _accum(b, -g * a.data / (b.data * b.data), owned=True)
-
-    return _result("div", a.data / b.data, (a, b), backward)
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, -g, owned=True)
@@ -271,16 +258,6 @@ def softplus(a: Tensor) -> Tensor:
     return _result("softplus", out_data, (a,), backward)
 
 
-def log2(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericalError("log2 of non-positive input")
-
-    def backward(g):
-        _accum(a, g / (a.data * _LN2), owned=True)
-
-    return _result("log2", np.log2(a.data), (a,), backward)
-
-
 def square(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g * 2.0 * a.data, owned=True)
@@ -289,19 +266,7 @@ def square(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape & reduction ops
-
-
-def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
-
-    return _result("sum", out_data, (a,), backward)
+# reductions
 
 
 def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -331,52 +296,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             _accum(t, g[tuple(slicer)])
 
     return _result("concat", np.concatenate([t.data for t in tensors], axis=axis), parents, backward)
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows needs 1-d indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ShapeError(f"gather_rows indices outside [0, {a.data.shape[0]})")
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accum(a, full, owned=True)
-
-    return _result("gather_rows", a.data[idx], (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _result("reshape", a.data.reshape(shape), (a,), backward)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    try:
-        out_data = np.broadcast_to(a.data, shape)
-    except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {a.data.shape} to {shape}") from exc
-    in_shape = a.data.shape
-
-    def backward(g):
-        gg = g
-        extra = g.ndim - len(in_shape)
-        if extra:
-            gg = gg.sum(axis=tuple(range(extra)))
-        keep = tuple(i for i, n in enumerate(in_shape) if n == 1 and gg.shape[i] != 1)
-        if keep:
-            gg = gg.sum(axis=keep, keepdims=True)
-        _accum(a, gg)
-
-    return _result("broadcast_to", out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, autodiff, crossk, grid as griddata, metrics, training
 from .errors import ConfigError, DataError, NumericalError
 from .losses import SurrogateConfig, hybrid_objective
-from .model import (ModelConfig, forward, init_params, load_checkpoint, predict_topk,
+from .model import (ModelConfig, ModelSection, forward, init_params, load_checkpoint,
                     predictions_for, save_checkpoint)
 from .training import Splits, TrainConfig, split_windows
 
@@ -50,18 +50,6 @@ class DataConfig:
 
 
 @dataclass
-class ModelSection:
-    hidden: int = 32
-    recurrent_hidden: int = 32
-    conv_layers: int = 2
-    window: int = 7
-    embed_dim: int = 16
-    saturation: float = 3.0
-    fixed_gate: float | None = None
-    seed: int | None = None
-
-
-@dataclass
 class EvalConfig:
     ks: list[int] = field(default_factory=lambda: [5, 10, 20])
     radius: float = 2.0
@@ -83,6 +71,15 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.train.validate()
+        if not 0.0 < self.data.train_fraction < 1.0:
+            raise ConfigError(f"data.train_fraction must be in (0, 1), got {self.data.train_fraction}")
+        if not self.eval.ks or min(self.eval.ks) < 1:
+            raise ConfigError(f"eval.ks must be a non-empty list of cutoffs >= 1, got {self.eval.ks}")
+        if self.eval.radius < 0:
+            raise ConfigError(f"eval.radius must be >= 0, got {self.eval.radius}")
+        if self.eval.crossk_k < 1 or self.eval.crossk_sims < 1:
+            raise ConfigError(f"eval.crossk_k and eval.crossk_sims must be >= 1, got "
+                              f"{self.eval.crossk_k} and {self.eval.crossk_sims}")
         if self.eval.envelope not in crossk.ENVELOPE_METHODS:
             raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
         if self.eval.crossk_step <= 0 or self.eval.crossk_max_distance < 0:
@@ -183,15 +180,6 @@ def write_run_record(config: RunConfig, command: str, out_dir: Path, seed: int) 
         fh.write("\n")
 
 
-def _model_config(config: RunConfig, dataset: griddata.StGrid) -> ModelConfig:
-    section = config.model
-    return ModelConfig.for_grid(dataset, hidden=section.hidden,
-                                recurrent_hidden=section.recurrent_hidden,
-                                conv_layers=section.conv_layers, window=section.window,
-                                embed_dim=section.embed_dim, saturation=section.saturation,
-                                fixed_gate=section.fixed_gate, seed=section.seed)
-
-
 def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
     train_end = max(2, int(round(config.data.train_fraction * dataset.periods)))
     return Splits(train_end=min(train_end, dataset.periods - 1)).validate(dataset.periods)
@@ -216,7 +204,7 @@ def cmd_gen_data(args, config: RunConfig) -> int:
 def cmd_train(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
     splits = _splits_for(config, dataset)
-    model_config = _model_config(config, dataset)
+    model_config = ModelConfig.for_grid(dataset, **asdict(config.model))
     state = training.train(dataset, splits, model_config, config.train)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,10 +264,10 @@ def cmd_rank(args, config: RunConfig) -> int:
     day = dataset.periods - 1 if args.day == "last" else int(args.day)
     if not 0 <= day < dataset.periods:
         raise ConfigError(f"day {day} outside study period [0, {dataset.periods})")
+    k = min(10, dataset.n_locations) if args.k is None else args.k
+    if not 1 <= k <= dataset.n_locations:
+        raise ConfigError(f"--k {k} outside [1, {dataset.n_locations}]")
     scores = _scores_for_day(args, config, dataset, day)
-    k = args.k or min(10, dataset.n_locations)
-    if k > dataset.n_locations:
-        raise ConfigError(f"k={k} exceeds location count {dataset.n_locations}")
     order = metrics.descending_order(scores)[:k]
     actual = dataset.risk_by_location()[:, day]
     print(f"top-{k} locations for period {day} ({args.predictor}):")
@@ -292,6 +280,9 @@ def cmd_rank(args, config: RunConfig) -> int:
 
 def cmd_crossk(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
+    if config.eval.crossk_k > dataset.n_locations:
+        raise ConfigError(f"eval.crossk_k={config.eval.crossk_k} exceeds the grid's "
+                          f"{dataset.n_locations} locations")
     splits = _splits_for(config, dataset)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--day", default="last", help="target period index or 'last'")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="rows to print, in [1, S] (default min(10, S))")
     p.add_argument("--predictor", choices=["model", "ha", "oracle"], default="model")
     p.set_defaults(handler=cmd_rank)
 

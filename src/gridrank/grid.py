@@ -21,13 +21,8 @@ import numpy as np
 from .errors import DataError
 
 
-def location_id(row: int, col: int, cols: int) -> int:
-    """Row-major flat index of a cell."""
-    return row * cols + col
-
-
 def location_rc(location: int, cols: int) -> tuple[int, int]:
-    """Inverse of :func:`location_id`."""
+    """(row, col) of a row-major flat location index."""
     return divmod(location, cols)
 
 
@@ -156,13 +151,6 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
     where = np.argwhere(~np.isfinite(arr))[0]
     coords = ", ".join(str(int(v)) for v in where)
     raise DataError(f"non-finite value in {name} at ({coords})")
-
-
-def windows(grid: StGrid, length: int) -> list[Window]:
-    """All forecasting windows of the grid: targets length .. T-1 in order."""
-    if length >= grid.periods:
-        raise DataError(f"window length {length} must be shorter than the study period {grid.periods}")
-    return [Window(target=t, length=length) for t in range(length, grid.periods)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ The rank of a location is replaced by a smooth over-estimate: the sum of
 squared hinges max(0, h(s') - h(s) + margin)^2 over the candidate set,
 self term included so that with margin 1 the estimate starts at 1 like a
 true rank. Plugging the bound into the gain/discount form yields a
-differentiable objective that never exceeds the exact metric.
+differentiable objective that never exceeds the exact metric. Each
+objective is one tape node (``_bounded_gain``) over (B, q) candidate
+lists with a hand-written backward: one list of all S cells for the
+global objective, one padded neighbourhood list per positive centre for
+the local one.
 
 All objectives are returned as values to MAXIMIZE; the trainer negates
 them. Per-location weights come from the importance distribution: either
@@ -25,6 +29,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .grid import neighbourhood_stencil
 
+_LN2 = math.log(2.0)
 WEIGHT_MODES = ("weight", "sample")
 
 
@@ -67,32 +72,55 @@ def positive_locations(relevance: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.asarray(relevance) > 0.0)
 
 
-def _rank_bounds(candidates: Tensor, targets: np.ndarray, margin: float,
-                 valid: np.ndarray | None = None) -> Tensor:
-    """(B, t) rank over-estimates of ``targets`` within (B, q) candidate lists.
+def _rank_bounds(values: np.ndarray, targets: np.ndarray, margin: float,
+                 valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Hinges and (B, t) rank over-estimates of ``targets`` within (B, q) lists.
 
-    Entry (b, i) sums max(0, s[b, j] - s[b, targets[b, i]] + margin)^2 over
-    the valid candidates j of list b (default: all), self term included.
+    ``hinge[b, j, i]`` is max(0, values[b, j] - values[b, targets[b, i]] +
+    margin) for the valid candidates j of list b (default: all) and 0 for
+    the rest; ``bounds[b, i]`` sums its squares over j, self term included.
     A padded target's own self term is kept, so every bound is at least
     margin^2.
     """
-    (n_lists, q), t = candidates.shape, targets.shape[1]
+    (n_lists, q), t = values.shape, targets.shape[1]
     if targets.size and (targets.min() < 0 or targets.max() >= q):
         raise DataError(f"target positions outside the candidate lists of size {q}")
-    flat = (targets + q * np.arange(n_lists)[:, None]).reshape(-1)
-    row = ad.reshape(ad.gather_rows(ad.reshape(candidates, (n_lists * q,)), flat), (n_lists, 1, t))
-    column = ad.reshape(candidates, (n_lists, q, 1))
-    diff = ad.sub(ad.broadcast_to(column, (n_lists, q, t)), ad.broadcast_to(row, (n_lists, q, t)))
-    hinge = ad.square(ad.relu(ad.add(diff, float(margin))))
+    hinge = values[:, :, None] - np.take_along_axis(values, targets, axis=1)[:, None, :]
+    hinge += margin
+    np.maximum(hinge, 0.0, out=hinge)
     if valid is not None:
-        kept = valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
-        hinge = ad.mul(hinge, ad.constant(kept.astype(np.float64)))
-    return ad.sum_(hinge, axis=1)
+        hinge *= valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
+    return hinge, (hinge * hinge).sum(axis=1)
 
 
-def _bounded_gain(coeff: np.ndarray, bounds: Tensor) -> Tensor:
-    """Sum of coeff / log2(1 + bound): the gain/discount form with rank bounds."""
-    return ad.sum_(ad.div(ad.constant(coeff), ad.log2(ad.add(bounds, 1.0))))
+def _bounded_gain(scores: Tensor, lists: np.ndarray, targets: np.ndarray, coeff: np.ndarray,
+                  margin: float, valid: np.ndarray | None = None) -> Tensor:
+    """Sum of coeff / log2(1 + bound) as one tape node: the gain/discount
+    form with rank bounds.
+
+    ``lists`` (B, q) holds locations of ``scores``, ``targets`` and
+    ``coeff`` are (B, t), and bound[b, i] is the :func:`_rank_bounds` of
+    position targets[b, i] in list b. With hinge h, a = 1 + bound and
+    u[b, i] = -g coeff[b, i] / (ln 2 a log2(a)^2), the output gradient g
+    reaches list position j of list b as 2 sum_i h[b, j, i] u[b, i], and
+    each target position once more as -2 u[b, i] sum_j h[b, j, i] (its self
+    term cancels between the two). One bincount adds the positions into
+    the locations.
+    """
+    hinge, bounds = _rank_bounds(scores.data[lists], targets, margin, valid)
+    shifted = bounds + 1.0
+    discount = np.log2(shifted)
+
+    def grads(g):
+        u = (-2.0 * g / _LN2) * coeff / (shifted * discount * discount)
+        along = np.matmul(hinge, u[:, :, None])[:, :, 0]
+        own = -u * hinge.sum(axis=1)
+        located = np.concatenate([lists.reshape(-1), np.take_along_axis(lists, targets, axis=1).reshape(-1)])
+        return (np.bincount(located, np.concatenate([along.reshape(-1), own.reshape(-1)]),
+                            minlength=scores.size).reshape(scores.shape),)
+
+    return ad.fused("bounded_gain", np.asarray((coeff / discount).sum()), (scores,), grads,
+                    kink=hinge > 0.0)
 
 
 def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
@@ -119,7 +147,8 @@ def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | 
     """Differentiable lower bound of the day's cumulative-gain metric.
 
     Sums gain / (Z * log2(rank_bound + 1)) over positive locations,
-    optionally weighted. Value to maximize. Empty positive set -> 0.
+    optionally weighted, in one list of all S cells. Value to maximize.
+    Empty positive set or all-zero weights -> 0.
     """
     positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
     active = weights > 0
@@ -127,8 +156,7 @@ def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | 
         return ad.constant(0.0)
     targets = positives[active]
     coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
-    bounds = _rank_bounds(ad.reshape(scores, (1, scores.size)), targets[None], margin)
-    return _bounded_gain(coeff[None], bounds)
+    return _bounded_gain(scores, np.arange(scores.size)[None], targets[None], coeff[None], margin)
 
 
 def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
@@ -137,8 +165,10 @@ def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray 
     """Differentiable neighborhood-ranking objective.
 
     Mean over positive locations of the local bound-based gain sum inside
-    each location's neighborhood (local ranks, local ideal gain).
-    Neighborhoods with zero ideal gain contribute 0. Value to maximize.
+    each location's neighborhood (local ranks, local ideal gain), one
+    padded list per active centre, with 1 / |positives| folded into the
+    coefficients. Neighborhoods with zero ideal gain contribute 0. Value
+    to maximize.
     """
     rows, cols = shape
     if scores.size != rows * cols:
@@ -151,28 +181,27 @@ def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray 
     if not active.any():
         return ad.constant(0.0)
     centres, q = positives[active], members.shape[1]
-    local_scores = ad.reshape(ad.gather_rows(scores, members[centres].reshape(-1)), (centres.size, q))
-    coeff = weights[active, None] * (np.exp2(local_rel[active]) - 1.0) / z[active, None]
+    coeff = (weights[active, None] / positives.size) * (np.exp2(local_rel[active]) - 1.0) / z[active, None]
     own = np.broadcast_to(np.arange(q), (centres.size, q))
-    bounds = _rank_bounds(local_scores, own, margin, valid[centres])
-    return ad.div(_bounded_gain(coeff, bounds), float(positives.size))
+    return _bounded_gain(scores, members[centres], own, coeff, margin, valid[centres])
 
 
 def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateConfig,
                      weights: np.ndarray | None = None, shape: tuple[int, int] = (0, 0)) -> Tensor:
-    """(1 - local_weight) * global objective + local_weight * local objective."""
+    """(1 - local_weight) * global objective + local_weight * local objective.
+
+    The mix enters as a factor on the per-positive weights, so each part
+    is one tape node and a part with mix 0 is never built (a purely global
+    objective needs no grid shape).
+    """
+    _, weights, _ = _weighted_positives(relevance, scores, weights, None)
     sigma = config.local_weight
+    objective = ndcg_surrogate(relevance, scores, (1.0 - sigma) * weights,
+                               margin=config.margin, gain_cap=config.gain_cap)
     if sigma == 0.0:
-        return ndcg_surrogate(relevance, scores, weights,
-                              margin=config.margin, gain_cap=config.gain_cap)
-    if sigma == 1.0:
-        return l_ndcg_surrogate(relevance, scores, weights, margin=config.margin,
-                                radius=config.radius, shape=shape, gain_cap=config.gain_cap)
-    global_part = ndcg_surrogate(relevance, scores, weights,
-                                 margin=config.margin, gain_cap=config.gain_cap)
-    local_part = l_ndcg_surrogate(relevance, scores, weights, margin=config.margin,
-                                  radius=config.radius, shape=shape, gain_cap=config.gain_cap)
-    return ad.add(ad.mul(global_part, 1.0 - sigma), ad.mul(local_part, sigma))
+        return objective
+    return ad.add(objective, l_ndcg_surrogate(relevance, scores, sigma * weights, margin=config.margin,
+                                              radius=config.radius, shape=shape, gain_cap=config.gain_cap))
 
 
 def apply_importance(positives: np.ndarray, probabilities: np.ndarray,

@@ -56,16 +56,12 @@ from .adjacency import DynamicAdjacencyParams, init_adjacency_params
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericalError
 from .grid import StGrid, Window
-from .metrics import descending_order
 
 
 @dataclass
-class ModelConfig:
-    rows: int
-    cols: int
-    d_t: int
-    d_s: int
-    d_st: int
+class ModelSection:
+    """The model's hyperparameters: the ``model`` section of a run config."""
+
     hidden: int = 32
     recurrent_hidden: int = 32
     conv_layers: int = 2
@@ -74,6 +70,17 @@ class ModelConfig:
     saturation: float = 3.0
     fixed_gate: float | None = None
     seed: int | None = None
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSection):
+    """The hyperparameters plus the grid's size and feature widths."""
+
+    rows: int
+    cols: int
+    d_t: int
+    d_s: int
+    d_st: int
 
     @classmethod
     def for_grid(cls, grid: StGrid, **overrides) -> "ModelConfig":
@@ -324,17 +331,6 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     _check_window(params, grid, window)
     signed = _signed(params)
     return _recurrent(params, [_period_step(params, grid, t, signed) for t in window.inputs()])
-
-
-def predict_topk(params: ModelParams, grid: StGrid, window: Window, k: int) -> list[tuple[int, float]]:
-    """Top-k (location, score) pairs, descending score, ties by index."""
-    s = params.config.n_locations
-    if k > s:
-        raise DataError(f"k={k} exceeds location count {s}")
-    with ad.no_grad():
-        scores = forward(params, grid, window).data
-    order = descending_order(scores)[:k]
-    return [(int(loc), float(scores[loc])) for loc in order]
 
 
 def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],

@@ -23,8 +23,6 @@ class ImportanceDist:
     """Per-location sampling probabilities (sum to 1)."""
 
     probs: np.ndarray
-    epoch: int
-    bandwidth: float
 
     def validate(self) -> "ImportanceDist":
         if np.any(self.probs < 0):
@@ -34,9 +32,8 @@ class ImportanceDist:
         return self
 
 
-def uniform_distribution(n_locations: int, bandwidth: float, epoch: int = 0) -> ImportanceDist:
-    return ImportanceDist(probs=np.full(n_locations, 1.0 / n_locations),
-                          epoch=epoch, bandwidth=bandwidth)
+def uniform_distribution(n_locations: int) -> ImportanceDist:
+    return ImportanceDist(probs=np.full(n_locations, 1.0 / n_locations))
 
 
 def importance_scores(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -95,19 +92,18 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
     return smoothed.reshape(-1) / (2.0 * np.pi * bandwidth * bandwidth)
 
 
-def normalize(smoothed: np.ndarray, epoch: int = 0, bandwidth: float = 1.0) -> ImportanceDist:
+def normalize(smoothed: np.ndarray) -> ImportanceDist:
     """Scale smoothed scores into probabilities; uniform fallback at zero."""
     smoothed = np.asarray(smoothed, dtype=np.float64)
     if np.any(smoothed < 0):
         raise DataError("smoothed importance scores must be non-negative")
     total = smoothed.sum()
     if total <= 0.0:
-        return uniform_distribution(smoothed.size, bandwidth, epoch)
-    return ImportanceDist(probs=smoothed / total, epoch=epoch, bandwidth=bandwidth).validate()
+        return uniform_distribution(smoothed.size)
+    return ImportanceDist(probs=smoothed / total).validate()
 
 
 def refresh(actual: np.ndarray, predicted: np.ndarray, bandwidth: float,
-            shape: tuple[int, int], epoch: int) -> ImportanceDist:
+            shape: tuple[int, int]) -> ImportanceDist:
     """One full update: score, smooth, normalize."""
-    raw = importance_scores(actual, predicted)
-    return normalize(gaussian_smooth(raw, bandwidth, shape), epoch=epoch, bandwidth=bandwidth)
+    return normalize(gaussian_smooth(importance_scores(actual, predicted), bandwidth, shape))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,11 @@ class Splits:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(SurrogateConfig):
+    """The ``train`` section of a run config: the surrogate's fields
+    (margin, local_weight, radius, weight_mode, sample_fraction, gain_cap)
+    plus the optimisation schedule."""
+
     epochs: int = 100
     warmup_epochs: int = 20
     lr_warmup: float = 1e-3
@@ -61,24 +65,12 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 64
-    local_weight: float = 0.1
-    margin: float = 1.0
-    radius: float = 2.0
     bandwidth: float = 1.0
-    weight_mode: str = "sample"
-    sample_fraction: float = 0.5
-    gain_cap: float | None = None
     warmup_mode: str = "mse"
     use_importance: bool = True
     eval_k: int = 10
     early_stop_patience: int | None = None
     seed: int = 0
-
-    def surrogate_config(self) -> SurrogateConfig:
-        return SurrogateConfig(margin=self.margin, local_weight=self.local_weight,
-                               radius=self.radius, weight_mode=self.weight_mode,
-                               sample_fraction=self.sample_fraction,
-                               gain_cap=self.gain_cap).validate()
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 0 or self.warmup_epochs < 0:
@@ -95,7 +87,7 @@ class TrainConfig:
             raise ConfigError(f"warmup_mode must be one of {WARMUP_MODES}")
         if self.eval_k < 1:
             raise ConfigError("eval_k must be >= 1")
-        self.surrogate_config()
+        super().validate()
         return self
 
 
@@ -204,7 +196,6 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     model_config.validate()
     train_config.validate()
     shape = (grid.rows, grid.cols)
-    surrogate = train_config.surrogate_config()
 
     if train_config.eval_k > grid.n_locations:
         raise ConfigError(f"train.eval_k={train_config.eval_k} exceeds the grid's "
@@ -222,7 +213,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     params = init_params(model_config, seed=seed)
     params.static_graph = pearson_static(grid.risk[:, :, :splits.train_end]).matrix
     adam = AdamState.for_params(params)
-    importance = sampling.uniform_distribution(grid.n_locations, train_config.bandwidth)
+    importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)
 
     state = TrainState(params=params, adam=adam, epochs_run=0, importance=importance)
@@ -241,8 +232,8 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                 weights = None
                 if train_config.use_importance and positives.size:
                     weights = losses.apply_importance(positives, state.importance.probs,
-                                                      surrogate, rng)
-                loss = ad.neg(losses.hybrid_objective(day_risk, scores, surrogate,
+                                                      train_config, rng)
+                loss = ad.neg(losses.hybrid_objective(day_risk, scores, train_config,
                                                       weights, shape))
             if not np.isfinite(loss.item()):
                 raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
@@ -266,8 +257,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
         if not warm and train_config.use_importance:
             predicted = predictions_for(params, grid, train_windows)
-            state.importance = sampling.refresh(y_train, predicted, train_config.bandwidth,
-                                                shape, epoch + 1)
+            state.importance = sampling.refresh(y_train, predicted, train_config.bandwidth, shape)
 
         report = metrics.metric_report(y_val, predictions_for(params, grid, val_windows),
                                        [train_config.eval_k], shape, train_config.radius)

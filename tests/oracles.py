@@ -2,9 +2,12 @@
 
 Pure Python loops, no shared code with the package paths they check. The
 exceptions are built on the package's autodiff: the ops ``transpose``,
-``tanh``, ``abs_`` and ``narrow``, which only tests use;
-``generic_graph_block`` and ``generic_recurrent``, which compose the
-per-period graph block and the recurrent cell from generic ops as the
+``tanh``, ``abs_``, ``narrow``, ``reshape``, ``broadcast_to``,
+``gather_rows``, ``sum_``, ``log2`` and ``div``, each one ``ad.fused``
+node, which only tests and the chains below use;
+``generic_graph_block``, ``generic_recurrent`` and
+``generic_bounded_gain``, which compose the per-period graph block, the
+recurrent cell and the ranking surrogate from generic ops as the
 references for the fused nodes that replace those chains; and
 ``per_window_gradients``, the per-window training step that the
 once-per-batch step must reproduce; and ``csr_envelope_loop``, the
@@ -137,6 +140,69 @@ def abs_(a):
     return ad.fused("abs", np.abs(a.data), (a,), lambda g: (g * sign,), kink=a.data > 0.0)
 
 
+def reshape(a, shape):
+    return ad.fused("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape).copy(),))
+
+
+def broadcast_to(a, shape):
+    """``a`` broadcast to ``shape``; the backward sums over the broadcast axes."""
+    def grads(g):
+        extra = g.ndim - a.data.ndim
+        summed = g.sum(axis=tuple(range(extra))) if extra else g
+        axes = tuple(i for i, n in enumerate(a.data.shape) if n == 1 and summed.shape[i] != 1)
+        return (np.array(summed.sum(axis=axes, keepdims=True) if axes else summed, dtype=np.float64),)
+
+    return ad.fused("broadcast_to", np.broadcast_to(a.data, shape), (a,), grads)
+
+
+def gather_rows(a, indices):
+    """Rows ``indices`` of ``a``, repeats allowed; the backward adds them back."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def grads(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return ad.fused("gather_rows", a.data[idx], (a,), grads)
+
+
+def sum_(a, axis=None):
+    def grads(g):
+        expanded = g if axis is None else np.expand_dims(g, axis)
+        return (np.array(np.broadcast_to(expanded, a.data.shape), dtype=np.float64),)
+
+    return ad.fused("sum", np.asarray(a.data.sum(axis=axis)), (a,), grads)
+
+
+def log2(a):
+    return ad.fused("log2", np.log2(a.data), (a,), lambda g: (g / (a.data * math.log(2.0)),))
+
+
+def div(a, b):
+    """a / b for two tensors of one shape."""
+    return ad.fused("div", a.data / b.data, (a, b),
+                    lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+
+
+def generic_bounded_gain(scores, lists, targets, coeff, margin, valid=None):
+    """Sum of coeff / log2(1 + rank bound) over (B, q) candidate lists built
+    from about a dozen generic ops: the reference for ``losses._bounded_gain``,
+    with the same arguments."""
+    (n_lists, q), t = lists.shape, targets.shape[1]
+    candidates = reshape(gather_rows(scores, lists.reshape(-1)), (n_lists, q))
+    flat = (targets + q * np.arange(n_lists)[:, None]).reshape(-1)
+    row = reshape(gather_rows(reshape(candidates, (n_lists * q,)), flat), (n_lists, 1, t))
+    column = reshape(candidates, (n_lists, q, 1))
+    diff = ad.sub(broadcast_to(column, (n_lists, q, t)), broadcast_to(row, (n_lists, q, t)))
+    hinge = ad.square(ad.relu(ad.add(diff, float(margin))))
+    if valid is not None:
+        kept = valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
+        hinge = ad.mul(hinge, ad.constant(kept.astype(np.float64)))
+    bounds = sum_(hinge, axis=1)
+    return sum_(div(ad.constant(coeff), log2(ad.add(bounds, 1.0))))
+
+
 def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
     about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
@@ -154,14 +220,14 @@ def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
         gate = ad.sigmoid(ad.matmul(ad.constant(np.reshape(temporal, (1, -1))), params.time_gate))
     else:
         gate = ad.constant([[float(fixed_gate)]])
-    gate_full = ad.broadcast_to(gate, (s, s))
+    gate_full = broadcast_to(gate, (s, s))
     complement = ad.add(ad.neg(gate_full), 1.0)
     blended = ad.add(ad.mul(gate_full, dynamic), ad.mul(complement, ad.constant(static)))
 
     with_loops = ad.add(blended, ad.constant(np.eye(s)))
-    row_sums = ad.sum_(with_loops, axis=1, keepdims=True)
+    row_sums = reshape(sum_(with_loops, axis=1), (s, 1))
     denom = ad.add(abs_(row_sums), 1e-6) if signed else row_sums
-    normalized = ad.div(with_loops, ad.broadcast_to(denom, with_loops.shape))
+    normalized = div(with_loops, broadcast_to(denom, with_loops.shape))
     return dynamic, gate, blended, normalized
 
 
@@ -189,15 +255,15 @@ def generic_recurrent(params, steps):
     cell_state = ad.constant(np.zeros((s, hr)))
     for step_in in steps:
         gates = ad.add(ad.add(ad.matmul(step_in, params.lstm_wx), ad.matmul(hidden_state, params.lstm_wh)),
-                       ad.broadcast_to(params.lstm_bias, (s, 4 * hr)))
+                       broadcast_to(params.lstm_bias, (s, 4 * hr)))
         in_gate = ad.sigmoid(narrow(gates, 1, 0, hr))
         forget_gate = ad.sigmoid(narrow(gates, 1, hr, hr))
         candidate = tanh(narrow(gates, 1, 2 * hr, hr))
         out_gate = ad.sigmoid(narrow(gates, 1, 3 * hr, hr))
         cell_state = ad.add(ad.mul(forget_gate, cell_state), ad.mul(in_gate, candidate))
         hidden_state = ad.mul(out_gate, tanh(cell_state))
-    scores = ad.add(ad.matmul(hidden_state, params.head_weight), ad.broadcast_to(params.head_bias, (s, 1)))
-    return ad.reshape(scores, (s,))
+    scores = ad.add(ad.matmul(hidden_state, params.head_weight), broadcast_to(params.head_bias, (s, 1)))
+    return reshape(scores, (s,))
 
 
 def per_window_gradients(params, grid, windows, loss_of):

@@ -11,7 +11,7 @@ from gridrank.adjacency import pearson_static
 from gridrank.errors import ShapeError
 from gridrank.grid import Window
 
-from oracles import generic_recurrent, per_window_gradients, tanh
+from oracles import generic_recurrent, per_window_gradients, sum_, tanh
 
 ROWS, COLS, WINDOW = 4, 6, 3
 
@@ -51,7 +51,7 @@ def recurrent_case(data, seed):
 def recurrent_grads(build, params, steps, weights):
     ad.zero_grads(params.tensors() + steps)
     scores = build(params, steps)
-    ad.backward(ad.sum_(ad.mul(scores, ad.constant(weights))))
+    ad.backward(sum_(ad.mul(scores, ad.constant(weights))))
     return scores.data, named_grads(params), [s.grad.copy() for s in steps]
 
 
@@ -75,10 +75,10 @@ def test_fused_lstm_and_head_pass_grad_check(data):
     state = ad.parameter(np.random.default_rng(5).normal(size=(data.n_locations, 6)))
     step_weights = np.random.default_rng(6).normal(size=(data.n_locations, 6))
     report = ad.grad_check(
-        lambda: ad.sum_(ad.mul(model._lstm_step(params, steps[0], state), ad.constant(step_weights))),
+        lambda: sum_(ad.mul(model._lstm_step(params, steps[0], state), ad.constant(step_weights))),
         [steps[0], state, params.lstm_wx, params.lstm_wh, params.lstm_bias], tol=1e-7)
     assert report.passed and report.kinks == 0, report.max_rel_error
-    report = ad.grad_check(lambda: ad.sum_(ad.mul(model._recurrent(params, steps), ad.constant(weights))),
+    report = ad.grad_check(lambda: sum_(ad.mul(model._recurrent(params, steps), ad.constant(weights))),
                            steps + [params.lstm_wx, params.lstm_wh, params.lstm_bias,
                                     params.head_weight, params.head_bias], tol=1e-7)
     assert report.passed and report.kinks == 0, report.max_rel_error
@@ -151,7 +151,7 @@ def test_seeded_backward_equals_weighted_sum():
     ad.backward(tanh(ad.matmul(w, w)), seed)
     seeded = w.grad.copy()
     ad.zero_grads([w])
-    ad.backward(ad.sum_(ad.mul(tanh(ad.matmul(w, w)), ad.constant(seed))))
+    ad.backward(sum_(ad.mul(tanh(ad.matmul(w, w)), ad.constant(seed))))
     assert np.array_equal(seeded, w.grad)
     with pytest.raises(ShapeError, match="seed gradient shape"):
         ad.backward(tanh(w), np.ones(3))

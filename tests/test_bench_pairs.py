@@ -26,9 +26,13 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metri
 '''
 
 
-def stub_checkout(root: Path, side: str, pass_s: float) -> Path:
+def stub_checkout(root: Path, side: str, pass_s: float, src_lines: int = 3) -> Path:
     checkout = root / side
     (checkout / "bench").mkdir(parents=True)
+    (checkout / "src" / "pkg").mkdir(parents=True)
+    (checkout / "src" / "pkg" / "a.py").write_text("x = 1\n" * (src_lines - 1))
+    (checkout / "src" / "b.py").write_text("y = 2\n")
+    (checkout / "src" / "pkg" / "notes.txt").write_text("not counted\n")
     (checkout / "bench" / "run.py").write_text(f"SIDE = {side!r}\nPASS = {pass_s}\n" + STUB)
     (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 4, "end_to_end": METRICS}))
     return checkout
@@ -40,8 +44,8 @@ def test_parse_seeds():
 
 
 def test_pairs_alternate_and_extend_the_file(tmp_path):
-    parent = stub_checkout(tmp_path, "parent", 10.0)
-    change = stub_checkout(tmp_path, "change", 7.0)
+    parent = stub_checkout(tmp_path, "parent", 10.0, src_lines=12)
+    change = stub_checkout(tmp_path, "change", 7.0, src_lines=9)
     out = tmp_path / "BENCH_9.json"
     common = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
     assert bench_pairs.main(common + ["--workload", "w1", "--seeds", "1-3", "--claim", "pass_s"]) == 0
@@ -54,6 +58,7 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert doc["claims"] == [{"workload": "w1", "metric": "pass_s"}]
     assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "parent"]
     assert doc["machine"] == {"side": "change"} and len(doc["traced"]) == 1
+    assert doc["src_lines"] == {"parent": 12, "change": 9}
     w1 = doc["summary"]["w1"]
     assert w1["pass_s"]["parent"] == {"median": 12.0, "q1": 11.5, "q3": 12.5}
     assert w1["pass_s"]["change_better_pairs"] == 3 and w1["pass_s"]["pairs"] == 3

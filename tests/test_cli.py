@@ -7,11 +7,28 @@ from gridrank import cli, grid, model, training
     ('train.epochs="abc"', "train.epochs must be of type int, got 'abc'"),
     ("train.batch_size=2.5", "train.batch_size must be of type int, got 2.5"),
     ("train.margin=0", "margin must be > 0"),
+    ("eval.ks=[0,5]", "eval.ks must be a non-empty list of cutoffs >= 1, got [0, 5]"),
+    ("eval.ks=[]", "eval.ks must be a non-empty list of cutoffs >= 1, got []"),
+    ("eval.radius=-1", "eval.radius must be >= 0, got -1.0"),
+    ("eval.crossk_k=0", "eval.crossk_k and eval.crossk_sims must be >= 1, got 0 and 99"),
+    ("eval.crossk_sims=0", "eval.crossk_k and eval.crossk_sims must be >= 1, got 10 and 0"),
+    ("data.train_fraction=1.5", "data.train_fraction must be in (0, 1), got 1.5"),
+    ("data.train_fraction=0", "data.train_fraction must be in (0, 1), got 0.0"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):
     assert cli.main(["--set", override, "config-schema"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GRIDRANK_OUT_DIR", raising=False)
+    assert cli.main(["config-schema"]) == cli.EXIT_OK
+    path = tmp_path / "default.json"
+    path.write_text(capsys.readouterr().out)
+    config = cli.load_run_config(str(path), [])
+    assert config == cli.RunConfig()
+    assert cli.config_hash(config) == "2f5925e398940f3bef114473bccd4ee17481f8a443c15b28d124a09757f227b1"
 
 
 def test_file_and_override_values_coerced_by_field_type(tmp_path):
@@ -56,6 +73,27 @@ def test_evaluate_cutoff_above_grid_size_is_a_config_error(manifest, tmp_path, c
                      "--out", str(tmp_path / "eval")])
     assert code == cli.EXIT_CONFIG
     assert "[17] exceed the grid's 16 locations" in one_line_error(capsys, "config error:")
+
+
+def test_crossk_cutoff_above_grid_size_is_a_config_error(manifest, tmp_path, capsys):
+    code = cli.main(["--set", "eval.crossk_k=17", "crossk", "--data", manifest, "--predictor", "ha",
+                     "--out", str(tmp_path / "crossk")])
+    assert code == cli.EXIT_CONFIG
+    assert "eval.crossk_k=17 exceeds the grid's 16 locations" in one_line_error(capsys, "config error:")
+    assert not (tmp_path / "crossk").exists()
+
+
+@pytest.mark.parametrize("k", ["-3", "0", "17"])
+def test_rank_k_outside_range_exits_2(manifest, k, capsys):
+    assert cli.main(["rank", "--data", manifest, "--predictor", "ha", "--k", k]) == cli.EXIT_CONFIG
+    assert f"--k {k} outside [1, 16]" in one_line_error(capsys, "config error:")
+
+
+def test_rank_k_bounds_are_inclusive(manifest, capsys):
+    for k, rows in (("1", 1), ("16", 16)):
+        assert cli.main(["rank", "--data", manifest, "--predictor", "ha", "--k", k]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"top-{k} locations") and len(out) == 2 + rows
 
 
 def test_missing_manifest_is_a_data_error(tmp_path, capsys):

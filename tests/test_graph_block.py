@@ -10,7 +10,7 @@ from gridrank import model
 from gridrank.adjacency import pearson_static
 from gridrank.errors import NumericalError
 
-from oracles import generic_graph_block
+from oracles import generic_graph_block, sum_
 
 D_T, D_ST = 3, 2
 
@@ -40,7 +40,7 @@ def fused_graph_block(params, features, static, temporal, fixed_gate, signed):
 def gradients(build, params, inputs, weights):
     ad.zero_grads([t for _, t in params.named_tensors()])
     normalized = build(params, *inputs)[-1]
-    ad.backward(ad.sum_(ad.mul(normalized, ad.constant(weights))))
+    ad.backward(sum_(ad.mul(normalized, ad.constant(weights))))
     return {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
 
 
@@ -79,7 +79,7 @@ def test_dynamic_adjacency_grad_check_and_kink_trace():
     tensors = [params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj]
 
     def objective():
-        return ad.sum_(ad.mul(adjacency.dynamic_adjacency(params, features), ad.constant(weights)))
+        return sum_(ad.mul(adjacency.dynamic_adjacency(params, features), ad.constant(weights)))
 
     report = ad.grad_check(objective, tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -95,7 +95,7 @@ def test_blend_grad_check(fixed_gate):
 
     def objective():
         blended = adjacency.blend(dynamic, static, temporal, params.time_gate, fixed_gate)
-        return ad.sum_(ad.mul(blended.matrix, ad.constant(weights)))
+        return sum_(ad.mul(blended.matrix, ad.constant(weights)))
 
     report = ad.grad_check(objective, [dynamic, params.time_gate], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -108,7 +108,7 @@ def test_normalized_adjacency_grad_check_and_kink_trace(signed):
     weights = rng.normal(size=(5, 5))
 
     def objective():
-        return ad.sum_(ad.mul(model._normalized_adjacency(matrix, signed), ad.constant(weights)))
+        return sum_(ad.mul(model._normalized_adjacency(matrix, signed), ad.constant(weights)))
 
     report = ad.grad_check(objective, [matrix], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error

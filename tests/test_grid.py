@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridrank import grid
+from gridrank import grid, training
 from gridrank.errors import DataError
 
 
@@ -18,7 +18,7 @@ class TestLocationIndex:
         seen = set()
         for r in range(3):
             for c in range(cols):
-                loc = grid.location_id(r, c, cols)
+                loc = r * cols + c
                 assert grid.location_rc(loc, cols) == (r, c)
                 seen.add(loc)
         assert seen == set(range(15))
@@ -34,20 +34,16 @@ class TestWindows:
         g10 = grid.StGrid(rows=g.rows, cols=g.cols, periods=10, temporal=g.temporal[:10],
                           spatial=g.spatial, spatiotemporal=g.spatiotemporal[:, :, :10],
                           risk=g.risk[:, :, :10])
-        ws = grid.windows(g10, 7)
-        assert [w.target for w in ws] == [7, 8, 9]
-        assert all(list(w.inputs()) == list(range(w.target - 7, w.target)) for w in ws)
+        train, val = training.split_windows(g10, training.Splits(train_end=8), 7)
+        assert [w.target for w in train] == [7] and [w.target for w in val] == [8, 9]
+        assert all(list(w.inputs()) == list(range(w.target - 7, w.target)) for w in train + val)
 
-    def test_single_window(self, small):
-        g8 = grid.StGrid(rows=small.rows, cols=small.cols, periods=8,
-                         temporal=small.temporal[:8], spatial=small.spatial,
-                         spatiotemporal=small.spatiotemporal[:, :, :8],
-                         risk=small.risk[:, :, :8])
-        assert len(grid.windows(g8, 7)) == 1
+    def test_single_window(self):
+        assert list(grid.Window(target=7, length=7).inputs()) == list(range(7))
 
     def test_length_equal_to_periods_is_error(self, small):
         with pytest.raises(DataError, match="shorter than the study period"):
-            grid.windows(small, small.periods)
+            training.split_windows(small, training.Splits(train_end=20), small.periods)
 
     def test_window_validates_bounds(self):
         with pytest.raises(DataError):

@@ -6,7 +6,8 @@ import pytest
 from gridrank import autodiff as ad
 from gridrank import losses, metrics
 from gridrank.errors import ConfigError, DataError
-from oracles import brute_l_ndcg_surrogate, brute_ndcg, brute_ndcg_surrogate, brute_surrogate_rank
+from oracles import (brute_l_ndcg_surrogate, brute_ndcg_surrogate, brute_surrogate_rank,
+                     generic_bounded_gain)
 
 
 def random_instance(rng, n=None, rate=0.8):
@@ -18,7 +19,7 @@ def random_instance(rng, n=None, rate=0.8):
 
 def rank_bound(scores, position, margin=1.0):
     """Rank bound of one position in a single unpadded candidate list."""
-    return losses._rank_bounds(ad.constant([scores]), np.array([[position]]), margin).item()
+    return losses._rank_bounds(np.array([scores], dtype=float), np.array([[position]]), margin)[1].item()
 
 
 class TestSurrogateRank:
@@ -58,7 +59,7 @@ class TestSurrogateRank:
         scores = rng.normal(size=(4, 6))
         valid = np.arange(6) < np.array([[6], [4], [1], [3]])
         targets = np.tile(np.arange(6), (4, 1))
-        bounds = losses._rank_bounds(ad.constant(scores), targets, 0.7, valid).data
+        bounds = losses._rank_bounds(scores, targets, 0.7, valid)[1]
         for b in range(4):
             kept = scores[b, valid[b]].tolist()
             for position in range(6):
@@ -67,6 +68,68 @@ class TestSurrogateRank:
                 else:  # padding ranks against the valid members plus its own self term
                     expected = brute_surrogate_rank(kept + [scores[b, position]], len(kept), 0.7)
                 assert bounds[b, position] == pytest.approx(expected, abs=1e-12)
+
+
+class TestFusedSurrogate:
+    """``losses._bounded_gain`` against the generic-op chain it replaces."""
+
+    @staticmethod
+    def value_and_gradient(objective, scores, monkeypatch, node):
+        monkeypatch.setattr(losses, "_bounded_gain", node)
+        tensor = ad.parameter(scores.copy())
+        value = objective(tensor)
+        if value.requires_grad:
+            ad.backward(value)
+        monkeypatch.undo()
+        return value.item(), np.zeros_like(scores) if tensor.grad is None else tensor.grad
+
+    def assert_matches_chain(self, objective, scores, monkeypatch):
+        fused, fused_grad = self.value_and_gradient(objective, scores, monkeypatch, losses._bounded_gain)
+        chain, chain_grad = self.value_and_gradient(objective, scores, monkeypatch, generic_bounded_gain)
+        assert fused == chain
+        np.testing.assert_allclose(fused_grad, chain_grad, rtol=1e-12, atol=1e-12 * np.abs(chain_grad).max())
+
+    def instances(self, rng, trials):
+        for trial in range(trials):
+            rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            y = rng.poisson(0.8, size=rows * cols).astype(float)
+            y[[0, -1]] = np.maximum(y[[0, -1]], 1.0)  # corner centres are always positive
+            scores = rng.normal(size=rows * cols)
+            if trial % 3 == 0:
+                scores = np.round(scores)  # ties
+            weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=int((y > 0).sum()))
+            yield rows, cols, y, scores, weights, (None if trial % 2 else 1.0)
+
+    def test_global_list(self, rng, monkeypatch):
+        for _, _, y, scores, weights, cap in self.instances(rng, 40):
+            self.assert_matches_chain(lambda s: losses.ndcg_surrogate(y, s, weights, margin=0.9, gain_cap=cap),
+                                      scores, monkeypatch)
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 1.5, 2.0, 3.0, 9.0])
+    def test_padded_local_lists(self, radius, rng, monkeypatch):
+        for rows, cols, y, scores, weights, cap in self.instances(rng, 20):
+            self.assert_matches_chain(
+                lambda s: losses.l_ndcg_surrogate(y, s, weights, margin=0.9, radius=radius,
+                                                  shape=(rows, cols), gain_cap=cap), scores, monkeypatch)
+
+    def test_hybrid_puts_one_node_per_part_on_the_tape(self, rng, monkeypatch):
+        cfg = losses.SurrogateConfig(local_weight=0.3).validate()
+        for rows, cols, y, scores, weights, _ in self.instances(rng, 10):
+            self.assert_matches_chain(lambda s: losses.hybrid_objective(y, s, cfg, weights, (rows, cols)),
+                                      scores, monkeypatch)
+        y, scores = np.array([2.0, 0.0, 1.0, 3.0]), ad.parameter(rng.normal(size=4))
+        loss = ad.neg(losses.hybrid_objective(y, scores, cfg, None, (2, 2)))
+        assert len(ad._toposort(loss)) - 1 == 4  # global, local, add, neg; the leaf is not a node
+
+    def test_gradient_against_finite_differences(self, rng):
+        lists = rng.integers(0, 7, size=(3, 5))
+        targets = np.array([[0, 2], [1, 4], [3, 3]])
+        valid = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 0, 0, 1, 0]], dtype=bool)
+        coeff = rng.uniform(0.0, 2.0, size=(3, 2))
+        scores = ad.parameter(rng.normal(size=7))
+        report = ad.grad_check(lambda: losses._bounded_gain(scores, lists, targets, coeff, 0.8, valid),
+                               [scores], eps=1e-6, tol=1e-7)
+        assert report.passed and report.checked - report.kinks >= 5, report.max_rel_error
 
 
 class TestNdcgSurrogate:
@@ -188,7 +251,7 @@ class TestHybrid:
         tensor = ad.constant(scores)
         cfg0 = losses.SurrogateConfig(local_weight=0.0).validate()
         cfg1 = losses.SurrogateConfig(local_weight=1.0).validate()
-        assert losses.hybrid_objective(y, tensor, cfg0, shape=(4, 4)).item() == pytest.approx(
+        assert losses.hybrid_objective(y, tensor, cfg0).item() == pytest.approx(  # no grid shape needed
             losses.ndcg_surrogate(y, tensor, margin=cfg0.margin).item())
         assert losses.hybrid_objective(y, tensor, cfg1, shape=(4, 4)).item() == pytest.approx(
             losses.l_ndcg_surrogate(y, tensor, margin=1.0, radius=2.0, shape=(4, 4)).item())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridrank import grid, metrics
 from gridrank.errors import DataError
-from oracles import brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_rank
+from oracles import brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_order, brute_rank
 
 
 class TestRankOf:
@@ -26,6 +26,20 @@ class TestRankOf:
             got = metrics.ranks(scores)
             for location in range(12):
                 assert got[location] == brute_rank(scores.tolist(), location)
+
+
+class TestDescendingOrder:
+    def test_full_permutation(self, rng):
+        scores = rng.normal(size=16)
+        order = metrics.descending_order(scores)
+        assert sorted(order.tolist()) == list(range(16))
+        assert np.all(np.diff(scores[order]) <= 0.0)
+
+    def test_ties_order_by_index(self, rng):
+        assert metrics.descending_order(np.zeros(5)).tolist() == [0, 1, 2, 3, 4]
+        for _ in range(20):
+            scores = rng.integers(0, 3, size=12).astype(float)
+            assert metrics.descending_order(scores).tolist() == brute_order(scores.tolist())
 
 
 class TestNdcg:

@@ -134,27 +134,6 @@ class TestForward:
         assert report.passed, report.max_rel_error
 
 
-class TestPredictTopk:
-    def test_full_permutation(self, tiny_config, dataset):
-        params = make_params(tiny_config, dataset)
-        ranked = model.predict_topk(params, dataset, griddata.Window(9, 3), 16)
-        assert sorted(loc for loc, _ in ranked) == list(range(16))
-        values = [s for _, s in ranked]
-        assert values == sorted(values, reverse=True)
-
-    def test_duplicate_scores_order_by_index(self, tiny_config, dataset):
-        params = make_params(tiny_config, dataset)
-        params.head_weight.data = np.zeros_like(params.head_weight.data)
-        params.head_bias.data = np.zeros_like(params.head_bias.data)
-        ranked = model.predict_topk(params, dataset, griddata.Window(9, 3), 5)
-        assert [loc for loc, _ in ranked] == [0, 1, 2, 3, 4]
-
-    def test_k_above_s_is_error(self, tiny_config, dataset):
-        params = make_params(tiny_config, dataset)
-        with pytest.raises(DataError, match="exceeds"):
-            model.predict_topk(params, dataset, griddata.Window(9, 3), 17)
-
-
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_config, dataset, tmp_path):
         params = make_params(tiny_config, dataset, seed=11)

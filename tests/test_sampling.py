@@ -121,7 +121,6 @@ class TestPipeline:
     def test_refresh_is_pure(self, rng):
         actual = rng.poisson(1.0, size=(6, 16)).astype(float)
         predicted = rng.normal(size=(6, 16))
-        a = sampling.refresh(actual, predicted, 1.0, (4, 4), epoch=3)
-        b = sampling.refresh(actual, predicted, 1.0, (4, 4), epoch=3)
+        a = sampling.refresh(actual, predicted, 1.0, (4, 4))
+        b = sampling.refresh(actual, predicted, 1.0, (4, 4))
         assert np.array_equal(a.probs, b.probs)
-        assert a.epoch == 3 and a.bandwidth == 1.0

@@ -11,8 +11,9 @@ on the first pair). Every pair runs for the ``run_seconds`` of the
 change's BENCHMARK.json, which also gives the end-to-end metrics and their
 directions. ``--traced-seed`` adds one ``--seconds 0 --trace 1`` run per
 side. An existing ``--out`` file is extended: its pairs and traced runs are
-kept and the summary is recomputed over all of them. The tool exits 1 if
-any run printed ``"correct": false``.
+kept and the summary is recomputed over all of them. ``src_lines`` holds
+each side's count of lines in ``src/**/*.py``, as ``wc -l`` counts them.
+The tool exits 1 if any run printed ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 def git_head(checkout: Path) -> str | None:
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's ``src/**/*.py`` files."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def _spread(values: list[float]) -> dict:
@@ -120,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
            [t[side] for t in doc["traced"] for side in sides]
     if runs:
         doc["machine"] = runs[-1]["environment"]  # a change-side run: sides end with "change"
+    doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     doc["summary"] = summarise(doc["pairs"], benchmark["end_to_end"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
