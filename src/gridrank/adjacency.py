@@ -7,11 +7,18 @@ shifted by the current spatiotemporal features; an antisymmetric
 difference under relu(tanh(.)) makes it directed with complementary
 sparsity (at most one of the (i, j)/(j, i) entries is nonzero). A
 per-period scalar gate computed from the temporal features mixes the two.
+
+``dynamic_adjacency`` and ``blend`` work on plain arrays and write into
+buffers their caller may reuse; they are not tape nodes. The model's
+per-period step (``model._period_step``) calls each once per build and
+owns the tape node; ``dynamic_adjacency_grads`` is the dynamic graph's
+share of its backward, and ``blend`` documents the gate's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,22 +114,36 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
     return params.validate()
 
 
-def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray) -> Tensor:
+# Entries per row block of an elementwise pass over an S x S gradient:
+# 256 KB, which timed fastest at S = 1024 (one BLAS thread, 2-vCPU VM).
+_BLOCK_ENTRIES = 32768
+
+
+class DynamicGraph(NamedTuple):
+    """One period's dynamic graph A and what its gradient needs: the lifted
+    embeddings e1, e2 and their activations z1, z2; ``active`` is the relu
+    mask 1[A > 0] when a kink trace is installed, None otherwise."""
+
+    matrix: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    active: np.ndarray | None
+
+
+def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
+                      out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> DynamicGraph:
     """Directed per-period graph from embeddings + current features.
 
     With F the features, P the feature projection and a the saturation:
     e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
     A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
     construction: C is antisymmetric and relu keeps one orientation of
-    each pair.
-
-    One tape node with parents emb1, emb2, mix1, mix2 and feature_proj.
-    Backward, for output gradient G: G_C = a G * 1[A > 0] * (1 - A^2);
-    since C is antisymmetric everything flows through K = G_C - G_C^T, with
-    dz1 = K z2 and dz2 = -K z1, computed as G_C Z - G_C^T Z for Z = [z2 | z1]
-    so K itself is never formed. Then du_i = a dz_i * (1 - z_i^2),
-    dmix_i = e_i^T du_i, demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
-    The relu mask is reported as a kink.
+    each pair. A is written into ``out`` and z2 z1^T into ``scratch``, two
+    S x S arrays that are allocated when not given. The gradient is
+    :func:`dynamic_adjacency_grads`; the caller reports ``active`` as a
+    kink.
     """
     s = params.emb1.shape[0]
     features = np.asarray(st_features_t, dtype=np.float64)
@@ -130,59 +151,78 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray)
         raise ShapeError(f"spatiotemporal slice shape {features.shape} does not match "
                          f"(S={s}, d_st={params.feature_proj.shape[0]})")
     alpha = params.saturation
-    mix1, mix2 = params.mix1.data, params.mix2.data
     lifted = features @ params.feature_proj.data
     e1 = params.emb1.data + lifted
     e2 = params.emb2.data + lifted
-    z1 = np.tanh((e1 @ mix1) * alpha)
-    z2 = np.tanh((e2 @ mix2) * alpha)
-    out = z1 @ z2.T
-    out -= z2 @ z1.T
-    out *= alpha
-    np.tanh(out, out=out)
-    np.maximum(out, 0.0, out=out)
-    active = out > 0.0
+    z1 = np.tanh((e1 @ params.mix1.data) * alpha)
+    z2 = np.tanh((e2 @ params.mix2.data) * alpha)
+    matrix = np.matmul(z1, z2.T, out=out)
+    matrix -= np.matmul(z2, z1.T, out=scratch)
+    matrix *= alpha
+    np.tanh(matrix, out=matrix)
+    np.maximum(matrix, 0.0, out=matrix)
+    return DynamicGraph(matrix, e1, e2, z1, z2, matrix > 0.0 if ad.tracing_kinks() else None)
 
-    def grads(g):
-        g_c = np.multiply(out, out)
-        np.subtract(1.0, g_c, out=g_c)
-        g_c *= g
-        g_c *= active
-        g_c *= alpha
-        z = np.concatenate([z2, z1], axis=1)
-        k_z = g_c @ z
-        k_z -= g_c.T @ z
-        del g_c
-        d = z1.shape[1]
-        g_u1 = k_z[:, :d] * ((1.0 - z1 * z1) * alpha)
-        g_u2 = k_z[:, d:] * ((z2 * z2 - 1.0) * alpha)
-        g_e1 = g_u1 @ mix1.T
-        g_e2 = g_u2 @ mix2.T
-        return g_e1, g_e2, e1.T @ g_u1, e2.T @ g_u2, features.T @ (g_e1 + g_e2)
 
-    return ad.fused("dynamic_adjacency", out,
-                    (params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj),
-                    grads, kink=active)
+def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
+                            graph: DynamicGraph, g_graph: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+    """Gradients of emb1, emb2, mix1, mix2 and feature_proj for the output
+    gradient G = scale * ``g_graph`` of :func:`dynamic_adjacency`.
+
+    G_C = a G * 1[A > 0] * (1 - A^2). The mask-and-scale factor
+    1[A > 0] (1 - A^2) = 1[A > 0] - A^2 (A is 0 off the mask) is formed
+    and multiplied into ``g_graph`` in place, a block of rows at a time:
+    no S x S temporary, and each block stays in cache. ``g_graph``'s
+    values are lost. Since C is antisymmetric everything flows through
+    K = G_C - G_C^T, with dz1 = K z2 and dz2 = -K z1, computed as
+    G_C Z - (Z^T G_C)^T for Z = [z2 | z1] so K itself is never formed
+    (the transposed product in the cheaper order); the factors a * scale
+    of G_C and a of du_i are applied at width 2 d_e. Then
+    du_i = a dz_i * (1 - z_i^2), dmix_i = e_i^T du_i,
+    demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
+    """
+    a = graph.matrix
+    rows = max(1, _BLOCK_ENTRIES // a.shape[1])
+    factor = np.empty((min(rows, a.shape[0]), a.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        f = factor[:len(block)]
+        np.multiply(block, block, out=f)
+        np.subtract(block > 0.0, f, out=f)
+        g_graph[start:start + rows] *= f
+    z = np.concatenate([graph.z2, graph.z1], axis=1)
+    k_z = g_graph @ z
+    k_z -= (z.T @ g_graph).T
+    k_z *= scale * params.saturation * params.saturation
+    z1, z2 = graph.z1, graph.z2
+    d = z1.shape[1]
+    g_u1 = k_z[:, :d] * (1.0 - z1 * z1)
+    g_u2 = k_z[:, d:] * (z2 * z2 - 1.0)
+    g_e1 = g_u1 @ params.mix1.data.T
+    g_e2 = g_u2 @ params.mix2.data.T
+    features = np.asarray(st_features_t, dtype=np.float64)
+    return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2)
 
 
 @dataclass
 class BlendedAdjacency:
     """Per-period graph: gate * dynamic + (1 - gate) * static."""
 
-    matrix: Tensor
-    gate: Tensor
+    matrix: np.ndarray
+    gate: float
 
 
-def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
-          time_gate: Tensor, fixed_gate: float | None = None) -> BlendedAdjacency:
+def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
+          time_gate: Tensor, fixed_gate: float | None = None,
+          out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> BlendedAdjacency:
     """Mix the dynamic and static graphs with a scalar per-period gate.
 
     gate = sigmoid(f_t . time_gate); ``fixed_gate`` overrides the learned
-    gate with a constant (the fixed-0.5 variant used for ablations).
-
-    The mix g A_dyn + (1 - g) A_static is one tape node with parents
-    A_dyn and the (1, 1) gate. Backward, for output gradient G:
-    dA_dyn = g G and dg = <G, A_dyn> - <G, A_static>.
+    gate with a constant (the fixed-0.5 variant used for ablations). The
+    mix g A_dyn + (1 - g) A_static is written into ``out`` (which may be
+    ``a_dynamic`` itself) with (1 - g) A_static in ``scratch``. Its
+    gradient, for output gradient G: dA_dyn = g G and
+    dg = <G, A_dyn> - <G, A_static>.
     """
     s = a_dynamic.shape[0]
     if a_static.shape != (s, s):
@@ -191,18 +231,9 @@ def blend(a_dynamic: Tensor, a_static: np.ndarray, temporal_t: np.ndarray,
         f_t = np.asarray(temporal_t, dtype=np.float64).reshape(1, -1)
         if f_t.shape[1] != time_gate.shape[0]:
             raise ShapeError(f"temporal features width {f_t.shape[1]} does not match gate {time_gate.shape}")
-        gate = ad.sigmoid(ad.matmul(ad.constant(f_t), time_gate))
+        gate = ad._stable_sigmoid(f_t @ time_gate.data)[0, 0]
     else:
-        gate = ad.constant([[float(fixed_gate)]])
-    weight = gate.data[0, 0]
-    dynamic = a_dynamic.data
-    mixed = dynamic * weight
-    mixed += a_static * (1.0 - weight)
-
-    def grads(g):
-        g_gate = None
-        if gate.requires_grad:
-            g_gate = np.full((1, 1), np.vdot(g, dynamic) - np.vdot(g, a_static))
-        return g * weight, g_gate
-
-    return BlendedAdjacency(matrix=ad.fused("blend", mixed, (a_dynamic, gate), grads), gate=gate)
+        gate = float(fixed_gate)
+    mixed = np.multiply(a_dynamic, gate, out=out)
+    mixed += np.multiply(a_static, 1.0 - gate, out=scratch)
+    return BlendedAdjacency(matrix=mixed, gate=gate)

@@ -3,8 +3,8 @@
 Every op records a backward closure on the implicit tape formed by parent
 links; ``backward`` replays the tape in reverse topological order exactly
 once per node. The generic ops are add, sub, mul, neg, matmul, sigmoid,
-relu, softplus, square, mean_ and concat; every larger block (graph
-block, LSTM step, score head, ranking surrogate) is one :func:`fused`
+relu, softplus, square, mean_ and concat; every larger block (period
+step, LSTM step, score head, ranking surrogate) is one :func:`fused`
 node with a hand-written backward. Design rules:
 
 * double precision everywhere;
@@ -12,7 +12,12 @@ node with a hand-written backward. Design rules:
   second operand of add or mul is the one convenience exception);
 * subgradient conventions: relu'(0) = 0, abs'(0) = 0;
 * no masked ``copyto`` or ``where`` over large arrays: ``np.maximum`` and
-  multiplying by a mask do the same job in a fraction of the time.
+  multiplying by a mask do the same job in a fraction of the time;
+* no fresh S x S temporary where a buffer from the same call can be
+  reused: a block writes into its own buffers with ``out=`` and works in
+  place, or in row blocks, since each fresh S x S array costs page
+  faults on first touch (the per-period step cut them from about 90k to
+  5k per 32 x 32 training pass).
 
 Kinked ops (relu, and fused blocks containing a relu or abs) report their
 active-branch masks to a trace when one is installed, which lets
@@ -54,6 +59,17 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether ops record backward closures (False inside :func:`no_grad`)."""
+    return _grad_enabled
+
+
+def tracing_kinks() -> bool:
+    """Whether a kink trace is installed: a kinked block run without
+    gradients builds its branch masks only then."""
+    return _kink_trace is not None
 
 
 @contextlib.contextmanager
@@ -303,17 +319,18 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
-          kink: np.ndarray | None = None) -> Tensor:
+          kinks: tuple[np.ndarray, ...] | list[np.ndarray] = ()) -> Tensor:
     """One tape node for a block whose backward is written by hand.
 
     ``grads(g)`` maps the output gradient to one array per parent, in
     order, or ``None`` for a parent that needs none. Each array must be
     float64, freshly allocated and returned for one parent only: the
-    parents take it without a copy. ``kink`` is the active-branch mask of
-    a relu or abs inside the block; it is reported like theirs, so
-    :func:`grad_check` flags coordinates that cross it.
+    parents take it without a copy. ``kinks`` are the active-branch masks
+    of the relus and abs inside the block, in a fixed order; they are
+    reported like theirs, so :func:`grad_check` flags coordinates that
+    cross them.
     """
-    if kink is not None:
+    for kink in kinks:
         _record_kink(kink)
 
     def backward(g):

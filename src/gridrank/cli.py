@@ -181,8 +181,15 @@ def write_run_record(config: RunConfig, command: str, out_dir: Path, seed: int) 
 
 
 def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
-    train_end = max(2, int(round(config.data.train_fraction * dataset.periods)))
-    return Splits(train_end=min(train_end, dataset.periods - 1)).validate(dataset.periods)
+    """The chronological split at ``data.train_fraction``; it must agree
+    with the split the dataset's features were normalized on, if the
+    manifest records one."""
+    train_end = min(max(2, int(round(config.data.train_fraction * dataset.periods))), dataset.periods - 1)
+    normalized = dataset.normalization.get("train_end")
+    if normalized is not None and normalized != train_end:
+        raise ConfigError(f"data.train_fraction={config.data.train_fraction} splits at period {train_end}, "
+                          f"but the dataset's features were normalized on periods before {normalized}")
+    return Splits(train_end=train_end).validate(dataset.periods)
 
 
 # ---------------------------------------------------------------------------

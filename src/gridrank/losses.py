@@ -120,7 +120,7 @@ def _bounded_gain(scores: Tensor, lists: np.ndarray, targets: np.ndarray, coeff:
                             minlength=scores.size).reshape(scores.shape),)
 
     return ad.fused("bounded_gain", np.asarray((coeff / discount).sum()), (scores,), grads,
-                    kink=hinge > 0.0)
+                    kinks=(hinge > 0.0,))
 
 
 def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,

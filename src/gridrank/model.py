@@ -2,10 +2,10 @@
 adjacency, a recurrent cell shared across locations, and a linear score
 head.
 
-A forward pass has two parts. The per-period step (``_period_step``)
-depends only on the parameters and the period t: it builds t's graph
-(dynamic adjacency, gate blend, D^-1 (A + I) normalization, one fused
-tape node each) and passes the node features (static spatial channels
+A forward pass has two parts. The per-period step (``_period_step``, one
+fused tape node) depends only on the parameters and the period t: it
+builds t's graph (dynamic adjacency, gate blend, D^-1 (A + I)
+normalization) and passes the node features (static spatial channels
 concatenated with t's spatiotemporal channels) through the graph-conv
 layers H <- relu(A_hat H W). When the static graph contributes negative
 correlations the degree uses |row sum| + 1e-6 to keep the normalization
@@ -20,7 +20,8 @@ so no output activation is applied.
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
 it; the cache lives for that call only, since parameters change between
-calls.
+calls. Its builds share two S x S buffers, and the rebuilds of
+``batch_backward`` share three.
 
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
@@ -130,8 +131,10 @@ class ModelParams:
         return [t for _, t in self.named_tensors()]
 
     def snapshot(self) -> dict[str, np.ndarray]:
+        """Copies of the learnable tensors; the static graph, which training
+        never changes (``training.train`` makes it read-only), is shared."""
         state = {name: t.data.copy() for name, t in self.named_tensors()}
-        state["static_graph"] = self.static_graph.copy()
+        state["static_graph"] = self.static_graph
         return state
 
     def load_snapshot(self, state: dict[str, np.ndarray]) -> None:
@@ -179,39 +182,6 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
     )
 
 
-def _normalized_adjacency(matrix: Tensor, signed: bool) -> Tensor:
-    """A_hat = D^-1 (A + I) as one tape node, d_i = row sum r_i of A + I,
-    or |r_i| + 1e-6 when ``signed``.
-
-    Backward, for output gradient G: dA = (G - s * rowsum(G * A_hat)) / d
-    with the row factor s = sign(r) when signed (abs'(0) = 0) and 1
-    otherwise. The signed case reports 1[r > 0] as a kink; the unsigned
-    case rejects a row sum <= 0.
-    """
-    out = matrix.data.copy()
-    out.flat[::out.shape[0] + 1] += 1.0
-    row_sums = out.sum(axis=1, keepdims=True)
-    kink = None
-    if signed:
-        kink = row_sums > 0.0
-        slope = np.sign(row_sums)
-        denom = np.abs(row_sums) + 1e-6
-    else:
-        if np.any(row_sums <= 0.0):
-            raise NumericalError("adjacency row sum <= 0: degenerate graph normalization")
-        slope = 1.0
-        denom = row_sums
-    out /= denom
-
-    def grads(g):
-        inner = np.einsum("ij,ij->i", g, out)[:, None]
-        g_a = g - inner * slope
-        g_a /= denom
-        return (g_a,)
-
-    return ad.fused("normalized_adjacency", out, (matrix,), grads, kink=kink)
-
-
 def _period_inputs(grid: StGrid, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-period constant inputs, memoized on the grid (windows overlap)."""
     cache = grid.attrs.setdefault("_period_inputs", {})
@@ -233,18 +203,114 @@ def _check_window(params: ModelParams, grid: StGrid, window: Window) -> None:
         raise DataError(f"window target {window.target} outside study period {grid.periods}")
 
 
-def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool) -> Tensor:
+def _buffer(work: dict[str, np.ndarray] | None, name: str, s: int) -> np.ndarray:
+    """The S x S array ``work[name]``, made on first use; a fresh one when
+    there is no ``work``."""
+    if work is None:
+        return np.empty((s, s))
+    if name not in work:
+        work[name] = np.empty((s, s))
+    return work[name]
+
+
+def _normalize(matrix: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray | float]:
+    """D^-1 (A + I) in place, d_i = row sum r_i of A + I, or |r_i| + 1e-6
+    when ``signed``; returns the (S, 1) degrees and the row factor s of
+    the gradient (sign(r) when signed, 1 otherwise). The unsigned case
+    rejects a row sum <= 0."""
+    matrix.flat[::matrix.shape[0] + 1] += 1.0
+    row_sums = matrix.sum(axis=1, keepdims=True)
+    if signed:
+        slope = np.sign(row_sums)
+        denom = np.abs(row_sums) + 1e-6
+    else:
+        if np.any(row_sums <= 0.0):
+            raise NumericalError("adjacency row sum <= 0: degenerate graph normalization")
+        slope = 1.0
+        denom = row_sums
+    matrix /= denom
+    return denom, slope
+
+
+def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
+                 work: dict[str, np.ndarray] | None = None) -> Tensor:
     """Input period t's graph, its graph convolutions and its temporal
-    features: the (S, hidden + d_t) input of one recurrent step."""
+    features: the (S, hidden + d_t) input of one recurrent step, as one
+    tape node.
+
+    Its parents are emb1, emb2, mix1, mix2, feature_proj, time_gate (when
+    the gate is learned) and the conv weights. The forward is
+    ``adjacency.dynamic_adjacency``, ``adjacency.blend``, ``_normalize``
+    and the convolutions, in that order and with the arithmetic of the
+    separate nodes they replace. Its S x S arrays are A, A_hat and one
+    scratch array (z2 z1^T, then (1 - g) A_static, then the backward's
+    dB); they come from ``work`` when given, so the builds of one call
+    share them, and a build with gradients must then be backpropagated
+    before the next one is made. With gradients the node keeps A, A_hat
+    and the (S, width) H_l and Q_l = A_hat H_l; without, the blend and
+    the normalization run in place in A's buffer and no mask is built
+    unless a kink trace is installed.
+
+    Backward, for output gradient G: per layer from the top,
+    dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
+    dH_l = (dQ_l^T A_hat)^T (the cheaper order for the transposed
+    product: 1.9 against 3.1 ms for A_hat^T dQ_l at S = 1024). Then
+    dA_hat = sum_l dQ_l H_l^T is never formed: the normalization's
+    gradient dB = (dA_hat - s m) / d, with s, d from ``_normalize``, needs
+    m = rowsum(dA_hat * A_hat) = sum_l rowsum(dQ_l * Q_l), so dB is one
+    S x S product U V^T with U = [dQ_0 | ... | dQ_{L-1} | -s m] / d and
+    V = [H_0 | ... | H_{L-1} | 1]. The gate gets
+    dg = <dB, A> - <dB, A_static> (two vdots), and the dynamic graph
+    g dB (``adjacency.dynamic_adjacency_grads``). The kinks reported are
+    1[A > 0], 1[r > 0] for the row sums r of A + I when signed, and each
+    layer's 1[P_l > 0].
+    """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t)
-    dyn = adjacency.dynamic_adjacency(params.adjacency, st_t)
-    blended = adjacency.blend(dyn, params.static_graph, grid.temporal[t],
-                              params.adjacency.time_gate, params.config.fixed_gate)
-    a_hat = _normalized_adjacency(blended.matrix, signed)
-    h = ad.constant(node_features)
+    adj, s = params.adjacency, params.config.n_locations
+    with_grads = ad.grad_enabled()
+    scratch = _buffer(work, "scratch", s)
+    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s), scratch=scratch)
+    static = params.static_graph
+    blended = adjacency.blend(graph.matrix, static, grid.temporal[t], adj.time_gate,
+                              params.config.fixed_gate,
+                              out=_buffer(work, "normalized", s) if with_grads else graph.matrix, scratch=scratch)
+    a_hat, gate = blended.matrix, blended.gate
+    denom, slope = _normalize(a_hat, signed)
+    layers = [node_features]
+    products = []
     for conv in params.conv_weights:
-        h = ad.relu(ad.matmul(ad.matmul(a_hat, h), conv))
-    return ad.concat([h, ad.constant(temporal_tiled)], axis=1)
+        products.append(a_hat @ layers[-1])
+        layers.append(np.maximum(products[-1] @ conv.data, 0.0))
+    out = np.concatenate([layers[-1], temporal_tiled], axis=1)
+    kinks = ()
+    if graph.active is not None:  # a kink trace is installed
+        kinks = [graph.active] + ([slope > 0.0] if signed else []) + [h > 0.0 for h in layers[1:]]
+
+    learned = params.config.fixed_gate is None
+    parents = (adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj) + ((adj.time_gate,) if learned else ())
+
+    def grads(g):
+        d_h = g[:, :params.config.hidden]
+        d_q, d_w = [None] * len(products), [None] * len(products)
+        for l in reversed(range(len(products))):
+            d_p = d_h * (layers[l + 1] > 0.0)
+            d_w[l] = products[l].T @ d_p
+            d_q[l] = d_p @ params.conv_weights[l].data.T
+            if l:
+                d_h = (d_q[l].T @ a_hat).T
+        inner = sum(np.einsum("ij,ij->i", dq, q) for dq, q in zip(d_q, products))[:, None]
+        u = np.concatenate(d_q + [-slope * inner], axis=1)
+        u /= denom
+        v = np.concatenate(layers[:-1] + [np.ones((s, 1))], axis=1)
+        g_b = np.matmul(u, v.T, out=_buffer(work, "scratch", s))
+        g_gate = ()
+        if learned:
+            d_gate = np.vdot(g_b, graph.matrix) - np.vdot(g_b, static)
+            g_gate = (grid.temporal[t].reshape(-1, 1) * (d_gate * gate * (1.0 - gate)),)
+        g_dynamic = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate)
+        return g_dynamic + g_gate + tuple(d_w)
+
+    return ad.fused("period_step", out, parents + tuple(params.conv_weights), grads, kinks=kinks)
 
 
 def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
@@ -284,14 +350,29 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
 
     def grads(grad):
         dh, dc = grad[:, :hr], grad[:, hr:]
-        d_cell = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = act * (1.0 - act)
-        dz[:, 2 * hr:3 * hr] = 1.0 - g * g
-        dz[:, :hr] *= d_cell * g
-        dz[:, hr:2 * hr] *= d_cell * c
-        dz[:, 2 * hr:3 * hr] *= d_cell * i
-        dz[:, 3 * hr:] *= dh * tanh_c
-        d_state = np.concatenate([dz @ wh.T, d_cell * f], axis=1) if state.requires_grad else None
+        d_cell = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, d_cell, out=d_cell)
+        d_cell *= o
+        d_cell *= dh
+        d_cell += dc
+        dz = np.empty_like(act)
+        for block, factor, other in ((slice(0, hr), d_cell, g), (slice(hr, 2 * hr), d_cell, c),
+                                     (slice(3 * hr, 4 * hr), dh, tanh_c)):
+            out_block, a = dz[:, block], act[:, block]
+            np.subtract(1.0, a, out=out_block)
+            out_block *= a
+            out_block *= factor
+            out_block *= other
+        d_g = dz[:, 2 * hr:3 * hr]
+        np.multiply(g, g, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        d_g *= d_cell
+        d_g *= i
+        d_state = None
+        if state.requires_grad:
+            d_state = np.empty_like(state.data)
+            np.matmul(dz, wh.T, out=d_state[:, :hr])
+            np.multiply(d_cell, f, out=d_state[:, hr:])
         return (dz @ wx.T if step_in.requires_grad else None, d_state,
                 x.T @ dz, h.T @ dz, dz.sum(axis=0, keepdims=True))
 
@@ -338,12 +419,13 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
     """Each distinct input period's step of ``windows``, built once and
     without gradients."""
     steps: dict[int, Tensor] = {}
+    work: dict[str, np.ndarray] = {}
     with ad.no_grad():
         for window in windows:
             _check_window(params, grid, window)
             for t in window.inputs():
                 if t not in steps:
-                    steps[t] = _period_step(params, grid, t, signed)
+                    steps[t] = _period_step(params, grid, t, signed, work)
     return steps
 
 
@@ -378,10 +460,11 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
         values.append(loss.item())
         ad.backward(loss)
         del loss  # free this window's tape before the next one is built
+    work: dict[str, np.ndarray] = {}
     for t in sorted(leaves):
         seed = leaves.pop(t).grad
         if seed is not None:
-            ad.backward(_period_step(params, grid, t, signed), seed)
+            ad.backward(_period_step(params, grid, t, signed, work), seed)
     return values
 
 

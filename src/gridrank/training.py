@@ -212,6 +212,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     seed = model_config.seed if model_config.seed is not None else train_config.seed
     params = init_params(model_config, seed=seed)
     params.static_graph = pearson_static(grid.risk[:, :, :splits.train_end]).matrix
+    params.static_graph.setflags(write=False)  # never trained; snapshots share it
     adam = AdamState.for_params(params)
     importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)
@@ -256,11 +257,16 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                       train_config.adam_beta2, train_config.adam_eps)
 
         if not warm and train_config.use_importance:
-            predicted = predictions_for(params, grid, train_windows)
-            state.importance = sampling.refresh(y_train, predicted, train_config.bandwidth, shape)
+            # one pass over both splits: the periods they share are built once
+            predicted = predictions_for(params, grid, train_windows + val_windows)
+            state.importance = sampling.refresh(y_train, predicted[:len(train_windows)],
+                                                train_config.bandwidth, shape)
+            val_predicted = predicted[len(train_windows):]
+        else:
+            val_predicted = predictions_for(params, grid, val_windows)
 
-        report = metrics.metric_report(y_val, predictions_for(params, grid, val_windows),
-                                       [train_config.eval_k], shape, train_config.radius)
+        report = metrics.metric_report(y_val, val_predicted, [train_config.eval_k], shape,
+                                       train_config.radius)
         val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
                                          for name in ("ndcg", "lndcg", "prec"))
         elapsed = time.perf_counter() - started

@@ -8,7 +8,10 @@ node, which only tests and the chains below use;
 ``generic_graph_block``, ``generic_recurrent`` and
 ``generic_bounded_gain``, which compose the per-period graph block, the
 recurrent cell and the ranking surrogate from generic ops as the
-references for the fused nodes that replace those chains; and
+references for the fused nodes that replace those chains;
+``node_period_step``, the per-period step as three graph nodes (dynamic
+graph, blend, normalization, each with its own hand-written backward)
+plus generic conv ops, the reference for the one fused step node; and
 ``per_window_gradients``, the per-window training step that the
 once-per-batch step must reproduce; and ``csr_envelope_loop``, the
 one-simulation-at-a-time cross-K envelope built on ``crossk.cross_k``.
@@ -137,7 +140,7 @@ def tanh(a):
 def abs_(a):
     """|a| with abs'(0) = 0; reports the 1[a > 0] branch mask as a kink."""
     sign = np.sign(a.data)
-    return ad.fused("abs", np.abs(a.data), (a,), lambda g: (g * sign,), kink=a.data > 0.0)
+    return ad.fused("abs", np.abs(a.data), (a,), lambda g: (g * sign,), kinks=(a.data > 0.0,))
 
 
 def reshape(a, shape):
@@ -229,6 +232,104 @@ def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     denom = ad.add(abs_(row_sums), 1e-6) if signed else row_sums
     normalized = div(with_loops, broadcast_to(denom, with_loops.shape))
     return dynamic, gate, blended, normalized
+
+
+def dynamic_adjacency_node(params, features):
+    """The dynamic graph as one tape node with parents emb1, emb2, mix1,
+    mix2 and feature_proj, and the backward documented in
+    ``adjacency.dynamic_adjacency_grads``; its relu mask is reported as a
+    kink."""
+    alpha = params.saturation
+    mix1, mix2 = params.mix1.data, params.mix2.data
+    lifted = features @ params.feature_proj.data
+    e1 = params.emb1.data + lifted
+    e2 = params.emb2.data + lifted
+    z1 = np.tanh((e1 @ mix1) * alpha)
+    z2 = np.tanh((e2 @ mix2) * alpha)
+    out = z1 @ z2.T
+    out -= z2 @ z1.T
+    out *= alpha
+    np.tanh(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    active = out > 0.0
+
+    def grads(g):
+        g_c = (1.0 - out * out) * g * active * alpha
+        k = g_c - g_c.T
+        g_u1 = (k @ z2) * ((1.0 - z1 * z1) * alpha)
+        g_u2 = -(k @ z1) * ((1.0 - z2 * z2) * alpha)
+        g_e1 = g_u1 @ mix1.T
+        g_e2 = g_u2 @ mix2.T
+        return g_e1, g_e2, e1.T @ g_u1, e2.T @ g_u2, features.T @ (g_e1 + g_e2)
+
+    return ad.fused("dynamic_adjacency", out,
+                    (params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj),
+                    grads, kinks=(active,))
+
+
+def blend_node(dynamic, static, temporal, time_gate, fixed_gate):
+    """g A_dyn + (1 - g) A_static as one tape node with parents A_dyn and
+    the (1, 1) gate; returns (gate, blended)."""
+    if fixed_gate is None:
+        gate = ad.sigmoid(ad.matmul(ad.constant(np.reshape(temporal, (1, -1))), time_gate))
+    else:
+        gate = ad.constant([[float(fixed_gate)]])
+    weight = gate.data[0, 0]
+    mixed = dynamic.data * weight
+    mixed += static * (1.0 - weight)
+
+    def grads(g):
+        g_gate = None
+        if gate.requires_grad:
+            g_gate = np.full((1, 1), np.vdot(g, dynamic.data) - np.vdot(g, static))
+        return g * weight, g_gate
+
+    return gate, ad.fused("blend", mixed, (dynamic, gate), grads)
+
+
+def normalized_node(matrix, signed):
+    """D^-1 (A + I) as one tape node, with the signed case's 1[r > 0]
+    reported as a kink."""
+    out = matrix.data.copy()
+    out.flat[::out.shape[0] + 1] += 1.0
+    row_sums = out.sum(axis=1, keepdims=True)
+    slope = np.sign(row_sums) if signed else 1.0
+    denom = np.abs(row_sums) + 1e-6 if signed else row_sums
+    out /= denom
+
+    def grads(g):
+        return ((g - np.einsum("ij,ij->i", g, out)[:, None] * slope) / denom,)
+
+    return ad.fused("normalized_adjacency", out, (matrix,), grads,
+                    kinks=(row_sums > 0.0,) if signed else ())
+
+
+def node_graph_block(params, features, static, temporal, fixed_gate, signed):
+    """The graph block as three tape nodes (dynamic graph, blend,
+    normalization); returns (dynamic, gate, blended, normalized)."""
+    dynamic = dynamic_adjacency_node(params, features)
+    gate, blended = blend_node(dynamic, static, temporal, params.time_gate, fixed_gate)
+    return dynamic, gate, blended, normalized_node(blended, signed)
+
+
+def conv_step(params, grid, t, normalized):
+    """The graph convolutions over ``normalized`` and the concatenated
+    temporal features of period t, from generic ops."""
+    st_t = grid.spatiotemporal_at(t)
+    h = ad.constant(np.concatenate([grid.spatial_flat(), st_t], axis=1))
+    for conv in params.conv_weights:
+        h = ad.relu(ad.matmul(ad.matmul(normalized, h), conv))
+    tiled = np.broadcast_to(grid.temporal[t], (grid.n_locations, grid.d_t))
+    return ad.concat([h, ad.constant(tiled)], axis=1)
+
+
+def node_period_step(params, grid, t, signed, block=node_graph_block):
+    """The per-period step as the three graph nodes plus generic conv
+    ops: the reference for the fused ``model._period_step``. ``block`` may
+    be ``generic_graph_block`` instead."""
+    normalized = block(params.adjacency, grid.spatiotemporal_at(t), params.static_graph,
+                       grid.temporal[t], params.config.fixed_gate, signed)[-1]
+    return conv_step(params, grid, t, normalized)
 
 
 def narrow(a, axis, start, length):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gridrank import adjacency, autodiff as ad
+from gridrank import grid as griddata
+from gridrank import model
 from gridrank.errors import DataError, ShapeError
 
 
@@ -54,7 +56,7 @@ class TestDynamicAdjacency:
         params = random_params(seed)
         rng = np.random.default_rng(1000 + seed)
         features = rng.uniform(0, 1, size=(9, 2))
-        matrix = adjacency.dynamic_adjacency(params, features).data
+        matrix = adjacency.dynamic_adjacency(params, features).matrix
         assert np.all(np.diag(matrix) == 0.0)
         assert np.all(np.minimum(matrix, matrix.T) == 0.0)
         assert matrix.min() >= 0.0 and matrix.max() < 1.0
@@ -75,7 +77,7 @@ class TestDynamicAdjacency:
             params.mix2.data = mix.copy()
             params.feature_proj.data = np.zeros_like(params.feature_proj.data)
             params.saturation = alpha
-            matrix = adjacency.dynamic_adjacency(params, features).data
+            matrix = adjacency.dynamic_adjacency(params, features).matrix
             off_diag = matrix[~np.eye(6, dtype=bool)]
             maxima.append(matrix.max())
             middles.append(int(((off_diag > 0.01) & (off_diag < 0.99)).sum()))
@@ -93,13 +95,13 @@ class TestDynamicAdjacency:
         ad.set_debug(False)  # the finiteness check would stop the forward
         features = np.random.default_rng(4).uniform(0, 1, size=(9, 2))
         features[3, 1] = np.nan
-        with ad._kink_tracing() as kinks:
-            matrix = adjacency.dynamic_adjacency(random_params(1), features).data
+        with ad._kink_tracing():
+            graph = adjacency.dynamic_adjacency(random_params(1), features)
         touched = np.zeros((9, 9), dtype=bool)
         touched[3, :] = touched[:, 3] = True
-        assert np.array_equal(np.isnan(matrix), touched)
-        assert len(kinks) == 1 and not kinks[0][touched].any()
-        assert np.array_equal(kinks[0], matrix > 0.0)
+        assert np.array_equal(np.isnan(graph.matrix), touched)
+        assert not graph.active[touched].any()
+        assert np.array_equal(graph.active, graph.matrix > 0.0)
 
     def test_gradients_reach_every_parameter(self):
         params = random_params(2)
@@ -107,69 +109,76 @@ class TestDynamicAdjacency:
         tensors = [t for _, t in params.named_tensors() if t is not params.time_gate]
 
         def objective():
-            return ad.mean_(adjacency.dynamic_adjacency(params, features))
+            # dynamic_adjacency and its gradient helper as one tape node
+            graph = adjacency.dynamic_adjacency(params, features)
+            node = ad.fused("dynamic_adjacency", graph.matrix, tuple(tensors),
+                            lambda g: adjacency.dynamic_adjacency_grads(params, features, graph, g.copy(), 1.0))
+            return ad.mean_(node)
 
         report = ad.grad_check(objective, tensors, eps=1e-5, tol=1e-4, max_coords=60)
         assert report.passed, report.max_rel_error
+        ad.zero_grads(tensors)
+        ad.backward(objective())
+        assert all(np.any(t.grad != 0.0) for t in tensors)
 
 
 class TestBlend:
     def test_equal_matrices_blend_to_themselves(self):
         params = random_params(3)
         features = np.random.default_rng(4).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features)
-        static = dyn.data.copy()
+        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        static = dyn.copy()
         blended = adjacency.blend(dyn, static, np.array([0.3, -0.2, 0.9]), params.time_gate)
-        assert np.allclose(blended.matrix.data, static, atol=1e-12)
+        assert np.allclose(blended.matrix, static, atol=1e-12)
 
     def test_zero_gate_weights_mean(self):
         params = random_params(6)
         params.time_gate.data = np.zeros_like(params.time_gate.data)
         features = np.random.default_rng(7).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features)
+        dyn = adjacency.dynamic_adjacency(params, features).matrix
         static = np.random.default_rng(8).uniform(-1, 1, size=(9, 9))
         blended = adjacency.blend(dyn, static, np.ones(3), params.time_gate)
-        assert blended.gate.item() == pytest.approx(0.5, abs=0.0)
-        assert np.allclose(blended.matrix.data, (dyn.data + static) / 2.0, atol=1e-15)
+        assert blended.gate == pytest.approx(0.5, abs=0.0)
+        assert np.allclose(blended.matrix, (dyn + static) / 2.0, atol=1e-15)
 
     def test_fixed_gate_override_matches_half_mix(self):
         params = random_params(10)
         features = np.random.default_rng(11).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features)
+        dyn = adjacency.dynamic_adjacency(params, features).matrix
         static = np.random.default_rng(12).uniform(-1, 1, size=(9, 9))
         fixed = adjacency.blend(dyn, static, np.ones(3), params.time_gate, fixed_gate=0.5)
-        assert fixed.gate.item() == 0.5
-        assert np.allclose(fixed.matrix.data, 0.5 * dyn.data + 0.5 * static, atol=1e-15)
+        assert fixed.gate == 0.5
+        assert np.allclose(fixed.matrix, 0.5 * dyn + 0.5 * static, atol=1e-15)
 
     def test_blend_definition_holds_elementwise(self):
         params = random_params(13)
         features = np.random.default_rng(14).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features)
+        dyn = adjacency.dynamic_adjacency(params, features).matrix
         static = np.random.default_rng(15).uniform(-1, 1, size=(9, 9))
         temporal = np.array([0.4, 0.1, -0.7])
         blended = adjacency.blend(dyn, static, temporal, params.time_gate)
-        gate = blended.gate.item()
+        gate = blended.gate
         assert 0.0 < gate < 1.0
-        expected = gate * dyn.data + (1 - gate) * static
-        assert np.allclose(blended.matrix.data, expected, atol=1e-12)
+        expected = gate * dyn + (1 - gate) * static
+        assert np.allclose(blended.matrix, expected, atol=1e-12)
 
     def test_gate_gradient(self):
-        params = random_params(16)
-        features = np.random.default_rng(17).uniform(size=(9, 2))
-        static = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
-
-        def objective():
-            dyn = adjacency.dynamic_adjacency(params, features)
-            return ad.mean_(adjacency.blend(dyn, static, np.array([0.5, 1.0, -0.5]),
-                                            params.time_gate).matrix)
-
-        report = ad.grad_check(objective, [t for _, t in params.named_tensors()],
-                               eps=1e-5, tol=1e-4, max_coords=60)
+        """The gate's gradient, through the period step that applies the blend."""
+        rng = np.random.default_rng(17)
+        data = griddata.StGrid(rows=3, cols=3, periods=2, temporal=np.array([[0.5, 1.0, -0.5]] * 2),
+                               spatial=rng.uniform(size=(3, 3, 2)), spatiotemporal=rng.uniform(size=(3, 3, 2, 2)),
+                               risk=np.ones((3, 3, 2))).validate()
+        params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)
+        params.static_graph = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
+        tensors = [t for _, t in params.adjacency.named_tensors()]
+        report = ad.grad_check(lambda: ad.mean_(model._period_step(params, data, 1, True)), tensors,
+                               eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
+        assert np.all(params.adjacency.time_gate.grad != 0.0)
 
     def test_static_shape_mismatch(self):
         params = random_params(19)
         features = np.random.default_rng(20).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features)
+        dyn = adjacency.dynamic_adjacency(params, features).matrix
         with pytest.raises(ShapeError):
             adjacency.blend(dyn, np.zeros((4, 4)), np.ones(3), params.time_gate)

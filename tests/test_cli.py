@@ -164,3 +164,12 @@ def test_rank_checks_the_day_against_the_checkpoint_window(manifest, window3_che
     assert "top-10 locations for period 5 (model):" in capsys.readouterr().out
     assert cli.main(["rank", "--data", manifest, "--checkpoint", window3_checkpoint, "--day", "2"]) == cli.EXIT_CONFIG
     assert "day 2 has no length-3 input window" in one_line_error(capsys, "config error:")
+
+
+def test_split_that_disagrees_with_the_normalization_is_a_config_error(manifest, tmp_path, capsys):
+    code = cli.main(SMALL_MODEL + ["--set", "data.train_fraction=0.5", "train", "--data", manifest,
+                                   "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG
+    err = one_line_error(capsys, "config error:")
+    assert "data.train_fraction=0.5 splits at period 15" in err and "before 22" in err
+    assert not (tmp_path / "run").exists()

@@ -1,5 +1,8 @@
-"""The fused per-period graph block against its generic-op composition, and
-the once-per-period sharing in ``predictions_for``."""
+"""The fused per-period step against its three-node and generic-op
+compositions, the reference nodes against finite differences, and the
+once-per-period sharing in ``predictions_for``."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -10,38 +13,57 @@ from gridrank import model
 from gridrank.adjacency import pearson_static
 from gridrank.errors import NumericalError
 
-from oracles import generic_graph_block, sum_
+from oracles import (blend_node, dynamic_adjacency_node, generic_graph_block, node_period_step,
+                     normalized_node, sum_)
 
-D_T, D_ST = 3, 2
+D_T, D_S, D_ST, T = 3, 2, 2, 2
 
 
-def block_inputs(rows, cols, signed, seed=0):
+def step_case(rows, cols, signed, fixed_gate, seed=0, conv_layers=2):
+    """A random grid and model whose step has non-trivial values: dense
+    embeddings, a symmetric static graph (|.| of it when unsigned), and
+    output weights for a scalar objective."""
     s = rows * cols
     rng = np.random.default_rng(seed)
-    params = adjacency.init_adjacency_params(s, D_T, D_ST, 4, 3.0, rng)
-    params.emb1.data = rng.normal(size=params.emb1.shape)
-    params.emb2.data = rng.normal(size=params.emb2.shape)
-    features = rng.uniform(0, 1, size=(s, D_ST))
+    grid = griddata.StGrid(rows=rows, cols=cols, periods=T + 1,
+                           temporal=rng.normal(size=(T + 1, D_T)),
+                           spatial=rng.uniform(0, 1, size=(rows, cols, D_S)),
+                           spatiotemporal=rng.uniform(0, 1, size=(rows, cols, T + 1, D_ST)),
+                           risk=np.ones((rows, cols, T + 1))).validate()
+    config = model.ModelConfig.for_grid(grid, hidden=4, recurrent_hidden=3, conv_layers=conv_layers,
+                                        window=T, embed_dim=4, fixed_gate=fixed_gate)
+    params = model.init_params(config, seed=seed)
+    params.adjacency.emb1.data = rng.normal(size=params.adjacency.emb1.shape)
+    params.adjacency.emb2.data = rng.normal(size=params.adjacency.emb2.shape)
     static = rng.uniform(-1, 1, size=(s, s))
     static = (static + static.T) / 2.0
-    if not signed:
-        static = np.abs(static)
-    temporal = rng.normal(size=D_T)
-    weights = rng.normal(size=(s, s))
-    return params, features, static, temporal, weights
+    params.static_graph = static if signed else np.abs(static)
+    weights = rng.normal(size=(s, config.hidden + D_T))
+    return params, grid, weights
 
 
-def fused_graph_block(params, features, static, temporal, fixed_gate, signed):
-    dynamic = adjacency.dynamic_adjacency(params, features)
-    blended = adjacency.blend(dynamic, static, temporal, params.time_gate, fixed_gate)
-    return dynamic, blended.gate, blended.matrix, model._normalized_adjacency(blended.matrix, signed)
+def graph_tensors(params):
+    return [t for name, t in params.named_tensors() if name.startswith(("adjacency.", "conv."))]
 
 
-def gradients(build, params, inputs, weights):
-    ad.zero_grads([t for _, t in params.named_tensors()])
-    normalized = build(params, *inputs)[-1]
-    ad.backward(sum_(ad.mul(normalized, ad.constant(weights))))
-    return {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
+def step_gradients(build, params, grid, signed, weights):
+    """Output bytes and per-tensor gradients of sum(step * weights)."""
+    ad.zero_grads(params.tensors())
+    step = build(params, grid, T, signed)
+    ad.backward(sum_(ad.mul(step, ad.constant(weights))))
+    return step.data.tobytes(), {name: None if t.grad is None else t.grad.copy()
+                                 for name, t in params.named_tensors()}
+
+
+def assert_gradients_agree(got, want, floor=0.0):
+    """Each tensor within 1e-12 of the reference's largest entry (or of
+    ``floor``), and None exactly where the reference has none."""
+    for name, reference in want.items():
+        if reference is None:
+            assert got[name] is None, name
+            continue
+        scale = max(np.abs(reference).max(), floor)
+        assert np.abs(got[name] - reference).max() <= 1e-12 * scale, name
 
 
 CASES = [(rows, cols, signed, fixed_gate)
@@ -52,53 +74,92 @@ CASES = [(rows, cols, signed, fixed_gate)
 
 @pytest.mark.parametrize("rows,cols,signed,fixed_gate", CASES)
 def test_fused_block_matches_generic_ops(rows, cols, signed, fixed_gate):
-    params, features, static, temporal, weights = block_inputs(rows, cols, signed, seed=rows * 10 + cols)
-    inputs = (features, static, temporal, fixed_gate, signed)
-    for fused, reference in zip(fused_graph_block(params, *inputs), generic_graph_block(params, *inputs)):
-        assert fused.shape == reference.shape
-        assert fused.data.tobytes() == reference.data.tobytes()
+    params, grid, weights = step_case(rows, cols, signed, fixed_gate, seed=rows * 10 + cols)
+    fused_bytes, fused = step_gradients(model._period_step, params, grid, signed, weights)
+    generic_bytes, generic = step_gradients(
+        lambda p, g, t, sg: node_period_step(p, g, t, sg, block=generic_graph_block), params, grid, signed,
+        weights)
+    assert fused_bytes == generic_bytes
+    # At S = 1 and signed, A_hat = r / (|r| + 1e-6) is 1 - O(1e-6): both
+    # paths get its gradient as a difference of two terms of the incoming
+    # gradient's size, so that size is the scale of their rounding.
+    floor = np.abs(weights).max() if rows * cols == 1 and signed else 0.0
+    assert_gradients_agree(fused, generic, floor)
 
-    fused_grads = gradients(fused_graph_block, params, inputs, weights)
-    reference_grads = gradients(generic_graph_block, params, inputs, weights)
-    for name, reference in reference_grads.items():
-        fused = fused_grads[name]
-        if reference is None:
-            assert fused is None, name
-            continue
-        scale = np.abs(reference).max()
-        if rows * cols == 1 and signed:
-            # A_hat = r / (|r| + 1e-6) is 1 - O(1e-6): both paths get its
-            # gradient as a difference of two terms of the incoming
-            # gradient's size, so that size is the scale of their rounding.
-            scale = max(scale, np.abs(weights).max())
-        assert np.abs(fused - reference).max() <= 1e-12 * scale, name
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("fixed_gate", [None, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("block_entries", [None, 120])
+def test_fused_step_matches_three_node_oracle(signed, fixed_gate, block_entries, monkeypatch):
+    """On a 4 x 6 grid; with 120 entries per block the 24 rows of the
+    mask-and-scale pass run as blocks of 5, 5, 5, 5 and 4."""
+    if block_entries is not None:
+        monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
+    params, grid, weights = step_case(4, 6, signed, fixed_gate, seed=5)
+    fused_bytes, fused = step_gradients(model._period_step, params, grid, signed, weights)
+    oracle_bytes, oracle = step_gradients(node_period_step, params, grid, signed, weights)
+    assert fused_bytes == oracle_bytes
+    assert_gradients_agree(fused, oracle)
+    with ad.no_grad():
+        assert model._period_step(params, grid, T, signed, {}).data.tobytes() == fused_bytes
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("fixed_gate", [None, 0.5])
+def test_fused_step_grad_check_and_kinks(signed, fixed_gate):
+    params, grid, weights = step_case(3, 4, signed, fixed_gate, seed=7, conv_layers=3)
+    tensors = graph_tensors(params)
+    report = ad.grad_check(lambda: sum_(ad.mul(model._period_step(params, grid, T, signed),
+                                               ad.constant(weights))),
+                           tensors, eps=1e-6, tol=1e-6)
+    assert report.passed, report.max_rel_error
+    # The fused node reports the masks of the three nodes and the conv
+    # relus, in their order, with and without gradients.
+    with ad._kink_tracing() as oracle_trace:
+        node_period_step(params, grid, T, signed)
+    for context in (ad.no_grad, contextlib.nullcontext):
+        with context(), ad._kink_tracing() as trace:
+            model._period_step(params, grid, T, signed, {})
+        assert len(trace) == 1 + signed + 3
+        assert all(np.array_equal(a, b) for a, b in zip(trace, oracle_trace, strict=True))
 
 
 def test_dynamic_adjacency_grad_check_and_kink_trace():
-    params, features, _, _, weights = block_inputs(3, 4, signed=True, seed=1)
-    tensors = [params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj]
+    params, grid, _ = step_case(3, 4, True, None, seed=1)
+    adj, features = params.adjacency, grid.spatiotemporal_at(T)
+    tensors = [adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj]
+    weights = np.random.default_rng(1).normal(size=(12, 12))
 
     def objective():
-        return sum_(ad.mul(adjacency.dynamic_adjacency(params, features), ad.constant(weights)))
+        return sum_(ad.mul(dynamic_adjacency_node(adj, features), ad.constant(weights)))
 
     report = ad.grad_check(objective, tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     with ad._kink_tracing() as trace:
-        out = adjacency.dynamic_adjacency(params, features)
-    assert len(trace) == 1 and np.array_equal(trace[0], out.data > 0.0)
+        node = dynamic_adjacency_node(adj, features)
+        graph = adjacency.dynamic_adjacency(adj, features)
+    assert graph.matrix.tobytes() == node.data.tobytes()
+    assert len(trace) == 1 and np.array_equal(trace[0], node.data > 0.0)
+    assert np.array_equal(graph.active, trace[0])
+    assert adjacency.dynamic_adjacency(adj, features).active is None
 
 
 @pytest.mark.parametrize("fixed_gate", [None, 0.3])
 def test_blend_grad_check(fixed_gate):
-    params, _, static, temporal, weights = block_inputs(3, 4, signed=True, seed=2)
+    params, _, _ = step_case(3, 4, True, fixed_gate, seed=2)
+    static, temporal = params.static_graph, np.array([0.4, -1.2, 0.7])
     dynamic = ad.parameter(np.abs(np.random.default_rng(3).normal(size=static.shape)))
+    weights = np.random.default_rng(4).normal(size=static.shape)
 
     def objective():
-        blended = adjacency.blend(dynamic, static, temporal, params.time_gate, fixed_gate)
-        return sum_(ad.mul(blended.matrix, ad.constant(weights)))
+        return sum_(ad.mul(blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)[1],
+                           ad.constant(weights)))
 
-    report = ad.grad_check(objective, [dynamic, params.time_gate], eps=1e-6, tol=1e-6)
+    report = ad.grad_check(objective, [dynamic, params.adjacency.time_gate], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
+    gate, node = blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)
+    blended = adjacency.blend(dynamic.data, static, temporal, params.adjacency.time_gate, fixed_gate)
+    assert blended.matrix.tobytes() == node.data.tobytes() and blended.gate == gate.item()
 
 
 @pytest.mark.parametrize("signed", [True, False])
@@ -108,20 +169,30 @@ def test_normalized_adjacency_grad_check_and_kink_trace(signed):
     weights = rng.normal(size=(5, 5))
 
     def objective():
-        return sum_(ad.mul(model._normalized_adjacency(matrix, signed), ad.constant(weights)))
+        return sum_(ad.mul(normalized_node(matrix, signed), ad.constant(weights)))
 
     report = ad.grad_check(objective, [matrix], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     with ad._kink_tracing() as trace:
-        model._normalized_adjacency(matrix, signed)
+        node = normalized_node(matrix, signed)
     row_sums = (matrix.data + np.eye(5)).sum(axis=1, keepdims=True)
     assert [t.tolist() for t in trace] == ([(row_sums > 0.0).tolist()] if signed else [])
+    in_place = matrix.data.copy()
+    denom, slope = model._normalize(in_place, signed)
+    assert in_place.tobytes() == node.data.tobytes()
+    assert np.array_equal(np.broadcast_to(slope, (5, 1)), np.sign(row_sums) if signed else np.ones((5, 1)))
 
 
 def test_unsigned_normalization_rejects_degenerate_rows():
-    matrix = ad.constant(np.array([[0.5, 0.0], [0.0, -1.0]]))
     with pytest.raises(NumericalError, match="degenerate"):
-        model._normalized_adjacency(matrix, signed=False)
+        model._normalize(np.array([[0.5, 0.0], [0.0, -1.0]]), signed=False)
+
+
+def test_period_step_is_one_tape_node():
+    params, grid, _ = step_case(3, 4, True, None, seed=3)
+    step = model._period_step(params, grid, T, True)
+    assert set(map(id, step._parents)) == set(map(id, graph_tensors(params)))
+    assert all(not p._parents for p in step._parents)
 
 
 @pytest.mark.parametrize("fixed_gate", [None, 0.5])
@@ -138,9 +209,9 @@ def test_predictions_share_each_period_once(fixed_gate, monkeypatch):
     built = []
     original = adjacency.dynamic_adjacency
 
-    def spy(p, features):
+    def spy(p, features, **buffers):
         built.append(features)
-        return original(p, features)
+        return original(p, features, **buffers)
 
     monkeypatch.setattr(adjacency, "dynamic_adjacency", spy)
     shared = model.predictions_for(params, data, windows)

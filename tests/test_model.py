@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -104,24 +105,23 @@ class TestForward:
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
     def test_normalized_rows_sum_to_one_for_nonnegative_graph(self, tiny_config, dataset):
+        """With the same node features at every location, A_hat H = H in
+        every layer exactly when A_hat's rows sum to one, so every row of
+        the conv output is relu(relu(x W0) W1)."""
         params = make_params(tiny_config, dataset)
         params.static_graph = np.abs(params.static_graph)
-        window = griddata.Window(5, 3)
-        captured = {}
-        original = model._normalized_adjacency
-
-        def spy(matrix, signed):
-            out = original(matrix, signed)
-            captured.setdefault("row_sums", out.data.sum(axis=1))
-            assert not signed
-            return out
-
-        model._normalized_adjacency = spy
-        try:
-            model.forward(params, dataset, window)
-        finally:
-            model._normalized_adjacency = original
-        assert np.allclose(captured["row_sums"], 1.0, atol=1e-12)
+        t = 4
+        spatiotemporal = dataset.spatiotemporal.copy()
+        spatiotemporal[:, :, t] = spatiotemporal[0, 0, t]
+        uniform = dataclasses.replace(dataset, spatial=np.broadcast_to(dataset.spatial[:1, :1], dataset.spatial.shape),
+                                      spatiotemporal=spatiotemporal, attrs={})
+        x = np.concatenate([uniform.spatial[0, 0], spatiotemporal[0, 0, t]])[None, :]
+        w0, w1 = (w.data for w in params.conv_weights)
+        expected = np.maximum(np.maximum(x @ w0, 0.0) @ w1, 0.0)
+        assert np.any(expected > 0.0)
+        step = model._period_step(params, uniform, t, model._signed(params))
+        assert not model._signed(params)
+        assert np.allclose(step.data[:, :tiny_config.hidden], expected, rtol=0.0, atol=1e-12)
 
     def test_gradients_full_model(self, dataset):
         config = model.ModelConfig.for_grid(dataset, hidden=3, recurrent_hidden=3,

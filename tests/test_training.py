@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridrank import grid, losses, metrics, sampling, training
+from gridrank import adjacency, grid, losses, metrics, sampling, training
 from gridrank.adjacency import pearson_static
-from gridrank.model import ModelConfig, init_params
+from gridrank.model import ModelConfig, init_params, predictions_for
 
 from oracles import per_window_gradients
 
@@ -125,3 +125,53 @@ def test_training_log_has_one_header_and_one_row_per_epoch(data, tmp_path):
     for row, logged in zip(rows[1:], state.log):
         assert int(row[0]) == logged["epoch"]
         assert [float(value) for value in row[1:]] == list(logged.values())[1:]
+
+
+def test_refresh_and_validation_share_one_prediction_pass(data, monkeypatch):
+    builds, calls = [], []
+    dynamic_adjacency, predictions_for = adjacency.dynamic_adjacency, training.predictions_for
+
+    def spy_dynamic(params, features, **buffers):
+        builds.append(bool(calls))
+        return dynamic_adjacency(params, features, **buffers)
+
+    def spy_predictions(params, grid, windows):
+        calls.append(len(windows))
+        try:
+            return predictions_for(params, grid, windows)
+        finally:
+            calls.pop()
+
+    monkeypatch.setattr(adjacency, "dynamic_adjacency", spy_dynamic)
+    monkeypatch.setattr(training, "predictions_for", spy_predictions)
+    state = run(data, epochs=1, warmup_epochs=0)
+    monkeypatch.undo()
+
+    train_windows, val_windows = training.split_windows(data, SPLITS, 3)
+    periods = {t for w in train_windows + val_windows for t in w.inputs()}
+    assert builds.count(True) == len(periods)
+    # the same figures as one pass per split, with the epoch's final parameters
+    risk = data.risk_by_location()
+    shape = (data.rows, data.cols)
+    y_train = risk[:, [w.target for w in train_windows]].T
+    y_val = risk[:, [w.target for w in val_windows]].T
+    refreshed = sampling.refresh(y_train, predictions_for(state.params, data, train_windows),
+                                 training.TrainConfig().bandwidth, shape)
+    assert np.array_equal(state.importance.probs, refreshed.probs)
+    report = metrics.metric_report(y_val, predictions_for(state.params, data, val_windows), [3], shape,
+                                   training.TrainConfig().radius)
+    for name in ("ndcg", "lndcg", "prec"):
+        assert state.log[0][f"val_{name}@3"] == report.lookup(name, 3).mean
+
+
+def test_snapshots_share_the_read_only_static_graph(data):
+    state = run(data, epochs=2, warmup_epochs=1)
+    static = state.params.static_graph
+    assert state.best_snapshot["static_graph"] is static
+    assert state.params.snapshot()["static_graph"] is static
+    with pytest.raises(ValueError, match="read-only"):
+        static[0, 0] = 2.0
+    restored = state.best_params()
+    assert restored.static_graph is not static and restored.static_graph.flags.writeable
+    for name, array in state.best_snapshot.items():
+        assert restored.snapshot()[name].tobytes() == array.tobytes(), name
