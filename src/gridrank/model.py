@@ -328,7 +328,10 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     dz = [di * i (1 - i), df * f (1 - f), dg (1 - g^2), do * o (1 - o)];
     dx = dz Wx^T, dWx = x^T dz, dWh = h^T dz, db = column sums of dz,
     d[h | c] = [dz Wh^T | dC * f]. Only the (R, 4h) activations
-    [i, f, g, o] and tanh(c') are kept for it.
+    [i, f, g, o] and tanh(c') are kept for it. dz is built in one (R, 4h)
+    array with few numpy calls, which is what counts at S = 64:
+    a (1 - a) over all four blocks, the g block overwritten with 1 - g^2,
+    then times [g | c | i | tanh(c')] and [dC | dC | dC | dh'].
     """
     hr = params.config.recurrent_hidden
     x, wx, wh = step_in.data, params.lstm_wx.data, params.lstm_wh.data
@@ -355,24 +358,16 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
         d_cell *= o
         d_cell *= dh
         d_cell += dc
-        dz = np.empty_like(act)
-        for block, factor, other in ((slice(0, hr), d_cell, g), (slice(hr, 2 * hr), d_cell, c),
-                                     (slice(3 * hr, 4 * hr), dh, tanh_c)):
-            out_block, a = dz[:, block], act[:, block]
-            np.subtract(1.0, a, out=out_block)
-            out_block *= a
-            out_block *= factor
-            out_block *= other
+        dz = np.subtract(1.0, act)
+        dz *= act
         d_g = dz[:, 2 * hr:3 * hr]
         np.multiply(g, g, out=d_g)
         np.subtract(1.0, d_g, out=d_g)
-        d_g *= d_cell
-        d_g *= i
-        d_state = None
-        if state.requires_grad:
-            d_state = np.empty_like(state.data)
-            np.matmul(dz, wh.T, out=d_state[:, :hr])
-            np.multiply(d_cell, f, out=d_state[:, hr:])
+        dz *= np.concatenate([g, c, i, tanh_c], axis=1)
+        blocks = dz.reshape(-1, 4, hr)
+        blocks[:, :3] *= d_cell[:, None, :]
+        blocks[:, 3] *= dh
+        d_state = np.concatenate([dz @ wh.T, d_cell * f], axis=1) if state.requires_grad else None
         return (dz @ wx.T if step_in.requires_grad else None, d_state,
                 x.T @ dz, h.T @ dz, dz.sum(axis=0, keepdims=True))
 
