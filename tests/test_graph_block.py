@@ -178,7 +178,7 @@ def test_normalized_adjacency_grad_check_and_kink_trace(signed):
     row_sums = (matrix.data + np.eye(5)).sum(axis=1, keepdims=True)
     assert [t.tolist() for t in trace] == ([(row_sums > 0.0).tolist()] if signed else [])
     in_place = matrix.data.copy()
-    denom, slope = model._normalize(in_place, signed)
+    _, slope = model._normalize(in_place, signed)
     assert in_place.tobytes() == node.data.tobytes()
     assert np.array_equal(np.broadcast_to(slope, (5, 1)), np.sign(row_sums) if signed else np.ones((5, 1)))
 

@@ -133,6 +133,17 @@ class TestForward:
                                rng=np.random.default_rng(0))
         assert report.passed, report.max_rel_error
 
+    def test_gradients_full_model_unsigned_fixed_gate(self, dataset):
+        config = model.ModelConfig.for_grid(dataset, hidden=3, recurrent_hidden=3, conv_layers=2,
+                                            window=2, embed_dim=2, fixed_gate=0.5)
+        params = make_params(config, dataset, seed=2)
+        params.static_graph = np.abs(params.static_graph)
+        window = griddata.Window(9, 2)
+        report = ad.grad_check(lambda: ad.mean_(model.forward(params, dataset, window)),
+                               params.tensors(), eps=1e-5, tol=1e-4, max_coords=120,
+                               rng=np.random.default_rng(1))
+        assert report.passed, report.max_rel_error
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_config, dataset, tmp_path):
