@@ -27,19 +27,8 @@ from .autodiff import Tensor
 from .errors import DataError, ShapeError
 
 
-@dataclass
-class StaticAdjacency:
-    """Symmetric correlation graph over the S = rows * cols locations."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_locations(self) -> int:
-        return self.matrix.shape[0]
-
-
-def pearson_static(risk: np.ndarray) -> StaticAdjacency:
-    """Pairwise correlation of per-location risk series.
+def pearson_static(risk: np.ndarray) -> np.ndarray:
+    """(S, S) pairwise correlation of per-location risk series.
 
     ``risk`` is (rows, cols, T_train) or (S, T_train), training periods
     only. Zero-variance locations get zero rows/columns (including the
@@ -61,7 +50,7 @@ def pearson_static(risk: np.ndarray) -> StaticAdjacency:
     matrix = unit @ unit.T
     matrix = (matrix + matrix.T) / 2.0
     matrix[np.arange(len(norms)), np.arange(len(norms))] = np.where(alive, 1.0, 0.0)
-    return StaticAdjacency(matrix=matrix)
+    return matrix
 
 
 @dataclass
@@ -88,30 +77,18 @@ class DynamicAdjacencyParams:
                 ("adjacency.time_gate", self.time_gate),
                 ("adjacency.feature_proj", self.feature_proj)]
 
-    def validate(self) -> "DynamicAdjacencyParams":
-        if self.saturation <= 0:
-            raise DataError(f"saturation must be positive, got {self.saturation}")
-        if self.emb1.shape[1] < 1:
-            raise DataError("embedding width must be >= 1")
-        return self
-
 
 def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
                           saturation: float, rng: np.random.Generator) -> DynamicAdjacencyParams:
-    def uniform(shape, fan_in):
-        k = np.sqrt(1.0 / fan_in)
-        return ad.parameter(rng.uniform(-k, k, size=shape))
-
-    params = DynamicAdjacencyParams(
+    return DynamicAdjacencyParams(
         emb1=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
         emb2=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
-        mix1=uniform((embed_dim, embed_dim), embed_dim),
-        mix2=uniform((embed_dim, embed_dim), embed_dim),
-        time_gate=uniform((d_t, 1), d_t),
-        feature_proj=uniform((d_st, embed_dim), d_st),
+        mix1=ad.uniform_parameter(rng, (embed_dim, embed_dim), embed_dim),
+        mix2=ad.uniform_parameter(rng, (embed_dim, embed_dim), embed_dim),
+        time_gate=ad.uniform_parameter(rng, (d_t, 1), d_t),
+        feature_proj=ad.uniform_parameter(rng, (d_st, embed_dim), d_st),
         saturation=saturation,
     )
-    return params.validate()
 
 
 # Entries per row block of an elementwise pass over an S x S gradient:

@@ -1,16 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Every op records a backward closure on the implicit tape formed by parent
-links; ``backward`` replays the tape in reverse topological order exactly
-once per node. The generic ops are add, sub, mul, neg, matmul, sigmoid,
-relu, softplus, square, mean_ and concat; every larger block (period
-step, LSTM step, score head, ranking surrogate) is one :func:`fused`
-node with a hand-written backward. Design rules:
+There is one kind of tape node: :func:`fused`, a block whose forward is
+plain numpy and whose backward is written by hand (period step, LSTM
+step, score head, ranking surrogate, warm-up loss, negation). Parent
+links form the implicit tape; ``backward`` replays it in reverse
+topological order exactly once per node. Design rules:
 
 * double precision everywhere;
-* no implicit broadcasting between tensors (a Python number as the
-  second operand of add or mul is the one convenience exception);
-* subgradient conventions: relu'(0) = 0, abs'(0) = 0;
 * no masked ``copyto`` or ``where`` over large arrays: ``np.maximum`` and
   multiplying by a mask do the same job in a fraction of the time;
 * no fresh S x S temporary where a buffer from the same call can be
@@ -19,14 +15,15 @@ node with a hand-written backward. Design rules:
   faults on first touch (the per-period step cut them from about 90k to
   5k per 32 x 32 training pass).
 
-Kinked ops (relu, and fused blocks containing a relu or abs) report their
-active-branch masks to a trace when one is installed, which lets
-:func:`grad_check` flag coordinates whose finite-difference stencil
-straddles a nondifferentiable point.
+Blocks that contain a relu or abs report their active-branch masks to a
+trace when one is installed, which lets :func:`grad_check` flag
+coordinates whose finite-difference stencil straddles a
+nondifferentiable point.
 
-Gradients are copied into ``.grad`` unless an op hands over an array it
-has just allocated for one parent; ``backward`` releases the ``.grad`` of
-each non-leaf node once that node's backward has run.
+A node's gradients are arrays it has just allocated, one per parent, so
+the first one becomes the parent's ``.grad`` without a copy; ``backward``
+copies its seed once and releases the ``.grad`` of each non-leaf node
+once that node's backward has run.
 """
 
 from __future__ import annotations
@@ -126,14 +123,19 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``. ``owned`` lets the first gradient become
-    ``t.grad`` without a copy; pass it only for a float64 array the op has
-    just allocated and hands to no other parent."""
+def uniform_parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    """A parameter drawn from uniform(-k, k) with k = sqrt(1 / fan_in)."""
+    k = np.sqrt(1.0 / fan_in)
+    return parameter(rng.uniform(-k, k, size=shape))
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; the first gradient becomes ``t.grad``
+    itself, so ``g`` must be a float64 array no one else holds."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
         t.grad += g
 
@@ -162,156 +164,9 @@ def _result(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward_fn)
     return out
 
 
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        k = float(b)
-
-        def backward(g):
-            _accum(a, g)
-
-        return _result("add", a.data + k, (a,), backward)
-    _binary_shapes("add", a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result("add", a.data + b.data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    _binary_shapes("sub", a, b)
-
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g, owned=True)
-
-    return _result("sub", a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        k = float(b)
-
-        def backward(g):
-            _accum(a, g * k, owned=True)
-
-        return _result("mul", a.data * k, (a,), backward)
-    _binary_shapes("mul", a, b)
-
-    def backward(g):
-        _accum(a, g * b.data, owned=True)
-        _accum(b, g * a.data, owned=True)
-
-    return _result("mul", a.data * b.data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g, owned=True)
-
-    return _result("neg", -a.data, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} differ")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
-
-    return _result("matmul", a.data @ b.data, (a, b), backward)
-
-
-# ---------------------------------------------------------------------------
-# elementwise nonlinearities
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """sigmoid(x) = (1 + tanh(x / 2)) / 2, finite for every finite x."""
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data * (1.0 - out_data), owned=True)
-
-    return _result("sigmoid", out_data, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    _record_kink(mask)
-
-    def backward(g):
-        _accum(a, g * mask, owned=True)
-
-    return _result("relu", np.maximum(a.data, 0.0), (a,), backward)
-
-
-def softplus(a: Tensor) -> Tensor:
-    out_data = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        _accum(a, g * _stable_sigmoid(a.data), owned=True)
-
-    return _result("softplus", out_data, (a,), backward)
-
-
-def square(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g * 2.0 * a.data, owned=True)
-
-    return _result("square", a.data * a.data, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape) / count, owned=True)
-
-    return _result("mean", out_data, (a,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of an empty list")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    parents = tuple(tensors)
-
-    def backward(g):
-        for t, start, stop in zip(parents, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * g.ndim
-            slicer[axis] = slice(start, stop)
-            _accum(t, g[tuple(slicer)])
-
-    return _result("concat", np.concatenate([t.data for t in tensors], axis=axis), parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +181,9 @@ def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
     order, or ``None`` for a parent that needs none. Each array must be
     float64, freshly allocated and returned for one parent only: the
     parents take it without a copy. ``kinks`` are the active-branch masks
-    of the relus and abs inside the block, in a fixed order; they are
-    reported like theirs, so :func:`grad_check` flags coordinates that
-    cross them.
+    of the relus and abs inside the block, in a fixed order; they go to
+    the kink trace, so :func:`grad_check` flags coordinates that cross
+    them.
     """
     for kink in kinks:
         _record_kink(kink)
@@ -336,7 +191,7 @@ def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
     def backward(g):
         for parent, grad in zip(parents, grads(g)):
             if grad is not None:
-                _accum(parent, grad, owned=True)
+                _accum(parent, grad)
 
     return _result(op, data, parents, backward)
 
@@ -385,7 +240,7 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, np.nd
     loss._backward_done = True
     order = _toposort(loss)
     if loss.requires_grad:
-        _accum(loss, grad)
+        _accum(loss, np.array(grad, dtype=np.float64))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

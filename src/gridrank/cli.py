@@ -324,15 +324,15 @@ def cmd_gradcheck(args, config: RunConfig) -> int:
     params = init_params(model_config, seed=config.data.seed)
     from .adjacency import pearson_static
 
-    params.static_graph = pearson_static(dataset.risk[:, :, :20]).matrix
+    params.static_graph = pearson_static(dataset.risk[:, :, :20])
     window = griddata.Window(21, 2)
     tensors = params.tensors()
+    day = dataset.risk_by_location()[:, window.target]
 
     report_forward = autodiff.grad_check(
-        lambda: autodiff.mean_(forward(params, dataset, window)),
+        lambda: training.warmup_loss(day, forward(params, dataset, window), "mse"),
         tensors, eps=1e-5, tol=1e-4, max_coords=args.coords,
         rng=np.random.default_rng(config.data.seed))
-    day = dataset.risk_by_location()[:, window.target]
     surrogate = SurrogateConfig(margin=1.0, local_weight=0.5, radius=2.0).validate()
     report_loss = autodiff.grad_check(
         lambda: hybrid_objective(day, forward(params, dataset, window), surrogate,

@@ -303,10 +303,23 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
 
 MANIFEST_NAME = "manifest.json"
 _FILES = {"f_t": "f_t.csv", "f_s": "f_s.csv", "f_st": "f_st.csv", "y": "y.csv"}
+# the key columns of each file, leading every row in this order
+_AXES = {"f_t": ("t",), "f_s": ("row", "col"), "f_st": ("row", "col", "t"), "y": ("row", "col", "t")}
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _columns(name: str, width: int) -> list[str]:
+    return ["y"] if name == "y" else [f"f{j}" for j in range(width)]
+
+
+def _save_keyed(path: Path, name: str, values: np.ndarray) -> None:
+    """``values`` of shape (*sizes, width) as the CSV :func:`_load_keyed`
+    reads: the header, then one row per key in row-major order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(_AXES[name]) + _columns(name, values.shape[-1]))
+        records = values.reshape(-1, values.shape[-1]).tolist()
+        for key, record in zip(np.ndindex(values.shape[:-1]), records):
+            writer.writerow(list(key) + [repr(v) for v in record])
 
 
 def save_grid(grid: StGrid, directory) -> Path:
@@ -317,35 +330,10 @@ def save_grid(grid: StGrid, directory) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    with open(directory / _FILES["f_t"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"f{j}" for j in range(grid.d_t)])
-        for t in range(grid.periods):
-            writer.writerow([t] + [_fmt(v) for v in grid.temporal[t]])
-
-    with open(directory / _FILES["f_s"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col"] + [f"f{j}" for j in range(grid.d_s)])
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                writer.writerow([r, c] + [_fmt(v) for v in grid.spatial[r, c]])
-
-    with open(directory / _FILES["f_st"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "t"] + [f"f{j}" for j in range(grid.d_st)])
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                for t in range(grid.periods):
-                    writer.writerow([r, c, t] + [_fmt(v) for v in grid.spatiotemporal[r, c, t]])
-
-    with open(directory / _FILES["y"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "t", "y"])
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                for t in range(grid.periods):
-                    writer.writerow([r, c, t, _fmt(grid.risk[r, c, t])])
+    tensors = {"f_t": grid.temporal, "f_s": grid.spatial, "f_st": grid.spatiotemporal,
+               "y": grid.risk[..., None]}
+    for name, values in tensors.items():
+        _save_keyed(directory / _FILES[name], name, values)
 
     manifest = {
         "M": grid.rows, "N": grid.cols, "T": grid.periods,
@@ -429,14 +417,16 @@ def load_grid(manifest_path) -> StGrid:
     base = manifest_path.parent
     files = manifest["files"]
 
-    def load(name: str, axes: dict[str, int], width: int) -> np.ndarray:
-        columns = [f"f{j}" for j in range(width)] if name != "y" else ["y"]
-        return _load_keyed(base / files[name], name, axes, columns)
+    sizes = {"row": rows, "col": cols, "t": periods}
 
-    temporal = load("f_t", {"t": periods}, d_t)
-    spatial = load("f_s", {"row": rows, "col": cols}, d_s)
-    st = load("f_st", {"row": rows, "col": cols, "t": periods}, d_st)
-    risk = load("y", {"row": rows, "col": cols, "t": periods}, 1)[:, :, :, 0]
+    def load(name: str, width: int) -> np.ndarray:
+        axes = {axis: sizes[axis] for axis in _AXES[name]}
+        return _load_keyed(base / files[name], name, axes, _columns(name, width))
+
+    temporal = load("f_t", d_t)
+    spatial = load("f_s", d_s)
+    st = load("f_st", d_st)
+    risk = load("y", 1)[:, :, :, 0]
 
     grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
                   spatial=spatial, spatiotemporal=st, risk=risk,

@@ -5,10 +5,10 @@ squared hinges max(0, h(s') - h(s) + margin)^2 over the candidate set,
 self term included so that with margin 1 the estimate starts at 1 like a
 true rank. Plugging the bound into the gain/discount form yields a
 differentiable objective that never exceeds the exact metric. Each
-objective is one tape node (``_bounded_gain``) over (B, q) candidate
-lists with a hand-written backward: one list of all S cells for the
-global objective, one padded neighbourhood list per positive centre for
-the local one.
+objective is one tape node (``_bounded_gain``) over groups of (B, q)
+candidate lists with a hand-written backward: one list of all S cells
+for the global objective, one padded neighbourhood list per positive
+centre for the local one, and both groups in one node for the hybrid.
 
 All objectives are returned as values to MAXIMIZE; the trainer negates
 them. Per-location weights come from the importance distribution: either
@@ -93,34 +93,45 @@ def _rank_bounds(values: np.ndarray, targets: np.ndarray, margin: float,
     return hinge, (hinge * hinge).sum(axis=1)
 
 
-def _bounded_gain(scores: Tensor, lists: np.ndarray, targets: np.ndarray, coeff: np.ndarray,
-                  margin: float, valid: np.ndarray | None = None) -> Tensor:
-    """Sum of coeff / log2(1 + bound) as one tape node: the gain/discount
-    form with rank bounds.
+def _bounded_gain(scores: Tensor, groups: list[tuple | None], margin: float) -> Tensor:
+    """Sum of coeff / log2(1 + bound) over groups of candidate lists as one
+    tape node: the gain/discount form with rank bounds. Groups that are
+    None are skipped, and with none left the sum is a constant 0.
 
-    ``lists`` (B, q) holds locations of ``scores``, ``targets`` and
-    ``coeff`` are (B, t), and bound[b, i] is the :func:`_rank_bounds` of
-    position targets[b, i] in list b. With hinge h, a = 1 + bound and
+    Each group is (lists, targets, coeff, valid): ``lists`` (B, q) holds
+    locations of ``scores``, ``targets`` and ``coeff`` are (B, t), ``valid``
+    is a (B, q) mask or None, and bound[b, i] is the :func:`_rank_bounds`
+    of position targets[b, i] in list b. With hinge h, a = 1 + bound and
     u[b, i] = -g coeff[b, i] / (ln 2 a log2(a)^2), the output gradient g
     reaches list position j of list b as 2 sum_i h[b, j, i] u[b, i], and
     each target position once more as -2 u[b, i] sum_j h[b, j, i] (its self
-    term cancels between the two). One bincount adds the positions into
-    the locations.
+    term cancels between the two). One bincount per group adds the
+    positions into the locations, and the groups' values and gradients
+    are summed in order.
     """
-    hinge, bounds = _rank_bounds(scores.data[lists], targets, margin, valid)
-    shifted = bounds + 1.0
-    discount = np.log2(shifted)
+    groups = [group for group in groups if group is not None]
+    if not groups:
+        return ad.constant(0.0)
+    parts = []
+    for lists, targets, coeff, valid in groups:
+        hinge, bounds = _rank_bounds(scores.data[lists], targets, margin, valid)
+        shifted = bounds + 1.0
+        parts.append((lists, targets, coeff, hinge, shifted, np.log2(shifted)))
 
     def grads(g):
-        u = (-2.0 * g / _LN2) * coeff / (shifted * discount * discount)
-        along = np.matmul(hinge, u[:, :, None])[:, :, 0]
-        own = -u * hinge.sum(axis=1)
-        located = np.concatenate([lists.reshape(-1), np.take_along_axis(lists, targets, axis=1).reshape(-1)])
-        return (np.bincount(located, np.concatenate([along.reshape(-1), own.reshape(-1)]),
-                            minlength=scores.size).reshape(scores.shape),)
+        total = 0.0
+        for lists, targets, coeff, hinge, shifted, discount in parts:
+            u = (-2.0 * g / _LN2) * coeff / (shifted * discount * discount)
+            along = np.matmul(hinge, u[:, :, None])[:, :, 0]
+            own = -u * hinge.sum(axis=1)
+            located = np.concatenate([lists.reshape(-1), np.take_along_axis(lists, targets, axis=1).reshape(-1)])
+            total = total + np.bincount(located, np.concatenate([along.reshape(-1), own.reshape(-1)]),
+                                        minlength=scores.size)
+        return (total.reshape(scores.shape),)
 
-    return ad.fused("bounded_gain", np.asarray((coeff / discount).sum()), (scores,), grads,
-                    kinks=(hinge > 0.0,))
+    value = sum((coeff / discount).sum() for _, _, coeff, _, _, discount in parts)
+    return ad.fused("bounded_gain", np.asarray(value), (scores,), grads,
+                    kinks=[hinge > 0.0 for _, _, _, hinge, _, _ in parts])
 
 
 def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
@@ -142,6 +153,39 @@ def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarr
     return positives, weights, capped
 
 
+def _global_group(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
+                  gain_cap: float | None) -> tuple | None:
+    """The global objective's one list of all S cells, or None when no
+    positive has a nonzero weight."""
+    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
+    active = weights > 0
+    if not active.any():
+        return None
+    targets = positives[active]
+    coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
+    return np.arange(scores.size)[None], targets[None], coeff[None], None
+
+
+def _local_group(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None, radius: float,
+                 shape: tuple[int, int], gain_cap: float | None) -> tuple | None:
+    """The local objective's padded neighbourhood lists, one per active
+    centre, or None when there is no active centre."""
+    rows, cols = shape
+    if scores.size != rows * cols:
+        raise ShapeError(f"relevance length {np.size(relevance)}, scores {scores.size}, grid {shape}")
+    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
+    members, valid = neighbourhood_stencil(rows, cols, float(radius))
+    local_rel = np.where(valid[positives], capped[members[positives]], 0.0)
+    z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
+    active = (weights > 0) & (z > 0)
+    if not active.any():
+        return None
+    centres, q = positives[active], members.shape[1]
+    coeff = (weights[active, None] / positives.size) * (np.exp2(local_rel[active]) - 1.0) / z[active, None]
+    own = np.broadcast_to(np.arange(q), (centres.size, q))
+    return members[centres], own, coeff, valid[centres]
+
+
 def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
                    *, margin: float = 1.0, gain_cap: float | None = None) -> Tensor:
     """Differentiable lower bound of the day's cumulative-gain metric.
@@ -150,13 +194,7 @@ def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | 
     optionally weighted, in one list of all S cells. Value to maximize.
     Empty positive set or all-zero weights -> 0.
     """
-    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
-    active = weights > 0
-    if not active.any():
-        return ad.constant(0.0)
-    targets = positives[active]
-    coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
-    return _bounded_gain(scores, np.arange(scores.size)[None], targets[None], coeff[None], margin)
+    return _bounded_gain(scores, [_global_group(relevance, scores, weights, gain_cap)], margin)
 
 
 def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
@@ -170,38 +208,23 @@ def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray 
     coefficients. Neighborhoods with zero ideal gain contribute 0. Value
     to maximize.
     """
-    rows, cols = shape
-    if scores.size != rows * cols:
-        raise ShapeError(f"relevance length {np.size(relevance)}, scores {scores.size}, grid {shape}")
-    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
-    members, valid = neighbourhood_stencil(rows, cols, float(radius))
-    local_rel = np.where(valid[positives], capped[members[positives]], 0.0)
-    z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
-    active = (weights > 0) & (z > 0)
-    if not active.any():
-        return ad.constant(0.0)
-    centres, q = positives[active], members.shape[1]
-    coeff = (weights[active, None] / positives.size) * (np.exp2(local_rel[active]) - 1.0) / z[active, None]
-    own = np.broadcast_to(np.arange(q), (centres.size, q))
-    return _bounded_gain(scores, members[centres], own, coeff, margin, valid[centres])
+    return _bounded_gain(scores, [_local_group(relevance, scores, weights, radius, shape, gain_cap)], margin)
 
 
 def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateConfig,
                      weights: np.ndarray | None = None, shape: tuple[int, int] = (0, 0)) -> Tensor:
     """(1 - local_weight) * global objective + local_weight * local objective.
 
-    The mix enters as a factor on the per-positive weights, so each part
-    is one tape node and a part with mix 0 is never built (a purely global
-    objective needs no grid shape).
+    The mix enters as a factor on the per-positive weights, and both parts
+    are list groups of one tape node; a part with mix 0 is never built (a
+    purely global objective needs no grid shape).
     """
     _, weights, _ = _weighted_positives(relevance, scores, weights, None)
     sigma = config.local_weight
-    objective = ndcg_surrogate(relevance, scores, (1.0 - sigma) * weights,
-                               margin=config.margin, gain_cap=config.gain_cap)
-    if sigma == 0.0:
-        return objective
-    return ad.add(objective, l_ndcg_surrogate(relevance, scores, sigma * weights, margin=config.margin,
-                                              radius=config.radius, shape=shape, gain_cap=config.gain_cap))
+    groups = [_global_group(relevance, scores, (1.0 - sigma) * weights, config.gain_cap)]
+    if sigma != 0.0:
+        groups.append(_local_group(relevance, scores, sigma * weights, config.radius, shape, config.gain_cap))
+    return _bounded_gain(scores, groups, config.margin)
 
 
 def apply_importance(positives: np.ndarray, probabilities: np.ndarray,

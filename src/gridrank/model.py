@@ -55,7 +55,7 @@ from . import adjacency
 from . import autodiff as ad
 from .adjacency import DynamicAdjacencyParams, init_adjacency_params
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .grid import StGrid, Window
 
 
@@ -156,15 +156,11 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
     adj = init_adjacency_params(s, config.d_t, config.d_st, config.embed_dim,
                                 config.saturation, rng)
 
-    def uniform(shape, fan_in):
-        k = np.sqrt(1.0 / fan_in)
-        return ad.parameter(rng.uniform(-k, k, size=shape))
-
     d_in = config.d_s + config.d_st
     conv_weights = []
     width_in = d_in
     for _ in range(config.conv_layers):
-        conv_weights.append(uniform((width_in, config.hidden), width_in))
+        conv_weights.append(ad.uniform_parameter(rng, (width_in, config.hidden), width_in))
         width_in = config.hidden
 
     step_width = config.hidden + config.d_t
@@ -173,11 +169,11 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
         config=config,
         adjacency=adj,
         conv_weights=conv_weights,
-        lstm_wx=uniform((step_width, 4 * hr), step_width),
-        lstm_wh=uniform((hr, 4 * hr), hr),
-        lstm_bias=uniform((1, 4 * hr), hr),
-        head_weight=uniform((hr, 1), hr),
-        head_bias=uniform((1, 1), hr),
+        lstm_wx=ad.uniform_parameter(rng, (step_width, 4 * hr), step_width),
+        lstm_wh=ad.uniform_parameter(rng, (hr, 4 * hr), hr),
+        lstm_bias=ad.uniform_parameter(rng, (1, 4 * hr), hr),
+        head_weight=ad.uniform_parameter(rng, (hr, 1), hr),
+        head_bias=ad.uniform_parameter(rng, (1, 1), hr),
         static_graph=np.zeros((s, s)),
     )
 
@@ -217,15 +213,15 @@ def _normalize(matrix: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray
     """D^-1 (A + I) in place, d_i = row sum r_i of A + I, or |r_i| + 1e-6
     when ``signed``; returns the (S, 1) degrees and the row factor s of
     the gradient (sign(r) when signed, 1 otherwise). The unsigned case
-    rejects a row sum <= 0."""
+    runs only when the static graph has no negative entry; then A >= 0
+    (a blend with a gate in [0, 1] of two nonnegative graphs), so every
+    r_i >= 1 and the division is safe."""
     matrix.flat[::matrix.shape[0] + 1] += 1.0
     row_sums = matrix.sum(axis=1, keepdims=True)
     if signed:
         slope = np.sign(row_sums)
         denom = np.abs(row_sums) + 1e-6
     else:
-        if np.any(row_sums <= 0.0):
-            raise NumericalError("adjacency row sum <= 0: degenerate graph normalization")
         slope = 1.0
         denom = row_sums
     matrix /= denom

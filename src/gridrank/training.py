@@ -130,23 +130,31 @@ def adam_step(params: ModelParams, state: AdamState, grads: dict[str, np.ndarray
 
 
 def warmup_loss(relevance: np.ndarray, scores: Tensor, mode: str = "mse") -> Tensor:
-    """Pointwise regression objective minimized during warm-up.
+    """Pointwise regression objective minimized during warm-up, as one
+    tape node.
 
-    mse: mean squared error against the raw risk. bce: occurrence
-    cross-entropy in nats against 1[y > 0] with the scores as logits.
+    mse: mean squared error against the raw risk; cell i's gradient is
+    2 (s_i - y_i) / n. bce: occurrence cross-entropy in nats against
+    1[y > 0] with the scores as logits, written as the mean of
+    softplus(z) for the signed logit z = -s where y > 0 and z = s
+    elsewhere; cell i's gradient is sigmoid(z_i) / n times -1 where
+    y_i > 0 and times 1 elsewhere.
     """
     relevance = np.asarray(relevance, dtype=np.float64)
-    if relevance.size != scores.size:
-        raise DataError(f"length mismatch: relevance {relevance.size} vs scores {scores.size}")
+    if relevance.shape != scores.shape:
+        raise DataError(f"shape mismatch: relevance {relevance.shape} vs scores {scores.shape}")
     if mode == "mse":
-        diff = ad.sub(scores, ad.constant(relevance))
-        return ad.mean_(ad.square(diff))
-    if mode == "bce":
-        target = (relevance > 0).astype(np.float64)
-        pos = ad.mul(ad.softplus(ad.neg(scores)), ad.constant(target))
-        neg = ad.mul(ad.softplus(scores), ad.constant(1.0 - target))
-        return ad.mean_(ad.add(pos, neg))
-    raise ConfigError(f"unknown warmup mode {mode!r}")
+        diff = scores.data - relevance
+        per_cell, slope = diff * diff, 2.0 * diff
+    elif mode == "bce":
+        occurred = relevance > 0
+        logits = np.where(occurred, -scores.data, scores.data)
+        per_cell = np.logaddexp(0.0, logits)
+        slope = np.where(occurred, -1.0, 1.0) * ad._stable_sigmoid(logits)
+    else:
+        raise ConfigError(f"unknown warmup mode {mode!r}")
+    count = per_cell.size
+    return ad.fused(f"warmup_{mode}", np.asarray(per_cell.mean()), (scores,), lambda g: ((g / count) * slope,))
 
 
 def split_windows(grid: StGrid, splits: Splits, length: int) -> tuple[list[Window], list[Window]]:
@@ -211,7 +219,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
     seed = model_config.seed if model_config.seed is not None else train_config.seed
     params = init_params(model_config, seed=seed)
-    params.static_graph = pearson_static(grid.risk[:, :, :splits.train_end]).matrix
+    params.static_graph = pearson_static(grid.risk[:, :, :splits.train_end])
     params.static_graph.setflags(write=False)  # never trained; snapshots share it
     adam = AdamState.for_params(params)
     importance = sampling.uniform_distribution(grid.n_locations)
@@ -234,8 +242,8 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                 if train_config.use_importance and positives.size:
                     weights = losses.apply_importance(positives, state.importance.probs,
                                                       train_config, rng)
-                loss = ad.neg(losses.hybrid_objective(day_risk, scores, train_config,
-                                                      weights, shape))
+                objective = losses.hybrid_objective(day_risk, scores, train_config, weights, shape)
+                loss = ad.fused("neg", -objective.data, (objective,), lambda g: (-g,))
             if not np.isfinite(loss.item()):
                 raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
             return loss

@@ -1,28 +1,41 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Pure Python loops, no shared code with the package paths they check. The
-exceptions are built on the package's autodiff: the ops ``transpose``,
-``tanh``, ``abs_``, ``narrow``, ``reshape``, ``broadcast_to``,
-``gather_rows``, ``sum_``, ``log2`` and ``div``, each one ``ad.fused``
-node, which only tests and the chains below use;
-``generic_graph_block``, ``generic_recurrent`` and
-``generic_bounded_gain``, which compose the per-period graph block, the
-recurrent cell and the ranking surrogate from generic ops as the
-references for the fused nodes that replace those chains;
-``node_period_step``, the per-period step as three graph nodes (dynamic
-graph, blend, normalization, each with its own hand-written backward)
-plus generic conv ops, the reference for the one fused step node; and
-``per_window_gradients``, the per-window training step that the
-once-per-batch step must reproduce; and ``csr_envelope_loop``, the
-one-simulation-at-a-time cross-K envelope built on ``crossk.cross_k``.
+exceptions are built on the package's autodiff, each op one ``ad.fused``
+node, which only tests and the chains below use:
+
+* the generic ops ``add``, ``sub``, ``mul``, ``neg``, ``matmul``,
+  ``sigmoid``, ``relu``, ``softplus``, ``square``, ``mean_`` and
+  ``concat``, with three conventions: no implicit broadcasting between
+  tensors (add, sub and mul reject operands of different shapes with a
+  ``ShapeError``), a Python number as the second operand of add or mul
+  as the one exception, and the subgradient relu'(0) = 0, with relu
+  reporting its 1[a > 0] mask as a kink;
+* the shape and elementwise ops ``transpose``, ``tanh``, ``abs_``
+  (abs'(0) = 0), ``narrow``, ``reshape``, ``broadcast_to``,
+  ``gather_rows``, ``sum_``, ``log2`` and ``div``;
+* ``generic_graph_block``, ``generic_recurrent`` and
+  ``generic_bounded_gain``, which compose the per-period graph block, the
+  recurrent cell and the ranking surrogate from generic ops as the
+  references for the fused nodes that replace those chains;
+  ``generic_warmup_loss``, the warm-up regression as the generic chain
+  the fused warm-up node replaces;
+* ``node_period_step``, the per-period step as three graph nodes (dynamic
+  graph, blend, normalization, each with its own hand-written backward)
+  plus generic conv ops, the reference for the one fused step node;
+* ``per_window_gradients``, the per-window training step that the
+  once-per-batch step must reproduce; and ``csr_envelope_loop``, the
+  one-simulation-at-a-time cross-K envelope built on ``crossk.cross_k``.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from gridrank import autodiff as ad
 from gridrank import crossk, model
+from gridrank.errors import ShapeError
 from gridrank.grid import cell_coordinates
 
 
@@ -128,6 +141,81 @@ def brute_l_ndcg_surrogate(relevance, scores, weights, margin, radius, rows, col
     return total / len(positives) if positives else 0.0
 
 
+def _same_shape(op, a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
+
+
+def add(a, b):
+    """a + b for two tensors of one shape, or a tensor plus a number."""
+    if isinstance(b, (int, float)):
+        return ad.fused("add", a.data + float(b), (a,), lambda g: (g.copy(),))
+    _same_shape("add", a, b)
+    return ad.fused("add", a.data + b.data, (a, b), lambda g: (g.copy(), g.copy()))
+
+
+def sub(a, b):
+    _same_shape("sub", a, b)
+    return ad.fused("sub", a.data - b.data, (a, b), lambda g: (g.copy(), -g))
+
+
+def mul(a, b):
+    """a * b for two tensors of one shape, or a tensor times a number."""
+    if isinstance(b, (int, float)):
+        k = float(b)
+        return ad.fused("mul", a.data * k, (a,), lambda g: (g * k,))
+    _same_shape("mul", a, b)
+    return ad.fused("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def neg(a):
+    return ad.fused("neg", -a.data, (a,), lambda g: (-g,))
+
+
+def matmul(a, b):
+    def grads(g):
+        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
+
+    return ad.fused("matmul", a.data @ b.data, (a, b), grads)
+
+
+def sigmoid(a):
+    out = ad._stable_sigmoid(a.data)
+    return ad.fused("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def relu(a):
+    """max(a, 0) with relu'(0) = 0; reports the 1[a > 0] mask as a kink."""
+    mask = a.data > 0.0
+    return ad.fused("relu", np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,), kinks=(mask,))
+
+
+def softplus(a):
+    return ad.fused("softplus", np.logaddexp(0.0, a.data), (a,), lambda g: (g * ad._stable_sigmoid(a.data),))
+
+
+def square(a):
+    return ad.fused("square", a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
+
+
+def mean_(a, axis=None, keepdims=False):
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def grads(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape) / count,)
+
+    return ad.fused("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), grads)
+
+
+def concat(tensors, axis=0):
+    """Tensors joined along ``axis``; the backward splits the gradient."""
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return ad.fused("concat", np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                    lambda g: [part.copy() for part in np.split(g, cuts, axis=axis)])
+
+
 def transpose(a):
     return ad.fused("transpose", a.data.T, (a,), lambda g: (g.T.copy(),))
 
@@ -188,48 +276,62 @@ def div(a, b):
                     lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
-def generic_bounded_gain(scores, lists, targets, coeff, margin, valid=None):
-    """Sum of coeff / log2(1 + rank bound) over (B, q) candidate lists built
-    from about a dozen generic ops: the reference for ``losses._bounded_gain``,
-    with the same arguments."""
-    (n_lists, q), t = lists.shape, targets.shape[1]
-    candidates = reshape(gather_rows(scores, lists.reshape(-1)), (n_lists, q))
-    flat = (targets + q * np.arange(n_lists)[:, None]).reshape(-1)
-    row = reshape(gather_rows(reshape(candidates, (n_lists * q,)), flat), (n_lists, 1, t))
-    column = reshape(candidates, (n_lists, q, 1))
-    diff = ad.sub(broadcast_to(column, (n_lists, q, t)), broadcast_to(row, (n_lists, q, t)))
-    hinge = ad.square(ad.relu(ad.add(diff, float(margin))))
-    if valid is not None:
-        kept = valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
-        hinge = ad.mul(hinge, ad.constant(kept.astype(np.float64)))
-    bounds = sum_(hinge, axis=1)
-    return sum_(div(ad.constant(coeff), log2(ad.add(bounds, 1.0))))
+def generic_bounded_gain(scores, groups, margin):
+    """Sum over groups (lists, targets, coeff, valid) of coeff / log2(1 +
+    rank bound) over (B, q) candidate lists, built from about a dozen
+    generic ops per group: the reference for ``losses._bounded_gain``,
+    with the same arguments (None groups skipped, constant 0 for none)."""
+    parts = []
+    for lists, targets, coeff, valid in filter(None, groups):
+        (n_lists, q), t = lists.shape, targets.shape[1]
+        candidates = reshape(gather_rows(scores, lists.reshape(-1)), (n_lists, q))
+        flat = (targets + q * np.arange(n_lists)[:, None]).reshape(-1)
+        row = reshape(gather_rows(reshape(candidates, (n_lists * q,)), flat), (n_lists, 1, t))
+        column = reshape(candidates, (n_lists, q, 1))
+        diff = sub(broadcast_to(column, (n_lists, q, t)), broadcast_to(row, (n_lists, q, t)))
+        hinge = square(relu(add(diff, float(margin))))
+        if valid is not None:
+            kept = valid[:, :, None] | (np.arange(q)[None, :, None] == targets[:, None, :])
+            hinge = mul(hinge, ad.constant(kept.astype(np.float64)))
+        bounds = sum_(hinge, axis=1)
+        parts.append(sum_(div(ad.constant(coeff), log2(add(bounds, 1.0)))))
+    return functools.reduce(add, parts) if parts else ad.constant(0.0)
+
+
+def generic_warmup_loss(relevance, scores, mode):
+    """The warm-up regression (mse or bce) from generic ops: the reference
+    for ``training.warmup_loss``."""
+    if mode == "mse":
+        return mean_(square(sub(scores, ad.constant(relevance))))
+    target = (relevance > 0).astype(np.float64)
+    return mean_(add(mul(softplus(neg(scores)), ad.constant(target)),
+                     mul(softplus(scores), ad.constant(1.0 - target))))
 
 
 def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
     """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
     about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
     alpha = params.saturation
-    lifted = ad.matmul(ad.constant(features), params.feature_proj)
-    e1 = ad.add(params.emb1, lifted)
-    e2 = ad.add(params.emb2, lifted)
-    z1 = tanh(ad.mul(ad.matmul(e1, params.mix1), alpha))
-    z2 = tanh(ad.mul(ad.matmul(e2, params.mix2), alpha))
-    cross = ad.sub(ad.matmul(z1, transpose(z2)), ad.matmul(z2, transpose(z1)))
-    dynamic = ad.relu(tanh(ad.mul(cross, alpha)))
+    lifted = matmul(ad.constant(features), params.feature_proj)
+    e1 = add(params.emb1, lifted)
+    e2 = add(params.emb2, lifted)
+    z1 = tanh(mul(matmul(e1, params.mix1), alpha))
+    z2 = tanh(mul(matmul(e2, params.mix2), alpha))
+    cross = sub(matmul(z1, transpose(z2)), matmul(z2, transpose(z1)))
+    dynamic = relu(tanh(mul(cross, alpha)))
 
     s = dynamic.shape[0]
     if fixed_gate is None:
-        gate = ad.sigmoid(ad.matmul(ad.constant(np.reshape(temporal, (1, -1))), params.time_gate))
+        gate = sigmoid(matmul(ad.constant(np.reshape(temporal, (1, -1))), params.time_gate))
     else:
         gate = ad.constant([[float(fixed_gate)]])
     gate_full = broadcast_to(gate, (s, s))
-    complement = ad.add(ad.neg(gate_full), 1.0)
-    blended = ad.add(ad.mul(gate_full, dynamic), ad.mul(complement, ad.constant(static)))
+    complement = add(neg(gate_full), 1.0)
+    blended = add(mul(gate_full, dynamic), mul(complement, ad.constant(static)))
 
-    with_loops = ad.add(blended, ad.constant(np.eye(s)))
+    with_loops = add(blended, ad.constant(np.eye(s)))
     row_sums = reshape(sum_(with_loops, axis=1), (s, 1))
-    denom = ad.add(abs_(row_sums), 1e-6) if signed else row_sums
+    denom = add(abs_(row_sums), 1e-6) if signed else row_sums
     normalized = div(with_loops, broadcast_to(denom, with_loops.shape))
     return dynamic, gate, blended, normalized
 
@@ -271,7 +373,7 @@ def blend_node(dynamic, static, temporal, time_gate, fixed_gate):
     """g A_dyn + (1 - g) A_static as one tape node with parents A_dyn and
     the (1, 1) gate; returns (gate, blended)."""
     if fixed_gate is None:
-        gate = ad.sigmoid(ad.matmul(ad.constant(np.reshape(temporal, (1, -1))), time_gate))
+        gate = sigmoid(matmul(ad.constant(np.reshape(temporal, (1, -1))), time_gate))
     else:
         gate = ad.constant([[float(fixed_gate)]])
     weight = gate.data[0, 0]
@@ -318,9 +420,9 @@ def conv_step(params, grid, t, normalized):
     st_t = grid.spatiotemporal_at(t)
     h = ad.constant(np.concatenate([grid.spatial_flat(), st_t], axis=1))
     for conv in params.conv_weights:
-        h = ad.relu(ad.matmul(ad.matmul(normalized, h), conv))
+        h = relu(matmul(matmul(normalized, h), conv))
     tiled = np.broadcast_to(grid.temporal[t], (grid.n_locations, grid.d_t))
-    return ad.concat([h, ad.constant(tiled)], axis=1)
+    return concat([h, ad.constant(tiled)], axis=1)
 
 
 def node_period_step(params, grid, t, signed, block=node_graph_block):
@@ -355,15 +457,15 @@ def generic_recurrent(params, steps):
     hidden_state = ad.constant(np.zeros((s, hr)))
     cell_state = ad.constant(np.zeros((s, hr)))
     for step_in in steps:
-        gates = ad.add(ad.add(ad.matmul(step_in, params.lstm_wx), ad.matmul(hidden_state, params.lstm_wh)),
+        gates = add(add(matmul(step_in, params.lstm_wx), matmul(hidden_state, params.lstm_wh)),
                        broadcast_to(params.lstm_bias, (s, 4 * hr)))
-        in_gate = ad.sigmoid(narrow(gates, 1, 0, hr))
-        forget_gate = ad.sigmoid(narrow(gates, 1, hr, hr))
+        in_gate = sigmoid(narrow(gates, 1, 0, hr))
+        forget_gate = sigmoid(narrow(gates, 1, hr, hr))
         candidate = tanh(narrow(gates, 1, 2 * hr, hr))
-        out_gate = ad.sigmoid(narrow(gates, 1, 3 * hr, hr))
-        cell_state = ad.add(ad.mul(forget_gate, cell_state), ad.mul(in_gate, candidate))
-        hidden_state = ad.mul(out_gate, tanh(cell_state))
-    scores = ad.add(ad.matmul(hidden_state, params.head_weight), broadcast_to(params.head_bias, (s, 1)))
+        out_gate = sigmoid(narrow(gates, 1, 3 * hr, hr))
+        cell_state = add(mul(forget_gate, cell_state), mul(in_gate, candidate))
+        hidden_state = mul(out_gate, tanh(cell_state))
+    scores = add(matmul(hidden_state, params.head_weight), broadcast_to(params.head_bias, (s, 1)))
     return reshape(scores, (s,))
 
 

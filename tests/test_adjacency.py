@@ -6,6 +6,8 @@ from gridrank import grid as griddata
 from gridrank import model
 from gridrank.errors import DataError, ShapeError
 
+from oracles import mean_
+
 
 def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4, saturation=3.0):
     rng = np.random.default_rng(seed)
@@ -16,34 +18,34 @@ class TestPearsonStatic:
     def test_identical_series_correlate_fully(self):
         series = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         static = adjacency.pearson_static(series)
-        assert static.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert static[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anticorrelation(self):
         series = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         static = adjacency.pearson_static(series)
-        assert static.matrix[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert static[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_deviations_give_zero(self):
         series = np.array([[1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 2.0]])
         static = adjacency.pearson_static(series)
-        assert static.matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert static[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_variance_rows_zeroed(self):
         series = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
         static = adjacency.pearson_static(series)
-        assert static.matrix[0, 0] == 0.0
-        assert static.matrix[0, 1] == 0.0
-        assert static.matrix[1, 1] == 1.0
+        assert static[0, 0] == 0.0
+        assert static[0, 1] == 0.0
+        assert static[1, 1] == 1.0
 
     def test_symmetric_and_bounded(self, rng):
         series = rng.poisson(1.5, size=(25, 40)).astype(float)
-        matrix = adjacency.pearson_static(series).matrix
+        matrix = adjacency.pearson_static(series)
         assert np.array_equal(matrix, matrix.T)
         assert np.abs(matrix).max() <= 1.0 + 1e-12
 
     def test_accepts_grid_tensor(self, rng):
         risk = rng.poisson(1.0, size=(3, 4, 10)).astype(float)
-        assert adjacency.pearson_static(risk).matrix.shape == (12, 12)
+        assert adjacency.pearson_static(risk).shape == (12, 12)
 
     def test_needs_two_periods(self):
         with pytest.raises(DataError, match="at least 2"):
@@ -113,7 +115,7 @@ class TestDynamicAdjacency:
             graph = adjacency.dynamic_adjacency(params, features)
             node = ad.fused("dynamic_adjacency", graph.matrix, tuple(tensors),
                             lambda g: adjacency.dynamic_adjacency_grads(params, features, graph, g.copy(), 1.0))
-            return ad.mean_(node)
+            return mean_(node)
 
         report = ad.grad_check(objective, tensors, eps=1e-5, tol=1e-4, max_coords=60)
         assert report.passed, report.max_rel_error
@@ -171,7 +173,7 @@ class TestBlend:
         params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)
         params.static_graph = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
         tensors = [t for _, t in params.adjacency.named_tensors()]
-        report = ad.grad_check(lambda: ad.mean_(model._period_step(params, data, 1, True)), tensors,
+        report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1, True)), tensors,
                                eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
         assert np.all(params.adjacency.time_gate.grad != 0.0)

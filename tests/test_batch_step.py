@@ -11,7 +11,7 @@ from gridrank.adjacency import pearson_static
 from gridrank.errors import ShapeError
 from gridrank.grid import Window
 
-from oracles import generic_recurrent, per_window_gradients, sum_, tanh
+from oracles import generic_recurrent, matmul, mul, neg, per_window_gradients, sum_, tanh
 
 ROWS, COLS, WINDOW = 4, 6, 3
 
@@ -24,7 +24,7 @@ def data():
 def small_params(data, seed=0):
     config = model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=3, window=WINDOW, embed_dim=3)
     params = model.init_params(config, seed=seed)
-    params.static_graph = pearson_static(data.risk[:, :, :22]).matrix
+    params.static_graph = pearson_static(data.risk[:, :, :22])
     return params
 
 
@@ -51,7 +51,7 @@ def recurrent_case(data, seed):
 def recurrent_grads(build, params, steps, weights):
     ad.zero_grads(params.tensors() + steps)
     scores = build(params, steps)
-    ad.backward(sum_(ad.mul(scores, ad.constant(weights))))
+    ad.backward(sum_(mul(scores, ad.constant(weights))))
     return scores.data, named_grads(params), [s.grad.copy() for s in steps]
 
 
@@ -75,10 +75,10 @@ def test_fused_lstm_and_head_pass_grad_check(data):
     state = ad.parameter(np.random.default_rng(5).normal(size=(data.n_locations, 6)))
     step_weights = np.random.default_rng(6).normal(size=(data.n_locations, 6))
     report = ad.grad_check(
-        lambda: sum_(ad.mul(model._lstm_step(params, steps[0], state), ad.constant(step_weights))),
+        lambda: sum_(mul(model._lstm_step(params, steps[0], state), ad.constant(step_weights))),
         [steps[0], state, params.lstm_wx, params.lstm_wh, params.lstm_bias], tol=1e-7)
     assert report.passed and report.kinks == 0, report.max_rel_error
-    report = ad.grad_check(lambda: sum_(ad.mul(model._recurrent(params, steps), ad.constant(weights))),
+    report = ad.grad_check(lambda: sum_(mul(model._recurrent(params, steps), ad.constant(weights))),
                            steps + [params.lstm_wx, params.lstm_wh, params.lstm_bias,
                                     params.head_weight, params.head_bias], tol=1e-7)
     assert report.passed and report.kinks == 0, report.max_rel_error
@@ -99,7 +99,7 @@ def loss_maker(kind, data):
             return training.warmup_loss(day_risk, scores, kind)
         positives = losses.positive_locations(day_risk)
         weights = np.linspace(0.5, 1.5, positives.size)
-        return ad.neg(losses.hybrid_objective(day_risk, scores, surrogate, weights, (data.rows, data.cols)))
+        return neg(losses.hybrid_objective(day_risk, scores, surrogate, weights, (data.rows, data.cols)))
 
     return loss_of
 
@@ -148,10 +148,10 @@ def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):
 def test_seeded_backward_equals_weighted_sum():
     w = ad.parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
     seed = np.array([[0.3, -1.0], [2.0, 0.25]])
-    ad.backward(tanh(ad.matmul(w, w)), seed)
+    ad.backward(tanh(matmul(w, w)), seed)
     seeded = w.grad.copy()
     ad.zero_grads([w])
-    ad.backward(sum_(ad.mul(tanh(ad.matmul(w, w)), ad.constant(seed))))
+    ad.backward(sum_(mul(tanh(matmul(w, w)), ad.constant(seed))))
     assert np.array_equal(seeded, w.grad)
     with pytest.raises(ShapeError, match="seed gradient shape"):
         ad.backward(tanh(w), np.ones(3))

@@ -11,10 +11,9 @@ from gridrank import adjacency, autodiff as ad
 from gridrank import grid as griddata
 from gridrank import model
 from gridrank.adjacency import pearson_static
-from gridrank.errors import NumericalError
 
 from oracles import (blend_node, dynamic_adjacency_node, generic_graph_block, node_period_step,
-                     normalized_node, sum_)
+                     mul, normalized_node, sum_)
 
 D_T, D_S, D_ST, T = 3, 2, 2, 2
 
@@ -50,7 +49,7 @@ def step_gradients(build, params, grid, signed, weights):
     """Output bytes and per-tensor gradients of sum(step * weights)."""
     ad.zero_grads(params.tensors())
     step = build(params, grid, T, signed)
-    ad.backward(sum_(ad.mul(step, ad.constant(weights))))
+    ad.backward(sum_(mul(step, ad.constant(weights))))
     return step.data.tobytes(), {name: None if t.grad is None else t.grad.copy()
                                  for name, t in params.named_tensors()}
 
@@ -109,7 +108,7 @@ def test_fused_step_matches_three_node_oracle(signed, fixed_gate, block_entries,
 def test_fused_step_grad_check_and_kinks(signed, fixed_gate):
     params, grid, weights = step_case(3, 4, signed, fixed_gate, seed=7, conv_layers=3)
     tensors = graph_tensors(params)
-    report = ad.grad_check(lambda: sum_(ad.mul(model._period_step(params, grid, T, signed),
+    report = ad.grad_check(lambda: sum_(mul(model._period_step(params, grid, T, signed),
                                                ad.constant(weights))),
                            tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -131,7 +130,7 @@ def test_dynamic_adjacency_grad_check_and_kink_trace():
     weights = np.random.default_rng(1).normal(size=(12, 12))
 
     def objective():
-        return sum_(ad.mul(dynamic_adjacency_node(adj, features), ad.constant(weights)))
+        return sum_(mul(dynamic_adjacency_node(adj, features), ad.constant(weights)))
 
     report = ad.grad_check(objective, tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -152,7 +151,7 @@ def test_blend_grad_check(fixed_gate):
     weights = np.random.default_rng(4).normal(size=static.shape)
 
     def objective():
-        return sum_(ad.mul(blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)[1],
+        return sum_(mul(blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)[1],
                            ad.constant(weights)))
 
     report = ad.grad_check(objective, [dynamic, params.adjacency.time_gate], eps=1e-6, tol=1e-6)
@@ -169,7 +168,7 @@ def test_normalized_adjacency_grad_check_and_kink_trace(signed):
     weights = rng.normal(size=(5, 5))
 
     def objective():
-        return sum_(ad.mul(normalized_node(matrix, signed), ad.constant(weights)))
+        return sum_(mul(normalized_node(matrix, signed), ad.constant(weights)))
 
     report = ad.grad_check(objective, [matrix], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -181,11 +180,6 @@ def test_normalized_adjacency_grad_check_and_kink_trace(signed):
     _, slope = model._normalize(in_place, signed)
     assert in_place.tobytes() == node.data.tobytes()
     assert np.array_equal(np.broadcast_to(slope, (5, 1)), np.sign(row_sums) if signed else np.ones((5, 1)))
-
-
-def test_unsigned_normalization_rejects_degenerate_rows():
-    with pytest.raises(NumericalError, match="degenerate"):
-        model._normalize(np.array([[0.5, 0.0], [0.0, -1.0]]), signed=False)
 
 
 def test_period_step_is_one_tape_node():
@@ -201,7 +195,7 @@ def test_predictions_share_each_period_once(fixed_gate, monkeypatch):
     config = model.ModelConfig.for_grid(data, hidden=5, recurrent_hidden=4, window=4,
                                         embed_dim=3, fixed_gate=fixed_gate)
     params = model.init_params(config, seed=1)
-    params.static_graph = pearson_static(data.risk[:, :, :20]).matrix
+    params.static_graph = pearson_static(data.risk[:, :, :20])
     windows = [griddata.Window(t, 4) for t in (20, 9, 21, 22, 11, 23)]
     with ad.no_grad():
         stacked = np.stack([model.forward(params, data, w).data for w in windows])

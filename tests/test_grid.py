@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestSyntheticGenerator:
 
 
 class TestManifestIO:
+    def test_written_bytes_are_pinned(self, tmp_path):
+        """Each file's sha256 for a hand-built 2x3x4 grid, as the writer
+        produced them before the four files shared one keyed writer."""
+        rng = np.random.default_rng(11)
+        small = grid.StGrid(rows=2, cols=3, periods=4, temporal=rng.normal(size=(4, 2)),
+                            spatial=rng.normal(size=(2, 3, 2)), spatiotemporal=rng.normal(size=(2, 3, 4, 1)),
+                            risk=rng.poisson(1.5, size=(2, 3, 4)).astype(float) / 3.0,
+                            normalization={"train_end": 3}).validate()
+        grid.save_grid(small, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("f_t.csv", "f_s.csv", "f_st.csv", "y.csv", "manifest.json")}
+        assert digests == {
+            "f_t.csv": "6f106825d335fe59721d51bea618eeff36f0ebdbac92ad72d97bed85decf369d",
+            "f_s.csv": "4f7bff7d83e10996f38f8e728855c87c64e7baf9bff5a3f5b2a801e00be86080",
+            "f_st.csv": "63e81d1228a43554ef4b05b8fe6c5bcf9434fa7b4811c9b46171a49255eca8c3",
+            "y.csv": "7fff2dae3421d9336c9caba1a66d99416198b4d7bb4ef58d1ef27dd649de6228",
+            "manifest.json": "8cf5ecea3e43f08522de1894931df47d24a5d2685d10a0e4bde442d57771ba86",
+        }
+
     def test_round_trip_bit_exact(self, small, tmp_path):
         manifest = grid.save_grid(small, tmp_path / "ds")
         loaded = grid.load_grid(manifest)

@@ -6,8 +6,8 @@ import pytest
 from gridrank import autodiff as ad
 from gridrank import losses, metrics
 from gridrank.errors import ConfigError, DataError
-from oracles import (brute_l_ndcg_surrogate, brute_ndcg_surrogate, brute_surrogate_rank,
-                     generic_bounded_gain)
+from oracles import (add, brute_l_ndcg_surrogate, brute_ndcg_surrogate, brute_surrogate_rank,
+                     generic_bounded_gain, neg)
 
 
 def random_instance(rng, n=None, rate=0.8):
@@ -112,24 +112,47 @@ class TestFusedSurrogate:
                 lambda s: losses.l_ndcg_surrogate(y, s, weights, margin=0.9, radius=radius,
                                                   shape=(rows, cols), gain_cap=cap), scores, monkeypatch)
 
-    def test_hybrid_puts_one_node_per_part_on_the_tape(self, rng, monkeypatch):
+    def test_hybrid_is_one_node_on_the_tape(self, rng, monkeypatch):
         cfg = losses.SurrogateConfig(local_weight=0.3).validate()
         for rows, cols, y, scores, weights, _ in self.instances(rng, 10):
             self.assert_matches_chain(lambda s: losses.hybrid_objective(y, s, cfg, weights, (rows, cols)),
                                       scores, monkeypatch)
         y, scores = np.array([2.0, 0.0, 1.0, 3.0]), ad.parameter(rng.normal(size=4))
-        loss = ad.neg(losses.hybrid_objective(y, scores, cfg, None, (2, 2)))
-        assert len(ad._toposort(loss)) - 1 == 4  # global, local, add, neg; the leaf is not a node
+        loss = neg(losses.hybrid_objective(y, scores, cfg, None, (2, 2)))
+        assert len(ad._toposort(loss)) - 1 == 2  # the hybrid and the negation; the leaf is not a node
+
+    def test_hybrid_is_bit_equal_to_the_sum_of_its_parts(self, rng):
+        """One node over both list groups gives the values and gradients of
+        a global node and a local node added and negated by generic ops."""
+        cfg = losses.SurrogateConfig(local_weight=0.3).validate()
+        for rows, cols, y, scores, weights, cap in self.instances(rng, 40):
+            cfg.gain_cap = cap
+            fused_scores, parts_scores = ad.parameter(scores.copy()), ad.parameter(scores.copy())
+            fused = neg(losses.hybrid_objective(y, fused_scores, cfg, weights, (rows, cols)))
+            parts = neg(add(
+                losses.ndcg_surrogate(y, parts_scores, (1.0 - cfg.local_weight) * weights, margin=cfg.margin,
+                                      gain_cap=cap),
+                losses.l_ndcg_surrogate(y, parts_scores, cfg.local_weight * weights, margin=cfg.margin,
+                                        radius=cfg.radius, shape=(rows, cols), gain_cap=cap)))
+            assert fused.data.tobytes() == parts.data.tobytes()
+            if fused.requires_grad:
+                ad.backward(fused)
+                ad.backward(parts)
+                assert fused_scores.grad.tobytes() == parts_scores.grad.tobytes()
+            else:
+                assert not parts.requires_grad
 
     def test_gradient_against_finite_differences(self, rng):
         lists = rng.integers(0, 7, size=(3, 5))
         targets = np.array([[0, 2], [1, 4], [3, 3]])
         valid = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 0, 0, 1, 0]], dtype=bool)
         coeff = rng.uniform(0.0, 2.0, size=(3, 2))
+        full = (np.arange(7)[None], np.array([[1, 5, 6]]), rng.uniform(0.0, 2.0, size=(1, 3)), None)
         scores = ad.parameter(rng.normal(size=7))
-        report = ad.grad_check(lambda: losses._bounded_gain(scores, lists, targets, coeff, 0.8, valid),
-                               [scores], eps=1e-6, tol=1e-7)
-        assert report.passed and report.checked - report.kinks >= 5, report.max_rel_error
+        for groups in ([(lists, targets, coeff, valid)], [full, (lists, targets, coeff, valid)]):
+            report = ad.grad_check(lambda: losses._bounded_gain(scores, groups, 0.8),
+                                   [scores], eps=1e-6, tol=1e-7)
+            assert report.passed and report.checked - report.kinks >= 5, report.max_rel_error
 
 
 class TestNdcgSurrogate:

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridrank import adjacency, grid, losses, metrics, sampling, training
+from gridrank import adjacency, autodiff as ad, grid, losses, metrics, model, sampling, training
 from gridrank.adjacency import pearson_static
 from gridrank.model import ModelConfig, init_params, predictions_for
 
-from oracles import per_window_gradients
+from oracles import generic_warmup_loss, per_window_gradients
 
 SPLITS = training.Splits(train_end=22)
 
@@ -64,12 +64,68 @@ def test_best_params_restore_the_best_validation_epoch(data, monkeypatch):
     assert not all(np.array_equal(best[name], last[name]) for name in best)
 
 
+def warmup_instances(rng, trials):
+    for trial in range(trials):
+        n = int(rng.choice([1, 37, 64, 1024]))
+        y = rng.poisson(0.7, size=n).astype(float) * rng.uniform(0.5, 2.0, size=n)
+        yield y, rng.normal(scale=rng.choice([0.1, 3.0, 40.0]), size=n)
+
+
+def warmup_value_and_gradient(loss_fn, y, scores, mode):
+    tensor = ad.parameter(scores.copy())
+    loss = loss_fn(y, tensor, mode)
+    ad.backward(loss)
+    return loss.item(), tensor.grad
+
+
+def test_mse_warmup_is_bit_equal_to_the_generic_chain(rng):
+    for y, scores in warmup_instances(rng, 60):
+        fused, fused_grad = warmup_value_and_gradient(training.warmup_loss, y, scores, "mse")
+        chain, chain_grad = warmup_value_and_gradient(generic_warmup_loss, y, scores, "mse")
+        assert fused == chain and fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def test_bce_warmup_matches_the_generic_chain(rng):
+    for y, scores in warmup_instances(rng, 60):
+        fused, fused_grad = warmup_value_and_gradient(training.warmup_loss, y, scores, "bce")
+        chain, chain_grad = warmup_value_and_gradient(generic_warmup_loss, y, scores, "bce")
+        assert fused == pytest.approx(chain, rel=1e-12)
+        np.testing.assert_allclose(fused_grad, chain_grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", training.WARMUP_MODES)
+def test_warmup_grad_check(mode, rng):
+    y = rng.poisson(0.8, size=12).astype(float)
+    scores = ad.parameter(rng.normal(size=12))
+    report = ad.grad_check(lambda: training.warmup_loss(y, scores, mode), [scores], eps=1e-6, tol=1e-8)
+    assert report.passed and report.checked == 12, report.max_rel_error
+
+
+def test_window_losses_put_one_node_in_warm_up_and_two_after(data, monkeypatch):
+    """The loss above the scores is the warm-up node, or the hybrid node
+    and its negation."""
+    nodes = []
+
+    def spy(params, grid, windows, loss_of):
+        def counted(window, scores):
+            loss = loss_of(window, scores)
+            nodes.append(len(ad._toposort(loss_of(window, ad.parameter(scores.data)))) - 1)
+            return loss
+
+        return model.batch_backward(params, grid, windows, counted)
+
+    monkeypatch.setattr(training, "batch_backward", spy)
+    run(data, epochs=2, warmup_epochs=1, batch_size=64)
+    half = len(nodes) // 2
+    assert nodes == [1] * half + [2] * half
+
+
 def test_bce_warmup_epoch_matches_the_per_window_oracle(data):
     state = run(data, epochs=1, warmup_epochs=1, warmup_mode="bce", batch_size=64, lr_warmup=1e-2)
 
     config = training.TrainConfig(warmup_mode="bce", lr_warmup=1e-2)
     params = init_params(small_model(data), seed=config.seed)
-    params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end]).matrix
+    params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end])
     windows, _ = training.split_windows(data, SPLITS, 3)
     order = np.random.default_rng(config.seed).permutation(len(windows))
     risk = data.risk_by_location()
