@@ -317,9 +317,8 @@ def _save_keyed(path: Path, name: str, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_AXES[name]) + _columns(name, values.shape[-1]))
-        records = values.reshape(-1, values.shape[-1]).tolist()
-        for key, record in zip(np.ndindex(values.shape[:-1]), records):
-            writer.writerow(list(key) + [repr(v) for v in record])
+        for key, record in zip(np.ndindex(values.shape[:-1]), values.reshape(-1, values.shape[-1])):
+            writer.writerow(list(key) + [repr(v) for v in record.tolist()])
 
 
 def save_grid(grid: StGrid, directory) -> Path:
