@@ -140,21 +140,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _tensor_raw(data: np.ndarray) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._backward = None
-    out._backward_done = False
-    return out
-
-
 def _result(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _check_finite and not np.all(np.isfinite(data)):
         raise NumericalError(f"{op} produced non-finite values")
-    out = _tensor_raw(data)
+    out = Tensor(data)
     if _grad_enabled:
         grad_parents = tuple(p for p in parents if p.requires_grad)
         if grad_parents:

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -25,9 +26,8 @@ import numpy as np
 from . import __version__, autodiff, crossk, grid as griddata, metrics, training
 from .errors import ConfigError, DataError, NumericalError
 from .losses import SurrogateConfig, hybrid_objective
-from .model import (ModelConfig, ModelSection, forward, init_params, load_checkpoint,
-                    predictions_for, save_checkpoint)
-from .training import Splits, TrainConfig, split_windows
+from .model import ModelConfig, ModelSection, forward, init_params, load_checkpoint, save_checkpoint
+from .training import Splits, TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,7 +101,8 @@ def _from_dict(cls, payload, prefix: str = ""):
 
 def _coerce(value, hint, key: str):
     """``value`` as the annotated type ``hint``: a nested section, ``T | None``,
-    ``list[T]``, or a scalar (ints widen to float; bools never pass as numbers)."""
+    ``list[T]``, or a scalar (ints widen to float; bools never pass as numbers;
+    floats must be finite, though ``json`` parses NaN and Infinity)."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, f"{key}.")
     arms = typing.get_args(hint)
@@ -117,6 +118,8 @@ def _coerce(value, hint, key: str):
         return float(value)
     if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
@@ -184,7 +187,7 @@ def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
     """The chronological split at ``data.train_fraction``; it must agree
     with the split the dataset's features were normalized on, if the
     manifest records one."""
-    train_end = min(max(2, int(round(config.data.train_fraction * dataset.periods))), dataset.periods - 1)
+    train_end = griddata.split_boundary(dataset.periods, config.data.train_fraction)
     normalized = dataset.normalization.get("train_end")
     if normalized is not None and normalized != train_end:
         raise ConfigError(f"data.train_fraction={config.data.train_fraction} splits at period {train_end}, "
@@ -212,7 +215,7 @@ def cmd_train(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
     splits = _splits_for(config, dataset)
     model_config = ModelConfig.for_grid(dataset, **asdict(config.model))
-    state = training.train(dataset, splits, model_config, config.train)
+    state = training.train(dataset, splits, model_config, config.train, eval_radius=config.eval.radius)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint", state.best_params())
@@ -295,16 +298,8 @@ def cmd_crossk(args, config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_checkpoint(Path(args.checkpoint)) if args.predictor == "model" else None
     window = config.model.window if params is None else params.config.window
-    _, val_windows = split_windows(dataset, splits, window)
-    val_days = [w.target for w in val_windows]
-    actual = dataset.risk_by_location()[:, val_days].T.copy()
-    if params is not None:
-        predicted = predictions_for(params, dataset, val_windows)
-        stem = "crossk_model"
-    else:
-        constant = training.historical_average(dataset, splits)
-        predicted = np.tile(constant, (len(val_days), 1))
-        stem = "crossk_ha"
+    _, actual, predicted = training.scored_split(dataset, splits, window, params)
+    stem = "crossk_ha" if params is None else "crossk_model"
     distances = np.arange(0.0, config.eval.crossk_max_distance + 1e-9, config.eval.crossk_step)
     curve = crossk.daily_average_curve(actual, predicted, config.eval.crossk_k, distances,
                                        (dataset.rows, dataset.cols),

@@ -5,7 +5,9 @@ and normalizes by the prediction intensity and the number of true
 events, so a curve above the complete-spatial-randomness envelope means
 predictions cluster around real events. Distances are Euclidean between
 cell centers in cell units; pairs from the two different sets are always
-counted, including cell-coincident ones.
+counted, including cell-coincident ones. Points are grid cells, so
+``cross_k`` counts the curve and every simulation of its envelope from
+histograms of integer squared distances.
 """
 
 from __future__ import annotations
@@ -41,22 +43,43 @@ class CrossKCurve:
 
 def cross_k(pred_points: np.ndarray, true_points: np.ndarray,
             distances: np.ndarray, area: float) -> np.ndarray:
-    """K(d) values for each entry of ``distances``.
+    """K(d) for each entry of ``distances``, for one set of predictions
+    or for each of many sets of one size.
 
-    pred_points/true_points: (n, 2) arrays of (row, col) cells. K(d) =
+    pred_points: (n, 2) cells, giving one curve, or (m, n, 2), giving an
+    (m, len(distances)) array of curves; true_points: (t, 2) cells. K(d) =
     (area / |pred|) * #{(i in true, j in pred): dist(i, j) <= d} / |true|.
+
+    Each set is counted from integer squared distances v: a pair lies
+    within d exactly when sqrt(v) <= d, so one histogram of v per set
+    times that 0/1 table gives every count. Values above floor(max d^2) +
+    1 share one bin that no d reaches. Sets are counted one at a time, so
+    memory stays O(t * n) whatever m is.
     """
-    pred_points = np.asarray(pred_points, dtype=np.float64).reshape(-1, 2)
+    pred_points = np.asarray(pred_points, dtype=np.float64)
     true_points = np.asarray(true_points, dtype=np.float64).reshape(-1, 2)
-    if pred_points.shape[0] == 0 or true_points.shape[0] == 0:
+    if pred_points.size == 0 or true_points.shape[0] == 0:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
     if area <= 0:
         raise DataError(f"area must be positive, got {area}")
-    diff = true_points[:, None, :] - pred_points[None, :, :]
-    pairwise = np.sqrt((diff * diff).sum(axis=2))
-    intensity = pred_points.shape[0] / area
-    counts = np.array([(pairwise <= d).sum() for d in np.asarray(distances, dtype=np.float64)])
-    return counts / true_points.shape[0] / intensity
+    points = np.concatenate([true_points, pred_points.reshape(-1, 2)])
+    cells = points.astype(np.int64)
+    if not np.array_equal(cells, points):
+        raise DataError("points must be grid cells with integer (row, col)")
+    truths = cells[:true_points.shape[0]]
+    sets = cells[true_points.shape[0]:].reshape(-1, *pred_points.shape[-2:])
+    distances = np.asarray(distances, dtype=np.float64)
+    reach = float(np.max(distances[distances >= 0.0], initial=0.0))
+    span = np.ptp(cells, axis=0)
+    top = int(min(np.floor(reach * reach) + 1.0, (span * span).sum()))
+    per_value = np.empty((sets.shape[0], top + 2), dtype=np.int64)
+    for i, pred in enumerate(sets):
+        sq = (truths[:, 0, None] - pred[:, 0]) ** 2 + (truths[:, 1, None] - pred[:, 1]) ** 2
+        np.minimum(sq, top + 1, out=sq)
+        per_value[i] = np.bincount(sq.reshape(-1), minlength=top + 2)
+    counts = per_value[:, :top + 1] @ (np.sqrt(np.arange(top + 1))[:, None] <= distances)
+    curves = counts / truths.shape[0] / (sets.shape[1] / area)
+    return curves.reshape(*pred_points.shape[:-2], -1)
 
 
 def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
@@ -66,41 +89,21 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     """Envelope of K(d) under uniform-random prediction placement.
 
     Simulates ``n_sim`` draws of ``n_pred`` uniform random cells, scores
-    each against the true points (grid cells), and returns the pointwise
-    min/max (default) or quantile band. Deterministic for a fixed seed;
-    per-simulation generators are spawned so the reduction order does not
-    matter.
-
-    Each simulation is counted from integer squared distances v: a pair
-    lies within d exactly when sqrt(v) <= d, as in :func:`cross_k`, so one
-    histogram of v per simulation times that 0/1 table gives every count.
-    Values above floor(max d^2) + 1 share one bin that no d reaches. Memory
-    stays O(true points * n_pred) whatever ``n_sim`` is.
+    them against the true points (grid cells) with one :func:`cross_k`
+    call, and returns the pointwise min/max (default) or quantile band.
+    Deterministic for a fixed seed; per-simulation generators are spawned
+    so the reduction order does not matter.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
     if method not in ENVELOPE_METHODS:
         raise DataError(f"envelope method must be one of {ENVELOPE_METHODS}")
-    true_points = np.asarray(true_points, dtype=np.float64).reshape(-1, 2)
-    if n_pred < 1 or true_points.shape[0] == 0:
+    if n_pred < 1:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
-    cells = true_points.astype(np.int64)
-    if not np.array_equal(cells, true_points):
-        raise DataError("true points must be grid cells with integer (row, col)")
-    distances = np.asarray(distances, dtype=np.float64)
     rows, cols = shape
-    reach = float(np.max(distances[distances >= 0.0], initial=0.0))
-    far = np.maximum(np.abs(cells), np.abs(cells - (rows - 1, cols - 1)))
-    top = int(min(np.floor(reach * reach) + 1.0, (far * far).sum(axis=1).max()))
-    per_value = np.empty((n_sim, top + 2), dtype=np.int64)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
-        draw = np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
-        pred_rows, pred_cols = np.divmod(draw, cols)
-        sq = (cells[:, 0, None] - pred_rows) ** 2 + (cells[:, 1, None] - pred_cols) ** 2
-        np.minimum(sq, top + 1, out=sq)
-        per_value[i] = np.bincount(sq.reshape(-1), minlength=top + 2)
-    counts = per_value[:, :top + 1] @ (np.sqrt(np.arange(top + 1))[:, None] <= distances)
-    curves = counts / true_points.shape[0] / (n_pred / float(rows * cols))
+    draws = [np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
+             for child in np.random.SeedSequence(seed).spawn(n_sim)]
+    curves = cross_k(cell_coordinates(rows, cols)[np.stack(draws)], true_points, distances, float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
     lo = np.quantile(curves, quantiles[0], axis=0)

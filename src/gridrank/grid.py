@@ -32,6 +32,12 @@ def cell_coordinates(rows: int, cols: int) -> np.ndarray:
     return np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(np.float64)
 
 
+def split_boundary(periods: int, train_fraction: float) -> int:
+    """First validation period of the chronological split at ``train_fraction``,
+    kept in [2, periods - 1]."""
+    return min(max(2, int(round(train_fraction * periods))), periods - 1)
+
+
 @lru_cache(maxsize=64)
 def neighbourhood_stencil(rows: int, cols: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's circular neighbourhood as an (S, m) member matrix and mask.
@@ -204,7 +210,7 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
         raise DataError("feature widths must be positive")
     rng = np.random.default_rng(seed)
 
-    rr, cc = np.meshgrid(np.arange(rows, dtype=float), np.arange(cols, dtype=float), indexing="ij")
+    rr, cc = cell_coordinates(rows, cols).T.reshape(2, rows, cols)
     centers = []
     for _ in range(n_hotspots):
         candidate = None
@@ -272,8 +278,7 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
     st = np.stack(st_channels[:d_st], axis=3)
 
     # normalize features to [0, 1] with training-split statistics
-    train_end = max(2, int(round(train_fraction * periods)))
-    train_end = min(train_end, periods - 1)
+    train_end = split_boundary(periods, train_fraction)
     normalization = {"f_t": [], "f_s": [], "f_st": [], "train_end": train_end}
     for j in range(temporal.shape[1]):
         lo, hi = float(temporal[:train_end, j].min()), float(temporal[:train_end, j].max())

@@ -1,17 +1,22 @@
-"""Differentiable ranking objectives built on squared-hinge rank bounds.
+"""Differentiable ranking objective built on squared-hinge rank bounds.
 
 The rank of a location is replaced by a smooth over-estimate: the sum of
 squared hinges max(0, h(s') - h(s) + margin)^2 over the candidate set,
 self term included so that with margin 1 the estimate starts at 1 like a
 true rank. Plugging the bound into the gain/discount form yields a
-differentiable objective that never exceeds the exact metric. Each
-objective is one tape node (``_bounded_gain``) over groups of (B, q)
-candidate lists with a hand-written backward: one list of all S cells
-for the global objective, one padded neighbourhood list per positive
-centre for the local one, and both groups in one node for the hybrid.
+differentiable objective that never exceeds the exact metric.
 
-All objectives are returned as values to MAXIMIZE; the trainer negates
-them. Per-location weights come from the importance distribution: either
+``hybrid_objective`` is the one entry point. It mixes a global part, the
+bounded gain of every positive in one list of all S cells, and a local
+part, the mean over positive centres of the bounded gain inside each
+centre's neighbourhood (local ranks, local ideal gain). It is one tape
+node (``_bounded_gain``) over groups of (B, q) candidate lists with a
+hand-written backward: the global list and one padded neighbourhood list
+per active centre. With local weight 0 or 1 it is the global or the
+local objective alone.
+
+The objective is returned as a value to MAXIMIZE; the trainer negates
+it. Per-location weights come from the importance distribution: either
 soft weights proportional to probability, or a hard without-replacement
 sample (weight 1 for drawn locations, 0 otherwise).
 """
@@ -153,27 +158,24 @@ def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarr
     return positives, weights, capped
 
 
-def _global_group(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
-                  gain_cap: float | None) -> tuple | None:
+def _global_group(positives: np.ndarray, weights: np.ndarray, capped: np.ndarray) -> tuple | None:
     """The global objective's one list of all S cells, or None when no
     positive has a nonzero weight."""
-    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
     active = weights > 0
     if not active.any():
         return None
     targets = positives[active]
     coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
-    return np.arange(scores.size)[None], targets[None], coeff[None], None
+    return np.arange(capped.size)[None], targets[None], coeff[None], None
 
 
-def _local_group(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None, radius: float,
-                 shape: tuple[int, int], gain_cap: float | None) -> tuple | None:
+def _local_group(positives: np.ndarray, weights: np.ndarray, capped: np.ndarray, radius: float,
+                 shape: tuple[int, int]) -> tuple | None:
     """The local objective's padded neighbourhood lists, one per active
     centre, or None when there is no active centre."""
     rows, cols = shape
-    if scores.size != rows * cols:
-        raise ShapeError(f"relevance length {np.size(relevance)}, scores {scores.size}, grid {shape}")
-    positives, weights, capped = _weighted_positives(relevance, scores, weights, gain_cap)
+    if capped.size != rows * cols:
+        raise ShapeError(f"relevance and scores length {capped.size}, grid {shape}")
     members, valid = neighbourhood_stencil(rows, cols, float(radius))
     local_rel = np.where(valid[positives], capped[members[positives]], 0.0)
     z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
@@ -186,44 +188,23 @@ def _local_group(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | No
     return members[centres], own, coeff, valid[centres]
 
 
-def ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
-                   *, margin: float = 1.0, gain_cap: float | None = None) -> Tensor:
-    """Differentiable lower bound of the day's cumulative-gain metric.
-
-    Sums gain / (Z * log2(rank_bound + 1)) over positive locations,
-    optionally weighted, in one list of all S cells. Value to maximize.
-    Empty positive set or all-zero weights -> 0.
-    """
-    return _bounded_gain(scores, [_global_group(relevance, scores, weights, gain_cap)], margin)
-
-
-def l_ndcg_surrogate(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None = None,
-                     *, margin: float = 1.0, radius: float = 2.0,
-                     shape: tuple[int, int] = (0, 0), gain_cap: float | None = None) -> Tensor:
-    """Differentiable neighborhood-ranking objective.
-
-    Mean over positive locations of the local bound-based gain sum inside
-    each location's neighborhood (local ranks, local ideal gain), one
-    padded list per active centre, with 1 / |positives| folded into the
-    coefficients. Neighborhoods with zero ideal gain contribute 0. Value
-    to maximize.
-    """
-    return _bounded_gain(scores, [_local_group(relevance, scores, weights, radius, shape, gain_cap)], margin)
-
-
 def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateConfig,
                      weights: np.ndarray | None = None, shape: tuple[int, int] = (0, 0)) -> Tensor:
     """(1 - local_weight) * global objective + local_weight * local objective.
 
-    The mix enters as a factor on the per-positive weights, and both parts
-    are list groups of one tape node; a part with mix 0 is never built (a
-    purely global objective needs no grid shape).
+    Positives and weights are validated, and the relevance capped at
+    ``gain_cap``, once for both parts. An empty positive set or all-zero
+    weights give 0; local neighbourhoods with zero ideal gain contribute
+    0. The mix enters as a factor on the per-positive weights, and both
+    parts are list groups of one tape node; a part with mix 0 is never
+    built (a purely global objective needs no grid shape). Value to
+    maximize.
     """
-    _, weights, _ = _weighted_positives(relevance, scores, weights, None)
+    positives, weights, capped = _weighted_positives(relevance, scores, weights, config.gain_cap)
     sigma = config.local_weight
-    groups = [_global_group(relevance, scores, (1.0 - sigma) * weights, config.gain_cap)]
+    groups = [_global_group(positives, (1.0 - sigma) * weights, capped)]
     if sigma != 0.0:
-        groups.append(_local_group(relevance, scores, sigma * weights, config.radius, shape, config.gain_cap))
+        groups.append(_local_group(positives, sigma * weights, capped, config.radius, shape))
     return _bounded_gain(scores, groups, config.margin)
 
 

@@ -199,8 +199,9 @@ class TrainState:
 
 
 def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
-          train_config: TrainConfig) -> TrainState:
-    """Run the full epoch loop and return the final state with its log."""
+          train_config: TrainConfig, eval_radius: float = 2.0) -> TrainState:
+    """Run the full epoch loop and return the final state with its log,
+    whose validation local NDCG uses ``eval_radius`` as ``evaluate_split`` does."""
     model_config.validate()
     train_config.validate()
     shape = (grid.rows, grid.cols)
@@ -273,8 +274,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         else:
             val_predicted = predictions_for(params, grid, val_windows)
 
-        report = metrics.metric_report(y_val, val_predicted, [train_config.eval_k], shape,
-                                       train_config.radius)
+        report = metrics.metric_report(y_val, val_predicted, [train_config.eval_k], shape, eval_radius)
         val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
                                          for name in ("ndcg", "lndcg", "prec"))
         elapsed = time.perf_counter() - started
@@ -315,28 +315,30 @@ def write_training_log(state: TrainState, path) -> Path:
     return path
 
 
+def scored_split(grid: StGrid, splits: Splits, length: int,
+                 params: ModelParams | None = None) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The validation split's target days, their (days, S) risk and the
+    model's (days, S) scores, or the historical average when ``params``
+    is None."""
+    _, windows = split_windows(grid, splits, length)
+    days = [w.target for w in windows]
+    actual = grid.risk_by_location()[:, days].T.copy()
+    if params is None:
+        return days, actual, np.tile(historical_average(grid, splits), (len(days), 1))
+    return days, actual, predictions_for(params, grid, windows)
+
+
 def evaluate_split(params: ModelParams, grid: StGrid, splits: Splits, ks: list[int],
                    radius: float = 2.0) -> metrics.RankingReport:
     """Metric report of the model over the validation split."""
-    _, val_windows = split_windows(grid, splits, params.config.window)
-    risk = grid.risk_by_location()
-    val_days = [w.target for w in val_windows]
-    actual = risk[:, val_days].T.copy()
-    predicted = predictions_for(params, grid, val_windows)
+    days, actual, predicted = scored_split(grid, splits, params.config.window, params)
     return metrics.metric_report(actual, predicted, ks, (grid.rows, grid.cols),
-                                 radius=radius, day_periods=val_days)
+                                 radius=radius, day_periods=days)
 
 
 def baseline_report(grid: StGrid, splits: Splits, window_length: int, ks: list[int],
                     radius: float = 2.0) -> metrics.RankingReport:
     """Metric report of the historical-average forecast over the validation split."""
-    splits.validate(grid.periods)
-    risk = grid.risk_by_location()
-    val_days = [t for t in range(max(window_length, splits.train_end), grid.periods)]
-    if not val_days:
-        raise DataError("empty validation split")
-    actual = risk[:, val_days].T.copy()
-    constant = historical_average(grid, splits)
-    predicted = np.tile(constant, (len(val_days), 1))
+    days, actual, predicted = scored_split(grid, splits, window_length)
     return metrics.metric_report(actual, predicted, ks, (grid.rows, grid.cols),
-                                 radius=radius, day_periods=val_days)
+                                 radius=radius, day_periods=days)

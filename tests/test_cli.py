@@ -14,6 +14,11 @@ from gridrank import cli, grid, model, training
     ("eval.crossk_sims=0", "eval.crossk_k and eval.crossk_sims must be >= 1, got 10 and 0"),
     ("data.train_fraction=1.5", "data.train_fraction must be in (0, 1), got 1.5"),
     ("data.train_fraction=0", "data.train_fraction must be in (0, 1), got 0.0"),
+    ("train.radius=NaN", "train.radius must be a finite number, got nan"),
+    ("eval.radius=NaN", "eval.radius must be a finite number, got nan"),
+    ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
+    ("train.lr_main=Infinity", "train.lr_main must be a finite number, got inf"),
+    ("train.gain_cap=-Infinity", "train.gain_cap must be a finite number, got -inf"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):
     assert cli.main(["--set", override, "config-schema"]) == cli.EXIT_CONFIG
@@ -29,6 +34,20 @@ def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys, mon
     config = cli.load_run_config(str(path), [])
     assert config == cli.RunConfig()
     assert cli.config_hash(config) == "2f5925e398940f3bef114473bccd4ee17481f8a443c15b28d124a09757f227b1"
+
+
+def test_non_finite_config_file_value_exits_with_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"model": {"fixed_gate": NaN}}')
+    assert cli.main(["--config", str(path), "config-schema"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "model.fixed_gate must be a finite number, got nan" in err
+
+
+def test_gradcheck_passes_on_both_checks(capsys):
+    assert cli.main(["gradcheck", "--coords", "20"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(": PASS " in line for line in lines)
 
 
 def test_file_and_override_values_coerced_by_field_type(tmp_path):

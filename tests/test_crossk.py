@@ -96,6 +96,8 @@ def test_large_envelope_matches_the_loop_in_per_simulation_memory(rng):
 def test_envelope_needs_grid_cells_and_predictions():
     with pytest.raises(DataError, match="integer"):
         crossk.csr_envelope(3, np.array([[0.5, 1.0]]), DISTANCES, SHAPE)
+    with pytest.raises(DataError, match="integer"):
+        crossk.cross_k(np.array([[1.0, 1.5]]), np.array([[1.0, 1.0]]), DISTANCES, 30.0)
     with pytest.raises(DataError, match="non-empty"):
         crossk.csr_envelope(0, np.array([[1.0, 1.0]]), DISTANCES, SHAPE)
 

@@ -17,6 +17,18 @@ def random_instance(rng, n=None, rate=0.8):
     return y, scores
 
 
+def global_objective(y, scores, weights=None, *, margin=1.0, gain_cap=None):
+    """The hybrid objective at local weight 0: the global surrogate alone."""
+    config = losses.SurrogateConfig(margin=margin, local_weight=0.0, gain_cap=gain_cap)
+    return losses.hybrid_objective(y, scores, config, weights)
+
+
+def local_objective(y, scores, weights=None, *, margin=1.0, radius=2.0, shape=(0, 0), gain_cap=None):
+    """The hybrid objective at local weight 1: the local surrogate alone."""
+    config = losses.SurrogateConfig(margin=margin, local_weight=1.0, radius=radius, gain_cap=gain_cap)
+    return losses.hybrid_objective(y, scores, config, weights, shape)
+
+
 def rank_bound(scores, position, margin=1.0):
     """Rank bound of one position in a single unpadded candidate list."""
     return losses._rank_bounds(np.array([scores], dtype=float), np.array([[position]]), margin)[1].item()
@@ -102,15 +114,15 @@ class TestFusedSurrogate:
 
     def test_global_list(self, rng, monkeypatch):
         for _, _, y, scores, weights, cap in self.instances(rng, 40):
-            self.assert_matches_chain(lambda s: losses.ndcg_surrogate(y, s, weights, margin=0.9, gain_cap=cap),
+            self.assert_matches_chain(lambda s: global_objective(y, s, weights, margin=0.9, gain_cap=cap),
                                       scores, monkeypatch)
 
     @pytest.mark.parametrize("radius", [0.0, 1.0, 1.5, 2.0, 3.0, 9.0])
     def test_padded_local_lists(self, radius, rng, monkeypatch):
         for rows, cols, y, scores, weights, cap in self.instances(rng, 20):
             self.assert_matches_chain(
-                lambda s: losses.l_ndcg_surrogate(y, s, weights, margin=0.9, radius=radius,
-                                                  shape=(rows, cols), gain_cap=cap), scores, monkeypatch)
+                lambda s: local_objective(y, s, weights, margin=0.9, radius=radius,
+                                          shape=(rows, cols), gain_cap=cap), scores, monkeypatch)
 
     def test_hybrid_is_one_node_on_the_tape(self, rng, monkeypatch):
         cfg = losses.SurrogateConfig(local_weight=0.3).validate()
@@ -130,10 +142,10 @@ class TestFusedSurrogate:
             fused_scores, parts_scores = ad.parameter(scores.copy()), ad.parameter(scores.copy())
             fused = neg(losses.hybrid_objective(y, fused_scores, cfg, weights, (rows, cols)))
             parts = neg(add(
-                losses.ndcg_surrogate(y, parts_scores, (1.0 - cfg.local_weight) * weights, margin=cfg.margin,
-                                      gain_cap=cap),
-                losses.l_ndcg_surrogate(y, parts_scores, cfg.local_weight * weights, margin=cfg.margin,
-                                        radius=cfg.radius, shape=(rows, cols), gain_cap=cap)))
+                global_objective(y, parts_scores, (1.0 - cfg.local_weight) * weights, margin=cfg.margin,
+                                 gain_cap=cap),
+                local_objective(y, parts_scores, cfg.local_weight * weights, margin=cfg.margin,
+                                radius=cfg.radius, shape=(rows, cols), gain_cap=cap)))
             assert fused.data.tobytes() == parts.data.tobytes()
             if fused.requires_grad:
                 ad.backward(fused)
@@ -160,7 +172,7 @@ class TestNdcgSurrogate:
         y = np.zeros(5)
         y[2] = 3.0
         scores = np.array([0.0, 0.5, 4.0, -1.0, 0.2])  # top by margin > 1
-        value = losses.ndcg_surrogate(y, ad.constant(scores), margin=1.0)
+        value = global_objective(y, ad.constant(scores), margin=1.0)
         assert value.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_weights_match_default(self, rng):
@@ -169,8 +181,8 @@ class TestNdcgSurrogate:
         if positives.size == 0:
             y[0] = 1.0
             positives = losses.positive_locations(y)
-        a = losses.ndcg_surrogate(y, ad.constant(scores)).item()
-        b = losses.ndcg_surrogate(y, ad.constant(scores), np.ones(positives.size)).item()
+        a = global_objective(y, ad.constant(scores)).item()
+        b = global_objective(y, ad.constant(scores), np.ones(positives.size)).item()
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_matches_brute_force(self, rng):
@@ -178,7 +190,7 @@ class TestNdcgSurrogate:
             y, scores = random_instance(rng, n=10)
             if not (y > 0).any():
                 continue
-            ours = losses.ndcg_surrogate(y, ad.constant(scores), margin=1.0).item()
+            ours = global_objective(y, ad.constant(scores), margin=1.0).item()
             assert ours == pytest.approx(brute_ndcg_surrogate(y.tolist(), scores.tolist(), 1.0), abs=1e-12)
 
     def test_bounded_by_exact_metric(self, rng):
@@ -188,7 +200,7 @@ class TestNdcgSurrogate:
             exact = metrics.ndcg_at_k(y, scores, y.size)
             if exact is None:
                 continue
-            surrogate = losses.ndcg_surrogate(y, ad.constant(scores), margin=1.0).item()
+            surrogate = global_objective(y, ad.constant(scores), margin=1.0).item()
             assert surrogate <= exact + 1e-12
             checked += 1
         assert checked > 30
@@ -196,18 +208,18 @@ class TestNdcgSurrogate:
     def test_translation_invariance(self, rng):
         y, scores = random_instance(rng)
         y[0] = max(y[0], 1.0)
-        a = losses.ndcg_surrogate(y, ad.constant(scores)).item()
-        b = losses.ndcg_surrogate(y, ad.constant(scores + 123.0)).item()
+        a = global_objective(y, ad.constant(scores)).item()
+        b = global_objective(y, ad.constant(scores + 123.0)).item()
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_empty_positive_set_contributes_zero(self):
-        value = losses.ndcg_surrogate(np.zeros(4), ad.constant(np.ones(4)))
+        value = global_objective(np.zeros(4), ad.constant(np.ones(4)))
         assert value.item() == 0.0
 
     def test_gain_cap(self):
         y = np.array([20.0, 0.0])
-        capped = losses.ndcg_surrogate(y, ad.constant([1.0, 0.0]), gain_cap=3.0).item()
-        uncapped = losses.ndcg_surrogate(y, ad.constant([1.0, 0.0])).item()
+        capped = global_objective(y, ad.constant([1.0, 0.0]), gain_cap=3.0).item()
+        uncapped = global_objective(y, ad.constant([1.0, 0.0])).item()
         assert capped == uncapped  # single positive: gain cancels against Z
         assert np.isfinite(capped)
 
@@ -217,22 +229,22 @@ class TestLocalSurrogate:
         y = rng.poisson(1.0, size=16).astype(float)
         y[3] = max(y[3], 1.0)
         scores = rng.normal(size=16)
-        value = losses.l_ndcg_surrogate(y, ad.constant(scores), margin=1.0,
-                                        radius=0.0, shape=(4, 4))
+        value = local_objective(y, ad.constant(scores), margin=1.0,
+                                radius=0.0, shape=(4, 4))
         assert value.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_wide_radius_single_positive_matches_global(self, rng):
         y = np.zeros(16)
         y[5] = 2.0
         scores = rng.normal(size=16)
-        local = losses.l_ndcg_surrogate(y, ad.constant(scores), margin=1.0,
-                                        radius=10.0, shape=(4, 4)).item()
-        global_ = losses.ndcg_surrogate(y, ad.constant(scores), margin=1.0).item()
+        local = local_objective(y, ad.constant(scores), margin=1.0,
+                                radius=10.0, shape=(4, 4)).item()
+        global_ = global_objective(y, ad.constant(scores), margin=1.0).item()
         assert local == pytest.approx(global_, abs=1e-12)
 
     def test_all_zero_day(self):
-        value = losses.l_ndcg_surrogate(np.zeros(9), ad.constant(np.zeros(9)),
-                                        margin=1.0, radius=2.0, shape=(3, 3))
+        value = local_objective(np.zeros(9), ad.constant(np.zeros(9)),
+                                margin=1.0, radius=2.0, shape=(3, 3))
         assert value.item() == 0.0
 
     def test_zero_weight_positives_skipped(self, rng):
@@ -242,9 +254,9 @@ class TestLocalSurrogate:
         positives = losses.positive_locations(y)
         weights = np.zeros(positives.size)
         weights[0] = 1.0
-        kept = losses.l_ndcg_surrogate(y, ad.constant(scores), margin=1.0, radius=1.0, shape=(3, 3))
-        masked = losses.l_ndcg_surrogate(y, ad.constant(scores), weights=weights,
-                                         margin=1.0, radius=1.0, shape=(3, 3))
+        kept = local_objective(y, ad.constant(scores), margin=1.0, radius=1.0, shape=(3, 3))
+        masked = local_objective(y, ad.constant(scores), weights=weights,
+                                 margin=1.0, radius=1.0, shape=(3, 3))
         assert masked.item() != pytest.approx(kept.item())
         assert np.isfinite(masked.item())
 
@@ -260,8 +272,8 @@ class TestLocalSurrogate:
             if trial % 2:
                 scores = np.round(scores)  # ties
             weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=int((y > 0).sum()))
-            ours = losses.l_ndcg_surrogate(y, ad.constant(scores), weights, margin=margin,
-                                           radius=radius, shape=(rows, cols)).item()
+            ours = local_objective(y, ad.constant(scores), weights, margin=margin,
+                                   radius=radius, shape=(rows, cols)).item()
             reference = brute_l_ndcg_surrogate(y.tolist(), scores.tolist(), weights.tolist(),
                                                margin, radius, rows, cols)
             assert ours == pytest.approx(reference, abs=1e-12)
@@ -275,16 +287,16 @@ class TestHybrid:
         cfg0 = losses.SurrogateConfig(local_weight=0.0).validate()
         cfg1 = losses.SurrogateConfig(local_weight=1.0).validate()
         assert losses.hybrid_objective(y, tensor, cfg0).item() == pytest.approx(  # no grid shape needed
-            losses.ndcg_surrogate(y, tensor, margin=cfg0.margin).item())
+            brute_ndcg_surrogate(y.tolist(), scores.tolist(), cfg0.margin))
         assert losses.hybrid_objective(y, tensor, cfg1, shape=(4, 4)).item() == pytest.approx(
-            losses.l_ndcg_surrogate(y, tensor, margin=1.0, radius=2.0, shape=(4, 4)).item())
+            brute_l_ndcg_surrogate(y.tolist(), scores.tolist(), [1.0] * int((y > 0).sum()), 1.0, 2.0, 4, 4))
 
     def test_linear_in_mix_weight(self, rng):
         y, scores = random_instance(rng, n=16)
         y[0] = max(y[0], 1.0)
         tensor = ad.constant(scores)
-        a = losses.ndcg_surrogate(y, tensor, margin=1.0).item()
-        b = losses.l_ndcg_surrogate(y, tensor, margin=1.0, radius=2.0, shape=(4, 4)).item()
+        a = global_objective(y, tensor, margin=1.0).item()
+        b = local_objective(y, tensor, margin=1.0, radius=2.0, shape=(4, 4)).item()
         cfg = losses.SurrogateConfig(local_weight=0.1).validate()
         mixed = losses.hybrid_objective(y, tensor, cfg, shape=(4, 4)).item()
         assert mixed == pytest.approx(0.9 * a + 0.1 * b, rel=1e-12)

@@ -33,6 +33,22 @@ def test_logged_local_ndcg_applies_the_cutoff(data):
     logged = state.log[-1]
     assert logged["val_lndcg@3"] == pytest.approx(report.lookup("lndcg", 3).mean, abs=1e-12)
     assert logged["val_ndcg@3"] == pytest.approx(report.lookup("ndcg", 3).mean, abs=1e-12)
+    # the surrogate's radius is not the logged metric's radius
+    state = run(data, epochs=1, warmup_epochs=0, radius=1.0)
+    logged = state.log[-1]["val_lndcg@3"]
+    at = {r: training.evaluate_split(state.params, data, SPLITS, [3], r).lookup("lndcg", 3).mean for r in (2.0, 1.0)}
+    assert logged == pytest.approx(at[2.0], abs=1e-12) and logged != pytest.approx(at[1.0], abs=1e-12)
+
+
+def test_scored_split_scores_the_validation_days(data):
+    params = run(data, epochs=0, warmup_epochs=0).params
+    _, windows = training.split_windows(data, SPLITS, 3)
+    days, actual, predicted = training.scored_split(data, SPLITS, 3, params)
+    assert days == [w.target for w in windows] == list(range(22, 30))
+    np.testing.assert_array_equal(actual, data.risk_by_location()[:, 22:].T)
+    np.testing.assert_array_equal(predicted, predictions_for(params, data, windows))
+    _, _, constant = training.scored_split(data, SPLITS, 3)
+    np.testing.assert_array_equal(constant, np.tile(training.historical_average(data, SPLITS), (8, 1)))
 
 
 def scripted_validation(monkeypatch, values):
