@@ -1,3 +1,6 @@
+import csv
+import json
+
 import pytest
 
 from gridrank import cli, grid, model, training
@@ -176,6 +179,20 @@ def test_crossk_takes_the_window_from_the_checkpoint(manifest, window3_checkpoin
         assert code == cli.EXIT_OK
         written.append((out / "crossk_model.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def test_training_log_scores_local_ndcg_at_the_evaluation_radius(manifest, tmp_path):
+    settings = SMALL_MODEL + ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.eval_k=3",
+                              "--set", "train.radius=1", "--set", "eval.radius=1.5", "--set", "eval.ks=[3]"]
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert cli.main(settings + ["train", "--data", manifest, "--out", str(run)]) == cli.EXIT_OK
+    assert cli.main(settings + ["evaluate", "--data", manifest, "--checkpoint", str(run / "checkpoint"),
+                                "--out", str(out)]) == cli.EXIT_OK
+    with open(run / "training_log.csv") as fh:
+        logged = float(next(csv.DictReader(fh))["val_lndcg@3"])
+    report = json.loads((out / "report.json").read_text())
+    assert logged == pytest.approx(next(row["mean"] for row in report["metrics"] if row["metric"] == "lndcg"),
+                                   abs=1e-12)
 
 
 def test_rank_checks_the_day_against_the_checkpoint_window(manifest, window3_checkpoint, capsys):
