@@ -52,7 +52,7 @@ class DataConfig:
 @dataclass
 class EvalConfig:
     ks: list[int] = field(default_factory=lambda: [5, 10, 20])
-    radius: float = 2.0
+    radius: float = metrics.EVAL_RADIUS
     crossk_k: int = 10
     crossk_max_distance: float = 4.0
     crossk_step: float = 0.5

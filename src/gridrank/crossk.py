@@ -53,24 +53,25 @@ def cross_k(pred_points: np.ndarray, true_points: np.ndarray,
     Each set is counted from integer squared distances v: a pair lies
     within d exactly when sqrt(v) <= d, so one histogram of v per set
     times that 0/1 table gives every count. Values above floor(max d^2) +
-    1 share one bin that no d reaches. Sets are counted one at a time, so
-    memory stays O(t * n) whatever m is.
+    1 share one bin that no d reaches. Integer points are used as given;
+    float points must hold integers. Sets are counted one at a time, so
+    beyond the m sets themselves the count holds one (t, n) array.
     """
-    pred_points = np.asarray(pred_points, dtype=np.float64)
-    true_points = np.asarray(true_points, dtype=np.float64).reshape(-1, 2)
+    pred_points = np.asarray(pred_points)
+    true_points = np.asarray(true_points).reshape(-1, 2)
     if pred_points.size == 0 or true_points.shape[0] == 0:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
     if area <= 0:
         raise DataError(f"area must be positive, got {area}")
-    points = np.concatenate([true_points, pred_points.reshape(-1, 2)])
-    cells = points.astype(np.int64)
-    if not np.array_equal(cells, points):
-        raise DataError("points must be grid cells with integer (row, col)")
-    truths = cells[:true_points.shape[0]]
-    sets = cells[true_points.shape[0]:].reshape(-1, *pred_points.shape[-2:])
+    cells = [points.astype(np.int64, copy=False) for points in (true_points, pred_points)]
+    for points, cell in zip((true_points, pred_points), cells):
+        if points.dtype.kind != "i" and not np.array_equal(cell, points):
+            raise DataError("points must be grid cells with integer (row, col)")
+    truths, sets = cells[0], cells[1].reshape(-1, *pred_points.shape[-2:])
     distances = np.asarray(distances, dtype=np.float64)
     reach = float(np.max(distances[distances >= 0.0], initial=0.0))
-    span = np.ptp(cells, axis=0)
+    low = np.minimum(truths.min(axis=0), sets.min(axis=(0, 1)))
+    span = np.maximum(truths.max(axis=0), sets.max(axis=(0, 1))) - low
     top = int(min(np.floor(reach * reach) + 1.0, (span * span).sum()))
     per_value = np.empty((sets.shape[0], top + 2), dtype=np.int64)
     for i, pred in enumerate(sets):
@@ -88,11 +89,12 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
                  quantiles: tuple[float, float] = (0.025, 0.975)) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of K(d) under uniform-random prediction placement.
 
-    Simulates ``n_sim`` draws of ``n_pred`` uniform random cells, scores
-    them against the true points (grid cells) with one :func:`cross_k`
-    call, and returns the pointwise min/max (default) or quantile band.
-    Deterministic for a fixed seed; per-simulation generators are spawned
-    so the reduction order does not matter.
+    Simulates ``n_sim`` draws of ``n_pred`` uniform random cells, holds
+    them as one (n_sim, n_pred, 2) integer array, scores them against the
+    true points (grid cells) with one :func:`cross_k` call, and returns
+    the pointwise min/max (default) or quantile band. Deterministic for a
+    fixed seed; per-simulation generators are spawned so the reduction
+    order does not matter.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
@@ -101,14 +103,12 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     if n_pred < 1:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
     rows, cols = shape
-    draws = [np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
-             for child in np.random.SeedSequence(seed).spawn(n_sim)]
-    curves = cross_k(cell_coordinates(rows, cols)[np.stack(draws)], true_points, distances, float(rows * cols))
+    draws = np.stack([np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
+                      for child in np.random.SeedSequence(seed).spawn(n_sim)])
+    curves = cross_k(np.stack(np.divmod(draws, cols), axis=-1), true_points, distances, float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
-    lo = np.quantile(curves, quantiles[0], axis=0)
-    hi = np.quantile(curves, quantiles[1], axis=0)
-    return lo, hi
+    return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)
 
 
 def event_cells(day_risk: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

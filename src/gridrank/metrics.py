@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DataError
 from .grid import neighbourhood_stencil
 
+EVAL_RADIUS = 2.0  # local-NDCG radius of reports and the training log unless eval.radius differs
+
 
 def descending_order(scores: np.ndarray) -> np.ndarray:
     """Locations sorted by score descending, ties by ascending index."""
@@ -188,7 +190,7 @@ def _summarize(metric: str, k: int, per_day: list[float | None]) -> MetricSummar
 
 
 def metric_report(actual: np.ndarray, predicted: np.ndarray, ks: list[int],
-                  shape: tuple[int, int], radius: float = 2.0,
+                  shape: tuple[int, int], radius: float = EVAL_RADIUS,
                   day_periods: list[int] | None = None) -> RankingReport:
     """Ranking quality table over days: ndcg/prec/local ndcg at each cutoff.
 

@@ -199,7 +199,7 @@ class TrainState:
 
 
 def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
-          train_config: TrainConfig, eval_radius: float = 2.0) -> TrainState:
+          train_config: TrainConfig, eval_radius: float = metrics.EVAL_RADIUS) -> TrainState:
     """Run the full epoch loop and return the final state with its log,
     whose validation local NDCG uses ``eval_radius`` as ``evaluate_split`` does."""
     model_config.validate()
@@ -329,7 +329,7 @@ def scored_split(grid: StGrid, splits: Splits, length: int,
 
 
 def evaluate_split(params: ModelParams, grid: StGrid, splits: Splits, ks: list[int],
-                   radius: float = 2.0) -> metrics.RankingReport:
+                   radius: float = metrics.EVAL_RADIUS) -> metrics.RankingReport:
     """Metric report of the model over the validation split."""
     days, actual, predicted = scored_split(grid, splits, params.config.window, params)
     return metrics.metric_report(actual, predicted, ks, (grid.rows, grid.cols),
@@ -337,7 +337,7 @@ def evaluate_split(params: ModelParams, grid: StGrid, splits: Splits, ks: list[i
 
 
 def baseline_report(grid: StGrid, splits: Splits, window_length: int, ks: list[int],
-                    radius: float = 2.0) -> metrics.RankingReport:
+                    radius: float = metrics.EVAL_RADIUS) -> metrics.RankingReport:
     """Metric report of the historical-average forecast over the validation split."""
     days, actual, predicted = scored_split(grid, splits, window_length)
     return metrics.metric_report(actual, predicted, ks, (grid.rows, grid.cols),

@@ -24,8 +24,10 @@ node, which only tests and the chains below use:
   graph, blend, normalization, each with its own hand-written backward)
   plus generic conv ops, the reference for the one fused step node;
 * ``per_window_gradients``, the per-window training step that the
-  once-per-batch step must reproduce; and ``csr_envelope_loop``, the
-  one-simulation-at-a-time cross-K envelope built on ``crossk.cross_k``.
+  once-per-batch step must reproduce; and ``pairwise_cross_k``, the
+  cross-K count from a float array of pairwise distances with one
+  comparison per distance, and ``csr_envelope_loop``, the
+  one-simulation-at-a-time cross-K envelope built on it.
 """
 
 import functools
@@ -34,7 +36,7 @@ import math
 import numpy as np
 
 from gridrank import autodiff as ad
-from gridrank import crossk, model
+from gridrank import model
 from gridrank.errors import ShapeError
 from gridrank.grid import cell_coordinates
 
@@ -482,16 +484,29 @@ def per_window_gradients(params, grid, windows, loss_of):
     return values, {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
 
 
+def pairwise_cross_k(pred_points, true_points, distances, area):
+    """K(d) for one (n, 2) set of predictions from the float distance of
+    every (true, pred) pair, counted with one comparison per distance: the
+    reference for ``crossk.cross_k``'s histogram of squared distances."""
+    pred_points = np.asarray(pred_points, dtype=np.float64).reshape(-1, 2)
+    true_points = np.asarray(true_points, dtype=np.float64).reshape(-1, 2)
+    diff = true_points[:, None, :] - pred_points[None, :, :]
+    pairwise = np.sqrt((diff * diff).sum(axis=2))
+    counts = np.array([(pairwise <= d).sum() for d in np.asarray(distances, dtype=np.float64)])
+    return counts / true_points.shape[0] / (pred_points.shape[0] / area)
+
+
 def csr_envelope_loop(n_pred, true_points, distances, shape, n_sim=99, seed=0, method="minmax",
                       quantiles=(0.025, 0.975)):
-    """The CSR envelope scored one simulation at a time with ``cross_k``,
-    from the same spawned generators and draws as ``crossk.csr_envelope``."""
+    """The CSR envelope scored one simulation at a time with
+    ``pairwise_cross_k``, from the same spawned generators and draws as
+    ``crossk.csr_envelope``."""
     rows, cols = shape
     coords = cell_coordinates(rows, cols)
     curves = np.empty((n_sim, len(distances)))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
         points = coords[np.random.default_rng(child).integers(0, rows * cols, size=n_pred)]
-        curves[i] = crossk.cross_k(points, true_points, distances, float(rows * cols))
+        curves[i] = pairwise_cross_k(points, true_points, distances, float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
     return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)

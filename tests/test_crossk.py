@@ -7,7 +7,7 @@ import pytest
 from gridrank import crossk
 from gridrank.errors import DataError
 
-from oracles import csr_envelope_loop
+from oracles import csr_envelope_loop, pairwise_cross_k
 
 SHAPE = (5, 6)
 DISTANCES = np.arange(0.0, 4.01, 0.5)
@@ -75,6 +75,19 @@ def test_envelope_equals_the_per_simulation_loop(rng, method, distances):
         want = csr_envelope_loop(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("distances", [DISTANCES, ODD_DISTANCES, np.array([-0.5, 0.9]), np.array([1.0]),
+                                       np.array([0.5, np.sqrt(13.0)]), np.array([-2.0])],
+                         ids=["lattice", "odd", "short", "one", "root-13-largest", "negative-only"])
+def test_cross_k_equals_the_float_pairwise_count(rng, distances):
+    for n_pred in range(1, 11):
+        true = rng.integers(0, 9, size=(int(rng.integers(1, 12)), 2))
+        sets = rng.integers(0, 9, size=(6, n_pred, 2))
+        want = np.array([pairwise_cross_k(pred, true, distances, 63.0) for pred in sets])
+        assert np.array_equal(crossk.cross_k(sets, true, distances, 63.0), want)
+        assert np.array_equal(crossk.cross_k(sets.astype(float), true.astype(float), distances, 63.0), want)
+        assert np.array_equal(crossk.cross_k(sets[2], true, distances, 63.0), want[2])
 
 
 def test_large_envelope_matches_the_loop_in_per_simulation_memory(rng):
