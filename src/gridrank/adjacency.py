@@ -91,9 +91,35 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
     )
 
 
-# Entries per row block of an elementwise pass over an S x S gradient:
-# 256 KB, which timed fastest at S = 1024 (one BLAS thread, 2-vCPU VM).
+# Entries per row block of an elementwise pass over an S x S array, and of
+# the row-block scratch of a build without gradients: 256 KB, which timed
+# fastest at S = 1024 (one BLAS thread, 2-vCPU VM).
 _BLOCK_ENTRIES = 32768
+# ``model.predictions_for`` and the first stage of ``model.batch_backward``
+# build their periods, and ``predictions_for`` scores its windows, on
+# min(_POOL_WORKERS, CPUs available) threads once S x S >= _POOL_MIN_ENTRIES
+# (S >= 256); the ``model`` docstring gives the timings behind the rule.
+_POOL_MIN_ENTRIES = 1 << 16
+_POOL_WORKERS = 2
+
+
+def _block_rows(s: int) -> int:
+    """Rows of an S-wide block of at most ``_BLOCK_ENTRIES`` entries (at
+    least one row, at most S)."""
+    return min(s, max(1, _BLOCK_ENTRIES // s))
+
+
+def _row_blocks(s: int, scratch: np.ndarray | None):
+    """The row blocks of an (S, S) array, ``_block_rows(S)`` rows at a time:
+    each block's row slice and the same number of rows of ``scratch``
+    (which holds at least that many rows of S, and is allocated when not
+    given)."""
+    rows = _block_rows(s)
+    if scratch is None:
+        scratch = np.empty((rows, s))
+    for start in range(0, s, rows):
+        stop = min(start + rows, s)
+        yield slice(start, stop), scratch[:stop - start]
 
 
 class DynamicGraph(NamedTuple):
@@ -117,8 +143,13 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
     A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
     construction: C is antisymmetric and relu keeps one orientation of
-    each pair. A is written into ``out`` and z2 z1^T into ``scratch``, two
-    S x S arrays that are allocated when not given. The gradient is
+    each pair. A is written into ``out``, an S x S array allocated when not
+    given, and z2 z1^T is subtracted a row block at a time through
+    ``scratch`` (see :func:`_row_blocks`). The block size follows from S
+    alone, so a build that passes a full S x S scratch gives the same bits
+    as one that passes a block-sized one: under OpenBLAS a row block of the
+    product can differ from the same rows of the full product in the last
+    bits (seen for S > 192 not a multiple of 8). The gradient is
     :func:`dynamic_adjacency_grads`; the caller reports ``active`` as a
     kink.
     """
@@ -134,7 +165,8 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     z1 = np.tanh((e1 @ params.mix1.data) * alpha)
     z2 = np.tanh((e2 @ params.mix2.data) * alpha)
     matrix = np.matmul(z1, z2.T, out=out)
-    matrix -= np.matmul(z2, z1.T, out=scratch)
+    for rows, block in _row_blocks(s, scratch):
+        matrix[rows] -= np.matmul(z2[rows], z1.T, out=block)
     matrix *= alpha
     np.tanh(matrix, out=matrix)
     np.maximum(matrix, 0.0, out=matrix)
@@ -159,14 +191,11 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
     """
     a = graph.matrix
-    rows = max(1, _BLOCK_ENTRIES // a.shape[1])
-    factor = np.empty((min(rows, a.shape[0]), a.shape[1]))
-    for start in range(0, a.shape[0], rows):
-        block = a[start:start + rows]
-        f = factor[:len(block)]
-        np.multiply(block, block, out=f)
-        np.subtract(block > 0.0, f, out=f)
-        g_graph[start:start + rows] *= f
+    for rows, factor in _row_blocks(a.shape[0], None):
+        block = a[rows]
+        np.multiply(block, block, out=factor)
+        np.subtract(block > 0.0, factor, out=factor)
+        g_graph[rows] *= factor
     z = np.concatenate([graph.z2, graph.z1], axis=1)
     k_z = g_graph @ z
     k_z -= (z.T @ g_graph).T
@@ -197,9 +226,9 @@ def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
     gate = sigmoid(f_t . time_gate); ``fixed_gate`` overrides the learned
     gate with a constant (the fixed-0.5 variant used for ablations). The
     mix g A_dyn + (1 - g) A_static is written into ``out`` (which may be
-    ``a_dynamic`` itself) with (1 - g) A_static in ``scratch``. Its
-    gradient, for output gradient G: dA_dyn = g G and
-    dg = <G, A_dyn> - <G, A_static>.
+    ``a_dynamic`` itself), adding (1 - g) A_static a row block at a time
+    through ``scratch`` (see :func:`_row_blocks`). Its gradient, for output
+    gradient G: dA_dyn = g G and dg = <G, A_dyn> - <G, A_static>.
     """
     s = a_dynamic.shape[0]
     if a_static.shape != (s, s):
@@ -212,5 +241,6 @@ def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
     else:
         gate = float(fixed_gate)
     mixed = np.multiply(a_dynamic, gate, out=out)
-    mixed += np.multiply(a_static, 1.0 - gate, out=scratch)
+    for rows, block in _row_blocks(s, scratch):
+        mixed[rows] += np.multiply(a_static[rows], 1.0 - gate, out=block)
     return BlendedAdjacency(matrix=mixed, gate=gate)

@@ -35,6 +35,10 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_GRADCHECK = 5
 
+# The most distances a cross-K curve may have: eval.crossk_max_distance /
+# eval.crossk_step + 1 (the default grid has 9).
+MAX_CROSSK_DISTANCES = 1000
+
 
 @dataclass
 class DataConfig:
@@ -84,6 +88,10 @@ class RunConfig:
             raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
         if self.eval.crossk_step <= 0 or self.eval.crossk_max_distance < 0:
             raise ConfigError("cross-K distance grid must have positive step")
+        if (self.eval.crossk_max_distance + 1e-9) / self.eval.crossk_step > MAX_CROSSK_DISTANCES:
+            raise ConfigError(f"eval.crossk_max_distance / eval.crossk_step gives more than "
+                              f"{MAX_CROSSK_DISTANCES} cross-K distances, got "
+                              f"{self.eval.crossk_max_distance:g} / {self.eval.crossk_step:g}")
         return self
 
 

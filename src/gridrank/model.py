@@ -20,8 +20,23 @@ so no output activation is applied.
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
 it; the cache lives for that call only, since parameters change between
-calls. Its builds share two S x S buffers, and the rebuilds of
-``batch_backward`` share three.
+calls. A build without gradients holds one S x S buffer and a row block
+of at most ``adjacency._BLOCK_ENTRIES`` entries; the rebuilds of
+``batch_backward`` share two S x S buffers and a row block.
+
+From S x S = ``adjacency._POOL_MIN_ENTRIES`` = 2^16 entries (S = 256),
+``predictions_for`` and stage (1) of ``batch_backward`` build their periods,
+and ``predictions_for`` scores its windows, on min(``_POOL_WORKERS`` = 2,
+CPUs available) threads: the calling thread and threads started for the
+call. Each has its own buffers, made by the calling thread, so two hold two
+S x S buffers, as many as one build held before, and each result goes into
+its own slot, so outputs equal the serial ones bit for bit. The pooled to
+serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread) was 1.24 at
+S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at S = 1024. Before the
+first thread starts, glibc's ``mallopt(M_ARENA_MAX, 1)`` makes every thread
+allocate from the main arena: per-thread arenas took eval-32x32's peak RSS
+from 185 to 236 MB. Stage (3) stays serial; run in parallel it would need a
+fixed-order gradient sum and one more set of S x S buffers per thread.
 
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
@@ -37,14 +52,19 @@ costs memory: prototypes on the benchmark workloads (2-vCPU VM, one BLAS
 thread) peaked at 59.1 against 49.6 MB on train-8x8 when keeping tapes,
 and at 886 against 330 MB on train-32x32 (67-92 MB on train-8x8) when
 stacking; stacking in ``predictions_for`` took eval-32x32 from 196 to
-255 MB.
+255 MB. Stacking a call's periods on a leading axis does not pay at
+S = 64: 42 periods took 8.2 against 6.9 ms without gradients and 24.1
+against 16.2 ms with them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -199,14 +219,20 @@ def _check_window(params: ModelParams, grid: StGrid, window: Window) -> None:
         raise DataError(f"window target {window.target} outside study period {grid.periods}")
 
 
-def _buffer(work: dict[str, np.ndarray] | None, name: str, s: int) -> np.ndarray:
-    """The S x S array ``work[name]``, made on first use; a fresh one when
-    there is no ``work``."""
+def _buffer(work: dict[str, np.ndarray] | None, name: str, rows: int, s: int) -> np.ndarray:
+    """The (rows, S) array ``work[name]``, made on first use; a fresh one
+    when there is no ``work``."""
     if work is None:
-        return np.empty((s, s))
+        return np.empty((rows, s))
     if name not in work:
-        work[name] = np.empty((s, s))
+        work[name] = np.empty((rows, s))
     return work[name]
+
+
+def _no_grad_buffers(s: int) -> dict[str, np.ndarray]:
+    """The ``work`` of builds without gradients: A's S x S array and a row
+    block of at most ``adjacency._BLOCK_ENTRIES`` entries."""
+    return {"graph": np.empty((s, s)), "block": np.empty((adjacency._block_rows(s), s))}
 
 
 def _normalize(matrix: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray | float]:
@@ -238,14 +264,17 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
     the gate is learned) and the conv weights. The forward is
     ``adjacency.dynamic_adjacency``, ``adjacency.blend``, ``_normalize``
     and the convolutions, in that order and with the arithmetic of the
-    separate nodes they replace. Its S x S arrays are A, A_hat and one
-    scratch array (z2 z1^T, then (1 - g) A_static, then the backward's
-    dB); they come from ``work`` when given, so the builds of one call
+    separate nodes they replace. Both builds subtract z2 z1^T and add
+    (1 - g) A_static a row block at a time through one row-block scratch,
+    so their outputs are equal bit for bit. With gradients the S x S
+    arrays are A and A_hat, and the node keeps them and the (S, width) H_l
+    and Q_l = A_hat H_l; the backward writes dB over A_hat once its last
+    use is past. Without, A's one S x S array is all (the blend and the
+    normalization run in place in it), and no mask is built unless a kink
+    trace is installed. The arrays come from ``work`` when given
+    (``_no_grad_buffers`` without gradients), so the builds of one call
     share them, and a build with gradients must then be backpropagated
-    before the next one is made. With gradients the node keeps A, A_hat
-    and the (S, width) H_l and Q_l = A_hat H_l; without, the blend and
-    the normalization run in place in A's buffer and no mask is built
-    unless a kink trace is installed.
+    before the next one is made.
 
     Backward, for output gradient G: per layer from the top,
     dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
@@ -264,12 +293,13 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
     st_t, node_features, temporal_tiled = _period_inputs(grid, t)
     adj, s = params.adjacency, params.config.n_locations
     with_grads = ad.grad_enabled()
-    scratch = _buffer(work, "scratch", s)
-    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s), scratch=scratch)
+    block = _buffer(work, "block", adjacency._block_rows(s), s)
+    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s, s), scratch=block)
     static = params.static_graph
     blended = adjacency.blend(graph.matrix, static, grid.temporal[t], adj.time_gate,
                               params.config.fixed_gate,
-                              out=_buffer(work, "normalized", s) if with_grads else graph.matrix, scratch=scratch)
+                              out=_buffer(work, "normalized", s, s) if with_grads else graph.matrix,
+                              scratch=block)
     a_hat, gate = blended.matrix, blended.gate
     denom, slope = _normalize(a_hat, signed)
     layers = [node_features]
@@ -298,7 +328,7 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
         u = np.concatenate(d_q + [-slope * inner], axis=1)
         u /= denom
         v = np.concatenate(layers[:-1] + [np.ones((s, 1))], axis=1)
-        g_b = np.matmul(u, v.T, out=_buffer(work, "scratch", s))
+        g_b = np.matmul(u, v.T, out=a_hat)  # A_hat's last use was the loop above
         g_gate = ()
         if learned:
             d_gate = np.vdot(g_b, graph.matrix) - np.vdot(g_b, static)
@@ -405,32 +435,105 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     return _recurrent(params, [_period_step(params, grid, t, signed) for t in window.inputs()])
 
 
+def _pool_workers(s: int) -> int:
+    """Threads for the builds and windows of one call: one below
+    ``adjacency._POOL_MIN_ENTRIES`` or while a kink trace is installed
+    (its masks would arrive in thread order), else
+    min(``adjacency._POOL_WORKERS``, CPUs available to the process)."""
+    if s * s < adjacency._POOL_MIN_ENTRIES or ad.tracing_kinks():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(adjacency._POOL_WORKERS, cpus)
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main arena:
+    mallopt(M_ARENA_MAX, 1), with M_ARENA_MAX = -8 from malloc.h. Per-thread
+    arenas took eval-32x32's peak RSS from 185 to 236 MB. A no-op where
+    the C library has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-8, 1)
+
+
+def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> None:
+    """Run ``job(k, i)`` for every item i in [0, items): worker k = 0 is the
+    calling thread and each other one a thread started for this call, and
+    each worker claims the next unclaimed item until none is left, so a
+    worker slowed by a busy CPU takes fewer. A worker stops at its first
+    failure; once all have stopped, the failure of the lowest item is
+    raised in the calling thread."""
+    claims = iter(range(items))
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}
+
+    def run(k: int) -> None:
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                job(k, i)
+            except BaseException as exc:  # re-raised below, in the calling thread
+                failures[i] = exc
+                return
+
+    if workers > 1:
+        _one_malloc_arena()
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
                   signed: bool) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
-    without gradients."""
-    steps: dict[int, Tensor] = {}
-    work: dict[str, np.ndarray] = {}
+    without gradients, keyed in order of first use. Each period goes into
+    its own slot, built by one of ``_pool_workers`` threads with that
+    worker's buffers, which the calling thread makes; the threads see the
+    caller's ``no_grad``, which is process-wide."""
+    for window in windows:
+        _check_window(params, grid, window)
+    periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
+    workers = _pool_workers(params.config.n_locations)
+    buffers = [_no_grad_buffers(params.config.n_locations) for _ in range(workers)]
+    built: list[Tensor | None] = [None] * len(periods)
+
+    def build(k: int, i: int) -> None:
+        built[i] = _period_step(params, grid, periods[i], signed, buffers[k])
+
     with ad.no_grad():
-        for window in windows:
-            _check_window(params, grid, window)
-            for t in window.inputs():
-                if t not in steps:
-                    steps[t] = _period_step(params, grid, t, signed, work)
-    return steps
+        _in_parallel(workers, len(periods), build)
+    return dict(zip(periods, built))
 
 
 def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) -> np.ndarray:
     """(days, S) score matrix for a list of windows, gradient-free.
 
     Each distinct input period's step is computed once per call and reused
-    by every window that contains it; the values equal ``forward``'s.
+    by every window that contains it; the values equal ``forward``'s. The
+    windows are scored on ``_pool_workers`` threads, each into its own row.
     """
     out = np.empty((len(windows), params.config.n_locations))
     steps = _shared_steps(params, grid, windows, _signed(params))
+
+    def score(k: int, i: int) -> None:
+        out[i] = _recurrent(params, [steps[t] for t in windows[i].inputs()]).data
+
     with ad.no_grad():
-        for i, window in enumerate(windows):
-            out[i] = _recurrent(params, [steps[t] for t in window.inputs()]).data
+        _in_parallel(_pool_workers(params.config.n_locations), len(windows), score)
     return out
 
 
@@ -451,11 +554,11 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
         values.append(loss.item())
         ad.backward(loss)
         del loss  # free this window's tape before the next one is built
+    seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
+    del leaves  # stage (3) needs the leaves' gradients only, not their values
     work: dict[str, np.ndarray] = {}
-    for t in sorted(leaves):
-        seed = leaves.pop(t).grad
-        if seed is not None:
-            ad.backward(_period_step(params, grid, t, signed, work), seed)
+    for t in list(seeds):
+        ad.backward(_period_step(params, grid, t, signed, work), seeds.pop(t))
     return values
 
 

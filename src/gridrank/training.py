@@ -15,7 +15,10 @@ each window's loss is backpropagated to those periods' outputs, and each
 period is then rebuilt once to carry its gradient into the graph
 parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
-benchmark's bound (figures in the ``model`` docstring).
+benchmark's bound (figures in the ``model`` docstring). From S = 256 the
+builds without gradients, and the window scoring of the end-of-epoch
+``predictions_for``, run on two threads with one S x S buffer each; the
+rebuilds with gradients stay serial and share two.
 """
 
 from __future__ import annotations
@@ -198,6 +201,18 @@ class TrainState:
         return restored
 
 
+def _static_graph(grid: StGrid, train_end: int) -> np.ndarray:
+    """The correlation graph of the grid's periods [0, train_end), read-only:
+    it is never trained, so snapshots share it, and it is computed once per
+    grid and ``train_end`` (memoized on the grid, as the model's per-period
+    inputs are), so successive ``train`` runs on one grid share it too."""
+    cache = grid.attrs.setdefault("_static_graph", {})
+    if train_end not in cache:
+        cache[train_end] = pearson_static(grid.risk[:, :, :train_end])
+        cache[train_end].setflags(write=False)
+    return cache[train_end]
+
+
 def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
           train_config: TrainConfig, eval_radius: float = metrics.EVAL_RADIUS) -> TrainState:
     """Run the full epoch loop and return the final state with its log,
@@ -220,8 +235,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
     seed = model_config.seed if model_config.seed is not None else train_config.seed
     params = init_params(model_config, seed=seed)
-    params.static_graph = pearson_static(grid.risk[:, :, :splits.train_end])
-    params.static_graph.setflags(write=False)  # never trained; snapshots share it
+    params.static_graph = _static_graph(grid, splits.train_end)
     adam = AdamState.for_params(params)
     importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)

@@ -65,3 +65,43 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert w1["pass_s"]["ratio_of_medians"] == pytest.approx(9.0 / 12.0)
     assert w1["ndcg10"]["tied_pairs"] == 3 and w1["ndcg10"]["change_better_pairs"] == 0
     assert doc["summary"]["w2"]["pass_s"]["pairs"] == 1
+    assert w1["pass_s"]["claim"] == {"holds": False, "change_better_pairs": 3, "pairs": 3,
+                                     "median_gain": 3.0, "parent_iqr": 1.0}  # fewer than ten pairs
+    assert "claim" not in w1["ndcg10"] and "claim" not in doc["summary"]["w2"]["pass_s"]
+
+
+@pytest.mark.parametrize("change_pass,holds", [(4.0, True), (7.0, False)])
+def test_claim_verdict_is_written_and_printed(tmp_path, capsys, change_pass, holds):
+    """Parent pass_s 11..20 s (median 15.5, quartiles 13.25 and 17.75): a
+    change 6 s faster in every pair wins; one 3 s faster does not beat the
+    parent's interquartile range of 4.5 s."""
+    parent = stub_checkout(tmp_path, "parent", 10.0)
+    change = stub_checkout(tmp_path, "change", change_pass)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                             "--workload", "w", "--seeds", "1-10", "--claim", "pass_s"]) == 0
+    verdict = json.loads(out.read_text())["summary"]["w"]["pass_s"]["claim"]
+    assert verdict == {"holds": holds, "change_better_pairs": 10, "pairs": 10,
+                       "median_gain": 10.0 - change_pass, "parent_iqr": 4.5}
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"claim pass_s on w: {'holds' if holds else 'fails'} (change better in 10 of 10 pairs")
+
+
+def pairs_of(parent, change):
+    return [{"workload": "w", **{side: {"result": {"metrics": {"m": {"value": value}}}}
+                                 for side, value in (("parent", p), ("change", c))}}
+            for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("better,parent,change,holds", [
+    ("lower", [10.0] * 10, [5.0] * 9 + [10.0], True),           # 9 wins and a tie
+    ("lower", [10.0] * 10, [5.0] * 8 + [10.0] * 2, False),      # 8 wins and 2 ties
+    ("lower", [10.0] * 10, [5.0] * 9 + [11.0], True),           # 9 wins and a loss
+    ("lower", list(range(10, 20)), [x - 4.0 for x in range(10, 20)], False),  # gain 4 < IQR 4.5
+    ("higher", [0.5] * 10, [0.6] * 10, True),
+    ("higher", [0.5] * 10, [0.4] * 10, False),
+    ("lower", [10.0] * 9, [5.0] * 9, False),                    # nine pairs
+])
+def test_claim_rule(better, parent, change, holds):
+    entry = bench_pairs.summarise(pairs_of(parent, change), [{"name": "m", "better": better}])["w"]["m"]
+    assert bench_pairs.claim_verdict(entry, better)["holds"] is holds

@@ -105,6 +105,25 @@ def test_crossk_cutoff_above_grid_size_is_a_config_error(manifest, tmp_path, cap
     assert not (tmp_path / "crossk").exists()
 
 
+@pytest.mark.parametrize("max_distance,step", [("1e20", "0.5"), ("500.5", "0.5"), ("4", "1e-300")])
+def test_crossk_distance_grid_above_the_limit_is_a_config_error(manifest, tmp_path, capsys, max_distance, step):
+    code = cli.main(["--set", f"eval.crossk_max_distance={max_distance}", "--set", f"eval.crossk_step={step}",
+                     "crossk", "--data", manifest, "--predictor", "ha", "--out", str(tmp_path / "crossk")])
+    assert code == cli.EXIT_CONFIG
+    assert "gives more than 1000 cross-K distances" in one_line_error(capsys, "config error:")
+    assert not (tmp_path / "crossk").exists()
+
+
+def test_crossk_distance_grid_at_the_limit_and_the_default_grid_run(manifest, tmp_path):
+    for extra, count in ([], 9), (["--set", "eval.crossk_max_distance=499.5"], cli.MAX_CROSSK_DISTANCES):
+        out = tmp_path / f"crossk{count}"
+        code = cli.main(extra + ["--set", "eval.crossk_sims=9", "crossk", "--data", manifest, "--predictor", "ha",
+                                 "--out", str(out)])
+        assert code == cli.EXIT_OK
+        with open(out / "crossk_ha.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == count
+
+
 @pytest.mark.parametrize("k", ["-3", "0", "17"])
 def test_rank_k_outside_range_exits_2(manifest, k, capsys):
     assert cli.main(["rank", "--data", manifest, "--predictor", "ha", "--k", k]) == cli.EXIT_CONFIG

@@ -1,0 +1,196 @@
+"""The thread pool of ``predictions_for`` and of ``batch_backward``'s first
+stage against the serial path, and the row-block scratch of builds without
+gradients against the build with them."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gridrank import adjacency, autodiff as ad, cli
+from gridrank import grid as griddata
+from gridrank import model
+from gridrank.adjacency import pearson_static
+from gridrank.errors import NumericalError
+from gridrank.grid import Window
+
+from test_batch_step import loss_maker
+from test_graph_block import T, step_case
+
+ROWS = COLS = 16  # S x S = 2^16 entries: the smallest square grid the pool runs on
+S = ROWS * COLS
+WINDOW = 3
+TARGETS = [5, 6, 7, 9, 14, 20, 21, 22]
+
+
+@pytest.fixture(scope="module")
+def data():
+    return griddata.generate_synthetic(3, ROWS, COLS, 30, 2)
+
+
+@pytest.fixture
+def pooled():
+    if model._pool_workers(S) < 2:
+        pytest.skip("one CPU available: the pool does not run")
+
+
+def pool_params(data, signed, fixed_gate):
+    config = model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=3, window=WINDOW, embed_dim=3,
+                                        fixed_gate=fixed_gate)
+    params = model.init_params(config, seed=1)
+    static = pearson_static(data.risk[:, :, :16])
+    params.static_graph = static if signed else np.abs(static)
+    assert model._signed(params) == signed
+    return params
+
+
+def spy_builds(monkeypatch, off_main=None):
+    """Record the threads that build period steps and the failures off the
+    calling thread. The calling thread's builds wait (for at most 10 s)
+    until another thread has begun one, so that a pooled call uses more
+    than one thread however the items are claimed; builds off the calling
+    thread use the parameters ``off_main`` when given."""
+    threads, failures, other = set(), [], threading.Event()
+    original = model._period_step
+
+    def spy(params, grid, t, signed, work=None):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            other.wait(timeout=10)
+            return original(params, grid, t, signed, work)
+        other.set()
+        try:
+            return original(params if off_main is None else off_main, grid, t, signed, work)
+        except NumericalError:
+            failures.append(t)
+            raise
+
+    monkeypatch.setattr(model, "_period_step", spy)
+    return threads, failures
+
+
+def test_worker_rule():
+    assert model._pool_workers(255) == 1
+    assert model._pool_workers(256) == model._pool_workers(1024) == min(2, len(os.sched_getaffinity(0)))
+    with ad._kink_tracing():
+        assert model._pool_workers(1024) == 1
+
+
+CASES = [(signed, fixed_gate) for signed in (True, False) for fixed_gate in (None, 0.5)]
+
+
+@pytest.mark.parametrize("signed,fixed_gate", CASES)
+def test_pooled_predictions_equal_the_serial_loop(data, signed, fixed_gate, pooled, monkeypatch):
+    params = pool_params(data, signed, fixed_gate)
+    windows = [Window(t, WINDOW) for t in TARGETS]
+    with ad.no_grad():
+        serial = np.stack([model.forward(params, data, w).data for w in windows])
+    threads, _ = spy_builds(monkeypatch)
+    scores = model.predictions_for(params, data, windows)
+    assert len(threads) == 2 and threading.main_thread() in threads
+    assert scores.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("signed,fixed_gate", CASES)
+def test_pooled_batch_step_equals_the_serial_one(data, signed, fixed_gate, pooled, monkeypatch):
+    params = pool_params(data, signed, fixed_gate)
+    windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+    loss_of = loss_maker("hybrid", data)
+
+    def step():
+        ad.zero_grads(params.tensors())
+        values = model.batch_backward(params, data, windows, loss_of)
+        return values, {name: t.grad.tobytes() for name, t in params.named_tensors() if t.grad is not None}
+
+    threads, _ = spy_builds(monkeypatch)
+    pooled_values, pooled_grads = step()
+    assert len(threads) == 2  # the calling thread and one more
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    serial_values, serial_grads = step()
+    assert pooled_values == serial_values
+    assert pooled_grads == serial_grads
+    assert len(serial_grads) == len(params.named_tensors()) - (fixed_gate is not None)
+
+
+def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data, monkeypatch):
+    """Five threads on at most two CPUs, switching every microsecond: a slot
+    written by the wrong thread or lost would change the scores."""
+    params = pool_params(data, True, None)
+    windows = [Window(t, WINDOW) for t in TARGETS]
+    with ad.no_grad():
+        serial = np.stack([model.forward(params, data, w).data for w in windows])
+    threads, _ = spy_builds(monkeypatch)
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scores = model.predictions_for(params, data, windows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) >= 2 and threading.active_count() == 1
+    assert scores.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("fixed_gate", [None, 0.5])
+def test_block_scratch_build_equals_the_build_with_gradients(signed, fixed_gate):
+    """S = 12 x 25 = 300 is no multiple of its 109-row block (nor of 8, where
+    OpenBLAS's row blocks and full product can differ in the last bits)."""
+    params, grid, _ = step_case(12, 25, signed, fixed_gate, seed=2)
+    rows = adjacency._block_rows(300)
+    assert rows == 109 and 300 % rows
+    with_grads = model._period_step(params, grid, T, signed, {})
+    work = model._no_grad_buffers(300)
+    assert work["block"].shape == (rows, 300)
+    with ad.no_grad():
+        without = model._period_step(params, grid, T, signed, work)
+    assert without.data.tobytes() == with_grads.data.tobytes()
+    assert set(work) == {"graph", "block"}
+
+
+def nan_params(data):
+    params = pool_params(data, True, None)
+    params.conv_weights[1].data[0, 0] = np.nan
+    return params
+
+
+def test_numerical_error_in_a_worker_reaches_the_caller(data, pooled, monkeypatch):
+    _, failures = spy_builds(monkeypatch, off_main=nan_params(data))
+    with pytest.raises(NumericalError, match="period_step produced non-finite values"):
+        model.predictions_for(pool_params(data, True, None), data, [Window(t, WINDOW) for t in TARGETS])
+    assert len(failures) == 1  # the failing worker stopped; the calling thread built the rest
+
+
+def test_numerical_error_in_a_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
+    manifest = griddata.save_grid(data, tmp_path / "data")
+    model.save_checkpoint(tmp_path / "ckpt", pool_params(data, True, None))
+    _, failures = spy_builds(monkeypatch, off_main=nan_params(data))
+    code = cli.main(["--set", "eval.ks=[5]", "evaluate", "--data", str(manifest),
+                     "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_NUMERIC and len(failures) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_small_grids_start_no_thread():
+    """Below 2^16 entries no thread starts and glibc's allocator is left as
+    it is."""
+    script = (
+        "import threading\n"
+        "from gridrank import grid, model\n"
+        "started = []\n"
+        "threading.Thread.start = lambda thread: started.append(thread)\n"
+        "data = grid.generate_synthetic(3, 15, 17, 30, 2)\n"
+        "params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=3, window=3,"
+        " embed_dim=3))\n"
+        "model.predictions_for(params, data, [grid.Window(t, 3) for t in (4, 5, 9)])\n"
+        "print(len(started), model._one_malloc_arena.cache_info().currsize)\n")
+    src = Path(model.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]

@@ -236,6 +236,15 @@ def test_refresh_and_validation_share_one_prediction_pass(data, monkeypatch):
         assert state.log[0][f"val_{name}@3"] == report.lookup(name, 3).mean
 
 
+def test_runs_on_one_grid_and_split_share_one_static_graph(data):
+    first, second = run(data, epochs=0, warmup_epochs=0), run(data, epochs=0, warmup_epochs=0)
+    assert first.params.static_graph is second.params.static_graph
+    assert first.params.static_graph.tobytes() == pearson_static(data.risk[:, :, :22]).tobytes()
+    other = training.train(data, training.Splits(train_end=20), small_model(data),
+                           training.TrainConfig(epochs=0, warmup_epochs=0, eval_k=3)).params.static_graph
+    assert other.tobytes() == pearson_static(data.risk[:, :, :20]).tobytes() and not other.flags.writeable
+
+
 def test_snapshots_share_the_read_only_static_graph(data):
     state = run(data, epochs=2, warmup_epochs=1)
     static = state.params.static_graph

@@ -11,7 +11,12 @@ on the first pair). Every pair runs for the ``run_seconds`` of the
 change's BENCHMARK.json, which also gives the end-to-end metrics and their
 directions. ``--traced-seed`` adds one ``--seconds 0 --trace 1`` run per
 side. An existing ``--out`` file is extended: its pairs and traced runs are
-kept and the summary is recomputed over all of them. ``src_lines`` holds
+kept and the summary is recomputed over all of them. For each ``--claim``
+the summary's entry of that workload and metric gets a ``claim`` verdict,
+also printed to standard error: the claim holds when at least ten pairs
+ran, the change won at least nine tenths of them (a tie counts for neither
+side) and the medians differ in the change's favour by more than the
+parent's interquartile range. ``src_lines`` holds
 each side's count of lines in ``src/**/*.py``, as ``wc -l`` counts them.
 The tool exits 1 if any run printed ``"correct": false``.
 """
@@ -88,6 +93,18 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def claim_verdict(entry: dict, better: str) -> dict:
+    """Whether one workload's summary ``entry`` of a metric backs a claimed
+    gain: at least 10 pairs, change better in at least 9/10 of them, and a
+    median gain above the parent's q3 - q1."""
+    gain = entry["parent"]["median"] - entry["change"]["median"]
+    gain = gain if better == "lower" else -gain
+    iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
+    wins, pairs = entry["change_better_pairs"], entry["pairs"]
+    return {"holds": bool(pairs >= 10 and wins >= 0.9 * pairs and gain > iqr),
+            "change_better_pairs": wins, "pairs": pairs, "median_gain": gain, "parent_iqr": iqr}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -128,6 +145,16 @@ def main(argv: list[str] | None = None) -> int:
         doc["machine"] = runs[-1]["environment"]  # a change-side run: sides end with "change"
     doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     doc["summary"] = summarise(doc["pairs"], benchmark["end_to_end"])
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    for claim in doc["claims"]:
+        entry = doc["summary"].get(claim["workload"], {}).get(claim["metric"])
+        if entry is None:
+            continue
+        verdict = entry["claim"] = claim_verdict(entry, directions[claim["metric"]])
+        print(f"claim {claim['metric']} on {claim['workload']}: {'holds' if verdict['holds'] else 'fails'} "
+              f"(change better in {verdict['change_better_pairs']} of {verdict['pairs']} pairs; medians differ "
+              f"by {verdict['median_gain']:.4g} against the parent's interquartile range "
+              f"{verdict['parent_iqr']:.4g})", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
 
