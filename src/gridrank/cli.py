@@ -135,11 +135,11 @@ def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
     payload: dict = {}
     if config_path:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"malformed config {path}: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config root must be a JSON object")
@@ -279,7 +279,10 @@ def _scores_for_day(args, config: RunConfig, dataset: griddata.StGrid, day: int)
 
 def cmd_rank(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
-    day = dataset.periods - 1 if args.day == "last" else int(args.day)
+    try:
+        day = dataset.periods - 1 if args.day == "last" else int(args.day)
+    except ValueError:
+        raise ConfigError(f"--day must be a period index or 'last', got {args.day!r}") from None
     if not 0 <= day < dataset.periods:
         raise ConfigError(f"day {day} outside study period [0, {dataset.periods})")
     k = min(10, dataset.n_locations) if args.k is None else args.k
@@ -321,6 +324,8 @@ def cmd_crossk(args, config: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, config: RunConfig) -> int:
+    if args.coords < 1:
+        raise ConfigError(f"--coords must be >= 1, got {args.coords}")
     dataset = griddata.generate_synthetic(config.data.seed, 4, 4, 30, 2)
     model_config = ModelConfig.for_grid(dataset, hidden=4, recurrent_hidden=4,
                                         conv_layers=2, window=2, embed_dim=3)

@@ -29,14 +29,14 @@ ENVELOPE_METHODS = ("minmax", "quantile")
 class CrossKCurve:
     distances: np.ndarray
     values: np.ndarray
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    lo: np.ndarray
+    hi: np.ndarray
     n_sim: int = 0
 
     def validate(self) -> "CrossKCurve":
         if np.any(np.diff(self.values) < -1e-9):
             raise DataError("cross-K values must be non-decreasing in distance")
-        if self.lo is not None and self.hi is not None and np.any(self.lo > self.hi + 1e-12):
+        if np.any(self.lo > self.hi + 1e-12):
             raise DataError("envelope lo exceeds hi")
         return self
 
@@ -93,8 +93,8 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     them as one (n_sim, n_pred, 2) integer array, scores them against the
     true points (grid cells) with one :func:`cross_k` call, and returns
     the pointwise min/max (default) or quantile band. Deterministic for a
-    fixed seed; per-simulation generators are spawned so the reduction
-    order does not matter.
+    fixed seed: simulation i is row i of one (n_sim, n_pred) draw from
+    ``np.random.default_rng(seed)``.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
@@ -103,8 +103,7 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     if n_pred < 1:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
     rows, cols = shape
-    draws = np.stack([np.random.default_rng(child).integers(0, rows * cols, size=n_pred)
-                      for child in np.random.SeedSequence(seed).spawn(n_sim)])
+    draws = np.random.default_rng(seed).integers(0, rows * cols, size=(n_sim, n_pred))
     curves = cross_k(np.stack(np.divmod(draws, cols), axis=-1), true_points, distances, float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
@@ -159,7 +158,5 @@ def write_curve_csv(curve: CrossKCurve, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["d", "khat", "csr_lo", "csr_hi"])
         for i, d in enumerate(curve.distances):
-            lo = "" if curve.lo is None else repr(float(curve.lo[i]))
-            hi = "" if curve.hi is None else repr(float(curve.hi[i]))
-            writer.writerow([repr(float(d)), repr(float(curve.values[i])), lo, hi])
+            writer.writerow([repr(float(v)) for v in (d, curve.values[i], curve.lo[i], curve.hi[i])])
     return path

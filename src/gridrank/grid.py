@@ -408,24 +408,21 @@ def load_grid(manifest_path) -> StGrid:
         manifest_path = manifest_path / MANIFEST_NAME
     if not manifest_path.exists():
         raise DataError(f"missing file: {manifest_path}")
-    with open(manifest_path) as fh:
-        try:
+    try:
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed manifest {manifest_path}: {exc}") from None
-    for key in ("M", "N", "T", "d_t", "d_s", "d_st", "files"):
-        if key not in manifest:
-            raise DataError(f"manifest missing key {key!r}")
-    rows, cols, periods = int(manifest["M"]), int(manifest["N"]), int(manifest["T"])
-    d_t, d_s, d_st = int(manifest["d_t"]), int(manifest["d_s"]), int(manifest["d_st"])
-    base = manifest_path.parent
-    files = manifest["files"]
+        rows, cols, periods = int(manifest["M"]), int(manifest["N"]), int(manifest["T"])
+        d_t, d_s, d_st = int(manifest["d_t"]), int(manifest["d_s"]), int(manifest["d_st"])
+        paths = {name: manifest_path.parent / manifest["files"][name] for name in _AXES}
+        normalization = dict(manifest.get("normalization", {}))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed manifest {manifest_path}: {exc!r}") from None
 
     sizes = {"row": rows, "col": cols, "t": periods}
 
     def load(name: str, width: int) -> np.ndarray:
         axes = {axis: sizes[axis] for axis in _AXES[name]}
-        return _load_keyed(base / files[name], name, axes, _columns(name, width))
+        return _load_keyed(paths[name], name, axes, _columns(name, width))
 
     temporal = load("f_t", d_t)
     spatial = load("f_s", d_s)
@@ -434,5 +431,5 @@ def load_grid(manifest_path) -> StGrid:
 
     grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
                   spatial=spatial, spatiotemporal=st, risk=risk,
-                  normalization=manifest.get("normalization", {}))
+                  normalization=normalization)
     return grid.validate()

@@ -7,9 +7,9 @@ fused tape node) depends only on the parameters and the period t: it
 builds t's graph (dynamic adjacency, gate blend, D^-1 (A + I)
 normalization) and passes the node features (static spatial channels
 concatenated with t's spatiotemporal channels) through the graph-conv
-layers H <- relu(A_hat H W). When the static graph contributes negative
-correlations the degree uses |row sum| + 1e-6 to keep the normalization
-finite (signed message passing). The conv output, concatenated with t's
+layers H <- relu(A_hat H W). The degree is |row sum| + 1e-6: the static
+graph holds negative correlations, so a row sum can be zero or negative
+(signed message passing). The conv output, concatenated with t's
 temporal features, is the input of one recurrent step. The recurrent part
 (``_recurrent``) runs an LSTM-style cell over the window's steps in order,
 one fused tape node per step, and maps its final state linearly to one
@@ -63,6 +63,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import asdict, dataclass, field
@@ -235,26 +236,18 @@ def _no_grad_buffers(s: int) -> dict[str, np.ndarray]:
     return {"graph": np.empty((s, s)), "block": np.empty((adjacency._block_rows(s), s))}
 
 
-def _normalize(matrix: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray | float]:
-    """D^-1 (A + I) in place, d_i = row sum r_i of A + I, or |r_i| + 1e-6
-    when ``signed``; returns the (S, 1) degrees and the row factor s of
-    the gradient (sign(r) when signed, 1 otherwise). The unsigned case
-    runs only when the static graph has no negative entry; then A >= 0
-    (a blend with a gate in [0, 1] of two nonnegative graphs), so every
-    r_i >= 1 and the division is safe."""
+def _normalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^-1 (A + I) in place, d_i = |r_i| + 1e-6 for the row sums r_i of
+    A + I; returns the (S, 1) degrees and sign(r), the row factor s of the
+    gradient."""
     matrix.flat[::matrix.shape[0] + 1] += 1.0
     row_sums = matrix.sum(axis=1, keepdims=True)
-    if signed:
-        slope = np.sign(row_sums)
-        denom = np.abs(row_sums) + 1e-6
-    else:
-        slope = 1.0
-        denom = row_sums
+    denom = np.abs(row_sums) + 1e-6
     matrix /= denom
-    return denom, slope
+    return denom, np.sign(row_sums)
 
 
-def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
+def _period_step(params: ModelParams, grid: StGrid, t: int,
                  work: dict[str, np.ndarray] | None = None) -> Tensor:
     """Input period t's graph, its graph convolutions and its temporal
     features: the (S, hidden + d_t) input of one recurrent step, as one
@@ -287,8 +280,8 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
     V = [H_0 | ... | H_{L-1} | 1]. The gate gets
     dg = <dB, A> - <dB, A_static> (two vdots), and the dynamic graph
     g dB (``adjacency.dynamic_adjacency_grads``). The kinks reported are
-    1[A > 0], 1[r > 0] for the row sums r of A + I when signed, and each
-    layer's 1[P_l > 0].
+    1[A > 0], 1[r > 0] for the row sums r of A + I, and each layer's
+    1[P_l > 0].
     """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t)
     adj, s = params.adjacency, params.config.n_locations
@@ -301,7 +294,7 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
                               out=_buffer(work, "normalized", s, s) if with_grads else graph.matrix,
                               scratch=block)
     a_hat, gate = blended.matrix, blended.gate
-    denom, slope = _normalize(a_hat, signed)
+    denom, slope = _normalize(a_hat)
     layers = [node_features]
     products = []
     for conv in params.conv_weights:
@@ -310,7 +303,7 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, signed: bool,
     out = np.concatenate([layers[-1], temporal_tiled], axis=1)
     kinks = ()
     if graph.active is not None:  # a kink trace is installed
-        kinks = [graph.active] + ([slope > 0.0] if signed else []) + [h > 0.0 for h in layers[1:]]
+        kinks = [graph.active, slope > 0.0] + [h > 0.0 for h in layers[1:]]
 
     learned = params.config.fixed_gate is None
     parents = (adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj) + ((adj.time_gate,) if learned else ())
@@ -424,15 +417,10 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
     return _head(params, state)
 
 
-def _signed(params: ModelParams) -> bool:
-    return bool(np.any(params.static_graph < 0.0))
-
-
 def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     """Scores for every location at the window's target period."""
     _check_window(params, grid, window)
-    signed = _signed(params)
-    return _recurrent(params, [_period_step(params, grid, t, signed) for t in window.inputs()])
+    return _recurrent(params, [_period_step(params, grid, t) for t in window.inputs()])
 
 
 def _pool_workers(s: int) -> int:
@@ -497,8 +485,7 @@ def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> N
         raise failures[min(failures)]
 
 
-def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
-                  signed: bool) -> dict[int, Tensor]:
+def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
     without gradients, keyed in order of first use. Each period goes into
     its own slot, built by one of ``_pool_workers`` threads with that
@@ -512,7 +499,7 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
     built: list[Tensor | None] = [None] * len(periods)
 
     def build(k: int, i: int) -> None:
-        built[i] = _period_step(params, grid, periods[i], signed, buffers[k])
+        built[i] = _period_step(params, grid, periods[i], buffers[k])
 
     with ad.no_grad():
         _in_parallel(workers, len(periods), build)
@@ -527,7 +514,7 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
     windows are scored on ``_pool_workers`` threads, each into its own row.
     """
     out = np.empty((len(windows), params.config.n_locations))
-    steps = _shared_steps(params, grid, windows, _signed(params))
+    steps = _shared_steps(params, grid, windows)
 
     def score(k: int, i: int) -> None:
         out[i] = _recurrent(params, [steps[t] for t in windows[i].inputs()]).data
@@ -546,8 +533,7 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     raise to abort the batch. The three stages are described in the module
     docstring.
     """
-    signed = _signed(params)
-    leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows, signed).items()}
+    leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows).items()}
     values = []
     for window in windows:
         loss = loss_of(window, _recurrent(params, [leaves[t] for t in window.inputs()]))
@@ -558,7 +544,7 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     del leaves  # stage (3) needs the leaves' gradients only, not their values
     work: dict[str, np.ndarray] = {}
     for t in list(seeds):
-        ad.backward(_period_step(params, grid, t, signed, work), seeds.pop(t))
+        ad.backward(_period_step(params, grid, t, work), seeds.pop(t))
     return values
 
 
@@ -602,8 +588,11 @@ def load_checkpoint(directory) -> ModelParams:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         config = ModelConfig(**manifest["config"]).validate()
-        entries = manifest["tensors"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        entries = {entry["name"]: (tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
+                   for entry in manifest["tensors"]}
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
     blob_path = manifest_path.parent / CHECKPOINT_BLOB
     if not blob_path.exists():
@@ -613,15 +602,12 @@ def load_checkpoint(directory) -> ModelParams:
     expected = {name: t.shape for name, t in params.named_tensors()}
     expected["static_graph"] = (config.n_locations, config.n_locations)
     arrays = {}
-    for entry in entries:
-        name = entry["name"]
+    for name, (shape, start) in entries.items():
         if name not in expected:
             raise DataError(f"checkpoint entry {name!r} is not a tensor of this model")
-        shape = tuple(entry["shape"])
         if shape != expected[name]:
             raise DataError(f"checkpoint entry {name} has shape {shape}, the config needs {expected[name]}")
         count = math.prod(shape)
-        start = entry["offset"]
         if start < 0 or start + 8 * count > len(blob):
             raise DataError(f"checkpoint entry {name} needs bytes [{start}, {start + 8 * count}) "
                             f"but {blob_path.name} holds {len(blob)}")

@@ -64,9 +64,6 @@ class TrainConfig(SurrogateConfig):
     warmup_epochs: int = 20
     lr_warmup: float = 1e-3
     lr_main: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 64
     bandwidth: float = 1.0
     warmup_mode: str = "mse"
@@ -276,8 +273,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             for name, tensor in params.named_tensors():
                 if tensor.grad is not None:
                     grads[name] = tensor.grad / len(batch)
-            adam_step(params, adam, grads, lr, train_config.adam_beta1,
-                      train_config.adam_beta2, train_config.adam_eps)
+            adam_step(params, adam, grads, lr)
 
         if not warm and train_config.use_importance:
             # one pass over both splits: the periods they share are built once

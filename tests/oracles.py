@@ -310,7 +310,7 @@ def generic_warmup_loss(relevance, scores, mode):
                      mul(softplus(scores), ad.constant(1.0 - target))))
 
 
-def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
+def generic_graph_block(params, features, static, temporal, fixed_gate):
     """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
     about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
     alpha = params.saturation
@@ -333,7 +333,7 @@ def generic_graph_block(params, features, static, temporal, fixed_gate, signed):
 
     with_loops = add(blended, ad.constant(np.eye(s)))
     row_sums = reshape(sum_(with_loops, axis=1), (s, 1))
-    denom = add(abs_(row_sums), 1e-6) if signed else row_sums
+    denom = add(abs_(row_sums), 1e-6)
     normalized = div(with_loops, broadcast_to(denom, with_loops.shape))
     return dynamic, gate, blended, normalized
 
@@ -391,29 +391,29 @@ def blend_node(dynamic, static, temporal, time_gate, fixed_gate):
     return gate, ad.fused("blend", mixed, (dynamic, gate), grads)
 
 
-def normalized_node(matrix, signed):
-    """D^-1 (A + I) as one tape node, with the signed case's 1[r > 0]
-    reported as a kink."""
+def normalized_node(matrix):
+    """D^-1 (A + I), d_i = |r_i| + 1e-6 for the row sums r_i, as one tape
+    node, with 1[r > 0] reported as a kink."""
     out = matrix.data.copy()
     out.flat[::out.shape[0] + 1] += 1.0
     row_sums = out.sum(axis=1, keepdims=True)
-    slope = np.sign(row_sums) if signed else 1.0
-    denom = np.abs(row_sums) + 1e-6 if signed else row_sums
+    slope = np.sign(row_sums)
+    denom = np.abs(row_sums) + 1e-6
     out /= denom
 
     def grads(g):
         return ((g - np.einsum("ij,ij->i", g, out)[:, None] * slope) / denom,)
 
     return ad.fused("normalized_adjacency", out, (matrix,), grads,
-                    kinks=(row_sums > 0.0,) if signed else ())
+                    kinks=(row_sums > 0.0,))
 
 
-def node_graph_block(params, features, static, temporal, fixed_gate, signed):
+def node_graph_block(params, features, static, temporal, fixed_gate):
     """The graph block as three tape nodes (dynamic graph, blend,
     normalization); returns (dynamic, gate, blended, normalized)."""
     dynamic = dynamic_adjacency_node(params, features)
     gate, blended = blend_node(dynamic, static, temporal, params.time_gate, fixed_gate)
-    return dynamic, gate, blended, normalized_node(blended, signed)
+    return dynamic, gate, blended, normalized_node(blended)
 
 
 def conv_step(params, grid, t, normalized):
@@ -427,12 +427,12 @@ def conv_step(params, grid, t, normalized):
     return concat([h, ad.constant(tiled)], axis=1)
 
 
-def node_period_step(params, grid, t, signed, block=node_graph_block):
+def node_period_step(params, grid, t, block=node_graph_block):
     """The per-period step as the three graph nodes plus generic conv
     ops: the reference for the fused ``model._period_step``. ``block`` may
     be ``generic_graph_block`` instead."""
     normalized = block(params.adjacency, grid.spatiotemporal_at(t), params.static_graph,
-                       grid.temporal[t], params.config.fixed_gate, signed)[-1]
+                       grid.temporal[t], params.config.fixed_gate)[-1]
     return conv_step(params, grid, t, normalized)
 
 
@@ -499,14 +499,14 @@ def pairwise_cross_k(pred_points, true_points, distances, area):
 def csr_envelope_loop(n_pred, true_points, distances, shape, n_sim=99, seed=0, method="minmax",
                       quantiles=(0.025, 0.975)):
     """The CSR envelope scored one simulation at a time with
-    ``pairwise_cross_k``, from the same spawned generators and draws as
+    ``pairwise_cross_k``, from the same generator and draws as
     ``crossk.csr_envelope``."""
     rows, cols = shape
     coords = cell_coordinates(rows, cols)
+    draws = np.random.default_rng(seed).integers(0, rows * cols, size=(n_sim, n_pred))
     curves = np.empty((n_sim, len(distances)))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
-        points = coords[np.random.default_rng(child).integers(0, rows * cols, size=n_pred)]
-        curves[i] = pairwise_cross_k(points, true_points, distances, float(rows * cols))
+    for i, cells in enumerate(draws):
+        curves[i] = pairwise_cross_k(coords[cells], true_points, distances, float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
     return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)

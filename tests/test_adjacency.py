@@ -173,7 +173,7 @@ class TestBlend:
         params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)
         params.static_graph = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
         tensors = [t for _, t in params.adjacency.named_tensors()]
-        report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1, True)), tensors,
+        report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1)), tensors,
                                eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
         assert np.all(params.adjacency.time_gate.grad != 0.0)

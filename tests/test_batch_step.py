@@ -128,9 +128,9 @@ def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):
     built, seeded = [], []
     original_step, original_backward = model._period_step, ad.backward
 
-    def spy_step(params, grid, t, signed, work=None):
+    def spy_step(params, grid, t, work=None):
         built.append((t, ad._grad_enabled))
-        return original_step(params, grid, t, signed, work)
+        return original_step(params, grid, t, work)
 
     def spy_backward(root, grad=None):
         seeded.append(grad is not None)

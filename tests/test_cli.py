@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys, mon
     path.write_text(capsys.readouterr().out)
     config = cli.load_run_config(str(path), [])
     assert config == cli.RunConfig()
-    assert cli.config_hash(config) == "2f5925e398940f3bef114473bccd4ee17481f8a443c15b28d124a09757f227b1"
+    assert cli.config_hash(config) == "3c18cbe529b1ff601fc7fab4bacf6eb270995403fc1441d33f1790a4a0661edf"
 
 
 def test_non_finite_config_file_value_exits_with_config_error(tmp_path, capsys):
@@ -228,3 +229,68 @@ def test_split_that_disagrees_with_the_normalization_is_a_config_error(manifest,
     err = one_line_error(capsys, "config error:")
     assert "data.train_fraction=0.5 splits at period 15" in err and "before 22" in err
     assert not (tmp_path / "run").exists()
+
+
+def edited_copy(path, name, edit):
+    """A copy of the JSON file ``path`` beside it, named ``name``, with
+    ``edit`` applied to its payload; returns the copy's path."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    copy = path.parent / name
+    copy.write_text(json.dumps(payload))
+    return str(copy)
+
+
+@pytest.fixture
+def bad_inputs(manifest, tmp_path):
+    """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
+    the dataset, dataset manifests and checkpoint manifests with one field
+    broken, and a directory."""
+    data = grid.load_grid(manifest)
+    params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3,
+                                                          embed_dim=3))
+    checkpoint = model.save_checkpoint(tmp_path / "ckpt", params)
+    dataset = Path(manifest)
+    return {
+        "{data}": manifest,
+        "{dir}": str(tmp_path),
+        "{out}": str(tmp_path / "out"),
+        "{no_f_t}": edited_copy(dataset, "no_f_t.json", lambda m: m["files"].pop("f_t")),
+        "{M_four}": edited_copy(dataset, "M_four.json", lambda m: m.update(M="four")),
+        "{files_list}": edited_copy(dataset, "files_list.json", lambda m: m.update(files=["f_t.csv"])),
+        "{no_offset}": edited_copy(checkpoint, "no_offset.json", lambda m: m["tensors"][0].pop("offset")),
+        "{no_name}": edited_copy(checkpoint, "no_name.json", lambda m: m["tensors"][1].pop("name")),
+        "{shape_5}": edited_copy(checkpoint, "shape_5.json", lambda m: m["tensors"][0].update(shape=5)),
+        "{offset_half}": edited_copy(checkpoint, "offset_half.json", lambda m: m["tensors"][0].update(offset=0.5)),
+    }
+
+
+EVALUATE_HA = ["evaluate", "--predictor", "ha", "--out", "{out}", "--data"]
+EVALUATE_MODEL = SMALL_MODEL + ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "--out", "{out}",
+                                "--checkpoint"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["rank", "--data", "{data}", "--predictor", "ha", "--day", "foo"], cli.EXIT_CONFIG,
+     "--day must be a period index or 'last', got 'foo'"),
+    (["gradcheck", "--coords", "-5"], cli.EXIT_CONFIG, "--coords must be >= 1, got -5"),
+    (["gradcheck", "--coords", "0"], cli.EXIT_CONFIG, "--coords must be >= 1, got 0"),
+    (["--config", "{dir}", "config-schema"], cli.EXIT_CONFIG, "Is a directory"),
+    (["--set", "train.adam_beta1=1", "config-schema"], cli.EXIT_CONFIG,
+     "unknown config key(s) ['adam_beta1'] in section train"),
+    (["--set", "train.adam_beta2=-3", "--set", "train.adam_eps=0", "config-schema"], cli.EXIT_CONFIG,
+     "unknown config key(s) ['adam_beta2', 'adam_eps'] in section train"),
+    (EVALUATE_HA + ["{no_f_t}"], cli.EXIT_DATA, "KeyError('f_t')"),
+    (EVALUATE_HA + ["{M_four}"], cli.EXIT_DATA, "ValueError"),
+    (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{no_offset}"], cli.EXIT_DATA, "KeyError('offset')"),
+    (EVALUATE_MODEL + ["{no_name}"], cli.EXIT_DATA, "KeyError('name')"),
+    (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
+], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
+        "manifest-no-f_t", "manifest-M-four", "manifest-files-list", "checkpoint-no-offset",
+        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half"])
+def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
+    assert cli.main([bad_inputs.get(arg, arg) for arg in argv]) == code
+    prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:"}[code]
+    assert message in one_line_error(capsys, prefix)

@@ -18,9 +18,9 @@ from oracles import (blend_node, dynamic_adjacency_node, generic_graph_block, no
 D_T, D_S, D_ST, T = 3, 2, 2, 2
 
 
-def step_case(rows, cols, signed, fixed_gate, seed=0, conv_layers=2):
+def step_case(rows, cols, negative, fixed_gate, seed=0, conv_layers=2):
     """A random grid and model whose step has non-trivial values: dense
-    embeddings, a symmetric static graph (|.| of it when unsigned), and
+    embeddings, a symmetric static graph (|.| of it unless ``negative``), and
     output weights for a scalar objective."""
     s = rows * cols
     rng = np.random.default_rng(seed)
@@ -36,7 +36,7 @@ def step_case(rows, cols, signed, fixed_gate, seed=0, conv_layers=2):
     params.adjacency.emb2.data = rng.normal(size=params.adjacency.emb2.shape)
     static = rng.uniform(-1, 1, size=(s, s))
     static = (static + static.T) / 2.0
-    params.static_graph = static if signed else np.abs(static)
+    params.static_graph = static if negative else np.abs(static)
     weights = rng.normal(size=(s, config.hidden + D_T))
     return params, grid, weights
 
@@ -45,10 +45,10 @@ def graph_tensors(params):
     return [t for name, t in params.named_tensors() if name.startswith(("adjacency.", "conv."))]
 
 
-def step_gradients(build, params, grid, signed, weights):
+def step_gradients(build, params, grid, weights):
     """Output bytes and per-tensor gradients of sum(step * weights)."""
     ad.zero_grads(params.tensors())
-    step = build(params, grid, T, signed)
+    step = build(params, grid, T)
     ad.backward(sum_(mul(step, ad.constant(weights))))
     return step.data.tobytes(), {name: None if t.grad is None else t.grad.copy()
                                  for name, t in params.named_tensors()}
@@ -65,61 +65,60 @@ def assert_gradients_agree(got, want, floor=0.0):
         assert np.abs(got[name] - reference).max() <= 1e-12 * scale, name
 
 
-CASES = [(rows, cols, signed, fixed_gate)
+CASES = [(rows, cols, negative, fixed_gate)
          for rows, cols in [(1, 1), (3, 5), (4, 4)]
-         for signed in (True, False)
+         for negative in (True, False)
          for fixed_gate in (None, 0.3)]
 
 
-@pytest.mark.parametrize("rows,cols,signed,fixed_gate", CASES)
-def test_fused_block_matches_generic_ops(rows, cols, signed, fixed_gate):
-    params, grid, weights = step_case(rows, cols, signed, fixed_gate, seed=rows * 10 + cols)
-    fused_bytes, fused = step_gradients(model._period_step, params, grid, signed, weights)
+@pytest.mark.parametrize("rows,cols,negative,fixed_gate", CASES)
+def test_fused_block_matches_generic_ops(rows, cols, negative, fixed_gate):
+    params, grid, weights = step_case(rows, cols, negative, fixed_gate, seed=rows * 10 + cols)
+    fused_bytes, fused = step_gradients(model._period_step, params, grid, weights)
     generic_bytes, generic = step_gradients(
-        lambda p, g, t, sg: node_period_step(p, g, t, sg, block=generic_graph_block), params, grid, signed,
-        weights)
+        lambda p, g, t: node_period_step(p, g, t, block=generic_graph_block), params, grid, weights)
     assert fused_bytes == generic_bytes
-    # At S = 1 and signed, A_hat = r / (|r| + 1e-6) is 1 - O(1e-6): both
+    # At S = 1 and negative, A_hat = r / (|r| + 1e-6) is 1 - O(1e-6): both
     # paths get its gradient as a difference of two terms of the incoming
     # gradient's size, so that size is the scale of their rounding.
-    floor = np.abs(weights).max() if rows * cols == 1 and signed else 0.0
+    floor = np.abs(weights).max() if rows * cols == 1 and negative else 0.0
     assert_gradients_agree(fused, generic, floor)
 
 
-@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("negative", [True, False])
 @pytest.mark.parametrize("fixed_gate", [None, 0.0, 0.5, 1.0])
 @pytest.mark.parametrize("block_entries", [None, 120])
-def test_fused_step_matches_three_node_oracle(signed, fixed_gate, block_entries, monkeypatch):
+def test_fused_step_matches_three_node_oracle(negative, fixed_gate, block_entries, monkeypatch):
     """On a 4 x 6 grid; with 120 entries per block the 24 rows of the
     mask-and-scale pass run as blocks of 5, 5, 5, 5 and 4."""
     if block_entries is not None:
         monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
-    params, grid, weights = step_case(4, 6, signed, fixed_gate, seed=5)
-    fused_bytes, fused = step_gradients(model._period_step, params, grid, signed, weights)
-    oracle_bytes, oracle = step_gradients(node_period_step, params, grid, signed, weights)
+    params, grid, weights = step_case(4, 6, negative, fixed_gate, seed=5)
+    fused_bytes, fused = step_gradients(model._period_step, params, grid, weights)
+    oracle_bytes, oracle = step_gradients(node_period_step, params, grid, weights)
     assert fused_bytes == oracle_bytes
     assert_gradients_agree(fused, oracle)
     with ad.no_grad():
-        assert model._period_step(params, grid, T, signed, {}).data.tobytes() == fused_bytes
+        assert model._period_step(params, grid, T, {}).data.tobytes() == fused_bytes
 
 
-@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("negative", [True, False])
 @pytest.mark.parametrize("fixed_gate", [None, 0.5])
-def test_fused_step_grad_check_and_kinks(signed, fixed_gate):
-    params, grid, weights = step_case(3, 4, signed, fixed_gate, seed=7, conv_layers=3)
+def test_fused_step_grad_check_and_kinks(negative, fixed_gate):
+    params, grid, weights = step_case(3, 4, negative, fixed_gate, seed=7, conv_layers=3)
     tensors = graph_tensors(params)
-    report = ad.grad_check(lambda: sum_(mul(model._period_step(params, grid, T, signed),
+    report = ad.grad_check(lambda: sum_(mul(model._period_step(params, grid, T),
                                                ad.constant(weights))),
                            tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     # The fused node reports the masks of the three nodes and the conv
     # relus, in their order, with and without gradients.
     with ad._kink_tracing() as oracle_trace:
-        node_period_step(params, grid, T, signed)
+        node_period_step(params, grid, T)
     for context in (ad.no_grad, contextlib.nullcontext):
         with context(), ad._kink_tracing() as trace:
-            model._period_step(params, grid, T, signed, {})
-        assert len(trace) == 1 + signed + 3
+            model._period_step(params, grid, T, {})
+        assert len(trace) == 1 + 1 + 3
         assert all(np.array_equal(a, b) for a, b in zip(trace, oracle_trace, strict=True))
 
 
@@ -161,30 +160,30 @@ def test_blend_grad_check(fixed_gate):
     assert blended.matrix.tobytes() == node.data.tobytes() and blended.gate == gate.item()
 
 
-@pytest.mark.parametrize("signed", [True, False])
-def test_normalized_adjacency_grad_check_and_kink_trace(signed):
+@pytest.mark.parametrize("negative", [True, False])
+def test_normalized_adjacency_grad_check_and_kink_trace(negative):
     rng = np.random.default_rng(4)
-    matrix = ad.parameter(rng.uniform(-1, 1, size=(5, 5)) if signed else rng.uniform(0, 1, size=(5, 5)))
+    matrix = ad.parameter(rng.uniform(-1, 1, size=(5, 5)) if negative else rng.uniform(0, 1, size=(5, 5)))
     weights = rng.normal(size=(5, 5))
 
     def objective():
-        return sum_(mul(normalized_node(matrix, signed), ad.constant(weights)))
+        return sum_(mul(normalized_node(matrix), ad.constant(weights)))
 
     report = ad.grad_check(objective, [matrix], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     with ad._kink_tracing() as trace:
-        node = normalized_node(matrix, signed)
+        node = normalized_node(matrix)
     row_sums = (matrix.data + np.eye(5)).sum(axis=1, keepdims=True)
-    assert [t.tolist() for t in trace] == ([(row_sums > 0.0).tolist()] if signed else [])
+    assert [t.tolist() for t in trace] == [(row_sums > 0.0).tolist()]
     in_place = matrix.data.copy()
-    _, slope = model._normalize(in_place, signed)
+    _, slope = model._normalize(in_place)
     assert in_place.tobytes() == node.data.tobytes()
-    assert np.array_equal(np.broadcast_to(slope, (5, 1)), np.sign(row_sums) if signed else np.ones((5, 1)))
+    assert np.array_equal(slope, np.sign(row_sums))
 
 
 def test_period_step_is_one_tape_node():
     params, grid, _ = step_case(3, 4, True, None, seed=3)
-    step = model._period_step(params, grid, T, True)
+    step = model._period_step(params, grid, T)
     assert set(map(id, step._parents)) == set(map(id, graph_tensors(params)))
     assert all(not p._parents for p in step._parents)
 

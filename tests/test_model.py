@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -106,24 +105,20 @@ class TestForward:
         permuted = model.forward(params_swapped, swapped, window).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
-    def test_normalized_rows_sum_to_one_for_nonnegative_graph(self, tiny_config, dataset):
-        """With the same node features at every location, A_hat H = H in
-        every layer exactly when A_hat's rows sum to one, so every row of
-        the conv output is relu(relu(x W0) W1)."""
-        params = make_params(tiny_config, dataset)
-        params.static_graph = np.abs(params.static_graph)
-        t = 4
-        spatiotemporal = dataset.spatiotemporal.copy()
-        spatiotemporal[:, :, t] = spatiotemporal[0, 0, t]
-        uniform = dataclasses.replace(dataset, spatial=np.broadcast_to(dataset.spatial[:1, :1], dataset.spatial.shape),
-                                      spatiotemporal=spatiotemporal, attrs={})
-        x = np.concatenate([uniform.spatial[0, 0], spatiotemporal[0, 0, t]])[None, :]
-        w0, w1 = (w.data for w in params.conv_weights)
-        expected = np.maximum(np.maximum(x @ w0, 0.0) @ w1, 0.0)
-        assert np.any(expected > 0.0)
-        step = model._period_step(params, uniform, t, model._signed(params))
-        assert not model._signed(params)
-        assert np.allclose(step.data[:, :tiny_config.hidden], expected, rtol=0.0, atol=1e-12)
+    def test_normalize_divides_each_row_by_its_absolute_sum(self, dataset):
+        """One degree rule for a nonnegative and a signed static graph:
+        row i of A + I over |r_i| + 1e-6, and sign(r) as the gradient's row
+        factor."""
+        static = pearson_static(dataset.risk[:, :, :20])
+        assert np.any(static < 0.0)
+        for graph in (np.abs(static), static):
+            with_loops = graph + np.eye(len(graph))
+            row_sums = with_loops.sum(axis=1)
+            normalized = graph.copy()
+            denom, slope = model._normalize(normalized)
+            for i, row in enumerate(with_loops):
+                assert normalized[i].tobytes() == (row / (abs(row_sums[i]) + 1e-6)).tobytes()
+                assert denom[i, 0] == abs(row_sums[i]) + 1e-6 and slope[i, 0] == np.sign(row_sums[i])
 
     def test_gradients_full_model(self, dataset):
         config = model.ModelConfig.for_grid(dataset, hidden=3, recurrent_hidden=3,

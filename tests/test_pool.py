@@ -38,13 +38,13 @@ def pooled():
         pytest.skip("one CPU available: the pool does not run")
 
 
-def pool_params(data, signed, fixed_gate):
+def pool_params(data, negative, fixed_gate):
     config = model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=3, window=WINDOW, embed_dim=3,
                                         fixed_gate=fixed_gate)
     params = model.init_params(config, seed=1)
     static = pearson_static(data.risk[:, :, :16])
-    params.static_graph = static if signed else np.abs(static)
-    assert model._signed(params) == signed
+    params.static_graph = static if negative else np.abs(static)
+    assert np.any(params.static_graph < 0.0) == negative
     return params
 
 
@@ -57,14 +57,14 @@ def spy_builds(monkeypatch, off_main=None):
     threads, failures, other = set(), [], threading.Event()
     original = model._period_step
 
-    def spy(params, grid, t, signed, work=None):
+    def spy(params, grid, t, work=None):
         threads.add(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
             other.wait(timeout=10)
-            return original(params, grid, t, signed, work)
+            return original(params, grid, t, work)
         other.set()
         try:
-            return original(params if off_main is None else off_main, grid, t, signed, work)
+            return original(params if off_main is None else off_main, grid, t, work)
         except NumericalError:
             failures.append(t)
             raise
@@ -80,12 +80,12 @@ def test_worker_rule():
         assert model._pool_workers(1024) == 1
 
 
-CASES = [(signed, fixed_gate) for signed in (True, False) for fixed_gate in (None, 0.5)]
+CASES = [(negative, fixed_gate) for negative in (True, False) for fixed_gate in (None, 0.5)]
 
 
-@pytest.mark.parametrize("signed,fixed_gate", CASES)
-def test_pooled_predictions_equal_the_serial_loop(data, signed, fixed_gate, pooled, monkeypatch):
-    params = pool_params(data, signed, fixed_gate)
+@pytest.mark.parametrize("negative,fixed_gate", CASES)
+def test_pooled_predictions_equal_the_serial_loop(data, negative, fixed_gate, pooled, monkeypatch):
+    params = pool_params(data, negative, fixed_gate)
     windows = [Window(t, WINDOW) for t in TARGETS]
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
@@ -95,9 +95,9 @@ def test_pooled_predictions_equal_the_serial_loop(data, signed, fixed_gate, pool
     assert scores.tobytes() == serial.tobytes()
 
 
-@pytest.mark.parametrize("signed,fixed_gate", CASES)
-def test_pooled_batch_step_equals_the_serial_one(data, signed, fixed_gate, pooled, monkeypatch):
-    params = pool_params(data, signed, fixed_gate)
+@pytest.mark.parametrize("negative,fixed_gate", CASES)
+def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, pooled, monkeypatch):
+    params = pool_params(data, negative, fixed_gate)
     windows = [Window(t, WINDOW) for t in TARGETS[:5]]
     loss_of = loss_maker("hybrid", data)
 
@@ -135,19 +135,19 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
     assert scores.tobytes() == serial.tobytes()
 
 
-@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("negative", [True, False])
 @pytest.mark.parametrize("fixed_gate", [None, 0.5])
-def test_block_scratch_build_equals_the_build_with_gradients(signed, fixed_gate):
+def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gate):
     """S = 12 x 25 = 300 is no multiple of its 109-row block (nor of 8, where
     OpenBLAS's row blocks and full product can differ in the last bits)."""
-    params, grid, _ = step_case(12, 25, signed, fixed_gate, seed=2)
+    params, grid, _ = step_case(12, 25, negative, fixed_gate, seed=2)
     rows = adjacency._block_rows(300)
     assert rows == 109 and 300 % rows
-    with_grads = model._period_step(params, grid, T, signed, {})
+    with_grads = model._period_step(params, grid, T, {})
     work = model._no_grad_buffers(300)
     assert work["block"].shape == (rows, 300)
     with ad.no_grad():
-        without = model._period_step(params, grid, T, signed, work)
+        without = model._period_step(params, grid, T, work)
     assert without.data.tobytes() == with_grads.data.tobytes()
     assert set(work) == {"graph", "block"}
 
