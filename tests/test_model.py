@@ -112,13 +112,12 @@ class TestForward:
         static = pearson_static(dataset.risk[:, :, :20])
         assert np.any(static < 0.0)
         for graph in (np.abs(static), static):
-            with_loops = graph + np.eye(len(graph))
-            row_sums = with_loops.sum(axis=1)
             normalized = graph.copy()
             denom, slope = model._normalize(normalized)
-            for i, row in enumerate(with_loops):
-                assert normalized[i].tobytes() == (row / (abs(row_sums[i]) + 1e-6)).tobytes()
-                assert denom[i, 0] == abs(row_sums[i]) + 1e-6 and slope[i, 0] == np.sign(row_sums[i])
+            for i, row in enumerate(graph + np.eye(len(graph))):
+                degree = abs(row.sum()) + 1e-6
+                assert normalized[i].tobytes() == (row / degree).tobytes()
+                assert denom[i, 0] == degree and slope[i, 0] == np.sign(row.sum())
 
     def test_gradients_full_model(self, dataset):
         config = model.ModelConfig.for_grid(dataset, hidden=3, recurrent_hidden=3,
