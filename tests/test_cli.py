@@ -266,8 +266,7 @@ def bad_inputs(manifest, tmp_path):
 
 
 EVALUATE_HA = ["evaluate", "--predictor", "ha", "--out", "{out}", "--data"]
-EVALUATE_MODEL = SMALL_MODEL + ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "--out", "{out}",
-                                "--checkpoint"]
+EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "--out", "{out}", "--checkpoint"]
 
 
 @pytest.mark.parametrize("argv,code,message", [
