@@ -3,9 +3,9 @@
 One JSON config file drives every subcommand; ``--set section.key=value``
 flags override file values (flags win). Unknown config keys are
 rejected. Outputs land under one run directory together with a
-``run.json`` provenance record (resolved config, its hash, seed,
-versions). Exit codes: 0 success, 2 config error, 3 data error, 4
-numerical failure, 5 gradient-check failure.
+``run.json`` provenance record (resolved config, its hash, versions);
+the resolved config holds every seed. Exit codes: 0 success, 2 config
+error, 3 data error, 4 numerical failure, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field
@@ -74,6 +73,7 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
+        self.model.validate()
         self.train.validate()
         if not 0.0 < self.data.train_fraction < 1.0:
             raise ConfigError(f"data.train_fraction must be in (0, 1), got {self.data.train_fraction}")
@@ -145,11 +145,7 @@ def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
             raise ConfigError("config root must be a JSON object")
     for override in overrides:
         _apply_override(payload, override)
-    config = _from_dict(RunConfig, payload)
-    env_out = os.environ.get("GRIDRANK_OUT_DIR")
-    if env_out:
-        config.out_dir = env_out
-    return config.validate()
+    return _from_dict(RunConfig, payload).validate()
 
 
 def _apply_override(payload: dict, assignment: str) -> None:
@@ -175,13 +171,12 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_run_record(config: RunConfig, command: str, out_dir: Path, seed: int) -> None:
+def write_run_record(config: RunConfig, command: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
         "command": command,
         "config": asdict(config),
         "config_sha256": config_hash(config),
-        "seed": seed,
         "versions": {"gridrank": __version__,
                      "python": ".".join(str(v) for v in sys.version_info[:3]),
                      "numpy": np.__version__},
@@ -214,7 +209,7 @@ def cmd_gen_data(args, config: RunConfig) -> int:
                                           d_st=data.d_st, train_fraction=data.train_fraction)
     out_dir = Path(args.out or config.out_dir)
     manifest = griddata.save_grid(dataset, out_dir)
-    write_run_record(config, "gen-data", out_dir, data.seed)
+    write_run_record(config, "gen-data", out_dir)
     print(f"wrote dataset manifest {manifest}")
     return EXIT_OK
 
@@ -228,7 +223,7 @@ def cmd_train(args, config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint", state.best_params())
     training.write_training_log(state, out_dir / "training_log.csv")
-    write_run_record(config, "train", out_dir, config.train.seed)
+    write_run_record(config, "train", out_dir)
     best = "n/a" if state.best_metric in (None, -np.inf) else f"{state.best_metric:.4f}"
     print(f"trained {state.epochs_run} epochs; best val ndcg@{config.train.eval_k} = {best} "
           f"(epoch {state.best_epoch}); checkpoint in {out_dir}")
@@ -254,7 +249,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
         stem = "report_ha"
     report.write_json(out_dir / f"{stem}.json")
     report.write_csv(out_dir / f"{stem}.csv")
-    write_run_record(config, "evaluate", out_dir, config.train.seed)
+    write_run_record(config, "evaluate", out_dir)
     for k in ks:
         row = report.lookup("ndcg", k)
         shown = "undefined" if row.mean is None else f"{row.mean:.4f}"
@@ -318,7 +313,7 @@ def cmd_crossk(args, config: RunConfig) -> int:
                                        seed=config.eval.crossk_seed,
                                        method=config.eval.envelope)
     path = crossk.write_curve_csv(curve, out_dir / f"{stem}.csv")
-    write_run_record(config, "crossk", out_dir, config.eval.crossk_seed)
+    write_run_record(config, "crossk", out_dir)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -375,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset manifest")
     p.add_argument("--out", help="dataset directory")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser("train", help="train and write checkpoint + log")
@@ -419,8 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_run_config(args.config, args.overrides)
-        if getattr(args, "seed", None) is not None:
-            config.data.seed = args.seed
         if getattr(args, "command", "") in ("evaluate", "rank", "crossk"):
             if getattr(args, "predictor", "model") == "model" and not getattr(args, "checkpoint", None):
                 raise ConfigError("--checkpoint is required with the model predictor")

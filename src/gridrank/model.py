@@ -91,7 +91,18 @@ class ModelSection:
     embed_dim: int = 16
     saturation: float = 3.0
     fixed_gate: float | None = None
-    seed: int | None = None
+
+    def validate(self) -> "ModelSection":
+        sizes = {"hidden": self.hidden, "recurrent_hidden": self.recurrent_hidden,
+                 "conv_layers": self.conv_layers, "window": self.window, "embed_dim": self.embed_dim}
+        for name, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        if self.saturation <= 0:
+            raise ConfigError(f"saturation must be positive, got {self.saturation}")
+        if self.fixed_gate is not None and not 0.0 <= self.fixed_gate <= 1.0:
+            raise ConfigError(f"fixed_gate must be in [0, 1], got {self.fixed_gate}")
+        return self
 
 
 @dataclass(kw_only=True)
@@ -114,16 +125,11 @@ class ModelConfig(ModelSection):
         return self.rows * self.cols
 
     def validate(self) -> "ModelConfig":
-        sizes = {"rows": self.rows, "cols": self.cols, "d_t": self.d_t, "d_s": self.d_s,
-                 "d_st": self.d_st, "hidden": self.hidden, "recurrent_hidden": self.recurrent_hidden,
-                 "conv_layers": self.conv_layers, "window": self.window, "embed_dim": self.embed_dim}
+        sizes = {"rows": self.rows, "cols": self.cols, "d_t": self.d_t, "d_s": self.d_s, "d_st": self.d_st}
         for name, value in sizes.items():
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.saturation <= 0:
-            raise ConfigError(f"saturation must be positive, got {self.saturation}")
-        if self.fixed_gate is not None and not 0.0 <= self.fixed_gate <= 1.0:
-            raise ConfigError(f"fixed_gate must be in [0, 1], got {self.fixed_gate}")
+        super().validate()
         return self
 
 
@@ -164,13 +170,12 @@ class ModelParams:
         self.static_graph = np.array(state["static_graph"], dtype=np.float64)
 
 
-def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
+def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Deterministic initialization: uniform(-k, k) with k = sqrt(1/fan_in),
     embeddings standard normal scaled by 0.1, static graph zeros until the
-    trainer supplies the correlation graph."""
+    trainer supplies the correlation graph. ``seed`` alone seeds the draw;
+    ``training.train`` passes ``train.seed``."""
     config.validate()
-    if seed is None:
-        seed = config.seed if config.seed is not None else 0
     rng = np.random.default_rng(seed)
     s = config.n_locations
 
@@ -598,7 +603,7 @@ def load_checkpoint(directory) -> ModelParams:
     if not blob_path.exists():
         raise DataError(f"missing file: {blob_path}")
     blob = blob_path.read_bytes()
-    params = init_params(config, seed=config.seed if config.seed is not None else 0)
+    params = init_params(config)
     expected = {name: t.shape for name, t in params.named_tensors()}
     expected["static_graph"] = (config.n_locations, config.n_locations)
     arrays = {}

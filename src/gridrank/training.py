@@ -192,8 +192,7 @@ class TrainState:
         """Parameters of the best validation epoch (current if none logged)."""
         if self.best_snapshot is None:
             return self.params
-        restored = init_params(self.params.config,
-                               seed=self.params.config.seed if self.params.config.seed is not None else 0)
+        restored = init_params(self.params.config)
         restored.load_snapshot(self.best_snapshot)
         return restored
 
@@ -230,8 +229,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     y_train = risk[:, train_days].T.copy()
     y_val = risk[:, val_days].T.copy()
 
-    seed = model_config.seed if model_config.seed is not None else train_config.seed
-    params = init_params(model_config, seed=seed)
+    params = init_params(model_config, seed=train_config.seed)
     params.static_graph = _static_graph(grid, splits.train_end)
     adam = AdamState.for_params(params)
     importance = sampling.uniform_distribution(grid.n_locations)

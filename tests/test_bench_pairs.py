@@ -3,6 +3,7 @@ prints a fixed record, so no workload runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     parent = stub_checkout(tmp_path, "parent", 10.0, src_lines=12)
     change = stub_checkout(tmp_path, "change", 7.0, src_lines=9)
     out = tmp_path / "BENCH_9.json"
-    common = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
+    common = ["--parent", str(parent), "--parent-commit", "abc123", "--change", str(change), "--out", str(out)]
     assert bench_pairs.main(common + ["--workload", "w1", "--seeds", "1-3", "--claim", "pass_s"]) == 0
     assert bench_pairs.main(common + ["--workload", "w2", "--seeds", "4", "--traced-seed", "21"]) == 0
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
@@ -58,7 +59,7 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert doc["claims"] == [{"workload": "w1", "metric": "pass_s"}]
     assert [p["first"] for p in doc["pairs"]] == ["parent", "change", "parent", "parent"]
     assert doc["machine"] == {"side": "change"} and len(doc["traced"]) == 1
-    assert doc["src_lines"] == {"parent": 12, "change": 9}
+    assert doc["src_lines"] == {"parent": 12, "change": 9} and doc["parent_commit"] == "abc123"
     w1 = doc["summary"]["w1"]
     assert w1["pass_s"]["parent"] == {"median": 12.0, "q1": 11.5, "q3": 12.5}
     assert w1["pass_s"]["change_better_pairs"] == 3 and w1["pass_s"]["pairs"] == 3
@@ -70,6 +71,28 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert "claim" not in w1["ndcg10"] and "claim" not in doc["summary"]["w2"]["pass_s"]
 
 
+def test_parent_commit_comes_from_git_or_the_option(tmp_path, capsys):
+    """A stub checkout has no git HEAD: without --parent-commit the tool
+    exits 2 with one line before any run; once the parent is a git
+    repository, its HEAD is recorded."""
+    parent = stub_checkout(tmp_path, "parent", 10.0)
+    change = stub_checkout(tmp_path, "change", 7.0)
+    out = tmp_path / "BENCH.json"
+    common = ["--parent", str(parent), "--change", str(change), "--out", str(out), "--workload", "w", "--seeds", "1"]
+    assert bench_pairs.main(common) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--parent-commit" in err
+    assert not out.exists() and not (tmp_path / "order.log").exists()
+
+    git = ["git", "-C", str(parent), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.main(common) == 0
+    assert json.loads(out.read_text())["parent_commit"] == head
+
+
 @pytest.mark.parametrize("change_pass,holds", [(4.0, True), (7.0, False)])
 def test_claim_verdict_is_written_and_printed(tmp_path, capsys, change_pass, holds):
     """Parent pass_s 11..20 s (median 15.5, quartiles 13.25 and 17.75): a
@@ -78,8 +101,8 @@ def test_claim_verdict_is_written_and_printed(tmp_path, capsys, change_pass, hol
     parent = stub_checkout(tmp_path, "parent", 10.0)
     change = stub_checkout(tmp_path, "change", change_pass)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
-                             "--workload", "w", "--seeds", "1-10", "--claim", "pass_s"]) == 0
+    assert bench_pairs.main(["--parent", str(parent), "--parent-commit", "abc123", "--change", str(change),
+                             "--out", str(out), "--workload", "w", "--seeds", "1-10", "--claim", "pass_s"]) == 0
     verdict = json.loads(out.read_text())["summary"]["w"]["pass_s"]["claim"]
     assert verdict == {"holds": holds, "change_better_pairs": 10, "pairs": 10,
                        "median_gain": 10.0 - change_pass, "parent_iqr": 4.5}

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridrank import cli, grid, model, training
@@ -23,6 +24,10 @@ from gridrank import cli, grid, model, training
     ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
     ("train.lr_main=Infinity", "train.lr_main must be a finite number, got inf"),
     ("train.gain_cap=-Infinity", "train.gain_cap must be a finite number, got -inf"),
+    ("model.hidden=0", "hidden must be positive, got 0"),
+    ("model.saturation=-1", "saturation must be positive, got -1.0"),
+    ("model.fixed_gate=2", "fixed_gate must be in [0, 1], got 2.0"),
+    ("model.window=0", "window must be positive, got 0"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):
     assert cli.main(["--set", override, "config-schema"]) == cli.EXIT_CONFIG
@@ -30,14 +35,13 @@ def test_bad_override_exits_with_config_error(override, message, capsys):
     assert err.count("\n") == 1 and message in err
 
 
-def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GRIDRANK_OUT_DIR", raising=False)
+def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys):
     assert cli.main(["config-schema"]) == cli.EXIT_OK
     path = tmp_path / "default.json"
     path.write_text(capsys.readouterr().out)
     config = cli.load_run_config(str(path), [])
     assert config == cli.RunConfig()
-    assert cli.config_hash(config) == "3c18cbe529b1ff601fc7fab4bacf6eb270995403fc1441d33f1790a4a0661edf"
+    assert cli.config_hash(config) == "b66c4396b6fdcb7417b53b83f9d5d9a775fbdc033e5585f1c495efe0247f3cfd"
 
 
 def test_non_finite_config_file_value_exits_with_config_error(tmp_path, capsys):
@@ -190,6 +194,43 @@ def window3_checkpoint(manifest, tmp_path):
     return str(tmp_path / "run" / "checkpoint")
 
 
+def train_checkpoint(manifest, out, *settings) -> Path:
+    """Train the small model with ``--set`` ``settings``; its checkpoint directory."""
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    assert cli.main(SMALL_MODEL + overrides + ["train", "--data", manifest, "--out", str(out)]) == cli.EXIT_OK
+    return out / "checkpoint"
+
+
+def test_untrained_checkpoint_holds_the_train_seed_draw(manifest, tmp_path):
+    checkpoint = train_checkpoint(manifest, tmp_path / "run", "train.epochs=0", "train.warmup_epochs=0",
+                                  "train.seed=5")
+    saved = model.load_checkpoint(checkpoint).named_tensors()
+    config = model.ModelConfig.for_grid(grid.load_grid(manifest), hidden=4, recurrent_hidden=4, window=3,
+                                        embed_dim=3)
+    drawn = model.init_params(config, seed=5).named_tensors()
+    assert [name for name, _ in saved] == [name for name, _ in drawn]
+    assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(saved, drawn))
+    other = model.init_params(config, seed=6).named_tensors()
+    assert not all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(saved, other))
+    record = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert "seed" not in record and record["config"]["train"]["seed"] == 5
+
+
+def test_train_seed_alone_fixes_the_checkpoint_bytes(manifest, tmp_path):
+    schedule = ("train.epochs=2", "train.warmup_epochs=1", "train.batch_size=4")
+    blobs = [(train_checkpoint(manifest, tmp_path / f"run{i}", *schedule, f"train.seed={seed}")
+              / model.CHECKPOINT_BLOB).read_bytes() for i, seed in enumerate((5, 5, 6))]
+    assert blobs[0] == blobs[1] and blobs[0] != blobs[2]
+
+
+def test_only_the_config_sets_the_data_seed_and_the_out_dir(monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data", "--seed", "3"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    monkeypatch.setenv("GRIDRANK_OUT_DIR", "runs/env")
+    assert cli.load_run_config(None, []).out_dir == cli.RunConfig().out_dir
+
+
 def test_crossk_takes_the_window_from_the_checkpoint(manifest, window3_checkpoint, tmp_path):
     written = []
     for extra in ([], ["--set", "model.window=3"]):
@@ -262,6 +303,7 @@ def bad_inputs(manifest, tmp_path):
         "{no_name}": edited_copy(checkpoint, "no_name.json", lambda m: m["tensors"][1].pop("name")),
         "{shape_5}": edited_copy(checkpoint, "shape_5.json", lambda m: m["tensors"][0].update(shape=5)),
         "{offset_half}": edited_copy(checkpoint, "offset_half.json", lambda m: m["tensors"][0].update(offset=0.5)),
+        "{seed_null}": edited_copy(checkpoint, "seed_null.json", lambda m: m["config"].update(seed=None)),
     }
 
 
@@ -279,6 +321,7 @@ EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "-
      "unknown config key(s) ['adam_beta1'] in section train"),
     (["--set", "train.adam_beta2=-3", "--set", "train.adam_eps=0", "config-schema"], cli.EXIT_CONFIG,
      "unknown config key(s) ['adam_beta2', 'adam_eps'] in section train"),
+    (["--set", "model.seed=1", "config-schema"], cli.EXIT_CONFIG, "unknown config key(s) ['seed'] in section model"),
     (EVALUATE_HA + ["{no_f_t}"], cli.EXIT_DATA, "KeyError('f_t')"),
     (EVALUATE_HA + ["{M_four}"], cli.EXIT_DATA, "ValueError"),
     (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "TypeError"),
@@ -286,9 +329,10 @@ EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "-
     (EVALUATE_MODEL + ["{no_name}"], cli.EXIT_DATA, "KeyError('name')"),
     (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "TypeError"),
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
-        "manifest-no-f_t", "manifest-M-four", "manifest-files-list", "checkpoint-no-offset",
-        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half"])
+        "model-seed", "manifest-no-f_t", "manifest-M-four", "manifest-files-list", "checkpoint-no-offset",
+        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null"])
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     assert cli.main([bad_inputs.get(arg, arg) for arg in argv]) == code
     prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:"}[code]

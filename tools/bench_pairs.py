@@ -18,7 +18,10 @@ ran, the change won at least nine tenths of them (a tie counts for neither
 side) and the medians differ in the change's favour by more than the
 parent's interquartile range. ``src_lines`` holds
 each side's count of lines in ``src/**/*.py``, as ``wc -l`` counts them.
-The tool exits 1 if any run printed ``"correct": false``.
+``parent_commit`` is ``git rev-parse HEAD`` in the parent checkout or, for
+a copy without git history (``git archive``), the ``--parent-commit``
+value; with neither the tool exits 2 before any run. The tool exits 1 if
+any run printed ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ def claim_verdict(entry: dict, better: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--parent-commit", help="the parent's commit, if its checkout has no git HEAD")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=[], help="e.g. 171-180 or 171,173")
@@ -115,6 +119,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", help="the end-to-end metric this workload's pairs back")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    parent_commit = git_head(args.parent) or args.parent_commit
+    if parent_commit is None:
+        print(f"{args.parent} has no git HEAD; give its commit with --parent-commit", file=sys.stderr)
+        return 2
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -123,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                 "plus one --trace 1 run per side and workload.",
         "command": f"python3 bench/run.py --workload <w> --seed <n> --seconds {seconds} --trace 0 (pairs); "
                    "--seconds 0 --trace 1 (traced)",
-        "parent_commit": git_head(args.parent), "claims": [], "pairs": [], "traced": []}
+        "parent_commit": parent_commit, "claims": [], "pairs": [], "traced": []}
     if args.claim:
         doc["claims"].append({"workload": args.workload, "metric": args.claim})
     sides = {"parent": args.parent, "change": args.change}
