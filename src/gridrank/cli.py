@@ -220,10 +220,9 @@ def cmd_train(args, config: RunConfig) -> int:
     model_config = ModelConfig.for_grid(dataset, **asdict(config.model))
     state = training.train(dataset, splits, model_config, config.train, eval_radius=config.eval.radius)
     out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    write_run_record(config, "train", out_dir)  # creates out_dir
     save_checkpoint(out_dir / "checkpoint", state.best_params())
     training.write_training_log(state, out_dir / "training_log.csv")
-    write_run_record(config, "train", out_dir)
     best = "n/a" if state.best_metric in (None, -np.inf) else f"{state.best_metric:.4f}"
     print(f"trained {state.epochs_run} epochs; best val ndcg@{config.train.eval_k} = {best} "
           f"(epoch {state.best_epoch}); checkpoint in {out_dir}")
@@ -233,8 +232,6 @@ def cmd_train(args, config: RunConfig) -> int:
 def cmd_evaluate(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
     splits = _splits_for(config, dataset)
-    out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ks = list(config.eval.ks)
     too_large = [k for k in ks if k > dataset.n_locations]
     if too_large:
@@ -247,9 +244,10 @@ def cmd_evaluate(args, config: RunConfig) -> int:
         report = training.baseline_report(dataset, splits, config.model.window, ks,
                                           config.eval.radius)
         stem = "report_ha"
+    out_dir = Path(args.out or config.out_dir)
+    write_run_record(config, "evaluate", out_dir)  # creates out_dir
     report.write_json(out_dir / f"{stem}.json")
     report.write_csv(out_dir / f"{stem}.csv")
-    write_run_record(config, "evaluate", out_dir)
     for k in ks:
         row = report.lookup("ndcg", k)
         shown = "undefined" if row.mean is None else f"{row.mean:.4f}"
@@ -300,8 +298,6 @@ def cmd_crossk(args, config: RunConfig) -> int:
         raise ConfigError(f"eval.crossk_k={config.eval.crossk_k} exceeds the grid's "
                           f"{dataset.n_locations} locations")
     splits = _splits_for(config, dataset)
-    out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = load_checkpoint(Path(args.checkpoint)) if args.predictor == "model" else None
     window = config.model.window if params is None else params.config.window
     _, actual, predicted = training.scored_split(dataset, splits, window, params)
@@ -312,8 +308,9 @@ def cmd_crossk(args, config: RunConfig) -> int:
                                        n_sim=config.eval.crossk_sims,
                                        seed=config.eval.crossk_seed,
                                        method=config.eval.envelope)
+    out_dir = Path(args.out or config.out_dir)
+    write_run_record(config, "crossk", out_dir)  # creates out_dir
     path = crossk.write_curve_csv(curve, out_dir / f"{stem}.csv")
-    write_run_record(config, "crossk", out_dir)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -352,20 +353,6 @@ def save_grid(grid: StGrid, directory) -> Path:
     return path
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV: {path}") from None
-        if header != expected_header:
-            raise DataError(f"bad header in {path.name}: {header}, expected {expected_header}")
-        return [row for row in reader if row]
-
-
 _AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
 
 
@@ -373,13 +360,28 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
     """A CSV whose leading integer columns ``axes`` (header name -> size)
     key one row each, as an array of shape (*sizes, len(columns)). Every
     key must lie inside its axis and every cell must be present exactly
-    once; a repeated key is a data error."""
-    records = _read_rows(path, list(axes) + columns)
-    width = len(axes) + len(columns)
-    try:
-        table = np.array(records, dtype=np.float64).reshape(len(records), width)
-    except ValueError as exc:
-        raise DataError(f"malformed rows in {path.name}: {exc}") from None
+    once; a repeated key is a data error. The header must match exactly;
+    numpy's C reader (``np.loadtxt``) parses the body: commas, optional
+    double quotes, LF or CRLF, blank lines skipped, no comment lines, and
+    numpy's float spellings only (Python's ``1_000`` is malformed)."""
+    if not path.exists():
+        raise DataError(f"missing file: {path}")
+    header = list(axes) + columns
+    with open(path, newline="") as fh:
+        found = next(csv.reader(fh), None)
+        if found is None:
+            raise DataError(f"empty CSV: {path}")
+        if found != header:
+            raise DataError(f"bad header in {path.name}: {found}, expected {header}")
+        with warnings.catch_warnings():
+            # a header-only file is reported below as a missing record
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                # one field as wide as the header makes a row of any other width malformed
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                                   dtype=[("row", np.float64, (len(header),))])["row"]
+            except ValueError as exc:
+                raise DataError(f"malformed rows in {path.name}: {exc}") from None
     keys = table[:, :len(axes)].astype(int)
     if not np.array_equal(keys, table[:, :len(axes)]):
         raise DataError(f"non-integer key in {path.name}")
@@ -396,13 +398,14 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
         missing = ", ".join(f"{axis}={int(i)}" for axis, i in zip(axes, np.argwhere(~seen)[0]))
         expected = ", ".join(f"{_AXIS_NAMES[axis]}={size}" for axis, size in axes.items())
         raise DataError(f"dimension mismatch in {name}: missing record at ({missing}); expected {expected}")
-    if len(records) > seen.size:
-        raise DataError(f"repeated key in {name}: {len(records)} rows for {seen.size} cells")
+    if len(table) > seen.size:
+        raise DataError(f"repeated key in {name}: {len(table)} rows for {seen.size} cells")
     return out
 
 
 def load_grid(manifest_path) -> StGrid:
-    """Load and validate a dataset from its manifest."""
+    """Load and validate a dataset from its manifest; numpy's C reader parses each CSV
+    (see :func:`_load_keyed`)."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME

@@ -167,6 +167,7 @@ class ModelParams:
     def load_snapshot(self, state: dict[str, np.ndarray]) -> None:
         for name, t in self.named_tensors():
             t.data = np.array(state[name], dtype=np.float64)
+        self.static_graph = None  # free the old S x S graph before copying the new one
         self.static_graph = np.array(state["static_graph"], dtype=np.float64)
 
 
@@ -616,8 +617,7 @@ def load_checkpoint(directory) -> ModelParams:
         if start < 0 or start + 8 * count > len(blob):
             raise DataError(f"checkpoint entry {name} needs bytes [{start}, {start + 8 * count}) "
                             f"but {blob_path.name} holds {len(blob)}")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                     offset=start).reshape(shape).astype(np.float64)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
     missing = sorted(expected.keys() - arrays.keys())
     if missing:
         raise DataError(f"checkpoint lacks entries {missing}")

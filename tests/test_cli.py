@@ -100,6 +100,7 @@ def test_evaluate_cutoff_above_grid_size_is_a_config_error(manifest, tmp_path, c
                      "--out", str(tmp_path / "eval")])
     assert code == cli.EXIT_CONFIG
     assert "[17] exceed the grid's 16 locations" in one_line_error(capsys, "config error:")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_crossk_cutoff_above_grid_size_is_a_config_error(manifest, tmp_path, capsys):
@@ -282,6 +283,17 @@ def edited_copy(path, name, edit):
     return str(copy)
 
 
+def dataset_copy(manifest, directory, name, edit):
+    """A copy of the dataset at ``manifest`` in ``directory``, with ``edit``
+    applied to the lines of its CSV ``name``; returns the copy's manifest."""
+    source = Path(manifest).parent
+    directory.mkdir()
+    for path in source.iterdir():
+        lines = path.read_text().splitlines()
+        (directory / path.name).write_text("\n".join(edit(lines) if path.name == name else lines) + "\n")
+    return str(directory / "manifest.json")
+
+
 @pytest.fixture
 def bad_inputs(manifest, tmp_path):
     """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
@@ -304,11 +316,19 @@ def bad_inputs(manifest, tmp_path):
         "{shape_5}": edited_copy(checkpoint, "shape_5.json", lambda m: m["tensors"][0].update(shape=5)),
         "{offset_half}": edited_copy(checkpoint, "offset_half.json", lambda m: m["tensors"][0].update(offset=0.5)),
         "{seed_null}": edited_copy(checkpoint, "seed_null.json", lambda m: m["config"].update(seed=None)),
+        "{no_checkpoint}": str(tmp_path / "absent"),
+        "{f_st_abc}": dataset_copy(manifest, tmp_path / "f_st_abc", "f_st.csv",
+                                   lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:]),
+        "{y_header_only}": dataset_copy(manifest, tmp_path / "y_header_only", "y.csv", lambda lines: lines[:1]),
     }
 
 
 EVALUATE_HA = ["evaluate", "--predictor", "ha", "--out", "{out}", "--data"]
 EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "--out", "{out}", "--checkpoint"]
+TRAIN = ["train", "--out", "{out}", "--data"]
+CROSSK_HA = ["crossk", "--predictor", "ha", "--out", "{out}", "--data"]
+BAD_F_ST = "malformed rows in f_st.csv: could not convert string 'abc'"
+NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -330,10 +350,24 @@ EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "-
     (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{no_checkpoint}"], cli.EXIT_DATA, "missing file"),
+    (["crossk", "--checkpoint", "{no_checkpoint}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
+     "missing file"),
+    (TRAIN + ["{f_st_abc}"], cli.EXIT_DATA, BAD_F_ST),
+    (EVALUATE_HA + ["{f_st_abc}"], cli.EXIT_DATA, BAD_F_ST),
+    (CROSSK_HA + ["{f_st_abc}"], cli.EXIT_DATA, BAD_F_ST),
+    (TRAIN + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
+    (EVALUATE_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
+    (CROSSK_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "manifest-no-f_t", "manifest-M-four", "manifest-files-list", "checkpoint-no-offset",
-        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null"])
+        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null",
+        "evaluate-no-checkpoint", "crossk-no-checkpoint", "train-f_st-abc", "evaluate-f_st-abc",
+        "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only", "crossk-y-header-only"])
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
+    """Each bad input exits with its code and one stderr line, and leaves
+    no run directory behind."""
     assert cli.main([bad_inputs.get(arg, arg) for arg in argv]) == code
     prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:"}[code]
     assert message in one_line_error(capsys, prefix)
+    assert not Path(bad_inputs["{out}"]).exists()

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,9 @@ class TestManifestIO:
         (lambda lines: lines[:1] + ["0,0,0"] + lines[2:], "malformed rows in y.csv"),
         (lambda lines: lines[:1] + ["0,0,0,abc"] + lines[2:], "malformed rows in y.csv: .*'abc'"),
         (lambda lines: lines[:1] + ["0,0,0.5,1"] + lines[2:], "non-integer key in y.csv"),
+        (lambda lines: lines[:1] + ["#" + lines[1]] + lines[2:], "malformed rows in y.csv: .*'#0'"),
+        (lambda lines: lines[:1] + [lines[1] + ",0"] + lines[2:], "malformed rows in y.csv: .*4 columns but 5"),
+        (lambda lines: lines[:1] + ["0,0,0,1_000"] + lines[2:], "malformed rows in y.csv: .*'1_000'"),
     ])
     def test_malformed_rows_are_data_errors(self, small, tmp_path, edit, message):
         manifest = grid.save_grid(small, tmp_path / "ds")
@@ -179,3 +184,47 @@ class TestManifestIO:
         y_path.write_text("\n".join(edit(y_path.read_text().splitlines())) + "\n")
         with pytest.raises(DataError, match=message):
             grid.load_grid(manifest)
+
+    def test_header_only_file_is_a_missing_record_without_a_warning(self, small, tmp_path):
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        (tmp_path / "ds" / "y.csv").write_text("row,col,t,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"dimension mismatch in y: missing record at \(row=0, col=0, t=0\)"):
+                grid.load_grid(manifest)
+
+    def test_extreme_floats_round_trip_bit_for_bit(self, small, tmp_path):
+        extremes = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.30000000000000004]
+        st = small.spatiotemporal.copy()
+        st.reshape(-1)[:len(extremes)] = extremes
+        edited = grid.StGrid(rows=small.rows, cols=small.cols, periods=small.periods, temporal=small.temporal,
+                             spatial=small.spatial, spatiotemporal=st, risk=small.risk).validate()
+        loaded = grid.load_grid(grid.save_grid(edited, tmp_path / "ds"))
+        assert loaded.spatiotemporal.tobytes() == st.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n"),
+        lambda text: "\n".join(",".join(f'"{cell}"' for cell in line.split(",")) for line in text.splitlines()) + "\n",
+    ], ids=["crlf", "blank-lines", "quoted-fields"])
+    def test_csv_reader_variants_are_accepted(self, small, tmp_path, edit):
+        """Line ends, blank lines and quoting that ``csv.reader`` accepted
+        parse to the same values."""
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        for name in ("f_st.csv", "y.csv"):
+            path = tmp_path / "ds" / name
+            path.write_bytes(edit(path.read_text()).encode())
+        loaded = grid.load_grid(manifest)
+        assert np.array_equal(loaded.spatiotemporal, small.spatiotemporal)
+        assert np.array_equal(loaded.risk, small.risk)
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        manifest = grid.save_grid(grid.generate_synthetic(7, 16, 16, 60, 3), tmp_path / "ds")
+        tracemalloc.start()
+        try:
+            loaded = grid.load_grid(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (loaded.temporal, loaded.spatial, loaded.spatiotemporal, loaded.risk))
+        assert peak < 5 * kept, (peak, kept)
