@@ -30,16 +30,13 @@ from .errors import DataError, ShapeError
 def pearson_static(risk: np.ndarray) -> np.ndarray:
     """(S, S) pairwise correlation of per-location risk series.
 
-    ``risk`` is (rows, cols, T_train) or (S, T_train), training periods
-    only. Zero-variance locations get zero rows/columns (including the
+    ``risk`` is (rows, cols, T_train), training periods only.
+    Zero-variance locations get zero rows/columns (including the
     diagonal); all other diagonal entries are exactly 1.
     """
-    if risk.ndim == 3:
-        series = risk.reshape(-1, risk.shape[-1])
-    elif risk.ndim == 2:
-        series = risk
-    else:
-        raise ShapeError(f"pearson_static expects (rows, cols, T) or (S, T), got {risk.shape}")
+    if risk.ndim != 3:
+        raise ShapeError(f"pearson_static expects (rows, cols, T), got {risk.shape}")
+    series = risk.reshape(-1, risk.shape[-1])
     if series.shape[1] < 2:
         raise DataError(f"correlation needs at least 2 training periods, got {series.shape[1]}")
     centered = series - series.mean(axis=1, keepdims=True)
@@ -95,12 +92,6 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
 # the row-block scratch of a build without gradients: 256 KB, which timed
 # fastest at S = 1024 (one BLAS thread, 2-vCPU VM).
 _BLOCK_ENTRIES = 32768
-# ``model.predictions_for`` and the first stage of ``model.batch_backward``
-# build their periods, and ``predictions_for`` scores its windows, on
-# min(_POOL_WORKERS, CPUs available) threads once S x S >= _POOL_MIN_ENTRIES
-# (S >= 256); the ``model`` docstring gives the timings behind the rule.
-_POOL_MIN_ENTRIES = 1 << 16
-_POOL_WORKERS = 2
 
 
 def _block_rows(s: int) -> int:

@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__, autodiff, crossk, grid as griddata, metrics, training
 from .errors import ConfigError, DataError, NumericalError
 from .losses import SurrogateConfig, hybrid_objective
-from .model import ModelConfig, ModelSection, forward, init_params, load_checkpoint, save_checkpoint
+from .model import (ModelConfig, ModelSection, forward, init_params, load_checkpoint, predictions_for,
+                    save_checkpoint)
 from .training import Splits, TrainConfig
 
 EXIT_OK = 0
@@ -265,9 +266,7 @@ def _scores_for_day(args, config: RunConfig, dataset: griddata.StGrid, day: int)
     params = load_checkpoint(Path(args.checkpoint))
     if day < params.config.window:
         raise ConfigError(f"day {day} has no length-{params.config.window} input window")
-    window = griddata.Window(day, params.config.window)
-    with autodiff.no_grad():
-        return forward(params, dataset, window).data
+    return predictions_for(params, dataset, [griddata.Window(day, params.config.window)])[0]
 
 
 def cmd_rank(args, config: RunConfig) -> int:
@@ -330,7 +329,7 @@ def cmd_gradcheck(args, config: RunConfig) -> int:
     day = dataset.risk_by_location()[:, window.target]
 
     report_forward = autodiff.grad_check(
-        lambda: training.warmup_loss(day, forward(params, dataset, window), "mse"),
+        lambda: training.warmup_loss(day, forward(params, dataset, window)),
         tensors, eps=1e-5, tol=1e-4, max_coords=args.coords,
         rng=np.random.default_rng(config.data.seed))
     surrogate = SurrogateConfig(margin=1.0, local_weight=0.5, radius=2.0).validate()

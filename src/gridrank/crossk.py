@@ -31,7 +31,6 @@ class CrossKCurve:
     values: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    n_sim: int = 0
 
     def validate(self) -> "CrossKCurve":
         if np.any(np.diff(self.values) < -1e-9):
@@ -148,8 +147,7 @@ def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,
     return CrossKCurve(distances=distances,
                        values=np.mean(value_rows, axis=0),
                        lo=np.mean(lo_rows, axis=0),
-                       hi=np.mean(hi_rows, axis=0),
-                       n_sim=n_sim).validate()
+                       hi=np.mean(hi_rows, axis=0)).validate()
 
 
 def write_curve_csv(curve: CrossKCurve, path) -> Path:

@@ -382,8 +382,10 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
                                    dtype=[("row", np.float64, (len(header),))])["row"]
             except ValueError as exc:
                 raise DataError(f"malformed rows in {path.name}: {exc}") from None
-    keys = table[:, :len(axes)].astype(int)
-    if not np.array_equal(keys, table[:, :len(axes)]):
+    raw = table[:, :len(axes)]
+    castable = np.abs(raw) < 2.0 ** 63  # False for NaN, infinities and keys beyond int64
+    keys = np.where(castable, raw, 0.0).astype(int)
+    if not (castable.all() and np.array_equal(keys, raw)):
         raise DataError(f"non-integer key in {path.name}")
     for position, (axis, size) in enumerate(axes.items()):
         if keys.size and (keys[:, position].min() < 0 or keys[:, position].max() >= size):

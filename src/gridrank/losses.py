@@ -47,8 +47,9 @@ class SurrogateConfig:
     local_weight: mix of the neighborhood objective in [0, 1];
     radius: neighborhood radius in cells;
     weight_mode: "weight" (soft) or "sample" (hard subset);
-    sample_fraction: drawn fraction of the positive set in sample mode;
-    gain_cap: optional cap on relevance inside 2^y - 1 (off by default).
+    sample_fraction: drawn fraction of the positive set in sample mode.
+
+    Both objectives use the gain 2^y - 1 of the float relevance.
     """
 
     margin: float = 1.0
@@ -56,7 +57,6 @@ class SurrogateConfig:
     radius: float = 2.0
     weight_mode: str = "sample"
     sample_fraction: float = 0.5
-    gain_cap: float | None = None
 
     def validate(self) -> "SurrogateConfig":
         if not self.margin > 0:
@@ -139,9 +139,9 @@ def _bounded_gain(scores: Tensor, groups: list[tuple | None], margin: float) -> 
                     kinks=[hinge > 0.0 for _, _, _, hinge, _, _ in parts])
 
 
-def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarray | None,
-                        gain_cap: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positives, their validated weights (default 1) and the gain-capped relevance."""
+def _weighted_positives(relevance: np.ndarray, scores: Tensor,
+                        weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positives, their validated weights (default 1) and the float relevance."""
     relevance = np.asarray(relevance, dtype=np.float64)
     if relevance.size != scores.size:
         raise ShapeError(f"relevance length {relevance.size} vs scores length {scores.size}")
@@ -154,30 +154,29 @@ def _weighted_positives(relevance: np.ndarray, scores: Tensor, weights: np.ndarr
             raise ShapeError(f"weights shape {weights.shape} does not match positives {positives.size}")
         if np.any(weights < 0):
             raise DataError("weights must be non-negative")
-    capped = relevance if gain_cap is None else np.minimum(relevance, gain_cap)
-    return positives, weights, capped
+    return positives, weights, relevance
 
 
-def _global_group(positives: np.ndarray, weights: np.ndarray, capped: np.ndarray) -> tuple | None:
+def _global_group(positives: np.ndarray, weights: np.ndarray, relevance: np.ndarray) -> tuple | None:
     """The global objective's one list of all S cells, or None when no
     positive has a nonzero weight."""
     active = weights > 0
     if not active.any():
         return None
     targets = positives[active]
-    coeff = weights[active] * (np.exp2(capped[targets]) - 1.0) / metrics.ideal_dcg(capped, capped.size)
-    return np.arange(capped.size)[None], targets[None], coeff[None], None
+    coeff = weights[active] * (np.exp2(relevance[targets]) - 1.0) / metrics.ideal_dcg(relevance, relevance.size)
+    return np.arange(relevance.size)[None], targets[None], coeff[None], None
 
 
-def _local_group(positives: np.ndarray, weights: np.ndarray, capped: np.ndarray, radius: float,
+def _local_group(positives: np.ndarray, weights: np.ndarray, relevance: np.ndarray, radius: float,
                  shape: tuple[int, int]) -> tuple | None:
     """The local objective's padded neighbourhood lists, one per active
     centre, or None when there is no active centre."""
     rows, cols = shape
-    if capped.size != rows * cols:
-        raise ShapeError(f"relevance and scores length {capped.size}, grid {shape}")
+    if relevance.size != rows * cols:
+        raise ShapeError(f"relevance and scores length {relevance.size}, grid {shape}")
     members, valid = neighbourhood_stencil(rows, cols, float(radius))
-    local_rel = np.where(valid[positives], capped[members[positives]], 0.0)
+    local_rel = np.where(valid[positives], relevance[members[positives]], 0.0)
     z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
     active = (weights > 0) & (z > 0)
     if not active.any():
@@ -192,19 +191,19 @@ def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateCon
                      weights: np.ndarray | None = None, shape: tuple[int, int] = (0, 0)) -> Tensor:
     """(1 - local_weight) * global objective + local_weight * local objective.
 
-    Positives and weights are validated, and the relevance capped at
-    ``gain_cap``, once for both parts. An empty positive set or all-zero
-    weights give 0; local neighbourhoods with zero ideal gain contribute
-    0. The mix enters as a factor on the per-positive weights, and both
-    parts are list groups of one tape node; a part with mix 0 is never
-    built (a purely global objective needs no grid shape). Value to
+    Positives and weights are validated once for both parts, and both
+    use the gain 2^y - 1 of the float relevance. An empty positive set
+    or all-zero weights give 0; local neighbourhoods with zero ideal gain
+    contribute 0. The mix enters as a factor on the per-positive weights,
+    and both parts are list groups of one tape node; a part with mix 0 is
+    never built (a purely global objective needs no grid shape). Value to
     maximize.
     """
-    positives, weights, capped = _weighted_positives(relevance, scores, weights, config.gain_cap)
+    positives, weights, relevance = _weighted_positives(relevance, scores, weights)
     sigma = config.local_weight
-    groups = [_global_group(positives, (1.0 - sigma) * weights, capped)]
+    groups = [_global_group(positives, (1.0 - sigma) * weights, relevance)]
     if sigma != 0.0:
-        groups.append(_local_group(positives, sigma * weights, capped, config.radius, shape))
+        groups.append(_local_group(positives, sigma * weights, relevance, config.radius, shape))
     return _bounded_gain(scores, groups, config.margin)
 
 

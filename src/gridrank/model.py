@@ -24,7 +24,7 @@ calls. A build without gradients holds one S x S buffer and a row block
 of at most ``adjacency._BLOCK_ENTRIES`` entries; the rebuilds of
 ``batch_backward`` share two S x S buffers and a row block.
 
-From S x S = ``adjacency._POOL_MIN_ENTRIES`` = 2^16 entries (S = 256),
+From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256),
 ``predictions_for`` and stage (1) of ``batch_backward`` build their periods,
 and ``predictions_for`` scores its windows, on min(``_POOL_WORKERS`` = 2,
 CPUs available) threads: the calling thread and threads started for the
@@ -429,15 +429,21 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     return _recurrent(params, [_period_step(params, grid, t) for t in window.inputs()])
 
 
+# The thread rule of ``_pool_workers`` (S >= 256); the module docstring
+# gives the timings behind it.
+_POOL_MIN_ENTRIES = 1 << 16
+_POOL_WORKERS = 2
+
+
 def _pool_workers(s: int) -> int:
     """Threads for the builds and windows of one call: one below
-    ``adjacency._POOL_MIN_ENTRIES`` or while a kink trace is installed
-    (its masks would arrive in thread order), else
-    min(``adjacency._POOL_WORKERS``, CPUs available to the process)."""
-    if s * s < adjacency._POOL_MIN_ENTRIES or ad.tracing_kinks():
+    ``_POOL_MIN_ENTRIES`` or while a kink trace is installed (its masks
+    would arrive in thread order), else min(``_POOL_WORKERS``, CPUs
+    available to the process)."""
+    if s * s < _POOL_MIN_ENTRIES or ad.tracing_kinks():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(adjacency._POOL_WORKERS, cpus)
+    return min(_POOL_WORKERS, cpus)
 
 
 @functools.cache

@@ -2,12 +2,11 @@
 optimization, Adam updates, best-checkpoint tracking.
 
 One epoch = shuffled mini-batches of target days. During warm-up the
-objective is a pointwise regression (mean squared error by default,
-optional occurrence cross-entropy) and the importance distribution stays
-uniform. Afterwards each day contributes the negated hybrid surrogate
-with weights drawn from the current importance distribution; the
-distribution is refreshed from full-training-split predictions at the
-end of every epoch.
+objective is the mean squared error against the raw risk and the
+importance distribution stays uniform. Afterwards each day contributes
+the negated hybrid surrogate with weights drawn from the current
+importance distribution; the distribution is refreshed from
+full-training-split predictions at the end of every epoch.
 
 Each mini-batch's gradient comes from ``model.batch_backward``: every
 distinct input period's graph block is built once without gradients,
@@ -39,8 +38,6 @@ from .grid import StGrid, Window
 from .losses import SurrogateConfig
 from .model import ModelConfig, ModelParams, batch_backward, init_params, predictions_for
 
-WARMUP_MODES = ("mse", "bce")
-
 
 @dataclass(frozen=True)
 class Splits:
@@ -57,8 +54,9 @@ class Splits:
 @dataclass
 class TrainConfig(SurrogateConfig):
     """The ``train`` section of a run config: the surrogate's fields
-    (margin, local_weight, radius, weight_mode, sample_fraction, gain_cap)
-    plus the optimisation schedule."""
+    (margin, local_weight, radius, weight_mode, sample_fraction) plus the
+    optimisation schedule. Warm-up epochs minimize the mean squared error
+    (``warmup_loss``), the rest the negated hybrid surrogate."""
 
     epochs: int = 100
     warmup_epochs: int = 20
@@ -66,7 +64,6 @@ class TrainConfig(SurrogateConfig):
     lr_main: float = 1e-4
     batch_size: int = 64
     bandwidth: float = 1.0
-    warmup_mode: str = "mse"
     use_importance: bool = True
     eval_k: int = 10
     early_stop_patience: int | None = None
@@ -83,8 +80,6 @@ class TrainConfig(SurrogateConfig):
             raise ConfigError("batch_size must be >= 1")
         if self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
-        if self.warmup_mode not in WARMUP_MODES:
-            raise ConfigError(f"warmup_mode must be one of {WARMUP_MODES}")
         if self.eval_k < 1:
             raise ConfigError("eval_k must be >= 1")
         super().validate()
@@ -129,32 +124,17 @@ def adam_step(params: ModelParams, state: AdamState, grads: dict[str, np.ndarray
     return state
 
 
-def warmup_loss(relevance: np.ndarray, scores: Tensor, mode: str = "mse") -> Tensor:
-    """Pointwise regression objective minimized during warm-up, as one
-    tape node.
-
-    mse: mean squared error against the raw risk; cell i's gradient is
-    2 (s_i - y_i) / n. bce: occurrence cross-entropy in nats against
-    1[y > 0] with the scores as logits, written as the mean of
-    softplus(z) for the signed logit z = -s where y > 0 and z = s
-    elsewhere; cell i's gradient is sigmoid(z_i) / n times -1 where
-    y_i > 0 and times 1 elsewhere.
-    """
+def warmup_loss(relevance: np.ndarray, scores: Tensor) -> Tensor:
+    """Mean squared error against the raw risk, the objective minimized
+    during warm-up, as one tape node: cell i's gradient is
+    2 (s_i - y_i) / n."""
     relevance = np.asarray(relevance, dtype=np.float64)
     if relevance.shape != scores.shape:
         raise DataError(f"shape mismatch: relevance {relevance.shape} vs scores {scores.shape}")
-    if mode == "mse":
-        diff = scores.data - relevance
-        per_cell, slope = diff * diff, 2.0 * diff
-    elif mode == "bce":
-        occurred = relevance > 0
-        logits = np.where(occurred, -scores.data, scores.data)
-        per_cell = np.logaddexp(0.0, logits)
-        slope = np.where(occurred, -1.0, 1.0) * ad._stable_sigmoid(logits)
-    else:
-        raise ConfigError(f"unknown warmup mode {mode!r}")
-    count = per_cell.size
-    return ad.fused(f"warmup_{mode}", np.asarray(per_cell.mean()), (scores,), lambda g: ((g / count) * slope,))
+    diff = scores.data - relevance
+    slope = 2.0 * diff
+    count = diff.size
+    return ad.fused("warmup_mse", np.asarray((diff * diff).mean()), (scores,), lambda g: ((g / count) * slope,))
 
 
 def split_windows(grid: StGrid, splits: Splits, length: int) -> tuple[list[Window], list[Window]]:
@@ -180,7 +160,6 @@ def historical_average(grid: StGrid, splits: Splits) -> np.ndarray:
 @dataclass
 class TrainState:
     params: ModelParams
-    adam: AdamState
     epochs_run: int
     importance: sampling.ImportanceDist
     best_epoch: int | None = None
@@ -235,7 +214,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)
 
-    state = TrainState(params=params, adam=adam, epochs_run=0, importance=importance)
+    state = TrainState(params=params, epochs_run=0, importance=importance)
     stale = 0
     for epoch in range(train_config.epochs):
         started = time.perf_counter()
@@ -245,7 +224,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         def loss_of(window: Window, scores: Tensor) -> Tensor:
             day_risk = risk[:, window.target]
             if warm:
-                loss = warmup_loss(day_risk, scores, train_config.warmup_mode)
+                loss = warmup_loss(day_risk, scores)
             else:
                 positives = losses.positive_locations(day_risk)
                 weights = None

@@ -18,8 +18,8 @@ node, which only tests and the chains below use:
   ``generic_bounded_gain``, which compose the per-period graph block, the
   recurrent cell and the ranking surrogate from generic ops as the
   references for the fused nodes that replace those chains;
-  ``generic_warmup_loss``, the warm-up regression as the generic chain
-  the fused warm-up node replaces;
+  ``generic_warmup_loss``, the warm-up mean squared error as the generic
+  chain the fused warm-up node replaces;
 * ``node_period_step``, the per-period step as three graph nodes (dynamic
   graph, blend, normalization, each with its own hand-written backward)
   plus generic conv ops, the reference for the one fused step node;
@@ -300,14 +300,10 @@ def generic_bounded_gain(scores, groups, margin):
     return functools.reduce(add, parts) if parts else ad.constant(0.0)
 
 
-def generic_warmup_loss(relevance, scores, mode):
-    """The warm-up regression (mse or bce) from generic ops: the reference
-    for ``training.warmup_loss``."""
-    if mode == "mse":
-        return mean_(square(sub(scores, ad.constant(relevance))))
-    target = (relevance > 0).astype(np.float64)
-    return mean_(add(mul(softplus(neg(scores)), ad.constant(target)),
-                     mul(softplus(scores), ad.constant(1.0 - target))))
+def generic_warmup_loss(relevance, scores):
+    """The warm-up mean squared error from generic ops: the reference for
+    ``training.warmup_loss``."""
+    return mean_(square(sub(scores, ad.constant(relevance))))
 
 
 def generic_graph_block(params, features, static, temporal, fixed_gate):

@@ -17,39 +17,41 @@ def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4, saturation=3.
 class TestPearsonStatic:
     def test_identical_series_correlate_fully(self):
         series = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        static = adjacency.pearson_static(series)
+        static = adjacency.pearson_static(series[:, None])
         assert static[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anticorrelation(self):
         series = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        static = adjacency.pearson_static(series)
+        static = adjacency.pearson_static(series[:, None])
         assert static[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_deviations_give_zero(self):
         series = np.array([[1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 2.0]])
-        static = adjacency.pearson_static(series)
+        static = adjacency.pearson_static(series[:, None])
         assert static[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_variance_rows_zeroed(self):
         series = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-        static = adjacency.pearson_static(series)
+        static = adjacency.pearson_static(series[:, None])
         assert static[0, 0] == 0.0
         assert static[0, 1] == 0.0
         assert static[1, 1] == 1.0
 
     def test_symmetric_and_bounded(self, rng):
         series = rng.poisson(1.5, size=(25, 40)).astype(float)
-        matrix = adjacency.pearson_static(series)
+        matrix = adjacency.pearson_static(series[:, None])
         assert np.array_equal(matrix, matrix.T)
         assert np.abs(matrix).max() <= 1.0 + 1e-12
 
     def test_accepts_grid_tensor(self, rng):
         risk = rng.poisson(1.0, size=(3, 4, 10)).astype(float)
         assert adjacency.pearson_static(risk).shape == (12, 12)
+        with pytest.raises(ShapeError, match=r"expects \(rows, cols, T\)"):
+            adjacency.pearson_static(risk.reshape(12, 10))
 
     def test_needs_two_periods(self):
         with pytest.raises(DataError, match="at least 2"):
-            adjacency.pearson_static(np.ones((4, 1)))
+            adjacency.pearson_static(np.ones((4, 1, 1)))
 
 
 class TestDynamicAdjacency:

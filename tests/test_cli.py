@@ -23,7 +23,7 @@ from gridrank import cli, grid, model, training
     ("eval.radius=NaN", "eval.radius must be a finite number, got nan"),
     ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
     ("train.lr_main=Infinity", "train.lr_main must be a finite number, got inf"),
-    ("train.gain_cap=-Infinity", "train.gain_cap must be a finite number, got -inf"),
+    ("model.fixed_gate=-Infinity", "model.fixed_gate must be a finite number, got -inf"),
     ("model.hidden=0", "hidden must be positive, got 0"),
     ("model.saturation=-1", "saturation must be positive, got -1.0"),
     ("model.fixed_gate=2", "fixed_gate must be in [0, 1], got 2.0"),
@@ -41,7 +41,7 @@ def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys):
     path.write_text(capsys.readouterr().out)
     config = cli.load_run_config(str(path), [])
     assert config == cli.RunConfig()
-    assert cli.config_hash(config) == "b66c4396b6fdcb7417b53b83f9d5d9a775fbdc033e5585f1c495efe0247f3cfd"
+    assert cli.config_hash(config) == "15e21905583cc283ca008e3051eda249de8b161403844e4898999ce301426915"
 
 
 def test_non_finite_config_file_value_exits_with_config_error(tmp_path, capsys):
@@ -60,11 +60,14 @@ def test_gradcheck_passes_on_both_checks(capsys):
 
 def test_file_and_override_values_coerced_by_field_type(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"train": {"lr_main": 1, "gain_cap": 3}, "eval": {"ks": [5, 10]}}')
-    config = cli.load_run_config(str(path), ["train.epochs=30", "model.fixed_gate=null", "out_dir=runs/x"])
+    path.write_text('{"train": {"lr_main": 1, "early_stop_patience": 3}, "model": {"fixed_gate": 1}, '
+                    '"eval": {"ks": [5, 10]}}')
+    config = cli.load_run_config(str(path), ["train.epochs=30", "train.early_stop_patience=null",
+                                             "out_dir=runs/x"])
     assert config.train.lr_main == 1.0 and isinstance(config.train.lr_main, float)
-    assert config.train.gain_cap == 3.0 and config.train.epochs == 30
-    assert config.model.fixed_gate is None and config.eval.ks == [5, 10] and config.out_dir == "runs/x"
+    assert config.model.fixed_gate == 1.0 and isinstance(config.model.fixed_gate, float)
+    assert config.train.epochs == 30 and config.train.early_stop_patience is None
+    assert config.eval.ks == [5, 10] and config.out_dir == "runs/x"
 
 
 SMALL_MODEL = ["--set", "model.hidden=4", "--set", "model.recurrent_hidden=4", "--set", "model.window=3",
@@ -294,6 +297,11 @@ def dataset_copy(manifest, directory, name, edit):
     return str(directory / "manifest.json")
 
 
+def first_key(text):
+    """An edit for ``dataset_copy`` that sets the first key of the first record to ``text``."""
+    return lambda lines: lines[:1] + [text + "," + lines[1].split(",", 1)[1]] + lines[2:]
+
+
 @pytest.fixture
 def bad_inputs(manifest, tmp_path):
     """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
@@ -320,6 +328,8 @@ def bad_inputs(manifest, tmp_path):
         "{f_st_abc}": dataset_copy(manifest, tmp_path / "f_st_abc", "f_st.csv",
                                    lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:]),
         "{y_header_only}": dataset_copy(manifest, tmp_path / "y_header_only", "y.csv", lambda lines: lines[:1]),
+        "{y_key_nan}": dataset_copy(manifest, tmp_path / "y_key_nan", "y.csv", first_key("nan")),
+        "{y_key_1e300}": dataset_copy(manifest, tmp_path / "y_key_1e300", "y.csv", first_key("1e300")),
     }
 
 
@@ -329,6 +339,7 @@ TRAIN = ["train", "--out", "{out}", "--data"]
 CROSSK_HA = ["crossk", "--predictor", "ha", "--out", "{out}", "--data"]
 BAD_F_ST = "malformed rows in f_st.csv: could not convert string 'abc'"
 NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
+BAD_Y_KEY = "non-integer key in y.csv"
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -342,6 +353,10 @@ NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
     (["--set", "train.adam_beta2=-3", "--set", "train.adam_eps=0", "config-schema"], cli.EXIT_CONFIG,
      "unknown config key(s) ['adam_beta2', 'adam_eps'] in section train"),
     (["--set", "model.seed=1", "config-schema"], cli.EXIT_CONFIG, "unknown config key(s) ['seed'] in section model"),
+    (["--set", "train.gain_cap=3", "config-schema"], cli.EXIT_CONFIG,
+     "unknown config key(s) ['gain_cap'] in section train"),
+    (["--set", "train.warmup_mode=bce", "config-schema"], cli.EXIT_CONFIG,
+     "unknown config key(s) ['warmup_mode'] in section train"),
     (EVALUATE_HA + ["{no_f_t}"], cli.EXIT_DATA, "KeyError('f_t')"),
     (EVALUATE_HA + ["{M_four}"], cli.EXIT_DATA, "ValueError"),
     (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "TypeError"),
@@ -359,14 +374,19 @@ NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
     (TRAIN + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
     (EVALUATE_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
     (CROSSK_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
+    (EVALUATE_HA + ["{y_key_nan}"], cli.EXIT_DATA, BAD_Y_KEY),
+    (EVALUATE_HA + ["{y_key_1e300}"], cli.EXIT_DATA, BAD_Y_KEY),
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
-        "model-seed", "manifest-no-f_t", "manifest-M-four", "manifest-files-list", "checkpoint-no-offset",
-        "checkpoint-no-name", "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null",
-        "evaluate-no-checkpoint", "crossk-no-checkpoint", "train-f_st-abc", "evaluate-f_st-abc",
-        "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only", "crossk-y-header-only"])
+        "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
+        "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
+        "checkpoint-offset-half", "checkpoint-seed-null", "evaluate-no-checkpoint", "crossk-no-checkpoint",
+        "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
+        "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300"])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
-    """Each bad input exits with its code and one stderr line, and leaves
-    no run directory behind."""
+    """Each bad input exits with its code and one stderr line, raises no
+    warning (outside pytest a warning prints another stderr line), and
+    leaves no run directory behind."""
     assert cli.main([bad_inputs.get(arg, arg) for arg in argv]) == code
     prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:"}[code]
     assert message in one_line_error(capsys, prefix)

@@ -17,15 +17,15 @@ def random_instance(rng, n=None, rate=0.8):
     return y, scores
 
 
-def global_objective(y, scores, weights=None, *, margin=1.0, gain_cap=None):
+def global_objective(y, scores, weights=None, *, margin=1.0):
     """The hybrid objective at local weight 0: the global surrogate alone."""
-    config = losses.SurrogateConfig(margin=margin, local_weight=0.0, gain_cap=gain_cap)
+    config = losses.SurrogateConfig(margin=margin, local_weight=0.0)
     return losses.hybrid_objective(y, scores, config, weights)
 
 
-def local_objective(y, scores, weights=None, *, margin=1.0, radius=2.0, shape=(0, 0), gain_cap=None):
+def local_objective(y, scores, weights=None, *, margin=1.0, radius=2.0, shape=(0, 0)):
     """The hybrid objective at local weight 1: the local surrogate alone."""
-    config = losses.SurrogateConfig(margin=margin, local_weight=1.0, radius=radius, gain_cap=gain_cap)
+    config = losses.SurrogateConfig(margin=margin, local_weight=1.0, radius=radius)
     return losses.hybrid_objective(y, scores, config, weights, shape)
 
 
@@ -110,23 +110,22 @@ class TestFusedSurrogate:
             if trial % 3 == 0:
                 scores = np.round(scores)  # ties
             weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=int((y > 0).sum()))
-            yield rows, cols, y, scores, weights, (None if trial % 2 else 1.0)
+            yield rows, cols, y, scores, weights
 
     def test_global_list(self, rng, monkeypatch):
-        for _, _, y, scores, weights, cap in self.instances(rng, 40):
-            self.assert_matches_chain(lambda s: global_objective(y, s, weights, margin=0.9, gain_cap=cap),
-                                      scores, monkeypatch)
+        for _, _, y, scores, weights in self.instances(rng, 40):
+            self.assert_matches_chain(lambda s: global_objective(y, s, weights, margin=0.9), scores, monkeypatch)
 
     @pytest.mark.parametrize("radius", [0.0, 1.0, 1.5, 2.0, 3.0, 9.0])
     def test_padded_local_lists(self, radius, rng, monkeypatch):
-        for rows, cols, y, scores, weights, cap in self.instances(rng, 20):
+        for rows, cols, y, scores, weights in self.instances(rng, 20):
             self.assert_matches_chain(
-                lambda s: local_objective(y, s, weights, margin=0.9, radius=radius,
-                                          shape=(rows, cols), gain_cap=cap), scores, monkeypatch)
+                lambda s: local_objective(y, s, weights, margin=0.9, radius=radius, shape=(rows, cols)),
+                scores, monkeypatch)
 
     def test_hybrid_is_one_node_on_the_tape(self, rng, monkeypatch):
         cfg = losses.SurrogateConfig(local_weight=0.3).validate()
-        for rows, cols, y, scores, weights, _ in self.instances(rng, 10):
+        for rows, cols, y, scores, weights in self.instances(rng, 10):
             self.assert_matches_chain(lambda s: losses.hybrid_objective(y, s, cfg, weights, (rows, cols)),
                                       scores, monkeypatch)
         y, scores = np.array([2.0, 0.0, 1.0, 3.0]), ad.parameter(rng.normal(size=4))
@@ -137,15 +136,13 @@ class TestFusedSurrogate:
         """One node over both list groups gives the values and gradients of
         a global node and a local node added and negated by generic ops."""
         cfg = losses.SurrogateConfig(local_weight=0.3).validate()
-        for rows, cols, y, scores, weights, cap in self.instances(rng, 40):
-            cfg.gain_cap = cap
+        for rows, cols, y, scores, weights in self.instances(rng, 40):
             fused_scores, parts_scores = ad.parameter(scores.copy()), ad.parameter(scores.copy())
             fused = neg(losses.hybrid_objective(y, fused_scores, cfg, weights, (rows, cols)))
             parts = neg(add(
-                global_objective(y, parts_scores, (1.0 - cfg.local_weight) * weights, margin=cfg.margin,
-                                 gain_cap=cap),
+                global_objective(y, parts_scores, (1.0 - cfg.local_weight) * weights, margin=cfg.margin),
                 local_objective(y, parts_scores, cfg.local_weight * weights, margin=cfg.margin,
-                                radius=cfg.radius, shape=(rows, cols), gain_cap=cap)))
+                                radius=cfg.radius, shape=(rows, cols))))
             assert fused.data.tobytes() == parts.data.tobytes()
             if fused.requires_grad:
                 ad.backward(fused)
@@ -216,12 +213,10 @@ class TestNdcgSurrogate:
         value = global_objective(np.zeros(4), ad.constant(np.ones(4)))
         assert value.item() == 0.0
 
-    def test_gain_cap(self):
+    def test_large_relevance_gives_a_finite_objective(self):
         y = np.array([20.0, 0.0])
-        capped = global_objective(y, ad.constant([1.0, 0.0]), gain_cap=3.0).item()
-        uncapped = global_objective(y, ad.constant([1.0, 0.0])).item()
-        assert capped == uncapped  # single positive: gain cancels against Z
-        assert np.isfinite(capped)
+        value = global_objective(y, ad.constant([1.0, 0.0])).item()
+        assert np.isfinite(value) and value == 1.0  # single positive ranked first: gain cancels against Z
 
 
 class TestLocalSurrogate:

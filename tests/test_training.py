@@ -87,33 +87,24 @@ def warmup_instances(rng, trials):
         yield y, rng.normal(scale=rng.choice([0.1, 3.0, 40.0]), size=n)
 
 
-def warmup_value_and_gradient(loss_fn, y, scores, mode):
+def warmup_value_and_gradient(loss_fn, y, scores):
     tensor = ad.parameter(scores.copy())
-    loss = loss_fn(y, tensor, mode)
+    loss = loss_fn(y, tensor)
     ad.backward(loss)
     return loss.item(), tensor.grad
 
 
 def test_mse_warmup_is_bit_equal_to_the_generic_chain(rng):
     for y, scores in warmup_instances(rng, 60):
-        fused, fused_grad = warmup_value_and_gradient(training.warmup_loss, y, scores, "mse")
-        chain, chain_grad = warmup_value_and_gradient(generic_warmup_loss, y, scores, "mse")
+        fused, fused_grad = warmup_value_and_gradient(training.warmup_loss, y, scores)
+        chain, chain_grad = warmup_value_and_gradient(generic_warmup_loss, y, scores)
         assert fused == chain and fused_grad.tobytes() == chain_grad.tobytes()
 
 
-def test_bce_warmup_matches_the_generic_chain(rng):
-    for y, scores in warmup_instances(rng, 60):
-        fused, fused_grad = warmup_value_and_gradient(training.warmup_loss, y, scores, "bce")
-        chain, chain_grad = warmup_value_and_gradient(generic_warmup_loss, y, scores, "bce")
-        assert fused == pytest.approx(chain, rel=1e-12)
-        np.testing.assert_allclose(fused_grad, chain_grad, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("mode", training.WARMUP_MODES)
-def test_warmup_grad_check(mode, rng):
+def test_warmup_grad_check(rng):
     y = rng.poisson(0.8, size=12).astype(float)
     scores = ad.parameter(rng.normal(size=12))
-    report = ad.grad_check(lambda: training.warmup_loss(y, scores, mode), [scores], eps=1e-6, tol=1e-8)
+    report = ad.grad_check(lambda: training.warmup_loss(y, scores), [scores], eps=1e-6, tol=1e-8)
     assert report.passed and report.checked == 12, report.max_rel_error
 
 
@@ -136,10 +127,10 @@ def test_window_losses_put_one_node_in_warm_up_and_two_after(data, monkeypatch):
     assert nodes == [1] * half + [2] * half
 
 
-def test_bce_warmup_epoch_matches_the_per_window_oracle(data):
-    state = run(data, epochs=1, warmup_epochs=1, warmup_mode="bce", batch_size=64, lr_warmup=1e-2)
+def test_warmup_epoch_matches_the_per_window_oracle(data):
+    state = run(data, epochs=1, warmup_epochs=1, batch_size=64, lr_warmup=1e-2)
 
-    config = training.TrainConfig(warmup_mode="bce", lr_warmup=1e-2)
+    config = training.TrainConfig(lr_warmup=1e-2)
     params = init_params(small_model(data), seed=config.seed)
     params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end])
     windows, _ = training.split_windows(data, SPLITS, 3)
@@ -147,7 +138,7 @@ def test_bce_warmup_epoch_matches_the_per_window_oracle(data):
     risk = data.risk_by_location()
     values, grads = per_window_gradients(
         params, data, [windows[i] for i in order],
-        lambda window, scores: training.warmup_loss(risk[:, window.target], scores, "bce"))
+        lambda window, scores: training.warmup_loss(risk[:, window.target], scores))
     training.adam_step(params, training.AdamState.for_params(params),
                        {name: grad / len(windows) for name, grad in grads.items()}, config.lr_warmup)
 
