@@ -9,10 +9,15 @@ sparsity (at most one of the (i, j)/(j, i) entries is nonzero). A
 per-period scalar gate computed from the temporal features mixes the two.
 
 ``dynamic_adjacency`` and ``blend`` work on plain arrays and write into
-buffers their caller may reuse; they are not tape nodes. The model's
-per-period step (``model._period_step``) calls each once per build and
-owns the tape node; ``dynamic_adjacency_grads`` is the dynamic graph's
-share of its backward, and ``blend`` documents the gate's.
+buffers their caller may reuse; they are not tape nodes. Both do their
+elementwise work a row block at a time (``_row_blocks``), so a build
+holds the S x S output and block-sized scratch only. The model's
+per-period step (``model._period_step``) calls each once per build, in
+place in one S x S array, and owns the tape node;
+``dynamic_adjacency_grads`` is the dynamic graph's share of its backward:
+it rebuilds A's row blocks from the (S, d_e) activations z1 and z2, since
+the blend overwrites A, and returns the <G, A> term of the gate's
+gradient, which ``blend`` documents.
 """
 
 from __future__ import annotations
@@ -89,8 +94,8 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
 
 
 # Entries per row block of an elementwise pass over an S x S array, and of
-# the row-block scratch of a build without gradients: 256 KB, which timed
-# fastest at S = 1024 (one BLAS thread, 2-vCPU VM).
+# a build's row-block scratch: 256 KB, which timed fastest at S = 1024 (one
+# BLAS thread, 2-vCPU VM).
 _BLOCK_ENTRIES = 32768
 
 
@@ -115,15 +120,31 @@ def _row_blocks(s: int, scratch: np.ndarray | None):
 
 class DynamicGraph(NamedTuple):
     """One period's dynamic graph A and what its gradient needs: the lifted
-    embeddings e1, e2 and their activations z1, z2; ``active`` is the relu
-    mask 1[A > 0] when a kink trace is installed, None otherwise."""
+    embeddings e1, e2 and their activations z1, z2, and ``block``, the
+    row-block scratch, whose first rows hold a copy of A's last row block;
+    ``active`` is the relu mask 1[A > 0] when a kink trace is installed,
+    None otherwise. ``matrix`` holds A when :func:`dynamic_adjacency`
+    returns, and its caller may overwrite it: the gradient does not read
+    it."""
 
     matrix: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
+    block: np.ndarray
     active: np.ndarray | None
+
+
+def _activate_rows(graph: DynamicGraph, alpha: float, rows: slice, first: np.ndarray,
+                   block: np.ndarray) -> None:
+    """A's rows ``rows`` = relu(tanh(a (z1 z2^T - z2 z1^T))), in place in
+    ``first``, which holds those rows of z1 z2^T; ``block`` takes those
+    rows of z2 z1^T."""
+    first -= np.matmul(graph.z2[rows], graph.z1.T, out=block)
+    first *= alpha
+    np.tanh(first, out=first)
+    np.maximum(first, 0.0, out=first)
 
 
 def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
@@ -134,15 +155,18 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
     A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
     construction: C is antisymmetric and relu keeps one orientation of
-    each pair. A is written into ``out``, an S x S array allocated when not
-    given, and z2 z1^T is subtracted a row block at a time through
-    ``scratch`` (see :func:`_row_blocks`). The block size follows from S
-    alone, so a build that passes a full S x S scratch gives the same bits
-    as one that passes a block-sized one: under OpenBLAS a row block of the
-    product can differ from the same rows of the full product in the last
-    bits (seen for S > 192 not a multiple of 8). The gradient is
-    :func:`dynamic_adjacency_grads`; the caller reports ``active`` as a
-    kink.
+    each pair. z1 z2^T is written into ``out``, an S x S array allocated
+    when not given, in one product; then, a row block at a time (see
+    :func:`_row_blocks`), z2 z1^T is formed in ``scratch``, a block-sized
+    array allocated when not given, and the block's rows of ``out`` become
+    A's, which stay in cache for the elementwise passes. The block size
+    follows from S alone, so a build that passes a full S x S scratch gives
+    the same bits as one that passes a block-sized one: under OpenBLAS a
+    row block of the product can differ from the same rows of the full
+    product in the last bits (seen for S > 192 not a multiple of 8). A's
+    last row block is then copied into the scratch, where the gradient
+    finds it. The gradient is :func:`dynamic_adjacency_grads`; the caller
+    reports ``active`` as a kink.
     """
     s = params.emb1.shape[0]
     features = np.asarray(st_features_t, dtype=np.float64)
@@ -155,50 +179,66 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     e2 = params.emb2.data + lifted
     z1 = np.tanh((e1 @ params.mix1.data) * alpha)
     z2 = np.tanh((e2 @ params.mix2.data) * alpha)
+    scratch = np.empty((_block_rows(s), s)) if scratch is None else scratch
     matrix = np.matmul(z1, z2.T, out=out)
+    graph = DynamicGraph(matrix, e1, e2, z1, z2, scratch, None)
     for rows, block in _row_blocks(s, scratch):
-        matrix[rows] -= np.matmul(z2[rows], z1.T, out=block)
-    matrix *= alpha
-    np.tanh(matrix, out=matrix)
-    np.maximum(matrix, 0.0, out=matrix)
-    return DynamicGraph(matrix, e1, e2, z1, z2, matrix > 0.0 if ad.tracing_kinks() else None)
+        _activate_rows(graph, alpha, rows, matrix[rows], block)
+    np.copyto(block, matrix[rows])
+    return graph._replace(active=matrix > 0.0) if ad.tracing_kinks() else graph
 
 
 def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
-                            graph: DynamicGraph, g_graph: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+                            graph: DynamicGraph, g_graph: np.ndarray, scale: float,
+                            scratch: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Gradients of emb1, emb2, mix1, mix2 and feature_proj for the output
-    gradient G = scale * ``g_graph`` of :func:`dynamic_adjacency`.
+    gradient G = scale * ``g_graph`` of :func:`dynamic_adjacency`, followed
+    by <``g_graph``, A>, which the blend gate's gradient needs.
 
-    G_C = a G * 1[A > 0] * (1 - A^2). The mask-and-scale factor
-    1[A > 0] (1 - A^2) = 1[A > 0] - A^2 (A is 0 off the mask) is formed
-    and multiplied into ``g_graph`` in place, a block of rows at a time:
-    no S x S temporary, and each block stays in cache. ``g_graph``'s
-    values are lost. Since C is antisymmetric everything flows through
-    K = G_C - G_C^T, with dz1 = K z2 and dz2 = -K z1, computed as
-    G_C Z - (Z^T G_C)^T for Z = [z2 | z1] so K itself is never formed
-    (the transposed product in the cheaper order); the factors a * scale
-    of G_C and a of du_i are applied at width 2 d_e. Then
-    du_i = a dz_i * (1 - z_i^2), dmix_i = e_i^T du_i,
+    A is not kept (recompute instead of store): its row blocks are
+    visited from the last up, the last from its copy in ``graph.block``
+    and every other one rebuilt there from z1 and z2, with its z2 z1^T in
+    ``scratch`` (a block-sized array, allocated when not given). At
+    S <= 181 there is one block and nothing is recomputed. A rebuilt
+    block's z1 z2^T is a row-block product, so where OpenBLAS's row blocks
+    and full product differ (see :func:`dynamic_adjacency`) it can differ
+    from the forward's A in the last bits; at S = 256 and 1024 it does
+    not. Each block adds
+    its share of <``g_graph``, A>, then forms the mask-and-scale factor
+    1[A > 0] (1 - A^2) = 1[A > 0] - A^2 (A is 0 off the mask) in
+    ``scratch`` and multiplies it into ``g_graph`` in place: no S x S
+    temporary, and ``g_graph``'s values are lost. With it
+    G_C = a G * 1[A > 0] * (1 - A^2); since C is antisymmetric
+    everything flows through K = G_C - G_C^T, with dz1 = K z2 and
+    dz2 = -K z1, computed as G_C Z - (Z^T G_C)^T for Z = [z2 | z1] so K
+    itself is never formed (the transposed product in the cheaper order);
+    the factors a * scale of G_C and a of du_i are applied at width 2 d_e.
+    Then du_i = a dz_i * (1 - z_i^2), dmix_i = e_i^T du_i,
     demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
     """
-    a = graph.matrix
-    for rows, factor in _row_blocks(a.shape[0], None):
-        block = a[rows]
-        np.multiply(block, block, out=factor)
-        np.subtract(block > 0.0, factor, out=factor)
-        g_graph[rows] *= factor
-    z = np.concatenate([graph.z2, graph.z1], axis=1)
+    z1, z2, alpha = graph.z1, graph.z2, params.saturation
+    s = z1.shape[0]
+    inner = 0.0
+    for rows, factor in reversed(list(_row_blocks(s, scratch))):
+        a = graph.block[:rows.stop - rows.start]
+        if rows.stop < s:
+            _activate_rows(graph, alpha, rows, np.matmul(z1[rows], z2.T, out=a), factor)
+        g_rows = g_graph[rows]
+        inner += np.vdot(g_rows, a)
+        np.multiply(a, a, out=factor)
+        np.subtract(a > 0.0, factor, out=factor)
+        g_rows *= factor
+    z = np.concatenate([z2, z1], axis=1)
     k_z = g_graph @ z
     k_z -= (z.T @ g_graph).T
-    k_z *= scale * params.saturation * params.saturation
-    z1, z2 = graph.z1, graph.z2
+    k_z *= scale * alpha * alpha
     d = z1.shape[1]
     g_u1 = k_z[:, :d] * (1.0 - z1 * z1)
     g_u2 = k_z[:, d:] * (z2 * z2 - 1.0)
     g_e1 = g_u1 @ params.mix1.data.T
     g_e2 = g_u2 @ params.mix2.data.T
     features = np.asarray(st_features_t, dtype=np.float64)
-    return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2)
+    return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2), inner
 
 
 @dataclass
@@ -231,7 +271,8 @@ def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
         gate = ad._stable_sigmoid(f_t @ time_gate.data)[0, 0]
     else:
         gate = float(fixed_gate)
-    mixed = np.multiply(a_dynamic, gate, out=out)
+    mixed = np.empty_like(a_dynamic) if out is None else out
     for rows, block in _row_blocks(s, scratch):
+        np.multiply(a_dynamic[rows], gate, out=mixed[rows])
         mixed[rows] += np.multiply(a_static[rows], 1.0 - gate, out=block)
     return BlendedAdjacency(matrix=mixed, gate=gate)

@@ -58,11 +58,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def grad_enabled() -> bool:
-    """Whether ops record backward closures (False inside :func:`no_grad`)."""
-    return _grad_enabled
-
-
 def tracing_kinks() -> bool:
     """Whether a kink trace is installed: a kinked block run without
     gradients builds its branch masks only then."""

@@ -412,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "command", "") in ("evaluate", "rank", "crossk"):
             if getattr(args, "predictor", "model") == "model" and not getattr(args, "checkpoint", None):
                 raise ConfigError("--checkpoint is required with the model predictor")
-        return args.handler(args, config)
+        # Overflow and invalid values show as a NumericalError from the
+        # finiteness checks, in one line; numpy's warnings would add more.
+        with np.errstate(all="ignore"):
+            return args.handler(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,23 +20,27 @@ so no output activation is applied.
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
 it; the cache lives for that call only, since parameters change between
-calls. A build without gradients holds one S x S buffer and a row block
-of at most ``adjacency._BLOCK_ENTRIES`` entries; the rebuilds of
-``batch_backward`` share two S x S buffers and a row block.
+calls. A build, with or without gradients, holds one S x S buffer and two
+row blocks of at most ``adjacency._BLOCK_ENTRIES`` entries
+(``_build_buffers``): the dynamic graph A, its blend and its
+normalization are formed in place in the S x S buffer, and a build with
+gradients rebuilds A's row blocks in its backward instead of keeping A
+(``_period_step``). Keeping A took a second S x S buffer per build: two
+threads rebuilding at once with two buffers each peaked at 119.5 against
+106 MB on train-32x32.
 
-From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256),
-``predictions_for`` and stage (1) of ``batch_backward`` build their periods,
-and ``predictions_for`` scores its windows, on min(``_POOL_WORKERS`` = 2,
+From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256), every stage
+that builds periods or scores windows runs on min(``_POOL_WORKERS`` = 2,
 CPUs available) threads: the calling thread and threads started for the
-call. Each has its own buffers, made by the calling thread, so two hold two
-S x S buffers, as many as one build held before, and each result goes into
-its own slot, so outputs equal the serial ones bit for bit. The pooled to
-serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread) was 1.24 at
-S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at S = 1024. Before the
-first thread starts, glibc's ``mallopt(M_ARENA_MAX, 1)`` makes every thread
-allocate from the main arena: per-thread arenas took eval-32x32's peak RSS
-from 185 to 236 MB. Stage (3) stays serial; run in parallel it would need a
-fixed-order gradient sum and one more set of S x S buffers per thread.
+call, in copies of the caller's context. Each worker has its own buffers,
+made by the calling thread, so two workers hold two S x S buffers, as
+many as the serial rebuilds held when a build kept A. Each result goes
+into its own slot, so outputs equal the serial ones bit for bit. The
+pooled to serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread)
+was 1.24 at S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at
+S = 1024. Before the first thread starts, glibc's
+``mallopt(M_ARENA_MAX, 1)`` makes every thread allocate from the main
+arena: per-thread arenas took eval-32x32's peak RSS from 185 to 236 MB.
 
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
@@ -44,9 +48,14 @@ distinct input period's step is built once and held as a detached leaf;
 (2) per window, the recurrent part runs over its leaves and its loss is
 backpropagated into them and into the recurrent and head weights; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
-gradients and that gradient seeds its backward. At most one window's
-recurrent tape and one period's S x S tape are alive at a time, and the
-gradients equal the per-window sum up to summation order. Keeping the
+gradients and that gradient seeds its backward. Stage (3) runs on the
+pool too: a worker backpropagates its rebuild into leaves of its own
+(``_own_leaves``) and hands their gradients back, and whichever worker
+finishes adds the ready prefix to the parameters' ``.grad`` under a
+lock, in ascending t, so the sum has the serial order bit for bit and
+few results wait. At most one window's recurrent tape is alive at a time,
+and one period's tape per worker, and the gradients equal the per-window
+sum up to summation order. Keeping the
 period tapes, or stacking the windows into one (B S)-row recurrent pass,
 costs memory: prototypes on the benchmark workloads (2-vCPU VM, one BLAS
 thread) peaked at 59.1 against 49.6 MB on train-8x8 when keeping tapes,
@@ -59,6 +68,7 @@ against 16.2 ms with them.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import json
@@ -66,7 +76,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -236,10 +246,12 @@ def _buffer(work: dict[str, np.ndarray] | None, name: str, rows: int, s: int) ->
     return work[name]
 
 
-def _no_grad_buffers(s: int) -> dict[str, np.ndarray]:
-    """The ``work`` of builds without gradients: A's S x S array and a row
-    block of at most ``adjacency._BLOCK_ENTRIES`` entries."""
-    return {"graph": np.empty((s, s)), "block": np.empty((adjacency._block_rows(s), s))}
+def _build_buffers(s: int) -> dict[str, np.ndarray]:
+    """The ``work`` of one thread's builds: the S x S array that becomes
+    A_hat and two row blocks of at most ``adjacency._BLOCK_ENTRIES``
+    entries."""
+    rows = adjacency._block_rows(s)
+    return {"graph": np.empty((s, s)), "block": np.empty((rows, s)), "mix": np.empty((rows, s))}
 
 
 def _normalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,17 +275,17 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
     the gate is learned) and the conv weights. The forward is
     ``adjacency.dynamic_adjacency``, ``adjacency.blend``, ``_normalize``
     and the convolutions, in that order and with the arithmetic of the
-    separate nodes they replace. Both builds subtract z2 z1^T and add
-    (1 - g) A_static a row block at a time through one row-block scratch,
-    so their outputs are equal bit for bit. With gradients the S x S
-    arrays are A and A_hat, and the node keeps them and the (S, width) H_l
-    and Q_l = A_hat H_l; the backward writes dB over A_hat once its last
-    use is past. Without, A's one S x S array is all (the blend and the
-    normalization run in place in it), and no mask is built unless a kink
-    trace is installed. The arrays come from ``work`` when given
-    (``_no_grad_buffers`` without gradients), so the builds of one call
-    share them, and a build with gradients must then be backpropagated
-    before the next one is made.
+    separate nodes they replace. With or without gradients a build holds
+    one S x S array: A is written into it (z1 z2^T in one product, then
+    the elementwise passes a row block at a time), the blend and the
+    normalization run in place in it, and it ends as A_hat. Besides it
+    there are two row blocks: ``block``, which keeps a copy of A's last
+    row block, and ``mix``, the blend's scratch. A build with gradients
+    also keeps the (S, d_e) z1, z2, e1, e2 and the (S, width) H_l and
+    Q_l = A_hat H_l; no mask is built unless a kink trace is installed.
+    The arrays come from ``work`` when given (``_build_buffers``), so the
+    builds of one thread share them, and a build with gradients must then
+    be backpropagated before the next one is made.
 
     Backward, for output gradient G: per layer from the top,
     dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
@@ -283,22 +295,25 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
     gradient dB = (dA_hat - s m) / d, with s, d from ``_normalize``, needs
     m = rowsum(dA_hat * A_hat) = sum_l rowsum(dQ_l * Q_l), so dB is one
     S x S product U V^T with U = [dQ_0 | ... | dQ_{L-1} | -s m] / d and
-    V = [H_0 | ... | H_{L-1} | 1]. The gate gets
-    dg = <dB, A> - <dB, A_static> (two vdots), and the dynamic graph
-    g dB (``adjacency.dynamic_adjacency_grads``). The kinks reported are
-    1[A > 0], 1[r > 0] for the row sums r of A + I, and each layer's
-    1[P_l > 0].
+    V = [H_0 | ... | H_{L-1} | 1], written over A_hat, whose last use is
+    past. The gate gets dg = <dB, A> - <dB, A_static>: the first term is
+    summed a row block at a time, from the last block up, by
+    ``adjacency.dynamic_adjacency_grads``, which rebuilds each of A's row
+    blocks but the last from z1 and z2 (recompute instead of store, as
+    ``batch_backward`` does at the period boundary), and passes g dB to
+    the dynamic graph. So at S > 181 the gate's gradient differs from a
+    single vdot in the last bits. The kinks reported are 1[A > 0], 1[r > 0]
+    for the row sums r of A + I, and each layer's 1[P_l > 0].
     """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t)
     adj, s = params.adjacency, params.config.n_locations
-    with_grads = ad.grad_enabled()
-    block = _buffer(work, "block", adjacency._block_rows(s), s)
-    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s, s), scratch=block)
+    rows = adjacency._block_rows(s)
+    mix = _buffer(work, "mix", rows, s)
+    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s, s),
+                                        scratch=_buffer(work, "block", rows, s))
     static = params.static_graph
     blended = adjacency.blend(graph.matrix, static, grid.temporal[t], adj.time_gate,
-                              params.config.fixed_gate,
-                              out=_buffer(work, "normalized", s, s) if with_grads else graph.matrix,
-                              scratch=block)
+                              params.config.fixed_gate, out=graph.matrix, scratch=mix)
     a_hat, gate = blended.matrix, blended.gate
     denom, slope = _normalize(a_hat)
     layers = [node_features]
@@ -328,14 +343,26 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
         u /= denom
         v = np.concatenate(layers[:-1] + [np.ones((s, 1))], axis=1)
         g_b = np.matmul(u, v.T, out=a_hat)  # A_hat's last use was the loop above
+        del d_h, d_p, d_q, u, v  # two builds can be in their backward at once: keep each small
+        g_static = np.vdot(g_b, static) if learned else 0.0
+        *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate, scratch=mix)
         g_gate = ()
         if learned:
-            d_gate = np.vdot(g_b, graph.matrix) - np.vdot(g_b, static)
-            g_gate = (grid.temporal[t].reshape(-1, 1) * (d_gate * gate * (1.0 - gate)),)
-        g_dynamic = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate)
-        return g_dynamic + g_gate + tuple(d_w)
+            g_gate = (grid.temporal[t].reshape(-1, 1) * ((g_a - g_static) * gate * (1.0 - gate)),)
+        return tuple(g_dynamic) + g_gate + tuple(d_w)
 
     return ad.fused("period_step", out, parents + tuple(params.conv_weights), grads, kinks=kinks)
+
+
+@functools.cache
+def _gate_scale(hr: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4h,) scale [1/2, 1/2, 1, 1/2] and shift 1 - scale that turn
+    tanh into sigmoid(z) = 1/2 + tanh(z / 2) / 2 on the i, f, o blocks and
+    leave the g block's tanh; made once per h and read-only."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
@@ -364,11 +391,11 @@ def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
     act = x @ wx
     act += h @ wh
     act += params.lstm_bias.data
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)  # sigmoid(z) = 0.5 + 0.5 tanh(z / 2)
+    scale, shift = _gate_scale(hr)
     act *= scale
     np.tanh(act, out=act)
     act *= scale
-    act += 1.0 - scale
+    act += shift
     i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
     out = np.empty((act.shape[0], 2 * hr))
     c_next = np.multiply(f, c, out=out[:, hr:])
@@ -464,11 +491,12 @@ def _one_malloc_arena() -> None:
 
 def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> None:
     """Run ``job(k, i)`` for every item i in [0, items): worker k = 0 is the
-    calling thread and each other one a thread started for this call, and
-    each worker claims the next unclaimed item until none is left, so a
-    worker slowed by a busy CPU takes fewer. A worker stops at its first
-    failure; once all have stopped, the failure of the lowest item is
-    raised in the calling thread."""
+    calling thread and each other one a thread started for this call, in a
+    copy of the caller's context (numpy's ``errstate`` is a context
+    variable), and each worker claims the next unclaimed item until none
+    is left, so a worker slowed by a busy CPU takes fewer. A worker stops
+    at its first failure; once all have stopped, the failure of the lowest
+    item is raised in the calling thread."""
     claims = iter(range(items))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
@@ -487,7 +515,8 @@ def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> N
 
     if workers > 1:
         _one_malloc_arena()
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+               for k in range(1, workers)]
     for thread in threads:
         thread.start()
     run(0)
@@ -507,7 +536,7 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> d
         _check_window(params, grid, window)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
     workers = _pool_workers(params.config.n_locations)
-    buffers = [_no_grad_buffers(params.config.n_locations) for _ in range(workers)]
+    buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
     built: list[Tensor | None] = [None] * len(periods)
 
     def build(k: int, i: int) -> None:
@@ -554,10 +583,38 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
         del loss  # free this window's tape before the next one is built
     seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
     del leaves  # stage (3) needs the leaves' gradients only, not their values
-    work: dict[str, np.ndarray] = {}
-    for t in list(seeds):
-        ad.backward(_period_step(params, grid, t, work), seeds.pop(t))
+    periods = list(seeds)
+    workers = _pool_workers(params.config.n_locations)
+    buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
+    lock = threading.Lock()
+    ready: dict[int, list[tuple[Tensor, np.ndarray]]] = {}
+    added = 0
+
+    def rebuild(k: int, i: int) -> None:
+        nonlocal added
+        own, pairs = _own_leaves(params)
+        ad.backward(_period_step(own, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
+        with lock:
+            ready[i] = [(param, leaf.grad) for param, leaf in pairs if leaf.grad is not None]
+            while added in ready:  # add the ready prefix, in ascending t
+                for param, grad in ready.pop(added):
+                    ad._accum(param, grad)
+                added += 1
+
+    _in_parallel(workers, len(periods), rebuild)
     return values
+
+
+def _own_leaves(params: ModelParams) -> tuple[ModelParams, list[tuple[Tensor, Tensor]]]:
+    """A copy of ``params`` whose graph-block tensors are new leaves over the
+    same arrays, and the (parameter, new leaf) pairs: a period step built
+    from the copy and backpropagated leaves its gradients in the new
+    leaves, not in the parameters' ``.grad``."""
+    adj = params.adjacency
+    fresh = {name: ad.parameter(tensor.data) for name, tensor in vars(adj).items() if isinstance(tensor, Tensor)}
+    own = replace(params, adjacency=replace(adj, **fresh),
+                  conv_weights=[ad.parameter(w.data) for w in params.conv_weights])
+    return own, [(mine, copy) for mine, copy in zip(params.tensors(), own.tensors()) if mine is not copy]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ period is then rebuilt once to carry its gradient into the graph
 parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
 benchmark's bound (figures in the ``model`` docstring). From S = 256 the
-builds without gradients, and the window scoring of the end-of-epoch
-``predictions_for``, run on two threads with one S x S buffer each; the
-rebuilds with gradients stay serial and share two.
+builds without gradients, the rebuilds with gradients and the window
+scoring of the end-of-epoch ``predictions_for`` run on two threads with
+one S x S buffer each.
 """
 
 from __future__ import annotations

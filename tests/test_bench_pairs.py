@@ -16,6 +16,9 @@ spec.loader.exec_module(bench_pairs)
 METRICS = [{"name": "pass_s", "better": "lower"}, {"name": "ndcg10", "better": "higher"}]
 
 STUB = '''import json, sys, time
+busy = time.process_time() + 0.02
+while time.process_time() < busy:
+    pass
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 trace = int(sys.argv[sys.argv.index("--trace") + 1])
 seconds = sys.argv[sys.argv.index("--seconds") + 1]
@@ -66,6 +69,16 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert w1["pass_s"]["ratio_of_medians"] == pytest.approx(9.0 / 12.0)
     assert w1["ndcg10"]["tied_pairs"] == 3 and w1["ndcg10"]["change_better_pairs"] == 0
     assert doc["summary"]["w2"]["pass_s"]["pairs"] == 1
+    runs = [p[side] for p in doc["pairs"] for side in ("parent", "change")] + \
+           [t[side] for t in doc["traced"] for side in ("parent", "change")]
+    for run in runs:
+        usage = run["usage"]
+        assert set(usage) == {"wall_s", "user_s", "system_s", "steal_ticks"}
+        assert usage["user_s"] + usage["system_s"] >= 0.02 and usage["wall_s"] > 0.0
+        assert isinstance(usage["steal_ticks"], int) and usage["steal_ticks"] >= 0
+    for side in ("parent", "change"):
+        ratios = [bench_pairs.cpu_per_wall(p[side]) for p in doc["pairs"] if p["workload"] == "w1"]
+        assert w1["cpu_per_wall"][side] == pytest.approx(sorted(ratios)[1]) and ratios[0] > 0.0
     assert w1["pass_s"]["claim"] == {"holds": False, "change_better_pairs": 3, "pairs": 3,
                                      "median_gain": 3.0, "parent_iqr": 1.0}  # fewer than ten pairs
     assert "claim" not in w1["ndcg10"] and "claim" not in doc["summary"]["w2"]["pass_s"]

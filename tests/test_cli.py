@@ -302,8 +302,17 @@ def first_key(text):
     return lambda lines: lines[:1] + [text + "," + lines[1].split(",", 1)[1]] + lines[2:]
 
 
+@pytest.fixture(scope="module")
+def manifest16(tmp_path_factory):
+    """A 16 x 16 dataset: S x S = 2^16 entries, so its builds run on the thread pool."""
+    out = tmp_path_factory.mktemp("data16")
+    sizes = ["--set", "data.rows=16", "--set", "data.cols=16", "--set", "data.periods=30"]
+    assert cli.main(sizes + ["gen-data", "--out", str(out)]) == cli.EXIT_OK
+    return str(out / "manifest.json")
+
+
 @pytest.fixture
-def bad_inputs(manifest, tmp_path):
+def bad_inputs(manifest, manifest16, tmp_path):
     """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
     the dataset, dataset manifests and checkpoint manifests with one field
     broken, and a directory."""
@@ -314,6 +323,7 @@ def bad_inputs(manifest, tmp_path):
     dataset = Path(manifest)
     return {
         "{data}": manifest,
+        "{data16}": manifest16,
         "{dir}": str(tmp_path),
         "{out}": str(tmp_path / "out"),
         "{no_f_t}": edited_copy(dataset, "no_f_t.json", lambda m: m["files"].pop("f_t")),
@@ -340,6 +350,8 @@ CROSSK_HA = ["crossk", "--predictor", "ha", "--out", "{out}", "--data"]
 BAD_F_ST = "malformed rows in f_st.csv: could not convert string 'abc'"
 NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
 BAD_Y_KEY = "non-integer key in y.csv"
+DIVERGING_WARMUP = ["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "--set", "train.lr_warmup=1e300"]
+HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.margin=1e308"]
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -376,18 +388,23 @@ BAD_Y_KEY = "non-integer key in y.csv"
     (CROSSK_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
     (EVALUATE_HA + ["{y_key_nan}"], cli.EXIT_DATA, BAD_Y_KEY),
     (EVALUATE_HA + ["{y_key_1e300}"], cli.EXIT_DATA, BAD_Y_KEY),
+    (DIVERGING_WARMUP + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
+    (HUGE_MARGIN + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
+    (SMALL_MODEL + DIVERGING_WARMUP + TRAIN + ["{data16}"], cli.EXIT_NUMERIC, "non-finite"),
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
         "checkpoint-offset-half", "checkpoint-seed-null", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
-        "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300"])
+        "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
+        "train-huge-margin", "train-diverging-warmup-pooled"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     """Each bad input exits with its code and one stderr line, raises no
     warning (outside pytest a warning prints another stderr line), and
     leaves no run directory behind."""
     assert cli.main([bad_inputs.get(arg, arg) for arg in argv]) == code
-    prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:"}[code]
+    prefix = {cli.EXIT_CONFIG: "config error:", cli.EXIT_DATA: "data error:",
+              cli.EXIT_NUMERIC: "numerical failure:"}[code]
     assert message in one_line_error(capsys, prefix)
     assert not Path(bad_inputs["{out}"]).exists()

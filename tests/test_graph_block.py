@@ -102,9 +102,15 @@ def test_fused_step_matches_three_node_oracle(negative, fixed_gate, block_entrie
         assert model._period_step(params, grid, T, {}).data.tobytes() == fused_bytes
 
 
-@pytest.mark.parametrize("negative", [True, False])
-@pytest.mark.parametrize("fixed_gate", [None, 0.5])
-def test_fused_step_grad_check_and_kinks(negative, fixed_gate):
+@pytest.mark.parametrize("negative,fixed_gate,block_entries", [
+    pytest.param(negative, fixed_gate, entries, id=f"{fixed_gate}-{negative}" + (f"-blocks{entries}" if entries else ""))
+    for entries in (None, 60) for fixed_gate in (None, 0.5) for negative in (True, False)])
+def test_fused_step_grad_check_and_kinks(negative, fixed_gate, block_entries, monkeypatch):
+    """With 60 entries per block the 12 rows of A run as blocks of 5, 5 and
+    2, and the backward rebuilds the first two: their relu masks and the
+    blockwise sum of the gate's <dB, A> must pass the check."""
+    if block_entries is not None:
+        monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
     params, grid, weights = step_case(3, 4, negative, fixed_gate, seed=7, conv_layers=3)
     tensors = graph_tensors(params)
     report = ad.grad_check(lambda: sum_(mul(model._period_step(params, grid, T),

@@ -1,11 +1,12 @@
 """The thread pool of ``predictions_for`` and of ``batch_backward``'s first
-stage against the serial path, and the row-block scratch of builds without
-gradients against the build with them."""
+and third stages against the serial path, and the buffers of builds with
+and without gradients."""
 
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,29 +49,37 @@ def pool_params(data, negative, fixed_gate):
     return params
 
 
-def spy_builds(monkeypatch, off_main=None):
-    """Record the threads that build period steps and the failures off the
-    calling thread. The calling thread's builds wait (for at most 10 s)
-    until another thread has begun one, so that a pooled call uses more
-    than one thread however the items are claimed; builds off the calling
-    thread use the parameters ``off_main`` when given."""
-    threads, failures, other = set(), [], threading.Event()
+def spy_builds(monkeypatch, off_main=None, with_grads=False):
+    """Record the threads that build period steps, keyed by whether the
+    build has gradients, and the failures off the calling thread. A build
+    of the calling thread waits (for at most 10 s) until another thread
+    has begun one of the same kind, so that a pooled stage uses more than
+    one thread however the items are claimed; builds off the calling
+    thread of the kind ``with_grads`` use the parameters ``off_main`` when
+    given."""
+    threads, failures = {False: set(), True: set()}, []
+    other = {False: threading.Event(), True: threading.Event()}
     original = model._period_step
 
     def spy(params, grid, t, work=None):
-        threads.add(threading.current_thread())
+        kind = ad._grad_enabled
+        threads[kind].add(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
-            other.wait(timeout=10)
+            other[kind].wait(timeout=10)
             return original(params, grid, t, work)
-        other.set()
+        other[kind].set()
         try:
-            return original(params if off_main is None else off_main, grid, t, work)
+            return original(params if off_main is None or kind != with_grads else off_main, grid, t, work)
         except NumericalError:
             failures.append(t)
             raise
 
     monkeypatch.setattr(model, "_period_step", spy)
     return threads, failures
+
+
+def two_threads(threads):
+    return len(threads) == 2 and threading.main_thread() in threads
 
 
 def test_worker_rule():
@@ -91,7 +100,7 @@ def test_pooled_predictions_equal_the_serial_loop(data, negative, fixed_gate, po
         serial = np.stack([model.forward(params, data, w).data for w in windows])
     threads, _ = spy_builds(monkeypatch)
     scores = model.predictions_for(params, data, windows)
-    assert len(threads) == 2 and threading.main_thread() in threads
+    assert two_threads(threads[False]) and not threads[True]
     assert scores.tobytes() == serial.tobytes()
 
 
@@ -108,7 +117,9 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
 
     threads, _ = spy_builds(monkeypatch)
     pooled_values, pooled_grads = step()
-    assert len(threads) == 2  # the calling thread and one more
+    # stages (1) and (3) each run on the calling thread and a thread of their own
+    assert two_threads(threads[False]) and two_threads(threads[True])
+    assert len(threads[False] | threads[True]) == 3
     monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
     serial_values, serial_grads = step()
     assert pooled_values == serial_values
@@ -131,7 +142,7 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
         scores = model.predictions_for(params, data, windows)
     finally:
         sys.setswitchinterval(interval)
-    assert len(threads) >= 2 and threading.active_count() == 1
+    assert len(threads[False]) >= 2 and threading.active_count() == 1
     assert scores.tobytes() == serial.tobytes()
 
 
@@ -144,12 +155,35 @@ def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gat
     rows = adjacency._block_rows(300)
     assert rows == 109 and 300 % rows
     with_grads = model._period_step(params, grid, T, {})
-    work = model._no_grad_buffers(300)
-    assert work["block"].shape == (rows, 300)
+    work = model._build_buffers(300)
+    assert work["block"].shape == work["mix"].shape == (rows, 300)
     with ad.no_grad():
         without = model._period_step(params, grid, T, work)
     assert without.data.tobytes() == with_grads.data.tobytes()
-    assert set(work) == {"graph", "block"}
+    assert set(work) == {"graph", "block", "mix"}
+
+
+@pytest.mark.parametrize("fixed_gate", [None, 0.5])
+def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate):
+    """At S = 500 (eight row blocks, seven of them rebuilt in the backward)
+    the build and its backward fill ``work`` with one S x S array and two
+    row blocks, and allocate less than half an S x S array beside them."""
+    params, grid, weights = step_case(20, 25, True, fixed_gate, seed=2)
+    work = {}
+    ad.zero_grads(params.tensors())
+    ad.backward(model._period_step(params, grid, T, work), weights)
+    assert sorted(a.shape for a in work.values()) == [(65, 500), (65, 500), (500, 500)]
+    first = {name: t.grad for name, t in params.named_tensors()}
+    ad.zero_grads(params.tensors())
+    tracemalloc.start()
+    try:
+        ad.backward(model._period_step(params, grid, T, work), weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * 500 * 8 / 2
+    for name, t in params.named_tensors():
+        assert (t.grad is None) == (first[name] is None) and (t.grad is None or np.array_equal(t.grad, first[name]))
 
 
 def nan_params(data):
@@ -174,6 +208,28 @@ def test_numerical_error_in_a_worker_exits_4(data, pooled, tmp_path, capsys, mon
     assert code == cli.EXIT_NUMERIC and len(failures) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_numerical_error_in_a_stage_3_worker_reaches_the_caller(data, pooled, monkeypatch):
+    """A rebuild with gradients that fails off the calling thread stops the
+    batch with its own error; the calling thread rebuilds the rest."""
+    _, failures = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+    with pytest.raises(NumericalError, match="period_step produced non-finite values"):
+        model.batch_backward(pool_params(data, True, None), data, windows, loss_maker("hybrid", data))
+    assert len(failures) == 1
+
+
+def test_numerical_error_in_a_stage_3_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
+    manifest = griddata.save_grid(data, tmp_path / "data")
+    _, failures = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    sizes = ["--set", "model.hidden=4", "--set", "model.recurrent_hidden=3", "--set", f"model.window={WINDOW}",
+             "--set", "model.embed_dim=3", "--set", "train.epochs=1", "--set", "train.warmup_epochs=1"]
+    code = cli.main(sizes + ["train", "--data", str(manifest), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_NUMERIC and len(failures) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_small_grids_start_no_thread():

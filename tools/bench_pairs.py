@@ -16,7 +16,11 @@ the summary's entry of that workload and metric gets a ``claim`` verdict,
 also printed to standard error: the claim holds when at least ten pairs
 ran, the change won at least nine tenths of them (a tie counts for neither
 side) and the medians differ in the change's favour by more than the
-parent's interquartile range. ``src_lines`` holds
+parent's interquartile range. Each run also records, under ``usage``,
+its wall time, its user and system CPU time and the host's steal ticks
+over the run, and the summary gives each side's median CPU-to-wall ratio
+per workload: it shows whether a second thread had a CPU, and how much
+time the host took away. ``src_lines`` holds
 each side's count of lines in ``src/**/*.py``, as ``wc -l`` counts them.
 ``parent_commit`` is ``git rev-parse HEAD`` in the parent checkout or, for
 a copy without git history (``git archive``), the ``--parent-commit``
@@ -28,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +50,35 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def steal_ticks() -> int | None:
+    """The host's steal time so far, in clock ticks: the eighth value of
+    the ``cpu`` line of /proc/stat; None where there is no such file."""
+    try:
+        with open("/proc/stat") as fh:
+            return int(fh.readline().split()[8])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One bench/run.py process; its run record with the result under "result"."""
+    """One bench/run.py process; its run record with the result under
+    "result" and, under "usage", the process's wall time, its user and
+    system CPU time (from the rusage of the children waited for, taken
+    before and after) and the steal ticks of /proc/stat over the run."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
+    before, steal, start = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks(), time.perf_counter()
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    wall, after, steal_after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
     lines = done.stdout.strip().splitlines()
     if len(lines) < 2:
         raise SystemExit(f"{checkout}: {' '.join(command)} printed no result "
                          f"(exit {done.returncode}): {done.stderr.strip()}")
     record = json.loads(lines[-2])["record"]
     record["result"] = json.loads(lines[-1])
+    record["usage"] = {"wall_s": wall, "user_s": after.ru_utime - before.ru_utime,
+                       "system_s": after.ru_stime - before.ru_stime,
+                       "steal_ticks": None if steal is None or steal_after is None else steal_after - steal}
     return record
 
 
@@ -73,13 +97,27 @@ def _spread(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def cpu_per_wall(run: dict) -> float:
+    """A run's user plus system CPU time over its wall time: near 1 for a
+    process that kept one CPU busy, up to 2 when its second thread had a
+    CPU too."""
+    usage = run["usage"]
+    return (usage["user_s"] + usage["system_s"]) / usage["wall_s"]
+
+
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric: both sides' median and quartiles,
-    the pairs the change won or tied, and the ratio of the medians."""
+    the pairs the change won or tied, and the ratio of the medians; per
+    workload also each side's median CPU-to-wall ratio over the pairs that
+    record their usage."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
         summary[workload] = {}
+        timed = [p for p in rows if "usage" in p["parent"] and "usage" in p["change"]]
+        if timed:
+            summary[workload]["cpu_per_wall"] = {
+                side: float(np.median([cpu_per_wall(p[side]) for p in timed])) for side in ("parent", "change")}
         for metric in metrics:
             name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
             parent = [p["parent"]["result"]["metrics"][name]["value"] for p in rows]
