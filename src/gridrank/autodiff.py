@@ -20,10 +20,12 @@ trace when one is installed, which lets :func:`grad_check` flag
 coordinates whose finite-difference stencil straddles a
 nondifferentiable point.
 
-A node's gradients are arrays it has just allocated, one per parent, so
-the first one becomes the parent's ``.grad`` without a copy; ``backward``
-copies its seed once and releases the ``.grad`` of each non-leaf node
-once that node's backward has run.
+A node keeps its gradient function with the parents it aligns with, and
+:func:`vjp` maps an output gradient to (parent, gradient) pairs without
+adding them anywhere. Each gradient is an array just allocated for one
+parent, so ``backward`` makes the first one the parent's ``.grad``
+without a copy, and releases each non-leaf node's ``.grad`` once its
+pairs are added.
 """
 
 from __future__ import annotations
@@ -83,14 +85,14 @@ def _record_kink(mask: np.ndarray) -> None:
 class Tensor:
     """Dense float64 array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._grads = None
         self._backward_done = False
 
     @property
@@ -127,24 +129,20 @@ def uniform_parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; the first gradient becomes ``t.grad``
     itself, so ``g`` must be a float64 array no one else holds."""
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = g
     else:
         t.grad += g
 
 
-def _result(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _result(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
     if _check_finite and not np.all(np.isfinite(data)):
         raise NumericalError(f"{op} produced non-finite values")
     out = Tensor(data)
-    if _grad_enabled:
-        grad_parents = tuple(p for p in parents if p.requires_grad)
-        if grad_parents:
-            out.requires_grad = True
-            out._parents = grad_parents
-            out._backward = backward_fn
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._grads = grads
     return out
 
 
@@ -171,13 +169,7 @@ def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
     """
     for kink in kinks:
         _record_kink(kink)
-
-    def backward(g):
-        for parent, grad in zip(parents, grads(g)):
-            if grad is not None:
-                _accum(parent, grad)
-
-    return _result(op, data, parents, backward)
+    return _result(op, data, parents, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +190,40 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
-def backward(loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
+def vjp(node: Tensor, g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+    """The (parent, gradient) pairs of ``node`` for the output gradient
+    ``g``, one for each parent that requires grad and gets a gradient;
+    nothing is accumulated and ``g`` is not kept."""
+    return [(parent, grad) for parent, grad in zip(node._parents, node._grads(g))
+            if grad is not None and parent.requires_grad]
+
+
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    ``grad`` seeds the backward pass with d(objective)/d(loss) for a
-    non-scalar ``loss``; it defaults to 1 for a scalar one. Returns a map
-    from leaf tensors (requires_grad, no parents) to their gradients. A
-    non-leaf node's ``.grad`` is released once its backward has run, so
-    only the leaves keep gradients. Calling twice on the same loss tensor
-    is an error; rebuild the graph instead.
+    ``loss`` must be a scalar. Returns a map from leaf tensors
+    (requires_grad, no parents) to their gradients. A non-leaf node's
+    ``.grad`` is released once its pairs have been added, so only the
+    leaves keep gradients. Calling twice on the same loss tensor is an
+    error; rebuild the graph instead.
     """
-    if grad is None:
-        if loss.data.size != 1:
-            raise ShapeError(f"backward requires a scalar loss or a seed gradient, got shape {loss.data.shape}")
-        grad = np.ones_like(loss.data)
-    elif np.shape(grad) != loss.data.shape:
-        raise ShapeError(f"seed gradient shape {np.shape(grad)} does not match {loss.data.shape}")
+    if loss.data.size != 1:
+        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
         raise RuntimeError("backward already ran for this loss; rebuild the graph before calling again")
     loss._backward_done = True
     order = _toposort(loss)
     if loss.requires_grad:
-        _accum(loss, np.array(grad, dtype=np.float64))
+        _accum(loss, np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._grads is not None and node.grad is not None:
+            for parent, grad in vjp(node, node.grad):
+                _accum(parent, grad)
             node.grad = None
     return {t: t.grad for t in order if t.requires_grad and not t._parents and t.grad is not None}
 

@@ -38,6 +38,9 @@ EXIT_GRADCHECK = 5
 # The most distances a cross-K curve may have: eval.crossk_max_distance /
 # eval.crossk_step + 1 (the default grid has 9).
 MAX_CROSSK_DISTANCES = 1000
+# The most CSR simulations per day (the default is 99): csr_envelope holds
+# an (n_sim, k) int64 draw and an (n_sim, k, 2) stack of cells.
+MAX_CROSSK_SIMS = 10_000
 
 
 @dataclass
@@ -85,6 +88,8 @@ class RunConfig:
         if self.eval.crossk_k < 1 or self.eval.crossk_sims < 1:
             raise ConfigError(f"eval.crossk_k and eval.crossk_sims must be >= 1, got "
                               f"{self.eval.crossk_k} and {self.eval.crossk_sims}")
+        if self.eval.crossk_sims > MAX_CROSSK_SIMS:
+            raise ConfigError(f"eval.crossk_sims must be at most {MAX_CROSSK_SIMS}, got {self.eval.crossk_sims}")
         if self.eval.envelope not in crossk.ENVELOPE_METHODS:
             raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
         if self.eval.crossk_step <= 0 or self.eval.crossk_max_distance < 0:

@@ -48,22 +48,22 @@ distinct input period's step is built once and held as a detached leaf;
 (2) per window, the recurrent part runs over its leaves and its loss is
 backpropagated into them and into the recurrent and head weights; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
-gradients and that gradient seeds its backward. Stage (3) runs on the
-pool too: a worker backpropagates its rebuild into leaves of its own
-(``_own_leaves``) and hands their gradients back, and whichever worker
-finishes adds the ready prefix to the parameters' ``.grad`` under a
-lock, in ascending t, so the sum has the serial order bit for bit and
-few results wait. At most one window's recurrent tape is alive at a time,
-and one period's tape per worker, and the gradients equal the per-window
-sum up to summation order. Keeping the
-period tapes, or stacking the windows into one (B S)-row recurrent pass,
-costs memory: prototypes on the benchmark workloads (2-vCPU VM, one BLAS
-thread) peaked at 59.1 against 49.6 MB on train-8x8 when keeping tapes,
-and at 886 against 330 MB on train-32x32 (67-92 MB on train-8x8) when
-stacking; stacking in ``predictions_for`` took eval-32x32 from 196 to
-255 MB. Stacking a call's periods on a leading axis does not pay at
-S = 64: 42 periods took 8.2 against 6.9 ms without gradients and 24.1
-against 16.2 ms with them.
+gradients, one tape node whose parents are all parameters, so one
+``autodiff.vjp`` call with that gradient gives its parameter gradients.
+Stage (3) runs on the pool too: the worker that rebuilds period i puts
+its pairs into slot i, in place of the seed it pops, and once all have
+stopped the calling thread adds the slots to ``.grad`` in ascending t:
+the serial order, bit for bit, and a failed stage adds nothing. At most
+one window's recurrent tape is alive at a time, and one period's tape
+per worker, and the gradients equal the per-window sum up to summation
+order. Keeping the period tapes, or stacking the windows into one
+(B S)-row recurrent pass, costs memory: prototypes on the benchmark
+workloads (2-vCPU VM, one BLAS thread) peaked at 59.1 against 49.6 MB on
+train-8x8 when keeping tapes, and at 886 against 330 MB on train-32x32
+(67-92 MB on train-8x8) when stacking; stacking in ``predictions_for``
+took eval-32x32 from 196 to 255 MB. Stacking a call's periods on a
+leading axis does not pay at S = 64: 42 periods took 8.2 against 6.9 ms
+without gradients and 24.1 against 16.2 ms with them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -495,8 +495,9 @@ def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> N
     copy of the caller's context (numpy's ``errstate`` is a context
     variable), and each worker claims the next unclaimed item until none
     is left, so a worker slowed by a busy CPU takes fewer. A worker stops
-    at its first failure; once all have stopped, the failure of the lowest
-    item is raised in the calling thread."""
+    at its first failure, and no worker claims an item once a failure is
+    recorded; once all have stopped, the failure of the lowest item is
+    raised in the calling thread."""
     claims = iter(range(items))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
@@ -504,7 +505,7 @@ def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> N
     def run(k: int) -> None:
         while True:
             with lock:
-                i = next(claims, None)
+                i = None if failures else next(claims, None)
             if i is None:
                 return
             try:
@@ -586,35 +587,16 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     periods = list(seeds)
     workers = _pool_workers(params.config.n_locations)
     buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
-    lock = threading.Lock()
-    ready: dict[int, list[tuple[Tensor, np.ndarray]]] = {}
-    added = 0
+    slots: list[list[tuple[Tensor, np.ndarray]]] = [[] for _ in periods]
 
     def rebuild(k: int, i: int) -> None:
-        nonlocal added
-        own, pairs = _own_leaves(params)
-        ad.backward(_period_step(own, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
-        with lock:
-            ready[i] = [(param, leaf.grad) for param, leaf in pairs if leaf.grad is not None]
-            while added in ready:  # add the ready prefix, in ascending t
-                for param, grad in ready.pop(added):
-                    ad._accum(param, grad)
-                added += 1
+        slots[i] = ad.vjp(_period_step(params, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
 
     _in_parallel(workers, len(periods), rebuild)
+    for slot in slots:  # in ascending t, the serial order
+        for param, grad in slot:
+            ad._accum(param, grad)
     return values
-
-
-def _own_leaves(params: ModelParams) -> tuple[ModelParams, list[tuple[Tensor, Tensor]]]:
-    """A copy of ``params`` whose graph-block tensors are new leaves over the
-    same arrays, and the (parameter, new leaf) pairs: a period step built
-    from the copy and backpropagated leaves its gradients in the new
-    leaves, not in the parameters' ``.grad``."""
-    adj = params.adjacency
-    fresh = {name: ad.parameter(tensor.data) for name, tensor in vars(adj).items() if isinstance(tensor, Tensor)}
-    own = replace(params, adjacency=replace(adj, **fresh),
-                  conv_weights=[ad.parameter(w.data) for w in params.conv_weights])
-    return own, [(mine, copy) for mine, copy in zip(params.tensors(), own.tensors()) if mine is not copy]
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +608,22 @@ CHECKPOINT_BLOB = "checkpoint.bin"
 
 
 def save_checkpoint(directory, params: ModelParams) -> Path:
+    """Write the blob one tensor at a time and hash it as it is written:
+    no copy of the whole blob is held (at S = 1024 the static graph alone
+    is 8 MB)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    blob = bytearray()
-    items = params.named_tensors() + [("static_graph", None)]
-    for name, tensor in items:
-        array = params.static_graph if tensor is None else tensor.data
-        raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(array.shape), "offset": len(blob),
-                        "trainable": tensor is not None})
-        blob.extend(raw)
-    manifest = {"config": asdict(params.config), "dtype": "<f8", "tensors": entries,
-                "sha256": hashlib.sha256(blob).hexdigest()}
+    entries, offset, digest = [], 0, hashlib.sha256()
     with open(directory / CHECKPOINT_BLOB, "wb") as fh:
-        fh.write(bytes(blob))
+        for name, tensor in params.named_tensors() + [("static_graph", None)]:
+            array = params.static_graph if tensor is None else tensor.data
+            raw = np.ascontiguousarray(array, dtype="<f8")
+            entries.append({"name": name, "shape": list(array.shape), "offset": offset,
+                            "trainable": tensor is not None})
+            digest.update(raw)
+            fh.write(raw)
+            offset += raw.nbytes
+    manifest = {"config": asdict(params.config), "dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest()}
     path = directory / CHECKPOINT_JSON
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -123,35 +123,57 @@ def test_batch_step_matches_per_window_oracle(data, kind, batch):
 
 
 def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):
+    """Stage (1) builds each period without gradients, stage (3) rebuilds
+    each with gradients and takes one ``vjp`` of it, and ``backward`` runs
+    once per window."""
     params = small_params(data)
     windows = [Window(t, WINDOW) for t in BATCHES["overlapping"]]
-    built, seeded = [], []
-    original_step, original_backward = model._period_step, ad.backward
+    built, roots, rebuilt = [], [], []
+    original_step, original_backward, original_vjp = model._period_step, ad.backward, ad.vjp
+    in_backward = []
 
     def spy_step(params, grid, t, work=None):
         built.append((t, ad._grad_enabled))
         return original_step(params, grid, t, work)
 
-    def spy_backward(root, grad=None):
-        seeded.append(grad is not None)
-        return original_backward(root, grad)
+    def spy_backward(root):
+        roots.append(root.data.shape)
+        in_backward.append(True)
+        try:
+            return original_backward(root)
+        finally:
+            in_backward.pop()
+
+    def spy_vjp(node, g):
+        if not in_backward:
+            rebuilt.append(node.data.shape)
+        return original_vjp(node, g)
 
     monkeypatch.setattr(model, "_period_step", spy_step)
     monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(ad, "vjp", spy_vjp)
     model.batch_backward(params, data, windows, loss_maker("mse", data))
     periods = sorted({t for w in windows for t in w.inputs()})
     assert sorted(t for t, grad in built if not grad) == periods
     assert [t for t, grad in built if grad] == periods
-    assert seeded == [False] * len(windows) + [True] * len(periods)
+    assert roots == [()] * len(windows)
+    assert rebuilt == [(data.n_locations, params.config.hidden + data.d_t)] * len(periods)
 
 
-def test_seeded_backward_equals_weighted_sum():
-    w = ad.parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    seed = np.array([[0.3, -1.0], [2.0, 0.25]])
-    ad.backward(tanh(matmul(w, w)), seed)
-    seeded = w.grad.copy()
-    ad.zero_grads([w])
-    ad.backward(sum_(mul(tanh(matmul(w, w)), ad.constant(seed))))
-    assert np.array_equal(seeded, w.grad)
-    with pytest.raises(ShapeError, match="seed gradient shape"):
-        ad.backward(tanh(w), np.ones(3))
+def test_vjp_pairs_equal_the_weighted_sum_gradient():
+    """``vjp`` gives one pair per parent that requires grad, in parent
+    order, each equal bit for bit to that parent's gradient of
+    sum(node * g) taken through ``backward``, and changes no ``.grad``."""
+    w = ad.parameter([[1.0, -2.0], [0.5, 3.0]])
+    v = ad.parameter([[2.0, 0.1], [-0.7, 0.4]])
+    x = ad.constant([[0.3, 1.0], [-1.5, 2.0]])
+    g = np.array([[0.3, -1.0], [2.0, 0.25]])
+    for node, parents in ((matmul(w, v), [w, v]), (mul(w, x), [w])):
+        pairs = ad.vjp(node, g)
+        assert [parent for parent, _ in pairs] == parents
+        assert w.grad is v.grad is x.grad is node.grad is None
+        ad.backward(sum_(mul(node, ad.constant(g))))
+        assert [grad.tobytes() for _, grad in pairs] == [parent.grad.tobytes() for parent in parents]
+        ad.zero_grads([w, v])
+    with pytest.raises(ShapeError, match="scalar loss"):
+        ad.backward(tanh(w))

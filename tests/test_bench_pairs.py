@@ -25,7 +25,8 @@ seconds = sys.argv[sys.argv.index("--seconds") + 1]
 with open("../order.log", "a") as fh:
     fh.write(f"{SIDE} {seed} {trace} {seconds}\\n")
 metrics = {"pass_s": {"value": PASS + seed, "unit": "s"}, "ndcg10": {"value": 0.5, "unit": "ndcg"}}
-print(json.dumps({"record": {"seed": seed, "environment": {"side": SIDE}}}))
+times = {"setup": [0.1], "pass": [PASS + seed + 1.0, PASS + seed - 0.5 * seed, PASS + seed + 2.0]}
+print(json.dumps({"record": {"seed": seed, "environment": {"side": SIDE}, "times_s": times}}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 '''
 
@@ -69,6 +70,12 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert w1["pass_s"]["ratio_of_medians"] == pytest.approx(9.0 / 12.0)
     assert w1["ndcg10"]["tied_pairs"] == 3 and w1["ndcg10"]["change_better_pairs"] == 0
     assert doc["summary"]["w2"]["pass_s"]["pairs"] == 1
+    # each run's fastest pass is PASS + seed / 2: parent 10.5, 11, 11.5 s and change 7.5, 8, 8.5 s
+    fastest = w1["fastest_pass_s"]
+    assert fastest["parent"] == {"median": 11.0, "q1": 10.75, "q3": 11.25}
+    assert fastest["change"] == {"median": 8.0, "q1": 7.75, "q3": 8.25}
+    assert fastest["change_better_pairs"] == 3 and fastest["tied_pairs"] == 0 and fastest["pairs"] == 3
+    assert fastest["ratio_of_medians"] == pytest.approx(8.0 / 11.0)
     runs = [p[side] for p in doc["pairs"] for side in ("parent", "change")] + \
            [t[side] for t in doc["traced"] for side in ("parent", "change")]
     for run in runs:
@@ -124,7 +131,7 @@ def test_claim_verdict_is_written_and_printed(tmp_path, capsys, change_pass, hol
 
 
 def pairs_of(parent, change):
-    return [{"workload": "w", **{side: {"result": {"metrics": {"m": {"value": value}}}}
+    return [{"workload": "w", **{side: {"result": {"metrics": {"m": {"value": value}}}, "times_s": {"pass": [value]}}
                                  for side, value in (("parent", p), ("change", c))}}
             for p, c in zip(parent, change)]
 

@@ -20,7 +20,7 @@ from gridrank.errors import NumericalError
 from gridrank.grid import Window
 
 from test_batch_step import loss_maker
-from test_graph_block import T, step_case
+from test_graph_block import T, graph_tensors, step_case
 
 ROWS = COLS = 16  # S x S = 2^16 entries: the smallest square grid the pool runs on
 S = ROWS * COLS
@@ -51,14 +51,18 @@ def pool_params(data, negative, fixed_gate):
 
 def spy_builds(monkeypatch, off_main=None, with_grads=False):
     """Record the threads that build period steps, keyed by whether the
-    build has gradients, and the failures off the calling thread. A build
+    build has gradients, the failures off the calling thread, and the
+    builds the calling thread claims after a failure was recorded. A build
     of the calling thread waits (for at most 10 s) until another thread
     has begun one of the same kind, so that a pooled stage uses more than
     one thread however the items are claimed; builds off the calling
     thread of the kind ``with_grads`` use the parameters ``off_main`` when
-    given."""
-    threads, failures = {False: set(), True: set()}, []
+    given. Then a build of that kind on the calling thread returns only
+    once a failing thread has stopped (for at most 10 s), so the pool has
+    recorded the failure before the calling thread claims again."""
+    threads, failures, late = {False: set(), True: set()}, [], []
     other = {False: threading.Event(), True: threading.Event()}
+    failing, failed, waited = threading.Event(), [], []
     original = model._period_step
 
     def spy(params, grid, t, work=None):
@@ -66,16 +70,26 @@ def spy_builds(monkeypatch, off_main=None, with_grads=False):
         threads[kind].add(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
             other[kind].wait(timeout=10)
-            return original(params, grid, t, work)
+            if off_main is None or kind != with_grads:
+                return original(params, grid, t, work)
+            if waited:
+                late.append(t)
+            step = original(params, grid, t, work)
+            if failing.wait(timeout=10):
+                failed[0].join(timeout=10)
+                waited.append(t)
+            return step
         other[kind].set()
         try:
             return original(params if off_main is None or kind != with_grads else off_main, grid, t, work)
         except NumericalError:
             failures.append(t)
+            failed.append(threading.current_thread())
+            failing.set()
             raise
 
     monkeypatch.setattr(model, "_period_step", spy)
-    return threads, failures
+    return threads, failures, late
 
 
 def two_threads(threads):
@@ -98,7 +112,7 @@ def test_pooled_predictions_equal_the_serial_loop(data, negative, fixed_gate, po
     windows = [Window(t, WINDOW) for t in TARGETS]
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
-    threads, _ = spy_builds(monkeypatch)
+    threads, _, _ = spy_builds(monkeypatch)
     scores = model.predictions_for(params, data, windows)
     assert two_threads(threads[False]) and not threads[True]
     assert scores.tobytes() == serial.tobytes()
@@ -115,7 +129,7 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
         values = model.batch_backward(params, data, windows, loss_of)
         return values, {name: t.grad.tobytes() for name, t in params.named_tensors() if t.grad is not None}
 
-    threads, _ = spy_builds(monkeypatch)
+    threads, _, _ = spy_builds(monkeypatch)
     pooled_values, pooled_grads = step()
     # stages (1) and (3) each run on the calling thread and a thread of their own
     assert two_threads(threads[False]) and two_threads(threads[True])
@@ -134,7 +148,7 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
     windows = [Window(t, WINDOW) for t in TARGETS]
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
-    threads, _ = spy_builds(monkeypatch)
+    threads, _, _ = spy_builds(monkeypatch)
     monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -166,24 +180,22 @@ def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gat
 @pytest.mark.parametrize("fixed_gate", [None, 0.5])
 def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate):
     """At S = 500 (eight row blocks, seven of them rebuilt in the backward)
-    the build and its backward fill ``work`` with one S x S array and two
+    the build and its ``vjp`` fill ``work`` with one S x S array and two
     row blocks, and allocate less than half an S x S array beside them."""
     params, grid, weights = step_case(20, 25, True, fixed_gate, seed=2)
     work = {}
-    ad.zero_grads(params.tensors())
-    ad.backward(model._period_step(params, grid, T, work), weights)
+    first = ad.vjp(model._period_step(params, grid, T, work), weights)
     assert sorted(a.shape for a in work.values()) == [(65, 500), (65, 500), (500, 500)]
-    first = {name: t.grad for name, t in params.named_tensors()}
-    ad.zero_grads(params.tensors())
     tracemalloc.start()
     try:
-        ad.backward(model._period_step(params, grid, T, work), weights)
+        pairs = ad.vjp(model._period_step(params, grid, T, work), weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 500 * 500 * 8 / 2
-    for name, t in params.named_tensors():
-        assert (t.grad is None) == (first[name] is None) and (t.grad is None or np.array_equal(t.grad, first[name]))
+    assert [param for param, _ in pairs] == [param for param, _ in first]
+    assert len(pairs) == len(graph_tensors(params)) - (fixed_gate is not None)
+    assert all(np.array_equal(grad, want) for (_, grad), (_, want) in zip(pairs, first))
 
 
 def nan_params(data):
@@ -193,16 +205,16 @@ def nan_params(data):
 
 
 def test_numerical_error_in_a_worker_reaches_the_caller(data, pooled, monkeypatch):
-    _, failures = spy_builds(monkeypatch, off_main=nan_params(data))
+    _, failures, late = spy_builds(monkeypatch, off_main=nan_params(data))
     with pytest.raises(NumericalError, match="period_step produced non-finite values"):
         model.predictions_for(pool_params(data, True, None), data, [Window(t, WINDOW) for t in TARGETS])
-    assert len(failures) == 1  # the failing worker stopped; the calling thread built the rest
+    assert len(failures) == 1 and late == []  # both workers stopped: neither claimed after the failure
 
 
 def test_numerical_error_in_a_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
     manifest = griddata.save_grid(data, tmp_path / "data")
     model.save_checkpoint(tmp_path / "ckpt", pool_params(data, True, None))
-    _, failures = spy_builds(monkeypatch, off_main=nan_params(data))
+    _, failures, _ = spy_builds(monkeypatch, off_main=nan_params(data))
     code = cli.main(["--set", "eval.ks=[5]", "evaluate", "--data", str(manifest),
                      "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "eval")])
     assert code == cli.EXIT_NUMERIC and len(failures) == 1
@@ -212,17 +224,22 @@ def test_numerical_error_in_a_worker_exits_4(data, pooled, tmp_path, capsys, mon
 
 def test_numerical_error_in_a_stage_3_worker_reaches_the_caller(data, pooled, monkeypatch):
     """A rebuild with gradients that fails off the calling thread stops the
-    batch with its own error; the calling thread rebuilds the rest."""
-    _, failures = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    batch with its own error: the calling thread claims no period once the
+    failure is recorded, and no rebuild's gradient reaches the graph
+    block's parameters."""
+    _, failures, late = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    params = pool_params(data, True, None)
     windows = [Window(t, WINDOW) for t in TARGETS[:5]]
     with pytest.raises(NumericalError, match="period_step produced non-finite values"):
-        model.batch_backward(pool_params(data, True, None), data, windows, loss_maker("hybrid", data))
-    assert len(failures) == 1
+        model.batch_backward(params, data, windows, loss_maker("hybrid", data))
+    assert len(failures) == 1 and late == []
+    assert all(t.grad is None for t in graph_tensors(params))
+    assert params.lstm_wx.grad is not None  # stage (2) ran
 
 
 def test_numerical_error_in_a_stage_3_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
     manifest = griddata.save_grid(data, tmp_path / "data")
-    _, failures = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    _, failures, _ = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
     sizes = ["--set", "model.hidden=4", "--set", "model.recurrent_hidden=3", "--set", f"model.window={WINDOW}",
              "--set", "model.embed_dim=3", "--set", "train.epochs=1", "--set", "train.warmup_epochs=1"]
     code = cli.main(sizes + ["train", "--data", str(manifest), "--out", str(tmp_path / "run")])

@@ -20,7 +20,9 @@ parent's interquartile range. Each run also records, under ``usage``,
 its wall time, its user and system CPU time and the host's steal ticks
 over the run, and the summary gives each side's median CPU-to-wall ratio
 per workload: it shows whether a second thread had a CPU, and how much
-time the host took away. ``src_lines`` holds
+time the host took away. Beside the end-to-end metrics, the summary's
+``fastest_pass_s`` compares each run's shortest timed pass, which drift
+within a run touches least. ``src_lines`` holds
 each side's count of lines in ``src/**/*.py``, as ``wc -l`` counts them.
 ``parent_commit`` is ``git rev-parse HEAD`` in the parent checkout or, for
 a copy without git history (``git archive``), the ``--parent-commit``
@@ -105,11 +107,32 @@ def cpu_per_wall(run: dict) -> float:
     return (usage["user_s"] + usage["system_s"]) / usage["wall_s"]
 
 
+def fastest_pass(run: dict) -> float:
+    """The shortest of a run's timed passes, in seconds."""
+    return min(run["times_s"]["pass"])
+
+
+def _compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' median and quartiles, the pairs the change won or tied,
+    and the ratio of the medians."""
+    sign = 1.0 if better == "lower" else -1.0
+    sides = {"parent": _spread(parent), "change": _spread(change)}
+    return {
+        **sides,
+        "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+        "tied_pairs": sum(c == p for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "ratio_of_medians": sides["change"]["median"] / sides["parent"]["median"]
+        if sides["parent"]["median"] else None,
+    }
+
+
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: both sides' median and quartiles,
-    the pairs the change won or tied, and the ratio of the medians; per
-    workload also each side's median CPU-to-wall ratio over the pairs that
-    record their usage."""
+    """Per workload and end-to-end metric, and for each run's fastest pass
+    (``fastest_pass_s``): both sides' median and quartiles, the pairs the
+    change won or tied, and the ratio of the medians; per workload also
+    each side's median CPU-to-wall ratio over the pairs that record their
+    usage."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -119,18 +142,12 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             summary[workload]["cpu_per_wall"] = {
                 side: float(np.median([cpu_per_wall(p[side]) for p in timed])) for side in ("parent", "change")}
         for metric in metrics:
-            name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
-            parent = [p["parent"]["result"]["metrics"][name]["value"] for p in rows]
-            change = [p["change"]["result"]["metrics"][name]["value"] for p in rows]
-            sides = {"parent": _spread(parent), "change": _spread(change)}
-            summary[workload][name] = {
-                **sides,
-                "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
-                "tied_pairs": sum(c == p for p, c in zip(parent, change)),
-                "pairs": len(rows),
-                "ratio_of_medians": sides["change"]["median"] / sides["parent"]["median"]
-                if sides["parent"]["median"] else None,
-            }
+            name = metric["name"]
+            summary[workload][name] = _compare([p["parent"]["result"]["metrics"][name]["value"] for p in rows],
+                                               [p["change"]["result"]["metrics"][name]["value"] for p in rows],
+                                               metric["better"])
+        summary[workload]["fastest_pass_s"] = _compare([fastest_pass(p["parent"]) for p in rows],
+                                                       [fastest_pass(p["change"]) for p in rows], "lower")
     return summary
 
 
