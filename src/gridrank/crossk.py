@@ -5,21 +5,21 @@ and normalizes by the prediction intensity and the number of true
 events, so a curve above the complete-spatial-randomness envelope means
 predictions cluster around real events. Distances are Euclidean between
 cell centers in cell units; pairs from the two different sets are always
-counted, including cell-coincident ones. Points are grid cells, so
-``cross_k`` counts the curve and every simulation of its envelope from
-histograms of integer squared distances.
+counted, including cell-coincident ones. Points are grid cells, so the
+curve and every simulation of its envelope are counted per integer
+squared distance.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .grid import cell_coordinates
 from .metrics import descending_order
 
 ENVELOPE_METHODS = ("minmax", "quantile")
@@ -40,46 +40,52 @@ class CrossKCurve:
         return self
 
 
+def _cells(points: np.ndarray) -> np.ndarray:
+    """A non-empty set of points as (n, 2) int64 cells; float points must hold integers."""
+    points = np.asarray(points).reshape(-1, 2)
+    if points.shape[0] == 0:
+        raise DataError("cross-K needs non-empty point sets (skip this day)")
+    cells = points.astype(np.int64, copy=False)
+    if points.dtype.kind != "i" and not np.array_equal(cells, points):
+        raise DataError("points must be grid cells with integer (row, col)")
+    return cells
+
+
+def _counted_values(distances: np.ndarray, points: np.ndarray) -> int:
+    """The largest squared distance v that any d of ``distances`` can count
+    (sqrt(v) <= d), capped at the squared diagonal of the box that holds
+    ``points``, which no pair among them exceeds.
+
+    A pair lies within d exactly when sqrt(v) <= d, which holds for no v
+    above floor(max d^2) + 1, and that v itself only when its square root
+    rounds to at most max d."""
+    reach = float(np.max(distances[distances >= 0.0], initial=0.0))
+    span = points.max(axis=0) - points.min(axis=0)
+    top = int(min(np.floor(reach * reach) + 1.0, (span * span).sum()))
+    return top - int(np.sqrt(top) > reach)
+
+
 def cross_k(pred_points: np.ndarray, true_points: np.ndarray,
             distances: np.ndarray, area: float) -> np.ndarray:
-    """K(d) for each entry of ``distances``, for one set of predictions
-    or for each of many sets of one size.
+    """K(d) for each entry of ``distances``.
 
-    pred_points: (n, 2) cells, giving one curve, or (m, n, 2), giving an
-    (m, len(distances)) array of curves; true_points: (t, 2) cells. K(d) =
-    (area / |pred|) * #{(i in true, j in pred): dist(i, j) <= d} / |true|.
+    pred_points: (n, 2) cells; true_points: (t, 2) cells. K(d) = (area /
+    |pred|) * #{(i in true, j in pred): dist(i, j) <= d} / |true|.
 
-    Each set is counted from integer squared distances v: a pair lies
-    within d exactly when sqrt(v) <= d, so one histogram of v per set
-    times that 0/1 table gives every count. Values above floor(max d^2) +
-    1 share one bin that no d reaches. Integer points are used as given;
-    float points must hold integers. Sets are counted one at a time, so
-    beyond the m sets themselves the count holds one (t, n) array.
+    Counted from integer squared distances v: a pair lies within d exactly
+    when sqrt(v) <= d, so one histogram of v times that 0/1 table gives
+    every count. Integer points are used as given; float points must hold
+    integers. The count holds one (t, n) array.
     """
-    pred_points = np.asarray(pred_points)
-    true_points = np.asarray(true_points).reshape(-1, 2)
-    if pred_points.size == 0 or true_points.shape[0] == 0:
-        raise DataError("cross-K needs non-empty point sets (skip this day)")
     if area <= 0:
         raise DataError(f"area must be positive, got {area}")
-    cells = [points.astype(np.int64, copy=False) for points in (true_points, pred_points)]
-    for points, cell in zip((true_points, pred_points), cells):
-        if points.dtype.kind != "i" and not np.array_equal(cell, points):
-            raise DataError("points must be grid cells with integer (row, col)")
-    truths, sets = cells[0], cells[1].reshape(-1, *pred_points.shape[-2:])
+    truths, pred = _cells(true_points), _cells(pred_points)
     distances = np.asarray(distances, dtype=np.float64)
-    reach = float(np.max(distances[distances >= 0.0], initial=0.0))
-    low = np.minimum(truths.min(axis=0), sets.min(axis=(0, 1)))
-    span = np.maximum(truths.max(axis=0), sets.max(axis=(0, 1))) - low
-    top = int(min(np.floor(reach * reach) + 1.0, (span * span).sum()))
-    per_value = np.empty((sets.shape[0], top + 2), dtype=np.int64)
-    for i, pred in enumerate(sets):
-        sq = (truths[:, 0, None] - pred[:, 0]) ** 2 + (truths[:, 1, None] - pred[:, 1]) ** 2
-        np.minimum(sq, top + 1, out=sq)
-        per_value[i] = np.bincount(sq.reshape(-1), minlength=top + 2)
-    counts = per_value[:, :top + 1] @ (np.sqrt(np.arange(top + 1))[:, None] <= distances)
-    curves = counts / truths.shape[0] / (sets.shape[1] / area)
-    return curves.reshape(*pred_points.shape[:-2], -1)
+    top = _counted_values(distances, np.concatenate([truths, pred]))
+    sq = (truths[:, 0, None] - pred[:, 0]) ** 2 + (truths[:, 1, None] - pred[:, 1]) ** 2
+    within = np.sqrt(np.arange(top + 1))[:, None] <= distances
+    counts = np.bincount(sq[sq <= top], minlength=top + 1) @ within
+    return counts / truths.shape[0] / (pred.shape[0] / area)
 
 
 def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
@@ -88,12 +94,24 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
                  quantiles: tuple[float, float] = (0.025, 0.975)) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of K(d) under uniform-random prediction placement.
 
-    Simulates ``n_sim`` draws of ``n_pred`` uniform random cells, holds
-    them as one (n_sim, n_pred, 2) integer array, scores them against the
-    true points (grid cells) with one :func:`cross_k` call, and returns
-    the pointwise min/max (default) or quantile band. Deterministic for a
-    fixed seed: simulation i is row i of one (n_sim, n_pred) draw from
-    ``np.random.default_rng(seed)``.
+    Simulates ``n_sim`` draws of ``n_pred`` uniform random cells and
+    returns the pointwise min/max (default) or quantile band of their
+    :func:`cross_k` curves against the true points (integer cells, on the
+    grid or off it). Deterministic for a fixed seed: simulation i is row i
+    of one (n_sim, n_pred) draw from ``np.random.default_rng(seed)``.
+
+    The true points are counted once, into a table T[c, g]: how many lie
+    from cell c at a squared distance v in group g. The v from 0 to the
+    largest one a distance can count (top) fall into groups of
+    consecutive values that every distance counts alike, so T is S x G
+    int64 with G at most one more than the number of distinct distances:
+    8 columns, 64 KB at S = 1024 with distances 0, 0.5, ..., 4. T adds
+    the grid of event counts shifted by every offset (dr, dc) with dr^2 +
+    dc^2 <= top (49 offsets there) into the offset's group. A
+    simulation's counts are the sum of its cells' rows, added one
+    prediction at a time, so the simulations hold one (n_sim, G) array
+    beside T. Each K(d) count is that row times the 0/1 table of
+    sqrt(v) <= d per group, exact in integers.
     """
     if n_sim < 1:
         raise DataError(f"n_sim must be >= 1, got {n_sim}")
@@ -102,8 +120,30 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     if n_pred < 1:
         raise DataError("cross-K needs non-empty point sets (skip this day)")
     rows, cols = shape
+    truths = _cells(true_points)
+    distances = np.asarray(distances, dtype=np.float64)
+    top = _counted_values(distances, np.concatenate([truths, [(0, 0), (rows - 1, cols - 1)]]))
+    within = np.sqrt(np.arange(top + 1))[:, None] <= distances
+    group = np.concatenate([[0], np.cumsum(np.any(within[1:] != within[:-1], axis=1))])
+    reach = math.isqrt(top)
+    # event counts on the grid widened by ``reach`` on every side; events
+    # beyond it lie farther than sqrt(top) from every cell
+    wide = (rows + 2 * reach, cols + 2 * reach)
+    near = truths[np.all((truths >= -reach) & (truths < np.array(shape) + reach), axis=1)] + reach
+    events = np.bincount(near[:, 0] * wide[1] + near[:, 1], minlength=wide[0] * wide[1]).reshape(wide)
+    table = np.zeros((group[-1] + 1, rows, cols), dtype=np.int64)
+    for dr in range(-reach, reach + 1):
+        for dc in range(-reach, reach + 1):
+            if dr * dr + dc * dc <= top:
+                table[group[dr * dr + dc * dc]] += events[reach + dr:reach + dr + rows,
+                                                          reach + dc:reach + dc + cols]
+    table = table.reshape(group[-1] + 1, rows * cols).T.copy()
     draws = np.random.default_rng(seed).integers(0, rows * cols, size=(n_sim, n_pred))
-    curves = cross_k(np.stack(np.divmod(draws, cols), axis=-1), true_points, distances, float(rows * cols))
+    per_group = np.zeros((n_sim, table.shape[1]), dtype=np.int64)
+    for cells in draws.T:
+        per_group += table[cells]
+    counts = per_group @ within[np.flatnonzero(np.diff(group, prepend=-1))]
+    curves = counts / truths.shape[0] / (n_pred / float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
     return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)
@@ -111,12 +151,12 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
 
 def event_cells(day_risk: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """(n, 2) cells with positive risk on one day."""
-    return cell_coordinates(*shape)[np.flatnonzero(np.asarray(day_risk) > 0)]
+    return np.stack(np.divmod(np.flatnonzero(np.asarray(day_risk) > 0), shape[1]), axis=1)
 
 
 def top_k_cells(scores: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
     """(k, 2) cells of the k highest scores (ties by ascending location)."""
-    return cell_coordinates(*shape)[descending_order(np.asarray(scores))[:k]]
+    return np.stack(np.divmod(descending_order(np.asarray(scores))[:k], shape[1]), axis=1)
 
 
 def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,21 +52,50 @@ def ideal_dcg(relevance: np.ndarray, k: int) -> float | np.ndarray:
     return _discounted(-np.sort(-gains, axis=-1)[..., :k])
 
 
-def _ndcg_rows(relevance: np.ndarray, scores: np.ndarray, k: int, valid: np.ndarray) -> np.ndarray:
-    """NDCG@min(k, m) of each row of (B, m) candidate lists.
+def _ndcg_by_cutoff(ordered: np.ndarray, best: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """NDCG@min(k, m) of each row of (B, m) gain lists, for every k of ``ks``.
 
-    Row b holds one list in ascending location order; ``valid`` marks its
-    members, the rest is padding that ranks last and carries no gain. Each
-    list is ranked by score descending, ties by ascending location. NaN
-    where the list's ideal gain is zero.
+    ``ordered`` holds each list's gains in ranked order and ``best`` the
+    same gains sorted descending, so every cutoff is a prefix of both. NaN
+    where a list's ideal gain is zero.
     """
-    relevance = np.where(valid, relevance, 0.0)
-    position = np.broadcast_to(np.arange(relevance.shape[1]), relevance.shape)
-    top = np.lexsort((position, -scores, ~valid), axis=-1)[:, :k]
-    z = ideal_dcg(relevance, k)
-    dcg = _discounted(np.exp2(np.take_along_axis(relevance, top, axis=-1)) - 1.0)
+    values = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(z > 0.0, dcg / z, np.nan)
+        for k in ks:
+            z = _discounted(best[:, :k])
+            values.append(np.where(z > 0.0, _discounted(ordered[:, :k]) / z, np.nan))
+    return values
+
+
+def _day(relevance: np.ndarray, scores: np.ndarray, ks: list[int],
+         stencil: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[list, list, list | None]:
+    """One day's ndcg@k and prec@k at every k of ``ks``, and its local ndcg@k
+    over the (members, mask) lists of ``stencil`` when one is given.
+
+    The day is ranked once. Each neighbourhood lists its members in
+    ascending location order, and ties break by ascending location, so a
+    member's place in its local ranking is its place in the day's ranking:
+    sorting the members' global ranks, padding last, ranks every list.
+    """
+    order = descending_order(scores)
+    gains = np.exp2(relevance) - 1.0
+    positive = relevance[order] > 0
+    ndcg = [None if np.isnan(v[0]) else float(v[0])
+            for v in _ndcg_by_cutoff(gains[order][None], -np.sort(-gains)[None], ks)]
+    prec = [float(positive[:k].sum() / k) for k in ks]
+    if stencil is None:
+        return ndcg, prec, None
+    members, valid = stencil
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    local_order = np.argsort(np.where(valid, rank[members], order.size), axis=1)
+    local_gains = np.where(valid, gains[members], 0.0)
+    local = []
+    for values in _ndcg_by_cutoff(np.take_along_axis(local_gains, local_order, axis=1),
+                                  -np.sort(-local_gains, axis=1), ks):
+        values = values[~np.isnan(values)]
+        local.append(float(np.mean(values)) if values.size else None)
+    return ndcg, prec, local
 
 
 def _day_list(relevance: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,22 +109,29 @@ def _day_list(relevance: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.nda
     return relevance, scores
 
 
+def _stencil(relevance_shape: tuple, scores_shape: tuple, radius: float,
+             shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbourhood lists of a day's locations on ``shape``, checked against them and the radius."""
+    rows, cols = shape
+    if relevance_shape != scores_shape or math.prod(relevance_shape) != rows * cols:
+        raise DataError(f"shape mismatch: relevance {relevance_shape}, scores {scores_shape}, grid {shape}")
+    if radius < 0:
+        raise DataError(f"radius must be non-negative, got {radius}")
+    return neighbourhood_stencil(rows, cols, float(radius))
+
+
 def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None:
     """Normalized cumulative gain of the top-k scored locations.
 
     Returns ``None`` when all relevance is zero (undefined day). Use
     k = S for the cutoff-free variant.
     """
-    relevance, scores = _day_list(relevance, scores, k)
-    value = _ndcg_rows(relevance[None], scores[None], k, np.ones((1, relevance.size), dtype=bool))[0]
-    return None if np.isnan(value) else float(value)
+    return _day(*_day_list(relevance, scores, k), [k])[0][0]
 
 
 def precision_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float:
     """Fraction of the top-k scored locations that have positive relevance."""
-    relevance, scores = _day_list(relevance, scores, k)
-    top = descending_order(scores)[:k]
-    return float((relevance[top] > 0).sum() / k)
+    return _day(*_day_list(relevance, scores, k), [k])[1][0]
 
 
 def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
@@ -109,20 +146,10 @@ def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
     """
     relevance = np.asarray(relevance, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    rows, cols = shape
-    if relevance.shape != scores.shape or relevance.size != rows * cols:
-        raise DataError(f"shape mismatch: relevance {relevance.shape}, scores {scores.shape}, grid {shape}")
-    if radius < 0:
-        raise DataError(f"radius must be non-negative, got {radius}")
+    stencil = _stencil(relevance.shape, scores.shape, radius, shape)
     if k is not None and k < 1:
         raise DataError(f"cutoff k={k} must be >= 1")
-    members, valid = neighbourhood_stencil(rows, cols, float(radius))
-    cutoff = members.shape[1] if k is None else k
-    values = _ndcg_rows(relevance[members], scores[members], cutoff, valid)
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        return None
-    return float(np.mean(values))
+    return _day(relevance, scores, [stencil[0].shape[1] if k is None else k], stencil)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +222,8 @@ def metric_report(actual: np.ndarray, predicted: np.ndarray, ks: list[int],
     """Ranking quality table over days: ndcg/prec/local ndcg at each cutoff.
 
     ``actual`` and ``predicted`` are (days, S). Undefined days are kept
-    as ``None`` in per-day lists and excluded from means.
+    as ``None`` in per-day lists and excluded from means. Each day is
+    ranked once for every cutoff.
     """
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
@@ -207,13 +235,12 @@ def metric_report(actual: np.ndarray, predicted: np.ndarray, ks: list[int],
             raise DataError(f"cutoff k={k} outside [1, {n_locations}]")
     if day_periods is None:
         day_periods = list(range(n_days))
-
+    elif len(day_periods) != n_days:
+        raise DataError(f"day_periods has {len(day_periods)} entries for {n_days} days")
+    stencil = _stencil(actual.shape[1:], predicted.shape[1:], radius, shape)
+    days = [_day(actual[d], predicted[d], ks, stencil) for d in range(n_days)]
     summaries = []
-    for k in ks:
-        ndcg_days = [ndcg_at_k(actual[d], predicted[d], k) for d in range(n_days)]
-        prec_days = [precision_at_k(actual[d], predicted[d], k) for d in range(n_days)]
-        local_days = [l_ndcg(actual[d], predicted[d], radius, shape, k=k) for d in range(n_days)]
-        summaries.append(_summarize("ndcg", k, ndcg_days))
-        summaries.append(_summarize("prec", k, prec_days))
-        summaries.append(_summarize("lndcg", k, local_days))
+    for i, k in enumerate(ks):
+        for j, metric in enumerate(("ndcg", "prec", "lndcg")):
+            summaries.append(_summarize(metric, k, [day[j][i] for day in days]))
     return RankingReport(day_periods=list(day_periods), summaries=summaries)

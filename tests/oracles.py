@@ -24,7 +24,14 @@ node, which only tests and the chains below use:
   graph, blend, normalization, each with its own hand-written backward)
   plus generic conv ops, the reference for the one fused step node;
 * ``per_window_gradients``, the per-window training step that the
-  once-per-batch step must reproduce; and ``pairwise_cross_k``, the
+  once-per-batch step must reproduce;
+* ``metric_report_per_cutoff``, the evaluation table ranked and sorted
+  again for every (day, cutoff) pair, with every neighbourhood list
+  ranked by its own three-key lexsort: the reference whose bits the
+  once-per-day ``metrics.metric_report`` must give. Its lists come from
+  ``grid.neighbourhood_stencil``, which tests check against
+  ``brute_neighborhood``; and
+  ``pairwise_cross_k``, the
   cross-K count from a float array of pairwise distances with one
   comparison per distance, and ``csr_envelope_loop``, the
   one-simulation-at-a-time cross-K envelope built on it.
@@ -38,7 +45,7 @@ import numpy as np
 from gridrank import autodiff as ad
 from gridrank import model
 from gridrank.errors import ShapeError
-from gridrank.grid import cell_coordinates
+from gridrank.grid import cell_coordinates, neighbourhood_stencil
 
 
 def brute_rank(scores, location):
@@ -478,6 +485,51 @@ def per_window_gradients(params, grid, windows, loss_of):
         values.append(loss.item())
         ad.backward(loss)
     return values, {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
+
+
+def _discounted(gains_in_rank_order):
+    positions = np.arange(gains_in_rank_order.shape[-1], dtype=np.float64)
+    return (gains_in_rank_order / np.log2(positions + 2.0)).sum(axis=-1)
+
+
+def _ndcg_rows(relevance, scores, k, valid):
+    """NDCG@min(k, m) of each row of (B, m) candidate lists, each ranked by
+    its own lexsort (padding last, score descending, position ascending)."""
+    relevance = np.where(valid, relevance, 0.0)
+    position = np.broadcast_to(np.arange(relevance.shape[1]), relevance.shape)
+    top = np.lexsort((position, -scores, ~valid), axis=-1)[:, :k]
+    z = _discounted(-np.sort(-(np.exp2(relevance) - 1.0), axis=-1)[..., :k])
+    dcg = _discounted(np.exp2(np.take_along_axis(relevance, top, axis=-1)) - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(z > 0.0, dcg / z, np.nan)
+
+
+def metric_report_per_cutoff(actual, predicted, ks, shape, radius, day_periods=None):
+    """``metrics.metric_report(...).to_json_dict()`` computed one (day,
+    cutoff) pair at a time: every pair sorts the day's S cells and lexsorts
+    its S neighbourhood lists again."""
+    actual = np.asarray(actual, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    n_days, n_locations = actual.shape
+    members, valid = neighbourhood_stencil(*shape, float(radius))
+    everyone = np.ones((1, n_locations), dtype=bool)
+    metrics = []
+    for k in ks:
+        per_day = {"ndcg": [], "prec": [], "lndcg": []}
+        for relevance, scores in zip(actual, predicted):
+            value = _ndcg_rows(relevance[None], scores[None], k, everyone)[0]
+            per_day["ndcg"].append(None if np.isnan(value) else float(value))
+            top = np.lexsort((np.arange(n_locations), -scores))[:k]
+            per_day["prec"].append(float((relevance[top] > 0).sum() / k))
+            values = _ndcg_rows(relevance[members], scores[members], k, valid)
+            values = values[~np.isnan(values)]
+            per_day["lndcg"].append(float(np.mean(values)) if values.size else None)
+        for name, values in per_day.items():
+            defined = [v for v in values if v is not None]
+            mean, std = (float(np.mean(defined)), float(np.std(defined))) if defined else (None, None)
+            metrics.append({"metric": name, "K": k, "mean": mean, "std": std, "per_day": values})
+    days = list(range(n_days)) if day_periods is None else list(day_periods)
+    return {"days": days, "metrics": metrics}
 
 
 def pairwise_cross_k(pred_points, true_points, distances, area):

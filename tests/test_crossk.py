@@ -65,16 +65,38 @@ ODD_DISTANCES = np.array([2.5, 0.0, 1.3, 1.3, -1.0, 12.0, 3.7, 0.5, 10.0,
 
 @pytest.mark.parametrize("method", crossk.ENVELOPE_METHODS)
 @pytest.mark.parametrize("distances", [DISTANCES, ODD_DISTANCES, np.array([-0.5, 0.9]), np.array([1.0]),
-                                       np.array([0.5, np.sqrt(13.0)]), np.array([-2.0])],
-                         ids=["lattice", "odd", "short", "one", "root-13-largest", "negative-only"])
+                                       np.array([0.5, np.sqrt(13.0)]), np.array([-2.0]),
+                                       np.array([1.0, 15.0, 40.0])],
+                         ids=["lattice", "odd", "short", "one", "root-13-largest", "negative-only",
+                              "past-the-diagonal"])
 def test_envelope_equals_the_per_simulation_loop(rng, method, distances):
-    shape = (7, 9)
-    for n_pred in range(1, 11):
-        true = crossk.event_cells(rng.poisson(0.3, size=63) + (np.arange(63) == n_pred), shape)
-        got = crossk.csr_envelope(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
-        want = csr_envelope_loop(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    for shape in [(7, 9), (1, 12), (12, 1)]:
+        rows, cols = shape
+        size = rows * cols
+        # the four corners, and the middle cell of the first row and of the first column
+        rim = np.isin(np.arange(size), [0, cols - 1, size - cols, size - 1, cols // 2, rows // 2 * cols])
+        for n_pred in range(1, 11):
+            risk = rng.poisson(0.3, size=size) + (np.arange(size) == n_pred) + rim * (n_pred % 2)
+            true = crossk.event_cells(risk, shape)
+            got = crossk.csr_envelope(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
+            want = csr_envelope_loop(n_pred, true, distances, shape, n_sim=15, seed=n_pred, method=method)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", crossk.ENVELOPE_METHODS)
+def test_envelope_counts_true_points_off_the_grid(rng, method):
+    shape = (6, 8)
+    distances = np.array([0.0, 1.0, 1.5, 2.0, 3.0, np.sqrt(13.0), 5.0])
+    for n_pred in range(1, 8):
+        # beside the grid, within reach of it, and far beyond every distance
+        true = np.concatenate([crossk.event_cells(rng.poisson(0.3, size=48), shape),
+                               rng.integers(-6, 14, size=(4, 2)), [[-30, 4], [2, 40]]])
+        for points in (true, true.astype(float)):
+            got = crossk.csr_envelope(n_pred, points, distances, shape, n_sim=15, seed=n_pred, method=method)
+            want = csr_envelope_loop(n_pred, points, distances, shape, n_sim=15, seed=n_pred, method=method)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("distances", [DISTANCES, ODD_DISTANCES, np.array([-0.5, 0.9]), np.array([1.0]),
@@ -83,11 +105,10 @@ def test_envelope_equals_the_per_simulation_loop(rng, method, distances):
 def test_cross_k_equals_the_float_pairwise_count(rng, distances):
     for n_pred in range(1, 11):
         true = rng.integers(0, 9, size=(int(rng.integers(1, 12)), 2))
-        sets = rng.integers(0, 9, size=(6, n_pred, 2))
-        want = np.array([pairwise_cross_k(pred, true, distances, 63.0) for pred in sets])
-        assert np.array_equal(crossk.cross_k(sets, true, distances, 63.0), want)
-        assert np.array_equal(crossk.cross_k(sets.astype(float), true.astype(float), distances, 63.0), want)
-        assert np.array_equal(crossk.cross_k(sets[2], true, distances, 63.0), want[2])
+        for pred in rng.integers(0, 9, size=(6, n_pred, 2)):
+            want = pairwise_cross_k(pred, true, distances, 63.0)
+            assert np.array_equal(crossk.cross_k(pred, true, distances, 63.0), want)
+            assert np.array_equal(crossk.cross_k(pred.astype(float), true.astype(float), distances, 63.0), want)
 
 
 def test_large_envelope_matches_the_loop_in_per_simulation_memory(rng):

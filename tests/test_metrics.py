@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gridrank import grid, metrics
 from gridrank.errors import DataError
-from oracles import brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_order, brute_rank
+from oracles import (brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_order, brute_rank,
+                     metric_report_per_cutoff)
 
 
 class TestRankOf:
@@ -230,3 +231,62 @@ class TestMetricReport:
         csv_path = report.write_csv(tmp_path / "r.csv")
         assert json_path.exists() and csv_path.exists()
         assert csv_path.read_text().splitlines()[0] == "metric,K,mean,std"
+
+
+def oracle_days(rng, side, days=7):
+    """Days of relevance and scores with the cases that ordering can get
+    wrong: tied scores, +0.0 beside -0.0, repeated blocks, and a day
+    without events."""
+    size = side * side
+    actual = rng.poisson(0.4, size=(days, size)).astype(float)
+    actual[3] = 0.0
+    predicted = rng.normal(size=(days, size))
+    predicted[1] = np.round(predicted[1])
+    predicted[2] = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+    predicted[4, size // 2:] = predicted[4, :size - size // 2]
+    predicted[5] = 1.0
+    return actual, predicted
+
+
+class TestMetricReportOracle:
+    @pytest.mark.parametrize("side", [8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_equal_the_per_cutoff_report(self, side, seed):
+        actual, predicted = oracle_days(np.random.default_rng(seed), side)
+        ks = [1, 5, 10, 13, 20, side * side]
+        for radius in (0.0, 1.5, 2.0, 3.0):
+            got = metrics.metric_report(actual, predicted, ks, (side, side), radius)
+            assert got.to_json_dict() == metric_report_per_cutoff(actual, predicted, ks, (side, side), radius)
+
+    def test_a_repeated_cutoff_gives_two_summaries_in_order(self, rng):
+        actual, predicted = oracle_days(rng, 8)
+        report = metrics.metric_report(actual, predicted, [10, 3, 10], (8, 8), day_periods=list(range(5, 12)))
+        assert [(s.metric, s.k) for s in report.summaries] == [
+            (name, k) for k in (10, 3, 10) for name in ("ndcg", "prec", "lndcg")]
+        assert report.to_json_dict() == metric_report_per_cutoff(actual, predicted, [10, 3, 10], (8, 8),
+                                                                 metrics.EVAL_RADIUS, list(range(5, 12)))
+
+    def test_single_day_calls_equal_the_report(self, rng):
+        actual, predicted = oracle_days(rng, 8)
+        report = metrics.metric_report(actual, predicted, [4, 64], (8, 8), 2.0)
+        for k in (4, 64):
+            for d in range(actual.shape[0]):
+                assert metrics.ndcg_at_k(actual[d], predicted[d], k) == report.lookup("ndcg", k).per_day[d]
+                assert metrics.precision_at_k(actual[d], predicted[d], k) == report.lookup("prec", k).per_day[d]
+                assert metrics.l_ndcg(actual[d], predicted[d], 2.0, (8, 8), k=k) == \
+                    report.lookup("lndcg", k).per_day[d]
+
+
+class TestMetricReportInputs:
+    def test_negative_radius(self, rng):
+        with pytest.raises(DataError, match="radius must be non-negative, got -1.0"):
+            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (4, 4), radius=-1.0)
+
+    def test_grid_shape_must_hold_every_location(self, rng):
+        with pytest.raises(DataError, match=r"shape mismatch: relevance \(16,\), scores \(16,\), grid \(3, 5\)"):
+            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (3, 5))
+
+    @pytest.mark.parametrize("periods", [[7], [7, 8, 9], []])
+    def test_day_periods_must_name_every_day(self, rng, periods):
+        with pytest.raises(DataError, match=f"day_periods has {len(periods)} entries for 2 days"):
+            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (4, 4), day_periods=periods)

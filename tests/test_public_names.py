@@ -2,8 +2,11 @@
 program itself: by ``src/``, ``bench/`` or ``tools/``, not only by tests."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
+
+from gridrank import crossk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,14 @@ def test_every_public_name_is_used_outside_the_tests():
             if public and uses[node.name] == identifiers(node)[node.name]:
                 unused.add(f"{path.stem}.{node.name}")
     assert unused <= CALLED_ONLY_FROM_TESTS, sorted(unused - CALLED_ONLY_FROM_TESTS)
+
+
+def test_every_traced_function_is_a_callable_of_the_package():
+    """bench/tracer.py wraps these functions by name for ``--trace 1``: the
+    timed spans and the cross_k call counter."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in [*tracer.SPANNED, (crossk, "cross_k")]:
+        assert module.__name__.startswith("gridrank."), module.__name__
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
