@@ -23,9 +23,14 @@ nondifferentiable point.
 A node keeps its gradient function with the parents it aligns with, and
 :func:`vjp` maps an output gradient to (parent, gradient) pairs without
 adding them anywhere. Each gradient is an array just allocated for one
-parent, so ``backward`` makes the first one the parent's ``.grad``
-without a copy, and releases each non-leaf node's ``.grad`` once its
-pairs are added.
+parent, so the first one becomes the parent's ``.grad`` without a copy.
+:func:`backward_pairs` walks the tape and returns the leaves' pairs
+unadded, so threads can backpropagate tapes that share leaves and add
+the pairs in an order of their choosing; ``backward`` adds them at once.
+The walk releases each non-leaf node's ``.grad`` and its gradient
+function once the node's pairs are taken: the function holds the node's
+activations, so the tape's memory is freed as the walk goes, and a node
+that has been walked cannot be walked again.
 """
 
 from __future__ import annotations
@@ -203,29 +208,52 @@ def vjp(node: Tensor, g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
             if grad is not None and parent.requires_grad]
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
-
-    ``loss`` must be a scalar. Returns a map from leaf tensors
-    (requires_grad, no parents) to their gradients. A non-leaf node's
-    ``.grad`` is released once its pairs have been added, so only the
-    leaves keep gradients. Calling twice on the same loss tensor is an
-    error; rebuild the graph instead.
+def backward_pairs(loss: Tensor) -> list[tuple[Tensor, np.ndarray]]:
+    """The (leaf, gradient) pairs of d(loss)/d(leaf), for the leaves
+    (requires_grad, no parents) reachable from the scalar ``loss``, in the
+    order ``backward`` adds them; a leaf reached along several paths has
+    one pair per path. No leaf's ``.grad`` changes. Each non-leaf node's
+    ``.grad`` and gradient function are released once its pairs are
+    taken. Calling twice on the same loss tensor, or walking a node an
+    earlier call walked, is an error; rebuild the graph instead.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
         raise RuntimeError("backward already ran for this loss; rebuild the graph before calling again")
     loss._backward_done = True
+    if not loss.requires_grad:
+        return []
+    if not loss._parents:
+        return [(loss, np.ones_like(loss.data))]
+    pairs = []
     order = _toposort(loss)
-    if loss.requires_grad:
-        _accum(loss, np.ones_like(loss.data))
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._grads is not None and node.grad is not None:
-            for parent, grad in vjp(node, node.grad):
+        if not node._parents or node.grad is None:
+            continue
+        if node._grads is None:
+            raise RuntimeError("backward already ran through this node; rebuild the graph before calling again")
+        for parent, grad in vjp(node, node.grad):
+            if parent._parents:
                 _accum(parent, grad)
-            node.grad = None
-    return {t: t.grad for t in order if t.requires_grad and not t._parents and t.grad is not None}
+            else:
+                pairs.append((parent, grad))
+        node.grad = node._grads = None
+    return pairs
+
+
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf:
+    :func:`backward_pairs`, each pair added in order.
+
+    Returns a map from the leaf tensors that got a gradient to their
+    ``.grad``. Only the leaves keep gradients.
+    """
+    pairs = backward_pairs(loss)
+    for leaf, grad in pairs:
+        _accum(leaf, grad)
+    return {leaf: leaf.grad for leaf, _ in pairs}
 
 
 def zero_grads(tensors) -> None:

@@ -167,8 +167,13 @@ def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,
 
     ``actual``/``predicted`` are (days, S); days without events are
     skipped. Per-day envelope seeds derive from ``seed`` + day index.
+    ``distances`` must be finite, non-negative and non-decreasing, since a
+    curve is read in order of distance.
     """
     distances = np.asarray(distances, dtype=np.float64)
+    if not (np.all(np.isfinite(distances)) and np.all(distances >= 0.0) and np.all(np.diff(distances) >= 0.0)):
+        raise DataError(f"cross-K distances must be finite, non-negative and non-decreasing, "
+                        f"got {distances.tolist()}")
     rows, cols = shape
     area = float(rows * cols)
     value_rows, lo_rows, hi_rows = [], [], []

@@ -30,7 +30,7 @@ threads rebuilding at once with two buffers each peaked at 119.5 against
 106 MB on train-32x32.
 
 From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256), every stage
-that builds periods or scores windows runs on min(``_POOL_WORKERS`` = 2,
+that builds periods or runs windows runs on min(``_POOL_WORKERS`` = 2,
 CPUs available) threads: the calling thread and threads started for the
 call, in copies of the caller's context. Each worker has its own buffers,
 made by the calling thread, so two workers hold two S x S buffers, as
@@ -45,30 +45,42 @@ arena: per-thread arenas took eval-32x32's peak RSS from 185 to 236 MB.
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
 distinct input period's step is built once and held as a detached leaf;
-(2) per window, the recurrent part runs over its leaves and its loss is
-backpropagated into them and into the recurrent and head weights; (3) in
+(2) per window, the recurrent part runs over its leaves, ``loss_of``
+gives its loss and ``autodiff.backward_pairs`` its (leaf, gradient)
+pairs for the period leaves and the recurrent and head weights; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
 gradients, one tape node whose parents are all parameters, so one
 ``autodiff.vjp`` call with that gradient gives its parameter gradients.
-Stage (3) runs on the pool too: the worker that rebuilds period i puts
-its pairs into slot i, in place of the seed it pops, and once all have
-stopped the calling thread adds the slots to ``.grad`` in ascending t:
-the serial order, bit for bit, and a failed stage adds nothing. At most
-one window's recurrent tape is alive at a time, and one period's tape
-per worker, and the gradients equal the per-window sum up to summation
-order. Keeping the period tapes, or stacking the windows into one
-(B S)-row recurrent pass, costs memory: prototypes on the benchmark
-workloads (2-vCPU VM, one BLAS thread) peaked at 59.1 against 49.6 MB on
-train-8x8 when keeping tapes, and at 886 against 330 MB on train-32x32
-(67-92 MB on train-8x8) when stacking; stacking in ``predictions_for``
-took eval-32x32 from 196 to 255 MB. Stacking a call's periods on a
-leading axis does not pay at S = 64: 42 periods took 8.2 against 6.9 ms
-without gradients and 24.1 against 16.2 ms with them.
+Stages (2) and (3) run on the pool too, and add their pairs to ``.grad``
+as ordered steps of ``_in_parallel``: item i's pairs are added as soon as
+every earlier item's are, so each ``.grad`` sums its terms in the serial
+order, bit for bit. In stage (2) ``loss_of`` is an ordered step as well,
+since it may draw from the training generator
+(``losses.apply_importance``). After a failure no ordered step runs; the
+pairs added before it stay, and the caller drops the batch. Each worker
+holds one window's recurrent tape or one period's tape at a time, so from
+S = 256 two windows' tapes (about 12 MB each at S = 1024) can be alive at
+once. The backward walk frees a tape's activations as it goes, and after
+a pooled stage (2) ``_trim_malloc`` hands the arena's free pages back.
+Both are needed: on train-32x32 (2-vCPU VM, one BLAS thread, three runs
+each) the pooled stage peaked at 104.0-109.1 MB, at 116.5-118.5 MB
+without the trim and at 119.5-124.2 MB without either, against
+104.3-107.4 MB for a serial stage (2). The gradients equal the per-window
+sum up to summation order. Keeping the period tapes, or stacking the
+windows into one (B S)-row recurrent pass, costs memory: prototypes on
+the benchmark workloads peaked at 59.1 against 49.6 MB on train-8x8 when
+keeping tapes, and at 886 against 330 MB on train-32x32 (67-92 MB on
+train-8x8) when stacking; stacking in ``predictions_for`` took
+eval-32x32 from 196 to 255 MB. Stacking a call's periods on a leading
+axis does not pay at S = 64: 42 periods took 8.2 against 6.9 ms without
+gradients and 24.1 against 16.2 ms with them.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
+import ctypes
 import functools
 import hashlib
 import json
@@ -474,44 +486,91 @@ def _pool_workers(s: int) -> int:
 
 
 @functools.cache
+def _libc(name: str, *argtypes):
+    """The C library's function ``name`` taking ``argtypes`` and returning
+    an int, or None where the C library has no such function."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes, function.restype = argtypes, ctypes.c_int
+    return function
+
+
+@functools.cache
 def _one_malloc_arena() -> None:
     """Have every thread allocate from glibc's main arena:
     mallopt(M_ARENA_MAX, 1), with M_ARENA_MAX = -8 from malloc.h. Per-thread
     arenas took eval-32x32's peak RSS from 185 to 236 MB. A no-op where
     the C library has no ``mallopt``."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-8, 1)
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(-8, 1)
 
 
-def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> None:
-    """Run ``job(k, i)`` for every item i in [0, items): worker k = 0 is the
-    calling thread and each other one a thread started for this call, in a
-    copy of the caller's context (numpy's ``errstate`` is a context
-    variable), and each worker claims the next unclaimed item until none
-    is left, so a worker slowed by a busy CPU takes fewer. A worker stops
-    at its first failure, and no worker claims an item once a failure is
-    recorded; once all have stopped, the failure of the lowest item is
-    raised in the calling thread."""
+def _trim_malloc() -> None:
+    """Return the main arena's free pages to the system: glibc's
+    malloc_trim(0), a no-op where the C library has none. The arena keeps
+    freed heap resident otherwise, and a later transient that lands on
+    fresh pages instead raises the peak RSS."""
+    trim = _libc("malloc_trim", ctypes.c_size_t)
+    if trim is not None:
+        trim(0)
+
+
+class _Stopped(Exception):
+    """A worker's item gave up its turn because another item failed."""
+
+
+def _in_parallel(workers: int, items: int, job: Callable[[int, int, Callable], None]) -> None:
+    """Run ``job(k, i, in_order)`` for every item i in [0, items): worker
+    k = 0 is the calling thread and each other one a thread started for
+    this call, in a copy of the caller's context (numpy's ``errstate`` is a
+    context variable), and each worker claims the next unclaimed item until
+    none is left, so a worker slowed by a busy CPU takes fewer.
+
+    ``in_order(m, fn, *args)`` returns ``fn(*args)`` once every item below
+    i has run its own ordered step m, so each step runs for one item at a
+    time, in item order, whichever worker reaches it first. Every job must
+    call the same steps, once each and in ascending m. Items are claimed
+    in ascending order and a worker holds one at a time, so the lowest
+    unfinished item never waits.
+
+    A worker stops at its first failure. Once a failure is recorded no
+    worker claims an item or runs an ordered step, and a worker waiting
+    for its turn stops; once all have stopped, the failure of the lowest
+    failed item is raised in the calling thread."""
     claims = iter(range(items))
-    lock = threading.Lock()
+    turn = threading.Condition()
+    passed = collections.Counter()  # items that have run step m
     failures: dict[int, BaseException] = {}
+
+    def in_order(i: int, m: int, fn: Callable, *args):
+        with turn:
+            while passed[m] != i and not failures:
+                turn.wait()
+            if failures:
+                raise _Stopped
+        result = fn(*args)
+        with turn:
+            passed[m] += 1
+            turn.notify_all()
+        return result
 
     def run(k: int) -> None:
         while True:
-            with lock:
+            with turn:
                 i = None if failures else next(claims, None)
             if i is None:
                 return
             try:
-                job(k, i)
+                job(k, i, functools.partial(in_order, i))
+            except _Stopped:
+                return
             except BaseException as exc:  # re-raised below, in the calling thread
-                failures[i] = exc
+                with turn:
+                    failures[i] = exc
+                    turn.notify_all()
                 return
 
     if workers > 1:
@@ -527,6 +586,11 @@ def _in_parallel(workers: int, items: int, job: Callable[[int, int], None]) -> N
         raise failures[min(failures)]
 
 
+def _add_pairs(pairs: list[tuple[Tensor, np.ndarray]]) -> None:
+    for param, grad in pairs:
+        ad._accum(param, grad)
+
+
 def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
     without gradients, keyed in order of first use. Each period goes into
@@ -540,7 +604,7 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> d
     buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
     built: list[Tensor | None] = [None] * len(periods)
 
-    def build(k: int, i: int) -> None:
+    def build(k: int, i: int, _) -> None:
         built[i] = _period_step(params, grid, periods[i], buffers[k])
 
     with ad.no_grad():
@@ -558,7 +622,7 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
     out = np.empty((len(windows), params.config.n_locations))
     steps = _shared_steps(params, grid, windows)
 
-    def score(k: int, i: int) -> None:
+    def score(k: int, i: int, _) -> None:
         out[i] = _recurrent(params, [steps[t] for t in windows[i].inputs()]).data
 
     with ad.no_grad():
@@ -576,26 +640,30 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     docstring.
     """
     leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows).items()}
-    values = []
-    for window in windows:
-        loss = loss_of(window, _recurrent(params, [leaves[t] for t in window.inputs()]))
-        values.append(loss.item())
-        ad.backward(loss)
-        del loss  # free this window's tape before the next one is built
+    workers = _pool_workers(params.config.n_locations)
+    values = [0.0] * len(windows)
+
+    def window_pass(k: int, i: int, in_order) -> None:
+        scores = _recurrent(params, [leaves[t] for t in windows[i].inputs()])
+        loss = in_order(0, loss_of, windows[i], scores)  # loss_of may draw from a shared generator
+        values[i] = loss.item()
+        pairs = ad.backward_pairs(loss)
+        del scores, loss  # the tape is freed; only its leaves' gradients wait for their turn
+        in_order(1, _add_pairs, pairs)
+
+    _in_parallel(workers, len(windows), window_pass)
+    if workers > 1:
+        _trim_malloc()
     seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
     del leaves  # stage (3) needs the leaves' gradients only, not their values
     periods = list(seeds)
-    workers = _pool_workers(params.config.n_locations)
     buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
-    slots: list[list[tuple[Tensor, np.ndarray]]] = [[] for _ in periods]
 
-    def rebuild(k: int, i: int) -> None:
-        slots[i] = ad.vjp(_period_step(params, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
+    def rebuild(k: int, i: int, in_order) -> None:
+        pairs = ad.vjp(_period_step(params, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
+        in_order(0, _add_pairs, pairs)  # in ascending t, the serial order
 
     _in_parallel(workers, len(periods), rebuild)
-    for slot in slots:  # in ascending t, the serial order
-        for param, grad in slot:
-            ad._accum(param, grad)
     return values
 
 

@@ -15,9 +15,13 @@ period is then rebuilt once to carry its gradient into the graph
 parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
 benchmark's bound (figures in the ``model`` docstring). From S = 256 the
-builds without gradients, the rebuilds with gradients and the window
-scoring of the end-of-epoch ``predictions_for`` run on two threads with
-one S x S buffer each.
+builds without gradients, the windows' recurrent passes and backwards,
+the rebuilds with gradients and the window scoring of the end-of-epoch
+``predictions_for`` run on two threads, each build with one S x S
+buffer. ``loss_of`` still sees a batch's windows one at a time, in batch
+order, because the importance weights draw from the epoch's generator,
+and the gradients are added in the serial order, so a run's bits do not
+depend on the thread count.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,22 @@ class TestBackward:
         w = ad.parameter([1.0, 2.0])
         with pytest.raises(ShapeError, match="scalar"):
             ad.backward(square(w))
+
+    def test_walked_nodes_release_their_gradient_functions(self):
+        """Once ``backward`` has taken a node's pairs the node keeps no
+        gradient function, so the activations it held are freed while the
+        node lives on, and a second walk through the node is an error."""
+        x = ad.parameter([1.0, -2.0])
+        activation = np.array([3.0, 0.5])
+        kept = weakref.ref(activation)
+        node = ad.fused("scale", x.data * activation, (x,), lambda g, a=activation: (g * a,))
+        del activation
+        inner = tanh(node)
+        ad.backward(sum_(inner))
+        assert node._grads is None and inner._grads is None and kept() is None
+        assert np.allclose(x.grad, (1.0 - np.tanh(node.data) ** 2) * [3.0, 0.5], rtol=1e-14)
+        with pytest.raises(RuntimeError, match="backward already ran through this node"):
+            ad.backward(sum_(square(node)))
 
     def test_gradients_accumulate_across_losses(self):
         w = ad.parameter([1.0])

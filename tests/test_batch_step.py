@@ -123,24 +123,25 @@ def test_batch_step_matches_per_window_oracle(data, kind, batch):
 
 
 def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):
-    """Stage (1) builds each period without gradients, stage (3) rebuilds
-    each with gradients and takes one ``vjp`` of it, and ``backward`` runs
-    once per window."""
+    """Stage (1) builds each period without gradients, stage (2) takes one
+    ``backward_pairs`` of each window's loss, in window order, and calls
+    no ``backward``, and stage (3) rebuilds each period with gradients and
+    takes one ``vjp`` of it."""
     params = small_params(data)
     windows = [Window(t, WINDOW) for t in BATCHES["overlapping"]]
     built, roots, rebuilt = [], [], []
-    original_step, original_backward, original_vjp = model._period_step, ad.backward, ad.vjp
+    original_step, original_pairs, original_vjp = model._period_step, ad.backward_pairs, ad.vjp
     in_backward = []
 
     def spy_step(params, grid, t, work=None):
         built.append((t, ad._grad_enabled))
         return original_step(params, grid, t, work)
 
-    def spy_backward(root):
+    def spy_pairs(root):
         roots.append(root.data.shape)
         in_backward.append(True)
         try:
-            return original_backward(root)
+            return original_pairs(root)
         finally:
             in_backward.pop()
 
@@ -149,14 +150,26 @@ def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):
             rebuilt.append(node.data.shape)
         return original_vjp(node, g)
 
+    def no_backward(root):
+        raise AssertionError("batch_backward called autodiff.backward")
+
+    targets = []
+    loss_of = loss_maker("mse", data)
+
+    def ordered_loss(window, scores):
+        targets.append(window.target)
+        return loss_of(window, scores)
+
     monkeypatch.setattr(model, "_period_step", spy_step)
-    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(ad, "backward_pairs", spy_pairs)
+    monkeypatch.setattr(ad, "backward", no_backward)
     monkeypatch.setattr(ad, "vjp", spy_vjp)
-    model.batch_backward(params, data, windows, loss_maker("mse", data))
+    model.batch_backward(params, data, windows, ordered_loss)
     periods = sorted({t for w in windows for t in w.inputs()})
     assert sorted(t for t, grad in built if not grad) == periods
     assert [t for t, grad in built if grad] == periods
     assert roots == [()] * len(windows)
+    assert targets == [w.target for w in windows]
     assert rebuilt == [(data.n_locations, params.config.hidden + data.d_t)] * len(periods)
 
 

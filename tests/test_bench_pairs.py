@@ -13,7 +13,7 @@ spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "pass_s", "better": "lower"}, {"name": "ndcg10", "better": "higher"}]
+METRICS = [{"name": "pass_s", "better": "lower", "bound": 0.25}, {"name": "ndcg10", "better": "higher", "bound": 0.2}]
 
 STUB = '''import json, sys, time
 busy = time.process_time() + 0.02
@@ -89,6 +89,12 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     assert w1["pass_s"]["claim"] == {"holds": False, "change_better_pairs": 3, "pairs": 3,
                                      "median_gain": 3.0, "parent_iqr": 1.0}  # fewer than ten pairs
     assert "claim" not in w1["ndcg10"] and "claim" not in doc["summary"]["w2"]["pass_s"]
+    # every entry but the claimed one gets a bound verdict
+    assert "bound" not in w1["pass_s"]
+    assert w1["ndcg10"]["bound"] == {"verdict": "held", "bound": 0.2, "allowed": 0.1, "worse_by": 0.0,
+                                     "parent_iqr": 0.0, "change_iqr": 0.0}
+    assert doc["summary"]["w2"]["pass_s"]["bound"]["verdict"] == "held"
+    assert w1["pass_s"]["change_beats_every_parent_run"] and not w1["ndcg10"]["change_beats_every_parent_run"]
 
 
 def test_parent_commit_comes_from_git_or_the_option(tmp_path, capsys):
@@ -126,8 +132,10 @@ def test_claim_verdict_is_written_and_printed(tmp_path, capsys, change_pass, hol
     verdict = json.loads(out.read_text())["summary"]["w"]["pass_s"]["claim"]
     assert verdict == {"holds": holds, "change_better_pairs": 10, "pairs": 10,
                        "median_gain": 10.0 - change_pass, "parent_iqr": 4.5}
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert err.startswith(f"claim pass_s on w: {'holds' if holds else 'fails'} (change better in 10 of 10 pairs")
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"claim pass_s on w: {'holds' if holds else 'fails'} (change better in 10 of 10 pairs")
+    assert err[-2] == ("bound ndcg10 on w: held (change median worse by 0 against 0.1 allowed, 0.2 of the parent's "
+                       "median; interquartile ranges parent 0, change 0)")
 
 
 def pairs_of(parent, change):
@@ -148,3 +156,18 @@ def pairs_of(parent, change):
 def test_claim_rule(better, parent, change, holds):
     entry = bench_pairs.summarise(pairs_of(parent, change), [{"name": "m", "better": better}])["w"]["m"]
     assert bench_pairs.claim_verdict(entry, better)["holds"] is holds
+
+
+@pytest.mark.parametrize("better,parent,change,verdict", [
+    ("lower", [10.0] * 10, [12.0] * 10, "held"),                           # worse by 2, 2.5 allowed
+    ("lower", [10.0] * 10, [13.0] * 10, "regressed"),                      # worse by 3
+    ("lower", list(range(10, 20)), list(range(10, 20)), "unresolved"),     # IQR 4.5 > 3.875 allowed
+    ("lower", list(range(10, 20)), [9.5] * 10, "held"),                    # every change run beats every parent run
+    ("lower", list(range(10, 20)), [9.5] * 9 + [10.0], "unresolved"),      # one tie with the fastest parent run
+    ("lower", [10.0] * 10, list(range(6, 16)), "unresolved"),              # the change's IQR 4.5 > 2.5 allowed
+    ("higher", [0.5] * 10, [0.39] * 10, "regressed"),                      # worse by 0.11, 0.1 allowed
+    ("higher", [0.5] * 10, [0.45] * 10, "held"),
+])
+def test_bound_rule(better, parent, change, verdict):
+    entry = bench_pairs.summarise(pairs_of(parent, change), [{"name": "m", "better": better}])["w"]["m"]
+    assert bench_pairs.bound_verdict(entry, better, 0.25 if better == "lower" else 0.2)["verdict"] == verdict

@@ -149,3 +149,17 @@ def test_event_free_days_are_skipped(rng):
 def test_no_day_with_events_is_a_data_error(rng):
     with pytest.raises(DataError, match="no day with events"):
         crossk.daily_average_curve(np.zeros((3, 30)), rng.normal(size=(3, 30)), 5, DISTANCES, SHAPE)
+
+
+@pytest.mark.parametrize("distances", [[2.5, 0.0, 1.3], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-0.5, 0.0, 1.0]])
+def test_daily_curve_rejects_bad_distances_at_entry(rng, distances):
+    """Unsorted, non-finite or negative distances are named in one line
+    before any day is counted; repeated distances are allowed."""
+    actual, predicted = day_matrices(rng)
+    with pytest.raises(DataError) as caught:
+        crossk.daily_average_curve(actual, predicted, 5, distances, SHAPE, n_sim=10)
+    message = str(caught.value)
+    assert message.startswith("cross-K distances must be finite, non-negative and non-decreasing, got [")
+    assert "\n" not in message and repr(float(distances[1])) in message
+    curve = crossk.daily_average_curve(actual, predicted, 5, [0.0, 1.0, 1.0, 2.0], SHAPE, n_sim=10)
+    assert curve.values[1] == curve.values[2]

@@ -1,18 +1,19 @@
-"""The thread pool of ``predictions_for`` and of ``batch_backward``'s first
-and third stages against the serial path, and the buffers of builds with
-and without gradients."""
+"""The thread pool of ``predictions_for`` and of ``batch_backward``'s three
+stages against the serial path, and the buffers of builds with and
+without gradients."""
 
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridrank import adjacency, autodiff as ad, cli
+from gridrank import adjacency, autodiff as ad, cli, training
 from gridrank import grid as griddata
 from gridrank import model
 from gridrank.adjacency import pearson_static
@@ -141,6 +142,125 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
     assert len(serial_grads) == len(params.named_tensors()) - (fixed_gate is not None)
 
 
+def spy_windows(monkeypatch):
+    """Record the threads that run a window's recurrent forward; one on the
+    calling thread waits (for at most 10 s) until another thread has begun
+    one, so that a pooled stage (2) uses more than one thread."""
+    threads, other = set(), threading.Event()
+    original = model._recurrent
+
+    def spy(params, steps):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            other.wait(timeout=10)
+        else:
+            other.set()
+        return original(params, steps)
+
+    monkeypatch.setattr(model, "_recurrent", spy)
+    return threads
+
+
+class DrawingLoss:
+    """A ``loss_of`` whose target is the day's risk times weights drawn from
+    one generator, so a call out of window order changes the gradients.
+    Each call records the window's target and whether another call was
+    running, and lasts 20 ms, so unordered calls would overlap. The
+    backward of every other window of ``windows``, from the first, sleeps
+    50 ms, so the window after it finishes its backward first."""
+
+    def __init__(self, data, windows):
+        self.risk = data.risk_by_location()
+        self.rng = np.random.default_rng(11)
+        self.slow = {w.target for w in windows[::2]}
+        self.targets, self.overlapped, self.active = [], False, 0
+        self.lock = threading.Lock()
+
+    def __call__(self, window, scores):
+        with self.lock:
+            self.targets.append(window.target)
+            self.overlapped |= self.active > 0
+            self.active += 1
+        time.sleep(0.02)
+        weights = self.rng.uniform(0.5, 1.5, size=scores.shape)
+        loss = training.warmup_loss(weights * self.risk[:, window.target], scores)
+        if window.target in self.slow:
+            loss = ad.fused("slow", loss.data, (loss,), lambda g: (time.sleep(0.05) or g.copy(),))
+        with self.lock:
+            self.active -= 1
+        return loss
+
+
+def test_pooled_stage_2_equals_the_serial_one(data, pooled, monkeypatch):
+    """Two threads run the windows; ``loss_of`` still sees them one at a
+    time in batch order, and the pairs are added in window order although
+    every other backward finishes after the next window's: the loss values
+    and every parameter's gradient equal the serial stage's bit for bit."""
+    params = pool_params(data, True, None)
+    windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+
+    def step():
+        ad.zero_grads(params.tensors())
+        loss_of = DrawingLoss(data, windows)
+        values = model.batch_backward(params, data, windows, loss_of)
+        return loss_of, values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
+
+    threads = spy_windows(monkeypatch)
+    pooled_loss, pooled_values, pooled_grads = step()
+    assert two_threads(threads)
+    assert pooled_loss.targets == TARGETS[:5] and not pooled_loss.overlapped
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    serial_loss, serial_values, serial_grads = step()
+    assert serial_loss.targets == TARGETS[:5]
+    assert pooled_values == serial_values
+    assert pooled_grads == serial_grads
+
+
+def test_numerical_error_in_a_loss_stops_the_window_waiting_for_its_turn(data, pooled, monkeypatch):
+    """Window 0's ``loss_of`` raises once window 1's forward is done and its
+    worker waits for its turn: that worker stops instead of waiting for
+    ever, no ``loss_of`` runs after window 0's, and no gradient reaches
+    any parameter."""
+    params = pool_params(data, True, None)
+    windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+    forwards, lock, second = [], threading.Lock(), threading.Event()
+    original = model._recurrent
+
+    def spy(params, steps):
+        scores = original(params, steps)
+        with lock:
+            forwards.append(threading.current_thread())
+            if len(forwards) == 2:
+                second.set()
+        return scores
+
+    seen = []
+
+    def failing_loss(window, scores):
+        seen.append(window.target)
+        second.wait(timeout=10)
+        time.sleep(0.05)
+        raise NumericalError(f"training diverged: non-finite loss on day {window.target}")
+
+    monkeypatch.setattr(model, "_recurrent", spy)
+    raised = []
+
+    def call():
+        try:
+            model.batch_backward(params, data, windows, failing_loss)
+        except NumericalError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert len(set(forwards)) == 2 and second.is_set()
+    assert [str(exc) for exc in raised] == [f"training diverged: non-finite loss on day {TARGETS[0]}"]
+    assert seen == [TARGETS[0]]
+    assert all(t.grad is None for t in params.tensors())
+
+
 def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data, monkeypatch):
     """Five threads on at most two CPUs, switching every microsecond: a slot
     written by the wrong thread or lost would change the scores."""
@@ -158,6 +278,33 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
         sys.setswitchinterval(interval)
     assert len(threads[False]) >= 2 and threading.active_count() == 1
     assert scores.tobytes() == serial.tobytes()
+
+
+def test_more_threads_than_cpus_with_short_switches_give_the_serial_batch_step(data, monkeypatch):
+    """The same for the three stages of a batch, whose ordered steps share
+    the generator and every parameter's ``.grad``: a step out of turn or a
+    lost addition would change the bits."""
+    params = pool_params(data, True, None)
+    windows = [Window(t, WINDOW) for t in TARGETS]
+
+    def step():
+        ad.zero_grads(params.tensors())
+        loss_of = DrawingLoss(data, [])
+        values = model.batch_backward(params, data, windows, loss_of)
+        return loss_of.targets, values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
+
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    serial = step()
+    threads = spy_windows(monkeypatch)
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = step()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) >= 2 and threading.active_count() == 1
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("negative", [True, False])

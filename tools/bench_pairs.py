@@ -16,7 +16,13 @@ the summary's entry of that workload and metric gets a ``claim`` verdict,
 also printed to standard error: the claim holds when at least ten pairs
 ran, the change won at least nine tenths of them (a tie counts for neither
 side) and the medians differ in the change's favour by more than the
-parent's interquartile range. Each run also records, under ``usage``,
+parent's interquartile range. Every other entry of an end-to-end metric
+gets a ``bound`` verdict from that metric's relative ``bound`` in
+BENCHMARK.json, also printed to standard error: ``regressed`` when the
+change's median is worse than the parent's by more than the bound times
+the parent's median, ``unresolved`` when either side's interquartile
+range exceeds that allowance, unless every change run beats every parent
+run, and ``held`` otherwise. Each run also records, under ``usage``,
 its wall time, its user and system CPU time and the host's steal ticks
 over the run, and the summary gives each side's median CPU-to-wall ratio
 per workload: it shows whether a second thread had a CPU, and how much
@@ -114,13 +120,15 @@ def fastest_pass(run: dict) -> float:
 
 def _compare(parent: list[float], change: list[float], better: str) -> dict:
     """Both sides' median and quartiles, the pairs the change won or tied,
-    and the ratio of the medians."""
+    whether every change run beat every parent run, and the ratio of the
+    medians."""
     sign = 1.0 if better == "lower" else -1.0
     sides = {"parent": _spread(parent), "change": _spread(change)}
     return {
         **sides,
         "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "tied_pairs": sum(c == p for p, c in zip(parent, change)),
+        "change_beats_every_parent_run": bool(max(sign * c for c in change) < min(sign * p for p in parent)),
         "pairs": len(parent),
         "ratio_of_medians": sides["change"]["median"] / sides["parent"]["median"]
         if sides["parent"]["median"] else None,
@@ -161,6 +169,27 @@ def claim_verdict(entry: dict, better: str) -> dict:
     wins, pairs = entry["change_better_pairs"], entry["pairs"]
     return {"holds": bool(pairs >= 10 and wins >= 0.9 * pairs and gain > iqr),
             "change_better_pairs": wins, "pairs": pairs, "median_gain": gain, "parent_iqr": iqr}
+
+
+def bound_verdict(entry: dict, better: str, bound: float) -> dict:
+    """Whether one workload's summary ``entry`` of an unclaimed metric stayed
+    within the metric's relative ``bound``: the allowance is the bound
+    times the parent's median. ``held`` when every change run beats every
+    parent run; else ``unresolved`` when either side's q3 - q1 exceeds the
+    allowance; else ``regressed`` when the change's median is worse by
+    more than it, and ``held`` when not."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    worse_by = change - parent if better == "lower" else parent - change
+    allowed = bound * abs(parent)
+    iqr = {side: entry[side]["q3"] - entry[side]["q1"] for side in ("parent", "change")}
+    if entry["change_beats_every_parent_run"]:
+        verdict = "held"
+    elif max(iqr.values()) > allowed:
+        verdict = "unresolved"
+    else:
+        verdict = "regressed" if worse_by > allowed else "held"
+    return {"verdict": verdict, "bound": bound, "allowed": allowed, "worse_by": worse_by,
+            "parent_iqr": iqr["parent"], "change_iqr": iqr["change"]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,6 +238,17 @@ def main(argv: list[str] | None = None) -> int:
     doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     doc["summary"] = summarise(doc["pairs"], benchmark["end_to_end"])
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    claimed = {(claim["workload"], claim["metric"]) for claim in doc["claims"]}
+    for workload, entries in doc["summary"].items():
+        for metric in benchmark["end_to_end"]:
+            if (workload, metric["name"]) in claimed:
+                continue
+            verdict = entries[metric["name"]]["bound"] = bound_verdict(entries[metric["name"]], metric["better"],
+                                                                       metric["bound"])
+            print(f"bound {metric['name']} on {workload}: {verdict['verdict']} (change median worse by "
+                  f"{verdict['worse_by']:.4g} against {verdict['allowed']:.4g} allowed, {metric['bound']:g} of the "
+                  f"parent's median; interquartile ranges parent {verdict['parent_iqr']:.4g}, change "
+                  f"{verdict['change_iqr']:.4g})", file=sys.stderr)
     for claim in doc["claims"]:
         entry = doc["summary"].get(claim["workload"], {}).get(claim["metric"])
         if entry is None:
