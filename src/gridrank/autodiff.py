@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 There is one kind of tape node: :func:`fused`, a block whose forward is
-plain numpy and whose backward is written by hand (period step, LSTM
-step, score head, ranking surrogate, warm-up loss, negation). Parent
+plain numpy and whose backward is written by hand (period step, a
+window's recurrent pass, ranking surrogate, warm-up loss, negation). Parent
 links form the implicit tape; ``backward`` replays it in reverse
 topological order exactly once per node. Design rules:
 
@@ -165,7 +165,8 @@ def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
     """One tape node for a block whose backward is written by hand.
 
     ``grads(g)`` maps the output gradient to one array per parent, in
-    order, or ``None`` for a parent that needs none. Each array must be
+    order, or ``None`` for a parent that needs none; a parent listed more
+    than once gets one array per listing. Each array must be
     float64, freshly allocated and returned for one parent only: the
     parents take it without a copy. ``kinks`` are the active-branch masks
     of the relus and abs inside the block, in a fixed order; they go to

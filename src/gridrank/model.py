@@ -11,8 +11,8 @@ layers H <- relu(A_hat H W). The degree is |row sum| + 1e-6: the static
 graph holds negative correlations, so a row sum can be zero or negative
 (signed message passing). The conv output, concatenated with t's
 temporal features, is the input of one recurrent step. The recurrent part
-(``_recurrent``) runs an LSTM-style cell over the window's steps in order,
-one fused tape node per step, and maps its final state linearly to one
+(``_recurrent``, one fused tape node per window) runs an LSTM-style cell
+over the window's steps in order and maps its final h linearly to one
 unbounded score per location; ranking objectives are argsort-invariant,
 so no output activation is applied.
 
@@ -58,9 +58,9 @@ order, bit for bit. In stage (2) ``loss_of`` is an ordered step as well,
 since it may draw from the training generator
 (``losses.apply_importance``). After a failure no ordered step runs; the
 pairs added before it stay, and the caller drops the batch. Each worker
-holds one window's recurrent tape or one period's tape at a time, so from
-S = 256 two windows' tapes (about 12 MB each at S = 1024) can be alive at
-once. The backward walk frees a tape's activations as it goes, and after
+holds one window's recurrent node or one period's tape at a time, so from
+S = 256 two windows' nodes (about 12 MB each at S = 1024) can be alive at
+once. Each backward frees its activations as it goes, and after
 a pooled stage (2) ``_trim_malloc`` hands the arena's free pages back.
 Both are needed: on train-32x32 (2-vCPU VM, one BLAS thread, three runs
 each) the pooled stage peaked at 104.0-109.1 MB, at 116.5-118.5 MB
@@ -366,100 +366,83 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
     return ad.fused("period_step", out, parents + tuple(params.conv_weights), grads, kinks=kinks)
 
 
-@functools.cache
-def _gate_scale(hr: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (4h,) scale [1/2, 1/2, 1, 1/2] and shift 1 - scale that turn
-    tanh into sigmoid(z) = 1/2 + tanh(z / 2) / 2 on the i, f, o blocks and
-    leave the g block's tanh; made once per h and read-only."""
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
-    shift = 1.0 - scale
-    scale.flags.writeable = shift.flags.writeable = False
-    return scale, shift
+def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
+    """The window's (S,) scores as one tape node: an LSTM cell over the
+    period steps in order from h = c = 0, then the head h w + b.
 
+    Forward: z = x Wx + h Wh + b in four h-wide blocks; i, f, o = sigmoid
+    and g = tanh of their blocks, c' = f * c + i * g, h' = o * tanh(c').
+    With sigmoid(z) = 1/2 + tanh(z / 2) / 2, [i, f, g, o] is
+    tanh(z s) s + 1 - s for s = [1/2, 1/2, 1, 1/2] per block, and s is
+    folded into copies of Wx, Wh and b: a power of two, so z s has the bits
+    of z times s. The first step skips h Wh and f * c and adds + 0.0 in
+    their place, so signed zeros are as with them. With gradients each
+    step keeps [i, f, g, o], c', tanh(c') and h', 7 S h values; without,
+    only h and c outlive a step.
 
-def _lstm_step(params: ModelParams, step_in: Tensor, state: Tensor) -> Tensor:
-    """One recurrent step as one tape node: the (R, 2h) state [h | c] and
-    the step input x give the next state [h' | c'].
-
-    Forward, with sigmoid(z) = (1 + tanh(z / 2)) / 2:
-    z = x Wx + h Wh + b, split into four h-wide blocks (i, f, g, o);
-    i, f, o = sigmoid of their blocks, g = tanh of its block;
-    c' = f * c + i * g, h' = o * tanh(c').
-
-    Backward, for the output gradient [dh' | dc'] (dc' is the part that
-    reaches c' directly): dC = dc' + dh' * o * (1 - tanh(c')^2);
-    do = dh' * tanh(c'), di = dC * g, df = dC * c, dg = dC * i;
-    dz = [di * i (1 - i), df * f (1 - f), dg (1 - g^2), do * o (1 - o)];
-    dx = dz Wx^T, dWx = x^T dz, dWh = h^T dz, db = column sums of dz,
-    d[h | c] = [dz Wh^T | dC * f]. Only the (R, 4h) activations
-    [i, f, g, o] and tanh(c') are kept for it. dz is built in one (R, 4h)
-    array with few numpy calls, which is what counts at S = 64:
-    a (1 - a) over all four blocks, the g block overwritten with 1 - g^2,
-    then times [g | c | i | tanh(c')] and [dC | dC | dC | dh'].
+    Backward from the head, dropping each step's arrays as it passes:
+    dh = G w^T for the scores' gradient G, then per step from the last
+    dC = dc' + dh' * o * (1 - tanh(c')^2), do = dh' * tanh(c'),
+    di = dC * g, df = dC * c, dg = dC * i,
+    dz = [di * i (1 - i), df * f (1 - f), dg (1 - g^2), do * o (1 - o)],
+    built in one (S, 4h) array with few numpy calls (what counts at S = 64);
+    dx = dz Wx^T, dWx = x^T dz, dWh = h^T dz, db = column sums of dz, and
+    the previous step's dh = dz Wh^T, dc = dC * f. The parents are w and b,
+    then x, Wx, Wh and b per step from the last, so each ``.grad`` sums its
+    terms in that order.
     """
     hr = params.config.recurrent_hidden
-    x, wx, wh = step_in.data, params.lstm_wx.data, params.lstm_wh.data
-    h, c = state.data[:, :hr], state.data[:, hr:]
-    act = x @ wx
-    act += h @ wh
-    act += params.lstm_bias.data
-    scale, shift = _gate_scale(hr)
-    act *= scale
-    np.tanh(act, out=act)
-    act *= scale
-    act += shift
-    i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
-    out = np.empty((act.shape[0], 2 * hr))
-    c_next = np.multiply(f, c, out=out[:, hr:])
-    c_next += i * g
-    tanh_c = np.tanh(c_next)
-    np.multiply(o, tanh_c, out=out[:, :hr])
-
-    def grads(grad):
-        dh, dc = grad[:, :hr], grad[:, hr:]
-        d_cell = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, d_cell, out=d_cell)
-        d_cell *= o
-        d_cell *= dh
-        d_cell += dc
-        dz = np.subtract(1.0, act)
-        dz *= act
-        d_g = dz[:, 2 * hr:3 * hr]
-        np.multiply(g, g, out=d_g)
-        np.subtract(1.0, d_g, out=d_g)
-        dz *= np.concatenate([g, c, i, tanh_c], axis=1)
-        blocks = dz.reshape(-1, 4, hr)
-        blocks[:, :3] *= d_cell[:, None, :]
-        blocks[:, 3] *= dh
-        d_state = np.concatenate([dz @ wh.T, d_cell * f], axis=1) if state.requires_grad else None
-        return (dz @ wx.T if step_in.requires_grad else None, d_state,
-                x.T @ dz, h.T @ dz, dz.sum(axis=0, keepdims=True))
-
-    return ad.fused("lstm_step", out, (step_in, state, params.lstm_wx, params.lstm_wh, params.lstm_bias),
-                    grads)
-
-
-def _head(params: ModelParams, state: Tensor) -> Tensor:
-    """Scores h W + b of the final state [h | c] as one (S,) tape node."""
-    hr = params.config.recurrent_hidden
-    h, w = state.data[:, :hr], params.head_weight.data
+    wx, wh = params.lstm_wx.data, params.lstm_wh.data
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
+    shift = 1.0 - scale
+    wx_s, wh_s, b_s = wx * scale, wh * scale, params.lstm_bias.data * scale
+    tape = []  # per step, with gradients: [i, f, g, o], c', tanh(c'), h'
+    h = c = None
+    for step_in in steps:
+        act = step_in.data @ wx_s
+        if h is not None:
+            act += h @ wh_s
+        act += b_s if h is not None else b_s + 0.0  # x Wx s + (b s + 0) has the bits of (x Wx s + 0) + b s
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
+        c = i * g + 0.0 if c is None else f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        if ad._grad_enabled:
+            tape.append((act, c, tanh_c, h))
+        del act, i, f, g, o, tanh_c  # without gradients only h and c outlive the step
+    w = params.head_weight.data
     scores = (h @ w + params.head_bias.data).reshape(-1)
 
-    def grads(g):
-        col = g.reshape(-1, 1)
-        d_state = np.zeros_like(state.data)
-        np.matmul(col, w.T, out=d_state[:, :hr])
-        return d_state, h.T @ col, col.sum(axis=0, keepdims=True)
+    def grads(grad):
+        col = grad.reshape(-1, 1)
+        out = [tape[-1][3].T @ col, col.sum(axis=0, keepdims=True)]
+        dh, dc = col @ w.T, 0.0  # no gradient reaches the final c directly
+        for step_in in reversed(steps):
+            act, _, tanh_c, _ = tape.pop()
+            c_prev, h_prev = (tape[-1][1], tape[-1][3]) if tape else (np.zeros_like(tanh_c), None)
+            i, f, g, o = act[:, :hr], act[:, hr:2 * hr], act[:, 2 * hr:3 * hr], act[:, 3 * hr:]
+            d_cell = (1.0 - tanh_c * tanh_c) * o * dh + dc
+            dz = np.subtract(1.0, act)
+            dz *= act
+            d_g = dz[:, 2 * hr:3 * hr]
+            np.multiply(g, g, out=d_g)
+            np.subtract(1.0, d_g, out=d_g)
+            dz *= np.concatenate([g, c_prev, i, tanh_c], axis=1)
+            blocks = dz.reshape(-1, 4, hr)
+            blocks[:, :3] *= d_cell[:, None, :]
+            blocks[:, 3] *= dh
+            out += [dz @ wx.T if step_in.requires_grad else None, step_in.data.T @ dz,
+                    np.zeros_like(wh) if h_prev is None else h_prev.T @ dz, dz.sum(axis=0, keepdims=True)]
+            if tape:
+                dh, dc = dz @ wh.T, d_cell * f
+        return out
 
-    return ad.fused("score_head", scores, (state, params.head_weight, params.head_bias), grads)
-
-
-def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
-    """The recurrent cell over the period steps in order, then the head."""
-    state = ad.constant(np.zeros((params.config.n_locations, 2 * params.config.recurrent_hidden)))
-    for step_in in steps:
-        state = _lstm_step(params, step_in, state)
-    return _head(params, state)
+    lstm = (params.lstm_wx, params.lstm_wh, params.lstm_bias)
+    parents = (params.head_weight, params.head_bias) + tuple(p for x in reversed(steps) for p in (x, *lstm))
+    return ad.fused("recurrent", scores, parents, grads)
 
 
 def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
@@ -708,12 +691,20 @@ def load_checkpoint(directory) -> ModelParams:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         config = ModelConfig(**manifest["config"]).validate()
-        entries = {entry["name"]: (tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
-                   for entry in manifest["tensors"]}
+        dtype = manifest["dtype"]
+        listed = [(entry["name"], tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
+                  for entry in manifest["tensors"]]
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
+    if dtype != "<f8":
+        raise DataError(f"checkpoint dtype {dtype!r} is not supported: {CHECKPOINT_BLOB} holds '<f8'")
+    counts = collections.Counter(name for name, _, _ in listed)
+    repeated = sorted(name for name, count in counts.items() if count > 1)
+    if repeated:
+        raise DataError(f"checkpoint lists entries {repeated} more than once")
+    entries = {name: (shape, start) for name, shape, start in listed}
     blob_path = manifest_path.parent / CHECKPOINT_BLOB
     if not blob_path.exists():
         raise DataError(f"missing file: {blob_path}")

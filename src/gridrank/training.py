@@ -10,8 +10,9 @@ full-training-split predictions at the end of every epoch.
 
 Each mini-batch's gradient comes from ``model.batch_backward``: every
 distinct input period's graph block is built once without gradients,
-each window's loss is backpropagated to those periods' outputs, and each
-period is then rebuilt once to carry its gradient into the graph
+each window's loss is backpropagated through its recurrent pass (one tape
+node: the LSTM steps and the score head) to those periods' outputs, and
+each period is then rebuilt once to carry its gradient into the graph
 parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
 benchmark's bound (figures in the ``model`` docstring). From S = 256 the

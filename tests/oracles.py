@@ -456,7 +456,7 @@ def narrow(a, axis, start, length):
 
 def generic_recurrent(params, steps):
     """The recurrent cell and the score head built from about fifteen
-    generic ops per step: the reference for the fused LSTM step and head."""
+    generic ops per step: the reference for the fused recurrent node."""
     s = params.config.n_locations
     hr = params.config.recurrent_hidden
     hidden_state = ad.constant(np.zeros((s, hr)))

@@ -1,5 +1,8 @@
-"""The fused LSTM step and score head against their generic-op chain, and
-the once-per-batch training step against the per-window oracle."""
+"""The fused recurrent node (LSTM cell and score head) against its
+generic-op chain, and the once-per-batch training step against the
+per-window oracle."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,14 +39,15 @@ def named_grads(params):
     return {name: None if t.grad is None else t.grad.copy() for name, t in params.named_tensors()}
 
 
-def recurrent_case(data, seed):
-    """Parameters with non-trivial gate values and three leaf step inputs."""
+def recurrent_case(data, seed, length=WINDOW):
+    """Parameters with non-trivial gate values and ``length`` leaf step
+    inputs."""
     rng = np.random.default_rng(seed)
     params = small_params(data, seed=seed)
     for tensor in (params.lstm_wx, params.lstm_wh, params.lstm_bias):
         tensor.data = rng.normal(size=tensor.shape)
     width = params.config.hidden + params.config.d_t
-    steps = [ad.parameter(rng.normal(size=(data.n_locations, width))) for _ in range(WINDOW)]
+    steps = [ad.parameter(rng.normal(size=(data.n_locations, width))) for _ in range(length)]
     weights = rng.normal(size=data.n_locations)
     return params, steps, weights
 
@@ -55,9 +59,13 @@ def recurrent_grads(build, params, steps, weights):
     return scores.data, named_grads(params), [s.grad.copy() for s in steps]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fused_lstm_matches_generic_chain(data, seed):
-    params, steps, weights = recurrent_case(data, seed)
+# full windows keep the ids [0], [1], [2]; one-step windows, the first
+# step's path without h Wh and f * c, are [0-one-step] to [2-one-step]
+@pytest.mark.parametrize("seed, length", [
+    pytest.param(seed, length, id=str(seed) if length == WINDOW else f"{seed}-one-step")
+    for length in (WINDOW, 1) for seed in (0, 1, 2)])
+def test_fused_lstm_matches_generic_chain(data, seed, length):
+    params, steps, weights = recurrent_case(data, seed, length)
     fused = recurrent_grads(model._recurrent, params, steps, weights)
     generic = recurrent_grads(generic_recurrent, params, steps, weights)
     assert relative_gap(fused[0], generic[0]) <= 1e-14
@@ -71,17 +79,44 @@ def test_fused_lstm_matches_generic_chain(data, seed):
 
 
 def test_fused_lstm_and_head_pass_grad_check(data):
+    """A one-step window, the first step's path without h Wh and f * c, and
+    a full window."""
     params, steps, weights = recurrent_case(data, 4)
-    state = ad.parameter(np.random.default_rng(5).normal(size=(data.n_locations, 6)))
-    step_weights = np.random.default_rng(6).normal(size=(data.n_locations, 6))
-    report = ad.grad_check(
-        lambda: sum_(mul(model._lstm_step(params, steps[0], state), ad.constant(step_weights))),
-        [steps[0], state, params.lstm_wx, params.lstm_wh, params.lstm_bias], tol=1e-7)
-    assert report.passed and report.kinks == 0, report.max_rel_error
-    report = ad.grad_check(lambda: sum_(mul(model._recurrent(params, steps), ad.constant(weights))),
-                           steps + [params.lstm_wx, params.lstm_wh, params.lstm_bias,
-                                    params.head_weight, params.head_bias], tol=1e-7)
-    assert report.passed and report.kinks == 0, report.max_rel_error
+    for window in (steps[:1], steps):
+        report = ad.grad_check(lambda: sum_(mul(model._recurrent(params, window), ad.constant(weights))),
+                               window + [params.lstm_wx, params.lstm_wh, params.lstm_bias,
+                                         params.head_weight, params.head_bias], tol=1e-7)
+        assert report.passed and report.kinks == 0, report.max_rel_error
+
+
+def test_recurrent_node_frees_each_step_as_it_goes():
+    """At S = 256 a step's arrays ([i, f, g, o], c', tanh(c'), h') are
+    7 S h values. Without gradients only h and c outlive a step, so a
+    seven-step window peaks below two steps' arrays; with them the forward
+    keeps every step's arrays, and the backward drops each step as it walks
+    past it, so it peaks below what the forward kept plus two steps'."""
+    config = model.ModelConfig(rows=16, cols=16, d_t=4, d_s=6, d_st=3, hidden=64, recurrent_hidden=32,
+                               window=7, embed_dim=3)
+    params = model.init_params(config)
+    rng = np.random.default_rng(0)
+    steps = [ad.parameter(rng.normal(size=(256, 68))) for _ in range(7)]
+    step_bytes = 7 * 256 * 32 * 8
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model._recurrent(params, steps)
+            assert tracemalloc.get_traced_memory()[1] - base < 2 * step_bytes
+        base = tracemalloc.get_traced_memory()[0]
+        scores = model._recurrent(params, steps)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        assert kept >= 7 * step_bytes
+        tracemalloc.reset_peak()
+        ad.vjp(scores, rng.normal(size=256))
+        assert tracemalloc.get_traced_memory()[1] - base < kept + 2 * step_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_sigmoid_form_is_finite_at_extremes():

@@ -334,6 +334,9 @@ def bad_inputs(manifest, manifest16, tmp_path):
         "{shape_5}": edited_copy(checkpoint, "shape_5.json", lambda m: m["tensors"][0].update(shape=5)),
         "{offset_half}": edited_copy(checkpoint, "offset_half.json", lambda m: m["tensors"][0].update(offset=0.5)),
         "{seed_null}": edited_copy(checkpoint, "seed_null.json", lambda m: m["config"].update(seed=None)),
+        "{entries_twice}": edited_copy(checkpoint, "entries_twice.json", lambda m: m["tensors"].extend(
+            [entry for entry in m["tensors"] if entry["name"] in ("lstm.wx", "lstm.bias")])),
+        "{dtype_f4}": edited_copy(checkpoint, "dtype_f4.json", lambda m: m.update(dtype="<f4")),
         "{no_checkpoint}": str(tmp_path / "absent"),
         "{f_st_abc}": dataset_copy(manifest, tmp_path / "f_st_abc", "f_st.csv",
                                    lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:]),
@@ -377,6 +380,9 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
     (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{entries_twice}"], cli.EXIT_DATA,
+     "checkpoint lists entries ['lstm.bias', 'lstm.wx'] more than once"),
+    (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "checkpoint dtype '<f4' is not supported"),
     (EVALUATE_MODEL + ["{no_checkpoint}"], cli.EXIT_DATA, "missing file"),
     (["crossk", "--checkpoint", "{no_checkpoint}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
      "missing file"),
@@ -396,7 +402,8 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
-        "checkpoint-offset-half", "checkpoint-seed-null", "evaluate-no-checkpoint", "crossk-no-checkpoint",
+        "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
+        "checkpoint-dtype-f4", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
         "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit"])

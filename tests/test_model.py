@@ -206,6 +206,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=message):
             model.load_checkpoint(tmp_path / "ckpt")
 
+    def test_repeated_entries_are_a_data_error(self, tiny_config, dataset, tmp_path):
+        """A second entry of a name would otherwise win over the first."""
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        named = {entry["name"]: entry for entry in manifest["tensors"]}
+        manifest["tensors"] += [dict(named["lstm.wx"], offset=0), dict(named["lstm.bias"])]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"lists entries \['lstm.bias', 'lstm.wx'\] more than once"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
+    def test_dtype_other_than_little_endian_float64_is_a_data_error(self, tiny_config, dataset, tmp_path, dtype):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        manifest["dtype"] = dtype
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"checkpoint dtype {dtype!r} is not supported"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("text", [
         '{"config": ',
         '{"tensors": []}',

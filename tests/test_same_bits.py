@@ -1,0 +1,48 @@
+"""tools/same_bits.py: the pipeline run on a 4 x 4 x 30 grid with this
+checkout as both sides, and its verdict and log hashing on stub hashes."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
+ROOT = TOOL.parents[1]
+spec = importlib.util.spec_from_file_location("same_bits", TOOL)
+same_bits = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_bits)
+
+
+def test_this_checkout_against_itself_gives_equal_hashes():
+    done = subprocess.run([sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
+                           "--grid", "4x4x30"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[1] for line in lines] == [f"{name}:" for name in same_bits.OUTPUTS]
+    for line in lines:
+        words = line.split()
+        assert words[0] == "4x4x30" and words[-1] == "same"
+        assert words[3] == words[5] and len(words[3]) == 64
+
+
+def test_any_difference_exits_1(monkeypatch, capsys):
+    def hashes(checkout, grid):
+        digests = {name: "0" * 64 for name in same_bits.OUTPUTS}
+        if checkout.name == "change" and grid == (8, 8, 120):
+            digests["report.json"] = "1" * 64
+        return digests
+
+    monkeypatch.setattr(same_bits, "pipeline_hashes", hashes)
+    assert same_bits.main(["--parent", "parent", "--change", "change"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(same_bits.OUTPUTS)
+    assert [line.split()[:2] for line in lines if line.endswith("DIFFERENT")] == [["8x8x120", "report.json:"]]
+    assert same_bits.main(["--parent", "parent", "--change", "change", "--grid", "16x16x40"]) == 0
+
+
+def test_training_log_is_hashed_without_its_wall_time(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("epoch,loss,wall_time_s,ndcg\n0,1.5,0.25,0.5\n1,1.25,0.5,0.75\n")
+    second.write_text("epoch,loss,wall_time_s,ndcg\n0,1.5,9.0,0.5\n1,1.25,8.0,0.75\n")
+    assert same_bits.log_without_wall_time(first) == same_bits.log_without_wall_time(second) == \
+        b"epoch,loss,ndcg\n0,1.5,0.5\n1,1.25,0.75\n"
