@@ -8,16 +8,26 @@ difference under relu(tanh(.)) makes it directed with complementary
 sparsity (at most one of the (i, j)/(j, i) entries is nonzero). A
 per-period scalar gate computed from the temporal features mixes the two.
 
-``dynamic_adjacency`` and ``blend`` work on plain arrays and write into
-buffers their caller may reuse; they are not tape nodes. Both do their
-elementwise work a row block at a time (``_row_blocks``), so a build
-holds the S x S output and block-sized scratch only. The model's
-per-period step (``model._period_step``) calls each once per build, in
-place in one S x S array, and owns the tape node;
-``dynamic_adjacency_grads`` is the dynamic graph's share of its backward:
-it rebuilds A's row blocks from the (S, d_e) activations z1 and z2, since
-the blend overwrites A, and returns the <G, A> term of the gate's
-gradient, which ``blend`` documents.
+One period's graph is built in a workspace (``workspace``), the only
+place a build's arrays are allocated: ``graph``, one S x S array, and
+two row blocks of at most ``_BLOCK_ENTRIES`` entries, ``block`` and
+``mix``. Every elementwise pass over ``graph`` runs a row block at a time
+(``_row_blocks``), so no other S x S array is made. ``dynamic_adjacency``
+writes z1 z2^T into ``graph`` in one product, then turns each row block
+into A's rows, which stay in cache for the elementwise passes, with the
+block's z2 z1^T formed in ``block``; last, it copies A's last row block
+into ``block``. ``blend`` mixes the static graph into ``graph`` in place,
+with ``mix`` as scratch, and the model's per-period step
+(``model._period_step``) normalizes it there. Neither function is a
+tape node: the step owns the node, and ``dynamic_adjacency_grads`` is
+the dynamic graph's share of its backward. Since the blend overwrote A,
+it gets A back a row block at a time, from the last up: the last from
+its copy in ``block``, every other one rebuilt there from the (S, d_e)
+activations z1 and z2 (at S <= 181 there is one block and nothing is
+rebuilt), with ``mix`` as scratch. It returns the <G, A> term of the
+gate's gradient, which ``blend`` documents. A workspace serves one build
+at a time: a build with gradients must be backpropagated before the next
+build in its workspace.
 """
 
 from __future__ import annotations
@@ -93,46 +103,39 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
     )
 
 
-# Entries per row block of an elementwise pass over an S x S array, and of
-# a build's row-block scratch: 256 KB, which timed fastest at S = 1024 (one
-# BLAS thread, 2-vCPU VM).
+# Entries per row block of a workspace: 256 KB, which timed fastest at
+# S = 1024 (one BLAS thread, 2-vCPU VM).
 _BLOCK_ENTRIES = 32768
 
 
-def _block_rows(s: int) -> int:
-    """Rows of an S-wide block of at most ``_BLOCK_ENTRIES`` entries (at
-    least one row, at most S)."""
-    return min(s, max(1, _BLOCK_ENTRIES // s))
+def workspace(s: int) -> dict[str, np.ndarray]:
+    """The arrays of one build on S locations: ``graph`` (S x S) and the row
+    blocks ``block`` and ``mix``, each min(S, max(1, ``_BLOCK_ENTRIES`` // S))
+    rows of S."""
+    rows = min(s, max(1, _BLOCK_ENTRIES // s))
+    return {"graph": np.empty((s, s)), "block": np.empty((rows, s)), "mix": np.empty((rows, s))}
 
 
-def _row_blocks(s: int, scratch: np.ndarray | None):
-    """The row blocks of an (S, S) array, ``_block_rows(S)`` rows at a time:
-    each block's row slice and the same number of rows of ``scratch``
-    (which holds at least that many rows of S, and is allocated when not
-    given)."""
-    rows = _block_rows(s)
-    if scratch is None:
-        scratch = np.empty((rows, s))
+def _row_blocks(scratch: np.ndarray):
+    """The row blocks of an S x S array, as many rows at a time as the
+    (rows, S) ``scratch`` has: each block's row slice and as many rows of
+    ``scratch``."""
+    rows, s = scratch.shape
     for start in range(0, s, rows):
         stop = min(start + rows, s)
         yield slice(start, stop), scratch[:stop - start]
 
 
 class DynamicGraph(NamedTuple):
-    """One period's dynamic graph A and what its gradient needs: the lifted
-    embeddings e1, e2 and their activations z1, z2, and ``block``, the
-    row-block scratch, whose first rows hold a copy of A's last row block;
+    """What one period's dynamic graph A leaves for its gradient besides the
+    workspace: the lifted embeddings e1, e2 and their activations z1, z2;
     ``active`` is the relu mask 1[A > 0] when a kink trace is installed,
-    None otherwise. ``matrix`` holds A when :func:`dynamic_adjacency`
-    returns, and its caller may overwrite it: the gradient does not read
-    it."""
+    None otherwise."""
 
-    matrix: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    block: np.ndarray
     active: np.ndarray | None
 
 
@@ -148,24 +151,16 @@ def _activate_rows(graph: DynamicGraph, alpha: float, rows: slice, first: np.nda
 
 
 def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
-                      out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> DynamicGraph:
-    """Directed per-period graph from embeddings + current features.
+                      work: dict[str, np.ndarray]) -> DynamicGraph:
+    """Directed per-period graph A from embeddings + current features, in
+    ``work["graph"]``.
 
     With F the features, P the feature projection and a the saturation:
     e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
     A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
     construction: C is antisymmetric and relu keeps one orientation of
-    each pair. z1 z2^T is written into ``out``, an S x S array allocated
-    when not given, in one product; then, a row block at a time (see
-    :func:`_row_blocks`), z2 z1^T is formed in ``scratch``, a block-sized
-    array allocated when not given, and the block's rows of ``out`` become
-    A's, which stay in cache for the elementwise passes. The block size
-    follows from S alone, so a build that passes a full S x S scratch gives
-    the same bits as one that passes a block-sized one: under OpenBLAS a
-    row block of the product can differ from the same rows of the full
-    product in the last bits (seen for S > 192 not a multiple of 8). A's
-    last row block is then copied into the scratch, where the gradient
-    finds it. The gradient is :func:`dynamic_adjacency_grads`; the caller
+    each pair. The module docstring gives the passes and the last-block
+    copy. The gradient is :func:`dynamic_adjacency_grads`; the caller
     reports ``active`` as a kink.
     """
     s = params.emb1.shape[0]
@@ -179,10 +174,9 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     e2 = params.emb2.data + lifted
     z1 = np.tanh((e1 @ params.mix1.data) * alpha)
     z2 = np.tanh((e2 @ params.mix2.data) * alpha)
-    scratch = np.empty((_block_rows(s), s)) if scratch is None else scratch
-    matrix = np.matmul(z1, z2.T, out=out)
-    graph = DynamicGraph(matrix, e1, e2, z1, z2, scratch, None)
-    for rows, block in _row_blocks(s, scratch):
+    matrix = np.matmul(z1, z2.T, out=work["graph"])
+    graph = DynamicGraph(e1, e2, z1, z2, None)
+    for rows, block in _row_blocks(work["block"]):
         _activate_rows(graph, alpha, rows, matrix[rows], block)
     np.copyto(block, matrix[rows])
     return graph._replace(active=matrix > 0.0) if ad.tracing_kinks() else graph
@@ -190,23 +184,19 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
 
 def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
                             graph: DynamicGraph, g_graph: np.ndarray, scale: float,
-                            scratch: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+                            work: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
     """Gradients of emb1, emb2, mix1, mix2 and feature_proj for the output
     gradient G = scale * ``g_graph`` of :func:`dynamic_adjacency`, followed
     by <``g_graph``, A>, which the blend gate's gradient needs.
 
-    A is not kept (recompute instead of store): its row blocks are
-    visited from the last up, the last from its copy in ``graph.block``
-    and every other one rebuilt there from z1 and z2, with its z2 z1^T in
-    ``scratch`` (a block-sized array, allocated when not given). At
-    S <= 181 there is one block and nothing is recomputed. A rebuilt
-    block's z1 z2^T is a row-block product, so where OpenBLAS's row blocks
-    and full product differ (see :func:`dynamic_adjacency`) it can differ
-    from the forward's A in the last bits; at S = 256 and 1024 it does
-    not. Each block adds
-    its share of <``g_graph``, A>, then forms the mask-and-scale factor
+    A's row blocks are visited from the last up, as the module docstring
+    describes. A rebuilt block's z1 z2^T is a row-block product, so where
+    OpenBLAS's row blocks and full product differ (seen for S > 192 not a
+    multiple of 8) it can differ from the forward's A in the last bits;
+    at S = 256 and 1024 it does not. Each block adds its share of
+    <``g_graph``, A>, then forms the mask-and-scale factor
     1[A > 0] (1 - A^2) = 1[A > 0] - A^2 (A is 0 off the mask) in
-    ``scratch`` and multiplies it into ``g_graph`` in place: no S x S
+    ``work["mix"]`` and multiplies it into ``g_graph`` in place: no S x S
     temporary, and ``g_graph``'s values are lost. With it
     G_C = a G * 1[A > 0] * (1 - A^2); since C is antisymmetric
     everything flows through K = G_C - G_C^T, with dz1 = K z2 and
@@ -219,8 +209,8 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     z1, z2, alpha = graph.z1, graph.z2, params.saturation
     s = z1.shape[0]
     inner = 0.0
-    for rows, factor in reversed(list(_row_blocks(s, scratch))):
-        a = graph.block[:rows.stop - rows.start]
+    for rows, factor in reversed(list(_row_blocks(work["mix"]))):
+        a = work["block"][:rows.stop - rows.start]
         if rows.stop < s:
             _activate_rows(graph, alpha, rows, np.matmul(z1[rows], z2.T, out=a), factor)
         g_rows = g_graph[rows]
@@ -241,29 +231,21 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2), inner
 
 
-@dataclass
-class BlendedAdjacency:
-    """Per-period graph: gate * dynamic + (1 - gate) * static."""
+def blend(matrix: np.ndarray, static: np.ndarray, temporal_t: np.ndarray, time_gate: Tensor,
+          fixed_gate: float | None, scratch: np.ndarray) -> float:
+    """Mix the static graph into the dynamic graph ``matrix``, in place,
+    with a scalar per-period gate, which it returns.
 
-    matrix: np.ndarray
-    gate: float
-
-
-def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
-          time_gate: Tensor, fixed_gate: float | None = None,
-          out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> BlendedAdjacency:
-    """Mix the dynamic and static graphs with a scalar per-period gate.
-
-    gate = sigmoid(f_t . time_gate); ``fixed_gate`` overrides the learned
-    gate with a constant (the fixed-0.5 variant used for ablations). The
-    mix g A_dyn + (1 - g) A_static is written into ``out`` (which may be
-    ``a_dynamic`` itself), adding (1 - g) A_static a row block at a time
-    through ``scratch`` (see :func:`_row_blocks`). Its gradient, for output
-    gradient G: dA_dyn = g G and dg = <G, A_dyn> - <G, A_static>.
+    gate = sigmoid(f_t . time_gate); a ``fixed_gate`` that is not None
+    overrides the learned gate with a constant (the fixed-0.5 variant used
+    for ablations). ``matrix`` becomes g A_dyn + (1 - g) A_static a row
+    block at a time, with (1 - g) A_static formed in the row block
+    ``scratch``. Its gradient, for output gradient G: dA_dyn = g G and
+    dg = <G, A_dyn> - <G, A_static>.
     """
-    s = a_dynamic.shape[0]
-    if a_static.shape != (s, s):
-        raise ShapeError(f"static graph shape {a_static.shape} does not match dynamic {a_dynamic.shape}")
+    s = matrix.shape[0]
+    if static.shape != (s, s):
+        raise ShapeError(f"static graph shape {static.shape} does not match dynamic {matrix.shape}")
     if fixed_gate is None:
         f_t = np.asarray(temporal_t, dtype=np.float64).reshape(1, -1)
         if f_t.shape[1] != time_gate.shape[0]:
@@ -271,8 +253,7 @@ def blend(a_dynamic: np.ndarray, a_static: np.ndarray, temporal_t: np.ndarray,
         gate = ad._stable_sigmoid(f_t @ time_gate.data)[0, 0]
     else:
         gate = float(fixed_gate)
-    mixed = np.empty_like(a_dynamic) if out is None else out
-    for rows, block in _row_blocks(s, scratch):
-        np.multiply(a_dynamic[rows], gate, out=mixed[rows])
-        mixed[rows] += np.multiply(a_static[rows], 1.0 - gate, out=block)
-    return BlendedAdjacency(matrix=mixed, gate=gate)
+    for rows, block in _row_blocks(scratch):
+        matrix[rows] *= gate
+        matrix[rows] += np.multiply(static[rows], 1.0 - gate, out=block)
+    return gate

@@ -92,8 +92,10 @@ class RunConfig:
             raise ConfigError(f"eval.crossk_sims must be at most {MAX_CROSSK_SIMS}, got {self.eval.crossk_sims}")
         if self.eval.envelope not in crossk.ENVELOPE_METHODS:
             raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
-        if self.eval.crossk_step <= 0 or self.eval.crossk_max_distance < 0:
-            raise ConfigError("cross-K distance grid must have positive step")
+        if self.eval.crossk_step <= 0:
+            raise ConfigError(f"eval.crossk_step must be > 0, got {self.eval.crossk_step}")
+        if self.eval.crossk_max_distance < 0:
+            raise ConfigError(f"eval.crossk_max_distance must be >= 0, got {self.eval.crossk_max_distance}")
         if (self.eval.crossk_max_distance + 1e-9) / self.eval.crossk_step > MAX_CROSSK_DISTANCES:
             raise ConfigError(f"eval.crossk_max_distance / eval.crossk_step gives more than "
                               f"{MAX_CROSSK_DISTANCES} cross-K distances, got "
@@ -165,10 +167,10 @@ def _apply_override(payload: dict, assignment: str) -> None:
         value = text
     *sections, leaf = dotted.strip().split(".")
     target = payload
-    for part in sections:
+    for depth, part in enumerate(sections, 1):
         target = target.setdefault(part, {})
         if not isinstance(target, dict):
-            raise ConfigError(f"unknown config key {dotted!r}")
+            raise ConfigError(f"config section {'.'.join(sections[:depth])} must be an object")
     target[leaf] = value
 
 

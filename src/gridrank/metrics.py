@@ -129,11 +129,6 @@ def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None
     return _day(*_day_list(relevance, scores, k), [k])[0][0]
 
 
-def precision_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float:
-    """Fraction of the top-k scored locations that have positive relevance."""
-    return _day(*_day_list(relevance, scores, k), [k])[1][0]
-
-
 def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
            shape: tuple[int, int], k: int | None = None) -> float | None:
     """Mean per-neighborhood ranking quality.

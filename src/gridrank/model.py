@@ -20,25 +20,22 @@ so no output activation is applied.
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
 it; the cache lives for that call only, since parameters change between
-calls. A build, with or without gradients, holds one S x S buffer and two
-row blocks of at most ``adjacency._BLOCK_ENTRIES`` entries
-(``_build_buffers``): the dynamic graph A, its blend and its
-normalization are formed in place in the S x S buffer, and a build with
-gradients rebuilds A's row blocks in its backward instead of keeping A
-(``_period_step``). Keeping A took a second S x S buffer per build: two
-threads rebuilding at once with two buffers each peaked at 119.5 against
-106 MB on train-32x32.
+calls. A build, with or without gradients, runs in one
+``adjacency.workspace``, whose module docstring describes it. Keeping A
+for the backward took a second S x S array per build: two threads
+rebuilding at once with two each peaked at 119.5 against 106 MB on
+train-32x32.
 
 From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256), every stage
 that builds periods or runs windows runs on min(``_POOL_WORKERS`` = 2,
 CPUs available) threads: the calling thread and threads started for the
-call, in copies of the caller's context. Each worker has its own buffers,
-made by the calling thread, so two workers hold two S x S buffers, as
-many as the serial rebuilds held when a build kept A. Each result goes
-into its own slot, so outputs equal the serial ones bit for bit. The
-pooled to serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread)
-was 1.24 at S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at
-S = 1024. Before the first thread starts, glibc's
+call, in copies of the caller's context. Each worker has its own
+workspace, made by the calling thread, so two workers hold two S x S
+arrays, as many as the serial rebuilds held when a build kept A. Each
+result goes into its own slot, so outputs equal the serial ones bit for
+bit. The pooled to serial time of ``predictions_for`` (2-vCPU VM, one
+BLAS thread) was 1.24 at S = 64, 1.02 at S = 144, 0.82 at S = 256 and
+0.53 at S = 1024. Before the first thread starts, glibc's
 ``mallopt(M_ARENA_MAX, 1)`` makes every thread allocate from the main
 arena: per-thread arenas took eval-32x32's peak RSS from 185 to 236 MB.
 
@@ -195,8 +192,9 @@ class ModelParams:
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Deterministic initialization: uniform(-k, k) with k = sqrt(1/fan_in),
-    embeddings standard normal scaled by 0.1, static graph zeros until the
-    trainer supplies the correlation graph. ``seed`` alone seeds the draw;
+    embeddings standard normal scaled by 0.1, and a read-only zero static
+    graph that allocates nothing (``np.broadcast_to``) until the trainer
+    supplies the correlation graph. ``seed`` alone seeds the draw;
     ``training.train`` passes ``train.seed``."""
     config.validate()
     rng = np.random.default_rng(seed)
@@ -223,7 +221,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
         lstm_bias=ad.uniform_parameter(rng, (1, 4 * hr), hr),
         head_weight=ad.uniform_parameter(rng, (hr, 1), hr),
         head_bias=ad.uniform_parameter(rng, (1, 1), hr),
-        static_graph=np.zeros((s, s)),
+        static_graph=np.broadcast_to(0.0, (s, s)),
     )
 
 
@@ -248,24 +246,6 @@ def _check_window(params: ModelParams, grid: StGrid, window: Window) -> None:
         raise DataError(f"window target {window.target} outside study period {grid.periods}")
 
 
-def _buffer(work: dict[str, np.ndarray] | None, name: str, rows: int, s: int) -> np.ndarray:
-    """The (rows, S) array ``work[name]``, made on first use; a fresh one
-    when there is no ``work``."""
-    if work is None:
-        return np.empty((rows, s))
-    if name not in work:
-        work[name] = np.empty((rows, s))
-    return work[name]
-
-
-def _build_buffers(s: int) -> dict[str, np.ndarray]:
-    """The ``work`` of one thread's builds: the S x S array that becomes
-    A_hat and two row blocks of at most ``adjacency._BLOCK_ENTRIES``
-    entries."""
-    rows = adjacency._block_rows(s)
-    return {"graph": np.empty((s, s)), "block": np.empty((rows, s)), "mix": np.empty((rows, s))}
-
-
 def _normalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D^-1 (A + I) in place, d_i = |r_i| + 1e-6 for the row sums r_i of
     A + I; returns the (S, 1) degrees and sign(r), the row factor s of the
@@ -277,8 +257,7 @@ def _normalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return denom, np.sign(row_sums)
 
 
-def _period_step(params: ModelParams, grid: StGrid, t: int,
-                 work: dict[str, np.ndarray] | None = None) -> Tensor:
+def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.ndarray]) -> Tensor:
     """Input period t's graph, its graph convolutions and its temporal
     features: the (S, hidden + d_t) input of one recurrent step, as one
     tape node.
@@ -287,17 +266,10 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
     the gate is learned) and the conv weights. The forward is
     ``adjacency.dynamic_adjacency``, ``adjacency.blend``, ``_normalize``
     and the convolutions, in that order and with the arithmetic of the
-    separate nodes they replace. With or without gradients a build holds
-    one S x S array: A is written into it (z1 z2^T in one product, then
-    the elementwise passes a row block at a time), the blend and the
-    normalization run in place in it, and it ends as A_hat. Besides it
-    there are two row blocks: ``block``, which keeps a copy of A's last
-    row block, and ``mix``, the blend's scratch. A build with gradients
-    also keeps the (S, d_e) z1, z2, e1, e2 and the (S, width) H_l and
-    Q_l = A_hat H_l; no mask is built unless a kink trace is installed.
-    The arrays come from ``work`` when given (``_build_buffers``), so the
-    builds of one thread share them, and a build with gradients must then
-    be backpropagated before the next one is made.
+    separate nodes they replace, in the ``adjacency.workspace`` ``work``,
+    whose ``graph`` ends as A_hat. A build with gradients also keeps the
+    (S, d_e) z1, z2, e1, e2 and the (S, width) H_l and Q_l = A_hat H_l;
+    no mask is built unless a kink trace is installed.
 
     Backward, for output gradient G: per layer from the top,
     dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
@@ -318,15 +290,11 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
     for the row sums r of A + I, and each layer's 1[P_l > 0].
     """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t)
-    adj, s = params.adjacency, params.config.n_locations
-    rows = adjacency._block_rows(s)
-    mix = _buffer(work, "mix", rows, s)
-    graph = adjacency.dynamic_adjacency(adj, st_t, out=_buffer(work, "graph", s, s),
-                                        scratch=_buffer(work, "block", rows, s))
-    static = params.static_graph
-    blended = adjacency.blend(graph.matrix, static, grid.temporal[t], adj.time_gate,
-                              params.config.fixed_gate, out=graph.matrix, scratch=mix)
-    a_hat, gate = blended.matrix, blended.gate
+    adj, s, static = params.adjacency, params.config.n_locations, params.static_graph
+    graph = adjacency.dynamic_adjacency(adj, st_t, work=work)
+    a_hat = work["graph"]
+    gate = adjacency.blend(a_hat, static, grid.temporal[t], adj.time_gate, params.config.fixed_gate,
+                           work["mix"])
     denom, slope = _normalize(a_hat)
     layers = [node_features]
     products = []
@@ -357,7 +325,7 @@ def _period_step(params: ModelParams, grid: StGrid, t: int,
         g_b = np.matmul(u, v.T, out=a_hat)  # A_hat's last use was the loop above
         del d_h, d_p, d_q, u, v  # two builds can be in their backward at once: keep each small
         g_static = np.vdot(g_b, static) if learned else 0.0
-        *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate, scratch=mix)
+        *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate, work)
         g_gate = ()
         if learned:
             g_gate = (grid.temporal[t].reshape(-1, 1) * ((g_a - g_static) * gate * (1.0 - gate)),)
@@ -448,7 +416,8 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
 def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     """Scores for every location at the window's target period."""
     _check_window(params, grid, window)
-    return _recurrent(params, [_period_step(params, grid, t) for t in window.inputs()])
+    s = params.config.n_locations
+    return _recurrent(params, [_period_step(params, grid, t, adjacency.workspace(s)) for t in window.inputs()])
 
 
 # The thread rule of ``_pool_workers`` (S >= 256); the module docstring
@@ -577,18 +546,18 @@ def _add_pairs(pairs: list[tuple[Tensor, np.ndarray]]) -> None:
 def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
     without gradients, keyed in order of first use. Each period goes into
-    its own slot, built by one of ``_pool_workers`` threads with that
-    worker's buffers, which the calling thread makes; the threads see the
+    its own slot, built by one of ``_pool_workers`` threads in that
+    worker's workspace, which the calling thread makes; the threads see the
     caller's ``no_grad``, which is process-wide."""
     for window in windows:
         _check_window(params, grid, window)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
     workers = _pool_workers(params.config.n_locations)
-    buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
+    workspaces = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
     built: list[Tensor | None] = [None] * len(periods)
 
     def build(k: int, i: int, _) -> None:
-        built[i] = _period_step(params, grid, periods[i], buffers[k])
+        built[i] = _period_step(params, grid, periods[i], workspaces[k])
 
     with ad.no_grad():
         _in_parallel(workers, len(periods), build)
@@ -640,10 +609,10 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
     del leaves  # stage (3) needs the leaves' gradients only, not their values
     periods = list(seeds)
-    buffers = [_build_buffers(params.config.n_locations) for _ in range(workers)]
+    workspaces = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
 
     def rebuild(k: int, i: int, in_order) -> None:
-        pairs = ad.vjp(_period_step(params, grid, periods[i], buffers[k]), seeds.pop(periods[i]))
+        pairs = ad.vjp(_period_step(params, grid, periods[i], workspaces[k]), seeds.pop(periods[i]))
         in_order(0, _add_pairs, pairs)  # in ascending t, the serial order
 
     _in_parallel(workers, len(periods), rebuild)
@@ -683,6 +652,11 @@ def save_checkpoint(directory, params: ModelParams) -> Path:
 
 
 def load_checkpoint(directory) -> ModelParams:
+    """The parameters in a checkpoint directory (or manifest path). The blob
+    is read in one pass, in offset order, straight into the arrays the
+    parameters keep, and every byte read, gaps and tail included, goes into
+    the sha256: the bytes loaded are the bytes hashed, and no copy of the
+    blob is held."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
@@ -708,25 +682,37 @@ def load_checkpoint(directory) -> ModelParams:
     blob_path = manifest_path.parent / CHECKPOINT_BLOB
     if not blob_path.exists():
         raise DataError(f"missing file: {blob_path}")
-    blob = blob_path.read_bytes()
+    size = blob_path.stat().st_size
     params = init_params(config)
     expected = {name: t.shape for name, t in params.named_tensors()}
     expected["static_graph"] = (config.n_locations, config.n_locations)
-    arrays = {}
     for name, (shape, start) in entries.items():
         if name not in expected:
             raise DataError(f"checkpoint entry {name!r} is not a tensor of this model")
         if shape != expected[name]:
             raise DataError(f"checkpoint entry {name} has shape {shape}, the config needs {expected[name]}")
-        count = math.prod(shape)
-        if start < 0 or start + 8 * count > len(blob):
-            raise DataError(f"checkpoint entry {name} needs bytes [{start}, {start + 8 * count}) "
-                            f"but {blob_path.name} holds {len(blob)}")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
-    missing = sorted(expected.keys() - arrays.keys())
+        stop = start + 8 * math.prod(shape)
+        if start < 0 or stop > size:
+            raise DataError(f"checkpoint entry {name} needs bytes [{start}, {stop}) "
+                            f"but {blob_path.name} holds {size}")
+    missing = sorted(expected.keys() - entries.keys())
     if missing:
         raise DataError(f"checkpoint lacks entries {missing}")
-    if manifest.get("sha256") != hashlib.sha256(blob).hexdigest():
+    placed = sorted((start, name) for name, (_, start) in entries.items())
+    for (start, name), (following, other) in zip(placed, placed[1:]):
+        if start + 8 * math.prod(entries[name][0]) > following:
+            raise DataError(f"checkpoint entries {name} and {other} overlap in {blob_path.name}")
+    arrays, digest = {}, hashlib.sha256()
+    with open(blob_path, "rb") as fh:
+        for start, name in placed:
+            digest.update(fh.read(start - fh.tell()))  # the gap before the entry
+            array = arrays[name] = np.empty(entries[name][0], dtype="<f8")
+            fh.readinto(array)
+            digest.update(array)
+        digest.update(fh.read())  # the tail
+    if manifest.get("sha256") != digest.hexdigest():
         raise DataError(f"{blob_path.name} does not match the sha256 digest in {manifest_path.name}")
-    params.load_snapshot(arrays)
+    for name, t in params.named_tensors():
+        t.data = arrays[name].astype(np.float64, copy=False)
+    params.static_graph = arrays["static_graph"].astype(np.float64, copy=False)
     return params

@@ -14,6 +14,20 @@ def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4, saturation=3.
     return adjacency.init_adjacency_params(n_locations, d_t, d_st, embed_dim, saturation, rng)
 
 
+def dynamic(params, features):
+    """The dynamic graph A of ``features``, built in a fresh workspace."""
+    work = adjacency.workspace(params.emb1.shape[0])
+    adjacency.dynamic_adjacency(params, features, work)
+    return work["graph"]
+
+
+def blended(dyn, static, temporal, time_gate, fixed_gate=None):
+    """``blend`` of a copy of ``dyn``: the gate and the mix."""
+    mixed = dyn.copy()
+    gate = adjacency.blend(mixed, static, temporal, time_gate, fixed_gate, adjacency.workspace(len(dyn))["mix"])
+    return gate, mixed
+
+
 class TestPearsonStatic:
     def test_identical_series_correlate_fully(self):
         series = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
@@ -60,7 +74,7 @@ class TestDynamicAdjacency:
         params = random_params(seed)
         rng = np.random.default_rng(1000 + seed)
         features = rng.uniform(0, 1, size=(9, 2))
-        matrix = adjacency.dynamic_adjacency(params, features).matrix
+        matrix = dynamic(params, features)
         assert np.all(np.diag(matrix) == 0.0)
         assert np.all(np.minimum(matrix, matrix.T) == 0.0)
         assert matrix.min() >= 0.0 and matrix.max() < 1.0
@@ -81,7 +95,7 @@ class TestDynamicAdjacency:
             params.mix2.data = mix.copy()
             params.feature_proj.data = np.zeros_like(params.feature_proj.data)
             params.saturation = alpha
-            matrix = adjacency.dynamic_adjacency(params, features).matrix
+            matrix = dynamic(params, features)
             off_diag = matrix[~np.eye(6, dtype=bool)]
             maxima.append(matrix.max())
             middles.append(int(((off_diag > 0.01) & (off_diag < 0.99)).sum()))
@@ -93,19 +107,20 @@ class TestDynamicAdjacency:
     def test_shape_mismatch(self):
         params = random_params(0)
         with pytest.raises(ShapeError):
-            adjacency.dynamic_adjacency(params, np.zeros((9, 5)))
+            adjacency.dynamic_adjacency(params, np.zeros((9, 5)), adjacency.workspace(9))
 
     def test_nan_feature_propagates_with_a_zero_active_mask(self):
         ad.set_debug(False)  # the finiteness check would stop the forward
         features = np.random.default_rng(4).uniform(0, 1, size=(9, 2))
         features[3, 1] = np.nan
+        work = adjacency.workspace(9)
         with ad._kink_tracing():
-            graph = adjacency.dynamic_adjacency(random_params(1), features)
+            graph = adjacency.dynamic_adjacency(random_params(1), features, work)
         touched = np.zeros((9, 9), dtype=bool)
         touched[3, :] = touched[:, 3] = True
-        assert np.array_equal(np.isnan(graph.matrix), touched)
+        assert np.array_equal(np.isnan(work["graph"]), touched)
         assert not graph.active[touched].any()
-        assert np.array_equal(graph.active, graph.matrix > 0.0)
+        assert np.array_equal(graph.active, work["graph"] > 0.0)
 
     def test_gradients_reach_every_parameter(self):
         params = random_params(2)
@@ -114,9 +129,11 @@ class TestDynamicAdjacency:
 
         def objective():
             # dynamic_adjacency and its gradient helper as one tape node
-            graph = adjacency.dynamic_adjacency(params, features)
-            node = ad.fused("dynamic_adjacency", graph.matrix, tuple(tensors),
-                            lambda g: adjacency.dynamic_adjacency_grads(params, features, graph, g.copy(), 1.0)[:5])
+            work = adjacency.workspace(9)
+            graph = adjacency.dynamic_adjacency(params, features, work)
+            node = ad.fused("dynamic_adjacency", work["graph"], tuple(tensors),
+                            lambda g: adjacency.dynamic_adjacency_grads(params, features, graph, g.copy(), 1.0,
+                                                                        work)[:5])
             return mean_(node)
 
         report = ad.grad_check(objective, tensors, eps=1e-5, tol=1e-4, max_coords=60)
@@ -130,41 +147,40 @@ class TestBlend:
     def test_equal_matrices_blend_to_themselves(self):
         params = random_params(3)
         features = np.random.default_rng(4).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        dyn = dynamic(params, features)
         static = dyn.copy()
-        blended = adjacency.blend(dyn, static, np.array([0.3, -0.2, 0.9]), params.time_gate)
-        assert np.allclose(blended.matrix, static, atol=1e-12)
+        _, mixed = blended(dyn, static, np.array([0.3, -0.2, 0.9]), params.time_gate)
+        assert np.allclose(mixed, static, atol=1e-12)
 
     def test_zero_gate_weights_mean(self):
         params = random_params(6)
         params.time_gate.data = np.zeros_like(params.time_gate.data)
         features = np.random.default_rng(7).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        dyn = dynamic(params, features)
         static = np.random.default_rng(8).uniform(-1, 1, size=(9, 9))
-        blended = adjacency.blend(dyn, static, np.ones(3), params.time_gate)
-        assert blended.gate == pytest.approx(0.5, abs=0.0)
-        assert np.allclose(blended.matrix, (dyn + static) / 2.0, atol=1e-15)
+        gate, mixed = blended(dyn, static, np.ones(3), params.time_gate)
+        assert gate == pytest.approx(0.5, abs=0.0)
+        assert np.allclose(mixed, (dyn + static) / 2.0, atol=1e-15)
 
     def test_fixed_gate_override_matches_half_mix(self):
         params = random_params(10)
         features = np.random.default_rng(11).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        dyn = dynamic(params, features)
         static = np.random.default_rng(12).uniform(-1, 1, size=(9, 9))
-        fixed = adjacency.blend(dyn, static, np.ones(3), params.time_gate, fixed_gate=0.5)
-        assert fixed.gate == 0.5
-        assert np.allclose(fixed.matrix, 0.5 * dyn + 0.5 * static, atol=1e-15)
+        gate, mixed = blended(dyn, static, np.ones(3), params.time_gate, fixed_gate=0.5)
+        assert gate == 0.5
+        assert np.allclose(mixed, 0.5 * dyn + 0.5 * static, atol=1e-15)
 
     def test_blend_definition_holds_elementwise(self):
         params = random_params(13)
         features = np.random.default_rng(14).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        dyn = dynamic(params, features)
         static = np.random.default_rng(15).uniform(-1, 1, size=(9, 9))
         temporal = np.array([0.4, 0.1, -0.7])
-        blended = adjacency.blend(dyn, static, temporal, params.time_gate)
-        gate = blended.gate
+        gate, mixed = blended(dyn, static, temporal, params.time_gate)
         assert 0.0 < gate < 1.0
         expected = gate * dyn + (1 - gate) * static
-        assert np.allclose(blended.matrix, expected, atol=1e-12)
+        assert np.allclose(mixed, expected, atol=1e-12)
 
     def test_gate_gradient(self):
         """The gate's gradient, through the period step that applies the blend."""
@@ -175,7 +191,7 @@ class TestBlend:
         params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)
         params.static_graph = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
         tensors = [t for _, t in params.adjacency.named_tensors()]
-        report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1)), tensors,
+        report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1, adjacency.workspace(9))), tensors,
                                eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
         assert np.all(params.adjacency.time_gate.grad != 0.0)
@@ -183,6 +199,6 @@ class TestBlend:
     def test_static_shape_mismatch(self):
         params = random_params(19)
         features = np.random.default_rng(20).uniform(size=(9, 2))
-        dyn = adjacency.dynamic_adjacency(params, features).matrix
+        dyn = dynamic(params, features)
         with pytest.raises(ShapeError):
-            adjacency.blend(dyn, np.zeros((4, 4)), np.ones(3), params.time_gate)
+            blended(dyn, np.zeros((4, 4)), np.ones(3), params.time_gate)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridrank import cli, grid, model, training
+from gridrank import cli, grid, metrics, model, training
 
 
 @pytest.mark.parametrize("override,message", [
@@ -28,6 +28,10 @@ from gridrank import cli, grid, model, training
     ("model.saturation=-1", "saturation must be positive, got -1.0"),
     ("model.fixed_gate=2", "fixed_gate must be in [0, 1], got 2.0"),
     ("model.window=0", "window must be positive, got 0"),
+    ("eval.crossk_step=0", "eval.crossk_step must be > 0, got 0.0"),
+    ("eval.crossk_max_distance=-1", "eval.crossk_max_distance must be >= 0, got -1.0"),
+    ("eval.ks=5", "eval.ks must be a list, got 5"),
+    ("train.epochs", "override 'train.epochs' must look like section.key=value"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):
     assert cli.main(["--set", override, "config-schema"]) == cli.EXIT_CONFIG
@@ -144,6 +148,38 @@ def test_rank_k_bounds_are_inclusive(manifest, capsys):
         assert cli.main(["rank", "--data", manifest, "--predictor", "ha", "--k", k]) == cli.EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith(f"top-{k} locations") and len(out) == 2 + rows
+
+
+def test_evaluate_ha_reports_the_tiled_historical_average(manifest, tmp_path):
+    out = tmp_path / "eval"
+    assert cli.main(["--set", "eval.ks=[3, 5]", "evaluate", "--data", manifest, "--predictor", "ha",
+                     "--out", str(out)]) == cli.EXIT_OK
+    config, data = cli.RunConfig(), grid.load_grid(manifest)
+    splits = training.Splits(train_end=grid.split_boundary(data.periods, config.data.train_fraction))
+    _, windows = training.split_windows(data, splits.validate(data.periods), config.model.window)
+    days = [w.target for w in windows]
+    predicted = np.tile(training.historical_average(data, splits), (len(days), 1))
+    want = metrics.metric_report(data.risk_by_location()[:, days].T, predicted, [3, 5], (data.rows, data.cols),
+                                 config.eval.radius)
+    rows = json.loads((out / "report_ha.json").read_text())["metrics"]
+    assert sorted((row["metric"], row["K"]) for row in rows) == sorted(
+        (metric, k) for metric in ("ndcg", "prec", "lndcg") for k in (3, 5))
+    for row in rows:
+        assert row["per_day"] == want.lookup(row["metric"], row["K"]).per_day
+    assert (out / "report_ha.csv").exists()
+
+
+def test_rank_oracle_orders_the_day_by_its_true_risk(manifest, capsys):
+    assert cli.main(["rank", "--data", manifest, "--predictor", "oracle", "--day", "20", "--k", "16"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "top-16 locations for period 20 (oracle):"
+    rows = [line.split(",") for line in lines[2:]]
+    risk = grid.load_grid(manifest).risk_by_location()[:, 20]
+    assert sorted(int(row[1]) for row in rows) == list(range(16))
+    assert all(float(row[4]) == float(row[5]) == risk[int(row[1])] for row in rows)
+    # descending score, ties by ascending location
+    keys = [(-float(row[4]), int(row[1])) for row in rows]
+    assert keys == sorted(keys)
 
 
 def test_missing_manifest_is_a_data_error(tmp_path, capsys):
@@ -302,6 +338,12 @@ def first_key(text):
     return lambda lines: lines[:1] + [text + "," + lines[1].split(",", 1)[1]] + lines[2:]
 
 
+def text_file(path, text):
+    """Write ``text`` to ``path``; returns the path as a string."""
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def manifest16(tmp_path_factory):
     """A 16 x 16 dataset: S x S = 2^16 entries, so its builds run on the thread pool."""
@@ -338,6 +380,10 @@ def bad_inputs(manifest, manifest16, tmp_path):
             [entry for entry in m["tensors"] if entry["name"] in ("lstm.wx", "lstm.bias")])),
         "{dtype_f4}": edited_copy(checkpoint, "dtype_f4.json", lambda m: m.update(dtype="<f4")),
         "{no_checkpoint}": str(tmp_path / "absent"),
+        "{config_absent}": str(tmp_path / "absent.json"),
+        "{config_list}": text_file(tmp_path / "list.json", "[1, 2]"),
+        "{config_train_5}": text_file(tmp_path / "train_5.json", '{"train": 5}'),
+        "{config_malformed}": text_file(tmp_path / "malformed.json", '{"train": '),
         "{f_st_abc}": dataset_copy(manifest, tmp_path / "f_st_abc", "f_st.csv",
                                    lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:]),
         "{y_header_only}": dataset_copy(manifest, tmp_path / "y_header_only", "y.csv", lambda lines: lines[:1]),
@@ -399,6 +445,17 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
     (SMALL_MODEL + DIVERGING_WARMUP + TRAIN + ["{data16}"], cli.EXIT_NUMERIC, "non-finite"),
     (["--set", "eval.crossk_sims=100000000"] + CROSSK_HA + ["{data}"], cli.EXIT_CONFIG,
      f"eval.crossk_sims must be at most {cli.MAX_CROSSK_SIMS}, got 100000000"),
+    (["--config", "{config_absent}", "config-schema"], cli.EXIT_CONFIG,
+     "absent.json: No such file or directory"),
+    (["--config", "{config_list}", "config-schema"], cli.EXIT_CONFIG, "config root must be a JSON object"),
+    (["--config", "{config_train_5}", "config-schema"], cli.EXIT_CONFIG, "config section train must be an object"),
+    (["--config", "{config_train_5}", "--set", "train.epochs=3", "config-schema"], cli.EXIT_CONFIG,
+     "config section train must be an object"),
+    (["--config", "{config_malformed}", "config-schema"], cli.EXIT_CONFIG, "malformed config"),
+    (["rank", "--data", "{data}", "--predictor", "ha", "--day", "500"], cli.EXIT_CONFIG,
+     "day 500 outside study period [0, 30)"),
+    (["evaluate", "--data", "{data}", "--out", "{out}"], cli.EXIT_CONFIG,
+     "--checkpoint is required with the model predictor"),
 ], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
@@ -406,7 +463,9 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
         "checkpoint-dtype-f4", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
         "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
-        "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit"])
+        "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
+        "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
+        "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     """Each bad input exits with its code and one stderr line, raises no

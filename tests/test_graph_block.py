@@ -45,6 +45,11 @@ def graph_tensors(params):
     return [t for name, t in params.named_tensors() if name.startswith(("adjacency.", "conv."))]
 
 
+def fused_step(params, grid, t):
+    """``model._period_step`` in a fresh workspace."""
+    return model._period_step(params, grid, t, adjacency.workspace(grid.n_locations))
+
+
 def step_gradients(build, params, grid, weights):
     """Output bytes and per-tensor gradients of sum(step * weights)."""
     ad.zero_grads(params.tensors())
@@ -74,7 +79,7 @@ CASES = [(rows, cols, negative, fixed_gate)
 @pytest.mark.parametrize("rows,cols,negative,fixed_gate", CASES)
 def test_fused_block_matches_generic_ops(rows, cols, negative, fixed_gate):
     params, grid, weights = step_case(rows, cols, negative, fixed_gate, seed=rows * 10 + cols)
-    fused_bytes, fused = step_gradients(model._period_step, params, grid, weights)
+    fused_bytes, fused = step_gradients(fused_step, params, grid, weights)
     generic_bytes, generic = step_gradients(
         lambda p, g, t: node_period_step(p, g, t, block=generic_graph_block), params, grid, weights)
     assert fused_bytes == generic_bytes
@@ -94,12 +99,12 @@ def test_fused_step_matches_three_node_oracle(negative, fixed_gate, block_entrie
     if block_entries is not None:
         monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
     params, grid, weights = step_case(4, 6, negative, fixed_gate, seed=5)
-    fused_bytes, fused = step_gradients(model._period_step, params, grid, weights)
+    fused_bytes, fused = step_gradients(fused_step, params, grid, weights)
     oracle_bytes, oracle = step_gradients(node_period_step, params, grid, weights)
     assert fused_bytes == oracle_bytes
     assert_gradients_agree(fused, oracle)
     with ad.no_grad():
-        assert model._period_step(params, grid, T, {}).data.tobytes() == fused_bytes
+        assert fused_step(params, grid, T).data.tobytes() == fused_bytes
 
 
 @pytest.mark.parametrize("negative,fixed_gate,block_entries", [
@@ -113,7 +118,7 @@ def test_fused_step_grad_check_and_kinks(negative, fixed_gate, block_entries, mo
         monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
     params, grid, weights = step_case(3, 4, negative, fixed_gate, seed=7, conv_layers=3)
     tensors = graph_tensors(params)
-    report = ad.grad_check(lambda: sum_(mul(model._period_step(params, grid, T),
+    report = ad.grad_check(lambda: sum_(mul(fused_step(params, grid, T),
                                                ad.constant(weights))),
                            tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
@@ -123,7 +128,7 @@ def test_fused_step_grad_check_and_kinks(negative, fixed_gate, block_entries, mo
         node_period_step(params, grid, T)
     for context in (ad.no_grad, contextlib.nullcontext):
         with context(), ad._kink_tracing() as trace:
-            model._period_step(params, grid, T, {})
+            fused_step(params, grid, T)
         assert len(trace) == 1 + 1 + 3
         assert all(np.array_equal(a, b) for a, b in zip(trace, oracle_trace, strict=True))
 
@@ -141,11 +146,12 @@ def test_dynamic_adjacency_grad_check_and_kink_trace():
     assert report.passed, report.max_rel_error
     with ad._kink_tracing() as trace:
         node = dynamic_adjacency_node(adj, features)
-        graph = adjacency.dynamic_adjacency(adj, features)
-    assert graph.matrix.tobytes() == node.data.tobytes()
+        work = adjacency.workspace(12)
+        graph = adjacency.dynamic_adjacency(adj, features, work)
+    assert work["graph"].tobytes() == node.data.tobytes()
     assert len(trace) == 1 and np.array_equal(trace[0], node.data > 0.0)
     assert np.array_equal(graph.active, trace[0])
-    assert adjacency.dynamic_adjacency(adj, features).active is None
+    assert adjacency.dynamic_adjacency(adj, features, work).active is None
 
 
 @pytest.mark.parametrize("fixed_gate", [None, 0.3])
@@ -162,8 +168,10 @@ def test_blend_grad_check(fixed_gate):
     report = ad.grad_check(objective, [dynamic, params.adjacency.time_gate], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     gate, node = blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)
-    blended = adjacency.blend(dynamic.data, static, temporal, params.adjacency.time_gate, fixed_gate)
-    assert blended.matrix.tobytes() == node.data.tobytes() and blended.gate == gate.item()
+    mixed = dynamic.data.copy()
+    blended_gate = adjacency.blend(mixed, static, temporal, params.adjacency.time_gate, fixed_gate,
+                                   adjacency.workspace(12)["mix"])
+    assert mixed.tobytes() == node.data.tobytes() and blended_gate == gate.item()
 
 
 @pytest.mark.parametrize("negative", [True, False])
@@ -189,7 +197,7 @@ def test_normalized_adjacency_grad_check_and_kink_trace(negative):
 
 def test_period_step_is_one_tape_node():
     params, grid, _ = step_case(3, 4, True, None, seed=3)
-    step = model._period_step(params, grid, T)
+    step = fused_step(params, grid, T)
     assert set(map(id, step._parents)) == set(map(id, graph_tensors(params)))
     assert all(not p._parents for p in step._parents)
 

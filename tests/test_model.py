@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,7 +199,9 @@ class TestCheckpoint:
         (lambda entries: entries[0].update(name="adjacency.emb9"), "not a tensor of this model"),
         (lambda entries: entries[0].update(shape=[3, 16]), "the config needs"),
         (lambda entries: entries.pop(), "lacks entries"),
-    ], ids=["unknown-name", "wrong-shape", "missing-entry"])
+        (lambda entries: entries[1].update(offset=entries[0]["offset"] + 8),
+         "checkpoint entries adjacency.emb1 and adjacency.emb2 overlap in checkpoint.bin"),
+    ], ids=["unknown-name", "wrong-shape", "missing-entry", "overlapping-entries"])
     def test_manifest_entries_checked_against_config(self, tiny_config, dataset, tmp_path, edit, message):
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
         manifest = json.loads(path.read_text())
@@ -215,6 +219,50 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=r"lists entries \['lstm.bias', 'lstm.wx'\] more than once"):
             model.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("flipped", [None, 4, -1], ids=["intact", "gap-byte", "tail-byte"])
+    def test_gaps_and_tail_are_hashed(self, tiny_config, dataset, tmp_path, flipped):
+        """A blob with 8 bytes before its first entry and 3 after its last
+        loads when its digest covers them, and fails the digest when one of
+        them changes."""
+        params = make_params(tiny_config, dataset, seed=4)
+        path = model.save_checkpoint(tmp_path / "ckpt", params)
+        blob = tmp_path / "ckpt" / model.CHECKPOINT_BLOB
+        raw = bytearray(b"\x01" * 8 + blob.read_bytes() + b"end")
+        manifest = json.loads(path.read_text())
+        for entry in manifest["tensors"]:
+            entry["offset"] += 8
+        manifest["sha256"] = hashlib.sha256(raw).hexdigest()
+        path.write_text(json.dumps(manifest))
+        if flipped is not None:
+            raw[flipped] ^= 0x01
+        blob.write_bytes(bytes(raw))
+        if flipped is not None:
+            with pytest.raises(DataError, match="sha256"):
+                model.load_checkpoint(tmp_path / "ckpt")
+            return
+        loaded = model.load_checkpoint(tmp_path / "ckpt")
+        for (name, original), (_, restored) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert np.array_equal(original.data, restored.data), name
+        assert np.array_equal(params.static_graph, loaded.static_graph)
+
+    def test_load_holds_no_copy_of_the_blob(self, tmp_path):
+        """At S = 1024 the static graph is 8 MB: the load's traced peak stays
+        within 1 MB of what the loaded parameters keep."""
+        config = model.ModelConfig(rows=32, cols=32, d_t=2, d_s=2, d_st=2, hidden=4, recurrent_hidden=4,
+                                   embed_dim=4)
+        params = model.init_params(config, seed=1)
+        params.static_graph = np.random.default_rng(1).uniform(-1, 1, size=(1024, 1024))
+        model.save_checkpoint(tmp_path / "ckpt", params)
+        del params
+        tracemalloc.start()
+        try:
+            loaded = model.load_checkpoint(tmp_path / "ckpt")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.static_graph.nbytes == 8 << 20 and retained >= 8 << 20
+        assert peak <= retained + (1 << 20)
 
     @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
     def test_dtype_other_than_little_endian_float64_is_a_data_error(self, tiny_config, dataset, tmp_path, dtype):

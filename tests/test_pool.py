@@ -313,10 +313,10 @@ def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gat
     """S = 12 x 25 = 300 is no multiple of its 109-row block (nor of 8, where
     OpenBLAS's row blocks and full product can differ in the last bits)."""
     params, grid, _ = step_case(12, 25, negative, fixed_gate, seed=2)
-    rows = adjacency._block_rows(300)
+    with_grads = model._period_step(params, grid, T, adjacency.workspace(300))
+    work = adjacency.workspace(300)
+    rows = work["block"].shape[0]
     assert rows == 109 and 300 % rows
-    with_grads = model._period_step(params, grid, T, {})
-    work = model._build_buffers(300)
     assert work["block"].shape == work["mix"].shape == (rows, 300)
     with ad.no_grad():
         without = model._period_step(params, grid, T, work)
@@ -327,10 +327,10 @@ def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gat
 @pytest.mark.parametrize("fixed_gate", [None, 0.5])
 def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate):
     """At S = 500 (eight row blocks, seven of them rebuilt in the backward)
-    the build and its ``vjp`` fill ``work`` with one S x S array and two
-    row blocks, and allocate less than half an S x S array beside them."""
+    the build and its ``vjp`` use a workspace of one S x S array and two
+    row blocks, and allocate less than half an S x S array beside it."""
     params, grid, weights = step_case(20, 25, True, fixed_gate, seed=2)
-    work = {}
+    work = adjacency.workspace(500)
     first = ad.vjp(model._period_step(params, grid, T, work), weights)
     assert sorted(a.shape for a in work.values()) == [(65, 500), (65, 500), (500, 500)]
     tracemalloc.start()

@@ -54,3 +54,32 @@ def test_every_traced_function_is_a_callable_of_the_package():
     for module, name in [*tracer.SPANNED, (crossk, "cross_k")]:
         assert module.__name__.startswith("gridrank."), module.__name__
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+# Autodiff internals that the model and the graph build read on purpose:
+# the grad-mode flag, the gradient accumulator and the stable sigmoid.
+PRIVATE_READS_ALLOWED = {"autodiff._grad_enabled", "autodiff._accum", "autodiff._stable_sigmoid"}
+
+
+def private_reads(tree: ast.Module) -> set[str]:
+    """``module._name`` for every private name of another package module
+    that ``tree`` imports or reads as an attribute of an imported module."""
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import module [as name]
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_module_s_private_names():
+    reads = {f"{path.stem}: {name}" for path in sorted((ROOT / "src" / "gridrank").glob("*.py"))
+             for name in private_reads(ast.parse(path.read_text())) - PRIVATE_READS_ALLOWED}
+    assert not reads, sorted(reads)
