@@ -41,7 +41,9 @@ arena: per-thread arenas took eval-32x32's peak RSS from 185 to 236 MB.
 
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
-distinct input period's step is built once and held as a detached leaf;
+distinct input period's step is built once and held as a detached leaf:
+``training`` batches consecutive windows, so a batch of B windows of
+length L builds B + L - 1 periods (14 for B = 8, L = 7);
 (2) per window, the recurrent part runs over its leaves, ``loss_of``
 gives its loss and ``autodiff.backward_pairs`` its (leaf, gradient)
 pairs for the period leaves and the recurrent and head weights; (3) in

@@ -12,6 +12,7 @@ from gridrank import cli, grid, metrics, model, training
     ('train.epochs="abc"', "train.epochs must be of type int, got 'abc'"),
     ("train.batch_size=2.5", "train.batch_size must be of type int, got 2.5"),
     ("train.margin=0", "margin must be > 0"),
+    ("train.early_stop_patience=0", "train.early_stop_patience must be >= 1 or null, got 0"),
     ("eval.ks=[0,5]", "eval.ks must be a non-empty list of cutoffs >= 1, got [0, 5]"),
     ("eval.ks=[]", "eval.ks must be a non-empty list of cutoffs >= 1, got []"),
     ("eval.radius=-1", "eval.radius must be >= 0, got -1.0"),

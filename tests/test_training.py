@@ -1,4 +1,5 @@
 import csv
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gridrank import adjacency, autodiff as ad, grid, losses, metrics, model, sampling, training
 from gridrank.adjacency import pearson_static
+from gridrank.errors import ConfigError
 from gridrank.model import ModelConfig, init_params, predictions_for
 
 from oracles import generic_warmup_loss, per_window_gradients
@@ -128,24 +130,87 @@ def test_window_losses_put_one_node_in_warm_up_and_two_after(data, monkeypatch):
 
 
 def test_warmup_epoch_matches_the_per_window_oracle(data):
-    state = run(data, epochs=1, warmup_epochs=1, batch_size=64, lr_warmup=1e-2)
-
-    config = training.TrainConfig(lr_warmup=1e-2)
-    params = init_params(small_model(data), seed=config.seed)
-    params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end])
+    """Every batch of the epoch, in the order ``contiguous_batches`` draws
+    from the training seed, replayed as per-window gradients and one Adam
+    step per batch: one batch of all 19 windows, then batches of 4."""
     windows, _ = training.split_windows(data, SPLITS, 3)
-    order = np.random.default_rng(config.seed).permutation(len(windows))
     risk = data.risk_by_location()
-    values, grads = per_window_gradients(
-        params, data, [windows[i] for i in order],
-        lambda window, scores: training.warmup_loss(risk[:, window.target], scores))
-    training.adam_step(params, training.AdamState.for_params(params),
-                       {name: grad / len(windows) for name, grad in grads.items()}, config.lr_warmup)
+    config = training.TrainConfig(lr_warmup=1e-2)
+    for batch_size in (64, 4):
+        state = run(data, epochs=1, warmup_epochs=1, batch_size=batch_size, lr_warmup=1e-2)
 
-    assert state.log[0]["train_obj"] == pytest.approx(np.mean(values), rel=1e-12)
-    want = params.snapshot()
-    for name, got in state.params.snapshot().items():
-        assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), name
+        params = init_params(small_model(data), seed=config.seed)
+        params.static_graph = pearson_static(data.risk[:, :, :SPLITS.train_end])
+        adam = training.AdamState.for_params(params)
+        batches = training.contiguous_batches(len(windows), batch_size, np.random.default_rng(config.seed))
+        values = []
+        for batch in batches:
+            batch_values, grads = per_window_gradients(
+                params, data, [windows[i] for i in batch],
+                lambda window, scores: training.warmup_loss(risk[:, window.target], scores))
+            values += batch_values
+            training.adam_step(params, adam, {name: grad / len(batch) for name, grad in grads.items()},
+                               config.lr_warmup)
+
+        assert (len(batches) > 1) == (batch_size < len(windows))
+        assert state.log[0]["train_obj"] == pytest.approx(np.mean(values), rel=1e-12)
+        want = params.snapshot()
+        for name, got in state.params.snapshot().items():
+            assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), (batch_size, name)
+
+
+def test_contiguous_batches_cover_every_window_once_in_runs():
+    draw = np.random.default_rng(23)
+    for _ in range(400):
+        n, batch_size = int(draw.integers(1, 150)), int(draw.integers(1, 40))
+        seed = int(draw.integers(2 ** 32))
+        rng, again = np.random.default_rng(seed), np.random.default_rng(seed)
+        epochs = [training.contiguous_batches(n, batch_size, rng) for _ in range(20)]
+        assert epochs == [training.contiguous_batches(n, batch_size, again) for _ in range(20)]
+        offsets = set()
+        for batches in epochs:
+            assert sorted(i for batch in batches for i in batch) == list(range(n))
+            for batch in batches:
+                assert 1 <= len(batch) <= batch_size and list(batch) == list(range(batch[0], batch[-1] + 1))
+            assert len(batches) <= math.ceil(n / batch_size) + 1
+            assert sum(len(batch) < batch_size for batch in batches) <= 2
+            offsets.add(len(next(batch for batch in batches if batch[0] == 0)) % batch_size)
+        if n > batch_size >= 2:
+            assert len(offsets) > 1, (n, batch_size, seed)
+
+
+def test_each_batch_builds_its_run_of_input_periods_once(data, monkeypatch):
+    """Stage (1) of a batch of consecutive targets a..b builds periods
+    a - window .. b - 1, each once."""
+    built, batches = [], []
+    period_step, batch_backward = model._period_step, model.batch_backward
+
+    def spy_step(params, grid, t, work):
+        built.append((t, ad._grad_enabled))
+        return period_step(params, grid, t, work)
+
+    def spy_batch(params, grid, windows, loss_of):
+        built.clear()
+        values = batch_backward(params, grid, windows, loss_of)
+        batches.append(([w.target for w in windows], [t for t, with_grad in built if not with_grad]))
+        return values
+
+    monkeypatch.setattr(model, "_period_step", spy_step)
+    monkeypatch.setattr(training, "batch_backward", spy_batch)
+    run(data, epochs=2, warmup_epochs=1)
+    assert sum(len(targets) for targets, _ in batches) == 2 * len(training.split_windows(data, SPLITS, 3)[0])
+    for targets, stage_one in batches:
+        assert targets == list(range(targets[0], targets[-1] + 1))
+        assert len(stage_one) == targets[-1] - targets[0] + 3
+        assert sorted(stage_one) == list(range(targets[0] - 3, targets[-1]))
+
+
+@pytest.mark.parametrize("patience", [0, -3])
+def test_early_stop_patience_below_one_is_rejected(patience):
+    with pytest.raises(ConfigError, match=f"^train.early_stop_patience must be >= 1 or null, got {patience}$"):
+        training.TrainConfig(early_stop_patience=patience).validate()
+    for accepted in (None, 1):
+        assert training.TrainConfig(early_stop_patience=accepted).validate().early_stop_patience == accepted
 
 
 def test_each_epoch_draws_from_the_previous_refresh(data, monkeypatch):
