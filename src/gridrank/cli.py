@@ -11,19 +11,16 @@ error, 3 data error, 4 numerical failure, 5 gradient-check failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import sys
-import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, autodiff, crossk, grid as griddata, metrics, training
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, from_dict
 from .losses import SurrogateConfig, hybrid_objective
 from .model import (ModelConfig, ModelSection, forward, init_params, load_checkpoint, predictions_for,
                     save_checkpoint)
@@ -103,42 +100,6 @@ class RunConfig:
         return self
 
 
-def _from_dict(cls, payload, prefix: str = ""):
-    """Build a config dataclass from a JSON object, coercing each value by field type."""
-    section = prefix.rstrip(".") or "root"
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config section {section} must be an object")
-    hints = typing.get_type_hints(cls)
-    unknown = set(payload) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in section {section}")
-    return cls(**{name: _coerce(value, hints[name], f"{prefix}{name}") for name, value in payload.items()})
-
-
-def _coerce(value, hint, key: str):
-    """``value`` as the annotated type ``hint``: a nested section, ``T | None``,
-    ``list[T]``, or a scalar (ints widen to float; bools never pass as numbers;
-    floats must be finite, though ``json`` parses NaN and Infinity)."""
-    if dataclasses.is_dataclass(hint):
-        return _from_dict(hint, value, f"{key}.")
-    arms = typing.get_args(hint)
-    if type(None) in arms:
-        if value is None:
-            return None
-        (hint,) = [arm for arm in arms if arm is not type(None)]
-    if typing.get_origin(hint) is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return [_coerce(item, typing.get_args(hint)[0], key) for item in value]
-    if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
-    if hint is float and not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
 def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
     payload: dict = {}
     if config_path:
@@ -153,7 +114,7 @@ def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
             raise ConfigError("config root must be a JSON object")
     for override in overrides:
         _apply_override(payload, override)
-    return _from_dict(RunConfig, payload).validate()
+    return from_dict(RunConfig, payload).validate()
 
 
 def _apply_override(payload: dict, assignment: str) -> None:

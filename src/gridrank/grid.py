@@ -405,6 +405,15 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
     return out
 
 
+def _count(manifest: dict, key: str) -> int:
+    """The manifest's ``key``, which must be a JSON integer >= 1: not a
+    float, a string or a bool, which ``int()`` would truncate or parse."""
+    value = manifest[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be a JSON integer >= 1, got {value!r}")
+    return value
+
+
 def load_grid(manifest_path) -> StGrid:
     """Load and validate a dataset from its manifest; numpy's C reader parses each CSV
     (see :func:`_load_keyed`)."""
@@ -416,8 +425,8 @@ def load_grid(manifest_path) -> StGrid:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        rows, cols, periods = int(manifest["M"]), int(manifest["N"]), int(manifest["T"])
-        d_t, d_s, d_st = int(manifest["d_t"]), int(manifest["d_s"]), int(manifest["d_st"])
+        rows, cols, periods, d_t, d_s, d_st = (_count(manifest, key)
+                                               for key in ("M", "N", "T", "d_t", "d_s", "d_st"))
         paths = {name: manifest_path.parent / manifest["files"][name] for name in _AXES}
         normalization = dict(manifest.get("normalization", {}))
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError

@@ -27,17 +27,18 @@ rebuilding at once with two each peaked at 119.5 against 106 MB on
 train-32x32.
 
 From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256), every stage
-that builds periods or runs windows runs on min(``_POOL_WORKERS`` = 2,
-CPUs available) threads: the calling thread and threads started for the
-call, in copies of the caller's context. Each worker has its own
-workspace, made by the calling thread, so two workers hold two S x S
-arrays, as many as the serial rebuilds held when a build kept A. Each
-result goes into its own slot, so outputs equal the serial ones bit for
-bit. The pooled to serial time of ``predictions_for`` (2-vCPU VM, one
-BLAS thread) was 1.24 at S = 64, 1.02 at S = 144, 0.82 at S = 256 and
-0.53 at S = 1024. Before the first thread starts, glibc's
-``mallopt(M_ARENA_MAX, 1)`` makes every thread allocate from the main
-arena: per-thread arenas took eval-32x32's peak RSS from 185 to 236 MB.
+that builds periods or runs windows runs its jobs on min(``_POOL_WORKERS``
+= 2, CPUs available) threads of a ``ThreadPoolExecutor`` started for the
+stage, and ``_in_order`` hands their results back to the calling thread
+in job order. Each running job has its own workspace, taken from a free
+list of one per worker, so two workers hold two S x S arrays, as many as
+the serial rebuilds held when a build kept A. Each result lands in its
+own slot, so outputs equal the serial ones bit for bit. The pooled to
+serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread) was 1.24
+at S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at S = 1024. Before
+the first thread starts, glibc's ``mallopt(M_ARENA_MAX, 1)`` makes every
+thread allocate from the main arena: per-thread arenas took eval-32x32's
+peak RSS from 185 to 236 MB.
 
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
@@ -50,16 +51,21 @@ pairs for the period leaves and the recurrent and head weights; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
 gradients, one tape node whose parents are all parameters, so one
 ``autodiff.vjp`` call with that gradient gives its parameter gradients.
-Stages (2) and (3) run on the pool too, and add their pairs to ``.grad``
-as ordered steps of ``_in_parallel``: item i's pairs are added as soon as
-every earlier item's are, so each ``.grad`` sums its terms in the serial
-order, bit for bit. In stage (2) ``loss_of`` is an ordered step as well,
-since it may draw from the training generator
-(``losses.apply_importance``). After a failure no ordered step runs; the
-pairs added before it stay, and the caller drops the batch. Each worker
-holds one window's recurrent node or one period's tape at a time, so from
-S = 256 two windows' nodes (about 12 MB each at S = 1024) can be alive at
-once. Each backward frees its activations as it goes, and after
+Stages (2) and (3) run on the pool too, and the calling thread adds
+each window's and each period's pairs to ``.grad`` as it takes them, in
+job order, so each ``.grad`` sums its terms in the serial order, bit for
+bit, whichever job finishes first. ``loss_of`` must be a pure function of
+the window and its scores: it may run on any thread, in any order
+(``training`` draws the importance weights before the batch). A failure
+raises the first failing job's error in the calling thread; the pairs
+taken before it stay, and the caller drops the batch. Stage (1) and
+``predictions_for`` submit every job, since their results are kept; in
+stages (2) and (3) at most ``workers`` + 1 jobs are submitted and not yet
+taken, so a thread that finishes early starts the next job, and at most
+one window's pairs (about 2 MB at S = 1024) wait beyond those running.
+Each running job holds one window's recurrent node or one period's tape,
+so from S = 256 two windows' nodes (about 12 MB each at S = 1024) can be
+alive at once. Each backward frees its activations as it goes, and after
 a pooled stage (2) ``_trim_malloc`` hands the arena's free pages back.
 Both are needed: on train-32x32 (2-vCPU VM, one BLAS thread, three runs
 each) the pooled stage peaked at 104.0-109.1 MB, at 116.5-118.5 MB
@@ -86,7 +92,6 @@ import json
 import math
 import operator
 import os
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -97,7 +102,7 @@ from . import adjacency
 from . import autodiff as ad
 from .adjacency import DynamicAdjacencyParams, init_adjacency_params
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, from_dict
 from .grid import StGrid, Window
 
 
@@ -472,72 +477,42 @@ def _trim_malloc() -> None:
         trim(0)
 
 
-class _Stopped(Exception):
-    """A worker's item gave up its turn because another item failed."""
+def _in_order(workers: int, jobs, ahead: int | None = None):
+    """Yield ``job()`` for each of ``jobs`` in job order, on the calling
+    thread. With one worker the jobs run inline and no thread starts.
+    Otherwise they run on a ``ThreadPoolExecutor`` of ``workers`` threads,
+    each in a copy of the caller's context (numpy's ``errstate`` is a
+    context variable); at most ``ahead`` jobs (all when None) are submitted
+    and not yet taken. A failing job's error is raised when its turn comes,
+    so the lowest failing job's; jobs not started are cancelled, and every
+    thread has ended by the time the error is raised or the iteration
+    ends."""
+    if workers == 1:
+        yield from (job() for job in jobs)
+        return
+    _one_malloc_arena()
+    from concurrent.futures import ThreadPoolExecutor  # here: it loads logging, 0.4 MB a serial run never needs
+    pool, pending = ThreadPoolExecutor(workers), collections.deque()
+    try:
+        for job in jobs:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, job))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _in_parallel(workers: int, items: int, job: Callable[[int, int, Callable], None]) -> None:
-    """Run ``job(k, i, in_order)`` for every item i in [0, items): worker
-    k = 0 is the calling thread and each other one a thread started for
-    this call, in a copy of the caller's context (numpy's ``errstate`` is a
-    context variable), and each worker claims the next unclaimed item until
-    none is left, so a worker slowed by a busy CPU takes fewer.
-
-    ``in_order(m, fn, *args)`` returns ``fn(*args)`` once every item below
-    i has run its own ordered step m, so each step runs for one item at a
-    time, in item order, whichever worker reaches it first. Every job must
-    call the same steps, once each and in ascending m. Items are claimed
-    in ascending order and a worker holds one at a time, so the lowest
-    unfinished item never waits.
-
-    A worker stops at its first failure. Once a failure is recorded no
-    worker claims an item or runs an ordered step, and a worker waiting
-    for its turn stops; once all have stopped, the failure of the lowest
-    failed item is raised in the calling thread."""
-    claims = iter(range(items))
-    turn = threading.Condition()
-    passed = collections.Counter()  # items that have run step m
-    failures: dict[int, BaseException] = {}
-
-    def in_order(i: int, m: int, fn: Callable, *args):
-        with turn:
-            while passed[m] != i and not failures:
-                turn.wait()
-            if failures:
-                raise _Stopped
-        result = fn(*args)
-        with turn:
-            passed[m] += 1
-            turn.notify_all()
-        return result
-
-    def run(k: int) -> None:
-        while True:
-            with turn:
-                i = None if failures else next(claims, None)
-            if i is None:
-                return
-            try:
-                job(k, i, functools.partial(in_order, i))
-            except _Stopped:
-                return
-            except BaseException as exc:  # re-raised below, in the calling thread
-                with turn:
-                    failures[i] = exc
-                    turn.notify_all()
-                return
-
-    if workers > 1:
-        _one_malloc_arena()
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))
-               for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
+def _in_workspace(free: list[dict[str, np.ndarray]], build: Callable, *args):
+    """``build(*args, work)`` in a workspace taken from ``free`` and put
+    back after it returns: ``free`` holds one per worker, so one is free
+    for every running job."""
+    work = free.pop()
+    try:
+        return build(*args, work)
+    finally:
+        free.append(work)
 
 
 def _add_pairs(pairs: list[tuple[Tensor, np.ndarray]]) -> None:
@@ -547,22 +522,17 @@ def _add_pairs(pairs: list[tuple[Tensor, np.ndarray]]) -> None:
 
 def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
-    without gradients, keyed in order of first use. Each period goes into
-    its own slot, built by one of ``_pool_workers`` threads in that
-    worker's workspace, which the calling thread makes; the threads see the
-    caller's ``no_grad``, which is process-wide."""
+    without gradients, keyed in order of first use, on ``_pool_workers``
+    threads with a workspace each; the threads see the caller's
+    ``no_grad``, which is process-wide."""
     for window in windows:
         _check_window(params, grid, window)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
     workers = _pool_workers(params.config.n_locations)
-    workspaces = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
-    built: list[Tensor | None] = [None] * len(periods)
-
-    def build(k: int, i: int, _) -> None:
-        built[i] = _period_step(params, grid, periods[i], workspaces[k])
-
+    free = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
+    jobs = (functools.partial(_in_workspace, free, _period_step, params, grid, t) for t in periods)
     with ad.no_grad():
-        _in_parallel(workers, len(periods), build)
+        built = list(_in_order(workers, jobs))  # to the end, so the pool has shut down
     return dict(zip(periods, built))
 
 
@@ -571,16 +541,14 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
 
     Each distinct input period's step is computed once per call and reused
     by every window that contains it; the values equal ``forward``'s. The
-    windows are scored on ``_pool_workers`` threads, each into its own row.
+    windows are scored on ``_pool_workers`` threads.
     """
     out = np.empty((len(windows), params.config.n_locations))
     steps = _shared_steps(params, grid, windows)
-
-    def score(k: int, i: int, _) -> None:
-        out[i] = _recurrent(params, [steps[t] for t in windows[i].inputs()]).data
-
+    jobs = (functools.partial(_recurrent, params, [steps[t] for t in window.inputs()]) for window in windows)
     with ad.no_grad():
-        _in_parallel(_pool_workers(params.config.n_locations), len(windows), score)
+        for i, scores in enumerate(_in_order(_pool_workers(params.config.n_locations), jobs)):
+            out[i] = scores.data
     return out
 
 
@@ -590,34 +558,33 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     parameters' ``.grad`` and return each window's loss value, in order.
 
     ``loss_of(window, scores)`` gives one window's scalar loss; it may
-    raise to abort the batch. The three stages are described in the module
-    docstring.
+    raise to abort the batch. It must be a pure function of its arguments:
+    it may run on any thread, in any order. The three stages are described
+    in the module docstring.
     """
     leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows).items()}
     workers = _pool_workers(params.config.n_locations)
-    values = [0.0] * len(windows)
 
-    def window_pass(k: int, i: int, in_order) -> None:
-        scores = _recurrent(params, [leaves[t] for t in windows[i].inputs()])
-        loss = in_order(0, loss_of, windows[i], scores)  # loss_of may draw from a shared generator
-        values[i] = loss.item()
-        pairs = ad.backward_pairs(loss)
-        del scores, loss  # the tape is freed; only its leaves' gradients wait for their turn
-        in_order(1, _add_pairs, pairs)
+    def window_pass(window: Window) -> tuple[float, list]:
+        loss = loss_of(window, _recurrent(params, [leaves[t] for t in window.inputs()]))
+        return loss.item(), ad.backward_pairs(loss)  # the tape is freed; only the leaves' pairs are kept
 
-    _in_parallel(workers, len(windows), window_pass)
+    values = []
+    for value, pairs in _in_order(workers, (functools.partial(window_pass, w) for w in windows), workers + 1):
+        values.append(value)
+        _add_pairs(pairs)
     if workers > 1:
         _trim_malloc()
     seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
     del leaves  # stage (3) needs the leaves' gradients only, not their values
-    periods = list(seeds)
-    workspaces = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
+    free = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
 
-    def rebuild(k: int, i: int, in_order) -> None:
-        pairs = ad.vjp(_period_step(params, grid, periods[i], workspaces[k]), seeds.pop(periods[i]))
-        in_order(0, _add_pairs, pairs)  # in ascending t, the serial order
+    def rebuild(t: int, work: dict[str, np.ndarray]) -> list:
+        return ad.vjp(_period_step(params, grid, t, work), seeds.pop(t))  # the vjp still reads the workspace
 
-    _in_parallel(workers, len(periods), rebuild)
+    for pairs in _in_order(workers, (functools.partial(_in_workspace, free, rebuild, t) for t in list(seeds)),
+                           workers + 1):
+        _add_pairs(pairs)  # in ascending t, the serial order
     return values
 
 
@@ -666,7 +633,8 @@ def load_checkpoint(directory) -> ModelParams:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        config = ModelConfig(**manifest["config"]).validate()
+        ModelConfig(**manifest["config"])  # a missing or unknown key is a TypeError, a malformed manifest
+        config = from_dict(ModelConfig, manifest["config"]).validate()  # a bad value is a config error
         dtype = manifest["dtype"]
         listed = [(entry["name"], tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
                   for entry in manifest["tensors"]]

@@ -22,10 +22,11 @@ benchmark's bound (figures in the ``model`` docstring). From S = 256 the
 builds without gradients, the windows' recurrent passes and backwards,
 the rebuilds with gradients and the window scoring of the end-of-epoch
 ``predictions_for`` run on two threads, each build with one S x S
-buffer. ``loss_of`` still sees a batch's windows one at a time, in batch
-order, because the importance weights draw from the epoch's generator,
-and the gradients are added in the serial order, so a run's bits do not
-depend on the thread count.
+buffer. A batch's importance weights are drawn from the epoch's
+generator in window order before ``batch_backward`` runs, so the loss
+each window gets is a pure function of the window and its scores and may
+run on any thread, in any order; the gradients are added in the serial
+order, so a run's bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -250,11 +251,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             if warm:
                 loss = warmup_loss(day_risk, scores)
             else:
-                positives = losses.positive_locations(day_risk)
-                weights = None
-                if train_config.use_importance and positives.size:
-                    weights = losses.apply_importance(positives, state.importance.probs,
-                                                      train_config, rng)
+                weights = drawn.get(window.target)  # drawn before the batch, so loss_of draws nothing
                 objective = losses.hybrid_objective(day_risk, scores, train_config, weights, shape)
                 loss = ad.fused("neg", -objective.data, (objective,), lambda g: (-g,))
             if not np.isfinite(loss.item()):
@@ -264,8 +261,16 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         epoch_loss = 0.0
         seen = 0
         for batch in contiguous_batches(len(train_windows), train_config.batch_size, rng):
+            windows = [train_windows[i] for i in batch]
+            drawn = {}  # each positive window's importance weights, drawn in window order
+            if not warm and train_config.use_importance:
+                for window in windows:
+                    positives = losses.positive_locations(risk[:, window.target])
+                    if positives.size:
+                        drawn[window.target] = losses.apply_importance(positives, state.importance.probs,
+                                                                       train_config, rng)
             ad.zero_grads(params.tensors())
-            values = batch_backward(params, grid, [train_windows[i] for i in batch], loss_of)
+            values = batch_backward(params, grid, windows, loss_of)
             epoch_loss = sum(values, epoch_loss)
             seen += len(values)
             grads = {}

@@ -380,6 +380,11 @@ def bad_inputs(manifest, manifest16, tmp_path):
         "{entries_twice}": edited_copy(checkpoint, "entries_twice.json", lambda m: m["tensors"].extend(
             [entry for entry in m["tensors"] if entry["name"] in ("lstm.wx", "lstm.bias")])),
         "{dtype_f4}": edited_copy(checkpoint, "dtype_f4.json", lambda m: m.update(dtype="<f4")),
+        "{hidden_float}": edited_copy(checkpoint, "hidden_float.json", lambda m: m["config"].update(hidden=32.5)),
+        "{rows_float}": edited_copy(checkpoint, "rows_float.json", lambda m: m["config"].update(rows=4.0)),
+        "{window_true}": edited_copy(checkpoint, "window_true.json", lambda m: m["config"].update(window=True)),
+        "{M_float}": edited_copy(dataset, "M_float.json", lambda m: m.update(M=4.5)),
+        "{d_t_true}": edited_copy(dataset, "d_t_true.json", lambda m: m.update(d_t=True)),
         "{no_checkpoint}": str(tmp_path / "absent"),
         "{config_absent}": str(tmp_path / "absent.json"),
         "{config_list}": text_file(tmp_path / "list.json", "[1, 2]"),
@@ -430,6 +435,13 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
     (EVALUATE_MODEL + ["{entries_twice}"], cli.EXIT_DATA,
      "checkpoint lists entries ['lstm.bias', 'lstm.wx'] more than once"),
     (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "checkpoint dtype '<f4' is not supported"),
+    (EVALUATE_MODEL + ["{hidden_float}"], cli.EXIT_CONFIG, "hidden must be of type int, got 32.5"),
+    (EVALUATE_MODEL + ["{rows_float}"], cli.EXIT_CONFIG, "rows must be of type int, got 4.0"),
+    (EVALUATE_MODEL + ["{window_true}"], cli.EXIT_CONFIG, "window must be of type int, got True"),
+    (["crossk", "--checkpoint", "{hidden_float}", "--out", "{out}", "--data", "{data}"], cli.EXIT_CONFIG,
+     "hidden must be of type int, got 32.5"),
+    (EVALUATE_HA + ["{M_float}"], cli.EXIT_DATA, "M must be a JSON integer >= 1, got 4.5"),
+    (EVALUATE_HA + ["{d_t_true}"], cli.EXIT_DATA, "d_t must be a JSON integer >= 1, got True"),
     (EVALUATE_MODEL + ["{no_checkpoint}"], cli.EXIT_DATA, "missing file"),
     (["crossk", "--checkpoint", "{no_checkpoint}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
      "missing file"),
@@ -461,7 +473,8 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
         "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
-        "checkpoint-dtype-f4", "evaluate-no-checkpoint", "crossk-no-checkpoint",
+        "checkpoint-dtype-f4", "checkpoint-hidden-float", "checkpoint-rows-float", "checkpoint-window-true",
+        "crossk-checkpoint-hidden-float", "manifest-M-float", "manifest-d_t-true", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
         "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",

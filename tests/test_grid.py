@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -145,6 +146,18 @@ class TestManifestIO:
         payload["T"] = small.periods - 1
         manifest.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="T"):
+            grid.load_grid(manifest)
+
+    @pytest.mark.parametrize("key,value", [
+        ("M", 4.5), ("N", 4.0), ("T", 30.9), ("M", "4"), ("d_t", True), ("d_s", 0), ("d_st", -1), ("T", None),
+    ])
+    def test_sizes_must_be_json_integers(self, small, tmp_path, key, value):
+        """``int()`` would truncate 4.5 and 30.9, parse "4" and read True as 1."""
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        payload = json.loads(manifest.read_text())
+        payload[key] = value
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"{key} must be a JSON integer >= 1, got {value!r}")):
             grid.load_grid(manifest)
 
     def test_nan_reported_with_coordinates(self, small, tmp_path):

@@ -210,6 +210,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=message):
             model.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("hidden", 32.5, "hidden must be of type int, got 32.5"),
+        ("rows", 4.0, "rows must be of type int, got 4.0"),
+        ("window", True, "window must be of type int, got True"),
+        ("saturation", "3", "saturation must be of type float, got '3'"),
+        ("fixed_gate", float("nan"), "fixed_gate must be a finite number, got nan"),
+        ("hidden", 0, "hidden must be positive, got 0"),
+    ], ids=["hidden-float", "rows-float", "window-bool", "saturation-string", "fixed-gate-nan", "hidden-zero"])
+    def test_manifest_config_values_are_config_errors(self, tiny_config, dataset, tmp_path, key, value, message):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as raised:
+            model.load_checkpoint(tmp_path / "ckpt")
+        assert str(raised.value) == message
+
+    def test_an_integer_saturation_loads_as_a_float(self, tiny_config, dataset, tmp_path):
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
+        manifest = json.loads(path.read_text())
+        manifest["config"]["saturation"] = 3
+        path.write_text(json.dumps(manifest))
+        saturation = model.load_checkpoint(tmp_path / "ckpt").config.saturation
+        assert saturation == 3.0 and type(saturation) is float
+
     def test_repeated_entries_are_a_data_error(self, tiny_config, dataset, tmp_path):
         """A second entry of a name would otherwise win over the first."""
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))

@@ -35,9 +35,11 @@ def data():
 
 
 @pytest.fixture
-def pooled():
-    if model._pool_workers(S) < 2:
-        pytest.skip("one CPU available: the pool does not run")
+def pooled(monkeypatch):
+    """Two workers at S = 256, as the rule gives on two or more CPUs, also on
+    a one-CPU runner, where the threads still interleave under the GIL;
+    ``test_worker_rule`` checks the rule itself."""
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 2)
 
 
 def pool_params(data, negative, fixed_gate):
@@ -50,51 +52,60 @@ def pool_params(data, negative, fixed_gate):
     return params
 
 
-def spy_builds(monkeypatch, off_main=None, with_grads=False):
-    """Record the threads that build period steps, keyed by whether the
-    build has gradients, the failures off the calling thread, and the
-    builds the calling thread claims after a failure was recorded. A build
-    of the calling thread waits (for at most 10 s) until another thread
-    has begun one of the same kind, so that a pooled stage uses more than
-    one thread however the items are claimed; builds off the calling
-    thread of the kind ``with_grads`` use the parameters ``off_main`` when
-    given. Then a build of that kind on the calling thread returns only
-    once a failing thread has stopped (for at most 10 s), so the pool has
-    recorded the failure before the calling thread claims again."""
-    threads, failures, late = {False: set(), True: set()}, [], []
-    other = {False: threading.Event(), True: threading.Event()}
-    failing, failed, waited = threading.Event(), [], []
-    original = model._period_step
+def nan_params(data):
+    params = pool_params(data, True, None)
+    params.conv_weights[1].data[0, 0] = np.nan
+    return params
 
-    def spy(params, grid, t, work=None):
+
+class BuildSpy:
+    """Wraps ``model._period_step`` and records, keyed by whether the build
+    has gradients, the threads that build and the periods they begin and
+    finish. A build off the calling thread waits (for at most 10 s) until
+    a second thread has begun one of the same kind, so that a pooled stage
+    uses two threads whatever the timing. Builds of the kind
+    ``with_grads`` sleep ``others_after`` seconds first, except those of
+    period ``fail``, which sleep ``fail_after`` seconds and then build
+    with ``broken`` parameters: the period goes into ``failures`` and the
+    periods finished by then into ``finished_before``."""
+
+    def __init__(self, monkeypatch, fail=None, broken=None, with_grads=False, fail_after=0.0, others_after=0.0):
+        self.threads, self.begun, self.finished = ({False: set(), True: set()}, {False: [], True: []},
+                                                   {False: [], True: []})
+        self.failures, self.finished_before = [], []
+        self.two = {False: threading.Event(), True: threading.Event()}
+        self.lock = threading.Lock()
+        self.original = model._period_step
+        self.fail, self.broken, self.with_grads = fail, broken, with_grads
+        self.fail_after, self.others_after = fail_after, others_after
+        monkeypatch.setattr(model, "_period_step", self)
+
+    def __call__(self, params, grid, t, work):
         kind = ad._grad_enabled
-        threads[kind].add(threading.current_thread())
-        if threading.current_thread() is threading.main_thread():
-            other[kind].wait(timeout=10)
-            if off_main is None or kind != with_grads:
-                return original(params, grid, t, work)
-            if waited:
-                late.append(t)
-            step = original(params, grid, t, work)
-            if failing.wait(timeout=10):
-                failed[0].join(timeout=10)
-                waited.append(t)
-            return step
-        other[kind].set()
-        try:
-            return original(params if off_main is None or kind != with_grads else off_main, grid, t, work)
-        except NumericalError:
-            failures.append(t)
-            failed.append(threading.current_thread())
-            failing.set()
-            raise
-
-    monkeypatch.setattr(model, "_period_step", spy)
-    return threads, failures, late
+        with self.lock:
+            self.threads[kind].add(threading.current_thread())
+            self.begun[kind].append(t)
+            if len(self.threads[kind]) >= 2:
+                self.two[kind].set()
+        if threading.current_thread() is not threading.main_thread():
+            self.two[kind].wait(timeout=10)
+        if kind == self.with_grads and t == self.fail:
+            time.sleep(self.fail_after)
+            with self.lock:
+                self.failures.append(t)
+                self.finished_before.extend(self.finished[kind])
+            return self.original(self.broken, grid, t, work)
+        if kind == self.with_grads:
+            time.sleep(self.others_after)
+        step = self.original(params, grid, t, work)
+        with self.lock:
+            self.finished[kind].append(t)
+        return step
 
 
-def two_threads(threads):
-    return len(threads) == 2 and threading.main_thread() in threads
+def pool_threads(threads):
+    """Two threads, neither of them the calling thread."""
+    return len(threads) == 2 and threading.main_thread() not in threads
 
 
 def test_worker_rule():
@@ -113,9 +124,10 @@ def test_pooled_predictions_equal_the_serial_loop(data, negative, fixed_gate, po
     windows = [Window(t, WINDOW) for t in TARGETS]
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
-    threads, _, _ = spy_builds(monkeypatch)
+    spy = BuildSpy(monkeypatch)
     scores = model.predictions_for(params, data, windows)
-    assert two_threads(threads[False]) and not threads[True]
+    assert pool_threads(spy.threads[False]) and not spy.threads[True]
+    assert threading.active_count() == 1
     assert scores.tobytes() == serial.tobytes()
 
 
@@ -130,11 +142,11 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
         values = model.batch_backward(params, data, windows, loss_of)
         return values, {name: t.grad.tobytes() for name, t in params.named_tensors() if t.grad is not None}
 
-    threads, _, _ = spy_builds(monkeypatch)
+    spy = BuildSpy(monkeypatch)
     pooled_values, pooled_grads = step()
-    # stages (1) and (3) each run on the calling thread and a thread of their own
-    assert two_threads(threads[False]) and two_threads(threads[True])
-    assert len(threads[False] | threads[True]) == 3
+    # stages (1) and (3) each run on two threads of their own
+    assert pool_threads(spy.threads[False]) and pool_threads(spy.threads[True])
+    assert len(spy.threads[False] | spy.threads[True]) == 4 and threading.active_count() == 1
     monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
     serial_values, serial_grads = step()
     assert pooled_values == serial_values
@@ -143,121 +155,150 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
 
 
 def spy_windows(monkeypatch):
-    """Record the threads that run a window's recurrent forward; one on the
-    calling thread waits (for at most 10 s) until another thread has begun
-    one, so that a pooled stage (2) uses more than one thread."""
-    threads, other = set(), threading.Event()
+    """Record the threads that run a window's recurrent forward; one off the
+    calling thread waits (for at most 10 s) until a second thread has begun
+    one, so that a pooled stage (2) uses two threads."""
+    threads, two, lock = set(), threading.Event(), threading.Lock()
     original = model._recurrent
 
     def spy(params, steps):
-        threads.add(threading.current_thread())
-        if threading.current_thread() is threading.main_thread():
-            other.wait(timeout=10)
-        else:
-            other.set()
+        with lock:
+            threads.add(threading.current_thread())
+            if len(threads) >= 2:
+                two.set()
+        if threading.current_thread() is not threading.main_thread():
+            two.wait(timeout=10)
         return original(params, steps)
 
     monkeypatch.setattr(model, "_recurrent", spy)
     return threads
 
 
-class DrawingLoss:
-    """A ``loss_of`` whose target is the day's risk times weights drawn from
-    one generator, so a call out of window order changes the gradients.
-    Each call records the window's target and whether another call was
-    running, and lasts 20 ms, so unordered calls would overlap. The
-    backward of every other window of ``windows``, from the first, sleeps
-    50 ms, so the window after it finishes its backward first."""
+class SlowLoss:
+    """A pure ``loss_of``: the warm-up loss against the day's risk times
+    weights drawn from a generator seeded with the window's target. The
+    backward of each window whose target is in ``slow`` starts with a
+    50 ms sleep; ``finished`` gets each window's target when its
+    ``autodiff.backward_pairs`` returns."""
 
-    def __init__(self, data, windows):
+    def __init__(self, data, monkeypatch, slow=()):
         self.risk = data.risk_by_location()
-        self.rng = np.random.default_rng(11)
-        self.slow = {w.target for w in windows[::2]}
-        self.targets, self.overlapped, self.active = [], False, 0
-        self.lock = threading.Lock()
+        self.slow, self.finished, self.target_of = set(slow), [], {}
+        original = ad.backward_pairs
+
+        def spy(loss):
+            pairs = original(loss)
+            self.finished.append(self.target_of.pop(id(loss)))
+            return pairs
+
+        monkeypatch.setattr(ad, "backward_pairs", spy)
 
     def __call__(self, window, scores):
-        with self.lock:
-            self.targets.append(window.target)
-            self.overlapped |= self.active > 0
-            self.active += 1
-        time.sleep(0.02)
-        weights = self.rng.uniform(0.5, 1.5, size=scores.shape)
+        weights = np.random.default_rng(window.target).uniform(0.5, 1.5, size=scores.shape)
         loss = training.warmup_loss(weights * self.risk[:, window.target], scores)
         if window.target in self.slow:
             loss = ad.fused("slow", loss.data, (loss,), lambda g: (time.sleep(0.05) or g.copy(),))
-        with self.lock:
-            self.active -= 1
+        self.target_of[id(loss)] = window.target
         return loss
 
 
 def test_pooled_stage_2_equals_the_serial_one(data, pooled, monkeypatch):
-    """Two threads run the windows; ``loss_of`` still sees them one at a
-    time in batch order, and the pairs are added in window order although
-    every other backward finishes after the next window's: the loss values
-    and every parameter's gradient equal the serial stage's bit for bit."""
+    """Two threads run the windows and the backward of every other window,
+    from the first, is slowed, so the window after it finishes first: the
+    pairs are still added in window order, and the loss values and every
+    parameter's gradient equal the serial stage's bit for bit."""
     params = pool_params(data, True, None)
     windows = [Window(t, WINDOW) for t in TARGETS[:5]]
 
+    loss_of = SlowLoss(data, monkeypatch, TARGETS[:5:2])
+
     def step():
         ad.zero_grads(params.tensors())
-        loss_of = DrawingLoss(data, windows)
+        loss_of.finished.clear()
         values = model.batch_backward(params, data, windows, loss_of)
-        return loss_of, values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
+        return list(loss_of.finished), values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
     threads = spy_windows(monkeypatch)
-    pooled_loss, pooled_values, pooled_grads = step()
-    assert two_threads(threads)
-    assert pooled_loss.targets == TARGETS[:5] and not pooled_loss.overlapped
+    pooled_order, pooled_values, pooled_grads = step()
+    assert pool_threads(threads) and threading.active_count() == 1
+    assert sorted(pooled_order) == TARGETS[:5] and pooled_order != TARGETS[:5]
     monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
-    serial_loss, serial_values, serial_grads = step()
-    assert serial_loss.targets == TARGETS[:5]
+    serial_order, serial_values, serial_grads = step()
+    assert serial_order == TARGETS[:5]
+    assert pooled_values == serial_values
+    assert pooled_grads == serial_grads
+
+
+def test_pooled_stage_3_equals_the_serial_one(data, pooled, monkeypatch):
+    """The ``vjp`` of every other rebuilt period, from the first, starts
+    with a 50 ms sleep, so the period after it finishes first and its
+    thread starts the next rebuild: the pairs are still added in ascending
+    period order, and no rebuild takes a workspace whose ``vjp`` is still
+    running, so every gradient equals the serial stage's bit for bit."""
+    params = pool_params(data, True, None)
+    windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+    periods = sorted({t for w in windows for t in w.inputs()})
+    loss_of = loss_maker("hybrid", data)
+    built, finished, build, vjp = {}, [], model._period_step, ad.vjp
+
+    def spy_build(params, grid, t, work):
+        step = build(params, grid, t, work)
+        if ad._grad_enabled:  # a stage (3) rebuild
+            built[id(step)] = t
+        return step
+
+    def spy_vjp(node, g):
+        t = built.pop(id(node), None)  # None: a vjp inside a window's backward
+        if t in periods[::2]:
+            time.sleep(0.05)
+        pairs = vjp(node, g)
+        if t is not None:
+            finished.append(t)
+        return pairs
+
+    def step():
+        ad.zero_grads(params.tensors())
+        finished.clear()
+        values = model.batch_backward(params, data, windows, loss_of)
+        return list(finished), values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
+
+    monkeypatch.setattr(model, "_period_step", spy_build)
+    monkeypatch.setattr(ad, "vjp", spy_vjp)
+    pooled_order, pooled_values, pooled_grads = step()
+    assert sorted(pooled_order) == periods and pooled_order != periods
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    serial_order, serial_values, serial_grads = step()
+    assert serial_order == periods
     assert pooled_values == serial_values
     assert pooled_grads == serial_grads
 
 
 def test_numerical_error_in_a_loss_stops_the_window_waiting_for_its_turn(data, pooled, monkeypatch):
-    """Window 0's ``loss_of`` raises once window 1's forward is done and its
-    worker waits for its turn: that worker stops instead of waiting for
-    ever, no ``loss_of`` runs after window 0's, and no gradient reaches
-    any parameter."""
+    """Window 0's ``loss_of`` raises once window 1's backward is done, so
+    window 1's pairs wait for their turn: the caller gets window 0's
+    error, no thread is left, and no gradient reaches any parameter."""
     params = pool_params(data, True, None)
     windows = [Window(t, WINDOW) for t in TARGETS[:5]]
-    forwards, lock, second = [], threading.Lock(), threading.Event()
-    original = model._recurrent
+    loss_of = loss_maker("mse", data)
+    threads, second, original = set(), threading.Event(), ad.backward_pairs
 
-    def spy(params, steps):
-        scores = original(params, steps)
-        with lock:
-            forwards.append(threading.current_thread())
-            if len(forwards) == 2:
-                second.set()
-        return scores
-
-    seen = []
+    def spy(loss):
+        pairs = original(loss)
+        second.set()
+        return pairs
 
     def failing_loss(window, scores):
-        seen.append(window.target)
+        threads.add(threading.current_thread())
+        if window.target != TARGETS[0]:
+            return loss_of(window, scores)
         second.wait(timeout=10)
-        time.sleep(0.05)
         raise NumericalError(f"training diverged: non-finite loss on day {window.target}")
 
-    monkeypatch.setattr(model, "_recurrent", spy)
-    raised = []
-
-    def call():
-        try:
-            model.batch_backward(params, data, windows, failing_loss)
-        except NumericalError as exc:
-            raised.append(exc)
-
-    runner = threading.Thread(target=call, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive()
-    assert len(set(forwards)) == 2 and second.is_set()
-    assert [str(exc) for exc in raised] == [f"training diverged: non-finite loss on day {TARGETS[0]}"]
-    assert seen == [TARGETS[0]]
+    monkeypatch.setattr(ad, "backward_pairs", spy)
+    with pytest.raises(NumericalError) as raised:
+        model.batch_backward(params, data, windows, failing_loss)
+    assert str(raised.value) == f"training diverged: non-finite loss on day {TARGETS[0]}"
+    assert second.is_set() and pool_threads(threads) and threading.active_count() == 1
     assert all(t.grad is None for t in params.tensors())
 
 
@@ -268,7 +309,7 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
     windows = [Window(t, WINDOW) for t in TARGETS]
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
-    threads, _, _ = spy_builds(monkeypatch)
+    spy = BuildSpy(monkeypatch)
     monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -276,22 +317,22 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
         scores = model.predictions_for(params, data, windows)
     finally:
         sys.setswitchinterval(interval)
-    assert len(threads[False]) >= 2 and threading.active_count() == 1
+    assert len(spy.threads[False]) >= 2 and threading.active_count() == 1
     assert scores.tobytes() == serial.tobytes()
 
 
 def test_more_threads_than_cpus_with_short_switches_give_the_serial_batch_step(data, monkeypatch):
-    """The same for the three stages of a batch, whose ordered steps share
-    the generator and every parameter's ``.grad``: a step out of turn or a
-    lost addition would change the bits."""
+    """The same for the three stages of a batch, whose pairs all go into
+    the parameters' ``.grad``: a pair added out of turn or lost, or a
+    workspace shared by two running rebuilds, would change the bits."""
     params = pool_params(data, True, None)
     windows = [Window(t, WINDOW) for t in TARGETS]
+    loss_of = SlowLoss(data, monkeypatch)
 
     def step():
         ad.zero_grads(params.tensors())
-        loss_of = DrawingLoss(data, [])
         values = model.batch_backward(params, data, windows, loss_of)
-        return loss_of.targets, values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
+        return values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
     monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
     serial = step()
@@ -345,52 +386,54 @@ def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate):
     assert all(np.array_equal(grad, want) for (_, grad), (_, want) in zip(pairs, first))
 
 
-def nan_params(data):
-    params = pool_params(data, True, None)
-    params.conv_weights[1].data[0, 0] = np.nan
-    return params
-
-
 def test_numerical_error_in_a_worker_reaches_the_caller(data, pooled, monkeypatch):
-    _, failures, late = spy_builds(monkeypatch, off_main=nan_params(data))
+    """The first period's build fails at once while every other build takes
+    100 ms: the caller gets its error, the builds not yet started are
+    cancelled, and no thread is left."""
+    windows = [Window(t, WINDOW) for t in TARGETS]
+    periods = list(dict.fromkeys(t for w in windows for t in w.inputs()))
+    spy = BuildSpy(monkeypatch, fail=periods[0], broken=nan_params(data), others_after=0.1)
     with pytest.raises(NumericalError, match="period_step produced non-finite values"):
-        model.predictions_for(pool_params(data, True, None), data, [Window(t, WINDOW) for t in TARGETS])
-    assert len(failures) == 1 and late == []  # both workers stopped: neither claimed after the failure
+        model.predictions_for(pool_params(data, True, None), data, windows)
+    assert spy.failures == [periods[0]] and threading.active_count() == 1
+    assert len(spy.begun[False]) < len(periods)
 
 
 def test_numerical_error_in_a_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
     manifest = griddata.save_grid(data, tmp_path / "data")
     model.save_checkpoint(tmp_path / "ckpt", pool_params(data, True, None))
-    _, failures, _ = spy_builds(monkeypatch, off_main=nan_params(data))
+    last = data.periods - 2  # the last input period of the last validation window
+    spy = BuildSpy(monkeypatch, fail=last, broken=nan_params(data))
     code = cli.main(["--set", "eval.ks=[5]", "evaluate", "--data", str(manifest),
                      "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "eval")])
-    assert code == cli.EXIT_NUMERIC and len(failures) == 1
+    assert code == cli.EXIT_NUMERIC and spy.failures == [last]
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure:") and "Traceback" not in err
 
 
 def test_numerical_error_in_a_stage_3_worker_reaches_the_caller(data, pooled, monkeypatch):
-    """A rebuild with gradients that fails off the calling thread stops the
-    batch with its own error: the calling thread claims no period once the
-    failure is recorded, and no rebuild's gradient reaches the graph
-    block's parameters."""
-    _, failures, late = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
-    params = pool_params(data, True, None)
+    """The rebuild of the lowest period fails after 200 ms, once later
+    rebuilds have finished: the batch stops with its error, no thread is
+    left, and no rebuild's gradient reaches the graph block's parameters,
+    since nothing after the failing rebuild is added."""
     windows = [Window(t, WINDOW) for t in TARGETS[:5]]
+    first = TARGETS[0] - WINDOW
+    spy = BuildSpy(monkeypatch, fail=first, broken=nan_params(data), with_grads=True, fail_after=0.2)
+    params = pool_params(data, True, None)
     with pytest.raises(NumericalError, match="period_step produced non-finite values"):
         model.batch_backward(params, data, windows, loss_maker("hybrid", data))
-    assert len(failures) == 1 and late == []
+    assert spy.failures == [first] and spy.finished_before and threading.active_count() == 1
     assert all(t.grad is None for t in graph_tensors(params))
     assert params.lstm_wx.grad is not None  # stage (2) ran
 
 
 def test_numerical_error_in_a_stage_3_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):
     manifest = griddata.save_grid(data, tmp_path / "data")
-    _, failures, _ = spy_builds(monkeypatch, off_main=nan_params(data), with_grads=True)
+    spy = BuildSpy(monkeypatch, fail=0, broken=nan_params(data), with_grads=True)
     sizes = ["--set", "model.hidden=4", "--set", "model.recurrent_hidden=3", "--set", f"model.window={WINDOW}",
              "--set", "model.embed_dim=3", "--set", "train.epochs=1", "--set", "train.warmup_epochs=1"]
     code = cli.main(sizes + ["train", "--data", str(manifest), "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_NUMERIC and len(failures) == 1
+    assert code == cli.EXIT_NUMERIC and spy.failures == [0]
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure:") and "Traceback" not in err
     assert not (tmp_path / "run").exists()

@@ -13,16 +13,28 @@ same_bits = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_bits)
 
 
-def test_this_checkout_against_itself_gives_equal_hashes():
+def check_against_itself(grid: str) -> None:
+    """Run the tool on ``grid`` with this checkout as both sides: every
+    output hashes the same."""
     done = subprocess.run([sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
-                           "--grid", "4x4x30"], capture_output=True, text=True)
+                           "--grid", grid], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[1] for line in lines] == [f"{name}:" for name in same_bits.OUTPUTS]
     for line in lines:
         words = line.split()
-        assert words[0] == "4x4x30" and words[-1] == "same"
+        assert words[0] == grid and words[-1] == "same"
         assert words[3] == words[5] and len(words[3]) == 64
+
+
+def test_this_checkout_against_itself_gives_equal_hashes():
+    check_against_itself("4x4x30")
+
+
+def test_pooled_runs_repeat_bit_for_bit():
+    """At 16 x 16 (S = 256) the builds, windows and rebuilds run on the
+    thread pool wherever two CPUs are available."""
+    check_against_itself("16x16x40")
 
 
 def test_any_difference_exits_1(monkeypatch, capsys):

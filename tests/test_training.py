@@ -205,6 +205,41 @@ def test_each_batch_builds_its_run_of_input_periods_once(data, monkeypatch):
         assert sorted(stage_one) == list(range(targets[0] - 3, targets[-1]))
 
 
+def test_each_batch_draws_its_weights_in_window_order_before_its_windows_run(data, monkeypatch):
+    """Every positive window of a batch gets its importance weights from
+    ``losses.apply_importance`` in batch order, all of them before the
+    batch's first recurrent pass."""
+    events, risk = [], data.risk_by_location()
+    apply_importance, batch_backward, recurrent = losses.apply_importance, training.batch_backward, model._recurrent
+
+    def spy_apply(positives, *args):
+        events.append(("draw", positives.tolist()))
+        return apply_importance(positives, *args)
+
+    def spy_batch(params, grid, windows, loss_of):
+        events.append(("batch", [w.target for w in windows]))
+        return batch_backward(params, grid, windows, loss_of)
+
+    def spy_recurrent(params, steps):
+        events.append(("recurrent", None))
+        return recurrent(params, steps)
+
+    monkeypatch.setattr(losses, "apply_importance", spy_apply)
+    monkeypatch.setattr(training, "batch_backward", spy_batch)
+    monkeypatch.setattr(model, "_recurrent", spy_recurrent)
+    run(data, epochs=2, warmup_epochs=0, weight_mode="sample", sample_fraction=0.5)
+    batches = [i for i, (kind, _) in enumerate(events) if kind == "batch"]
+    assert len(batches) > 2
+    for previous, start in zip([-1] + batches, batches):
+        since = events[previous + 1:start]
+        kinds = [kind for kind, _ in since]
+        drawn = [positives for kind, positives in since if kind == "draw"]
+        positive = [losses.positive_locations(risk[:, t]).tolist() for t in events[start][1]]
+        assert drawn == [p for p in positive if p] and any(drawn)
+        assert kinds == sorted(kinds, key="draw".__eq__)  # every draw after the previous batch's passes
+        assert events[start + 1][0] == "recurrent"
+
+
 @pytest.mark.parametrize("patience", [0, -3])
 def test_early_stop_patience_below_one_is_rejected(patience):
     with pytest.raises(ConfigError, match=f"^train.early_stop_patience must be >= 1 or null, got {patience}$"):
