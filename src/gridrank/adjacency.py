@@ -27,7 +27,8 @@ activations z1 and z2 (at S <= 181 there is one block and nothing is
 rebuilt), with ``mix`` as scratch. It returns the <G, A> term of the
 gate's gradient, which ``blend`` documents. A workspace serves one build
 at a time: a build with gradients must be backpropagated before the next
-build in its workspace.
+build in its workspace. A build computes in the parameters' dtype: the
+workspace, the features and the gate take it.
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
 _BLOCK_ENTRIES = 32768
 
 
-def workspace(s: int) -> dict[str, np.ndarray]:
-    """The arrays of one build on S locations: ``graph`` (S x S) and the row
-    blocks ``block`` and ``mix``, each min(S, max(1, ``_BLOCK_ENTRIES`` // S))
-    rows of S."""
+def workspace(s: int, dtype=np.float64) -> dict[str, np.ndarray]:
+    """The ``dtype`` arrays of one build on S locations: ``graph`` (S x S)
+    and the row blocks ``block`` and ``mix``, each
+    min(S, max(1, ``_BLOCK_ENTRIES`` // S)) rows of S."""
     rows = min(s, max(1, _BLOCK_ENTRIES // s))
-    return {"graph": np.empty((s, s)), "block": np.empty((rows, s)), "mix": np.empty((rows, s))}
+    return {"graph": np.empty((s, s), dtype), "block": np.empty((rows, s), dtype),
+            "mix": np.empty((rows, s), dtype)}
 
 
 def _row_blocks(scratch: np.ndarray):
@@ -164,7 +166,7 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     reports ``active`` as a kink.
     """
     s = params.emb1.shape[0]
-    features = np.asarray(st_features_t, dtype=np.float64)
+    features = np.asarray(st_features_t, dtype=params.emb1.data.dtype)
     if features.shape != (s, params.feature_proj.shape[0]):
         raise ShapeError(f"spatiotemporal slice shape {features.shape} does not match "
                          f"(S={s}, d_st={params.feature_proj.shape[0]})")
@@ -227,7 +229,7 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     g_u2 = k_z[:, d:] * (z2 * z2 - 1.0)
     g_e1 = g_u1 @ params.mix1.data.T
     g_e2 = g_u2 @ params.mix2.data.T
-    features = np.asarray(st_features_t, dtype=np.float64)
+    features = np.asarray(st_features_t, dtype=z1.dtype)
     return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2), inner
 
 
@@ -247,7 +249,7 @@ def blend(matrix: np.ndarray, static: np.ndarray, temporal_t: np.ndarray, time_g
     if static.shape != (s, s):
         raise ShapeError(f"static graph shape {static.shape} does not match dynamic {matrix.shape}")
     if fixed_gate is None:
-        f_t = np.asarray(temporal_t, dtype=np.float64).reshape(1, -1)
+        f_t = np.asarray(temporal_t, dtype=time_gate.data.dtype).reshape(1, -1)
         if f_t.shape[1] != time_gate.shape[0]:
             raise ShapeError(f"temporal features width {f_t.shape[1]} does not match gate {time_gate.shape}")
         gate = ad._stable_sigmoid(f_t @ time_gate.data)[0, 0]

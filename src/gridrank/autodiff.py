@@ -1,4 +1,5 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float32 or
+float64 arrays.
 
 There is one kind of tape node: :func:`fused`, a block whose forward is
 plain numpy and whose backward is written by hand (period step, a
@@ -6,7 +7,12 @@ window's recurrent pass, ranking surrogate, warm-up loss, negation). Parent
 links form the implicit tape; ``backward`` replays it in reverse
 topological order exactly once per node. Design rules:
 
-* double precision everywhere;
+* a node computes in its parents' dtype: a tensor keeps a float32 array
+  as float32 and holds everything else as float64, and a block's
+  constants are Python floats or arrays of that dtype, so no array turns
+  into float64 unasked. Training runs its gradient step in float32 on a
+  copy of float64 master weights; the masters, scores, losses, metrics
+  and checkpoints are float64;
 * no masked ``copyto`` or ``where`` over large arrays: ``np.maximum`` and
   multiplying by a mask do the same job in a fraction of the time;
 * no fresh S x S temporary where a buffer from the same call can be
@@ -88,12 +94,14 @@ def _record_kink(mask: np.ndarray) -> None:
 
 
 class Tensor:
-    """Dense float64 array plus the bookkeeping needed for backprop."""
+    """Dense array plus the bookkeeping needed for backprop: a float32
+    array is kept as float32, anything else is held as float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -133,7 +141,8 @@ def uniform_parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; the first gradient becomes ``t.grad``
-    itself, so ``g`` must be a float64 array no one else holds."""
+    itself, so ``g`` must be an array of ``t``'s dtype that no one else
+    holds."""
     if t.grad is None:
         t.grad = g
     else:
@@ -166,12 +175,12 @@ def fused(op: str, data: np.ndarray, parents: tuple[Tensor, ...], grads,
 
     ``grads(g)`` maps the output gradient to one array per parent, in
     order, or ``None`` for a parent that needs none; a parent listed more
-    than once gets one array per listing. Each array must be
-    float64, freshly allocated and returned for one parent only: the
-    parents take it without a copy. ``kinks`` are the active-branch masks
-    of the relus and abs inside the block, in a fixed order; they go to
-    the kink trace, so :func:`grad_check` flags coordinates that cross
-    them.
+    than once gets one array per listing. Each array must have its
+    parent's dtype, be freshly allocated and be returned for one parent
+    only: the parents take it without a copy. ``kinks`` are the
+    active-branch masks of the relus and abs inside the block, in a fixed
+    order; they go to the kink trace, so :func:`grad_check` flags
+    coordinates that cross them.
     """
     for kink in kinks:
         _record_kink(kink)

@@ -76,6 +76,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         self.model.validate()
         self.train.validate()
+        for name, seed in (("data.seed", self.data.seed), ("eval.crossk_seed", self.eval.crossk_seed)):
+            if seed < 0:
+                raise ConfigError(f"{name} must be >= 0, got {seed}")
         if not 0.0 < self.data.train_fraction < 1.0:
             raise ConfigError(f"data.train_fraction must be in (0, 1), got {self.data.train_fraction}")
         if not self.eval.ks or min(self.eval.ks) < 1:

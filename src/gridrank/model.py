@@ -79,6 +79,14 @@ train-8x8) when stacking; stacking in ``predictions_for`` took
 eval-32x32 from 196 to 255 MB. Stacking a call's periods on a leading
 axis does not pay at S = 64: 42 periods took 8.2 against 6.9 ms without
 gradients and 24.1 against 16.2 ms with them.
+
+Every build and window computes in the dtype of the parameters it is
+given (``ModelParams.dtype``): workspaces, period inputs, activations and
+gradients all take it, and only the (S,) scores are float64 whatever the
+parameters hold. ``training`` runs ``batch_backward`` on a float32 copy
+of its float64 master weights (``ModelParams.cast``); evaluation,
+``predictions_for`` on the masters or on a loaded checkpoint, and the
+checkpoints themselves are float64.
 """
 
 from __future__ import annotations
@@ -183,6 +191,18 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the tensors, which every build and window computes in."""
+        return self.lstm_wx.data.dtype
+
+    def cast(self, dtype) -> "ModelParams":
+        """A copy whose tensors and static graph are new ``dtype`` arrays,
+        fresh leaves without gradients."""
+        twin = init_params(self.config)
+        twin.load_snapshot(self.snapshot(), dtype)
+        return twin
+
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of the learnable tensors; the static graph, which training
         never changes (``training.train`` makes it read-only), is shared."""
@@ -190,11 +210,11 @@ class ModelParams:
         state["static_graph"] = self.static_graph
         return state
 
-    def load_snapshot(self, state: dict[str, np.ndarray]) -> None:
+    def load_snapshot(self, state: dict[str, np.ndarray], dtype=np.float64) -> None:
         for name, t in self.named_tensors():
-            t.data = np.array(state[name], dtype=np.float64)
+            t.data = np.array(state[name], dtype=dtype)
         self.static_graph = None  # free the old S x S graph before copying the new one
-        self.static_graph = np.array(state["static_graph"], dtype=np.float64)
+        self.static_graph = np.array(state["static_graph"], dtype=dtype)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -232,16 +252,18 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     )
 
 
-def _period_inputs(grid: StGrid, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-period constant inputs, memoized on the grid (windows overlap)."""
+def _period_inputs(grid: StGrid, t: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Period t's constant inputs in ``dtype``: its spatiotemporal slice,
+    the node features and the (S, d_t) temporal features, memoized on the
+    grid per period and dtype (windows overlap)."""
     cache = grid.attrs.setdefault("_period_inputs", {})
-    entry = cache.get(t)
+    key = (t, dtype)
+    entry = cache.get(key)
     if entry is None:
-        st_t = grid.spatiotemporal_at(t)
-        node_features = np.concatenate([grid.spatial_flat(), st_t], axis=1)
-        temporal_tiled = np.broadcast_to(grid.temporal[t], (grid.n_locations, grid.d_t))
-        entry = (st_t, node_features, temporal_tiled)
-        cache[t] = entry
+        st_t = grid.spatiotemporal_at(t).astype(dtype, copy=False)
+        node_features = np.concatenate([grid.spatial_flat(), st_t], axis=1, dtype=dtype)
+        temporal_tiled = np.broadcast_to(grid.temporal[t].astype(dtype), (grid.n_locations, grid.d_t))
+        entry = cache[key] = (st_t, node_features, temporal_tiled)
     return entry
 
 
@@ -276,7 +298,8 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     separate nodes they replace, in the ``adjacency.workspace`` ``work``,
     whose ``graph`` ends as A_hat. A build with gradients also keeps the
     (S, d_e) z1, z2, e1, e2 and the (S, width) H_l and Q_l = A_hat H_l;
-    no mask is built unless a kink trace is installed.
+    no mask is built unless a kink trace is installed. It computes in the
+    parameters' dtype, and so does its backward.
 
     Backward, for output gradient G: per layer from the top,
     dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
@@ -296,11 +319,11 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     single vdot in the last bits. The kinks reported are 1[A > 0], 1[r > 0]
     for the row sums r of A + I, and each layer's 1[P_l > 0].
     """
-    st_t, node_features, temporal_tiled = _period_inputs(grid, t)
+    st_t, node_features, temporal_tiled = _period_inputs(grid, t, params.dtype)
     adj, s, static = params.adjacency, params.config.n_locations, params.static_graph
     graph = adjacency.dynamic_adjacency(adj, st_t, work=work)
     a_hat = work["graph"]
-    gate = adjacency.blend(a_hat, static, grid.temporal[t], adj.time_gate, params.config.fixed_gate,
+    gate = adjacency.blend(a_hat, static, temporal_tiled[0], adj.time_gate, params.config.fixed_gate,
                            work["mix"])
     denom, slope = _normalize(a_hat)
     layers = [node_features]
@@ -328,14 +351,14 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
         inner = sum(np.einsum("ij,ij->i", dq, q) for dq, q in zip(d_q, products))[:, None]
         u = np.concatenate(d_q + [-slope * inner], axis=1)
         u /= denom
-        v = np.concatenate(layers[:-1] + [np.ones((s, 1))], axis=1)
+        v = np.concatenate(layers[:-1] + [np.ones((s, 1), a_hat.dtype)], axis=1)
         g_b = np.matmul(u, v.T, out=a_hat)  # A_hat's last use was the loop above
         del d_h, d_p, d_q, u, v  # two builds can be in their backward at once: keep each small
         g_static = np.vdot(g_b, static) if learned else 0.0
         *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate, work)
         g_gate = ()
         if learned:
-            g_gate = (grid.temporal[t].reshape(-1, 1) * ((g_a - g_static) * gate * (1.0 - gate)),)
+            g_gate = (temporal_tiled[0].reshape(-1, 1) * ((g_a - g_static) * gate * (1.0 - gate)),)
         return tuple(g_dynamic) + g_gate + tuple(d_w)
 
     return ad.fused("period_step", out, parents + tuple(params.conv_weights), grads, kinks=kinks)
@@ -353,7 +376,13 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
     of z times s. The first step skips h Wh and f * c and adds + 0.0 in
     their place, so signed zeros are as with them. With gradients each
     step keeps [i, f, g, o], c', tanh(c') and h', 7 S h values; without,
-    only h and c outlive a step.
+    only h and c outlive a step. The cell and its backward compute in the
+    parameters' dtype; the scores are float64, and their gradient is cast
+    to the parameters' dtype as the backward takes it, after the head
+    bias's gradient, its sum, is taken in float64. The hybrid surrogate
+    depends on score differences only, so that sum is zero up to rounding:
+    about 1e-17 in float64 but 1e-8 when summed in float32, which Adam
+    (eps 1e-8) would turn into steps of the bias that float64 never takes.
 
     Backward from the head, dropping each step's arrays as it passes:
     dh = G w^T for the scores' gradient G, then per step from the last
@@ -368,7 +397,7 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
     """
     hr = params.config.recurrent_hidden
     wx, wh = params.lstm_wx.data, params.lstm_wh.data
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hr)
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], wx.dtype), hr)
     shift = 1.0 - scale
     wx_s, wh_s, b_s = wx * scale, wh * scale, params.lstm_bias.data * scale
     tape = []  # per step, with gradients: [i, f, g, o], c', tanh(c'), h'
@@ -389,11 +418,13 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
             tape.append((act, c, tanh_c, h))
         del act, i, f, g, o, tanh_c  # without gradients only h and c outlive the step
     w = params.head_weight.data
-    scores = (h @ w + params.head_bias.data).reshape(-1)
+    scores = (h @ w + params.head_bias.data).reshape(-1).astype(np.float64, copy=False)
 
     def grads(grad):
         col = grad.reshape(-1, 1)
-        out = [tape[-1][3].T @ col, col.sum(axis=0, keepdims=True)]
+        d_b = col.sum(axis=0, keepdims=True).astype(wx.dtype)  # summed in float64: see the docstring
+        col = col.astype(wx.dtype, copy=False)
+        out = [tape[-1][3].T @ col, d_b]
         dh, dc = col @ w.T, 0.0  # no gradient reaches the final c directly
         for step_in in reversed(steps):
             act, _, tanh_c, _ = tape.pop()
@@ -424,7 +455,8 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     """Scores for every location at the window's target period."""
     _check_window(params, grid, window)
     s = params.config.n_locations
-    return _recurrent(params, [_period_step(params, grid, t, adjacency.workspace(s)) for t in window.inputs()])
+    steps = [_period_step(params, grid, t, adjacency.workspace(s, params.dtype)) for t in window.inputs()]
+    return _recurrent(params, steps)
 
 
 # The thread rule of ``_pool_workers`` (S >= 256); the module docstring
@@ -529,7 +561,7 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> d
         _check_window(params, grid, window)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
     workers = _pool_workers(params.config.n_locations)
-    free = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
+    free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(workers)]
     jobs = (functools.partial(_in_workspace, free, _period_step, params, grid, t) for t in periods)
     with ad.no_grad():
         built = list(_in_order(workers, jobs))  # to the end, so the pool has shut down
@@ -577,7 +609,7 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
         _trim_malloc()
     seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
     del leaves  # stage (3) needs the leaves' gradients only, not their values
-    free = [adjacency.workspace(params.config.n_locations) for _ in range(workers)]
+    free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(workers)]
 
     def rebuild(t: int, work: dict[str, np.ndarray]) -> list:
         return ad.vjp(_period_step(params, grid, t, work), seeds.pop(t))  # the vjp still reads the workspace

@@ -27,6 +27,16 @@ generator in window order before ``batch_backward`` runs, so the loss
 each window gets is a pure function of the window and its scores and may
 run on any thread, in any order; the gradients are added in the serial
 order, so a run's bits do not depend on the thread count.
+
+The gradient step runs in float32 (``_COMPUTE_DTYPE``), the standard
+mixed-precision split (Micikevicius et al., "Mixed Precision Training",
+ICLR 2018): each batch's ``batch_backward`` runs on a float32 copy of
+the float64 master parameters, and the copy's gradients are cast up to
+float64 for the Adam update, whose moments stay float64 with the
+masters. The scores, losses, the per-epoch validation, the importance
+refresh and the checkpoints are float64: validation scores the masters,
+so the logged metrics equal what ``evaluate_split`` reports for the
+same parameters.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ from .errors import ConfigError, DataError, NumericalError
 from .grid import StGrid, Window
 from .losses import SurrogateConfig
 from .model import ModelConfig, ModelParams, batch_backward, init_params, predictions_for
+
+# The dtype of each batch's gradient step; the master parameters are float64.
+_COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,8 @@ class TrainConfig(SurrogateConfig):
             raise ConfigError("eval_k must be >= 1")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigError(f"train.early_stop_patience must be >= 1 or null, got {self.early_stop_patience}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         super().validate()
         return self
 
@@ -238,6 +253,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     adam = AdamState.for_params(params)
     importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)
+    compute = params.cast(_COMPUTE_DTYPE)  # each batch's copy of the masters; its static graph is cast once
 
     state = TrainState(params=params, epochs_run=0, importance=importance)
     stale = 0
@@ -269,14 +285,14 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                     if positives.size:
                         drawn[window.target] = losses.apply_importance(positives, state.importance.probs,
                                                                        train_config, rng)
-            ad.zero_grads(params.tensors())
-            values = batch_backward(params, grid, windows, loss_of)
+            for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
+                copy.data = master.data.astype(_COMPUTE_DTYPE)
+            ad.zero_grads(compute.tensors())
+            values = batch_backward(compute, grid, windows, loss_of)
             epoch_loss = sum(values, epoch_loss)
             seen += len(values)
-            grads = {}
-            for name, tensor in params.named_tensors():
-                if tensor.grad is not None:
-                    grads[name] = tensor.grad / len(batch)
+            grads = {name: tensor.grad.astype(np.float64) / len(batch)
+                     for name, tensor in compute.named_tensors() if tensor.grad is not None}
             adam_step(params, adam, grads, lr)
 
         if not warm and train_config.use_importance:

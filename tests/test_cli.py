@@ -32,6 +32,9 @@ from gridrank import cli, grid, metrics, model, training
     ("eval.crossk_step=0", "eval.crossk_step must be > 0, got 0.0"),
     ("eval.crossk_max_distance=-1", "eval.crossk_max_distance must be >= 0, got -1.0"),
     ("eval.ks=5", "eval.ks must be a list, got 5"),
+    ("data.seed=-1", "data.seed must be >= 0, got -1"),
+    ("train.seed=-1", "train.seed must be >= 0, got -1"),
+    ("eval.crossk_seed=-1", "eval.crossk_seed must be >= 0, got -1"),
     ("train.epochs", "override 'train.epochs' must look like section.key=value"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):

@@ -1,0 +1,120 @@
+"""The float32 gradient step behind float64 master weights: every array of
+a build and a window follows the parameters' dtype, the float32 gradient
+matches the float64 one, and training hands back float64 parameters,
+scores and checkpoints."""
+
+import json
+
+import numpy as np
+import pytest
+
+from gridrank import adjacency, autodiff as ad, grid as griddata, losses, model, training
+from gridrank.adjacency import pearson_static
+from gridrank.grid import Window
+
+WINDOW = 3
+WINDOWS = [Window(t, WINDOW) for t in (5, 6, 7, 9, 20)]
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return griddata.generate_synthetic(3, 4, 4, 30, 2)
+
+
+def make_params(dataset):
+    config = model.ModelConfig.for_grid(dataset, hidden=5, recurrent_hidden=4, conv_layers=2, window=WINDOW,
+                                        embed_dim=3)
+    params = model.init_params(config)
+    params.static_graph = pearson_static(dataset.risk[:, :, :20])
+    return params
+
+
+def loss_maker(kind, dataset):
+    risk = dataset.risk_by_location()
+    surrogate = losses.SurrogateConfig(margin=1.0, local_weight=0.5, radius=1.5).validate()
+
+    def loss_of(window, scores):
+        assert scores.data.dtype == np.float64
+        day_risk = risk[:, window.target]
+        if kind == "mse":
+            return training.warmup_loss(day_risk, scores)
+        weights = np.linspace(0.5, 1.5, losses.positive_locations(day_risk).size)
+        objective = losses.hybrid_objective(day_risk, scores, surrogate, weights, (dataset.rows, dataset.cols))
+        return ad.fused("neg", -objective.data, (objective,), lambda g: (-g,))
+
+    return loss_of
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_array_of_the_gradient_step_keeps_the_parameters_dtype(dataset, dtype):
+    params = make_params(dataset).cast(dtype)
+    assert params.dtype == dtype and params.static_graph.dtype == dtype
+    work = adjacency.workspace(dataset.n_locations, params.dtype)
+    assert [a.dtype for a in work.values()] == [np.dtype(dtype)] * 3
+    with ad.no_grad():
+        steps = [ad.parameter(model._period_step(params, dataset, t, work).data) for t in WINDOWS[0].inputs()]
+    assert [s.data.dtype for s in steps] == [np.dtype(dtype)] * WINDOW
+
+    scores = model._recurrent(params, steps)
+    assert scores.data.dtype == np.float64
+    pairs = ad.vjp(scores, np.linspace(-1.0, 1.0, dataset.n_locations))
+    assert {id(s) for s in steps} <= {id(parent) for parent, _ in pairs}
+    assert [grad.dtype for _, grad in pairs] == [np.dtype(dtype)] * len(pairs)
+
+    model.batch_backward(params, dataset, WINDOWS, loss_maker("hybrid", dataset))
+    assert [(name, t.grad.dtype) for name, t in params.named_tensors()] == \
+        [(name, np.dtype(dtype)) for name, _ in params.named_tensors()]
+
+
+@pytest.mark.parametrize("kind", ["mse", "hybrid"])
+def test_float32_batch_gradient_matches_float64(dataset, kind):
+    """Per named tensor, ||g32 - g64|| <= 1e-4 ||g64||. The surrogate
+    depends on score differences only, so its head-bias gradient (the sum
+    of the scores' gradient) is zero up to rounding on both sides. It is
+    summed in float64 on both, and held to 1e-12 of the whole gradient's
+    norm instead: summed in float32 it read 4.7e-9, near Adam's eps."""
+    loss_of = loss_maker(kind, dataset)
+    wide, narrow = make_params(dataset), make_params(dataset).cast(np.float32)
+    want_values = model.batch_backward(wide, dataset, WINDOWS, loss_of)
+    values = model.batch_backward(narrow, dataset, WINDOWS, loss_of)
+    assert values == pytest.approx(want_values, rel=1e-4)
+    whole = np.sqrt(sum(np.vdot(t.grad, t.grad) for t in wide.tensors()))
+    for (name, want), (_, got) in zip(wide.named_tensors(), narrow.named_tensors()):
+        bound = 1e-12 * whole if (kind, name) == ("hybrid", "head.bias") else 1e-4 * np.linalg.norm(want.grad)
+        assert np.linalg.norm(got.grad - want.grad) <= bound, name
+
+
+def small_train(dataset):
+    config = model.ModelConfig.for_grid(dataset, hidden=4, recurrent_hidden=4, window=WINDOW, embed_dim=3)
+    return training.train(dataset, training.Splits(22), config,
+                          training.TrainConfig(epochs=2, warmup_epochs=1, batch_size=4, eval_k=3,
+                                               lr_warmup=1e-2, lr_main=3e-3))
+
+
+def test_training_keeps_float64_masters_scores_and_checkpoints(dataset, tmp_path):
+    state = small_train(dataset)
+    assert {t.data.dtype for t in state.params.tensors()} == {np.dtype(np.float64)}
+    assert state.params.static_graph.dtype == np.float64
+    model.save_checkpoint(tmp_path, state.best_params())
+    assert json.loads((tmp_path / model.CHECKPOINT_JSON).read_text())["dtype"] == "<f8"
+    loaded = model.load_checkpoint(tmp_path)
+    assert loaded.dtype == np.float64
+    assert model.predictions_for(loaded, dataset, WINDOWS).dtype == np.float64
+
+
+def test_a_float64_compute_copy_changes_no_bit_of_training(dataset, monkeypatch):
+    """With the compute dtype float64 the copy holds the masters' values,
+    so training runs as it does on the masters themselves, bit for bit."""
+    monkeypatch.setattr(training, "_COMPUTE_DTYPE", np.float64)
+    copied = small_train(dataset)
+
+    def masters(params, dtype):  # the masters themselves, their gradients cleared as a fresh copy's are
+        ad.zero_grads(params.tensors())
+        return params
+
+    monkeypatch.setattr(model.ModelParams, "cast", masters)
+    bypassed = small_train(dataset)
+    assert [{k: v for k, v in row.items() if k != "wall_time_s"} for row in copied.log] == \
+        [{k: v for k, v in row.items() if k != "wall_time_s"} for row in bypassed.log]
+    assert all(np.array_equal(copied.params.snapshot()[name], array)
+               for name, array in bypassed.params.snapshot().items())

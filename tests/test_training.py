@@ -129,10 +129,13 @@ def test_window_losses_put_one_node_in_warm_up_and_two_after(data, monkeypatch):
     assert nodes == [1] * half + [2] * half
 
 
-def test_warmup_epoch_matches_the_per_window_oracle(data):
+def test_warmup_epoch_matches_the_per_window_oracle(data, monkeypatch):
     """Every batch of the epoch, in the order ``contiguous_batches`` draws
     from the training seed, replayed as per-window gradients and one Adam
-    step per batch: one batch of all 19 windows, then batches of 4."""
+    step per batch: one batch of all 19 windows, then batches of 4. The
+    gradient step runs in float64 here, as the oracle does: in float32 the
+    summation order alone moves the parameters by about 1e-9."""
+    monkeypatch.setattr(training, "_COMPUTE_DTYPE", np.float64)
     windows, _ = training.split_windows(data, SPLITS, 3)
     risk = data.risk_by_location()
     config = training.TrainConfig(lr_warmup=1e-2)
