@@ -6,7 +6,8 @@ locations. The dynamic graph is produced from learned node embeddings
 shifted by the current spatiotemporal features; an antisymmetric
 difference under relu(tanh(.)) makes it directed with complementary
 sparsity (at most one of the (i, j)/(j, i) entries is nonzero). A
-per-period scalar gate computed from the temporal features mixes the two.
+per-period scalar gate mixes the two; the model's per-period step
+computes it from the temporal features.
 
 One period's graph is built in a workspace (``workspace``), the only
 place a build's arrays are allocated: ``graph``, one S x S array, and
@@ -27,8 +28,8 @@ activations z1 and z2 (at S <= 181 there is one block and nothing is
 rebuilt), with ``mix`` as scratch. It returns the <G, A> term of the
 gate's gradient, which ``blend`` documents. A workspace serves one build
 at a time: a build with gradients must be backpropagated before the next
-build in its workspace. A build computes in the parameters' dtype: the
-workspace, the features and the gate take it.
+build in its workspace. A build trusts its inputs: ``model._check_inputs``
+checks their shapes once per call, and they come in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -165,13 +166,8 @@ def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
     copy. The gradient is :func:`dynamic_adjacency_grads`; the caller
     reports ``active`` as a kink.
     """
-    s = params.emb1.shape[0]
-    features = np.asarray(st_features_t, dtype=params.emb1.data.dtype)
-    if features.shape != (s, params.feature_proj.shape[0]):
-        raise ShapeError(f"spatiotemporal slice shape {features.shape} does not match "
-                         f"(S={s}, d_st={params.feature_proj.shape[0]})")
     alpha = params.saturation
-    lifted = features @ params.feature_proj.data
+    lifted = st_features_t @ params.feature_proj.data
     e1 = params.emb1.data + lifted
     e2 = params.emb2.data + lifted
     z1 = np.tanh((e1 @ params.mix1.data) * alpha)
@@ -229,33 +225,17 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     g_u2 = k_z[:, d:] * (z2 * z2 - 1.0)
     g_e1 = g_u1 @ params.mix1.data.T
     g_e2 = g_u2 @ params.mix2.data.T
-    features = np.asarray(st_features_t, dtype=z1.dtype)
-    return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, features.T @ (g_e1 + g_e2), inner
+    return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, st_features_t.T @ (g_e1 + g_e2), inner
 
 
-def blend(matrix: np.ndarray, static: np.ndarray, temporal_t: np.ndarray, time_gate: Tensor,
-          fixed_gate: float | None, scratch: np.ndarray) -> float:
+def blend(matrix: np.ndarray, static: np.ndarray, gate: float, scratch: np.ndarray) -> None:
     """Mix the static graph into the dynamic graph ``matrix``, in place,
-    with a scalar per-period gate, which it returns.
-
-    gate = sigmoid(f_t . time_gate); a ``fixed_gate`` that is not None
-    overrides the learned gate with a constant (the fixed-0.5 variant used
-    for ablations). ``matrix`` becomes g A_dyn + (1 - g) A_static a row
-    block at a time, with (1 - g) A_static formed in the row block
-    ``scratch``. Its gradient, for output gradient G: dA_dyn = g G and
-    dg = <G, A_dyn> - <G, A_static>.
+    with the period's scalar gate g: ``matrix`` becomes
+    g A_dyn + (1 - g) A_static a row block at a time, with
+    (1 - g) A_static formed in the row block ``scratch``. The step computes
+    g (``model._period_step``). The blend's gradient, for output gradient
+    G: dA_dyn = g G and dg = <G, A_dyn> - <G, A_static>.
     """
-    s = matrix.shape[0]
-    if static.shape != (s, s):
-        raise ShapeError(f"static graph shape {static.shape} does not match dynamic {matrix.shape}")
-    if fixed_gate is None:
-        f_t = np.asarray(temporal_t, dtype=time_gate.data.dtype).reshape(1, -1)
-        if f_t.shape[1] != time_gate.shape[0]:
-            raise ShapeError(f"temporal features width {f_t.shape[1]} does not match gate {time_gate.shape}")
-        gate = ad._stable_sigmoid(f_t @ time_gate.data)[0, 0]
-    else:
-        gate = float(fixed_gate)
     for rows, block in _row_blocks(scratch):
         matrix[rows] *= gate
         matrix[rows] += np.multiply(static[rows], 1.0 - gate, out=block)
-    return gate

@@ -23,6 +23,8 @@ from .errors import DataError
 from .metrics import descending_order
 
 ENVELOPE_METHODS = ("minmax", "quantile")
+# The pointwise band of the "quantile" envelope.
+ENVELOPE_QUANTILES = (0.025, 0.975)
 
 
 @dataclass
@@ -90,15 +92,15 @@ def cross_k(pred_points: np.ndarray, true_points: np.ndarray,
 
 def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
                  shape: tuple[int, int], n_sim: int = 99, seed: int = 0,
-                 method: str = "minmax",
-                 quantiles: tuple[float, float] = (0.025, 0.975)) -> tuple[np.ndarray, np.ndarray]:
+                 method: str = "minmax") -> tuple[np.ndarray, np.ndarray]:
     """Envelope of K(d) under uniform-random prediction placement.
 
     Simulates ``n_sim`` draws of ``n_pred`` uniform random cells and
-    returns the pointwise min/max (default) or quantile band of their
-    :func:`cross_k` curves against the true points (integer cells, on the
-    grid or off it). Deterministic for a fixed seed: simulation i is row i
-    of one (n_sim, n_pred) draw from ``np.random.default_rng(seed)``.
+    returns the pointwise min/max (default) or ``ENVELOPE_QUANTILES`` band
+    of their :func:`cross_k` curves against the true points (integer
+    cells, on the grid or off it). Deterministic for a fixed seed:
+    simulation i is row i of one (n_sim, n_pred) draw from
+    ``np.random.default_rng(seed)``.
 
     The true points are counted once, into a table T[c, g]: how many lie
     from cell c at a squared distance v in group g. The v from 0 to the
@@ -146,7 +148,7 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     curves = counts / truths.shape[0] / (n_pred / float(rows * cols))
     if method == "minmax":
         return curves.min(axis=0), curves.max(axis=0)
-    return np.quantile(curves, quantiles[0], axis=0), np.quantile(curves, quantiles[1], axis=0)
+    return tuple(np.quantile(curves, q, axis=0) for q in ENVELOPE_QUANTILES)
 
 
 def event_cells(day_risk: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

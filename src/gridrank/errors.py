@@ -2,7 +2,8 @@
 reads a config dataclass from JSON and raises ConfigError for a bad value.
 
 Each maps to a CLI exit code: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4.
+NumericalError -> 4. ShapeError marks a caller's programming error and
+has no exit code: outside input that does not fit fails earlier.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ class NumericalError(ArithmeticError):
 
 
 class ShapeError(ValueError):
-    """Tensor operands have incompatible shapes."""
+    """Tensor operands have incompatible shapes: a caller's programming error."""
 
 
 def from_dict(cls, payload, prefix: str = ""):

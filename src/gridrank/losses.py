@@ -112,7 +112,8 @@ def _bounded_gain(scores: Tensor, groups: list[tuple | None], margin: float) -> 
     each target position once more as -2 u[b, i] sum_j h[b, j, i] (its self
     term cancels between the two). One bincount per group adds the
     positions into the locations, and the groups' values and gradients
-    are summed in order.
+    are summed in order. The kinks, the masks 1[h > 0], are built only
+    while a kink trace is installed.
     """
     groups = [group for group in groups if group is not None]
     if not groups:
@@ -135,8 +136,8 @@ def _bounded_gain(scores: Tensor, groups: list[tuple | None], margin: float) -> 
         return (total.reshape(scores.shape),)
 
     value = sum((coeff / discount).sum() for _, _, coeff, _, _, discount in parts)
-    return ad.fused("bounded_gain", np.asarray(value), (scores,), grads,
-                    kinks=[hinge > 0.0 for _, _, _, hinge, _, _ in parts])
+    kinks = [hinge > 0.0 for _, _, _, hinge, _, _ in parts] if ad.tracing_kinks() else ()
+    return ad.fused("bounded_gain", np.asarray(value), (scores,), grads, kinks=kinks)
 
 
 def _weighted_positives(relevance: np.ndarray, scores: Tensor,

@@ -87,6 +87,11 @@ parameters hold. ``training`` runs ``batch_backward`` on a float32 copy
 of its float64 master weights (``ModelParams.cast``); evaluation,
 ``predictions_for`` on the masters or on a loaded checkpoint, and the
 checkpoints themselves are float64.
+
+``forward`` and ``_shared_steps`` (so ``predictions_for`` and
+``batch_backward`` too) check a grid against the parameters once per call
+(``_check_inputs``). The per-period build then trusts shapes and dtypes,
+and the step computes the blend gate.
 """
 
 from __future__ import annotations
@@ -267,12 +272,17 @@ def _period_inputs(grid: StGrid, t: int, dtype: np.dtype) -> tuple[np.ndarray, n
     return entry
 
 
-def _check_window(params: ModelParams, grid: StGrid, window: Window) -> None:
-    cfg = params.config
-    if (grid.rows, grid.cols) != (cfg.rows, cfg.cols):
-        raise DataError(f"grid {grid.rows}x{grid.cols} does not match model {cfg.rows}x{cfg.cols}")
-    if window.target >= grid.periods:
-        raise DataError(f"window target {window.target} outside study period {grid.periods}")
+def _check_inputs(params: ModelParams, grid: StGrid, windows: list[Window]) -> None:
+    """What every build of a call trusts: the grid has the model's size and
+    feature widths (one DataError names each field that differs), and each
+    window's target lies inside the study period."""
+    differ = [f"{name} {getattr(grid, name)} (model {getattr(params.config, name)})"
+              for name in ("rows", "cols", "d_t", "d_s", "d_st") if getattr(grid, name) != getattr(params.config, name)]
+    if differ:
+        raise DataError(f"dataset does not match the model: {', '.join(differ)}")
+    late = [window.target for window in windows if window.target >= grid.periods]
+    if late:
+        raise DataError(f"window target {late[0]} outside study period {grid.periods}")
 
 
 def _normalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,14 +302,16 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     tape node.
 
     Its parents are emb1, emb2, mix1, mix2, feature_proj, time_gate (when
-    the gate is learned) and the conv weights. The forward is
-    ``adjacency.dynamic_adjacency``, ``adjacency.blend``, ``_normalize``
-    and the convolutions, in that order and with the arithmetic of the
-    separate nodes they replace, in the ``adjacency.workspace`` ``work``,
-    whose ``graph`` ends as A_hat. A build with gradients also keeps the
-    (S, d_e) z1, z2, e1, e2 and the (S, width) H_l and Q_l = A_hat H_l;
-    no mask is built unless a kink trace is installed. It computes in the
-    parameters' dtype, and so does its backward.
+    the gate is learned) and the conv weights. The forward is the gate
+    g = sigmoid(f_t time_gate), or ``fixed_gate`` when the config sets one,
+    ``adjacency.dynamic_adjacency``, ``adjacency.blend`` with g,
+    ``_normalize`` and the convolutions, in that order and with the
+    arithmetic of the separate nodes they replace, in the
+    ``adjacency.workspace`` ``work``, whose ``graph`` ends as A_hat. A
+    build with gradients also keeps the (S, d_e) z1, z2, e1, e2 and the
+    (S, width) H_l and Q_l = A_hat H_l; no mask is built unless a kink
+    trace is installed. It computes in the parameters' dtype, and so does
+    its backward.
 
     Backward, for output gradient G: per layer from the top,
     dP_l = dH_{l+1} * 1[P_l > 0], dW_l = Q_l^T dP_l, dQ_l = dP_l W_l^T and
@@ -321,10 +333,12 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t, params.dtype)
     adj, s, static = params.adjacency, params.config.n_locations, params.static_graph
+    learned = params.config.fixed_gate is None
+    gate = (ad._stable_sigmoid(temporal_tiled[0].reshape(1, -1) @ adj.time_gate.data)[0, 0] if learned
+            else float(params.config.fixed_gate))
     graph = adjacency.dynamic_adjacency(adj, st_t, work=work)
     a_hat = work["graph"]
-    gate = adjacency.blend(a_hat, static, temporal_tiled[0], adj.time_gate, params.config.fixed_gate,
-                           work["mix"])
+    adjacency.blend(a_hat, static, gate, work["mix"])
     denom, slope = _normalize(a_hat)
     layers = [node_features]
     products = []
@@ -336,7 +350,6 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     if graph.active is not None:  # a kink trace is installed
         kinks = [graph.active, slope > 0.0] + [h > 0.0 for h in layers[1:]]
 
-    learned = params.config.fixed_gate is None
     parents = (adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj) + ((adj.time_gate,) if learned else ())
 
     def grads(g):
@@ -453,7 +466,7 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
 
 def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     """Scores for every location at the window's target period."""
-    _check_window(params, grid, window)
+    _check_inputs(params, grid, [window])
     s = params.config.n_locations
     steps = [_period_step(params, grid, t, adjacency.workspace(s, params.dtype)) for t in window.inputs()]
     return _recurrent(params, steps)
@@ -557,8 +570,7 @@ def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> d
     without gradients, keyed in order of first use, on ``_pool_workers``
     threads with a workspace each; the threads see the caller's
     ``no_grad``, which is process-wide."""
-    for window in windows:
-        _check_window(params, grid, window)
+    _check_inputs(params, grid, windows)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
     workers = _pool_workers(params.config.n_locations)
     free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(workers)]
@@ -657,7 +669,8 @@ def load_checkpoint(directory) -> ModelParams:
     is read in one pass, in offset order, straight into the arrays the
     parameters keep, and every byte read, gaps and tail included, goes into
     the sha256: the bytes loaded are the bytes hashed, and no copy of the
-    blob is held."""
+    blob is held. An entry holding a NaN or an infinity is rejected as it
+    is read."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
@@ -710,6 +723,8 @@ def load_checkpoint(directory) -> ModelParams:
             digest.update(fh.read(start - fh.tell()))  # the gap before the entry
             array = arrays[name] = np.empty(entries[name][0], dtype="<f8")
             fh.readinto(array)
+            if not (math.isfinite(array.min()) and math.isfinite(array.max())):  # NaN propagates; no S x S mask
+                raise DataError(f"checkpoint entry {name} holds a non-finite value")
             digest.update(array)
         digest.update(fh.read())  # the tail
     if manifest.get("sha256") != digest.hexdigest():

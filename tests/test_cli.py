@@ -357,19 +357,43 @@ def manifest16(tmp_path_factory):
     return str(out / "manifest.json")
 
 
+# Each field of the model-dataset contract, and its value in a 4 x 4 x 30
+# dataset that differs from the default one in that field alone.
+MISMATCHED = {"rows": 5, "cols": 5, "d_t": 5, "d_s": 7, "d_st": 4}
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """``{data_<field>}`` placeholders: for each field of ``MISMATCHED``, the
+    manifest of a dataset that differs from ``manifest``'s in that field."""
+    manifests = {}
+    for name, value in MISMATCHED.items():
+        out = tmp_path_factory.mktemp(f"data_{name}")
+        sizes = {"rows": 4, "cols": 4, "periods": 30, name: value}
+        overrides = [arg for key, size in sizes.items() for arg in ("--set", f"data.{key}={size}")]
+        assert cli.main(overrides + ["gen-data", "--out", str(out)]) == cli.EXIT_OK
+        manifests[f"{{data_{name}}}"] = str(out / "manifest.json")
+    return manifests
+
+
 @pytest.fixture
-def bad_inputs(manifest, manifest16, tmp_path):
+def bad_inputs(manifest, manifest16, mismatched, tmp_path):
     """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
     the dataset, dataset manifests and checkpoint manifests with one field
-    broken, and a directory."""
+    broken, datasets that do not match the checkpoint, and a directory."""
     data = grid.load_grid(manifest)
     params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3,
                                                           embed_dim=3))
     checkpoint = model.save_checkpoint(tmp_path / "ckpt", params)
+    params.head_bias.data[0, 0] = np.nan
+    model.save_checkpoint(tmp_path / "head_bias_nan", params)  # with a digest that matches
     dataset = Path(manifest)
     return {
+        **mismatched,
         "{data}": manifest,
         "{data16}": manifest16,
+        "{checkpoint}": str(checkpoint.parent),
+        "{head_bias_nan}": str(tmp_path / "head_bias_nan"),
         "{dir}": str(tmp_path),
         "{out}": str(tmp_path / "out"),
         "{no_f_t}": edited_copy(dataset, "no_f_t.json", lambda m: m["files"].pop("f_t")),
@@ -410,6 +434,14 @@ NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
 BAD_Y_KEY = "non-integer key in y.csv"
 DIVERGING_WARMUP = ["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "--set", "train.lr_warmup=1e300"]
 HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.margin=1e308"]
+# The model predictor's commands with the 4 x 4 checkpoint, less the dataset.
+ON_CHECKPOINT = {"evaluate": ["--set", "eval.ks=[5, 10]", "evaluate", "--out", "{out}", "--checkpoint", "{checkpoint}"],
+                 "crossk": ["crossk", "--out", "{out}", "--checkpoint", "{checkpoint}"],
+                 "rank": ["rank", "--checkpoint", "{checkpoint}"]}
+MISMATCH_CASES = [(argv + ["--data", f"{{data_{name}}}"], cli.EXIT_DATA,
+                   f"dataset does not match the model: {name} {value} (model ")
+                  for name, value in MISMATCHED.items() for argv in ON_CHECKPOINT.values()]
+MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command in ON_CHECKPOINT]
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -438,6 +470,7 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
     (EVALUATE_MODEL + ["{entries_twice}"], cli.EXIT_DATA,
      "checkpoint lists entries ['lstm.bias', 'lstm.wx'] more than once"),
     (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "checkpoint dtype '<f4' is not supported"),
+    (EVALUATE_MODEL + ["{head_bias_nan}"], cli.EXIT_DATA, "checkpoint entry head.bias holds a non-finite value"),
     (EVALUATE_MODEL + ["{hidden_float}"], cli.EXIT_CONFIG, "hidden must be of type int, got 32.5"),
     (EVALUATE_MODEL + ["{rows_float}"], cli.EXIT_CONFIG, "rows must be of type int, got 4.0"),
     (EVALUATE_MODEL + ["{window_true}"], cli.EXIT_CONFIG, "window must be of type int, got True"),
@@ -472,17 +505,19 @@ HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--s
      "day 500 outside study period [0, 30)"),
     (["evaluate", "--data", "{data}", "--out", "{out}"], cli.EXIT_CONFIG,
      "--checkpoint is required with the model predictor"),
-], ids=["rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
+] + MISMATCH_CASES, ids=[
+        "rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
         "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
-        "checkpoint-dtype-f4", "checkpoint-hidden-float", "checkpoint-rows-float", "checkpoint-window-true",
+        "checkpoint-dtype-f4", "checkpoint-head-bias-nan", "checkpoint-hidden-float", "checkpoint-rows-float",
+        "checkpoint-window-true",
         "crossk-checkpoint-hidden-float", "manifest-M-float", "manifest-d_t-true", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
         "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
-        "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint"])
+        "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint"] + MISMATCH_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     """Each bad input exits with its code and one stderr line, raises no

@@ -169,9 +169,11 @@ def test_blend_grad_check(fixed_gate):
     assert report.passed, report.max_rel_error
     gate, node = blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)
     mixed = dynamic.data.copy()
-    blended_gate = adjacency.blend(mixed, static, temporal, params.adjacency.time_gate, fixed_gate,
-                                   adjacency.workspace(12)["mix"])
-    assert mixed.tobytes() == node.data.tobytes() and blended_gate == gate.item()
+    # the gate as model._period_step computes it
+    step_gate = (ad._stable_sigmoid(temporal.reshape(1, -1) @ params.adjacency.time_gate.data)[0, 0]
+                 if fixed_gate is None else float(fixed_gate))
+    adjacency.blend(mixed, static, step_gate, adjacency.workspace(12)["mix"])
+    assert mixed.tobytes() == node.data.tobytes() and step_gate == gate.item()
 
 
 @pytest.mark.parametrize("negative", [True, False])

@@ -143,6 +143,44 @@ class TestForward:
         assert report.passed, report.max_rel_error
 
 
+class TestInputContract:
+    """``forward``, ``predictions_for`` and ``batch_backward`` check a grid
+    against the parameters once per call, before any build."""
+
+    @staticmethod
+    def entry_points(params, grid, window):
+        return [lambda: model.forward(params, grid, window),
+                lambda: model.predictions_for(params, grid, [window]),
+                lambda: model.batch_backward(params, grid, [window], lambda w, s: mean_(s))]
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "d_t", "d_s", "d_st"])
+    def test_a_grid_that_differs_in_one_field_is_a_data_error_naming_it(self, tiny_config, dataset, field,
+                                                                         monkeypatch):
+        sizes = {"rows": 4, "cols": 4, "d_t": dataset.d_t, "d_s": dataset.d_s, "d_st": dataset.d_st}
+        sizes[field] += 1
+        other = griddata.generate_synthetic(3, sizes["rows"], sizes["cols"], 30, 2, d_t=sizes["d_t"],
+                                            d_s=sizes["d_s"], d_st=sizes["d_st"])
+        params = make_params(tiny_config, dataset)
+        monkeypatch.setattr(model, "_period_step", lambda *args: pytest.fail("a build ran"))
+        message = f"^dataset does not match the model: {field} {sizes[field]} \\(model {sizes[field] - 1}\\)$"
+        for call in self.entry_points(params, other, griddata.Window(10, 3)):
+            with pytest.raises(DataError, match=message):
+                call()
+        assert all(t.grad is None for t in params.tensors())
+
+    def test_every_field_that_differs_is_named_with_both_values(self, tiny_config, dataset):
+        other = griddata.generate_synthetic(3, 4, 4, 30, 2, d_s=2, d_st=5)
+        with pytest.raises(DataError, match=r"^dataset does not match the model: d_s 2 \(model 6\), "
+                                            r"d_st 5 \(model 3\)$"):
+            model.predictions_for(make_params(tiny_config, dataset), other, [griddata.Window(10, 3)])
+
+    def test_a_target_past_the_study_period_is_a_data_error(self, tiny_config, dataset):
+        params = make_params(tiny_config, dataset)
+        for call in self.entry_points(params, dataset, griddata.Window(30, 3)):
+            with pytest.raises(DataError, match=r"^window target 30 outside study period 30$"):
+                call()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_config, dataset, tmp_path):
         params = make_params(tiny_config, dataset, seed=11)
@@ -288,6 +326,14 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert loaded.static_graph.nbytes == 8 << 20 and retained >= 8 << 20
         assert peak <= retained + (1 << 20)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_a_data_error(self, tiny_config, dataset, tmp_path, value):
+        params = make_params(tiny_config, dataset)
+        params.conv_weights[1].data[2, 3] = value
+        model.save_checkpoint(tmp_path / "ckpt", params)  # with a digest that matches
+        with pytest.raises(DataError, match=r"^checkpoint entry conv.1 holds a non-finite value$"):
+            model.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
     def test_dtype_other_than_little_endian_float64_is_a_data_error(self, tiny_config, dataset, tmp_path, dtype):

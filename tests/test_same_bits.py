@@ -1,5 +1,6 @@
-"""tools/same_bits.py: the pipeline run on a 4 x 4 x 30 grid with this
-checkout as both sides, and its verdict and log hashing on stub hashes."""
+"""tools/same_bits.py: the pipeline run on a 4 x 4 x 30 grid and the
+gradcheck stdout with this checkout as both sides, and its verdict and log
+hashing on stub hashes."""
 
 import importlib.util
 import subprocess
@@ -15,16 +16,17 @@ spec.loader.exec_module(same_bits)
 
 def check_against_itself(grid: str) -> None:
     """Run the tool on ``grid`` with this checkout as both sides: every
-    output hashes the same."""
+    output of the pipeline, and the gradcheck stdout after them, hashes the
+    same."""
     done = subprocess.run([sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
                            "--grid", grid], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[1] for line in lines] == [f"{name}:" for name in same_bits.OUTPUTS]
+    assert [line.split()[:2] for line in lines] == \
+        [[grid, f"{name}:"] for name in same_bits.OUTPUTS] + [["gradcheck", "stdout:"]]
     for line in lines:
         words = line.split()
-        assert words[0] == grid and words[-1] == "same"
-        assert words[3] == words[5] and len(words[3]) == 64
+        assert words[-1] == "same" and words[3] == words[5] and len(words[3]) == 64
 
 
 def test_this_checkout_against_itself_gives_equal_hashes():
@@ -44,12 +46,18 @@ def test_any_difference_exits_1(monkeypatch, capsys):
             digests["report.json"] = "1" * 64
         return digests
 
+    gradchecks = {"parent": "2" * 64, "change": "2" * 64}
     monkeypatch.setattr(same_bits, "pipeline_hashes", hashes)
+    monkeypatch.setattr(same_bits, "gradcheck_hash", lambda checkout: gradchecks[checkout.name])
     assert same_bits.main(["--parent", "parent", "--change", "change"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * len(same_bits.OUTPUTS)
+    assert len(lines) == 2 * len(same_bits.OUTPUTS) + 1
     assert [line.split()[:2] for line in lines if line.endswith("DIFFERENT")] == [["8x8x120", "report.json:"]]
     assert same_bits.main(["--parent", "parent", "--change", "change", "--grid", "16x16x40"]) == 0
+    gradchecks["change"] = "3" * 64
+    assert same_bits.main(["--parent", "parent", "--change", "change", "--grid", "16x16x40"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines if line.endswith("DIFFERENT")] == [["gradcheck", "stdout:"]]
 
 
 def test_training_log_is_hashed_without_its_wall_time(tmp_path):

@@ -15,8 +15,10 @@ then ``evaluate`` and ``crossk`` on its checkpoint, with the checkout's
 compared are those of ``checkpoint.bin``, ``report.json``,
 ``crossk_model.csv`` and ``training_log.csv`` without its ``wall_time_s``
 column. ``eval.ks`` keeps the default cutoffs 5, 10 and 20 that fit the
-grid. Each hash is printed; the tool exits 1 on any difference and 2 when
-a command fails.
+grid. Once per checkout it also hashes the stdout of ``gradcheck``, whose
+relative errors and kink counts cover ``forward`` with gradients, a path
+the pipeline does not run. Each hash is printed; the tool exits 1 on any
+difference and 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -58,13 +60,25 @@ def log_without_wall_time(path: Path) -> bytes:
     return out.getvalue().encode()
 
 
+def run_cli(checkout: Path, work: Path, args: list) -> str:
+    """The stdout of the checkout's ``gridrank`` CLI run with ``args`` in
+    ``work``; exits 2 when the command fails."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout.resolve() / "src")}
+    argv = [sys.executable, "-m", "gridrank.cli"] + [str(part) for part in args]
+    done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"{checkout}: {' '.join(argv[3:])} exited {done.returncode}: {done.stderr.strip()}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return done.stdout
+
+
 def pipeline_hashes(checkout: Path, grid: tuple[int, int, int]) -> dict[str, str]:
     """The sha256 of each of ``OUTPUTS`` after one pipeline run."""
     rows, cols, periods = grid
     ks = [k for k in (5, 10, 20) if k <= rows * cols]
     settings = [f"data.rows={rows}", f"data.cols={cols}", f"data.periods={periods}",
                 f"eval.ks={ks}"] + TRAIN
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout.resolve() / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         data, run = work / "data", work / "run"
@@ -74,18 +88,25 @@ def pipeline_hashes(checkout: Path, grid: tuple[int, int, int]) -> dict[str, str
                          "--out", run],
                         ["crossk", "--data", data / "manifest.json", "--checkpoint", run / "checkpoint",
                          "--out", run]):
-            argv = [sys.executable, "-m", "gridrank.cli"] + [f"--set={s}" for s in settings]
-            argv += [str(part) for part in command]
-            done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                print(f"{checkout}: {' '.join(argv[3:])} exited {done.returncode}: {done.stderr.strip()}",
-                      file=sys.stderr)
-                raise SystemExit(2)
+            run_cli(checkout, work, [f"--set={s}" for s in settings] + command)
         files = {"checkpoint.bin": run / "checkpoint" / "checkpoint.bin", "report.json": run / "report.json",
                  "crossk_model.csv": run / "crossk_model.csv"}
         hashes = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
         hashes["training_log.csv"] = hashlib.sha256(log_without_wall_time(run / "training_log.csv")).hexdigest()
     return hashes
+
+
+def gradcheck_hash(checkout: Path) -> str:
+    """The sha256 of ``gradcheck``'s stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return hashlib.sha256(run_cli(checkout, Path(tmp), ["gradcheck"]).encode()).hexdigest()
+
+
+def compare(label: str, name: str, parent: str, change: str) -> bool:
+    """Print one output's two hashes and verdict; whether they are the same."""
+    same = parent == change
+    print(f"{label} {name}: parent {parent} change {change} {'same' if same else 'DIFFERENT'}")
+    return same
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,10 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     for grid in args.grid or [(8, 8, 120), (16, 16, 40)]:
         parent, change = pipeline_hashes(args.parent, grid), pipeline_hashes(args.change, grid)
         for name in OUTPUTS:
-            same = parent[name] == change[name]
-            differ |= not same
-            print(f"{'x'.join(map(str, grid))} {name}: parent {parent[name]} change {change[name]} "
-                  f"{'same' if same else 'DIFFERENT'}")
+            differ |= not compare("x".join(map(str, grid)), name, parent[name], change[name])
+    differ |= not compare("gradcheck", "stdout", gradcheck_hash(args.parent), gradcheck_hash(args.change))
     return 1 if differ else 0
 
 
