@@ -176,9 +176,12 @@ def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
 
 def cmd_gen_data(args, config: RunConfig) -> int:
     data = config.data
-    dataset = griddata.generate_synthetic(data.seed, data.rows, data.cols, data.periods,
-                                          data.hotspots, d_t=data.d_t, d_s=data.d_s,
-                                          d_st=data.d_st, train_fraction=data.train_fraction)
+    try:
+        dataset = griddata.generate_synthetic(data.seed, data.rows, data.cols, data.periods,
+                                              data.hotspots, d_t=data.d_t, d_s=data.d_s,
+                                              d_st=data.d_st, train_fraction=data.train_fraction)
+    except DataError as exc:  # every argument comes from the data section
+        raise ConfigError(f"data section: {exc}") from None
     out_dir = Path(args.out or config.out_dir)
     manifest = griddata.save_grid(dataset, out_dir)
     write_run_record(config, "gen-data", out_dir)
@@ -335,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECTION.KEY=VALUE", help="override a config value (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset manifest")
+    p = sub.add_parser("gen-data", help="write a synthetic dataset: manifest.json, four CSVs, and tensors.bin "
+                                        "+ tensors.json, a sha256-checked binary copy that loads skip parsing")
     p.add_argument("--out", help="dataset directory")
     p.set_defaults(handler=cmd_gen_data)
 

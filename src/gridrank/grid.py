@@ -5,11 +5,21 @@ three feature groups (per-period, per-cell, per-cell-per-period) and a
 non-negative risk score per cell and period. Locations are indexed
 row-major: ``location = row * cols + col``, fixed across the whole
 package.
+
+On disk a dataset is ``manifest.json`` plus one keyed CSV per array, the
+source of truth. :func:`save_grid` also writes a binary copy of the four
+arrays, ``tensors.bin`` (raw little-endian float64), and its index
+``tensors.json``: each array's name, shape and offset, the blob's sha256,
+and the sha256 of the manifest and of each CSV. :func:`load_grid` reads
+the blob in place of parsing the CSVs only when every digest matches the
+files on disk and the entries have the manifest's shapes and tile the
+blob exactly; otherwise it parses the CSVs. Loading never writes.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -308,6 +318,8 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
 # manifest I/O
 
 MANIFEST_NAME = "manifest.json"
+BLOB_NAME = "tensors.bin"
+INDEX_NAME = "tensors.json"
 _FILES = {"f_t": "f_t.csv", "f_s": "f_s.csv", "f_st": "f_st.csv", "y": "y.csv"}
 # the key columns of each file, leading every row in this order
 _AXES = {"f_t": ("t",), "f_s": ("row", "col"), "f_st": ("row", "col", "t"), "y": ("row", "col", "t")}
@@ -328,10 +340,16 @@ def _save_keyed(path: Path, name: str, values: np.ndarray) -> None:
 
 
 def save_grid(grid: StGrid, directory) -> Path:
-    """Write manifest + CSV tensors; returns the manifest path.
+    """Write manifest + CSV tensors, then the binary copy; returns the
+    manifest path.
 
     Floats are written with shortest round-trip repr so that
-    ``load_grid(save_grid(g))`` is bit-exact.
+    ``load_grid(save_grid(g))`` is bit-exact. ``tensors.bin`` holds the
+    four arrays as raw ``<f8`` in the order f_t, f_s, f_st, y, each in the
+    shape its CSV keys, written one at a time and hashed as written;
+    ``tensors.json``, written last, indexes them and records the sha256
+    of the blob, the manifest and each CSV, so an interrupted or later
+    edit leaves a copy that :func:`load_grid` does not use.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -350,7 +368,72 @@ def save_grid(grid: StGrid, directory) -> Path:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+    entries, offset, digest = [], 0, hashlib.sha256()
+    with open(directory / BLOB_NAME, "wb") as fh:
+        for name, values in tensors.items():
+            raw = np.ascontiguousarray(values, dtype="<f8")
+            entries.append({"name": name, "shape": list(raw.shape), "offset": offset})
+            digest.update(raw)
+            fh.write(raw)
+            offset += raw.nbytes
+    index = {"dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest(),
+             "manifest_sha256": _file_sha256(path),
+             "csv_sha256": {name: _file_sha256(directory / _FILES[name]) for name in _FILES}}
+    with open(directory / INDEX_NAME, "w") as fh:
+        json.dump(index, fh, indent=2)
+        fh.write("\n")
     return path
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 of the file at ``path``, read in fixed-size chunks."""
+    digest, chunk = hashlib.sha256(), bytearray(1 << 18)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _load_binary(manifest_path: Path, paths: dict[str, Path], shapes: dict[str, tuple]) -> dict | None:
+    """The arrays of ``tensors.bin`` beside ``manifest_path``, or None
+    unless its index lists exactly the arrays of ``shapes``, in those
+    shapes, tiling the blob with no gap, and the sha256 of the manifest,
+    of each CSV in ``paths`` and of the blob all match the index. The blob
+    is read in one pass straight into the arrays, and every byte read goes
+    into its sha256."""
+    directory = manifest_path.parent
+    try:
+        with open(directory / INDEX_NAME) as fh:
+            index = json.load(fh)
+        placed = sorted((entry["offset"], entry["name"], tuple(entry["shape"])) for entry in index["tensors"])
+        digests = {manifest_path: index["manifest_sha256"],
+                   **{paths[name]: index["csv_sha256"][name] for name in shapes}}
+        if index["dtype"] != "<f8" or sorted(name for _, name, _ in placed) != sorted(shapes):
+            return None
+        offset = 0
+        for start, name, shape in placed:
+            if start != offset or shape != shapes[name]:
+                return None
+            offset += 8 * math.prod(shapes[name])
+        blob_path = directory / BLOB_NAME
+        if blob_path.stat().st_size != offset:
+            return None
+        if any(_file_sha256(path) != expected for path, expected in digests.items()):
+            return None
+        arrays, digest = {}, hashlib.sha256()
+        with open(blob_path, "rb") as fh:
+            for _, name, _ in placed:
+                array = arrays[name] = np.empty(shapes[name], dtype="<f8")
+                if fh.readinto(array) != array.nbytes:
+                    return None
+                digest.update(array)
+        if index["sha256"] != digest.hexdigest():
+            return None
+    except (OSError, KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
+        return None
+    return {name: array.astype(np.float64, copy=False) for name, array in arrays.items()}
 
 
 _AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
@@ -415,8 +498,14 @@ def _count(manifest: dict, key: str) -> int:
 
 
 def load_grid(manifest_path) -> StGrid:
-    """Load and validate a dataset from its manifest; numpy's C reader parses each CSV
-    (see :func:`_load_keyed`)."""
+    """Load and validate a dataset from its manifest.
+
+    The arrays come from the binary copy that :func:`save_grid` wrote
+    beside the manifest when that copy checks out (see
+    :func:`_load_binary`); otherwise numpy's C reader parses each CSV (see
+    :func:`_load_keyed`), with its checks and messages. Either way the
+    grid is validated, and nothing is written.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
@@ -432,18 +521,15 @@ def load_grid(manifest_path) -> StGrid:
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed manifest {manifest_path}: {exc!r}") from None
 
+    widths = {"f_t": d_t, "f_s": d_s, "f_st": d_st, "y": 1}
     sizes = {"row": rows, "col": cols, "t": periods}
+    shapes = {name: tuple(sizes[axis] for axis in _AXES[name]) + (widths[name],) for name in _AXES}
+    arrays = _load_binary(manifest_path, paths, shapes) or {
+        name: _load_keyed(paths[name], name, {axis: sizes[axis] for axis in _AXES[name]},
+                          _columns(name, widths[name]))
+        for name in _AXES}
 
-    def load(name: str, width: int) -> np.ndarray:
-        axes = {axis: sizes[axis] for axis in _AXES[name]}
-        return _load_keyed(paths[name], name, axes, _columns(name, width))
-
-    temporal = load("f_t", d_t)
-    spatial = load("f_s", d_s)
-    st = load("f_st", d_st)
-    risk = load("y", 1)[:, :, :, 0]
-
-    grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
-                  spatial=spatial, spatiotemporal=st, risk=risk,
+    grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=arrays["f_t"],
+                  spatial=arrays["f_s"], spatiotemporal=arrays["f_st"], risk=arrays["y"][:, :, :, 0],
                   normalization=normalization)
     return grid.validate()

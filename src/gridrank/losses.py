@@ -42,8 +42,9 @@ WEIGHT_MODES = ("weight", "sample")
 class SurrogateConfig:
     """Knobs shared by the surrogate objectives.
 
-    margin: hinge offset c > 0 (1 makes the rank bound tight at the top; at 0
-        the top location's bound is 0 and its discount log2(1) divides by 0);
+    margin: hinge offset c > 0 (1 makes the rank bound tight at the top; when
+        1 + c^2 rounds to 1, as at 0 or 1e-8, the top location's discount
+        log2(1 + c^2) is 0 and divides by 0);
     local_weight: mix of the neighborhood objective in [0, 1];
     radius: neighborhood radius in cells;
     weight_mode: "weight" (soft) or "sample" (hard subset);
@@ -61,6 +62,8 @@ class SurrogateConfig:
     def validate(self) -> "SurrogateConfig":
         if not self.margin > 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
+        if 1.0 + self.margin * self.margin == 1.0:  # not **, which overflows to an error at 1e308
+            raise ConfigError(f"margin must leave 1 + margin^2 > 1 in float64, got {self.margin}")
         if not 0.0 <= self.local_weight <= 1.0:
             raise ConfigError(f"local_weight must be in [0, 1], got {self.local_weight}")
         if self.radius < 0:

@@ -164,14 +164,14 @@ def warmup_loss(relevance: np.ndarray, scores: Tensor) -> Tensor:
 
 
 def split_windows(grid: StGrid, splits: Splits, length: int) -> tuple[list[Window], list[Window]]:
-    """Training windows (targets before train_end) and validation windows."""
+    """Training windows (targets before train_end) and validation windows.
+    The training side may be empty, since evaluation scores only the
+    validation side; ``train`` rejects an empty one itself."""
     splits.validate(grid.periods)
     if length >= grid.periods:
         raise DataError(f"window length {length} must be shorter than the study period {grid.periods}")
     train = [Window(t, length) for t in range(length, min(splits.train_end, grid.periods))]
     val = [Window(t, length) for t in range(max(length, splits.train_end), grid.periods)]
-    if not train:
-        raise DataError("empty training split: no feasible windows before train_end")
     if not val:
         raise DataError("empty validation split: no windows at or after train_end")
     return train, val
@@ -240,6 +240,8 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         raise ConfigError(f"train.eval_k={train_config.eval_k} exceeds the grid's "
                           f"{grid.n_locations} locations")
     train_windows, val_windows = split_windows(grid, splits, model_config.window)
+    if not train_windows:
+        raise DataError("empty training split: no feasible windows before train_end")
     risk = grid.risk_by_location()
     if not np.any(risk[:, :splits.train_end] > 0):
         raise DataError("training split has no positive risk; dataset rejected")

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gridrank import cli, grid, metrics, model, training
     ('train.epochs="abc"', "train.epochs must be of type int, got 'abc'"),
     ("train.batch_size=2.5", "train.batch_size must be of type int, got 2.5"),
     ("train.margin=0", "margin must be > 0"),
+    ("train.margin=1e-8", "margin must leave 1 + margin^2 > 1 in float64, got 1e-08"),
     ("train.early_stop_patience=0", "train.early_stop_patience must be >= 1 or null, got 0"),
     ("eval.ks=[0,5]", "eval.ks must be a non-empty list of cutoffs >= 1, got [0, 5]"),
     ("eval.ks=[]", "eval.ks must be a non-empty list of cutoffs >= 1, got []"),
@@ -300,6 +302,24 @@ def test_training_log_scores_local_ndcg_at_the_evaluation_radius(manifest, tmp_p
                                    abs=1e-12)
 
 
+def test_a_checkpoint_window_leaving_no_training_window_evaluates(manifest, tmp_path, capsys):
+    """On 4 x 4 x 30 (train_end 22) a window of 29 leaves one validation
+    window and no training window: evaluate and crossk score the validation
+    split alone, and train refuses the split."""
+    config = model.ModelConfig.for_grid(grid.load_grid(manifest), hidden=4, recurrent_hidden=4, window=29,
+                                        embed_dim=3)
+    checkpoint = str(model.save_checkpoint(tmp_path / "ckpt", model.init_params(config)).parent)
+    for command in (["--set", "eval.ks=[5, 10]", "evaluate"], ["--set", "eval.crossk_sims=9", "crossk"]):
+        code = cli.main(command + ["--data", manifest, "--checkpoint", checkpoint, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(SMALL_MODEL + ["--set", "model.window=29", "train", "--data", manifest,
+                                   "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_DATA
+    assert "empty training split: no feasible windows before train_end" in one_line_error(capsys, "data error:")
+    assert not (tmp_path / "run").exists()
+
+
 def test_rank_checks_the_day_against_the_checkpoint_window(manifest, window3_checkpoint, capsys):
     assert cli.main(["rank", "--data", manifest, "--checkpoint", window3_checkpoint, "--day", "5"]) == cli.EXIT_OK
     assert "top-10 locations for period 5 (model):" in capsys.readouterr().out
@@ -328,12 +348,17 @@ def edited_copy(path, name, edit):
 
 def dataset_copy(manifest, directory, name, edit):
     """A copy of the dataset at ``manifest`` in ``directory``, with ``edit``
-    applied to the lines of its CSV ``name``; returns the copy's manifest."""
+    applied to the lines of its CSV ``name`` and every other file copied
+    byte for byte; returns the copy's manifest. The edited CSV no longer
+    matches its digest in ``tensors.json``, so loading the copy parses the
+    CSVs."""
     source = Path(manifest).parent
     directory.mkdir()
     for path in source.iterdir():
-        lines = path.read_text().splitlines()
-        (directory / path.name).write_text("\n".join(edit(lines) if path.name == name else lines) + "\n")
+        if path.name == name:
+            (directory / name).write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        else:
+            shutil.copyfile(path, directory / path.name)
     return str(directory / "manifest.json")
 
 

@@ -99,14 +99,15 @@ class TestManifestIO:
                             risk=rng.poisson(1.5, size=(2, 3, 4)).astype(float) / 3.0,
                             normalization={"train_end": 3}).validate()
         grid.save_grid(small, tmp_path)
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in ("f_t.csv", "f_s.csv", "f_st.csv", "y.csv", "manifest.json")}
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
         assert digests == {
             "f_t.csv": "6f106825d335fe59721d51bea618eeff36f0ebdbac92ad72d97bed85decf369d",
             "f_s.csv": "4f7bff7d83e10996f38f8e728855c87c64e7baf9bff5a3f5b2a801e00be86080",
             "f_st.csv": "63e81d1228a43554ef4b05b8fe6c5bcf9434fa7b4811c9b46171a49255eca8c3",
             "y.csv": "7fff2dae3421d9336c9caba1a66d99416198b4d7bb4ef58d1ef27dd649de6228",
             "manifest.json": "8cf5ecea3e43f08522de1894931df47d24a5d2685d10a0e4bde442d57771ba86",
+            "tensors.bin": "2a6e087ab5bb6fceeba80de262a8fc41c2df3e948c6f7e03658c18053728841d",
+            "tensors.json": "61ddad9cb7eb2d36742c45dc193a6e27234a1f9f6f704d98d8b132ccfa6cf23f",
         }
 
     def test_round_trip_bit_exact(self, small, tmp_path):
@@ -232,12 +233,139 @@ class TestManifestIO:
         assert np.array_equal(loaded.risk, small.risk)
 
     def test_load_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        """From the binary copy, then from the CSVs once its index is gone."""
         manifest = grid.save_grid(grid.generate_synthetic(7, 16, 16, 60, 3), tmp_path / "ds")
-        tracemalloc.start()
-        try:
-            loaded = grid.load_grid(manifest)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = sum(a.nbytes for a in (loaded.temporal, loaded.spatial, loaded.spatiotemporal, loaded.risk))
-        assert peak < 5 * kept, (peak, kept)
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                loaded = grid.load_grid(manifest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(a.nbytes for a in (loaded.temporal, loaded.spatial, loaded.spatiotemporal, loaded.risk))
+            assert peak < 5 * kept, (peak, kept)
+            (tmp_path / "ds" / grid.INDEX_NAME).unlink(missing_ok=True)
+
+
+ARRAYS = ("temporal", "spatial", "spatiotemporal", "risk")
+
+
+def same_bits(a: grid.StGrid, b: grid.StGrid) -> bool:
+    return all(getattr(a, name).dtype == getattr(b, name).dtype
+               and getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ARRAYS)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The calls to ``np.loadtxt``, one per CSV parsed."""
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    return calls
+
+
+def rewrite_index(edit):
+    """An edit of a dataset directory that applies ``edit`` to the payload of its tensors.json."""
+    def apply(directory):
+        path = directory / grid.INDEX_NAME
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return apply
+
+
+def entry(payload, name):
+    return next(item for item in payload["tensors"] if item["name"] == name)
+
+
+def flip_byte(directory):
+    path = directory / grid.BLOB_NAME
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def truncate(directory):
+    path = directory / grid.BLOB_NAME
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def reindent_manifest(directory):
+    path = directory / grid.MANIFEST_NAME
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+
+
+class TestBinaryCopy:
+    def test_both_paths_give_the_same_bits(self, small, tmp_path, parses):
+        extremes = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.30000000000000004]
+        st = small.spatiotemporal.copy()
+        st.reshape(-1)[:len(extremes)] = extremes
+        edited = grid.StGrid(rows=small.rows, cols=small.cols, periods=small.periods, temporal=small.temporal,
+                             spatial=small.spatial, spatiotemporal=st, risk=small.risk,
+                             normalization=small.normalization).validate()
+        manifest = grid.save_grid(edited, tmp_path / "ds")
+        binary = grid.load_grid(manifest)
+        assert parses == []
+        (tmp_path / "ds" / grid.INDEX_NAME).unlink()
+        parsed = grid.load_grid(manifest)
+        assert len(parses) == 4
+        assert same_bits(binary, parsed) and same_bits(binary, edited)
+        assert binary.normalization == parsed.normalization
+        assert all(getattr(binary, name).flags.c_contiguous for name in ARRAYS)
+
+    @pytest.mark.parametrize("edit", [
+        lambda directory: (directory / grid.INDEX_NAME).unlink(),
+        lambda directory: (directory / grid.INDEX_NAME).write_text('{"tensors": '),
+        lambda directory: (directory / grid.INDEX_NAME).write_text("[1, 2]"),
+        rewrite_index(lambda m: m.pop("csv_sha256")),
+        rewrite_index(lambda m: entry(m, "f_s").update(shape=[4, 6, 4])),
+        rewrite_index(lambda m: entry(m, "y").update(offset=entry(m, "y")["offset"] + 8)),
+        rewrite_index(lambda m: m["tensors"].pop()),
+        rewrite_index(lambda m: m.update(dtype="<f4")),
+        lambda directory: (directory / grid.BLOB_NAME).unlink(),
+        truncate,
+        flip_byte,
+        reindent_manifest,
+    ], ids=["index-missing", "index-malformed", "index-list", "index-no-csv-digests", "shape-changed",
+            "offset-changed", "entry-missing", "dtype-f4", "blob-missing", "blob-truncated",
+            "blob-byte-flipped", "manifest-reindented"])
+    def test_a_copy_that_does_not_check_out_falls_back_to_the_csvs(self, small, tmp_path, parses, edit):
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        edit(tmp_path / "ds")
+        loaded = grid.load_grid(manifest)
+        assert len(parses) == 4 and same_bits(loaded, small)
+
+    def test_an_edited_csv_is_read_from_the_csv(self, small, tmp_path, parses):
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        y_path = tmp_path / "ds" / "y.csv"
+        lines = y_path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",7.5"  # row 0, col 0, t 0
+        y_path.write_text("\n".join(lines) + "\n")
+        loaded = grid.load_grid(manifest)
+        assert len(parses) == 4 and loaded.risk[0, 0, 0] == 7.5
+
+    def test_an_edited_manifest_keeps_its_error(self, small, tmp_path, parses):
+        """As in ``test_wrong_T_names_axis``: the copy's shapes no longer fit."""
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        payload = json.loads(manifest.read_text())
+        payload["T"] = small.periods + 2
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="f_t.*T"):
+            grid.load_grid(manifest)
+
+    def test_a_copy_of_the_manifest_beside_it_parses_the_csvs(self, small, tmp_path, parses):
+        manifest = grid.save_grid(small, tmp_path / "ds")
+        copy = tmp_path / "ds" / "other.json"
+        copy.write_text(json.dumps(json.loads(manifest.read_text())))
+        assert same_bits(grid.load_grid(copy), small) and len(parses) == 4
+
+    @pytest.mark.parametrize("edit", [lambda directory: None, flip_byte,
+                                      lambda directory: (directory / grid.INDEX_NAME).unlink()],
+                             ids=["hit", "blob-byte-flipped", "index-missing"])
+    def test_loading_writes_nothing(self, small, tmp_path, edit):
+        directory = tmp_path / "ds"
+        manifest = grid.save_grid(small, directory)
+        edit(directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        grid.load_grid(manifest)
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before

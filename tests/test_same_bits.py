@@ -1,11 +1,14 @@
 """tools/same_bits.py: the pipeline run on a 4 x 4 x 30 grid and the
-gradcheck stdout with this checkout as both sides, and its verdict and log
-hashing on stub hashes."""
+gradcheck stdout with this checkout as both sides, the dataset files among
+the outputs, and its verdict and log hashing on stub hashes."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from gridrank import grid
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 ROOT = TOOL.parents[1]
@@ -14,10 +17,10 @@ same_bits = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_bits)
 
 
-def check_against_itself(grid: str) -> None:
+def check_against_itself(grid: str) -> dict[str, str]:
     """Run the tool on ``grid`` with this checkout as both sides: every
     output of the pipeline, and the gradcheck stdout after them, hashes the
-    same."""
+    same. Returns each output's hash."""
     done = subprocess.run([sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
                            "--grid", grid], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -27,10 +30,16 @@ def check_against_itself(grid: str) -> None:
     for line in lines:
         words = line.split()
         assert words[-1] == "same" and words[3] == words[5] and len(words[3]) == 64
+    return {line.split()[1].rstrip(":"): line.split()[3] for line in lines}
 
 
-def test_this_checkout_against_itself_gives_equal_hashes():
-    check_against_itself("4x4x30")
+def test_this_checkout_against_itself_gives_equal_hashes(tmp_path):
+    """The dataset hashes are those of the files ``save_grid`` writes for
+    ``gen-data``'s default grid at 4 x 4 x 30."""
+    hashes = check_against_itself("4x4x30")
+    grid.save_grid(grid.generate_synthetic(7, 4, 4, 30), tmp_path)
+    assert {name: hashes[name] for name in same_bits.DATASET} == \
+        {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in same_bits.DATASET}
 
 
 def test_pooled_runs_repeat_bit_for_bit():
