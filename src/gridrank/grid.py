@@ -8,20 +8,24 @@ package.
 
 On disk a dataset is ``manifest.json`` plus one keyed CSV per array, the
 source of truth. :func:`save_grid` also writes a binary copy of the four
-arrays, ``tensors.bin`` (raw little-endian float64), and its index
-``tensors.json``: each array's name, shape and offset, the blob's sha256,
-and the sha256 of the manifest and of each CSV. :func:`load_grid` reads
-the blob in place of parsing the CSVs only when every digest matches the
-files on disk and the entries have the manifest's shapes and tile the
-blob exactly; otherwise it parses the CSVs. Loading never writes.
+arrays in the one tensor-file format, which checkpoints share:
+:func:`write_tensors` writes a raw little-endian float64 blob
+(``tensors.bin``) and returns its index (``tensors.json``: names, shapes,
+offsets and the blob's sha256), and :func:`read_tensors` checks an index
+and reads its blob back. The dataset's index adds the sha256 of the
+manifest and of each CSV; :func:`load_grid` reads the blob in place of
+parsing the CSVs only when those match the files on disk and the copy
+checks out. Loading never writes.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -339,17 +343,101 @@ def _save_keyed(path: Path, name: str, values: np.ndarray) -> None:
             writer.writerow(list(key) + [repr(v) for v in record.tolist()])
 
 
+def save_json(path: Path, payload) -> Path:
+    """Write ``payload`` to ``path`` as JSON indented by 2, with a final
+    newline; returns ``path``."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+def write_tensors(path: Path, arrays: dict[str, np.ndarray]) -> dict:
+    """Write ``arrays`` to ``path`` as raw little-endian float64, in order,
+    each hashed as it is written, so no copy of the whole blob is held.
+    Returns the index :func:`read_tensors` checks: the dtype, each array's
+    name, shape and byte offset, and the blob's sha256."""
+    entries, offset, digest = [], 0, hashlib.sha256()
+    with open(path, "wb") as fh:
+        for name, values in arrays.items():
+            raw = np.ascontiguousarray(values, dtype="<f8")
+            entries.append({"name": name, "shape": list(raw.shape), "offset": offset})
+            digest.update(raw)
+            fh.write(raw)
+            offset += raw.nbytes
+    return {"dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest()}
+
+
+def read_tensors(index: dict, index_path: Path, blob_path: Path, shapes: dict[str, tuple],
+                 label: str, owner: str, source: str) -> dict[str, np.ndarray]:
+    """The arrays that ``index`` (read from ``index_path``; see
+    :func:`write_tensors`) places in the blob at ``blob_path``: exactly the
+    names of ``shapes``, in those shapes, in any order, with gaps and a
+    tail allowed. The blob is read in one pass straight into the arrays,
+    and every byte read, gaps and tail included, goes into the sha256
+    checked against the index's, so no copy of the blob is held. Any other
+    index or blob is a :class:`DataError` beginning with ``label``; an
+    unknown name is "not a tensor of this ``owner``", a wrong shape not
+    what the ``source`` needs. Values are not checked for finiteness."""
+    try:
+        dtype = index["dtype"]
+        listed = [(entry["name"], tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
+                  for entry in index["tensors"]]
+        for name, _, _ in listed:
+            if type(name) is not str:
+                raise TypeError(f"an entry's name must be a string, got {name!r}")
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"malformed {label} manifest {index_path}: {exc!r}") from None
+    if dtype != "<f8":
+        raise DataError(f"{label} dtype {dtype!r} is not supported: {blob_path.name} holds '<f8'")
+    counts = collections.Counter(name for name, _, _ in listed)
+    repeated = sorted(name for name, count in counts.items() if count > 1)
+    if repeated:
+        raise DataError(f"{label} lists entries {repeated} more than once")
+    entries = {name: (shape, start) for name, shape, start in listed}
+    if not blob_path.exists():
+        raise DataError(f"missing file: {blob_path}")
+    size = blob_path.stat().st_size
+    for name, (shape, start) in entries.items():
+        if name not in shapes:
+            raise DataError(f"{label} entry {name!r} is not a tensor of this {owner}")
+        if shape != shapes[name]:
+            raise DataError(f"{label} entry {name} has shape {shape}, the {source} needs {shapes[name]}")
+        stop = start + 8 * math.prod(shape)
+        if start < 0 or stop > size:
+            raise DataError(f"{label} entry {name} needs bytes [{start}, {stop}) "
+                            f"but {blob_path.name} holds {size}")
+    missing = sorted(shapes.keys() - entries.keys())
+    if missing:
+        raise DataError(f"{label} lacks entries {missing}")
+    placed = sorted((start, name) for name, (_, start) in entries.items())
+    for (start, name), (following, other) in zip(placed, placed[1:]):
+        if start + 8 * math.prod(entries[name][0]) > following:
+            raise DataError(f"{label} entries {name} and {other} overlap in {blob_path.name}")
+    arrays, digest = {}, hashlib.sha256()
+    with open(blob_path, "rb") as fh:
+        for start, name in placed:
+            digest.update(fh.read(start - fh.tell()))  # the gap before the entry
+            array = arrays[name] = np.empty(entries[name][0], dtype="<f8")
+            fh.readinto(array)
+            digest.update(array)
+        digest.update(fh.read())  # the tail
+    if index.get("sha256") != digest.hexdigest():
+        raise DataError(f"{blob_path.name} does not match the sha256 digest in {index_path.name}")
+    return {name: array.astype(np.float64, copy=False) for name, array in arrays.items()}
+
+
 def save_grid(grid: StGrid, directory) -> Path:
     """Write manifest + CSV tensors, then the binary copy; returns the
     manifest path.
 
     Floats are written with shortest round-trip repr so that
-    ``load_grid(save_grid(g))`` is bit-exact. ``tensors.bin`` holds the
-    four arrays as raw ``<f8`` in the order f_t, f_s, f_st, y, each in the
-    shape its CSV keys, written one at a time and hashed as written;
-    ``tensors.json``, written last, indexes them and records the sha256
-    of the blob, the manifest and each CSV, so an interrupted or later
-    edit leaves a copy that :func:`load_grid` does not use.
+    ``load_grid(save_grid(g))`` is bit-exact. The binary copy is the
+    checkpoint's format (:func:`write_tensors`): ``tensors.bin`` holds the
+    four arrays in the order f_t, f_s, f_st, y, each in the shape its CSV
+    keys. Its index ``tensors.json``, written last, adds the sha256 of the
+    manifest and of each CSV, so an interrupted or later edit leaves a
+    copy that :func:`load_grid` does not use.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -364,25 +452,11 @@ def save_grid(grid: StGrid, directory) -> Path:
         "files": dict(_FILES),
         "normalization": grid.normalization,
     }
-    path = directory / MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-    entries, offset, digest = [], 0, hashlib.sha256()
-    with open(directory / BLOB_NAME, "wb") as fh:
-        for name, values in tensors.items():
-            raw = np.ascontiguousarray(values, dtype="<f8")
-            entries.append({"name": name, "shape": list(raw.shape), "offset": offset})
-            digest.update(raw)
-            fh.write(raw)
-            offset += raw.nbytes
-    index = {"dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest(),
-             "manifest_sha256": _file_sha256(path),
-             "csv_sha256": {name: _file_sha256(directory / _FILES[name]) for name in _FILES}}
-    with open(directory / INDEX_NAME, "w") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
+    path = save_json(directory / MANIFEST_NAME, manifest)
+    index = write_tensors(directory / BLOB_NAME, tensors)
+    save_json(directory / INDEX_NAME, {
+        **index, "manifest_sha256": _file_sha256(path),
+        "csv_sha256": {name: _file_sha256(directory / _FILES[name]) for name in _FILES}})
     return path
 
 
@@ -397,43 +471,22 @@ def _file_sha256(path: Path) -> str:
 
 
 def _load_binary(manifest_path: Path, paths: dict[str, Path], shapes: dict[str, tuple]) -> dict | None:
-    """The arrays of ``tensors.bin`` beside ``manifest_path``, or None
-    unless its index lists exactly the arrays of ``shapes``, in those
-    shapes, tiling the blob with no gap, and the sha256 of the manifest,
-    of each CSV in ``paths`` and of the blob all match the index. The blob
-    is read in one pass straight into the arrays, and every byte read goes
-    into its sha256."""
-    directory = manifest_path.parent
+    """The arrays of ``tensors.bin`` beside ``manifest_path`` (see
+    :func:`read_tensors`), or None unless the sha256 of the manifest and of
+    each CSV in ``paths``, checked before the blob is read, match its index
+    ``tensors.json`` and the copy holds the arrays of ``shapes``."""
+    index_path = manifest_path.parent / INDEX_NAME
     try:
-        with open(directory / INDEX_NAME) as fh:
+        with open(index_path) as fh:
             index = json.load(fh)
-        placed = sorted((entry["offset"], entry["name"], tuple(entry["shape"])) for entry in index["tensors"])
         digests = {manifest_path: index["manifest_sha256"],
                    **{paths[name]: index["csv_sha256"][name] for name in shapes}}
-        if index["dtype"] != "<f8" or sorted(name for _, name, _ in placed) != sorted(shapes):
-            return None
-        offset = 0
-        for start, name, shape in placed:
-            if start != offset or shape != shapes[name]:
-                return None
-            offset += 8 * math.prod(shapes[name])
-        blob_path = directory / BLOB_NAME
-        if blob_path.stat().st_size != offset:
-            return None
         if any(_file_sha256(path) != expected for path, expected in digests.items()):
             return None
-        arrays, digest = {}, hashlib.sha256()
-        with open(blob_path, "rb") as fh:
-            for _, name, _ in placed:
-                array = arrays[name] = np.empty(shapes[name], dtype="<f8")
-                if fh.readinto(array) != array.nbytes:
-                    return None
-                digest.update(array)
-        if index["sha256"] != digest.hexdigest():
-            return None
-    except (OSError, KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
+        return read_tensors(index, index_path, manifest_path.parent / BLOB_NAME, shapes,
+                            "dataset copy", "dataset", "manifest")
+    except (DataError, OSError, KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
         return None
-    return {name: array.astype(np.float64, copy=False) for name, array in arrays.items()}
 
 
 _AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
@@ -501,7 +554,8 @@ def load_grid(manifest_path) -> StGrid:
     """Load and validate a dataset from its manifest.
 
     The arrays come from the binary copy that :func:`save_grid` wrote
-    beside the manifest when that copy checks out (see
+    beside the manifest, in the tensor-file format checkpoints share (read
+    by :func:`read_tensors`), when that copy checks out (see
     :func:`_load_binary`); otherwise numpy's C reader parses each CSV (see
     :func:`_load_keyed`), with its checks and messages. Either way the
     grid is validated, and nothing is written.

@@ -14,7 +14,6 @@ ideal gain.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .grid import neighbourhood_stencil
+from .grid import neighbourhood_stencil, save_json
 
 EVAL_RADIUS = 2.0  # local-NDCG radius of reports and the training log unless eval.radius differs
 
@@ -183,11 +182,7 @@ class RankingReport:
         }
 
     def write_json(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        return path
+        return save_json(Path(path), self.to_json_dict())
 
     def write_csv(self, path) -> Path:
         path = Path(path)

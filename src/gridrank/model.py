@@ -100,10 +100,8 @@ import collections
 import contextvars
 import ctypes
 import functools
-import hashlib
 import json
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -116,7 +114,7 @@ from . import autodiff as ad
 from .adjacency import DynamicAdjacencyParams, init_adjacency_params
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, from_dict
-from .grid import StGrid, Window
+from .grid import StGrid, Window, read_tensors, save_json, write_tensors
 
 
 @dataclass
@@ -633,44 +631,32 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON manifest (with the blob's sha256) + raw little-endian
-# float64 blob
+# checkpoints: the config and a ``grid.write_tensors`` index in
+# ``checkpoint.json``, the raw float64 blob in ``checkpoint.bin``
 
 CHECKPOINT_JSON = "checkpoint.json"
 CHECKPOINT_BLOB = "checkpoint.bin"
 
 
 def save_checkpoint(directory, params: ModelParams) -> Path:
-    """Write the blob one tensor at a time and hash it as it is written:
-    no copy of the whole blob is held (at S = 1024 the static graph alone
-    is 8 MB)."""
+    """Write the parameters, then the static graph, in the tensor-file
+    format that ``grid.write_tensors`` writes for checkpoints and dataset
+    copies alike, with the model config beside its index; returns the
+    manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries, offset, digest = [], 0, hashlib.sha256()
-    with open(directory / CHECKPOINT_BLOB, "wb") as fh:
-        for name, tensor in params.named_tensors() + [("static_graph", None)]:
-            array = params.static_graph if tensor is None else tensor.data
-            raw = np.ascontiguousarray(array, dtype="<f8")
-            entries.append({"name": name, "shape": list(array.shape), "offset": offset,
-                            "trainable": tensor is not None})
-            digest.update(raw)
-            fh.write(raw)
-            offset += raw.nbytes
-    manifest = {"config": asdict(params.config), "dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest()}
-    path = directory / CHECKPOINT_JSON
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+    arrays = {name: tensor.data for name, tensor in params.named_tensors()}
+    arrays["static_graph"] = params.static_graph
+    index = write_tensors(directory / CHECKPOINT_BLOB, arrays)
+    return save_json(directory / CHECKPOINT_JSON, {"config": asdict(params.config), **index})
 
 
 def load_checkpoint(directory) -> ModelParams:
-    """The parameters in a checkpoint directory (or manifest path). The blob
-    is read in one pass, in offset order, straight into the arrays the
-    parameters keep, and every byte read, gaps and tail included, goes into
-    the sha256: the bytes loaded are the bytes hashed, and no copy of the
-    blob is held. An entry holding a NaN or an infinity is rejected as it
-    is read."""
+    """The parameters in a checkpoint directory (or manifest path). The
+    config fixes each tensor's shape; ``grid.read_tensors``, the one reader
+    of the tensor-file format, checks the layout and the sha256 and reads
+    the blob straight into the arrays the parameters keep. An entry holding
+    a NaN or an infinity is rejected."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
@@ -680,56 +666,19 @@ def load_checkpoint(directory) -> ModelParams:
             manifest = json.load(fh)
         ModelConfig(**manifest["config"])  # a missing or unknown key is a TypeError, a malformed manifest
         config = from_dict(ModelConfig, manifest["config"]).validate()  # a bad value is a config error
-        dtype = manifest["dtype"]
-        listed = [(entry["name"], tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
-                  for entry in manifest["tensors"]]
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
-    if dtype != "<f8":
-        raise DataError(f"checkpoint dtype {dtype!r} is not supported: {CHECKPOINT_BLOB} holds '<f8'")
-    counts = collections.Counter(name for name, _, _ in listed)
-    repeated = sorted(name for name, count in counts.items() if count > 1)
-    if repeated:
-        raise DataError(f"checkpoint lists entries {repeated} more than once")
-    entries = {name: (shape, start) for name, shape, start in listed}
-    blob_path = manifest_path.parent / CHECKPOINT_BLOB
-    if not blob_path.exists():
-        raise DataError(f"missing file: {blob_path}")
-    size = blob_path.stat().st_size
     params = init_params(config)
-    expected = {name: t.shape for name, t in params.named_tensors()}
-    expected["static_graph"] = (config.n_locations, config.n_locations)
-    for name, (shape, start) in entries.items():
-        if name not in expected:
-            raise DataError(f"checkpoint entry {name!r} is not a tensor of this model")
-        if shape != expected[name]:
-            raise DataError(f"checkpoint entry {name} has shape {shape}, the config needs {expected[name]}")
-        stop = start + 8 * math.prod(shape)
-        if start < 0 or stop > size:
-            raise DataError(f"checkpoint entry {name} needs bytes [{start}, {stop}) "
-                            f"but {blob_path.name} holds {size}")
-    missing = sorted(expected.keys() - entries.keys())
-    if missing:
-        raise DataError(f"checkpoint lacks entries {missing}")
-    placed = sorted((start, name) for name, (_, start) in entries.items())
-    for (start, name), (following, other) in zip(placed, placed[1:]):
-        if start + 8 * math.prod(entries[name][0]) > following:
-            raise DataError(f"checkpoint entries {name} and {other} overlap in {blob_path.name}")
-    arrays, digest = {}, hashlib.sha256()
-    with open(blob_path, "rb") as fh:
-        for start, name in placed:
-            digest.update(fh.read(start - fh.tell()))  # the gap before the entry
-            array = arrays[name] = np.empty(entries[name][0], dtype="<f8")
-            fh.readinto(array)
-            if not (math.isfinite(array.min()) and math.isfinite(array.max())):  # NaN propagates; no S x S mask
-                raise DataError(f"checkpoint entry {name} holds a non-finite value")
-            digest.update(array)
-        digest.update(fh.read())  # the tail
-    if manifest.get("sha256") != digest.hexdigest():
-        raise DataError(f"{blob_path.name} does not match the sha256 digest in {manifest_path.name}")
+    shapes = {name: t.shape for name, t in params.named_tensors()}
+    shapes["static_graph"] = (config.n_locations, config.n_locations)
+    arrays = read_tensors(manifest, manifest_path, manifest_path.parent / CHECKPOINT_BLOB, shapes,
+                          "checkpoint", "model", "config")
+    for name, array in arrays.items():
+        if not (math.isfinite(array.min()) and math.isfinite(array.max())):  # NaN propagates; no S x S mask
+            raise DataError(f"checkpoint entry {name} holds a non-finite value")
     for name, t in params.named_tensors():
-        t.data = arrays[name].astype(np.float64, copy=False)
-    params.static_graph = arrays["static_graph"].astype(np.float64, copy=False)
+        t.data = arrays[name]
+    params.static_graph = arrays["static_graph"]
     return params

@@ -426,6 +426,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{files_list}": edited_copy(dataset, "files_list.json", lambda m: m.update(files=["f_t.csv"])),
         "{no_offset}": edited_copy(checkpoint, "no_offset.json", lambda m: m["tensors"][0].pop("offset")),
         "{no_name}": edited_copy(checkpoint, "no_name.json", lambda m: m["tensors"][1].pop("name")),
+        "{name_list}": edited_copy(checkpoint, "name_list.json", lambda m: m["tensors"][0].update(name=[])),
         "{shape_5}": edited_copy(checkpoint, "shape_5.json", lambda m: m["tensors"][0].update(shape=5)),
         "{offset_half}": edited_copy(checkpoint, "offset_half.json", lambda m: m["tensors"][0].update(offset=0.5)),
         "{seed_null}": edited_copy(checkpoint, "seed_null.json", lambda m: m["config"].update(seed=None)),
@@ -489,6 +490,7 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
     (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{no_offset}"], cli.EXIT_DATA, "KeyError('offset')"),
     (EVALUATE_MODEL + ["{no_name}"], cli.EXIT_DATA, "KeyError('name')"),
+    (EVALUATE_MODEL + ["{name_list}"], cli.EXIT_DATA, "malformed checkpoint manifest"),
     (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "TypeError"),
@@ -533,8 +535,8 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
 ] + MISMATCH_CASES, ids=[
         "rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
-        "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-shape-5",
-        "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
+        "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-name-list",
+        "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
         "checkpoint-dtype-f4", "checkpoint-head-bias-nan", "checkpoint-hidden-float", "checkpoint-rows-float",
         "checkpoint-window-true",
         "crossk-checkpoint-hidden-float", "manifest-M-float", "manifest-d_t-true", "evaluate-no-checkpoint", "crossk-no-checkpoint",

@@ -193,6 +193,21 @@ class TestCheckpoint:
         assert np.array_equal(model.forward(params, dataset, window).data,
                               model.forward(loaded, dataset, window).data)
 
+    def test_an_entry_with_the_former_trainable_field_loads_to_the_same_bits(self, tiny_config, dataset,
+                                                                             tmp_path):
+        """Checkpoints used to mark each entry ``trainable``; nothing read it."""
+        params = make_params(tiny_config, dataset, seed=5)
+        path = model.save_checkpoint(tmp_path / "ckpt", params)
+        manifest = json.loads(path.read_text())
+        assert all("trainable" not in entry for entry in manifest["tensors"])
+        for entry in manifest["tensors"]:
+            entry["trainable"] = entry["name"] != "static_graph"
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        loaded = model.load_checkpoint(tmp_path / "ckpt")
+        for (name, original), (_, restored) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert original.data.tobytes() == restored.data.tobytes(), name
+        assert params.static_graph.tobytes() == loaded.static_graph.tobytes()
+
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
             model.load_checkpoint(tmp_path / "nothing")
