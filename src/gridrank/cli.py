@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECTION.KEY=VALUE", help="override a config value (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset: manifest.json, four CSVs, and tensors.bin "
-                                        "+ tensors.json, a sha256-checked binary copy that loads skip parsing")
+    p = sub.add_parser("gen-data", help="write a synthetic dataset: manifest.json, and its arrays as "
+                                        "tensors.bin + tensors.json, a sha256-checked binary tensor file")
     p.add_argument("--out", help="dataset directory")
     p.set_defaults(handler=cmd_gen_data)
 

@@ -6,16 +6,14 @@ non-negative risk score per cell and period. Locations are indexed
 row-major: ``location = row * cols + col``, fixed across the whole
 package.
 
-On disk a dataset is ``manifest.json`` plus one keyed CSV per array, the
-source of truth. :func:`save_grid` also writes a binary copy of the four
-arrays in the one tensor-file format, which checkpoints share:
-:func:`write_tensors` writes a raw little-endian float64 blob
-(``tensors.bin``) and returns its index (``tensors.json``: names, shapes,
-offsets and the blob's sha256), and :func:`read_tensors` checks an index
-and reads its blob back. The dataset's index adds the sha256 of the
-manifest and of each CSV; :func:`load_grid` reads the blob in place of
-parsing the CSVs only when those match the files on disk and the copy
-checks out. Loading never writes.
+On disk a dataset is ``manifest.json`` (its sizes and normalization
+record) plus its four arrays in the one tensor-file format, which
+checkpoints share: :func:`write_tensors` writes a raw little-endian
+float64 blob (``tensors.bin``) and returns its index (``tensors.json``:
+names, shapes, offsets and the blob's sha256), and :func:`read_tensors`
+checks an index and reads its blob back. A hand-written dataset may list
+one keyed CSV per array under the manifest's ``files`` key instead (see
+:func:`load_grid`). Loading never writes.
 """
 
 from __future__ import annotations
@@ -324,23 +322,12 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
 INDEX_NAME = "tensors.json"
-_FILES = {"f_t": "f_t.csv", "f_s": "f_s.csv", "f_st": "f_st.csv", "y": "y.csv"}
-# the key columns of each file, leading every row in this order
+# each array's leading axes, which also key every row of its CSV, in this order
 _AXES = {"f_t": ("t",), "f_s": ("row", "col"), "f_st": ("row", "col", "t"), "y": ("row", "col", "t")}
 
 
 def _columns(name: str, width: int) -> list[str]:
     return ["y"] if name == "y" else [f"f{j}" for j in range(width)]
-
-
-def _save_keyed(path: Path, name: str, values: np.ndarray) -> None:
-    """``values`` of shape (*sizes, width) as the CSV :func:`_load_keyed`
-    reads: the header, then one row per key in row-major order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_AXES[name]) + _columns(name, values.shape[-1]))
-        for key, record in zip(np.ndindex(values.shape[:-1]), values.reshape(-1, values.shape[-1])):
-            writer.writerow(list(key) + [repr(v) for v in record.tolist()])
 
 
 def save_json(path: Path, payload) -> Path:
@@ -428,65 +415,24 @@ def read_tensors(index: dict, index_path: Path, blob_path: Path, shapes: dict[st
 
 
 def save_grid(grid: StGrid, directory) -> Path:
-    """Write manifest + CSV tensors, then the binary copy; returns the
-    manifest path.
-
-    Floats are written with shortest round-trip repr so that
-    ``load_grid(save_grid(g))`` is bit-exact. The binary copy is the
-    checkpoint's format (:func:`write_tensors`): ``tensors.bin`` holds the
-    four arrays in the order f_t, f_s, f_st, y, each in the shape its CSV
-    keys. Its index ``tensors.json``, written last, adds the sha256 of the
-    manifest and of each CSV, so an interrupted or later edit leaves a
-    copy that :func:`load_grid` does not use.
+    """Write ``manifest.json``, then the four arrays in the tensor-file
+    format (:func:`write_tensors`): ``tensors.bin`` holds f_t, f_s, f_st
+    and y in that order, each in the shape :func:`load_grid` needs (y with
+    a trailing axis of 1), and its index ``tensors.json`` is written last.
+    Returns the manifest path. The raw bytes make
+    ``load_grid(save_grid(g))`` bit-exact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = {"f_t": grid.temporal, "f_s": grid.spatial, "f_st": grid.spatiotemporal,
-               "y": grid.risk[..., None]}
-    for name, values in tensors.items():
-        _save_keyed(directory / _FILES[name], name, values)
-
     manifest = {
         "M": grid.rows, "N": grid.cols, "T": grid.periods,
         "d_t": grid.d_t, "d_s": grid.d_s, "d_st": grid.d_st,
-        "files": dict(_FILES),
         "normalization": grid.normalization,
     }
     path = save_json(directory / MANIFEST_NAME, manifest)
-    index = write_tensors(directory / BLOB_NAME, tensors)
-    save_json(directory / INDEX_NAME, {
-        **index, "manifest_sha256": _file_sha256(path),
-        "csv_sha256": {name: _file_sha256(directory / _FILES[name]) for name in _FILES}})
+    save_json(directory / INDEX_NAME, write_tensors(directory / BLOB_NAME, {
+        "f_t": grid.temporal, "f_s": grid.spatial, "f_st": grid.spatiotemporal, "y": grid.risk[..., None]}))
     return path
-
-
-def _file_sha256(path: Path) -> str:
-    """The sha256 of the file at ``path``, read in fixed-size chunks."""
-    digest, chunk = hashlib.sha256(), bytearray(1 << 18)
-    view = memoryview(chunk)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(chunk):
-            digest.update(view[:size])
-    return digest.hexdigest()
-
-
-def _load_binary(manifest_path: Path, paths: dict[str, Path], shapes: dict[str, tuple]) -> dict | None:
-    """The arrays of ``tensors.bin`` beside ``manifest_path`` (see
-    :func:`read_tensors`), or None unless the sha256 of the manifest and of
-    each CSV in ``paths``, checked before the blob is read, match its index
-    ``tensors.json`` and the copy holds the arrays of ``shapes``."""
-    index_path = manifest_path.parent / INDEX_NAME
-    try:
-        with open(index_path) as fh:
-            index = json.load(fh)
-        digests = {manifest_path: index["manifest_sha256"],
-                   **{paths[name]: index["csv_sha256"][name] for name in shapes}}
-        if any(_file_sha256(path) != expected for path, expected in digests.items()):
-            return None
-        return read_tensors(index, index_path, manifest_path.parent / BLOB_NAME, shapes,
-                            "dataset copy", "dataset", "manifest")
-    except (DataError, OSError, KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
-        return None
 
 
 _AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
@@ -551,14 +497,23 @@ def _count(manifest: dict, key: str) -> int:
 
 
 def load_grid(manifest_path) -> StGrid:
-    """Load and validate a dataset from its manifest.
+    """Load and validate a dataset from its manifest (or its directory).
 
-    The arrays come from the binary copy that :func:`save_grid` wrote
-    beside the manifest, in the tensor-file format checkpoints share (read
-    by :func:`read_tensors`), when that copy checks out (see
-    :func:`_load_binary`); otherwise numpy's C reader parses each CSV (see
-    :func:`_load_keyed`), with its checks and messages. Either way the
-    grid is validated, and nothing is written.
+    The manifest holds the sizes ``M`` (rows), ``N`` (cols), ``T``
+    (periods), ``d_t``, ``d_s`` and ``d_st``, each a JSON integer >= 1, and
+    optionally a ``normalization`` object. Without a ``files`` key, as
+    :func:`save_grid` writes it, the arrays come from ``tensors.bin``
+    beside it through its index ``tensors.json`` (:func:`read_tensors`);
+    a missing, corrupt or mismatched index or blob is a
+    :class:`DataError`, with no other source to fall back on.
+
+    A hand-written dataset names one CSV per array instead, relative to
+    the manifest: ``"files": {"f_t": ..., "f_s": ..., "f_st": ..., "y":
+    ...}``. Each CSV's header is its key columns, then its value columns
+    ``f0, f1, ...`` (``y`` for y): ``t`` keys f_t, ``row,col`` keys f_s,
+    ``row,col,t`` keys f_st and y. Every key appears in exactly one row,
+    and numpy's C reader parses the file (see :func:`_load_keyed`). Either
+    way the grid is validated, and nothing is written.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -570,18 +525,32 @@ def load_grid(manifest_path) -> StGrid:
             manifest = json.load(fh)
         rows, cols, periods, d_t, d_s, d_st = (_count(manifest, key)
                                                for key in ("M", "N", "T", "d_t", "d_s", "d_st"))
-        paths = {name: manifest_path.parent / manifest["files"][name] for name in _AXES}
-        normalization = dict(manifest.get("normalization", {}))
+        paths = {name: manifest_path.parent / manifest["files"][name] for name in _AXES} \
+            if "files" in manifest else None
+        normalization = manifest.get("normalization", {})
+        if type(normalization) is not dict:
+            raise TypeError(f"normalization must be a JSON object, got {normalization!r}")
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed manifest {manifest_path}: {exc!r}") from None
 
     widths = {"f_t": d_t, "f_s": d_s, "f_st": d_st, "y": 1}
     sizes = {"row": rows, "col": cols, "t": periods}
     shapes = {name: tuple(sizes[axis] for axis in _AXES[name]) + (widths[name],) for name in _AXES}
-    arrays = _load_binary(manifest_path, paths, shapes) or {
-        name: _load_keyed(paths[name], name, {axis: sizes[axis] for axis in _AXES[name]},
-                          _columns(name, widths[name]))
-        for name in _AXES}
+    if paths is None:
+        index_path = manifest_path.parent / INDEX_NAME
+        if not index_path.exists():
+            raise DataError(f"missing file: {index_path}")
+        try:
+            with open(index_path) as fh:
+                index = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"malformed dataset index manifest {index_path}: {exc!r}") from None
+        arrays = read_tensors(index, index_path, manifest_path.parent / BLOB_NAME, shapes,
+                              "dataset index", "dataset", "manifest")
+    else:
+        arrays = {name: _load_keyed(paths[name], name, {axis: sizes[axis] for axis in _AXES[name]},
+                                    _columns(name, widths[name]))
+                  for name in _AXES}
 
     grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=arrays["f_t"],
                   spatial=arrays["f_s"], spatiotemporal=arrays["f_st"], risk=arrays["y"][:, :, :, 0],

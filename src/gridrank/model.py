@@ -103,7 +103,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -640,9 +640,9 @@ CHECKPOINT_BLOB = "checkpoint.bin"
 
 def save_checkpoint(directory, params: ModelParams) -> Path:
     """Write the parameters, then the static graph, in the tensor-file
-    format that ``grid.write_tensors`` writes for checkpoints and dataset
-    copies alike, with the model config beside its index; returns the
-    manifest path."""
+    format that ``grid.write_tensors`` writes for checkpoints and datasets
+    alike, with the model config beside its index; returns the manifest
+    path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays = {name: tensor.data for name, tensor in params.named_tensors()}
@@ -655,8 +655,9 @@ def load_checkpoint(directory) -> ModelParams:
     """The parameters in a checkpoint directory (or manifest path). The
     config fixes each tensor's shape; ``grid.read_tensors``, the one reader
     of the tensor-file format, checks the layout and the sha256 and reads
-    the blob straight into the arrays the parameters keep. An entry holding
-    a NaN or an infinity is rejected."""
+    the blob straight into the arrays the parameters keep. A config that
+    lacks a field, and an entry holding a NaN or an infinity, are
+    rejected."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
@@ -664,9 +665,13 @@ def load_checkpoint(directory) -> ModelParams:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        ModelConfig(**manifest["config"])  # a missing or unknown key is a TypeError, a malformed manifest
+        # a missing key would take the default, not the trained value
+        missing = sorted({f.name for f in fields(ModelConfig)}.difference(manifest["config"]))
+        if missing:
+            raise DataError(f"malformed checkpoint manifest {manifest_path}: config lacks keys {missing}")
+        ModelConfig(**manifest["config"])  # an unknown key is a TypeError, a malformed manifest
         config = from_dict(ModelConfig, manifest["config"]).validate()  # a bad value is a config error
-    except ConfigError:
+    except (ConfigError, DataError):
         raise
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None

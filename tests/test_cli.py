@@ -8,6 +8,8 @@ import pytest
 
 from gridrank import cli, grid, metrics, model, training
 
+from conftest import write_csv_dataset, write_old_layout
+
 
 @pytest.mark.parametrize("override,message", [
     ('train.epochs="abc"', "train.epochs must be of type int, got 'abc'"),
@@ -188,6 +190,23 @@ def test_rank_oracle_orders_the_day_by_its_true_risk(manifest, capsys):
     assert keys == sorted(keys)
 
 
+def test_an_old_layout_dataset_reads_its_csvs_past_a_stale_copy(manifest, tmp_path):
+    """A dataset written while a binary copy sat beside the CSVs names them
+    in its manifest, so ``evaluate`` reads the CSVs even when its
+    ``tensors.json`` and ``tensors.bin`` hold another grid."""
+    old = write_old_layout(grid.load_grid(manifest), tmp_path / "old")
+    stale = grid.save_grid(grid.generate_synthetic(8, 4, 4, 30), tmp_path / "stale").parent
+    for name in (grid.INDEX_NAME, grid.BLOB_NAME):
+        shutil.copyfile(stale / name, old.parent / name)
+    reports = []
+    for data in (manifest, old):
+        out = tmp_path / f"eval_{len(reports)}"
+        assert cli.main(["--set", "eval.ks=[5]", "evaluate", "--data", str(data), "--predictor", "ha",
+                         "--out", str(out)]) == cli.EXIT_OK
+        reports.append((out / "report_ha.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_missing_manifest_is_a_data_error(tmp_path, capsys):
     code = cli.main(["evaluate", "--data", str(tmp_path / "absent.json"), "--predictor", "ha",
                      "--out", str(tmp_path / "eval")])
@@ -346,24 +365,32 @@ def edited_copy(path, name, edit):
     return str(copy)
 
 
-def dataset_copy(manifest, directory, name, edit):
-    """A copy of the dataset at ``manifest`` in ``directory``, with ``edit``
-    applied to the lines of its CSV ``name`` and every other file copied
-    byte for byte; returns the copy's manifest. The edited CSV no longer
-    matches its digest in ``tensors.json``, so loading the copy parses the
-    CSVs."""
-    source = Path(manifest).parent
-    directory.mkdir()
-    for path in source.iterdir():
-        if path.name == name:
-            (directory / name).write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        else:
-            shutil.copyfile(path, directory / path.name)
+def dataset_copy(manifest, directory, edit):
+    """A copy of the dataset directory of ``manifest`` in ``directory``, with
+    ``edit`` applied to the copy's directory; returns the copy's manifest."""
+    shutil.copytree(Path(manifest).parent, directory)
+    edit(directory)
     return str(directory / "manifest.json")
 
 
+def edit_lines(name, edit):
+    """An edit for ``dataset_copy`` that applies ``edit`` to the lines of the file ``name``."""
+    def apply(directory):
+        path = directory / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return apply
+
+
+def flip_byte(directory):
+    """An edit for ``dataset_copy`` that flips one bit in the middle of ``tensors.bin``."""
+    path = directory / grid.BLOB_NAME
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
 def first_key(text):
-    """An edit for ``dataset_copy`` that sets the first key of the first record to ``text``."""
+    """An edit of a CSV's lines that sets the first key of the first record to ``text``."""
     return lambda lines: lines[:1] + [text + "," + lines[1].split(",", 1)[1]] + lines[2:]
 
 
@@ -405,7 +432,9 @@ def mismatched(tmp_path_factory):
 def bad_inputs(manifest, manifest16, mismatched, tmp_path):
     """Placeholders for the argv of ``test_bad_input_exits_with_one_line``:
     the dataset, dataset manifests and checkpoint manifests with one field
-    broken, datasets that do not match the checkpoint, and a directory."""
+    broken, copies of a hand-written CSV dataset with one CSV broken,
+    copies of the dataset with its tensor file broken, datasets that do not
+    match the checkpoint, and a directory."""
     data = grid.load_grid(manifest)
     params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3,
                                                           embed_dim=3))
@@ -413,6 +442,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
     params.head_bias.data[0, 0] = np.nan
     model.save_checkpoint(tmp_path / "head_bias_nan", params)  # with a digest that matches
     dataset = Path(manifest)
+    csv_dataset = write_csv_dataset(data, tmp_path / "csv")
     return {
         **mismatched,
         "{data}": manifest,
@@ -421,9 +451,9 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{head_bias_nan}": str(tmp_path / "head_bias_nan"),
         "{dir}": str(tmp_path),
         "{out}": str(tmp_path / "out"),
-        "{no_f_t}": edited_copy(dataset, "no_f_t.json", lambda m: m["files"].pop("f_t")),
+        "{no_f_t}": edited_copy(csv_dataset, "no_f_t.json", lambda m: m["files"].pop("f_t")),
         "{M_four}": edited_copy(dataset, "M_four.json", lambda m: m.update(M="four")),
-        "{files_list}": edited_copy(dataset, "files_list.json", lambda m: m.update(files=["f_t.csv"])),
+        "{files_list}": edited_copy(csv_dataset, "files_list.json", lambda m: m.update(files=["f_t.csv"])),
         "{no_offset}": edited_copy(checkpoint, "no_offset.json", lambda m: m["tensors"][0].pop("offset")),
         "{no_name}": edited_copy(checkpoint, "no_name.json", lambda m: m["tensors"][1].pop("name")),
         "{name_list}": edited_copy(checkpoint, "name_list.json", lambda m: m["tensors"][0].update(name=[])),
@@ -443,11 +473,18 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{config_list}": text_file(tmp_path / "list.json", "[1, 2]"),
         "{config_train_5}": text_file(tmp_path / "train_5.json", '{"train": 5}'),
         "{config_malformed}": text_file(tmp_path / "malformed.json", '{"train": '),
-        "{f_st_abc}": dataset_copy(manifest, tmp_path / "f_st_abc", "f_st.csv",
-                                   lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:]),
-        "{y_header_only}": dataset_copy(manifest, tmp_path / "y_header_only", "y.csv", lambda lines: lines[:1]),
-        "{y_key_nan}": dataset_copy(manifest, tmp_path / "y_key_nan", "y.csv", first_key("nan")),
-        "{y_key_1e300}": dataset_copy(manifest, tmp_path / "y_key_1e300", "y.csv", first_key("1e300")),
+        "{f_st_abc}": dataset_copy(csv_dataset, tmp_path / "f_st_abc", edit_lines(
+            "f_st.csv", lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",abc"] + lines[2:])),
+        "{y_header_only}": dataset_copy(csv_dataset, tmp_path / "y_header_only",
+                                        edit_lines("y.csv", lambda lines: lines[:1])),
+        "{y_key_nan}": dataset_copy(csv_dataset, tmp_path / "y_key_nan", edit_lines("y.csv", first_key("nan"))),
+        "{y_key_1e300}": dataset_copy(csv_dataset, tmp_path / "y_key_1e300", edit_lines("y.csv", first_key("1e300"))),
+        "{blob_flipped}": dataset_copy(manifest, tmp_path / "blob_flipped", flip_byte),
+        "{index_garbled}": dataset_copy(manifest, tmp_path / "index_garbled",
+                                        lambda directory: text_file(directory / grid.INDEX_NAME, '{"tensors": ')),
+        "{index_missing}": dataset_copy(manifest, tmp_path / "index_missing",
+                                        lambda directory: (directory / grid.INDEX_NAME).unlink()),
+        "{manifest_alone}": text_file(tmp_path / "alone.json", dataset.read_text()),
     }
 
 
@@ -458,6 +495,7 @@ CROSSK_HA = ["crossk", "--predictor", "ha", "--out", "{out}", "--data"]
 BAD_F_ST = "malformed rows in f_st.csv: could not convert string 'abc'"
 NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
 BAD_Y_KEY = "non-integer key in y.csv"
+BAD_BLOB = "tensors.bin does not match the sha256 digest in tensors.json"
 DIVERGING_WARMUP = ["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "--set", "train.lr_warmup=1e300"]
 HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.margin=1e308"]
 # The model predictor's commands with the 4 x 4 checkpoint, less the dataset.
@@ -516,6 +554,12 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
     (CROSSK_HA + ["{y_header_only}"], cli.EXIT_DATA, NO_Y),
     (EVALUATE_HA + ["{y_key_nan}"], cli.EXIT_DATA, BAD_Y_KEY),
     (EVALUATE_HA + ["{y_key_1e300}"], cli.EXIT_DATA, BAD_Y_KEY),
+    (TRAIN + ["{blob_flipped}"], cli.EXIT_DATA, BAD_BLOB),
+    (EVALUATE_HA + ["{blob_flipped}"], cli.EXIT_DATA, BAD_BLOB),
+    (EVALUATE_HA + ["{index_garbled}"], cli.EXIT_DATA, "malformed dataset index manifest"),
+    (CROSSK_HA + ["{index_garbled}"], cli.EXIT_DATA, "JSONDecodeError"),
+    (EVALUATE_HA + ["{index_missing}"], cli.EXIT_DATA, "missing file"),
+    (EVALUATE_HA + ["{manifest_alone}"], cli.EXIT_DATA, "missing file"),
     (DIVERGING_WARMUP + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (HUGE_MARGIN + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (SMALL_MODEL + DIVERGING_WARMUP + TRAIN + ["{data16}"], cli.EXIT_NUMERIC, "non-finite"),
@@ -541,7 +585,9 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
         "checkpoint-window-true",
         "crossk-checkpoint-hidden-float", "manifest-M-float", "manifest-d_t-true", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
-        "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-diverging-warmup",
+        "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-blob-byte-flipped",
+        "evaluate-blob-byte-flipped", "evaluate-index-garbled", "crossk-index-garbled", "evaluate-index-missing",
+        "evaluate-manifest-without-files-or-index", "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
         "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint"] + MISMATCH_IDS)

@@ -5,16 +5,19 @@ never a traceback.
 Each key of the run config is set to each of ``BAD_VALUES`` in turn,
 under ``config-schema``, the subcommand that only loads and validates the
 config (exit 0 or 2). Each ``data.*`` key also runs them under
-``gen-data`` on a 4 x 4 x 30 grid, and every dataset it writes loads back
-to the same arrays from its binary copy and from its CSVs.
+``gen-data`` on a 4 x 4 x 30 grid, and every dataset it writes loads from
+its tensor file alone, to the same arrays as a CSV dataset of that grid.
 
 On a 4 x 4 x 30 dataset and a checkpoint trained on it for one epoch,
 each key of ``checkpoint.json``, of its first and last entries and of its
 config is set to each of ``MANIFEST_VALUES`` or deleted, under
-``evaluate --predictor model`` (exit 0, 2 or 3), and so is the blob cut
-short, grown or emptied. The same edits of the dataset's ``tensors.json``
-leave ``evaluate --predictor ha`` writing the intact dataset's report:
-the CSVs are read instead of a copy that does not check out.
+``evaluate --predictor model`` (exit 0, 2 or 3; a deleted key always 3),
+and so is the blob cut short, grown or emptied. The same edits of the
+dataset's ``tensors.json``, and of each key of its ``manifest.json``,
+make ``evaluate --predictor ha`` exit 3, or 2 for a split the manifest's
+normalization contradicts; a dataset without a normalization record
+writes the intact dataset's report. The edits of an old-layout dataset's
+``tensors.json`` leave its CSVs read, and that report written.
 """
 
 import contextlib
@@ -29,6 +32,8 @@ import numpy as np
 import pytest
 
 from gridrank import cli, grid, model
+
+from conftest import write_csv_dataset, write_old_layout
 
 BAD_VALUES = ["null", "true", "-1", "0", "1.5", '"x"', "[]", "{}", "1e308", "-1e308", "1e-300", "[0]",
               "[1,2,3]", "[-5]", "2"]
@@ -80,8 +85,8 @@ SMALL = ["--set", "data.rows=4", "--set", "data.cols=4", "--set", "data.periods=
 
 @pytest.mark.parametrize("key", [key for key in KEYS if key.startswith("data.")])
 def test_every_bad_data_value_under_gen_data(key, tmp_path, monkeypatch):
-    """Each written dataset loads from ``tensors.bin`` without a CSV parse,
-    and to the same bits as from its CSVs once ``tensors.json`` is gone."""
+    """Each written dataset is its manifest and tensor file alone, loads
+    without a CSV parse, and to the same bits as a CSV dataset of it."""
     parses = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(1) or loadtxt(*args, **kwargs))
@@ -90,15 +95,16 @@ def test_every_bad_data_value_under_gen_data(key, tmp_path, monkeypatch):
         out = tmp_path / str(i)
         if run(SMALL + ["--set", f"{key}={value}", "gen-data", "--out", str(out)], value, failures) != cli.EXIT_OK:
             continue
+        if {path.name for path in out.iterdir()} != {grid.MANIFEST_NAME, grid.INDEX_NAME, grid.BLOB_NAME, "run.json"}:
+            failures.append(f"{value}: gen-data wrote {sorted(path.name for path in out.iterdir())}")
         binary = grid.load_grid(out)
         if parses:
-            failures.append(f"{value}: the binary copy was not used")
-        (out / grid.INDEX_NAME).unlink()
-        parsed = grid.load_grid(out)
+            failures.append(f"{value}: the tensor file was not used")
+        parsed = grid.load_grid(write_csv_dataset(binary, tmp_path / f"csv{i}"))
         if len(parses) != 4 or binary.normalization != parsed.normalization or not all(
                 getattr(binary, name).tobytes() == getattr(parsed, name).tobytes()
                 for name in ("temporal", "spatial", "spatiotemporal", "risk")):
-            failures.append(f"{value}: the binary copy and the CSVs disagree")
+            failures.append(f"{value}: the tensor file and the CSV dataset disagree")
         parses.clear()
     assert not failures, "\n".join(failures)
 
@@ -167,30 +173,50 @@ def checkpoint_keys() -> list[tuple]:
     return manifest_keys({"config": config, "dtype": "", "tensors": tensors, "sha256": ""}, config=True)
 
 
-def index_keys() -> list[tuple]:
+def index_keys(old_layout: bool = False) -> list[tuple]:
+    """The keys of a dataset's ``tensors.json``; ``old_layout`` adds the
+    digests of the manifest and the CSVs that a binary copy beside them
+    carried."""
     tensors = [{"name": "", "shape": [], "offset": 0}]
-    return manifest_keys({"dtype": "", "tensors": tensors, "sha256": "", "manifest_sha256": "",
-                          "csv_sha256": {}}, config=False)
+    digests = {"manifest_sha256": "", "csv_sha256": {}} if old_layout else {}
+    return manifest_keys({"dtype": "", "tensors": tensors, "sha256": "", **digests}, config=False)
 
 
-def test_the_manifest_keys_are_those_written(trained, tmp_path):
+DATASET_KEYS = ["M", "N", "T", "d_t", "d_s", "d_st", "normalization"]
+
+
+@pytest.fixture(scope="module")
+def old_layout(trained, tmp_path_factory):
+    """The directory of ``trained``'s dataset in the old layout: its CSVs,
+    named by the manifest, with a binary copy beside them."""
+    manifest, _, _ = trained
+    return write_old_layout(grid.load_grid(manifest), tmp_path_factory.mktemp("old") / "data").parent
+
+
+def test_the_manifest_keys_are_those_written(trained, old_layout, tmp_path):
     manifest, checkpoint, _ = trained
     assert checkpoint_keys() == manifest_keys(json.loads((checkpoint / "checkpoint.json").read_text()), True)
     index = json.loads((Path(manifest).parent / grid.INDEX_NAME).read_text())
     assert index_keys() == manifest_keys(index, config=False)
+    assert index_keys(old_layout=True) == manifest_keys(
+        json.loads((old_layout / grid.INDEX_NAME).read_text()), config=False)
+    assert list(json.loads(Path(manifest).read_text())) == DATASET_KEYS
     assert cli.main(EVALUATE_MODEL + ["--data", manifest, "--checkpoint", str(checkpoint),
                                       "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("key", checkpoint_keys(), ids=lambda key: ".".join(map(str, key)))
 def test_every_bad_checkpoint_value_exits_0_2_or_3(trained, tmp_path, key):
+    """A deleted key exits 3: a config key would otherwise take its default,
+    not the value the checkpoint was trained with."""
     manifest, checkpoint, _ = trained
     payload = json.loads((checkpoint / "checkpoint.json").read_text())
     failures = []
     for i, (label, edited) in enumerate(edits(payload, key)):
         copy = checkpoint_copy(checkpoint, tmp_path / f"ckpt{i}", edited)
+        codes = (cli.EXIT_DATA,) if label.endswith(DELETE) else (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA)
         run(EVALUATE_MODEL + ["--data", manifest, "--checkpoint", copy, "--out", str(tmp_path / f"out{i}")],
-            label, failures, (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA))
+            label, failures, codes)
     assert not failures, "\n".join(failures)
 
 
@@ -205,19 +231,55 @@ def test_a_bad_checkpoint_blob_is_a_data_error(trained, tmp_path, blob):
     assert not failures and code == cli.EXIT_DATA, "\n".join(failures)
 
 
-@pytest.mark.parametrize("key", index_keys(), ids=lambda key: ".".join(map(str, key)))
-def test_every_bad_index_value_reads_the_csvs(trained, tmp_path, key):
-    """The report is byte for byte the intact dataset's."""
-    manifest, _, intact = trained
-    dataset = Path(manifest).parent
-    payload = json.loads((dataset / grid.INDEX_NAME).read_text())
+def evaluate_edited_copies(dataset: Path, name: str, key: tuple, tmp_path: Path, intact: bytes,
+                           codes) -> list[str]:
+    """Run ``evaluate --predictor ha`` on copies of ``dataset`` whose JSON
+    file ``name`` has ``key`` set to each of ``MANIFEST_VALUES`` or deleted.
+    An edit that leaves the file's payload as it was is skipped. ``codes``
+    maps an edited payload to the exit codes allowed; an exit 0 must
+    write the ``intact`` report. Returns the failures."""
+    payload = json.loads((dataset / name).read_text())
     failures = []
     for i, (label, edited) in enumerate(edits(payload, key)):
+        if edited == payload:
+            continue
         copy = tmp_path / f"data{i}"
         shutil.copytree(dataset, copy)
-        (copy / grid.INDEX_NAME).write_text(json.dumps(edited))
+        (copy / name).write_text(json.dumps(edited))
         out = tmp_path / f"out{i}"
-        if run(EVALUATE_HA + ["--data", str(copy / "manifest.json"), "--out", str(out)], label, failures,
-               (cli.EXIT_OK,)) == cli.EXIT_OK and (out / "report_ha.json").read_bytes() != intact:
+        if run(EVALUATE_HA + ["--data", str(copy / grid.MANIFEST_NAME), "--out", str(out)], label, failures,
+               codes(edited)) == cli.EXIT_OK and (out / "report_ha.json").read_bytes() != intact:
             failures.append(f"{label}: the report differs from the intact dataset's")
+    return failures
+
+
+@pytest.mark.parametrize("key", index_keys(old_layout=True), ids=lambda key: ".".join(map(str, key)))
+def test_every_bad_index_value_reads_the_csvs(trained, old_layout, tmp_path, key):
+    """An old-layout dataset's manifest names its CSVs, so whatever its
+    ``tensors.json`` holds, the report is byte for byte the intact
+    dataset's."""
+    _, _, intact = trained
+    failures = evaluate_edited_copies(old_layout, grid.INDEX_NAME, key, tmp_path, intact,
+                                      lambda edited: (cli.EXIT_OK,))
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("key", index_keys(), ids=lambda key: ".".join(map(str, key)))
+def test_every_bad_index_value_is_a_data_error(trained, tmp_path, key):
+    """A dataset without CSVs has no other source than its tensor file."""
+    manifest, _, intact = trained
+    failures = evaluate_edited_copies(Path(manifest).parent, grid.INDEX_NAME, key, tmp_path, intact,
+                                      lambda edited: (cli.EXIT_DATA,))
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("key", DATASET_KEYS)
+def test_every_bad_manifest_value_exits_2_or_3(trained, tmp_path, key):
+    """A manifest with no normalization record, or an empty one, is a
+    dataset whose split no record contradicts: it writes the intact
+    report."""
+    manifest, _, intact = trained
+    failures = evaluate_edited_copies(
+        Path(manifest).parent, grid.MANIFEST_NAME, (key,), tmp_path, intact,
+        lambda edited: (cli.EXIT_OK,) if edited.get("normalization", {}) == {} else (cli.EXIT_CONFIG, cli.EXIT_DATA))
     assert not failures, "\n".join(failures)

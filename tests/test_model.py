@@ -208,6 +208,18 @@ class TestCheckpoint:
             assert original.data.tobytes() == restored.data.tobytes(), name
         assert params.static_graph.tobytes() == loaded.static_graph.tobytes()
 
+    def test_a_config_missing_a_key_is_a_data_error(self, dataset, tmp_path):
+        """Not the default: a checkpoint saved with saturation 1.5 would load as 3.0."""
+        config = model.ModelConfig.for_grid(dataset, hidden=5, recurrent_hidden=4, window=3, embed_dim=3,
+                                            saturation=1.5)
+        path = model.save_checkpoint(tmp_path / "ckpt", make_params(config, dataset))
+        manifest = json.loads(path.read_text())
+        del manifest["config"]["saturation"], manifest["config"]["rows"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"malformed checkpoint manifest .*checkpoint\.json: "
+                                            r"config lacks keys \['rows', 'saturation'\]$"):
+            model.load_checkpoint(tmp_path / "ckpt")
+
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
             model.load_checkpoint(tmp_path / "nothing")

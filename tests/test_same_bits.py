@@ -1,7 +1,7 @@
 """tools/same_bits.py: the pipeline run on a 4 x 4 x 30 grid and the
 gradcheck stdout with this checkout as both sides, the dataset files (its
-binary copy too) and both checkpoint files among the outputs, and its
-verdict and log hashing on stub hashes."""
+manifest and tensor file) and both checkpoint files among the outputs,
+and its verdict and log hashing on stub hashes."""
 
 import hashlib
 import importlib.util
@@ -35,11 +35,11 @@ def check_against_itself(grid: str) -> dict[str, str]:
 
 
 def test_this_checkout_against_itself_gives_equal_hashes(tmp_path):
-    """The dataset hashes, ``tensors.bin`` and ``tensors.json`` among them,
-    are those of the files ``save_grid`` writes for ``gen-data``'s default
-    grid at 4 x 4 x 30."""
+    """The dataset hashes are those of every file ``save_grid`` writes for
+    ``gen-data``'s default grid at 4 x 4 x 30."""
     hashes = check_against_itself("4x4x30")
     grid.save_grid(grid.generate_synthetic(7, 4, 4, 30), tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(same_bits.DATASET)
     assert {name: hashes[name] for name in same_bits.DATASET} == \
         {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in same_bits.DATASET}
 

@@ -12,12 +12,12 @@ directory runs ``gen-data``, then ``train`` with
 
 then ``evaluate`` and ``crossk`` on its checkpoint, with the checkout's
 ``src`` on PYTHONPATH and every BLAS pool on one thread. The hashes
-compared are those of the dataset ``gen-data`` writes (its four CSVs,
-``manifest.json`` and the binary copy ``tensors.bin`` with its index
-``tensors.json``, so a change to the dataset writer or to the tensor-file
-format shows), then of ``checkpoint.bin``, ``checkpoint.json``,
-``report.json``, ``crossk_model.csv`` and ``training_log.csv`` without its
-``wall_time_s`` column. ``eval.ks`` keeps the default cutoffs 5, 10 and 20 that fit the
+compared are those of the dataset ``gen-data`` writes (``manifest.json``
+and the tensor file ``tensors.bin`` with its index ``tensors.json``, so a
+change to the dataset writer or to the tensor-file format shows), then of
+``checkpoint.bin``, ``checkpoint.json``, ``report.json``,
+``crossk_model.csv`` and ``training_log.csv`` without its ``wall_time_s``
+column. ``eval.ks`` keeps the default cutoffs 5, 10 and 20 that fit the
 grid. Once per checkout it also hashes the stdout of ``gradcheck``, whose
 relative errors and kink counts cover ``forward`` with gradients, a path
 the pipeline does not run. Each hash is printed; the tool exits 1 on any
@@ -38,7 +38,7 @@ from pathlib import Path
 
 TRAIN = ["train.epochs=3", "train.warmup_epochs=1", "train.batch_size=8",
          "train.lr_warmup=0.01", "train.lr_main=0.003"]
-DATASET = ("f_t.csv", "f_s.csv", "f_st.csv", "y.csv", "manifest.json", "tensors.bin", "tensors.json")
+DATASET = ("manifest.json", "tensors.bin", "tensors.json")
 CHECKPOINT = ("checkpoint.bin", "checkpoint.json")
 OUTPUTS = DATASET + CHECKPOINT + ("report.json", "crossk_model.csv", "training_log.csv")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
