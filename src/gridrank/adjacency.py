@@ -11,8 +11,9 @@ computes it from the temporal features.
 
 One period's graph is built in a workspace (``workspace``), the only
 place a build's arrays are allocated: ``graph``, one S x S array, and
-two row blocks of at most ``_BLOCK_ENTRIES`` entries, ``block`` and
-``mix``. Every elementwise pass over ``graph`` runs a row block at a time
+two row blocks of at most ``_BLOCK_BYTES`` = 256 KB, ``block`` and
+``mix`` (32 rows at S = 1024 in float64, 64 in float32). Every
+elementwise pass over ``graph`` runs a row block at a time
 (``_row_blocks``), so no other S x S array is made. ``dynamic_adjacency``
 writes z1 z2^T into ``graph`` in one product, then turns each row block
 into A's rows, which stay in cache for the elementwise passes, with the
@@ -24,12 +25,17 @@ tape node: the step owns the node, and ``dynamic_adjacency_grads`` is
 the dynamic graph's share of its backward. Since the blend overwrote A,
 it gets A back a row block at a time, from the last up: the last from
 its copy in ``block``, every other one rebuilt there from the (S, d_e)
-activations z1 and z2 (at S <= 181 there is one block and nothing is
-rebuilt), with ``mix`` as scratch. It returns the <G, A> term of the
-gate's gradient, which ``blend`` documents. A workspace serves one build
-at a time: a build with gradients must be backpropagated before the next
-build in its workspace. A build trusts its inputs: ``model._check_inputs``
-checks their shapes once per call, and they come in the parameters' dtype.
+activations z1 and z2 (at S <= 181 in float64 and S <= 256 in float32
+there is one block and nothing is rebuilt), with ``mix`` as scratch. It
+returns the <G, A> term of the gate's gradient, which ``blend``
+documents, summed in fixed chunks of a float64 block's rows (at most
+32768 entries), from the last chunk up, whatever the block size: a
+float32 block holds two chunks, and one sum over it would change the
+gate gradient's bits and so the trained parameters. A workspace serves
+one build at a time: a build with gradients must be backpropagated
+before the next build in its workspace. A build trusts its inputs:
+``model._check_inputs`` checks their shapes once per call, and they come
+in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -92,29 +98,25 @@ class DynamicAdjacencyParams:
                 ("adjacency.feature_proj", self.feature_proj)]
 
 
-def init_adjacency_params(n_locations: int, d_t: int, d_st: int, embed_dim: int,
-                          saturation: float, rng: np.random.Generator) -> DynamicAdjacencyParams:
-    return DynamicAdjacencyParams(
-        emb1=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
-        emb2=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
-        mix1=ad.uniform_parameter(rng, (embed_dim, embed_dim), embed_dim),
-        mix2=ad.uniform_parameter(rng, (embed_dim, embed_dim), embed_dim),
-        time_gate=ad.uniform_parameter(rng, (d_t, 1), d_t),
-        feature_proj=ad.uniform_parameter(rng, (d_st, embed_dim), d_st),
-        saturation=saturation,
-    )
+# Bytes per row block of a workspace: 256 KB, which timed fastest at
+# S = 1024 in float64 (one BLAS thread, 2-vCPU VM).
+_BLOCK_BYTES = 1 << 18
 
 
-# Entries per row block of a workspace: 256 KB, which timed fastest at
-# S = 1024 (one BLAS thread, 2-vCPU VM).
-_BLOCK_ENTRIES = 32768
+def _chunk_rows(s: int) -> int:
+    """Rows of one chunk of the gate's <G, A> sum: a float64 row block,
+    min(S, max(1, ``_BLOCK_BYTES`` // (8 S))) rows (32768 entries at S = 1024)."""
+    return min(s, max(1, _BLOCK_BYTES // (8 * s)))
 
 
 def workspace(s: int, dtype=np.float64) -> dict[str, np.ndarray]:
     """The ``dtype`` arrays of one build on S locations: ``graph`` (S x S)
-    and the row blocks ``block`` and ``mix``, each
-    min(S, max(1, ``_BLOCK_ENTRIES`` // S)) rows of S."""
-    rows = min(s, max(1, _BLOCK_ENTRIES // s))
+    and the row blocks ``block`` and ``mix``, each as many whole chunks
+    (``_chunk_rows``) of rows of S as fit in ``_BLOCK_BYTES``, at least one
+    and at most S rows: one chunk in float64, two in float32 (64 rows at
+    S = 1024)."""
+    chunk = _chunk_rows(s)
+    rows = min(s, chunk * max(1, _BLOCK_BYTES // (chunk * s * np.dtype(dtype).itemsize)))
     return {"graph": np.empty((s, s), dtype), "block": np.empty((rows, s), dtype),
             "mix": np.empty((rows, s), dtype)}
 
@@ -192,10 +194,11 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     OpenBLAS's row blocks and full product differ (seen for S > 192 not a
     multiple of 8) it can differ from the forward's A in the last bits;
     at S = 256 and 1024 it does not. Each block adds its share of
-    <``g_graph``, A>, then forms the mask-and-scale factor
-    1[A > 0] (1 - A^2) = 1[A > 0] - A^2 (A is 0 off the mask) in
-    ``work["mix"]`` and multiplies it into ``g_graph`` in place: no S x S
-    temporary, and ``g_graph``'s values are lost. With it
+    <``g_graph``, A>, one ``_chunk_rows`` chunk at a time from its last,
+    then forms the mask-and-scale factor 1[A > 0] (1 - A^2) =
+    1[A > 0] - A^2 (A is 0 off the mask) in ``work["mix"]`` and multiplies
+    it into ``g_graph`` in place: no S x S temporary, and ``g_graph``'s
+    values are lost. With it
     G_C = a G * 1[A > 0] * (1 - A^2); since C is antisymmetric
     everything flows through K = G_C - G_C^T, with dz1 = K z2 and
     dz2 = -K z1, computed as G_C Z - (Z^T G_C)^T for Z = [z2 | z1] so K
@@ -206,13 +209,14 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     """
     z1, z2, alpha = graph.z1, graph.z2, params.saturation
     s = z1.shape[0]
-    inner = 0.0
+    chunk, inner = _chunk_rows(s), 0.0
     for rows, factor in reversed(list(_row_blocks(work["mix"]))):
         a = work["block"][:rows.stop - rows.start]
         if rows.stop < s:
             _activate_rows(graph, alpha, rows, np.matmul(z1[rows], z2.T, out=a), factor)
         g_rows = g_graph[rows]
-        inner += np.vdot(g_rows, a)
+        for start in reversed(range(0, len(a), chunk)):
+            inner += np.vdot(g_rows[start:start + chunk], a[start:start + chunk])
         np.multiply(a, a, out=factor)
         np.subtract(a > 0.0, factor, out=factor)
         g_rows *= factor

@@ -133,12 +133,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def uniform_parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    """A parameter drawn from uniform(-k, k) with k = sqrt(1 / fan_in)."""
-    k = np.sqrt(1.0 / fan_in)
-    return parameter(rng.uniform(-k, k, size=shape))
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; the first gradient becomes ``t.grad``
     itself, so ``g`` must be an array of ``t``'s dtype that no one else

@@ -86,7 +86,19 @@ gradients all take it, and only the (S,) scores are float64 whatever the
 parameters hold. ``training`` runs ``batch_backward`` on a float32 copy
 of its float64 master weights (``ModelParams.cast``); evaluation,
 ``predictions_for`` on the masters or on a loaded checkpoint, and the
-checkpoints themselves are float64.
+checkpoints themselves are float64. A float32 copy of a period's inputs
+(``_period_inputs``) has every entry of magnitude below 2^-64 set to 0.
+The generator's Gaussian-bump spatial channels reach 1e-120: on a 32 x 32
+grid a fifth of f_s lies below 2^-64, and 151 entries cast to float32
+subnormals. Their products, in A_hat H and in the backward's U V^T (where
+entries above the subnormal range still underflow against small
+gradients), ran OpenBLAS's float32 kernels through subnormal assists. At
+S = 1024 (2-vCPU VM, one BLAS thread) A_hat @ node_features took 3.5 ms
+on the cast features, 1.1 ms with the subnormals zeroed and 0.8 ms with
+the 2^-64 rule; one rebuild and its vjp took 24-26 against 17-18 ms. The
+rule changes a bit only where such an entry's product reaches the last
+bit of a sum it enters; on the 8 x 8, 16 x 16 and 32 x 32 grids
+training's outputs kept every bit. Float64 inputs hold the grid's values.
 
 ``forward`` and ``_shared_steps`` (so ``predictions_for`` and
 ``batch_backward`` too) check a grid against the parameters once per call
@@ -111,7 +123,7 @@ import numpy as np
 
 from . import adjacency
 from . import autodiff as ad
-from .adjacency import DynamicAdjacencyParams, init_adjacency_params
+from .adjacency import DynamicAdjacencyParams
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, from_dict
 from .grid import StGrid, Window, read_tensors, save_json, write_tensors
@@ -199,12 +211,23 @@ class ModelParams:
         """The dtype of the tensors, which every build and window computes in."""
         return self.lstm_wx.data.dtype
 
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """Parameters whose tensors are fresh leaves holding ``arrays``,
+        keyed as ``named_tensors`` and ``static_graph``; nothing is drawn."""
+        leaf = {name: ad.parameter(arrays[name]) for name in _shapes(config)}
+        return cls(config=config,
+                   adjacency=DynamicAdjacencyParams(**{name.removeprefix("adjacency."): t for name, t in leaf.items()
+                                                       if name.startswith("adjacency.")},
+                                                    saturation=config.saturation),
+                   conv_weights=[leaf[f"conv.{i}"] for i in range(config.conv_layers)],
+                   lstm_wx=leaf["lstm.wx"], lstm_wh=leaf["lstm.wh"], lstm_bias=leaf["lstm.bias"],
+                   head_weight=leaf["head.weight"], head_bias=leaf["head.bias"], static_graph=arrays["static_graph"])
+
     def cast(self, dtype) -> "ModelParams":
         """A copy whose tensors and static graph are new ``dtype`` arrays,
         fresh leaves without gradients."""
-        twin = init_params(self.config)
-        twin.load_snapshot(self.snapshot(), dtype)
-        return twin
+        return self.restore(self.snapshot(), dtype)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of the learnable tensors; the static graph, which training
@@ -213,60 +236,68 @@ class ModelParams:
         state["static_graph"] = self.static_graph
         return state
 
-    def load_snapshot(self, state: dict[str, np.ndarray], dtype=np.float64) -> None:
-        for name, t in self.named_tensors():
-            t.data = np.array(state[name], dtype=dtype)
-        self.static_graph = None  # free the old S x S graph before copying the new one
-        self.static_graph = np.array(state["static_graph"], dtype=dtype)
+    def restore(self, state: dict[str, np.ndarray], dtype=np.float64) -> "ModelParams":
+        """New parameters of this config holding ``dtype`` copies of a
+        ``snapshot``'s arrays."""
+        return ModelParams.from_arrays(self.config, {name: np.array(a, dtype=dtype) for name, a in state.items()})
+
+
+def _shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Each learnable tensor's shape, named and ordered as
+    ``ModelParams.named_tensors``."""
+    d_e, hr = config.embed_dim, config.recurrent_hidden
+    widths = [config.d_s + config.d_st] + [config.hidden] * config.conv_layers
+    return {"adjacency.emb1": (config.n_locations, d_e), "adjacency.emb2": (config.n_locations, d_e),
+            "adjacency.mix1": (d_e, d_e), "adjacency.mix2": (d_e, d_e), "adjacency.time_gate": (config.d_t, 1),
+            "adjacency.feature_proj": (config.d_st, d_e),
+            **{f"conv.{i}": (widths[i], widths[i + 1]) for i in range(config.conv_layers)},
+            "lstm.wx": (config.hidden + config.d_t, 4 * hr), "lstm.wh": (hr, 4 * hr), "lstm.bias": (1, 4 * hr),
+            "head.weight": (hr, 1), "head.bias": (1, 1)}
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Deterministic initialization: uniform(-k, k) with k = sqrt(1/fan_in),
-    embeddings standard normal scaled by 0.1, and a read-only zero static
-    graph that allocates nothing (``np.broadcast_to``) until the trainer
-    supplies the correlation graph. ``seed`` alone seeds the draw;
-    ``training.train`` passes ``train.seed``."""
+    """Deterministic initialization, drawn in ``named_tensors`` order:
+    uniform(-k, k) with k = sqrt(1/fan_in), where fan_in is a weight's
+    input width and a bias's recurrent_hidden, embeddings standard normal
+    scaled by 0.1, and a read-only zero static graph that allocates
+    nothing (``np.broadcast_to``) until the trainer supplies the
+    correlation graph. ``seed`` alone seeds the draw; ``training.train``
+    passes ``train.seed``."""
     config.validate()
     rng = np.random.default_rng(seed)
-    s = config.n_locations
+    arrays = {}
+    for name, shape in _shapes(config).items():
+        if name in ("adjacency.emb1", "adjacency.emb2"):
+            arrays[name] = rng.normal(size=shape) * 0.1
+        else:
+            k = np.sqrt(1.0 / (config.recurrent_hidden if name.endswith("bias") else shape[0]))
+            arrays[name] = rng.uniform(-k, k, size=shape)
+    arrays["static_graph"] = np.broadcast_to(0.0, (config.n_locations, config.n_locations))
+    return ModelParams.from_arrays(config, arrays)
 
-    adj = init_adjacency_params(s, config.d_t, config.d_st, config.embed_dim,
-                                config.saturation, rng)
 
-    d_in = config.d_s + config.d_st
-    conv_weights = []
-    width_in = d_in
-    for _ in range(config.conv_layers):
-        conv_weights.append(ad.uniform_parameter(rng, (width_in, config.hidden), width_in))
-        width_in = config.hidden
-
-    step_width = config.hidden + config.d_t
-    hr = config.recurrent_hidden
-    return ModelParams(
-        config=config,
-        adjacency=adj,
-        conv_weights=conv_weights,
-        lstm_wx=ad.uniform_parameter(rng, (step_width, 4 * hr), step_width),
-        lstm_wh=ad.uniform_parameter(rng, (hr, 4 * hr), hr),
-        lstm_bias=ad.uniform_parameter(rng, (1, 4 * hr), hr),
-        head_weight=ad.uniform_parameter(rng, (hr, 1), hr),
-        head_bias=ad.uniform_parameter(rng, (1, 1), hr),
-        static_graph=np.broadcast_to(0.0, (s, s)),
-    )
+# Below this magnitude a float32 period input is set to 0 (the module
+# docstring says why).
+_FLOAT32_FLOOR = 2.0 ** -64
 
 
 def _period_inputs(grid: StGrid, t: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Period t's constant inputs in ``dtype``: its spatiotemporal slice,
     the node features and the (S, d_t) temporal features, memoized on the
-    grid per period and dtype (windows overlap)."""
+    grid per period and dtype (windows overlap). A float32 copy has every
+    entry of magnitude below ``_FLOAT32_FLOOR`` set to 0; float64 inputs
+    hold the grid's values."""
     cache = grid.attrs.setdefault("_period_inputs", {})
     key = (t, dtype)
     entry = cache.get(key)
     if entry is None:
         st_t = grid.spatiotemporal_at(t).astype(dtype, copy=False)
         node_features = np.concatenate([grid.spatial_flat(), st_t], axis=1, dtype=dtype)
-        temporal_tiled = np.broadcast_to(grid.temporal[t].astype(dtype), (grid.n_locations, grid.d_t))
-        entry = cache[key] = (st_t, node_features, temporal_tiled)
+        temporal = grid.temporal[t].astype(dtype)
+        if dtype == np.float32:  # new arrays: a float32 grid's st_t is a view of it
+            st_t, node_features, temporal = (np.where(np.abs(a) < _FLOAT32_FLOOR, 0.0, a)
+                                             for a in (st_t, node_features, temporal))
+        entry = cache[key] = (st_t, node_features, np.broadcast_to(temporal, (grid.n_locations, grid.d_t)))
     return entry
 
 
@@ -656,8 +687,8 @@ def load_checkpoint(directory) -> ModelParams:
     config fixes each tensor's shape; ``grid.read_tensors``, the one reader
     of the tensor-file format, checks the layout and the sha256 and reads
     the blob straight into the arrays the parameters keep. A config that
-    lacks a field, and an entry holding a NaN or an infinity, are
-    rejected."""
+    lacks a field or holds a bad value, and an entry holding a NaN or an
+    infinity, are data errors."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
     if not manifest_path.exists():
@@ -669,21 +700,17 @@ def load_checkpoint(directory) -> ModelParams:
         missing = sorted({f.name for f in fields(ModelConfig)}.difference(manifest["config"]))
         if missing:
             raise DataError(f"malformed checkpoint manifest {manifest_path}: config lacks keys {missing}")
-        ModelConfig(**manifest["config"])  # an unknown key is a TypeError, a malformed manifest
-        config = from_dict(ModelConfig, manifest["config"]).validate()  # a bad value is a config error
-    except (ConfigError, DataError):
+        config = from_dict(ModelConfig, manifest["config"], "config.").validate()
+    except DataError:
         raise
+    except ConfigError as exc:  # a bad value in a file the program wrote is the file's fault
+        raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
-    params = init_params(config)
-    shapes = {name: t.shape for name, t in params.named_tensors()}
-    shapes["static_graph"] = (config.n_locations, config.n_locations)
+    shapes = {**_shapes(config), "static_graph": (config.n_locations, config.n_locations)}
     arrays = read_tensors(manifest, manifest_path, manifest_path.parent / CHECKPOINT_BLOB, shapes,
                           "checkpoint", "model", "config")
     for name, array in arrays.items():
         if not (math.isfinite(array.min()) and math.isfinite(array.max())):  # NaN propagates; no S x S mask
             raise DataError(f"checkpoint entry {name} holds a non-finite value")
-    for name, t in params.named_tensors():
-        t.data = arrays[name]
-    params.static_graph = arrays["static_graph"]
-    return params
+    return ModelParams.from_arrays(config, arrays)

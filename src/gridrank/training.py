@@ -208,9 +208,7 @@ class TrainState:
         """Parameters of the best validation epoch (current if none logged)."""
         if self.best_snapshot is None:
             return self.params
-        restored = init_params(self.params.config)
-        restored.load_snapshot(self.best_snapshot)
-        return restored
+        return self.params.restore(self.best_snapshot)
 
 
 def _static_graph(grid: StGrid, train_end: int) -> np.ndarray:

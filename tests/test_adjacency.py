@@ -10,8 +10,20 @@ from oracles import mean_
 
 
 def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4, saturation=3.0):
+    """Embeddings standard normal scaled by 0.1, the rest uniform(-k, k)
+    with k = sqrt(1/fan_in), drawn in field order as ``model.init_params``
+    draws them."""
     rng = np.random.default_rng(seed)
-    return adjacency.init_adjacency_params(n_locations, d_t, d_st, embed_dim, saturation, rng)
+
+    def uniform(shape):
+        k = np.sqrt(1.0 / shape[0])
+        return ad.parameter(rng.uniform(-k, k, size=shape))
+
+    return adjacency.DynamicAdjacencyParams(
+        emb1=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
+        emb2=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
+        mix1=uniform((embed_dim, embed_dim)), mix2=uniform((embed_dim, embed_dim)),
+        time_gate=uniform((d_t, 1)), feature_proj=uniform((d_st, embed_dim)), saturation=saturation)
 
 
 def dynamic(params, features):

@@ -464,6 +464,10 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
             [entry for entry in m["tensors"] if entry["name"] in ("lstm.wx", "lstm.bias")])),
         "{dtype_f4}": edited_copy(checkpoint, "dtype_f4.json", lambda m: m.update(dtype="<f4")),
         "{hidden_float}": edited_copy(checkpoint, "hidden_float.json", lambda m: m["config"].update(hidden=32.5)),
+        "{hidden_negative}": edited_copy(checkpoint, "hidden_negative.json",
+                                         lambda m: m["config"].update(hidden=-1)),
+        "{saturation_negative}": edited_copy(checkpoint, "saturation_negative.json",
+                                             lambda m: m["config"].update(saturation=-2)),
         "{rows_float}": edited_copy(checkpoint, "rows_float.json", lambda m: m["config"].update(rows=4.0)),
         "{window_true}": edited_copy(checkpoint, "window_true.json", lambda m: m["config"].update(window=True)),
         "{M_float}": edited_copy(dataset, "M_float.json", lambda m: m.update(M=4.5)),
@@ -531,16 +535,19 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
     (EVALUATE_MODEL + ["{name_list}"], cli.EXIT_DATA, "malformed checkpoint manifest"),
     (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
     (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
-    (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "TypeError"),
+    (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "seed_null.json: unknown config key(s) ['seed'] in section config"),
     (EVALUATE_MODEL + ["{entries_twice}"], cli.EXIT_DATA,
      "checkpoint lists entries ['lstm.bias', 'lstm.wx'] more than once"),
     (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "checkpoint dtype '<f4' is not supported"),
     (EVALUATE_MODEL + ["{head_bias_nan}"], cli.EXIT_DATA, "checkpoint entry head.bias holds a non-finite value"),
-    (EVALUATE_MODEL + ["{hidden_float}"], cli.EXIT_CONFIG, "hidden must be of type int, got 32.5"),
-    (EVALUATE_MODEL + ["{rows_float}"], cli.EXIT_CONFIG, "rows must be of type int, got 4.0"),
-    (EVALUATE_MODEL + ["{window_true}"], cli.EXIT_CONFIG, "window must be of type int, got True"),
-    (["crossk", "--checkpoint", "{hidden_float}", "--out", "{out}", "--data", "{data}"], cli.EXIT_CONFIG,
-     "hidden must be of type int, got 32.5"),
+    (EVALUATE_MODEL + ["{hidden_float}"], cli.EXIT_DATA, "hidden_float.json: config.hidden must be of type int, got 32.5"),
+    (EVALUATE_MODEL + ["{hidden_negative}"], cli.EXIT_DATA, "hidden_negative.json: hidden must be positive, got -1"),
+    (EVALUATE_MODEL + ["{saturation_negative}"], cli.EXIT_DATA,
+     "saturation_negative.json: saturation must be positive, got -2.0"),
+    (EVALUATE_MODEL + ["{rows_float}"], cli.EXIT_DATA, "rows_float.json: config.rows must be of type int, got 4.0"),
+    (EVALUATE_MODEL + ["{window_true}"], cli.EXIT_DATA, "window_true.json: config.window must be of type int, got True"),
+    (["crossk", "--checkpoint", "{hidden_float}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
+     "hidden_float.json: config.hidden must be of type int, got 32.5"),
     (EVALUATE_HA + ["{M_float}"], cli.EXIT_DATA, "M must be a JSON integer >= 1, got 4.5"),
     (EVALUATE_HA + ["{d_t_true}"], cli.EXIT_DATA, "d_t must be a JSON integer >= 1, got True"),
     (EVALUATE_MODEL + ["{no_checkpoint}"], cli.EXIT_DATA, "missing file"),
@@ -581,7 +588,8 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-name-list",
         "checkpoint-shape-5", "checkpoint-offset-half", "checkpoint-seed-null", "checkpoint-entries-twice",
-        "checkpoint-dtype-f4", "checkpoint-head-bias-nan", "checkpoint-hidden-float", "checkpoint-rows-float",
+        "checkpoint-dtype-f4", "checkpoint-head-bias-nan", "checkpoint-hidden-float", "checkpoint-hidden-negative",
+        "checkpoint-saturation-negative", "checkpoint-rows-float",
         "checkpoint-window-true",
         "crossk-checkpoint-hidden-float", "manifest-M-float", "manifest-d_t-true", "evaluate-no-checkpoint", "crossk-no-checkpoint",
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",

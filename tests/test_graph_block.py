@@ -94,10 +94,10 @@ def test_fused_block_matches_generic_ops(rows, cols, negative, fixed_gate):
 @pytest.mark.parametrize("fixed_gate", [None, 0.0, 0.5, 1.0])
 @pytest.mark.parametrize("block_entries", [None, 120])
 def test_fused_step_matches_three_node_oracle(negative, fixed_gate, block_entries, monkeypatch):
-    """On a 4 x 6 grid; with 120 entries per block the 24 rows of the
-    mask-and-scale pass run as blocks of 5, 5, 5, 5 and 4."""
+    """On a 4 x 6 grid; with blocks of 120 float64 entries the 24 rows of
+    the mask-and-scale pass run as blocks of 5, 5, 5, 5 and 4."""
     if block_entries is not None:
-        monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(adjacency, "_BLOCK_BYTES", 8 * block_entries)
     params, grid, weights = step_case(4, 6, negative, fixed_gate, seed=5)
     fused_bytes, fused = step_gradients(fused_step, params, grid, weights)
     oracle_bytes, oracle = step_gradients(node_period_step, params, grid, weights)
@@ -111,11 +111,11 @@ def test_fused_step_matches_three_node_oracle(negative, fixed_gate, block_entrie
     pytest.param(negative, fixed_gate, entries, id=f"{fixed_gate}-{negative}" + (f"-blocks{entries}" if entries else ""))
     for entries in (None, 60) for fixed_gate in (None, 0.5) for negative in (True, False)])
 def test_fused_step_grad_check_and_kinks(negative, fixed_gate, block_entries, monkeypatch):
-    """With 60 entries per block the 12 rows of A run as blocks of 5, 5 and
-    2, and the backward rebuilds the first two: their relu masks and the
-    blockwise sum of the gate's <dB, A> must pass the check."""
+    """With blocks of 60 float64 entries the 12 rows of A run as blocks of
+    5, 5 and 2, and the backward rebuilds the first two: their relu masks
+    and the blockwise sum of the gate's <dB, A> must pass the check."""
     if block_entries is not None:
-        monkeypatch.setattr(adjacency, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(adjacency, "_BLOCK_BYTES", 8 * block_entries)
     params, grid, weights = step_case(3, 4, negative, fixed_gate, seed=7, conv_layers=3)
     tensors = graph_tensors(params)
     report = ad.grad_check(lambda: sum_(mul(fused_step(params, grid, T),
@@ -131,6 +131,32 @@ def test_fused_step_grad_check_and_kinks(negative, fixed_gate, block_entries, mo
             fused_step(params, grid, T)
         assert len(trace) == 1 + 1 + 3
         assert all(np.array_equal(a, b) for a, b in zip(trace, oracle_trace, strict=True))
+
+
+@pytest.mark.parametrize("negative,fixed_gate", [
+    pytest.param(negative, fixed_gate, id=f"{fixed_gate}-{negative}-blocks60-float32")
+    for fixed_gate in (None, 0.5) for negative in (True, False)])
+def test_float32_fused_step_follows_float64_in_byte_sized_blocks(negative, fixed_gate, monkeypatch):
+    """The float32 case of the check above: with the same 480 bytes per
+    block, float32 runs A's 12 rows as blocks of 10 and 2 and rebuilds the
+    first. Its gradients are within 1e-4 of the float64 ones, which the
+    check above holds against finite differences, and it reports the same
+    five kinks with and without gradients."""
+    monkeypatch.setattr(adjacency, "_BLOCK_BYTES", 8 * 60)
+    params, grid, weights = step_case(3, 4, negative, fixed_gate, seed=7, conv_layers=3)
+    narrow = params.cast(np.float32)
+    work = adjacency.workspace(12, np.float32)
+    assert work["block"].shape == work["mix"].shape == (10, 12)
+    want = ad.vjp(model._period_step(params, grid, T, adjacency.workspace(12)), weights)
+    got = ad.vjp(model._period_step(narrow, grid, T, work), weights.astype(np.float32))
+    assert len(got) == len(want) == len(graph_tensors(params)) - (fixed_gate is not None)
+    for (_, grad), (_, reference) in zip(got, want):
+        assert grad.dtype == np.float32
+        assert np.linalg.norm(grad - reference) <= 1e-4 * np.linalg.norm(reference)
+    for context in (ad.no_grad, contextlib.nullcontext):
+        with context(), ad._kink_tracing() as trace:
+            model._period_step(narrow, grid, T, work)
+        assert len(trace) == 1 + 1 + 3
 
 
 def test_dynamic_adjacency_grad_check_and_kink_trace():

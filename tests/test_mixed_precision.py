@@ -1,7 +1,8 @@
 """The float32 gradient step behind float64 master weights: every array of
 a build and a window follows the parameters' dtype, the float32 gradient
 matches the float64 one, and training hands back float64 parameters,
-scores and checkpoints."""
+scores and checkpoints. Float32 inputs hold no entry below 2^-64, and
+float32 gradients do not depend on the row-block size."""
 
 import json
 
@@ -11,6 +12,8 @@ import pytest
 from gridrank import adjacency, autodiff as ad, grid as griddata, losses, model, training
 from gridrank.adjacency import pearson_static
 from gridrank.grid import Window
+
+from test_graph_block import T, step_case
 
 WINDOW = 3
 WINDOWS = [Window(t, WINDOW) for t in (5, 6, 7, 9, 20)]
@@ -118,3 +121,40 @@ def test_a_float64_compute_copy_changes_no_bit_of_training(dataset, monkeypatch)
         [{k: v for k, v in row.items() if k != "wall_time_s"} for row in bypassed.log]
     assert all(np.array_equal(copied.params.snapshot()[name], array)
                for name, array in bypassed.params.snapshot().items())
+
+
+def test_float32_inputs_hold_no_entry_below_the_floor():
+    """The 32 x 32 grid's Gaussian-bump channels reach far below 2^-64: a
+    float32 copy sets those entries to 0, so its conv products run no
+    float32 subnormal. The float64 inputs keep the grid's values, bit for
+    bit."""
+    grid = griddata.generate_synthetic(7, 32, 32, 32)
+    assert np.any((grid.spatial != 0) & (np.abs(grid.spatial) < 2.0 ** -64))
+    for t in (0, 17, 31):
+        narrow = model._period_inputs(grid, t, np.dtype(np.float32))
+        assert [a.dtype for a in narrow] == [np.dtype(np.float32)] * 3
+        assert not any(np.any((a != 0) & (np.abs(a) < 2.0 ** -64)) for a in narrow)
+        st_t, node_features, temporal = model._period_inputs(grid, t, np.dtype(np.float64))
+        assert st_t.tobytes() == grid.spatiotemporal[:, :, t, :].tobytes()
+        assert node_features.tobytes() == np.concatenate([grid.spatial.reshape(1024, -1), st_t], axis=1).tobytes()
+        assert temporal.tobytes() == np.tile(grid.temporal[t], (1024, 1)).tobytes()
+
+
+@pytest.mark.parametrize("rows,cols", [(32, 32), (24, 25)])
+def test_float32_gradients_do_not_depend_on_the_block_size(rows, cols):
+    """At S = 1024 and S = 600 a float32 workspace holds twice a float64
+    one's rows (64 against 32, 108 against 54). A float32 build and its
+    ``vjp`` in it give the bytes they give in float32 arrays of the float64
+    workspace's shapes: the gate's <G, A> is summed in the same chunks of
+    rows either way. The static graph is zero, so the gate's gradient is
+    that sum alone and shows its last bit."""
+    params, grid, weights = step_case(rows, cols, True, None, seed=3)
+    s = rows * cols
+    params.static_graph = np.zeros((s, s))
+    params, weights = params.cast(np.float32), weights.astype(np.float32)
+    narrow = {name: np.empty(a.shape, np.float32) for name, a in adjacency.workspace(s).items()}
+    work = adjacency.workspace(s, np.float32)
+    assert work["block"].shape[0] == 2 * narrow["block"].shape[0] < s
+    pairs = [ad.vjp(model._period_step(params, grid, T, w), weights) for w in (narrow, work)]
+    assert [p for p, _ in pairs[0]] == [p for p, _ in pairs[1]]
+    assert [g.tobytes() for _, g in pairs[0]] == [g.tobytes() for _, g in pairs[1]]

@@ -38,6 +38,34 @@ class TestInit:
         for (name, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
             assert np.array_equal(ta.data, tb.data), name
 
+    def test_draws_are_pinned(self, dataset):
+        """The sha256 of every tensor's name and bytes, in ``named_tensors``
+        order, as the draws have been since training first ran."""
+        config = model.ModelConfig.for_grid(dataset, hidden=5, recurrent_hidden=4, conv_layers=3, window=3,
+                                            embed_dim=3)
+        digest = hashlib.sha256()
+        for name, t in model.init_params(config, seed=7).named_tensors():
+            digest.update(name.encode())
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == "2dd72f615a0f20909ca24c32f00df48e10217fb93f3d4911f28c1c8317d6280a"
+
+    def test_loading_casting_and_restoring_draw_nothing(self, tiny_config, dataset, tmp_path, monkeypatch):
+        params = make_params(tiny_config, dataset, seed=3)
+        model.save_checkpoint(tmp_path / "ckpt", params)
+
+        def no_draw(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = model.load_checkpoint(tmp_path / "ckpt")
+        narrow = loaded.cast(np.float32)
+        restored = loaded.restore(params.snapshot())
+        for (name, want), *others in zip(params.named_tensors(), loaded.named_tensors(),
+                                         narrow.named_tensors(), restored.named_tensors()):
+            assert [t.data.tobytes() for _, t in others] == \
+                [want.data.tobytes(), want.data.astype(np.float32).tobytes(), want.data.tobytes()], name
+        assert narrow.static_graph.dtype == np.float32 and restored.static_graph.dtype == np.float64
+
     def test_different_seeds_differ(self, tiny_config):
         a = model.init_params(tiny_config, seed=5)
         b = model.init_params(tiny_config, seed=6)
@@ -276,21 +304,24 @@ class TestCheckpoint:
             model.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("key,value,message", [
-        ("hidden", 32.5, "hidden must be of type int, got 32.5"),
-        ("rows", 4.0, "rows must be of type int, got 4.0"),
-        ("window", True, "window must be of type int, got True"),
-        ("saturation", "3", "saturation must be of type float, got '3'"),
-        ("fixed_gate", float("nan"), "fixed_gate must be a finite number, got nan"),
+        ("hidden", 32.5, "config.hidden must be of type int, got 32.5"),
+        ("rows", 4.0, "config.rows must be of type int, got 4.0"),
+        ("window", True, "config.window must be of type int, got True"),
+        ("saturation", "3", "config.saturation must be of type float, got '3'"),
+        ("fixed_gate", float("nan"), "config.fixed_gate must be a finite number, got nan"),
         ("hidden", 0, "hidden must be positive, got 0"),
     ], ids=["hidden-float", "rows-float", "window-bool", "saturation-string", "fixed-gate-nan", "hidden-zero"])
     def test_manifest_config_values_are_config_errors(self, tiny_config, dataset, tmp_path, key, value, message):
+        """The config error a run config would give for the value, raised as
+        a DataError naming the manifest: the program wrote the file, so a bad
+        value in it is the file's fault, not the user's config."""
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
         manifest = json.loads(path.read_text())
         manifest["config"][key] = value
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError) as raised:
+        with pytest.raises(DataError) as raised:
             model.load_checkpoint(tmp_path / "ckpt")
-        assert str(raised.value) == message
+        assert str(raised.value) == f"malformed checkpoint manifest {path}: {message}"
 
     def test_an_integer_saturation_loads_as_a_float(self, tiny_config, dataset, tmp_path):
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))

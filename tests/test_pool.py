@@ -365,22 +365,30 @@ def test_block_scratch_build_equals_the_build_with_gradients(negative, fixed_gat
     assert set(work) == {"graph", "block", "mix"}
 
 
-@pytest.mark.parametrize("fixed_gate", [None, 0.5])
-def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate):
-    """At S = 500 (eight row blocks, seven of them rebuilt in the backward)
-    the build and its ``vjp`` use a workspace of one S x S array and two
-    row blocks, and allocate less than half an S x S array beside it."""
+@pytest.mark.parametrize("fixed_gate,dtype", [
+    pytest.param(fixed_gate, dtype, id=f"{fixed_gate}" + ("-float32" if dtype == np.float32 else ""))
+    for dtype in (np.float64, np.float32) for fixed_gate in (None, 0.5)])
+def test_a_build_with_gradients_holds_one_s_by_s_array(fixed_gate, dtype):
+    """At S = 500 (row blocks of 65 rows in float64, eight of them with
+    seven rebuilt in the backward, and of 130 rows in float32, four with
+    three rebuilt) the build and its ``vjp`` use a workspace of one S x S
+    array and two row blocks of at most ``_BLOCK_BYTES``, and allocate less
+    than half an S x S array beside it."""
     params, grid, weights = step_case(20, 25, True, fixed_gate, seed=2)
-    work = adjacency.workspace(500)
+    params, weights = params.cast(dtype), weights.astype(dtype)
+    itemsize = np.dtype(dtype).itemsize
+    rows = adjacency._BLOCK_BYTES // (500 * 8) * (8 // itemsize)
+    assert rows * 500 * itemsize <= adjacency._BLOCK_BYTES
+    work = adjacency.workspace(500, dtype)
     first = ad.vjp(model._period_step(params, grid, T, work), weights)
-    assert sorted(a.shape for a in work.values()) == [(65, 500), (65, 500), (500, 500)]
+    assert sorted(a.shape for a in work.values()) == [(rows, 500), (rows, 500), (500, 500)]
     tracemalloc.start()
     try:
         pairs = ad.vjp(model._period_step(params, grid, T, work), weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 500 * 500 * 8 / 2
+    assert peak < 500 * 500 * itemsize / 2
     assert [param for param, _ in pairs] == [param for param, _ in first]
     assert len(pairs) == len(graph_tensors(params)) - (fixed_gate is not None)
     assert all(np.array_equal(grad, want) for (_, grad), (_, want) in zip(pairs, first))
