@@ -8,30 +8,31 @@ package.
 
 On disk a dataset is ``manifest.json`` (its sizes and normalization
 record) plus its four arrays in the one tensor-file format, which
-checkpoints share: :func:`write_tensors` writes a raw little-endian
-float64 blob (``tensors.bin``) and returns its index (``tensors.json``:
-names, shapes, offsets and the blob's sha256), and :func:`read_tensors`
-checks an index and reads its blob back. A hand-written dataset may list
-one keyed CSV per array under the manifest's ``files`` key instead (see
-:func:`load_grid`). Loading never writes.
+checkpoints share: :func:`write_tensors` writes them to a raw
+little-endian float64 blob (``tensors.bin``) in order, contiguous from
+offset 0, and returns its index (``tensors.json``: the dtype, each
+array's name, shape and offset, and the blob's sha256). :func:`read_tensors`
+accepts that one layout alone, and ``errors.read_json`` reads every JSON
+file, naming the file and the key path of any fault in one DataError
+line. A hand-written manifest may name one keyed CSV per array instead
+(see :func:`load_grid`). Loading never writes.
 """
 
 from __future__ import annotations
 
-import collections
 import csv
 import hashlib
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 
 
 def location_rc(location: int, cols: int) -> tuple[int, int]:
@@ -326,8 +327,18 @@ INDEX_NAME = "tensors.json"
 _AXES = {"f_t": ("t",), "f_s": ("row", "col"), "f_st": ("row", "col", "t"), "y": ("row", "col", "t")}
 
 
-def _columns(name: str, width: int) -> list[str]:
-    return ["y"] if name == "y" else [f"f{j}" for j in range(width)]
+# the range each channel was scaled from, and the first period the ranges left out
+Normalization = TypedDict("Normalization", {"f_t": list[dict], "f_s": list[dict], "f_st": list[dict],
+                                            "train_end": int}, total=False)
+
+
+_SIZES = ("M", "N", "T", "d_t", "d_s", "d_st")
+Files = TypedDict("Files", dict.fromkeys(_AXES, str))  # a hand-written dataset's CSVs
+
+
+class Manifest(TypedDict("_Sizes", dict.fromkeys(_SIZES, int)), total=False):  # manifest.json
+    normalization: Normalization
+    files: Files
 
 
 def save_json(path: Path, payload) -> Path:
@@ -339,89 +350,77 @@ def save_json(path: Path, payload) -> Path:
     return path
 
 
-def write_tensors(path: Path, arrays: dict[str, np.ndarray]) -> dict:
+class Entry(TypedDict("_Marked", {"trainable": bool}, total=False)):  # checkpoints once marked each entry
+    name: str
+    shape: list[int]
+    offset: int
+
+
+class TensorIndex(TypedDict):  # as write_tensors returns it
+    dtype: str
+    tensors: list[Entry]
+    sha256: str
+
+
+def _layout(shapes: dict[str, tuple]) -> tuple[list[dict], int]:
+    """The index entries :func:`write_tensors` writes for arrays of
+    ``shapes``, and the blob's size in bytes."""
+    entries, offset = [], 0
+    for name, shape in shapes.items():
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return entries, offset
+
+
+def write_tensors(path: Path, arrays: dict[str, np.ndarray]) -> TensorIndex:
     """Write ``arrays`` to ``path`` as raw little-endian float64, in order,
-    each hashed as it is written, so no copy of the whole blob is held.
-    Returns the index :func:`read_tensors` checks: the dtype, each array's
-    name, shape and byte offset, and the blob's sha256."""
-    entries, offset, digest = [], 0, hashlib.sha256()
+    each hashed as it is written, so no copy of the whole blob is held;
+    returns the index :func:`read_tensors` checks."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for name, values in arrays.items():
+        for values in arrays.values():
             raw = np.ascontiguousarray(values, dtype="<f8")
-            entries.append({"name": name, "shape": list(raw.shape), "offset": offset})
             digest.update(raw)
             fh.write(raw)
-            offset += raw.nbytes
+    entries, _ = _layout({name: np.shape(values) for name, values in arrays.items()})
     return {"dtype": "<f8", "tensors": entries, "sha256": digest.hexdigest()}
 
 
-def read_tensors(index: dict, index_path: Path, blob_path: Path, shapes: dict[str, tuple],
-                 label: str, owner: str, source: str) -> dict[str, np.ndarray]:
-    """The arrays that ``index`` (read from ``index_path``; see
-    :func:`write_tensors`) places in the blob at ``blob_path``: exactly the
-    names of ``shapes``, in those shapes, in any order, with gaps and a
-    tail allowed. The blob is read in one pass straight into the arrays,
-    and every byte read, gaps and tail included, goes into the sha256
-    checked against the index's, so no copy of the blob is held. Any other
-    index or blob is a :class:`DataError` beginning with ``label``; an
-    unknown name is "not a tensor of this ``owner``", a wrong shape not
-    what the ``source`` needs. Values are not checked for finiteness."""
-    try:
-        dtype = index["dtype"]
-        listed = [(entry["name"], tuple(map(operator.index, entry["shape"])), operator.index(entry["offset"]))
-                  for entry in index["tensors"]]
-        for name, _, _ in listed:
-            if type(name) is not str:
-                raise TypeError(f"an entry's name must be a string, got {name!r}")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed {label} manifest {index_path}: {exc!r}") from None
-    if dtype != "<f8":
-        raise DataError(f"{label} dtype {dtype!r} is not supported: {blob_path.name} holds '<f8'")
-    counts = collections.Counter(name for name, _, _ in listed)
-    repeated = sorted(name for name, count in counts.items() if count > 1)
-    if repeated:
-        raise DataError(f"{label} lists entries {repeated} more than once")
-    entries = {name: (shape, start) for name, shape, start in listed}
+def read_tensors(index: TensorIndex, index_path: Path, blob_path: Path, shapes: dict[str, tuple],
+                 label: str) -> dict[str, np.ndarray]:
+    """The arrays of ``shapes`` from ``blob_path``, read straight into place
+    and hashed as read. ``index``, read from ``index_path``, must list the
+    layout :func:`write_tensors` writes for ``shapes`` (a former
+    ``trainable`` mark aside), so two arrays of one shape cannot trade
+    places, and the blob must be that long. Faults are named as
+    ``read_json`` names them, under ``label``."""
+    entries, size = _layout(shapes)
+    if index["dtype"] != "<f8":
+        raise DataError(f"malformed {label} {index_path}: dtype must be '<f8', got {index['dtype']!r}")
+    listed = [{key: entry[key] for key in ("name", "shape", "offset")} for entry in index["tensors"]]
+    if listed != entries:
+        at = next(i for i, pair in enumerate(zip(listed + [None], entries + [None])) if pair[0] != pair[1])
+        want, got = (items[at] if at < len(items) else "absent" for items in (entries, listed))
+        raise DataError(f"malformed {label} {index_path}: tensors[{at}] must be {want}, got {got}")
     if not blob_path.exists():
         raise DataError(f"missing file: {blob_path}")
-    size = blob_path.stat().st_size
-    for name, (shape, start) in entries.items():
-        if name not in shapes:
-            raise DataError(f"{label} entry {name!r} is not a tensor of this {owner}")
-        if shape != shapes[name]:
-            raise DataError(f"{label} entry {name} has shape {shape}, the {source} needs {shapes[name]}")
-        stop = start + 8 * math.prod(shape)
-        if start < 0 or stop > size:
-            raise DataError(f"{label} entry {name} needs bytes [{start}, {stop}) "
-                            f"but {blob_path.name} holds {size}")
-    missing = sorted(shapes.keys() - entries.keys())
-    if missing:
-        raise DataError(f"{label} lacks entries {missing}")
-    placed = sorted((start, name) for name, (_, start) in entries.items())
-    for (start, name), (following, other) in zip(placed, placed[1:]):
-        if start + 8 * math.prod(entries[name][0]) > following:
-            raise DataError(f"{label} entries {name} and {other} overlap in {blob_path.name}")
+    if blob_path.stat().st_size != size:
+        raise DataError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, {index_path.name} lists {size}")
     arrays, digest = {}, hashlib.sha256()
     with open(blob_path, "rb") as fh:
-        for start, name in placed:
-            digest.update(fh.read(start - fh.tell()))  # the gap before the entry
-            array = arrays[name] = np.empty(entries[name][0], dtype="<f8")
+        for name, shape in shapes.items():
+            array = arrays[name] = np.empty(shape, dtype="<f8")
             fh.readinto(array)
             digest.update(array)
-        digest.update(fh.read())  # the tail
-    if index.get("sha256") != digest.hexdigest():
+    if index["sha256"] != digest.hexdigest():
         raise DataError(f"{blob_path.name} does not match the sha256 digest in {index_path.name}")
     return {name: array.astype(np.float64, copy=False) for name, array in arrays.items()}
 
 
 def save_grid(grid: StGrid, directory) -> Path:
-    """Write ``manifest.json``, then the four arrays in the tensor-file
-    format (:func:`write_tensors`): ``tensors.bin`` holds f_t, f_s, f_st
-    and y in that order, each in the shape :func:`load_grid` needs (y with
-    a trailing axis of 1), and its index ``tensors.json`` is written last.
-    Returns the manifest path. The raw bytes make
-    ``load_grid(save_grid(g))`` bit-exact.
-    """
+    """Write ``manifest.json``, then f_t, f_s, f_st and y (with a trailing
+    axis of 1) as a tensor file, its index ``tensors.json`` last; returns
+    the manifest path. ``load_grid(save_grid(g))`` is bit-exact."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -438,17 +437,19 @@ def save_grid(grid: StGrid, directory) -> Path:
 _AXIS_NAMES = {"row": "rows", "col": "cols", "t": "T"}
 
 
-def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str]) -> np.ndarray:
-    """A CSV whose leading integer columns ``axes`` (header name -> size)
-    key one row each, as an array of shape (*sizes, len(columns)). Every
-    key must lie inside its axis and every cell must be present exactly
-    once; a repeated key is a data error. The header must match exactly;
-    numpy's C reader (``np.loadtxt``) parses the body: commas, optional
-    double quotes, LF or CRLF, blank lines skipped, no comment lines, and
-    numpy's float spellings only (Python's ``1_000`` is malformed)."""
+def _load_keyed(path: Path, name: str, shape: tuple) -> np.ndarray:
+    """The array ``name`` of ``shape`` from a CSV whose leading integer
+    columns, the axes of ``name``, key one row each, then its value columns
+    ``f0, f1, ...`` (``y`` for y). Every key must lie inside its axis and
+    every cell must be present exactly once; a repeated key is a data
+    error. The header must match exactly; numpy's C reader (``np.loadtxt``)
+    parses the body: commas, optional double quotes, LF or CRLF, blank
+    lines skipped, no comment lines, and numpy's float spellings only
+    (Python's ``1_000`` is malformed)."""
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    header = list(axes) + columns
+    axes, width = dict(zip(_AXES[name], shape)), shape[-1]
+    header = list(axes) + (["y"] if name == "y" else [f"f{j}" for j in range(width)])
     with open(path, newline="") as fh:
         found = next(csv.reader(fh), None)
         if found is None:
@@ -473,9 +474,8 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
         if keys.size and (keys[:, position].min() < 0 or keys[:, position].max() >= size):
             raise DataError(f"dimension mismatch in {name}: axis {_AXIS_NAMES[axis]} index "
                             f"{int(keys[:, position].max())} outside [0, {size})")
-    sizes = tuple(axes.values())
-    out = np.full(sizes + (len(columns),), np.nan)
-    seen = np.zeros(sizes, dtype=bool)
+    out = np.full(shape, np.nan)
+    seen = np.zeros(shape[:-1], dtype=bool)
     out[tuple(keys.T)] = table[:, len(axes):]
     seen[tuple(keys.T)] = True
     if not seen.all():
@@ -487,72 +487,37 @@ def _load_keyed(path: Path, name: str, axes: dict[str, int], columns: list[str])
     return out
 
 
-def _count(manifest: dict, key: str) -> int:
-    """The manifest's ``key``, which must be a JSON integer >= 1: not a
-    float, a string or a bool, which ``int()`` would truncate or parse."""
-    value = manifest[key]
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} must be a JSON integer >= 1, got {value!r}")
-    return value
-
-
 def load_grid(manifest_path) -> StGrid:
     """Load and validate a dataset from its manifest (or its directory).
 
-    The manifest holds the sizes ``M`` (rows), ``N`` (cols), ``T``
-    (periods), ``d_t``, ``d_s`` and ``d_st``, each a JSON integer >= 1, and
-    optionally a ``normalization`` object. Without a ``files`` key, as
-    :func:`save_grid` writes it, the arrays come from ``tensors.bin``
-    beside it through its index ``tensors.json`` (:func:`read_tensors`);
-    a missing, corrupt or mismatched index or blob is a
-    :class:`DataError`, with no other source to fall back on.
-
-    A hand-written dataset names one CSV per array instead, relative to
-    the manifest: ``"files": {"f_t": ..., "f_s": ..., "f_st": ..., "y":
-    ...}``. Each CSV's header is its key columns, then its value columns
-    ``f0, f1, ...`` (``y`` for y): ``t`` keys f_t, ``row,col`` keys f_s,
-    ``row,col,t`` keys f_st and y. Every key appears in exactly one row,
-    and numpy's C reader parses the file (see :func:`_load_keyed`). Either
-    way the grid is validated, and nothing is written.
+    The manifest holds the sizes, each a JSON integer >= 1. Without a
+    ``files`` key, as :func:`save_grid` writes it, the arrays come from the
+    tensor file beside it alone. A hand-written dataset names one CSV per
+    array instead, relative to the manifest (``"files": {"f_t": ...,
+    "f_s": ..., "f_st": ..., "y": ...}``), keyed by ``t`` (f_t), ``row,col``
+    (f_s) or ``row,col,t`` (f_st and y); see :func:`_load_keyed`. Nothing
+    is written.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise DataError(f"missing file: {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        rows, cols, periods, d_t, d_s, d_st = (_count(manifest, key)
-                                               for key in ("M", "N", "T", "d_t", "d_s", "d_st"))
-        paths = {name: manifest_path.parent / manifest["files"][name] for name in _AXES} \
-            if "files" in manifest else None
-        normalization = manifest.get("normalization", {})
-        if type(normalization) is not dict:
-            raise TypeError(f"normalization must be a JSON object, got {normalization!r}")
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise DataError(f"malformed manifest {manifest_path}: {exc!r}") from None
+    manifest = read_json(manifest_path, Manifest, "dataset manifest")
+    for key in _SIZES:
+        if manifest[key] < 1:
+            raise DataError(f"malformed dataset manifest {manifest_path}: {key} must be >= 1, got {manifest[key]}")
 
-    widths = {"f_t": d_t, "f_s": d_s, "f_st": d_st, "y": 1}
-    sizes = {"row": rows, "col": cols, "t": periods}
+    widths = {"f_t": manifest["d_t"], "f_s": manifest["d_s"], "f_st": manifest["d_st"], "y": 1}
+    sizes = {"row": manifest["M"], "col": manifest["N"], "t": manifest["T"]}
     shapes = {name: tuple(sizes[axis] for axis in _AXES[name]) + (widths[name],) for name in _AXES}
-    if paths is None:
-        index_path = manifest_path.parent / INDEX_NAME
-        if not index_path.exists():
-            raise DataError(f"missing file: {index_path}")
-        try:
-            with open(index_path) as fh:
-                index = json.load(fh)
-        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise DataError(f"malformed dataset index manifest {index_path}: {exc!r}") from None
-        arrays = read_tensors(index, index_path, manifest_path.parent / BLOB_NAME, shapes,
-                              "dataset index", "dataset", "manifest")
+    if "files" in manifest:
+        arrays = {name: _load_keyed(manifest_path.parent / manifest["files"][name], name, shape)
+                  for name, shape in shapes.items()}
     else:
-        arrays = {name: _load_keyed(paths[name], name, {axis: sizes[axis] for axis in _AXES[name]},
-                                    _columns(name, widths[name]))
-                  for name in _AXES}
+        index_path = manifest_path.parent / INDEX_NAME
+        label = "dataset index manifest"
+        arrays = read_tensors(read_json(index_path, TensorIndex, label), index_path,
+                              manifest_path.parent / BLOB_NAME, shapes, label)
 
-    grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=arrays["f_t"],
+    return StGrid(rows=sizes["row"], cols=sizes["col"], periods=sizes["t"], temporal=arrays["f_t"],
                   spatial=arrays["f_s"], spatiotemporal=arrays["f_st"], risk=arrays["y"][:, :, :, 0],
-                  normalization=normalization)
-    return grid.validate()
+                  normalization=manifest.get("normalization", {})).validate()

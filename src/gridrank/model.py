@@ -112,10 +112,9 @@ import collections
 import contextvars
 import ctypes
 import functools
-import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -125,8 +124,8 @@ from . import adjacency
 from . import autodiff as ad
 from .adjacency import DynamicAdjacencyParams
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, from_dict
-from .grid import StGrid, Window, read_tensors, save_json, write_tensors
+from .errors import ConfigError, DataError, read_json
+from .grid import StGrid, TensorIndex, Window, read_tensors, save_json, write_tensors
 
 
 @dataclass
@@ -140,13 +139,12 @@ class ModelSection:
     embed_dim: int = 16
     saturation: float = 3.0
     fixed_gate: float | None = None
+    _sizes = ("hidden", "recurrent_hidden", "conv_layers", "window", "embed_dim")  # each must be >= 1
 
     def validate(self) -> "ModelSection":
-        sizes = {"hidden": self.hidden, "recurrent_hidden": self.recurrent_hidden,
-                 "conv_layers": self.conv_layers, "window": self.window, "embed_dim": self.embed_dim}
-        for name, value in sizes.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        for name in self._sizes:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.saturation <= 0:
             raise ConfigError(f"saturation must be positive, got {self.saturation}")
         if self.fixed_gate is not None and not 0.0 <= self.fixed_gate <= 1.0:
@@ -163,6 +161,7 @@ class ModelConfig(ModelSection):
     d_t: int
     d_s: int
     d_st: int
+    _sizes = ("rows", "cols", "d_t", "d_s", "d_st") + ModelSection._sizes
 
     @classmethod
     def for_grid(cls, grid: StGrid, **overrides) -> "ModelConfig":
@@ -172,14 +171,6 @@ class ModelConfig(ModelSection):
     @property
     def n_locations(self) -> int:
         return self.rows * self.cols
-
-    def validate(self) -> "ModelConfig":
-        sizes = {"rows": self.rows, "cols": self.cols, "d_t": self.d_t, "d_s": self.d_s, "d_st": self.d_st}
-        for name, value in sizes.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        super().validate()
-        return self
 
 
 @dataclass
@@ -669,6 +660,10 @@ CHECKPOINT_JSON = "checkpoint.json"
 CHECKPOINT_BLOB = "checkpoint.bin"
 
 
+class Checkpoint(TensorIndex):  # checkpoint.json
+    config: ModelConfig
+
+
 def save_checkpoint(directory, params: ModelParams) -> Path:
     """Write the parameters, then the static graph, in the tensor-file
     format that ``grid.write_tensors`` writes for checkpoints and datasets
@@ -683,33 +678,17 @@ def save_checkpoint(directory, params: ModelParams) -> Path:
 
 
 def load_checkpoint(directory) -> ModelParams:
-    """The parameters in a checkpoint directory (or manifest path). The
-    config fixes each tensor's shape; ``grid.read_tensors``, the one reader
-    of the tensor-file format, checks the layout and the sha256 and reads
-    the blob straight into the arrays the parameters keep. A config that
-    lacks a field or holds a bad value, and an entry holding a NaN or an
-    infinity, are data errors."""
+    """The parameters in a checkpoint directory (or manifest path), read
+    and checked as ``grid.load_grid`` reads a dataset's tensor file. The
+    config must hold every field ``save_checkpoint`` writes, and fixes the
+    layout; an entry holding a NaN or an infinity is a ``DataError`` too."""
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_JSON if directory.is_dir() else directory
-    if not manifest_path.exists():
-        raise DataError(f"missing file: {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        # a missing key would take the default, not the trained value
-        missing = sorted({f.name for f in fields(ModelConfig)}.difference(manifest["config"]))
-        if missing:
-            raise DataError(f"malformed checkpoint manifest {manifest_path}: config lacks keys {missing}")
-        config = from_dict(ModelConfig, manifest["config"], "config.").validate()
-    except DataError:
-        raise
-    except ConfigError as exc:  # a bad value in a file the program wrote is the file's fault
-        raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise DataError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from None
+    label = "checkpoint manifest"
+    manifest = read_json(manifest_path, Checkpoint, label)
+    config = manifest["config"]
     shapes = {**_shapes(config), "static_graph": (config.n_locations, config.n_locations)}
-    arrays = read_tensors(manifest, manifest_path, manifest_path.parent / CHECKPOINT_BLOB, shapes,
-                          "checkpoint", "model", "config")
+    arrays = read_tensors(manifest, manifest_path, manifest_path.parent / CHECKPOINT_BLOB, shapes, label)
     for name, array in arrays.items():
         if not (math.isfinite(array.min()) and math.isfinite(array.max())):  # NaN propagates; no S x S mask
             raise DataError(f"checkpoint entry {name} holds a non-finite value")

@@ -400,6 +400,40 @@ def text_file(path, text):
     return str(path)
 
 
+def swapped(first, second, key=None):
+    """An edit of a tensor index that swaps the ``key`` ("name" or
+    "offset") of its entries named ``first`` and ``second``, or without a
+    ``key`` their places in the list. Each pair has one shape, so the
+    edited index still covers the blob and its digest still matches."""
+    def edit(payload):
+        entries = payload["tensors"]
+        i, j = (next(n for n, entry in enumerate(entries) if entry["name"] == name) for name in (first, second))
+        if key is None:
+            entries[i], entries[j] = entries[j], entries[i]
+        else:
+            entries[i][key], entries[j][key] = entries[j][key], entries[i][key]
+    return edit
+
+
+def index_edit(edit):
+    """An edit for ``dataset_copy`` that applies ``edit`` to the payload of its ``tensors.json``."""
+    def apply(directory):
+        edited_copy(directory / grid.INDEX_NAME, grid.INDEX_NAME, edit)
+    return apply
+
+
+# Same-shape pairs of the 4 x 4 checkpoint and of a d_st = 1 dataset, each
+# with the layout of the pair's first entry: (tag, file, first, second, layout).
+PAIRS = [("emb", "checkpoint", "adjacency.emb1", "adjacency.emb2",
+          "tensors[0] must be {'name': 'adjacency.emb1', 'shape': [16, 3], 'offset': 0}"),
+         ("mix", "checkpoint", "adjacency.mix1", "adjacency.mix2",
+          "tensors[2] must be {'name': 'adjacency.mix1', 'shape': [3, 3], 'offset': 768}"),
+         ("f_st_y", "dataset", "f_st", "y", "tensors[2] must be {'name': 'f_st', 'shape': [4, 4, 30, 1], 'offset': 1728}")]
+# Each pair with its names, its offsets or its places in the list swapped, by placeholder.
+SWAPS = {f"{{{tag}_{key or 'order'}}}": (file, first, second, key, layout)
+         for tag, file, first, second, layout in PAIRS for key in ("name", "offset", None)}
+
+
 @pytest.fixture(scope="module")
 def manifest16(tmp_path_factory):
     """A 16 x 16 dataset: S x S = 2^16 entries, so its builds run on the thread pool."""
@@ -443,7 +477,15 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
     model.save_checkpoint(tmp_path / "head_bias_nan", params)  # with a digest that matches
     dataset = Path(manifest)
     csv_dataset = write_csv_dataset(data, tmp_path / "csv")
+    # at d_st = 1, f_st and y have one shape
+    d_st_1 = grid.save_grid(grid.generate_synthetic(7, 4, 4, 30, d_st=1), tmp_path / "d_st_1")
+    swaps = {}
+    for placeholder, (file, first, second, key, _) in SWAPS.items():
+        edit, name = swapped(first, second, key), placeholder[1:-1]
+        swaps[placeholder] = (edited_copy(checkpoint, f"{name}.json", edit) if file == "checkpoint"
+                              else dataset_copy(d_st_1, tmp_path / name, index_edit(edit)))
     return {
+        **swaps,
         **mismatched,
         "{data}": manifest,
         "{data16}": manifest16,
@@ -471,6 +513,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{rows_float}": edited_copy(checkpoint, "rows_float.json", lambda m: m["config"].update(rows=4.0)),
         "{window_true}": edited_copy(checkpoint, "window_true.json", lambda m: m["config"].update(window=True)),
         "{M_float}": edited_copy(dataset, "M_float.json", lambda m: m.update(M=4.5)),
+        "{train_end_x}": edited_copy(dataset, "train_end_x.json", lambda m: m["normalization"].update(train_end="x")),
         "{d_t_true}": edited_copy(dataset, "d_t_true.json", lambda m: m.update(d_t=True)),
         "{no_checkpoint}": str(tmp_path / "absent"),
         "{config_absent}": str(tmp_path / "absent.json"),
@@ -510,6 +553,10 @@ MISMATCH_CASES = [(argv + ["--data", f"{{data_{name}}}"], cli.EXIT_DATA,
                    f"dataset does not match the model: {name} {value} (model ")
                   for name, value in MISMATCHED.items() for argv in ON_CHECKPOINT.values()]
 MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command in ON_CHECKPOINT]
+# Each swap exits 3 naming the first entry out of place and the layout it must have.
+SWAP_CASES = [((EVALUATE_MODEL if file == "checkpoint" else EVALUATE_HA) + [placeholder], cli.EXIT_DATA, layout)
+              for placeholder, (file, _, _, _, layout) in SWAPS.items()]
+SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in SWAPS.items()]
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -527,29 +574,29 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
      "unknown config key(s) ['gain_cap'] in section train"),
     (["--set", "train.warmup_mode=bce", "config-schema"], cli.EXIT_CONFIG,
      "unknown config key(s) ['warmup_mode'] in section train"),
-    (EVALUATE_HA + ["{no_f_t}"], cli.EXIT_DATA, "KeyError('f_t')"),
-    (EVALUATE_HA + ["{M_four}"], cli.EXIT_DATA, "ValueError"),
-    (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "TypeError"),
-    (EVALUATE_MODEL + ["{no_offset}"], cli.EXIT_DATA, "KeyError('offset')"),
-    (EVALUATE_MODEL + ["{no_name}"], cli.EXIT_DATA, "KeyError('name')"),
-    (EVALUATE_MODEL + ["{name_list}"], cli.EXIT_DATA, "malformed checkpoint manifest"),
-    (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "TypeError"),
-    (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "TypeError"),
-    (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "seed_null.json: unknown config key(s) ['seed'] in section config"),
+    (EVALUATE_HA + ["{no_f_t}"], cli.EXIT_DATA, "no_f_t.json: files lacks keys ['f_t']"),
+    (EVALUATE_HA + ["{M_four}"], cli.EXIT_DATA, "M_four.json: M must be of type int, got 'four'"),
+    (EVALUATE_HA + ["{files_list}"], cli.EXIT_DATA, "files_list.json: files must be a JSON object, got ['f_t.csv']"),
+    (EVALUATE_MODEL + ["{no_offset}"], cli.EXIT_DATA, "no_offset.json: tensors[0] lacks keys ['offset']"),
+    (EVALUATE_MODEL + ["{no_name}"], cli.EXIT_DATA, "no_name.json: tensors[1] lacks keys ['name']"),
+    (EVALUATE_MODEL + ["{name_list}"], cli.EXIT_DATA, "name_list.json: tensors[0].name must be of type str, got []"),
+    (EVALUATE_MODEL + ["{shape_5}"], cli.EXIT_DATA, "shape_5.json: tensors[0].shape must be a list, got 5"),
+    (EVALUATE_MODEL + ["{offset_half}"], cli.EXIT_DATA, "offset_half.json: tensors[0].offset must be of type int, got 0.5"),
+    (EVALUATE_MODEL + ["{seed_null}"], cli.EXIT_DATA, "seed_null.json: config has unknown keys ['seed']"),
     (EVALUATE_MODEL + ["{entries_twice}"], cli.EXIT_DATA,
-     "checkpoint lists entries ['lstm.bias', 'lstm.wx'] more than once"),
-    (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "checkpoint dtype '<f4' is not supported"),
+     "entries_twice.json: tensors[14] must be absent, got {'name': 'lstm.wx'"),
+    (EVALUATE_MODEL + ["{dtype_f4}"], cli.EXIT_DATA, "dtype_f4.json: dtype must be '<f8', got '<f4'"),
     (EVALUATE_MODEL + ["{head_bias_nan}"], cli.EXIT_DATA, "checkpoint entry head.bias holds a non-finite value"),
     (EVALUATE_MODEL + ["{hidden_float}"], cli.EXIT_DATA, "hidden_float.json: config.hidden must be of type int, got 32.5"),
-    (EVALUATE_MODEL + ["{hidden_negative}"], cli.EXIT_DATA, "hidden_negative.json: hidden must be positive, got -1"),
+    (EVALUATE_MODEL + ["{hidden_negative}"], cli.EXIT_DATA, "hidden_negative.json: config.hidden must be positive, got -1"),
     (EVALUATE_MODEL + ["{saturation_negative}"], cli.EXIT_DATA,
-     "saturation_negative.json: saturation must be positive, got -2.0"),
+     "saturation_negative.json: config.saturation must be positive, got -2.0"),
     (EVALUATE_MODEL + ["{rows_float}"], cli.EXIT_DATA, "rows_float.json: config.rows must be of type int, got 4.0"),
     (EVALUATE_MODEL + ["{window_true}"], cli.EXIT_DATA, "window_true.json: config.window must be of type int, got True"),
     (["crossk", "--checkpoint", "{hidden_float}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
      "hidden_float.json: config.hidden must be of type int, got 32.5"),
-    (EVALUATE_HA + ["{M_float}"], cli.EXIT_DATA, "M must be a JSON integer >= 1, got 4.5"),
-    (EVALUATE_HA + ["{d_t_true}"], cli.EXIT_DATA, "d_t must be a JSON integer >= 1, got True"),
+    (EVALUATE_HA + ["{M_float}"], cli.EXIT_DATA, "M_float.json: M must be of type int, got 4.5"),
+    (EVALUATE_HA + ["{d_t_true}"], cli.EXIT_DATA, "d_t_true.json: d_t must be of type int, got True"),
     (EVALUATE_MODEL + ["{no_checkpoint}"], cli.EXIT_DATA, "missing file"),
     (["crossk", "--checkpoint", "{no_checkpoint}", "--out", "{out}", "--data", "{data}"], cli.EXIT_DATA,
      "missing file"),
@@ -564,7 +611,7 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
     (TRAIN + ["{blob_flipped}"], cli.EXIT_DATA, BAD_BLOB),
     (EVALUATE_HA + ["{blob_flipped}"], cli.EXIT_DATA, BAD_BLOB),
     (EVALUATE_HA + ["{index_garbled}"], cli.EXIT_DATA, "malformed dataset index manifest"),
-    (CROSSK_HA + ["{index_garbled}"], cli.EXIT_DATA, "JSONDecodeError"),
+    (CROSSK_HA + ["{index_garbled}"], cli.EXIT_DATA, "tensors.json: Expecting value: line 1 column 13 (char 12)"),
     (EVALUATE_HA + ["{index_missing}"], cli.EXIT_DATA, "missing file"),
     (EVALUATE_HA + ["{manifest_alone}"], cli.EXIT_DATA, "missing file"),
     (DIVERGING_WARMUP + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
@@ -583,7 +630,9 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
      "day 500 outside study period [0, 30)"),
     (["evaluate", "--data", "{data}", "--out", "{out}"], cli.EXIT_CONFIG,
      "--checkpoint is required with the model predictor"),
-] + MISMATCH_CASES, ids=[
+    (EVALUATE_HA + ["{train_end_x}"], cli.EXIT_DATA,
+     "train_end_x.json: normalization.train_end must be of type int, got 'x'"),
+] + MISMATCH_CASES + SWAP_CASES, ids=[
         "rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-name-list",
@@ -598,7 +647,8 @@ MISMATCH_IDS = [f"{command}-{name}-mismatch" for name in MISMATCHED for command 
         "evaluate-manifest-without-files-or-index", "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
-        "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint"] + MISMATCH_IDS)
+        "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint",
+        "manifest-train-end-string"] + MISMATCH_IDS + SWAP_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     """Each bad input exits with its code and one stderr line, raises no

@@ -7,6 +7,11 @@ under ``config-schema``, the subcommand that only loads and validates the
 config (exit 0 or 2). Each ``data.*`` key also runs them under
 ``gen-data`` on a 4 x 4 x 30 grid, and every dataset it writes loads from
 its tensor file alone, to the same arrays as a CSV dataset of that grid.
+Each value the run config accepts for a key also runs under ``train``
+(one epoch on a 4 x 4 x 30 dataset), ``evaluate`` and ``crossk`` (with a
+checkpoint trained on it), which exit 0, 2, 3 or 4: a value drawn with a
+fixed seed per key and subcommand in every run, and the rest as ``slow``
+tests. A value the config refuses exits 2 before any subcommand runs.
 
 On a 4 x 4 x 30 dataset and a checkpoint trained on it for one epoch,
 each key of ``checkpoint.json``, of its first and last entries and of its
@@ -23,6 +28,7 @@ writes the intact dataset's report. The edits of an old-layout dataset's
 import contextlib
 import io
 import json
+import random
 import shutil
 import traceback
 from dataclasses import asdict
@@ -32,6 +38,7 @@ import numpy as np
 import pytest
 
 from gridrank import cli, grid, model
+from gridrank.errors import ConfigError
 
 from conftest import write_csv_dataset, write_old_layout
 
@@ -282,4 +289,69 @@ def test_every_bad_manifest_value_exits_2_or_3(trained, tmp_path, key):
     failures = evaluate_edited_copies(
         Path(manifest).parent, grid.MANIFEST_NAME, (key,), tmp_path, intact,
         lambda edited: (cli.EXIT_OK,) if edited.get("normalization", {}) == {} else (cli.EXIT_CONFIG, cli.EXIT_DATA))
+    assert not failures, "\n".join(failures)
+
+
+# Each subcommand of the pipeline: the overrides it runs under on the 4 x 4 x
+# 30 dataset, before the bad one, and its arguments less --data, --checkpoint
+# and --out. ``evaluate`` and ``crossk`` score with ``trained``'s checkpoint.
+PIPELINE = {"train": (["train.epochs=1", "train.warmup_epochs=0"], ["train"]),
+            "evaluate": (["eval.ks=[5]"], ["evaluate", "--predictor", "model"]),
+            "crossk": ([], ["crossk", "--predictor", "model"])}
+
+
+def accepted(command: str, key: str) -> list[str]:
+    """The values of ``BAD_VALUES`` that the run config accepts for ``key``
+    under ``command``'s overrides. Any other exits 2 before a subcommand
+    runs, as the ``config-schema`` grid shows for every subcommand."""
+    values = []
+    for value in BAD_VALUES:
+        with contextlib.suppress(ConfigError):
+            cli.load_run_config(None, PIPELINE[command][0] + [f"{key}={value}"])
+            values.append(value)
+    return values
+
+
+def run_pipeline(trained, tmp_path, command: str, key: str, values: list[str]) -> list[str]:
+    """Run ``command`` with ``key`` set to each of ``values`` on
+    ``trained``'s dataset and checkpoint; returns the failures: an exit
+    other than 0, 2, 3 or 4, more than one stderr line, or a traceback."""
+    manifest, checkpoint, _ = trained
+    overrides, args = PIPELINE[command]
+    failures = []
+    for i, value in enumerate(values):
+        argv = [part for override in overrides + [f"{key}={value}"] for part in ("--set", override)]
+        argv += args + ["--data", manifest, "--out", str(tmp_path / f"out{i}")]
+        if command != "train":
+            argv += ["--checkpoint", str(checkpoint)]
+        run(argv, f"{command} {key}={value}", failures,
+            (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC))
+    return failures
+
+
+def drawn(command: str, key: str, values: list[str]) -> list[str]:
+    """One of ``values`` for ``key`` under ``command``, drawn with a seed
+    fixed by both; none if ``values`` is empty."""
+    return [random.Random(f"{command} {key}").choice(values)] if values else []
+
+
+def test_a_sample_of_bad_values_under_train_evaluate_and_crossk(trained, tmp_path):
+    """Each key under each subcommand, with one of its accepted values
+    drawn by a fixed seed. ``test_every_other_accepted_value_under_the_pipeline``
+    runs the rest of the grid."""
+    failures = []
+    for command in PIPELINE:
+        for key in KEYS:
+            failures += run_pipeline(trained, tmp_path / command / key, command, key,
+                                     drawn(command, key, accepted(command, key)))
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", PIPELINE)
+@pytest.mark.parametrize("key", KEYS)
+def test_every_other_accepted_value_under_the_pipeline(trained, tmp_path, command, key):
+    values = accepted(command, key)
+    failures = run_pipeline(trained, tmp_path, command, key,
+                            [value for value in values if value not in drawn(command, key, values)])
     assert not failures, "\n".join(failures)

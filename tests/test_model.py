@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -289,19 +290,29 @@ class TestCheckpoint:
             model.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda entries: entries[0].update(name="adjacency.emb9"), "not a tensor of this model"),
-        (lambda entries: entries[0].update(shape=[3, 16]), "the config needs"),
-        (lambda entries: entries.pop(), "lacks entries"),
+        (lambda entries: entries[0].update(name="adjacency.emb9"),
+         "tensors[0] must be {'name': 'adjacency.emb1', 'shape': [16, 3], 'offset': 0}, "
+         "got {'name': 'adjacency.emb9', 'shape': [16, 3], 'offset': 0}"),
+        (lambda entries: entries[0].update(shape=[3, 16]),
+         "tensors[0] must be {'name': 'adjacency.emb1', 'shape': [16, 3], 'offset': 0}, "
+         "got {'name': 'adjacency.emb1', 'shape': [3, 16], 'offset': 0}"),
+        (lambda entries: entries.pop(),
+         "tensors[13] must be {'name': 'static_graph', 'shape': [16, 16], 'offset': 3408}, got absent"),
         (lambda entries: entries[1].update(offset=entries[0]["offset"] + 8),
-         "checkpoint entries adjacency.emb1 and adjacency.emb2 overlap in checkpoint.bin"),
+         "tensors[1] must be {'name': 'adjacency.emb2', 'shape': [16, 3], 'offset': 384}, "
+         "got {'name': 'adjacency.emb2', 'shape': [16, 3], 'offset': 8}"),
     ], ids=["unknown-name", "wrong-shape", "missing-entry", "overlapping-entries"])
     def test_manifest_entries_checked_against_config(self, tiny_config, dataset, tmp_path, edit, message):
+        """The index must list the one layout the config gives: each
+        message names the first entry out of place and the entry it must
+        be."""
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
         manifest = json.loads(path.read_text())
         edit(manifest["tensors"])
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError) as raised:
             model.load_checkpoint(tmp_path / "ckpt")
+        assert str(raised.value) == f"malformed checkpoint manifest {path}: {message}"
 
     @pytest.mark.parametrize("key,value,message", [
         ("hidden", 32.5, "config.hidden must be of type int, got 32.5"),
@@ -309,7 +320,7 @@ class TestCheckpoint:
         ("window", True, "config.window must be of type int, got True"),
         ("saturation", "3", "config.saturation must be of type float, got '3'"),
         ("fixed_gate", float("nan"), "config.fixed_gate must be a finite number, got nan"),
-        ("hidden", 0, "hidden must be positive, got 0"),
+        ("hidden", 0, "config.hidden must be positive, got 0"),
     ], ids=["hidden-float", "rows-float", "window-bool", "saturation-string", "fixed-gate-nan", "hidden-zero"])
     def test_manifest_config_values_are_config_errors(self, tiny_config, dataset, tmp_path, key, value, message):
         """The config error a run config would give for the value, raised as
@@ -332,20 +343,21 @@ class TestCheckpoint:
         assert saturation == 3.0 and type(saturation) is float
 
     def test_repeated_entries_are_a_data_error(self, tiny_config, dataset, tmp_path):
-        """A second entry of a name would otherwise win over the first."""
+        """A second entry of a name lies past the layout's last entry."""
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
         manifest = json.loads(path.read_text())
         named = {entry["name"]: entry for entry in manifest["tensors"]}
         manifest["tensors"] += [dict(named["lstm.wx"], offset=0), dict(named["lstm.bias"])]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=r"lists entries \['lstm.bias', 'lstm.wx'\] more than once"):
+        with pytest.raises(DataError, match=r"tensors\[14\] must be absent, got \{'name': 'lstm.wx'"):
             model.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("flipped", [None, 4, -1], ids=["intact", "gap-byte", "tail-byte"])
     def test_gaps_and_tail_are_hashed(self, tiny_config, dataset, tmp_path, flipped):
         """A blob with 8 bytes before its first entry and 3 after its last
-        loads when its digest covers them, and fails the digest when one of
-        them changes."""
+        is not the layout ``write_tensors`` writes: the index is refused
+        before a byte is hashed, whether the digest covers the gap and the
+        tail (intact) or one of their bytes then changes."""
         params = make_params(tiny_config, dataset, seed=4)
         path = model.save_checkpoint(tmp_path / "ckpt", params)
         blob = tmp_path / "ckpt" / model.CHECKPOINT_BLOB
@@ -358,14 +370,10 @@ class TestCheckpoint:
         if flipped is not None:
             raw[flipped] ^= 0x01
         blob.write_bytes(bytes(raw))
-        if flipped is not None:
-            with pytest.raises(DataError, match="sha256"):
-                model.load_checkpoint(tmp_path / "ckpt")
-            return
-        loaded = model.load_checkpoint(tmp_path / "ckpt")
-        for (name, original), (_, restored) in zip(params.named_tensors(), loaded.named_tensors()):
-            assert np.array_equal(original.data, restored.data), name
-        assert np.array_equal(params.static_graph, loaded.static_graph)
+        with pytest.raises(DataError, match=re.escape("tensors[0] must be {'name': 'adjacency.emb1', "
+                                                      "'shape': [16, 3], 'offset': 0}, got {'name': "
+                                                      "'adjacency.emb1', 'shape': [16, 3], 'offset': 8}")):
+            model.load_checkpoint(tmp_path / "ckpt")
 
     def test_load_holds_no_copy_of_the_blob(self, tmp_path):
         """At S = 1024 the static graph is 8 MB: the load's traced peak stays
@@ -393,14 +401,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"^checkpoint entry conv.1 holds a non-finite value$"):
             model.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
-    def test_dtype_other_than_little_endian_float64_is_a_data_error(self, tiny_config, dataset, tmp_path, dtype):
+    @pytest.mark.parametrize("dtype,message", [
+        ("<f4", "dtype must be '<f8', got '<f4'"),
+        (">f8", "dtype must be '<f8', got '>f8'"),
+        (None, "dtype must be of type str, got None"),
+    ], ids=["<f4", ">f8", "None"])
+    def test_dtype_other_than_little_endian_float64_is_a_data_error(self, tiny_config, dataset, tmp_path, dtype,
+                                                                     message):
         path = model.save_checkpoint(tmp_path / "ckpt", make_params(tiny_config, dataset))
         manifest = json.loads(path.read_text())
         manifest["dtype"] = dtype
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=f"checkpoint dtype {dtype!r} is not supported"):
+        with pytest.raises(DataError) as raised:
             model.load_checkpoint(tmp_path / "ckpt")
+        assert str(raised.value) == f"malformed checkpoint manifest {path}: {message}"
 
     @pytest.mark.parametrize("text", [
         '{"config": ',
