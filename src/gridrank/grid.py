@@ -495,8 +495,9 @@ def load_grid(manifest_path) -> StGrid:
     tensor file beside it alone. A hand-written dataset names one CSV per
     array instead, relative to the manifest (``"files": {"f_t": ...,
     "f_s": ..., "f_st": ..., "y": ...}``), keyed by ``t`` (f_t), ``row,col``
-    (f_s) or ``row,col,t`` (f_st and y); see :func:`_load_keyed`. Nothing
-    is written.
+    (f_s) or ``row,col,t`` (f_st and y); see :func:`_load_keyed`. A
+    recorded ``normalization.train_end`` must lie in [2, T - 1], as
+    :func:`split_boundary` puts it. Nothing is written.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -505,6 +506,10 @@ def load_grid(manifest_path) -> StGrid:
     for key in _SIZES:
         if manifest[key] < 1:
             raise DataError(f"malformed dataset manifest {manifest_path}: {key} must be >= 1, got {manifest[key]}")
+    train_end = manifest.get("normalization", {}).get("train_end")
+    if train_end is not None and not 2 <= train_end <= manifest["T"] - 1:
+        raise DataError(f"malformed dataset manifest {manifest_path}: normalization.train_end must lie in "
+                        f"[2, {manifest['T'] - 1}], got {train_end}")
 
     widths = {"f_t": manifest["d_t"], "f_s": manifest["d_s"], "f_st": manifest["d_st"], "y": 1}
     sizes = {"row": manifest["M"], "col": manifest["N"], "t": manifest["T"]}

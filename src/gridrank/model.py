@@ -45,9 +45,13 @@ the period boundary (Chen et al. 2016): (1) without gradients, each
 distinct input period's step is built once and held as a detached leaf:
 ``training`` batches consecutive windows, so a batch of B windows of
 length L builds B + L - 1 periods (14 for B = 8, L = 7);
-(2) per window, the recurrent part runs over its leaves, ``loss_of``
-gives its loss and ``autodiff.backward_pairs`` its (leaf, gradient)
-pairs for the period leaves and the recurrent and head weights; (3) in
+(2) per window, the recurrent part runs over its leaves to the window's
+(S,) float64 scores, ``loss_of`` gives its loss from them and
+``autodiff.backward_pairs`` its (leaf, gradient) pairs for the period
+leaves and the recurrent and head weights; the loss values and the
+scores are returned in window order, and ``training`` refreshes its
+importance distribution from those scores instead of scoring the
+training windows again; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
 gradients, one tape node whose parents are all parameters, so one
 ``autodiff.vjp`` call with that gradient gives its parameter gradients.
@@ -84,7 +88,9 @@ Every build and window computes in the dtype of the parameters it is
 given (``ModelParams.dtype``): workspaces, period inputs, activations and
 gradients all take it, and only the (S,) scores are float64 whatever the
 parameters hold. ``training`` runs ``batch_backward`` on a float32 copy
-of its float64 master weights (``ModelParams.cast``); evaluation,
+of its float64 master weights (``ModelParams.cast``), so the scores it
+returns, and the importance refresh that reads them, are computed in
+float32; evaluation,
 ``predictions_for`` on the masters or on a loaded checkpoint, and the
 checkpoints themselves are float64. A float32 copy of a period's inputs
 (``_period_inputs``) has every entry of magnitude below 2^-64 set to 0.
@@ -617,9 +623,11 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
 
 
 def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
-                   loss_of: Callable[[Window, Tensor], Tensor]) -> list[float]:
+                   loss_of: Callable[[Window, Tensor], Tensor]) -> tuple[list[float], np.ndarray]:
     """Accumulate the gradient of the summed window losses into the
-    parameters' ``.grad`` and return each window's loss value, in order.
+    parameters' ``.grad``; return each window's loss value and the
+    (windows, S) float64 scores that stage (2) computed in the parameters'
+    dtype and gave ``loss_of``, both in window order.
 
     ``loss_of(window, scores)`` gives one window's scalar loss; it may
     raise to abort the batch. It must be a pure function of its arguments:
@@ -629,13 +637,16 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows).items()}
     workers = _pool_workers(params.config.n_locations)
 
-    def window_pass(window: Window) -> tuple[float, list]:
-        loss = loss_of(window, _recurrent(params, [leaves[t] for t in window.inputs()]))
-        return loss.item(), ad.backward_pairs(loss)  # the tape is freed; only the leaves' pairs are kept
+    def window_pass(window: Window) -> tuple[float, np.ndarray, list]:
+        scores = _recurrent(params, [leaves[t] for t in window.inputs()])
+        loss = loss_of(window, scores)
+        return loss.item(), scores.data, ad.backward_pairs(loss)  # the tape is freed; the leaves' pairs are kept
 
-    values = []
-    for value, pairs in _in_order(workers, (functools.partial(window_pass, w) for w in windows), workers + 1):
+    values, scored = [], np.empty((len(windows), params.config.n_locations))
+    jobs = (functools.partial(window_pass, w) for w in windows)
+    for i, (value, scores, pairs) in enumerate(_in_order(workers, jobs, workers + 1)):
         values.append(value)
+        scored[i] = scores
         _add_pairs(pairs)
     if workers > 1:
         _trim_malloc()
@@ -649,7 +660,7 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
     for pairs in _in_order(workers, (functools.partial(_in_workspace, free, rebuild, t) for t in list(seeds)),
                            workers + 1):
         _add_pairs(pairs)  # in ascending t, the serial order
-    return values
+    return values, scored
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ the default grid's 83 training windows drawn at random. During warm-up
 the objective is the mean squared error against the raw risk and the
 importance distribution stays uniform. Afterwards each day contributes
 the negated hybrid surrogate with weights drawn from the current
-importance distribution; the distribution is refreshed from
-full-training-split predictions at the end of every epoch.
+importance distribution. At the end of each such epoch the distribution
+is refreshed from the scores each training window got in its batch's
+gradient step, which ``batch_backward`` returns, so no training window is
+scored twice; they lag the parameters by up to one epoch, as in online
+batch selection (Loshchilov and Hutter 2015). The first surrogate epoch
+draws from the uniform distribution.
 
 Each mini-batch's gradient comes from ``model.batch_backward``: every
 distinct input period's graph block is built once without gradients,
@@ -20,9 +24,9 @@ parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
 benchmark's bound (figures in the ``model`` docstring). From S = 256 the
 builds without gradients, the windows' recurrent passes and backwards,
-the rebuilds with gradients and the window scoring of the end-of-epoch
-``predictions_for`` run on two threads, each build with one S x S
-buffer. A batch's importance weights are drawn from the epoch's
+the rebuilds with gradients and the window scoring of each epoch's
+validation ``predictions_for`` run on two threads, each build with one
+S x S buffer. A batch's importance weights are drawn from the epoch's
 generator in window order before ``batch_backward`` runs, so the loss
 each window gets is a pure function of the window and its scores and may
 run on any thread, in any order; the gradients are added in the serial
@@ -33,10 +37,11 @@ mixed-precision split (Micikevicius et al., "Mixed Precision Training",
 ICLR 2018): each batch's ``batch_backward`` runs on a float32 copy of
 the float64 master parameters, and the copy's gradients are cast up to
 float64 for the Adam update, whose moments stay float64 with the
-masters. The scores, losses, the per-epoch validation, the importance
-refresh and the checkpoints are float64: validation scores the masters,
-so the logged metrics equal what ``evaluate_split`` reports for the
-same parameters.
+masters. The losses, the per-epoch validation and the checkpoints are
+float64: validation scores the masters, so the logged metrics equal what
+``evaluate_split`` reports for the same parameters. The importance
+refresh reads the float32 copy's scores, which ``batch_backward`` hands
+back as float64 arrays.
 """
 
 from __future__ import annotations
@@ -254,6 +259,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     importance = sampling.uniform_distribution(grid.n_locations)
     rng = np.random.default_rng(train_config.seed)
     compute = params.cast(_COMPUTE_DTYPE)  # each batch's copy of the masters; its static graph is cast once
+    train_scores = np.empty_like(y_train)  # each training window's scores from its batch, in window order
 
     state = TrainState(params=params, epochs_run=0, importance=importance)
     stale = 0
@@ -288,7 +294,8 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
                 copy.data = master.data.astype(_COMPUTE_DTYPE)
             ad.zero_grads(compute.tensors())
-            values = batch_backward(compute, grid, windows, loss_of)
+            values, scores = batch_backward(compute, grid, windows, loss_of)
+            train_scores[batch.start:batch.stop] = scores
             epoch_loss = sum(values, epoch_loss)
             seen += len(values)
             grads = {name: tensor.grad.astype(np.float64) / len(batch)
@@ -296,15 +303,10 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             adam_step(params, adam, grads, lr)
 
         if not warm and train_config.use_importance:
-            # one pass over both splits: the periods they share are built once
-            predicted = predictions_for(params, grid, train_windows + val_windows)
-            state.importance = sampling.refresh(y_train, predicted[:len(train_windows)],
-                                                train_config.bandwidth, shape)
-            val_predicted = predicted[len(train_windows):]
-        else:
-            val_predicted = predictions_for(params, grid, val_windows)
+            state.importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
 
-        report = metrics.metric_report(y_val, val_predicted, [train_config.eval_k], shape, eval_radius)
+        report = metrics.metric_report(y_val, predictions_for(params, grid, val_windows), [train_config.eval_k],
+                                       shape, eval_radius)
         val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
                                          for name in ("ndcg", "lndcg", "prec"))
         elapsed = time.perf_counter() - started

@@ -2,6 +2,7 @@
 generic-op chain, and the once-per-batch training step against the
 per-window oracle."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -150,11 +151,43 @@ def test_batch_step_matches_per_window_oracle(data, kind, batch):
     loss_of = loss_maker(kind, data)
     want_values, want = per_window_gradients(params, data, windows, loss_of)
     ad.zero_grads(params.tensors())
-    values = model.batch_backward(params, data, windows, loss_of)
+    values, _ = model.batch_backward(params, data, windows, loss_of)
     assert values == want_values
     for name, grad in want.items():
         assert grad is not None, name
         assert relative_gap(dict(params.named_tensors())[name].grad, grad) <= 1e-12, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("size", [(ROWS, COLS), (16, 16)], ids=["serial", "pooled-S256"])
+def test_batch_step_returns_the_scores_of_its_recurrent_passes(size, dtype, monkeypatch):
+    """The (windows, S) scores ``batch_backward`` returns, in window order,
+    are those of ``_recurrent`` on the same parameters and stage-(1)
+    leaves, bit for bit: serially, and on two threads at S = 256."""
+    grid = griddata.generate_synthetic(3, *size, 30, 2)
+    params = small_params(grid).cast(dtype)
+    windows = [Window(t, WINDOW) for t in BATCHES["overlapping"]]
+    with ad.no_grad():
+        leaves = {t: ad.parameter(step.data) for t, step in model._shared_steps(params, grid, windows).items()}
+        want = [model._recurrent(params, [leaves[t] for t in w.inputs()]).data for w in windows]
+    threads, both, recurrent = set(), threading.Event(), model._recurrent
+    pooled = size != (ROWS, COLS)
+
+    def spy_recurrent(params, steps):
+        threads.add(threading.get_ident())
+        if len(threads) == 2:
+            both.set()
+        if pooled:  # hold each pass until a second thread has begun one, whatever the timing
+            both.wait(timeout=10)
+        return recurrent(params, steps)
+
+    monkeypatch.setattr(model, "_pool_workers", lambda s: 2 if pooled else 1)
+    monkeypatch.setattr(model, "_recurrent", spy_recurrent)
+    values, scores = model.batch_backward(params, grid, windows, loss_maker("hybrid", grid))
+    assert len(threads) == (2 if pooled else 1) and (threading.get_ident() in threads) != pooled
+    assert len(values) == len(windows)
+    assert scores.shape == (len(windows), grid.n_locations) and scores.dtype == np.float64
+    assert [row.tobytes() for row in scores] == [s.tobytes() for s in want]
 
 
 def test_batch_step_builds_each_period_once_per_stage(data, monkeypatch):

@@ -514,6 +514,9 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{window_true}": edited_copy(checkpoint, "window_true.json", lambda m: m["config"].update(window=True)),
         "{M_float}": edited_copy(dataset, "M_float.json", lambda m: m.update(M=4.5)),
         "{train_end_x}": edited_copy(dataset, "train_end_x.json", lambda m: m["normalization"].update(train_end="x")),
+        **{f"{{train_end_{value}}}": edited_copy(dataset, f"train_end_{value}.json",
+                                                 lambda m, value=value: m["normalization"].update(train_end=value))
+           for value in TRAIN_END_OUTSIDE},
         "{d_t_true}": edited_copy(dataset, "d_t_true.json", lambda m: m.update(d_t=True)),
         "{no_checkpoint}": str(tmp_path / "absent"),
         "{config_absent}": str(tmp_path / "absent.json"),
@@ -536,6 +539,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
 
 
 EVALUATE_HA = ["evaluate", "--predictor", "ha", "--out", "{out}", "--data"]
+TRAIN_END_OUTSIDE = (-5, 0, 1000)  # integers outside [2, T - 1] for the manifest's normalization.train_end
 EVALUATE_MODEL = ["--set", "eval.ks=[5, 10]", "evaluate", "--data", "{data}", "--out", "{out}", "--checkpoint"]
 TRAIN = ["train", "--out", "{out}", "--data"]
 CROSSK_HA = ["crossk", "--predictor", "ha", "--out", "{out}", "--data"]
@@ -632,7 +636,9 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
      "--checkpoint is required with the model predictor"),
     (EVALUATE_HA + ["{train_end_x}"], cli.EXIT_DATA,
      "train_end_x.json: normalization.train_end must be of type int, got 'x'"),
-] + MISMATCH_CASES + SWAP_CASES, ids=[
+] + [(EVALUATE_HA + [f"{{train_end_{value}}}"], cli.EXIT_DATA,
+      f"train_end_{value}.json: normalization.train_end must lie in [2, 29], got {value}")
+     for value in TRAIN_END_OUTSIDE] + MISMATCH_CASES + SWAP_CASES, ids=[
         "rank-day-foo", "coords-negative", "coords-zero", "config-directory", "adam-beta1", "adam-beta2-eps",
         "model-seed", "train-gain-cap", "train-warmup-mode", "manifest-no-f_t", "manifest-M-four",
         "manifest-files-list", "checkpoint-no-offset", "checkpoint-no-name", "checkpoint-name-list",
@@ -648,7 +654,8 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
         "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint",
-        "manifest-train-end-string"] + MISMATCH_IDS + SWAP_IDS)
+        "manifest-train-end-string"] + [f"manifest-train-end-{value}" for value in TRAIN_END_OUTSIDE]
+    + MISMATCH_IDS + SWAP_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):
     """Each bad input exits with its code and one stderr line, raises no

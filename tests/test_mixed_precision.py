@@ -78,9 +78,10 @@ def test_float32_batch_gradient_matches_float64(dataset, kind):
     norm instead: summed in float32 it read 4.7e-9, near Adam's eps."""
     loss_of = loss_maker(kind, dataset)
     wide, narrow = make_params(dataset), make_params(dataset).cast(np.float32)
-    want_values = model.batch_backward(wide, dataset, WINDOWS, loss_of)
-    values = model.batch_backward(narrow, dataset, WINDOWS, loss_of)
+    want_values, want_scores = model.batch_backward(wide, dataset, WINDOWS, loss_of)
+    values, scores = model.batch_backward(narrow, dataset, WINDOWS, loss_of)
     assert values == pytest.approx(want_values, rel=1e-4)
+    assert scores.dtype == np.float64 and np.allclose(scores, want_scores, rtol=1e-4, atol=1e-5)
     whole = np.sqrt(sum(np.vdot(t.grad, t.grad) for t in wide.tensors()))
     for (name, want), (_, got) in zip(wide.named_tensors(), narrow.named_tensors()):
         bound = 1e-12 * whole if (kind, name) == ("hybrid", "head.bias") else 1e-4 * np.linalg.norm(want.grad)

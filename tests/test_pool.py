@@ -139,7 +139,8 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
 
     def step():
         ad.zero_grads(params.tensors())
-        values = model.batch_backward(params, data, windows, loss_of)
+        values, scores = model.batch_backward(params, data, windows, loss_of)
+        values = values, scores.tobytes()  # the pooled scores too must equal the serial ones
         return values, {name: t.grad.tobytes() for name, t in params.named_tensors() if t.grad is not None}
 
     spy = BuildSpy(monkeypatch)
@@ -215,7 +216,8 @@ def test_pooled_stage_2_equals_the_serial_one(data, pooled, monkeypatch):
     def step():
         ad.zero_grads(params.tensors())
         loss_of.finished.clear()
-        values = model.batch_backward(params, data, windows, loss_of)
+        values, scores = model.batch_backward(params, data, windows, loss_of)
+        values = values, scores.tobytes()
         return list(loss_of.finished), values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
     threads = spy_windows(monkeypatch)
@@ -259,7 +261,8 @@ def test_pooled_stage_3_equals_the_serial_one(data, pooled, monkeypatch):
     def step():
         ad.zero_grads(params.tensors())
         finished.clear()
-        values = model.batch_backward(params, data, windows, loss_of)
+        values, scores = model.batch_backward(params, data, windows, loss_of)
+        values = values, scores.tobytes()
         return list(finished), values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
     monkeypatch.setattr(model, "_period_step", spy_build)
@@ -331,7 +334,8 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_batch_step(d
 
     def step():
         ad.zero_grads(params.tensors())
-        values = model.batch_backward(params, data, windows, loss_of)
+        values, scores = model.batch_backward(params, data, windows, loss_of)
+        values = values, scores.tobytes()
         return values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
     monkeypatch.setattr(model, "_pool_workers", lambda s: 1)

@@ -293,41 +293,60 @@ def test_training_log_has_one_header_and_one_row_per_epoch(data, tmp_path):
         assert [float(value) for value in row[1:]] == list(logged.values())[1:]
 
 
-def test_refresh_and_validation_share_one_prediction_pass(data, monkeypatch):
-    builds, calls = [], []
+def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, monkeypatch):
+    """Each epoch's ``predictions_for`` call scores the validation windows
+    alone and builds only their periods; each refresh reads the scores
+    ``batch_backward`` returned that epoch, stacked in training-window
+    order; the logged metrics are those of the final parameters."""
+    builds, calls, inside, batch_scores, refreshed = [], [], [], {}, []
     dynamic_adjacency, predictions_for = adjacency.dynamic_adjacency, training.predictions_for
+    batch_backward, refresh = training.batch_backward, sampling.refresh
 
     def spy_dynamic(params, features, **buffers):
-        builds.append(bool(calls))
+        builds.append(len(calls) if inside else 0)  # the call a build of predictions_for belongs to
         return dynamic_adjacency(params, features, **buffers)
 
     def spy_predictions(params, grid, windows):
-        calls.append(len(windows))
+        calls.append(windows)
+        inside.append(True)
         try:
             return predictions_for(params, grid, windows)
         finally:
-            calls.pop()
+            inside.pop()
+
+    def spy_batch(params, grid, windows, loss_of):
+        values, scores = batch_backward(params, grid, windows, loss_of)
+        batch_scores.update(zip([w.target for w in windows], scores.copy()))
+        return values, scores
+
+    def spy_refresh(actual, predicted, *args):
+        refreshed.append(predicted.copy())
+        return refresh(actual, predicted, *args)
 
     monkeypatch.setattr(adjacency, "dynamic_adjacency", spy_dynamic)
     monkeypatch.setattr(training, "predictions_for", spy_predictions)
-    state = run(data, epochs=1, warmup_epochs=0)
+    monkeypatch.setattr(training, "batch_backward", spy_batch)
+    monkeypatch.setattr(sampling, "refresh", spy_refresh)
+    state = run(data, epochs=3, warmup_epochs=1)
     monkeypatch.undo()
 
     train_windows, val_windows = training.split_windows(data, SPLITS, 3)
-    periods = {t for w in train_windows + val_windows for t in w.inputs()}
-    assert builds.count(True) == len(periods)
-    # the same figures as one pass per split, with the epoch's final parameters
+    val_periods = {t for w in val_windows for t in w.inputs()}
+    assert calls == [val_windows] * 3
+    assert [builds.count(i) for i in range(1, 4)] == [len(val_periods)] * 3
+    assert len(refreshed) == 2 and refreshed[0].tobytes() != refreshed[1].tobytes()
+    stacked = np.stack([batch_scores[w.target] for w in train_windows])
+    assert refreshed[-1].tobytes() == stacked.tobytes()
     risk = data.risk_by_location()
     shape = (data.rows, data.cols)
     y_train = risk[:, [w.target for w in train_windows]].T
     y_val = risk[:, [w.target for w in val_windows]].T
-    refreshed = sampling.refresh(y_train, predictions_for(state.params, data, train_windows),
-                                 training.TrainConfig().bandwidth, shape)
-    assert np.array_equal(state.importance.probs, refreshed.probs)
+    want = sampling.refresh(y_train, stacked, training.TrainConfig().bandwidth, shape)
+    assert state.importance.probs.tobytes() == want.probs.tobytes()
     report = metrics.metric_report(y_val, predictions_for(state.params, data, val_windows), [3], shape,
                                    training.TrainConfig().radius)
     for name in ("ndcg", "lndcg", "prec"):
-        assert state.log[0][f"val_{name}@3"] == report.lookup(name, 3).mean
+        assert state.log[-1][f"val_{name}@3"] == report.lookup(name, 3).mean
 
 
 def test_runs_on_one_grid_and_split_share_one_static_graph(data):
