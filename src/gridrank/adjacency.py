@@ -35,18 +35,17 @@ gate gradient's bits and so the trained parameters. A workspace serves
 one build at a time: a build with gradients must be backpropagated
 before the next build in its workspace. A build trusts its inputs:
 ``model._check_inputs`` checks their shapes once per call, and they come
-in the parameters' dtype.
+in the parameters' dtype. No function here names a parameter: the step
+passes the dynamic graph's five weights as arrays, with the saturation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DataError, ShapeError
 
 
@@ -71,31 +70,6 @@ def pearson_static(risk: np.ndarray) -> np.ndarray:
     matrix = (matrix + matrix.T) / 2.0
     matrix[np.arange(len(norms)), np.arange(len(norms))] = np.where(alive, 1.0, 0.0)
     return matrix
-
-
-@dataclass
-class DynamicAdjacencyParams:
-    """Learnable pieces of the time-variant graph.
-
-    emb1/emb2: (S, d_e) node embeddings; mix1/mix2: (d_e, d_e);
-    time_gate: (d_t, 1) maps temporal features to the blend gate;
-    feature_proj: (d_st, d_e) lifts current spatiotemporal features into
-    embedding space; saturation > 0 sharpens the tanh activations.
-    """
-
-    emb1: Tensor
-    emb2: Tensor
-    mix1: Tensor
-    mix2: Tensor
-    time_gate: Tensor
-    feature_proj: Tensor
-    saturation: float
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [("adjacency.emb1", self.emb1), ("adjacency.emb2", self.emb2),
-                ("adjacency.mix1", self.mix1), ("adjacency.mix2", self.mix2),
-                ("adjacency.time_gate", self.time_gate),
-                ("adjacency.feature_proj", self.feature_proj)]
 
 
 # Bytes per row block of a workspace: 256 KB, which timed fastest at
@@ -155,38 +129,41 @@ def _activate_rows(graph: DynamicGraph, alpha: float, rows: slice, first: np.nda
     np.maximum(first, 0.0, out=first)
 
 
-def dynamic_adjacency(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
+def dynamic_adjacency(weights: list[np.ndarray], saturation: float, st_features_t: np.ndarray,
                       work: dict[str, np.ndarray]) -> DynamicGraph:
     """Directed per-period graph A from embeddings + current features, in
     ``work["graph"]``.
 
-    With F the features, P the feature projection and a the saturation:
-    e_i = emb_i + F P, z_i = tanh(a e_i mix_i), C = z1 z2^T - z2 z1^T and
-    A = relu(tanh(a C)). Zero diagonal and complementary sparsity hold by
-    construction: C is antisymmetric and relu keeps one orientation of
-    each pair. The module docstring gives the passes and the last-block
-    copy. The gradient is :func:`dynamic_adjacency_grads`; the caller
-    reports ``active`` as a kink.
+    ``weights`` are the (S, d_e) node embeddings emb1 and emb2, the
+    (d_e, d_e) mixing matrices mix1 and mix2 and the (d_st, d_e) feature
+    projection P, in that order. With F the features and a the
+    ``saturation``: e_i = emb_i + F P, z_i = tanh(a e_i mix_i),
+    C = z1 z2^T - z2 z1^T and A = relu(tanh(a C)). Zero diagonal and
+    complementary sparsity hold by construction: C is antisymmetric and
+    relu keeps one orientation of each pair. The module docstring gives
+    the passes and the last-block copy. The gradient is
+    :func:`dynamic_adjacency_grads`; the caller reports ``active`` as a
+    kink.
     """
-    alpha = params.saturation
-    lifted = st_features_t @ params.feature_proj.data
-    e1 = params.emb1.data + lifted
-    e2 = params.emb2.data + lifted
-    z1 = np.tanh((e1 @ params.mix1.data) * alpha)
-    z2 = np.tanh((e2 @ params.mix2.data) * alpha)
+    emb1, emb2, mix1, mix2, proj = weights
+    lifted = st_features_t @ proj
+    e1 = emb1 + lifted
+    e2 = emb2 + lifted
+    z1 = np.tanh((e1 @ mix1) * saturation)
+    z2 = np.tanh((e2 @ mix2) * saturation)
     matrix = np.matmul(z1, z2.T, out=work["graph"])
     graph = DynamicGraph(e1, e2, z1, z2, None)
     for rows, block in _row_blocks(work["block"]):
-        _activate_rows(graph, alpha, rows, matrix[rows], block)
+        _activate_rows(graph, saturation, rows, matrix[rows], block)
     np.copyto(block, matrix[rows])
     return graph._replace(active=matrix > 0.0) if ad.tracing_kinks() else graph
 
 
-def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.ndarray,
+def dynamic_adjacency_grads(weights: list[np.ndarray], saturation: float, st_features_t: np.ndarray,
                             graph: DynamicGraph, g_graph: np.ndarray, scale: float,
                             work: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Gradients of emb1, emb2, mix1, mix2 and feature_proj for the output
-    gradient G = scale * ``g_graph`` of :func:`dynamic_adjacency`, followed
+    """Gradients of the five ``weights`` of :func:`dynamic_adjacency`, in
+    their order, for its output gradient G = scale * ``g_graph``, followed
     by <``g_graph``, A>, which the blend gate's gradient needs.
 
     A's row blocks are visited from the last up, as the module docstring
@@ -207,13 +184,13 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     Then du_i = a dz_i * (1 - z_i^2), dmix_i = e_i^T du_i,
     demb_i = du_i mix_i^T and dP = F^T (demb1 + demb2).
     """
-    z1, z2, alpha = graph.z1, graph.z2, params.saturation
+    z1, z2, (_, _, mix1, mix2, _) = graph.z1, graph.z2, weights
     s = z1.shape[0]
     chunk, inner = _chunk_rows(s), 0.0
     for rows, factor in reversed(list(_row_blocks(work["mix"]))):
         a = work["block"][:rows.stop - rows.start]
         if rows.stop < s:
-            _activate_rows(graph, alpha, rows, np.matmul(z1[rows], z2.T, out=a), factor)
+            _activate_rows(graph, saturation, rows, np.matmul(z1[rows], z2.T, out=a), factor)
         g_rows = g_graph[rows]
         for start in reversed(range(0, len(a), chunk)):
             inner += np.vdot(g_rows[start:start + chunk], a[start:start + chunk])
@@ -223,12 +200,12 @@ def dynamic_adjacency_grads(params: DynamicAdjacencyParams, st_features_t: np.nd
     z = np.concatenate([z2, z1], axis=1)
     k_z = g_graph @ z
     k_z -= (z.T @ g_graph).T
-    k_z *= scale * alpha * alpha
+    k_z *= scale * saturation * saturation
     d = z1.shape[1]
     g_u1 = k_z[:, :d] * (1.0 - z1 * z1)
     g_u2 = k_z[:, d:] * (z2 * z2 - 1.0)
-    g_e1 = g_u1 @ params.mix1.data.T
-    g_e2 = g_u2 @ params.mix2.data.T
+    g_e1 = g_u1 @ mix1.T
+    g_e2 = g_u2 @ mix2.T
     return g_e1, g_e2, graph.e1.T @ g_u1, graph.e2.T @ g_u2, st_features_t.T @ (g_e1 + g_e2), inner
 
 

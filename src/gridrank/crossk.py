@@ -12,7 +12,6 @@ squared distance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .grid import save_csv
 from .metrics import descending_order
 
 ENVELOPE_METHODS = ("minmax", "quantile")
@@ -198,10 +198,5 @@ def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,
 
 
 def write_curve_csv(curve: CrossKCurve, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "khat", "csr_lo", "csr_hi"])
-        for i, d in enumerate(curve.distances):
-            writer.writerow([repr(float(v)) for v in (d, curve.values[i], curve.lo[i], curve.hi[i])])
-    return path
+    return save_csv(Path(path), ["d", "khat", "csr_lo", "csr_hi"],
+                    zip(curve.distances, curve.values, curve.lo, curve.hi))

@@ -350,6 +350,18 @@ def save_json(path: Path, payload) -> Path:
     return path
 
 
+def save_csv(path: Path, header: list[str], rows) -> Path:
+    """Write ``header`` (if not empty) and ``rows`` to ``path`` as CSV, None
+    as an empty field and a float as ``repr(float(v))``; returns ``path``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+    return path
+
+
 class Entry(TypedDict("_Marked", {"trainable": bool}, total=False)):  # checkpoints once marked each entry
     name: str
     shape: list[int]

@@ -222,8 +222,8 @@ def apply_importance(positives: np.ndarray, probabilities: np.ndarray,
     drawn locations get weight 1, the rest 0.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    if abs(probabilities.sum() - 1.0) > 1e-9:
-        raise DataError(f"importance distribution sums to {probabilities.sum()!r}, expected 1")
+    if not abs(probabilities.sum() - 1.0) <= 1e-9:  # NaN fails too
+        raise DataError(f"importance distribution sums to {float(probabilities.sum())!r}, expected 1")
     if np.any(probabilities < 0):
         raise DataError("importance distribution has negative entries")
     positives = np.asarray(positives, dtype=np.intp)

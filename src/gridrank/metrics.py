@@ -13,7 +13,6 @@ ideal gain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .grid import neighbourhood_stencil, save_json
+from .grid import neighbourhood_stencil, save_csv, save_json
 
 EVAL_RADIUS = 2.0  # local-NDCG radius of reports and the training log unless eval.radius differs
 
@@ -185,15 +184,8 @@ class RankingReport:
         return save_json(Path(path), self.to_json_dict())
 
     def write_csv(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "K", "mean", "std"])
-            for s in self.summaries:
-                writer.writerow([s.metric, s.k,
-                                 "" if s.mean is None else repr(s.mean),
-                                 "" if s.std is None else repr(s.std)])
-        return path
+        return save_csv(Path(path), ["metric", "K", "mean", "std"],
+                        [(s.metric, s.k, s.mean, s.std) for s in self.summaries])
 
 
 def _summarize(metric: str, k: int, per_day: list[float | None]) -> MetricSummary:

@@ -16,6 +16,12 @@ over the window's steps in order and maps its final h linearly to one
 unbounded score per location; ranking objectives are argsort-invariant,
 so no output activation is applied.
 
+The learned tensors are one table, ``ModelParams.table``. ``_shapes``
+alone declares their names, shapes and order, the order in which
+``init_params`` draws them, checkpoints store them and training walks
+them. ``_period_step`` and ``_recurrent`` look up the tensors they read
+once per call, and ``adjacency`` gets plain arrays.
+
 ``forward`` builds every step of its window. ``predictions_for`` scores
 many overlapping windows without gradients, so it builds each distinct
 period's step once per call and reuses it in every window that contains
@@ -128,7 +134,6 @@ import numpy as np
 
 from . import adjacency
 from . import autodiff as ad
-from .adjacency import DynamicAdjacencyParams
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, read_json
 from .grid import StGrid, TensorIndex, Window, read_tensors, save_json, write_tensors
@@ -181,45 +186,29 @@ class ModelConfig(ModelSection):
 
 @dataclass
 class ModelParams:
-    """All learnable tensors plus the precomputed static graph buffer."""
+    """The config, the learnable tensors in ``table``, keyed and ordered as
+    ``_shapes(config)``, and the static graph, a buffer that nothing trains."""
 
     config: ModelConfig
-    adjacency: DynamicAdjacencyParams
-    conv_weights: list[Tensor]
-    lstm_wx: Tensor
-    lstm_wh: Tensor
-    lstm_bias: Tensor
-    head_weight: Tensor
-    head_bias: Tensor
+    table: dict[str, Tensor]
     static_graph: np.ndarray = field(repr=False, default=None)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = self.adjacency.named_tensors()
-        named += [(f"conv.{i}", w) for i, w in enumerate(self.conv_weights)]
-        named += [("lstm.wx", self.lstm_wx), ("lstm.wh", self.lstm_wh), ("lstm.bias", self.lstm_bias),
-                  ("head.weight", self.head_weight), ("head.bias", self.head_bias)]
-        return named
+        return list(self.table.items())
 
     def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
+        return list(self.table.values())
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of the tensors, which every build and window computes in."""
-        return self.lstm_wx.data.dtype
+        return self.table["lstm.wx"].data.dtype
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Parameters whose tensors are fresh leaves holding ``arrays``,
-        keyed as ``named_tensors`` and ``static_graph``; nothing is drawn."""
-        leaf = {name: ad.parameter(arrays[name]) for name in _shapes(config)}
-        return cls(config=config,
-                   adjacency=DynamicAdjacencyParams(**{name.removeprefix("adjacency."): t for name, t in leaf.items()
-                                                       if name.startswith("adjacency.")},
-                                                    saturation=config.saturation),
-                   conv_weights=[leaf[f"conv.{i}"] for i in range(config.conv_layers)],
-                   lstm_wx=leaf["lstm.wx"], lstm_wh=leaf["lstm.wh"], lstm_bias=leaf["lstm.bias"],
-                   head_weight=leaf["head.weight"], head_bias=leaf["head.bias"], static_graph=arrays["static_graph"])
+        keyed as ``_shapes`` and ``static_graph``; nothing is drawn."""
+        return cls(config, {name: ad.parameter(arrays[name]) for name in _shapes(config)}, arrays["static_graph"])
 
     def cast(self, dtype) -> "ModelParams":
         """A copy whose tensors and static graph are new ``dtype`` arrays,
@@ -240,8 +229,8 @@ class ModelParams:
 
 
 def _shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Each learnable tensor's shape, named and ordered as
-    ``ModelParams.named_tensors``."""
+    """Each learnable tensor's shape by name, in the order of the draw, the
+    checkpoint and ``ModelParams.table``: the one parameter declaration."""
     d_e, hr = config.embed_dim, config.recurrent_hidden
     widths = [config.d_s + config.d_st] + [config.hidden] * config.conv_layers
     return {"adjacency.emb1": (config.n_locations, d_e), "adjacency.emb2": (config.n_locations, d_e),
@@ -253,7 +242,7 @@ def _shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Deterministic initialization, drawn in ``named_tensors`` order:
+    """Deterministic initialization, drawn in ``_shapes`` order:
     uniform(-k, k) with k = sqrt(1/fan_in), where fan_in is a weight's
     input width and a bias's recurrent_hidden, embeddings standard normal
     scaled by 0.1, and a read-only zero static graph that allocates
@@ -358,17 +347,19 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     for the row sums r of A + I, and each layer's 1[P_l > 0].
     """
     st_t, node_features, temporal_tiled = _period_inputs(grid, t, params.dtype)
-    adj, s, static = params.adjacency, params.config.n_locations, params.static_graph
-    learned = params.config.fixed_gate is None
-    gate = (ad._stable_sigmoid(temporal_tiled[0].reshape(1, -1) @ adj.time_gate.data)[0, 0] if learned
-            else float(params.config.fixed_gate))
-    graph = adjacency.dynamic_adjacency(adj, st_t, work=work)
+    config, table, static = params.config, params.table, params.static_graph
+    dynamic = [table[f"adjacency.{name}"] for name in ("emb1", "emb2", "mix1", "mix2", "feature_proj")]
+    time_gate, convs = table["adjacency.time_gate"], [table[f"conv.{l}"] for l in range(config.conv_layers)]
+    weights, s, learned = [p.data for p in dynamic], config.n_locations, config.fixed_gate is None
+    gate = (ad._stable_sigmoid(temporal_tiled[0].reshape(1, -1) @ time_gate.data)[0, 0] if learned
+            else float(config.fixed_gate))
+    graph = adjacency.dynamic_adjacency(weights, config.saturation, st_t, work=work)
     a_hat = work["graph"]
     adjacency.blend(a_hat, static, gate, work["mix"])
     denom, slope = _normalize(a_hat)
     layers = [node_features]
     products = []
-    for conv in params.conv_weights:
+    for conv in convs:
         products.append(a_hat @ layers[-1])
         layers.append(np.maximum(products[-1] @ conv.data, 0.0))
     out = np.concatenate([layers[-1], temporal_tiled], axis=1)
@@ -376,15 +367,13 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
     if graph.active is not None:  # a kink trace is installed
         kinks = [graph.active, slope > 0.0] + [h > 0.0 for h in layers[1:]]
 
-    parents = (adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj) + ((adj.time_gate,) if learned else ())
-
     def grads(g):
-        d_h = g[:, :params.config.hidden]
+        d_h = g[:, :config.hidden]
         d_q, d_w = [None] * len(products), [None] * len(products)
         for l in reversed(range(len(products))):
             d_p = d_h * (layers[l + 1] > 0.0)
             d_w[l] = products[l].T @ d_p
-            d_q[l] = d_p @ params.conv_weights[l].data.T
+            d_q[l] = d_p @ convs[l].data.T
             if l:
                 d_h = (d_q[l].T @ a_hat).T
         inner = sum(np.einsum("ij,ij->i", dq, q) for dq, q in zip(d_q, products))[:, None]
@@ -394,13 +383,15 @@ def _period_step(params: ModelParams, grid: StGrid, t: int, work: dict[str, np.n
         g_b = np.matmul(u, v.T, out=a_hat)  # A_hat's last use was the loop above
         del d_h, d_p, d_q, u, v  # two builds can be in their backward at once: keep each small
         g_static = np.vdot(g_b, static) if learned else 0.0
-        *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(adj, st_t, graph, g_b, gate, work)
+        *g_dynamic, g_a = adjacency.dynamic_adjacency_grads(weights, config.saturation, st_t, graph, g_b, gate,
+                                                            work)
         g_gate = ()
         if learned:
             g_gate = (temporal_tiled[0].reshape(-1, 1) * ((g_a - g_static) * gate * (1.0 - gate)),)
         return tuple(g_dynamic) + g_gate + tuple(d_w)
 
-    return ad.fused("period_step", out, parents + tuple(params.conv_weights), grads, kinks=kinks)
+    parents = dynamic + ([time_gate] if learned else []) + convs
+    return ad.fused("period_step", out, tuple(parents), grads, kinks=kinks)
 
 
 def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
@@ -434,11 +425,13 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
     then x, Wx, Wh and b per step from the last, so each ``.grad`` sums its
     terms in that order.
     """
-    hr = params.config.recurrent_hidden
-    wx, wh = params.lstm_wx.data, params.lstm_wh.data
+    table, hr = params.table, params.config.recurrent_hidden
+    lstm = [table["lstm.wx"], table["lstm.wh"], table["lstm.bias"]]
+    head_w, head_b = table["head.weight"], table["head.bias"]
+    wx, wh, w = lstm[0].data, lstm[1].data, head_w.data
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], wx.dtype), hr)
     shift = 1.0 - scale
-    wx_s, wh_s, b_s = wx * scale, wh * scale, params.lstm_bias.data * scale
+    wx_s, wh_s, b_s = wx * scale, wh * scale, lstm[2].data * scale
     tape = []  # per step, with gradients: [i, f, g, o], c', tanh(c'), h'
     h = c = None
     for step_in in steps:
@@ -456,8 +449,7 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
         if ad._grad_enabled:
             tape.append((act, c, tanh_c, h))
         del act, i, f, g, o, tanh_c  # without gradients only h and c outlive the step
-    w = params.head_weight.data
-    scores = (h @ w + params.head_bias.data).reshape(-1).astype(np.float64, copy=False)
+    scores = (h @ w + head_b.data).reshape(-1).astype(np.float64, copy=False)
 
     def grads(grad):
         col = grad.reshape(-1, 1)
@@ -485,8 +477,7 @@ def _recurrent(params: ModelParams, steps: list[Tensor]) -> Tensor:
                 dh, dc = dz @ wh.T, d_cell * f
         return out
 
-    lstm = (params.lstm_wx, params.lstm_wh, params.lstm_bias)
-    parents = (params.head_weight, params.head_bias) + tuple(p for x in reversed(steps) for p in (x, *lstm))
+    parents = (head_w, head_b) + tuple(p for x in reversed(steps) for p in (x, *lstm))
     return ad.fused("recurrent", scores, parents, grads)
 
 
@@ -682,9 +673,7 @@ def save_checkpoint(directory, params: ModelParams) -> Path:
     path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = {name: tensor.data for name, tensor in params.named_tensors()}
-    arrays["static_graph"] = params.static_graph
-    index = write_tensors(directory / CHECKPOINT_BLOB, arrays)
+    index = write_tensors(directory / CHECKPOINT_BLOB, params.snapshot())
     return save_json(directory / CHECKPOINT_JSON, {"config": asdict(params.config), **index})
 
 

@@ -27,8 +27,8 @@ class ImportanceDist:
     def validate(self) -> "ImportanceDist":
         if np.any(self.probs < 0):
             raise DataError("importance probabilities must be non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise DataError(f"importance probabilities sum to {self.probs.sum()!r}, expected 1")
+        if not abs(self.probs.sum() - 1.0) <= 1e-9:  # NaN fails too
+            raise DataError(f"importance probabilities sum to {float(self.probs.sum())!r}, expected 1")
         return self
 
 

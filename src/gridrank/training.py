@@ -38,15 +38,14 @@ ICLR 2018): each batch's ``batch_backward`` runs on a float32 copy of
 the float64 master parameters, and the copy's gradients are cast up to
 float64 for the Adam update, whose moments stay float64 with the
 masters. The losses, the per-epoch validation and the checkpoints are
-float64: validation scores the masters, so the logged metrics equal what
-``evaluate_split`` reports for the same parameters. The importance
-refresh reads the float32 copy's scores, which ``batch_backward`` hands
-back as float64 arrays.
+float64: each epoch's validation is ``evaluate_split``'s report of the
+masters. The importance refresh reads the float32 copy's scores, which
+``batch_backward`` hands back as float64 arrays.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +57,7 @@ from . import losses, metrics, sampling
 from .adjacency import pearson_static
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericalError
-from .grid import StGrid, Window
+from .grid import StGrid, Window, save_csv
 from .losses import SurrogateConfig
 from .model import ModelConfig, ModelParams, batch_backward, init_params, predictions_for
 
@@ -107,6 +106,10 @@ class TrainConfig(SurrogateConfig):
             raise ConfigError("batch_size must be >= 1")
         if self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
+        area = 2.0 * math.pi * self.bandwidth * self.bandwidth  # the smoothing kernel's 2 pi b^2
+        if area == 0.0 or math.isinf(1.0 / area):
+            raise ConfigError(f"train.bandwidth must leave 1 / (2 pi bandwidth^2) finite in float64, "
+                              f"got {self.bandwidth!r}")
         if self.eval_k < 1:
             raise ConfigError("eval_k must be >= 1")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
@@ -230,11 +233,13 @@ def _static_graph(grid: StGrid, train_end: int) -> np.ndarray:
 
 def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
           train_config: TrainConfig, eval_radius: float = metrics.EVAL_RADIUS) -> TrainState:
-    """Run the full epoch loop and return the final state with its log,
-    whose validation local NDCG uses ``eval_radius`` as ``evaluate_split`` does.
-    Each epoch's batches are ``contiguous_batches`` from the training
-    seed's generator: consecutive windows share their input periods, and
-    the offset drawn per epoch moves the runs' boundaries."""
+    """Run the full epoch loop and return the final state with its log.
+    Each epoch logs ``evaluate_split``'s report of the float64 parameters
+    at ``train.eval_k`` and ``eval_radius``, so the logged validation
+    metrics are what ``evaluate`` reports for them. Each epoch's batches
+    are ``contiguous_batches`` from the training seed's generator:
+    consecutive windows share their input periods, and the offset drawn
+    per epoch moves the runs' boundaries."""
     model_config.validate()
     train_config.validate()
     shape = (grid.rows, grid.cols)
@@ -242,16 +247,13 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     if train_config.eval_k > grid.n_locations:
         raise ConfigError(f"train.eval_k={train_config.eval_k} exceeds the grid's "
                           f"{grid.n_locations} locations")
-    train_windows, val_windows = split_windows(grid, splits, model_config.window)
+    train_windows, _ = split_windows(grid, splits, model_config.window)
     if not train_windows:
         raise DataError("empty training split: no feasible windows before train_end")
     risk = grid.risk_by_location()
     if not np.any(risk[:, :splits.train_end] > 0):
         raise DataError("training split has no positive risk; dataset rejected")
-    train_days = np.array([w.target for w in train_windows])
-    val_days = np.array([w.target for w in val_windows])
-    y_train = risk[:, train_days].T.copy()
-    y_val = risk[:, val_days].T.copy()
+    y_train = risk[:, [w.target for w in train_windows]].T.copy()
 
     params = init_params(model_config, seed=train_config.seed)
     params.static_graph = _static_graph(grid, splits.train_end)
@@ -305,8 +307,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
         if not warm and train_config.use_importance:
             state.importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
 
-        report = metrics.metric_report(y_val, predictions_for(params, grid, val_windows), [train_config.eval_k],
-                                       shape, eval_radius)
+        report = evaluate_split(params, grid, splits, [train_config.eval_k], eval_radius)
         val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
                                          for name in ("ndcg", "lndcg", "prec"))
         elapsed = time.perf_counter() - started
@@ -336,15 +337,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
 def write_training_log(state: TrainState, path) -> Path:
     """CSV log, one row per epoch under the log's own keys; empty when no epoch ran."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if state.log:
-            writer.writerow(state.log[0])
-        for row in state.log:
-            writer.writerow(["" if value is None else (repr(value) if isinstance(value, float) else value)
-                             for value in row.values()])
-    return path
+    return save_csv(Path(path), list(state.log[0]) if state.log else [], [row.values() for row in state.log])
 
 
 def scored_split(grid: StGrid, splits: Splits, length: int,

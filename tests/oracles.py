@@ -313,21 +313,28 @@ def generic_warmup_loss(relevance, scores):
     return mean_(square(sub(scores, ad.constant(relevance))))
 
 
+def adjacency_tensors(params):
+    """The graph's tensors of the model's table, by their names without
+    the ``adjacency.`` prefix: emb1, emb2, mix1, mix2, time_gate and
+    feature_proj."""
+    return {name.removeprefix("adjacency."): t for name, t in params.table.items() if name.startswith("adjacency.")}
+
+
 def generic_graph_block(params, features, static, temporal, fixed_gate):
     """Dynamic graph, gate, blend and D^-1 (A + I) normalization built from
     about twenty generic ops; returns (dynamic, gate, blended, normalized)."""
-    alpha = params.saturation
-    lifted = matmul(ad.constant(features), params.feature_proj)
-    e1 = add(params.emb1, lifted)
-    e2 = add(params.emb2, lifted)
-    z1 = tanh(mul(matmul(e1, params.mix1), alpha))
-    z2 = tanh(mul(matmul(e2, params.mix2), alpha))
+    p, alpha = adjacency_tensors(params), params.config.saturation
+    lifted = matmul(ad.constant(features), p["feature_proj"])
+    e1 = add(p["emb1"], lifted)
+    e2 = add(p["emb2"], lifted)
+    z1 = tanh(mul(matmul(e1, p["mix1"]), alpha))
+    z2 = tanh(mul(matmul(e2, p["mix2"]), alpha))
     cross = sub(matmul(z1, transpose(z2)), matmul(z2, transpose(z1)))
     dynamic = relu(tanh(mul(cross, alpha)))
 
     s = dynamic.shape[0]
     if fixed_gate is None:
-        gate = sigmoid(matmul(ad.constant(np.reshape(temporal, (1, -1))), params.time_gate))
+        gate = sigmoid(matmul(ad.constant(np.reshape(temporal, (1, -1))), p["time_gate"]))
     else:
         gate = ad.constant([[float(fixed_gate)]])
     gate_full = broadcast_to(gate, (s, s))
@@ -346,11 +353,11 @@ def dynamic_adjacency_node(params, features):
     mix2 and feature_proj, and the backward documented in
     ``adjacency.dynamic_adjacency_grads``; its relu mask is reported as a
     kink."""
-    alpha = params.saturation
-    mix1, mix2 = params.mix1.data, params.mix2.data
-    lifted = features @ params.feature_proj.data
-    e1 = params.emb1.data + lifted
-    e2 = params.emb2.data + lifted
+    p, alpha = adjacency_tensors(params), params.config.saturation
+    mix1, mix2 = p["mix1"].data, p["mix2"].data
+    lifted = features @ p["feature_proj"].data
+    e1 = p["emb1"].data + lifted
+    e2 = p["emb2"].data + lifted
     z1 = np.tanh((e1 @ mix1) * alpha)
     z2 = np.tanh((e2 @ mix2) * alpha)
     out = z1 @ z2.T
@@ -370,7 +377,7 @@ def dynamic_adjacency_node(params, features):
         return g_e1, g_e2, e1.T @ g_u1, e2.T @ g_u2, features.T @ (g_e1 + g_e2)
 
     return ad.fused("dynamic_adjacency", out,
-                    (params.emb1, params.emb2, params.mix1, params.mix2, params.feature_proj),
+                    (p["emb1"], p["emb2"], p["mix1"], p["mix2"], p["feature_proj"]),
                     grads, kinks=(active,))
 
 
@@ -415,7 +422,7 @@ def node_graph_block(params, features, static, temporal, fixed_gate):
     """The graph block as three tape nodes (dynamic graph, blend,
     normalization); returns (dynamic, gate, blended, normalized)."""
     dynamic = dynamic_adjacency_node(params, features)
-    gate, blended = blend_node(dynamic, static, temporal, params.time_gate, fixed_gate)
+    gate, blended = blend_node(dynamic, static, temporal, params.table["adjacency.time_gate"], fixed_gate)
     return dynamic, gate, blended, normalized_node(blended)
 
 
@@ -424,8 +431,8 @@ def conv_step(params, grid, t, normalized):
     temporal features of period t, from generic ops."""
     st_t = grid.spatiotemporal_at(t)
     h = ad.constant(np.concatenate([grid.spatial_flat(), st_t], axis=1))
-    for conv in params.conv_weights:
-        h = relu(matmul(matmul(normalized, h), conv))
+    for l in range(params.config.conv_layers):
+        h = relu(matmul(matmul(normalized, h), params.table[f"conv.{l}"]))
     tiled = np.broadcast_to(grid.temporal[t], (grid.n_locations, grid.d_t))
     return concat([h, ad.constant(tiled)], axis=1)
 
@@ -434,7 +441,7 @@ def node_period_step(params, grid, t, block=node_graph_block):
     """The per-period step as the three graph nodes plus generic conv
     ops: the reference for the fused ``model._period_step``. ``block`` may
     be ``generic_graph_block`` instead."""
-    normalized = block(params.adjacency, grid.spatiotemporal_at(t), params.static_graph,
+    normalized = block(params, grid.spatiotemporal_at(t), params.static_graph,
                        grid.temporal[t], params.config.fixed_gate)[-1]
     return conv_step(params, grid, t, normalized)
 
@@ -457,20 +464,20 @@ def narrow(a, axis, start, length):
 def generic_recurrent(params, steps):
     """The recurrent cell and the score head built from about fifteen
     generic ops per step: the reference for the fused recurrent node."""
-    s = params.config.n_locations
+    s, table = params.config.n_locations, params.table
     hr = params.config.recurrent_hidden
     hidden_state = ad.constant(np.zeros((s, hr)))
     cell_state = ad.constant(np.zeros((s, hr)))
     for step_in in steps:
-        gates = add(add(matmul(step_in, params.lstm_wx), matmul(hidden_state, params.lstm_wh)),
-                       broadcast_to(params.lstm_bias, (s, 4 * hr)))
+        gates = add(add(matmul(step_in, table["lstm.wx"]), matmul(hidden_state, table["lstm.wh"])),
+                       broadcast_to(table["lstm.bias"], (s, 4 * hr)))
         in_gate = sigmoid(narrow(gates, 1, 0, hr))
         forget_gate = sigmoid(narrow(gates, 1, hr, hr))
         candidate = tanh(narrow(gates, 1, 2 * hr, hr))
         out_gate = sigmoid(narrow(gates, 1, 3 * hr, hr))
         cell_state = add(mul(forget_gate, cell_state), mul(in_gate, candidate))
         hidden_state = mul(out_gate, tanh(cell_state))
-    scores = add(matmul(hidden_state, params.head_weight), broadcast_to(params.head_bias, (s, 1)))
+    scores = add(matmul(hidden_state, table["head.weight"]), broadcast_to(table["head.bias"], (s, 1)))
     return reshape(scores, (s,))
 
 

@@ -9,27 +9,35 @@ from gridrank.errors import DataError, ShapeError
 from oracles import mean_
 
 
-def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4, saturation=3.0):
-    """Embeddings standard normal scaled by 0.1, the rest uniform(-k, k)
-    with k = sqrt(1/fan_in), drawn in field order as ``model.init_params``
-    draws them."""
+# The dynamic graph's weights, in the order ``adjacency.dynamic_adjacency`` takes them.
+DYNAMIC = ("emb1", "emb2", "mix1", "mix2", "feature_proj")
+
+
+def random_params(seed, n_locations=9, d_t=3, d_st=2, embed_dim=4):
+    """The graph's tensors by short name: embeddings standard normal
+    scaled by 0.1, the rest uniform(-k, k) with k = sqrt(1/fan_in), drawn
+    in the model's order as ``model.init_params`` draws them."""
     rng = np.random.default_rng(seed)
 
     def uniform(shape):
         k = np.sqrt(1.0 / shape[0])
         return ad.parameter(rng.uniform(-k, k, size=shape))
 
-    return adjacency.DynamicAdjacencyParams(
-        emb1=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
-        emb2=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
-        mix1=uniform((embed_dim, embed_dim)), mix2=uniform((embed_dim, embed_dim)),
-        time_gate=uniform((d_t, 1)), feature_proj=uniform((d_st, embed_dim)), saturation=saturation)
+    return dict(emb1=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
+                emb2=ad.parameter(rng.normal(size=(n_locations, embed_dim)) * 0.1),
+                mix1=uniform((embed_dim, embed_dim)), mix2=uniform((embed_dim, embed_dim)),
+                time_gate=uniform((d_t, 1)), feature_proj=uniform((d_st, embed_dim)))
 
 
-def dynamic(params, features):
+def weights(params):
+    """The arrays ``adjacency.dynamic_adjacency`` takes, from ``random_params``."""
+    return [params[name].data for name in DYNAMIC]
+
+
+def dynamic(params, features, saturation=3.0):
     """The dynamic graph A of ``features``, built in a fresh workspace."""
-    work = adjacency.workspace(params.emb1.shape[0])
-    adjacency.dynamic_adjacency(params, features, work)
+    work = adjacency.workspace(params["emb1"].shape[0])
+    adjacency.dynamic_adjacency(weights(params), saturation, features, work)
     return work["graph"]
 
 
@@ -106,13 +114,12 @@ class TestDynamicAdjacency:
         middles = []
         for alpha in (1.0, 10.0, 100.0):
             params = random_params(5, n_locations=6)
-            params.emb1.data = emb1.copy()
-            params.emb2.data = emb2.copy()
-            params.mix1.data = mix.copy()
-            params.mix2.data = mix.copy()
-            params.feature_proj.data = np.zeros_like(params.feature_proj.data)
-            params.saturation = alpha
-            matrix = dynamic(params, features)
+            params["emb1"].data = emb1.copy()
+            params["emb2"].data = emb2.copy()
+            params["mix1"].data = mix.copy()
+            params["mix2"].data = mix.copy()
+            params["feature_proj"].data = np.zeros_like(params["feature_proj"].data)
+            matrix = dynamic(params, features, saturation=alpha)
             off_diag = matrix[~np.eye(6, dtype=bool)]
             maxima.append(matrix.max())
             middles.append(int(((off_diag > 0.01) & (off_diag < 0.99)).sum()))
@@ -127,7 +134,7 @@ class TestDynamicAdjacency:
         features[3, 1] = np.nan
         work = adjacency.workspace(9)
         with ad._kink_tracing():
-            graph = adjacency.dynamic_adjacency(random_params(1), features, work)
+            graph = adjacency.dynamic_adjacency(weights(random_params(1)), 3.0, features, work)
         touched = np.zeros((9, 9), dtype=bool)
         touched[3, :] = touched[:, 3] = True
         assert np.array_equal(np.isnan(work["graph"]), touched)
@@ -137,15 +144,15 @@ class TestDynamicAdjacency:
     def test_gradients_reach_every_parameter(self):
         params = random_params(2)
         features = np.random.default_rng(9).uniform(0.2, 0.8, size=(9, 2))
-        tensors = [t for _, t in params.named_tensors() if t is not params.time_gate]
+        tensors = [params[name] for name in DYNAMIC]
 
         def objective():
             # dynamic_adjacency and its gradient helper as one tape node
             work = adjacency.workspace(9)
-            graph = adjacency.dynamic_adjacency(params, features, work)
+            graph = adjacency.dynamic_adjacency(weights(params), 3.0, features, work)
             node = ad.fused("dynamic_adjacency", work["graph"], tuple(tensors),
-                            lambda g: adjacency.dynamic_adjacency_grads(params, features, graph, g.copy(), 1.0,
-                                                                        work)[:5])
+                            lambda g: adjacency.dynamic_adjacency_grads(weights(params), 3.0, features, graph,
+                                                                        g.copy(), 1.0, work)[:5])
             return mean_(node)
 
         report = ad.grad_check(objective, tensors, eps=1e-5, tol=1e-4, max_coords=60)
@@ -161,16 +168,16 @@ class TestBlend:
         features = np.random.default_rng(4).uniform(size=(9, 2))
         dyn = dynamic(params, features)
         static = dyn.copy()
-        _, mixed = blended(dyn, static, np.array([0.3, -0.2, 0.9]), params.time_gate)
+        _, mixed = blended(dyn, static, np.array([0.3, -0.2, 0.9]), params["time_gate"])
         assert np.allclose(mixed, static, atol=1e-12)
 
     def test_zero_gate_weights_mean(self):
         params = random_params(6)
-        params.time_gate.data = np.zeros_like(params.time_gate.data)
+        params["time_gate"].data = np.zeros_like(params["time_gate"].data)
         features = np.random.default_rng(7).uniform(size=(9, 2))
         dyn = dynamic(params, features)
         static = np.random.default_rng(8).uniform(-1, 1, size=(9, 9))
-        gate, mixed = blended(dyn, static, np.ones(3), params.time_gate)
+        gate, mixed = blended(dyn, static, np.ones(3), params["time_gate"])
         assert gate == pytest.approx(0.5, abs=0.0)
         assert np.allclose(mixed, (dyn + static) / 2.0, atol=1e-15)
 
@@ -179,7 +186,7 @@ class TestBlend:
         features = np.random.default_rng(11).uniform(size=(9, 2))
         dyn = dynamic(params, features)
         static = np.random.default_rng(12).uniform(-1, 1, size=(9, 9))
-        gate, mixed = blended(dyn, static, np.ones(3), params.time_gate, fixed_gate=0.5)
+        gate, mixed = blended(dyn, static, np.ones(3), params["time_gate"], fixed_gate=0.5)
         assert gate == 0.5
         assert np.allclose(mixed, 0.5 * dyn + 0.5 * static, atol=1e-15)
 
@@ -189,7 +196,7 @@ class TestBlend:
         dyn = dynamic(params, features)
         static = np.random.default_rng(15).uniform(-1, 1, size=(9, 9))
         temporal = np.array([0.4, 0.1, -0.7])
-        gate, mixed = blended(dyn, static, temporal, params.time_gate)
+        gate, mixed = blended(dyn, static, temporal, params["time_gate"])
         assert 0.0 < gate < 1.0
         expected = gate * dyn + (1 - gate) * static
         assert np.allclose(mixed, expected, atol=1e-12)
@@ -202,8 +209,8 @@ class TestBlend:
                                risk=np.ones((3, 3, 2))).validate()
         params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)
         params.static_graph = np.random.default_rng(18).uniform(-1, 1, size=(9, 9))
-        tensors = [t for _, t in params.adjacency.named_tensors()]
+        tensors = [t for name, t in params.named_tensors() if name.startswith("adjacency.")]
         report = ad.grad_check(lambda: mean_(model._period_step(params, data, 1, adjacency.workspace(9))), tensors,
                                eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
-        assert np.all(params.adjacency.time_gate.grad != 0.0)
+        assert np.all(params.table["adjacency.time_gate"].grad != 0.0)

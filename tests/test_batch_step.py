@@ -45,7 +45,7 @@ def recurrent_case(data, seed, length=WINDOW):
     inputs."""
     rng = np.random.default_rng(seed)
     params = small_params(data, seed=seed)
-    for tensor in (params.lstm_wx, params.lstm_wh, params.lstm_bias):
+    for tensor in (params.table["lstm.wx"], params.table["lstm.wh"], params.table["lstm.bias"]):
         tensor.data = rng.normal(size=tensor.shape)
     width = params.config.hidden + params.config.d_t
     steps = [ad.parameter(rng.normal(size=(data.n_locations, width))) for _ in range(length)]
@@ -85,8 +85,8 @@ def test_fused_lstm_and_head_pass_grad_check(data):
     params, steps, weights = recurrent_case(data, 4)
     for window in (steps[:1], steps):
         report = ad.grad_check(lambda: sum_(mul(model._recurrent(params, window), ad.constant(weights))),
-                               window + [params.lstm_wx, params.lstm_wh, params.lstm_bias,
-                                         params.head_weight, params.head_bias], tol=1e-7)
+                               window + [params.table[name] for name in ("lstm.wx", "lstm.wh", "lstm.bias",
+                                                                          "head.weight", "head.bias")], tol=1e-7)
         assert report.passed and report.kinks == 0, report.max_rel_error
 
 

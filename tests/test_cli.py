@@ -27,6 +27,7 @@ from conftest import write_csv_dataset, write_old_layout
     ("train.radius=NaN", "train.radius must be a finite number, got nan"),
     ("eval.radius=NaN", "eval.radius must be a finite number, got nan"),
     ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
+    ("train.bandwidth=1e-160", "train.bandwidth must leave 1 / (2 pi bandwidth^2) finite in float64, got 1e-160"),
     ("train.lr_main=Infinity", "train.lr_main must be a finite number, got inf"),
     ("model.fixed_gate=-Infinity", "model.fixed_gate must be a finite number, got -inf"),
     ("model.hidden=0", "hidden must be positive, got 0"),
@@ -473,7 +474,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
     params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=4, window=3,
                                                           embed_dim=3))
     checkpoint = model.save_checkpoint(tmp_path / "ckpt", params)
-    params.head_bias.data[0, 0] = np.nan
+    params.table["head.bias"].data[0, 0] = np.nan
     model.save_checkpoint(tmp_path / "head_bias_nan", params)  # with a digest that matches
     dataset = Path(manifest)
     csv_dataset = write_csv_dataset(data, tmp_path / "csv")

@@ -295,7 +295,7 @@ def test_every_bad_manifest_value_exits_2_or_3(trained, tmp_path, key):
 # Each subcommand of the pipeline: the overrides it runs under on the 4 x 4 x
 # 30 dataset, before the bad one, and its arguments less --data, --checkpoint
 # and --out. ``evaluate`` and ``crossk`` score with ``trained``'s checkpoint.
-PIPELINE = {"train": (["train.epochs=1", "train.warmup_epochs=0"], ["train"]),
+PIPELINE = {"train": (["train.epochs=2", "train.warmup_epochs=0"], ["train"]),
             "evaluate": (["eval.ks=[5]"], ["evaluate", "--predictor", "model"]),
             "crossk": ([], ["crossk", "--predictor", "model"])}
 

@@ -32,8 +32,8 @@ def step_case(rows, cols, negative, fixed_gate, seed=0, conv_layers=2):
     config = model.ModelConfig.for_grid(grid, hidden=4, recurrent_hidden=3, conv_layers=conv_layers,
                                         window=T, embed_dim=4, fixed_gate=fixed_gate)
     params = model.init_params(config, seed=seed)
-    params.adjacency.emb1.data = rng.normal(size=params.adjacency.emb1.shape)
-    params.adjacency.emb2.data = rng.normal(size=params.adjacency.emb2.shape)
+    for name in ("adjacency.emb1", "adjacency.emb2"):
+        params.table[name].data = rng.normal(size=params.table[name].shape)
     static = rng.uniform(-1, 1, size=(s, s))
     static = (static + static.T) / 2.0
     params.static_graph = static if negative else np.abs(static)
@@ -161,42 +161,42 @@ def test_float32_fused_step_follows_float64_in_byte_sized_blocks(negative, fixed
 
 def test_dynamic_adjacency_grad_check_and_kink_trace():
     params, grid, _ = step_case(3, 4, True, None, seed=1)
-    adj, features = params.adjacency, grid.spatiotemporal_at(T)
-    tensors = [adj.emb1, adj.emb2, adj.mix1, adj.mix2, adj.feature_proj]
+    features, saturation = grid.spatiotemporal_at(T), params.config.saturation
+    tensors = [params.table[f"adjacency.{name}"] for name in ("emb1", "emb2", "mix1", "mix2", "feature_proj")]
     weights = np.random.default_rng(1).normal(size=(12, 12))
 
     def objective():
-        return sum_(mul(dynamic_adjacency_node(adj, features), ad.constant(weights)))
+        return sum_(mul(dynamic_adjacency_node(params, features), ad.constant(weights)))
 
     report = ad.grad_check(objective, tensors, eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
     with ad._kink_tracing() as trace:
-        node = dynamic_adjacency_node(adj, features)
+        node = dynamic_adjacency_node(params, features)
         work = adjacency.workspace(12)
-        graph = adjacency.dynamic_adjacency(adj, features, work)
+        graph = adjacency.dynamic_adjacency([t.data for t in tensors], saturation, features, work)
     assert work["graph"].tobytes() == node.data.tobytes()
     assert len(trace) == 1 and np.array_equal(trace[0], node.data > 0.0)
     assert np.array_equal(graph.active, trace[0])
-    assert adjacency.dynamic_adjacency(adj, features, work).active is None
+    assert adjacency.dynamic_adjacency([t.data for t in tensors], saturation, features, work).active is None
 
 
 @pytest.mark.parametrize("fixed_gate", [None, 0.3])
 def test_blend_grad_check(fixed_gate):
     params, _, _ = step_case(3, 4, True, fixed_gate, seed=2)
     static, temporal = params.static_graph, np.array([0.4, -1.2, 0.7])
+    time_gate = params.table["adjacency.time_gate"]
     dynamic = ad.parameter(np.abs(np.random.default_rng(3).normal(size=static.shape)))
     weights = np.random.default_rng(4).normal(size=static.shape)
 
     def objective():
-        return sum_(mul(blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)[1],
-                           ad.constant(weights)))
+        return sum_(mul(blend_node(dynamic, static, temporal, time_gate, fixed_gate)[1], ad.constant(weights)))
 
-    report = ad.grad_check(objective, [dynamic, params.adjacency.time_gate], eps=1e-6, tol=1e-6)
+    report = ad.grad_check(objective, [dynamic, time_gate], eps=1e-6, tol=1e-6)
     assert report.passed, report.max_rel_error
-    gate, node = blend_node(dynamic, static, temporal, params.adjacency.time_gate, fixed_gate)
+    gate, node = blend_node(dynamic, static, temporal, time_gate, fixed_gate)
     mixed = dynamic.data.copy()
     # the gate as model._period_step computes it
-    step_gate = (ad._stable_sigmoid(temporal.reshape(1, -1) @ params.adjacency.time_gate.data)[0, 0]
+    step_gate = (ad._stable_sigmoid(temporal.reshape(1, -1) @ time_gate.data)[0, 0]
                  if fixed_gate is None else float(fixed_gate))
     adjacency.blend(mixed, static, step_gate, adjacency.workspace(12)["mix"])
     assert mixed.tobytes() == node.data.tobytes() and step_gate == gate.item()
@@ -244,9 +244,9 @@ def test_predictions_share_each_period_once(fixed_gate, monkeypatch):
     built = []
     original = adjacency.dynamic_adjacency
 
-    def spy(p, features, **buffers):
+    def spy(weights, saturation, features, **buffers):
         built.append(features)
-        return original(p, features, **buffers)
+        return original(weights, saturation, features, **buffers)
 
     monkeypatch.setattr(adjacency, "dynamic_adjacency", spy)
     shared = model.predictions_for(params, data, windows)

@@ -338,6 +338,8 @@ class TestApplyImportance:
         cfg = losses.SurrogateConfig().validate()
         with pytest.raises(DataError, match="sums to"):
             losses.apply_importance(np.array([0]), np.array([0.4, 0.4]), cfg, rng)
+        with pytest.raises(DataError, match="sums to nan"):
+            losses.apply_importance(np.array([0]), np.array([0.5, np.nan]), cfg, rng)
 
     def test_sample_inclusion_frequencies_track_distribution(self):
         rng = np.random.default_rng(123)

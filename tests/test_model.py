@@ -78,7 +78,7 @@ class TestInit:
                                             conv_layers=2, window=3, embed_dim=3)
         params = model.init_params(config, seed=0)
         # second conv layer has fan_in 100 -> |w| <= 0.1
-        assert np.abs(params.conv_weights[1].data).max() <= 0.1
+        assert np.abs(params.table["conv.1"].data).max() <= 0.1
 
     def test_config_validation(self, dataset):
         with pytest.raises(ConfigError):
@@ -90,8 +90,8 @@ class TestInit:
 class TestForward:
     def test_zero_head_gives_zero_scores(self, tiny_config, dataset):
         params = make_params(tiny_config, dataset)
-        params.head_weight.data = np.zeros_like(params.head_weight.data)
-        params.head_bias.data = np.zeros_like(params.head_bias.data)
+        for name in ("head.weight", "head.bias"):
+            params.table[name].data = np.zeros_like(params.table[name].data)
         scores = model.forward(params, dataset, griddata.Window(10, 3))
         assert np.array_equal(scores.data, np.zeros(16))
 
@@ -130,8 +130,8 @@ class TestForward:
             risk=dataset.risk.reshape(16, -1)[perm].reshape(dataset.risk.shape),
         )
         params_swapped = make_params(config, dataset, seed=7)
-        params_swapped.adjacency.emb1.data = params.adjacency.emb1.data[perm]
-        params_swapped.adjacency.emb2.data = params.adjacency.emb2.data[perm]
+        for name in ("adjacency.emb1", "adjacency.emb2"):
+            params_swapped.table[name].data = params.table[name].data[perm]
         params_swapped.static_graph = params.static_graph[np.ix_(perm, perm)]
         permuted = model.forward(params_swapped, swapped, window).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
@@ -211,6 +211,17 @@ class TestInputContract:
 
 
 class TestCheckpoint:
+    def test_the_table_and_the_checkpoint_follow_shapes(self, tiny_config, dataset, tmp_path):
+        """``model._shapes`` is the one declaration of the parameters: the
+        table's names, order and shapes and the checkpoint's entries, with
+        the static graph after them, all follow it."""
+        params = make_params(tiny_config, dataset)
+        shapes = model._shapes(tiny_config)
+        assert [name for name, _ in params.named_tensors()] == list(shapes)
+        assert [t.shape for t in params.tensors()] == list(shapes.values())
+        manifest = json.loads(model.save_checkpoint(tmp_path / "ckpt", params).read_text())
+        assert [entry["name"] for entry in manifest["tensors"]] == list(shapes) + ["static_graph"]
+
     def test_round_trip_bit_exact(self, tiny_config, dataset, tmp_path):
         params = make_params(tiny_config, dataset, seed=11)
         model.save_checkpoint(tmp_path / "ckpt", params)
@@ -396,7 +407,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entry_is_a_data_error(self, tiny_config, dataset, tmp_path, value):
         params = make_params(tiny_config, dataset)
-        params.conv_weights[1].data[2, 3] = value
+        params.table["conv.1"].data[2, 3] = value
         model.save_checkpoint(tmp_path / "ckpt", params)  # with a digest that matches
         with pytest.raises(DataError, match=r"^checkpoint entry conv.1 holds a non-finite value$"):
             model.load_checkpoint(tmp_path / "ckpt")

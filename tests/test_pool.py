@@ -54,7 +54,7 @@ def pool_params(data, negative, fixed_gate):
 
 def nan_params(data):
     params = pool_params(data, True, None)
-    params.conv_weights[1].data[0, 0] = np.nan
+    params.table["conv.1"].data[0, 0] = np.nan
     return params
 
 
@@ -436,7 +436,7 @@ def test_numerical_error_in_a_stage_3_worker_reaches_the_caller(data, pooled, mo
         model.batch_backward(params, data, windows, loss_maker("hybrid", data))
     assert spy.failures == [first] and spy.finished_before and threading.active_count() == 1
     assert all(t.grad is None for t in graph_tensors(params))
-    assert params.lstm_wx.grad is not None  # stage (2) ran
+    assert params.table["lstm.wx"].grad is not None  # stage (2) ran
 
 
 def test_numerical_error_in_a_stage_3_worker_exits_4(data, pooled, tmp_path, capsys, monkeypatch):

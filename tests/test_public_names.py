@@ -6,7 +6,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from gridrank import crossk
+from gridrank import crossk, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +83,13 @@ def test_no_module_reads_another_module_s_private_names():
     reads = {f"{path.stem}: {name}" for path in sorted((ROOT / "src" / "gridrank").glob("*.py"))
              for name in private_reads(ast.parse(path.read_text())) - PRIVATE_READS_ALLOWED}
     assert not reads, sorted(reads)
+
+
+def test_no_module_but_the_model_names_a_parameter():
+    """``model._shapes`` declares the parameters, so no other module holds
+    a string that names one: the graph functions take arrays."""
+    names = set(model._shapes(model.ModelConfig(rows=8, cols=8, d_t=1, d_s=1, d_st=1)))
+    found = {f"{path.stem}: {node.value}" for path in sorted((ROOT / "src" / "gridrank").glob("*.py"))
+             if path.stem != "model" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names}
+    assert not found, sorted(found)

@@ -94,6 +94,11 @@ class TestNormalize:
         with pytest.raises(DataError, match="non-negative"):
             sampling.normalize(np.array([1.0, -0.1]))
 
+    def test_nan_entry_rejected(self):
+        """A NaN sum fails the check: an overflowing kernel constant once let NaN through."""
+        with pytest.raises(DataError, match="sum to nan"):
+            sampling.ImportanceDist(probs=np.array([0.5, np.nan])).validate()
+
 
 class TestPipeline:
     def test_kernel_constant_cancels_under_normalization(self, rng):

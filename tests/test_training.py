@@ -302,9 +302,9 @@ def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, mon
     dynamic_adjacency, predictions_for = adjacency.dynamic_adjacency, training.predictions_for
     batch_backward, refresh = training.batch_backward, sampling.refresh
 
-    def spy_dynamic(params, features, **buffers):
+    def spy_dynamic(weights, saturation, features, **buffers):
         builds.append(len(calls) if inside else 0)  # the call a build of predictions_for belongs to
-        return dynamic_adjacency(params, features, **buffers)
+        return dynamic_adjacency(weights, saturation, features, **buffers)
 
     def spy_predictions(params, grid, windows):
         calls.append(windows)
