@@ -260,7 +260,7 @@ def cmd_rank(args, config: RunConfig) -> int:
     print(f"top-{k} locations for period {day} ({args.predictor}):")
     print("rank,location,row,col,score,actual_risk")
     for position, location in enumerate(order, start=1):
-        r, c = griddata.location_rc(int(location), dataset.cols)
+        r, c = divmod(int(location), dataset.cols)
         print(f"{position},{location},{r},{c},{scores[location]:.6f},{actual[location]:g}")
     return EXIT_OK
 

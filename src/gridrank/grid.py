@@ -35,17 +35,6 @@ import numpy as np
 from .errors import DataError, read_json
 
 
-def location_rc(location: int, cols: int) -> tuple[int, int]:
-    """(row, col) of a row-major flat location index."""
-    return divmod(location, cols)
-
-
-def cell_coordinates(rows: int, cols: int) -> np.ndarray:
-    """(S, 2) array of (row, col) cell centers in row-major location order."""
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    return np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(np.float64)
-
-
 def split_boundary(periods: int, train_fraction: float) -> int:
     """First validation period of the chronological split at ``train_fraction``,
     kept in [2, periods - 1]."""
@@ -162,6 +151,15 @@ class StGrid:
             raise DataError(f"negative risk at (row={where[0]}, col={where[1]}, t={where[2]})")
         if not np.any(self.risk > 0):
             raise DataError("risk is zero everywhere; dataset carries no ranking signal")
+        # A period's total gain bounds its every DCG, ideal DCG and surrogate
+        # coefficient; it is summed only once S * 2^max(y) reaches 2^1023.
+        if not self.risk.max() < 1023 - math.log2(self.n_locations):
+            with np.errstate(over="ignore"):
+                total = (np.exp2(self.risk) - 1.0).sum(axis=(0, 1))
+            if not np.all(np.isfinite(total)):
+                t = int(np.argmin(np.isfinite(total)))
+                raise DataError(f"total gain sum(2^y - 1) of period {t} overflows float64 "
+                                f"(largest risk {self.risk[:, :, t].max():g})")
         return self
 
 
@@ -224,7 +222,7 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
         raise DataError("feature widths must be positive")
     rng = np.random.default_rng(seed)
 
-    rr, cc = cell_coordinates(rows, cols).T.reshape(2, rows, cols)
+    rr, cc = np.indices((rows, cols), dtype=np.float64)
     centers = []
     for _ in range(n_hotspots):
         candidate = None
@@ -294,18 +292,12 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
     # normalize features to [0, 1] with training-split statistics
     train_end = split_boundary(periods, train_fraction)
     normalization = {"f_t": [], "f_s": [], "f_st": [], "train_end": train_end}
-    for j in range(temporal.shape[1]):
-        lo, hi = float(temporal[:train_end, j].min()), float(temporal[:train_end, j].max())
-        temporal[:, j] = _scale_unit(temporal[:, j], lo, hi)
-        normalization["f_t"].append({"min": lo, "max": hi})
-    for j in range(spatial.shape[2]):
-        lo, hi = float(spatial[:, :, j].min()), float(spatial[:, :, j].max())
-        spatial[:, :, j] = _scale_unit(spatial[:, :, j], lo, hi)
-        normalization["f_s"].append({"min": lo, "max": hi})
-    for j in range(st.shape[3]):
-        lo, hi = float(st[:, :, :train_end, j].min()), float(st[:, :, :train_end, j].max())
-        st[:, :, :, j] = _scale_unit(st[:, :, :, j], lo, hi)
-        normalization["f_st"].append({"min": lo, "max": hi})
+    for name, arr, fitted in (("f_t", temporal, temporal[:train_end]), ("f_s", spatial, spatial),
+                              ("f_st", st, st[:, :, :train_end])):
+        for j in range(arr.shape[-1]):
+            lo, hi = float(fitted[..., j].min()), float(fitted[..., j].max())
+            arr[..., j] = _scale_unit(arr[..., j], lo, hi)
+            normalization[name].append({"min": lo, "max": hi})
 
     grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
                   spatial=spatial, spatiotemporal=st, risk=risk,

@@ -33,6 +33,7 @@ from . import metrics
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .grid import neighbourhood_stencil
+from .sampling import ImportanceDist
 
 _LN2 = math.log(2.0)
 WEIGHT_MODES = ("weight", "sample")
@@ -211,9 +212,11 @@ def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateCon
     return _bounded_gain(scores, groups, config.margin)
 
 
-def apply_importance(positives: np.ndarray, probabilities: np.ndarray,
+def apply_importance(positives: np.ndarray, dist: ImportanceDist,
                      config: SurrogateConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-positive weights drawn from the importance distribution.
+    """Per-positive weights drawn from the importance distribution ``dist``,
+    whose probabilities P are checked where they are made (``normalize``
+    validates them; ``uniform_distribution`` is uniform by construction).
 
     weight mode: w_s = P_s * |positives| / sum(P over positives), so a
     uniform distribution gives weight 1 everywhere. sample mode: draw
@@ -221,15 +224,10 @@ def apply_importance(positives: np.ndarray, probabilities: np.ndarray,
     with probability proportional to P restricted to the positives;
     drawn locations get weight 1, the rest 0.
     """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if not abs(probabilities.sum() - 1.0) <= 1e-9:  # NaN fails too
-        raise DataError(f"importance distribution sums to {float(probabilities.sum())!r}, expected 1")
-    if np.any(probabilities < 0):
-        raise DataError("importance distribution has negative entries")
     positives = np.asarray(positives, dtype=np.intp)
     if positives.size == 0:
         return np.zeros(0)
-    restricted = probabilities[positives]
+    restricted = dist.probs[positives]
     if config.weight_mode == "weight":
         total = restricted.sum()
         if total <= 0.0:

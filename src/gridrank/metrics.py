@@ -13,7 +13,6 @@ ideal gain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,9 +65,9 @@ def _ndcg_by_cutoff(ordered: np.ndarray, best: np.ndarray, ks: list[int]) -> lis
 
 
 def _day(relevance: np.ndarray, scores: np.ndarray, ks: list[int],
-         stencil: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[list, list, list | None]:
-    """One day's ndcg@k and prec@k at every k of ``ks``, and its local ndcg@k
-    over the (members, mask) lists of ``stencil`` when one is given.
+         stencil: tuple[np.ndarray, np.ndarray]) -> tuple[list, list, list]:
+    """One day's ndcg@k, prec@k and local ndcg@k at every k of ``ks``, the
+    local lists being the (members, mask) rows of ``stencil``.
 
     The day is ranked once. Each neighbourhood lists its members in
     ascending location order, and ties break by ascending location, so a
@@ -81,8 +80,6 @@ def _day(relevance: np.ndarray, scores: np.ndarray, ks: list[int],
     ndcg = [None if np.isnan(v[0]) else float(v[0])
             for v in _ndcg_by_cutoff(gains[order][None], -np.sort(-gains)[None], ks)]
     prec = [float(positive[:k].sum() / k) for k in ks]
-    if stencil is None:
-        return ndcg, prec, None
     members, valid = stencil
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -94,55 +91,6 @@ def _day(relevance: np.ndarray, scores: np.ndarray, ks: list[int],
         values = values[~np.isnan(values)]
         local.append(float(np.mean(values)) if values.size else None)
     return ndcg, prec, local
-
-
-def _day_list(relevance: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One day's relevance and scores as float arrays, checked against each other and k."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if relevance.shape != scores.shape:
-        raise DataError(f"length mismatch: relevance {relevance.shape} vs scores {scores.shape}")
-    if k < 1 or k > relevance.size:
-        raise DataError(f"cutoff k={k} outside [1, {relevance.size}]")
-    return relevance, scores
-
-
-def _stencil(relevance_shape: tuple, scores_shape: tuple, radius: float,
-             shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbourhood lists of a day's locations on ``shape``, checked against them and the radius."""
-    rows, cols = shape
-    if relevance_shape != scores_shape or math.prod(relevance_shape) != rows * cols:
-        raise DataError(f"shape mismatch: relevance {relevance_shape}, scores {scores_shape}, grid {shape}")
-    if radius < 0:
-        raise DataError(f"radius must be non-negative, got {radius}")
-    return neighbourhood_stencil(rows, cols, float(radius))
-
-
-def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None:
-    """Normalized cumulative gain of the top-k scored locations.
-
-    Returns ``None`` when all relevance is zero (undefined day). Use
-    k = S for the cutoff-free variant.
-    """
-    return _day(*_day_list(relevance, scores, k), [k])[0][0]
-
-
-def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
-           shape: tuple[int, int], k: int | None = None) -> float | None:
-    """Mean per-neighborhood ranking quality.
-
-    For every location, rank its neighborhood members by score and
-    normalize against the neighborhood's ideal gain; neighborhoods with
-    zero ideal gain are skipped. ``None`` when every neighborhood is
-    skipped. ``k`` optionally truncates each local list (default: no
-    cutoff).
-    """
-    relevance = np.asarray(relevance, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    stencil = _stencil(relevance.shape, scores.shape, radius, shape)
-    if k is not None and k < 1:
-        raise DataError(f"cutoff k={k} must be >= 1")
-    return _day(relevance, scores, [stencil[0].shape[1] if k is None else k], stencil)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +167,38 @@ def metric_report(actual: np.ndarray, predicted: np.ndarray, ks: list[int],
         day_periods = list(range(n_days))
     elif len(day_periods) != n_days:
         raise DataError(f"day_periods has {len(day_periods)} entries for {n_days} days")
-    stencil = _stencil(actual.shape[1:], predicted.shape[1:], radius, shape)
+    rows, cols = shape
+    if n_locations != rows * cols:
+        raise DataError(f"shape mismatch: relevance {actual.shape[1:]}, scores {predicted.shape[1:]}, grid {shape}")
+    if radius < 0:
+        raise DataError(f"radius must be non-negative, got {radius}")
+    stencil = neighbourhood_stencil(rows, cols, float(radius))
     days = [_day(actual[d], predicted[d], ks, stencil) for d in range(n_days)]
     summaries = []
     for i, k in enumerate(ks):
         for j, metric in enumerate(("ndcg", "prec", "lndcg")):
             summaries.append(_summarize(metric, k, [day[j][i] for day in days]))
     return RankingReport(day_periods=list(day_periods), summaries=summaries)
+
+
+def ndcg_at_k(relevance: np.ndarray, scores: np.ndarray, k: int) -> float | None:
+    """``metric_report``'s ndcg@k of one day, ``None`` when all relevance
+    is zero; k = S is the cutoff-free variant. Kept for the benchmark's
+    tracer, which spans it."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    report = metric_report(relevance[None], np.asarray(scores)[None], [k], (1, relevance.size), 0.0)
+    return report.lookup("ndcg", k).per_day[0]
+
+
+def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
+           shape: tuple[int, int], k: int | None = None) -> float | None:
+    """``metric_report``'s local ndcg@k of one day: the mean over locations
+    of the ranking quality inside each neighbourhood, ``None`` when every
+    neighbourhood has zero ideal gain. A k of None or above S means no
+    cutoff. Kept for the benchmark's tracer, which spans it."""
+    if k is not None and k < 1:
+        raise DataError(f"cutoff k={k} must be >= 1")
+    relevance = np.asarray(relevance, dtype=np.float64)
+    k = relevance.size if k is None else min(k, relevance.size)
+    report = metric_report(relevance[None], np.asarray(scores)[None], [k], shape, radius)
+    return report.lookup("lndcg", k).per_day[0]

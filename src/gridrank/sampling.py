@@ -58,8 +58,8 @@ def importance_scores(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
 
 def _axis_kernel(n: int, bandwidth: float) -> np.ndarray:
     offsets = np.arange(n, dtype=np.float64)
-    diff = offsets[:, None] - offsets[None, :]
-    return np.exp(-diff * diff / (2.0 * bandwidth * bandwidth))
+    scaled = (offsets[:, None] - offsets[None, :]) / bandwidth
+    return np.exp(-scaled * scaled / 2.0)
 
 
 def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]) -> np.ndarray:
@@ -67,20 +67,23 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
 
     ``scores`` is a flat, row-major vector over a ``shape = (rows, cols)``
     grid. Returns ``K @ scores`` for the S x S kernel
-    ``K[i, j] = exp(-d_ij^2 / (2 b^2)) / (2 pi b^2)``, where ``d_ij`` is the
-    Euclidean distance between the centers of cells ``i`` and ``j`` and ``b``
-    is ``bandwidth``. The kernel is not truncated and does not wrap around
-    the grid edges. It factorizes over the two axes, so the product is
-    computed as ``K_rows @ X @ K_cols / (2 pi b^2)`` on the (rows, cols) grid
-    ``X``, with ``K_rows[r, r'] = exp(-(r - r')^2 / (2 b^2))`` and likewise
-    ``K_cols``; no S x S matrix is built. Two consequences of the kernel:
+    ``K[i, j] = exp(-(d_ij / b)^2 / 2)``, where ``d_ij`` is the Euclidean
+    distance between the centers of cells ``i`` and ``j`` and ``b`` is
+    ``bandwidth``. The Gaussian density's factor 1 / (2 pi b^2) is left
+    out: ``normalize`` cancels it, and it overflows at tiny bandwidths, so
+    every finite positive bandwidth works. The kernel is not truncated and
+    does not wrap around the grid edges. It factorizes over the two axes,
+    so the product is computed as ``K_rows @ X @ K_cols`` on the
+    (rows, cols) grid ``X``, with ``K_rows[r, r'] = exp(-((r - r') / b)^2 / 2)``
+    and likewise ``K_cols``; no S x S matrix is built. Two consequences of
+    the kernel:
 
     - mirror-symmetric input gives mirror-symmetric output, because ``d_ij``
       is unchanged when both cells are reflected across the grid's axis;
-    - as ``b -> 0`` the off-diagonal entries vanish (in float64 they are
-      exactly 0.0 once ``1 / (2 b^2)`` exceeds about 745), so ``K`` tends to
-      ``I / (2 pi b^2)`` and the normalized result tends to the normalized
-      raw scores ``scores / scores.sum()``, not to a one-hot vector.
+    - below b of about 0.026 the off-diagonal entries are exactly 0.0 in
+      float64 (``(1 / b)^2 / 2`` exceeds about 745), so ``K`` is ``I`` and
+      the normalized result is the normalized raw scores
+      ``scores / scores.sum()``, not a one-hot vector.
     """
     if bandwidth <= 0:
         raise DataError(f"bandwidth must be positive, got {bandwidth}")
@@ -89,7 +92,7 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
     if scores.size != rows * cols:
         raise ShapeError(f"scores length {scores.size} does not match grid {shape}")
     smoothed = _axis_kernel(rows, bandwidth) @ scores.reshape(rows, cols) @ _axis_kernel(cols, bandwidth)
-    return smoothed.reshape(-1) / (2.0 * np.pi * bandwidth * bandwidth)
+    return smoothed.reshape(-1)
 
 
 def normalize(smoothed: np.ndarray) -> ImportanceDist:

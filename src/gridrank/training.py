@@ -45,7 +45,6 @@ masters. The importance refresh reads the float32 copy's scores, which
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,7 +81,9 @@ class TrainConfig(SurrogateConfig):
     """The ``train`` section of a run config: the surrogate's fields
     (margin, local_weight, radius, weight_mode, sample_fraction) plus the
     optimisation schedule. Warm-up epochs minimize the mean squared error
-    (``warmup_loss``), the rest the negated hybrid surrogate."""
+    (``warmup_loss``), the rest the negated hybrid surrogate. ``bandwidth``
+    is the importance filter's b, and any positive value works (see
+    ``sampling.gaussian_smooth``)."""
 
     epochs: int = 100
     warmup_epochs: int = 20
@@ -106,10 +107,6 @@ class TrainConfig(SurrogateConfig):
             raise ConfigError("batch_size must be >= 1")
         if self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
-        area = 2.0 * math.pi * self.bandwidth * self.bandwidth  # the smoothing kernel's 2 pi b^2
-        if area == 0.0 or math.isinf(1.0 / area):
-            raise ConfigError(f"train.bandwidth must leave 1 / (2 pi bandwidth^2) finite in float64, "
-                              f"got {self.bandwidth!r}")
         if self.eval_k < 1:
             raise ConfigError("eval_k must be >= 1")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
@@ -291,8 +288,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                 for window in windows:
                     positives = losses.positive_locations(risk[:, window.target])
                     if positives.size:
-                        drawn[window.target] = losses.apply_importance(positives, state.importance.probs,
-                                                                       train_config, rng)
+                        drawn[window.target] = losses.apply_importance(positives, state.importance, train_config, rng)
             for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
                 copy.data = master.data.astype(_COMPUTE_DTYPE)
             ad.zero_grads(compute.tensors())

@@ -45,7 +45,7 @@ import numpy as np
 from gridrank import autodiff as ad
 from gridrank import model
 from gridrank.errors import ShapeError
-from gridrank.grid import cell_coordinates, neighbourhood_stencil
+from gridrank.grid import neighbourhood_stencil
 
 
 def brute_rank(scores, location):
@@ -557,7 +557,7 @@ def csr_envelope_loop(n_pred, true_points, distances, shape, n_sim=99, seed=0, m
     ``pairwise_cross_k``, from the same generator and draws as
     ``crossk.csr_envelope``."""
     rows, cols = shape
-    coords = cell_coordinates(rows, cols)
+    coords = np.stack(np.divmod(np.arange(rows * cols), cols), axis=1).astype(np.float64)
     draws = np.random.default_rng(seed).integers(0, rows * cols, size=(n_sim, n_pred))
     curves = np.empty((n_sim, len(distances)))
     for i, cells in enumerate(draws):

@@ -27,7 +27,6 @@ from conftest import write_csv_dataset, write_old_layout
     ("train.radius=NaN", "train.radius must be a finite number, got nan"),
     ("eval.radius=NaN", "eval.radius must be a finite number, got nan"),
     ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
-    ("train.bandwidth=1e-160", "train.bandwidth must leave 1 / (2 pi bandwidth^2) finite in float64, got 1e-160"),
     ("train.lr_main=Infinity", "train.lr_main must be a finite number, got inf"),
     ("model.fixed_gate=-Infinity", "model.fixed_gate must be a finite number, got -inf"),
     ("model.hidden=0", "hidden must be positive, got 0"),
@@ -186,6 +185,8 @@ def test_rank_oracle_orders_the_day_by_its_true_risk(manifest, capsys):
     risk = grid.load_grid(manifest).risk_by_location()[:, 20]
     assert sorted(int(row[1]) for row in rows) == list(range(16))
     assert all(float(row[4]) == float(row[5]) == risk[int(row[1])] for row in rows)
+    # row and col of the row-major location
+    assert all(0 <= int(row[3]) < 4 and int(row[1]) == 4 * int(row[2]) + int(row[3]) for row in rows)
     # descending score, ties by ascending location
     keys = [(-float(row[4]), int(row[1])) for row in rows]
     assert keys == sorted(keys)
@@ -265,6 +266,33 @@ def train_checkpoint(manifest, out, *settings) -> Path:
     overrides = [arg for setting in settings for arg in ("--set", setting)]
     assert cli.main(SMALL_MODEL + overrides + ["train", "--data", manifest, "--out", str(out)]) == cli.EXIT_OK
     return out / "checkpoint"
+
+
+def test_every_positive_bandwidth_trains(manifest, tmp_path):
+    """Bandwidths whose 1 / (2 pi b^2) overflows, or whose b^2 underflows,
+    train like any bandwidth below about 0.026, where the kernel is the
+    identity: the third epoch draws from a refreshed distribution."""
+    epochs = ("train.epochs=3", "train.warmup_epochs=1")
+    identity = train_checkpoint(manifest, tmp_path / "identity", *epochs, "train.bandwidth=0.02")
+    for bandwidth in ("1e-154", "3e-155", "1e-160", "1e-300"):
+        checkpoint = train_checkpoint(manifest, tmp_path / bandwidth, *epochs, f"train.bandwidth={bandwidth}")
+        assert (checkpoint / "checkpoint.bin").read_bytes() == (identity / "checkpoint.bin").read_bytes()
+
+
+def risk_scaled(directory, factor) -> str:
+    """The manifest of a 4 x 4 x 30 dataset whose risk is multiplied by ``factor``."""
+    data = grid.generate_synthetic(7, 4, 4, 30, 2)
+    data.risk *= factor
+    return str(grid.save_grid(data, directory))
+
+
+def test_risk_whose_total_gain_is_finite_trains_and_evaluates(tmp_path):
+    data = risk_scaled(tmp_path / "x100", 100)  # largest risk 1000: sum(2^y - 1) < 2^1004
+    assert cli.main(SMALL_MODEL + ["--set", "train.epochs=3", "--set", "train.warmup_epochs=1",
+                                   "--set", "train.eval_k=5", "train", "--data", data,
+                                   "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert cli.main(["--set", "eval.ks=[5]", "evaluate", "--predictor", "ha", "--data", data,
+                     "--out", str(tmp_path / "eval")]) == cli.EXIT_OK
 
 
 def test_untrained_checkpoint_holds_the_train_seed_draw(manifest, tmp_path):
@@ -536,6 +564,7 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{index_missing}": dataset_copy(manifest, tmp_path / "index_missing",
                                         lambda directory: (directory / grid.INDEX_NAME).unlink()),
         "{manifest_alone}": text_file(tmp_path / "alone.json", dataset.read_text()),
+        "{risk_x200}": risk_scaled(tmp_path / "risk_x200", 200),
     }
 
 
@@ -548,6 +577,7 @@ BAD_F_ST = "malformed rows in f_st.csv: could not convert string 'abc'"
 NO_Y = "dimension mismatch in y: missing record at (row=0, col=0, t=0)"
 BAD_Y_KEY = "non-integer key in y.csv"
 BAD_BLOB = "tensors.bin does not match the sha256 digest in tensors.json"
+GAIN_OVERFLOW = "total gain sum(2^y - 1) of period"
 DIVERGING_WARMUP = ["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "--set", "train.lr_warmup=1e300"]
 HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.margin=1e308"]
 # The model predictor's commands with the 4 x 4 checkpoint, less the dataset.
@@ -619,6 +649,9 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
     (CROSSK_HA + ["{index_garbled}"], cli.EXIT_DATA, "tensors.json: Expecting value: line 1 column 13 (char 12)"),
     (EVALUATE_HA + ["{index_missing}"], cli.EXIT_DATA, "missing file"),
     (EVALUATE_HA + ["{manifest_alone}"], cli.EXIT_DATA, "missing file"),
+    (["--set", "eval.ks=[5]"] + EVALUATE_HA + ["{risk_x200}"], cli.EXIT_DATA, GAIN_OVERFLOW),
+    (SMALL_MODEL + ["--set", "train.eval_k=5"] + TRAIN + ["{risk_x200}"], cli.EXIT_DATA, GAIN_OVERFLOW),
+    (CROSSK_HA + ["{risk_x200}"], cli.EXIT_DATA, GAIN_OVERFLOW),
     (DIVERGING_WARMUP + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (HUGE_MARGIN + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (SMALL_MODEL + DIVERGING_WARMUP + TRAIN + ["{data16}"], cli.EXIT_NUMERIC, "non-finite"),
@@ -651,7 +684,8 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
         "train-f_st-abc", "evaluate-f_st-abc", "crossk-f_st-abc", "train-y-header-only", "evaluate-y-header-only",
         "crossk-y-header-only", "evaluate-y-key-nan", "evaluate-y-key-1e300", "train-blob-byte-flipped",
         "evaluate-blob-byte-flipped", "evaluate-index-garbled", "crossk-index-garbled", "evaluate-index-missing",
-        "evaluate-manifest-without-files-or-index", "train-diverging-warmup",
+        "evaluate-manifest-without-files-or-index", "evaluate-risk-x200", "train-risk-x200", "crossk-risk-x200",
+        "train-diverging-warmup",
         "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
         "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint",

@@ -19,22 +19,6 @@ def small():
     return grid.generate_synthetic(7, 4, 4, 30, 1)
 
 
-class TestLocationIndex:
-    def test_row_major_bijection(self):
-        cols = 5
-        seen = set()
-        for r in range(3):
-            for c in range(cols):
-                loc = r * cols + c
-                assert grid.location_rc(loc, cols) == (r, c)
-                seen.add(loc)
-        assert seen == set(range(15))
-
-    def test_coordinates_follow_location_order(self):
-        coords = grid.cell_coordinates(2, 3)
-        assert coords.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
-
-
 class TestWindows:
     def test_counts_and_targets(self):
         g = grid.generate_synthetic(1, 4, 4, 30, 1)

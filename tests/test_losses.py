@@ -6,6 +6,7 @@ import pytest
 from gridrank import autodiff as ad
 from gridrank import losses, metrics
 from gridrank.errors import ConfigError, DataError
+from gridrank.sampling import ImportanceDist
 from oracles import (add, brute_l_ndcg_surrogate, brute_ndcg_surrogate, brute_surrogate_rank,
                      generic_bounded_gain, neg)
 
@@ -316,7 +317,7 @@ class TestApplyImportance:
         cfg = losses.SurrogateConfig(weight_mode="weight").validate()
         positives = np.array([2, 5, 11])
         probs = np.full(16, 1.0 / 16)
-        weights = losses.apply_importance(positives, probs, cfg, rng)
+        weights = losses.apply_importance(positives, ImportanceDist(probs).validate(), cfg, rng)
         assert np.allclose(weights, 1.0)
 
     def test_point_mass_always_sampled(self, rng):
@@ -324,22 +325,21 @@ class TestApplyImportance:
         probs = np.zeros(16)
         probs[5] = 1.0
         for _ in range(20):
-            weights = losses.apply_importance(np.array([3, 5, 9]), probs, cfg, rng)
+            weights = losses.apply_importance(np.array([3, 5, 9]), ImportanceDist(probs).validate(), cfg, rng)
             assert weights[1] == 1.0 and weights.sum() == 1.0
 
     def test_weight_mode_normalization(self, rng):
         cfg = losses.SurrogateConfig(weight_mode="weight").validate()
         probs = np.array([0.5, 0.25, 0.125, 0.125])
-        weights = losses.apply_importance(np.array([0, 1]), probs, cfg, rng)
+        weights = losses.apply_importance(np.array([0, 1]), ImportanceDist(probs).validate(), cfg, rng)
         expected = probs[:2] * 2 / probs[:2].sum()
         assert np.allclose(weights, expected)
 
-    def test_invalid_distribution_rejected(self, rng):
-        cfg = losses.SurrogateConfig().validate()
-        with pytest.raises(DataError, match="sums to"):
-            losses.apply_importance(np.array([0]), np.array([0.4, 0.4]), cfg, rng)
-        with pytest.raises(DataError, match="sums to nan"):
-            losses.apply_importance(np.array([0]), np.array([0.5, np.nan]), cfg, rng)
+    def test_invalid_distribution_rejected(self):
+        with pytest.raises(DataError, match="sum to"):
+            ImportanceDist(np.array([0.4, 0.4])).validate()
+        with pytest.raises(DataError, match="sum to nan"):
+            ImportanceDist(np.array([0.5, np.nan])).validate()
 
     def test_sample_inclusion_frequencies_track_distribution(self):
         rng = np.random.default_rng(123)
@@ -347,10 +347,11 @@ class TestApplyImportance:
         positives = np.array([1, 4, 7, 9])  # fraction 0.2 of 4 -> single draw
         probs = np.zeros(12)
         probs[positives] = [0.4, 0.3, 0.2, 0.1]
+        dist = ImportanceDist(probs).validate()
         counts = np.zeros(4)
         draws = 20000
         for _ in range(draws):
-            counts += losses.apply_importance(positives, probs, cfg, rng)
+            counts += losses.apply_importance(positives, dist, cfg, rng)
         empirical = counts / draws
         assert np.abs(empirical - probs[positives]).sum() <= 0.05
 
@@ -358,7 +359,7 @@ class TestApplyImportance:
         cfg = losses.SurrogateConfig(weight_mode="weight").validate()
         probs = np.zeros(8)
         probs[7] = 1.0
-        weights = losses.apply_importance(np.array([0, 1]), probs, cfg, rng)
+        weights = losses.apply_importance(np.array([0, 1]), ImportanceDist(probs).validate(), cfg, rng)
         assert np.allclose(weights, 1.0)
 
 

@@ -57,7 +57,7 @@ class TestNdcg:
         assert metrics.ndcg_at_k(np.zeros(4), np.arange(4.0), 2) is None
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch"):
+        with pytest.raises(DataError, match="split mismatch"):
             metrics.ndcg_at_k(np.zeros(3), np.zeros(4), 2)
 
     def test_cutoff_bounds(self):
@@ -129,6 +129,14 @@ class TestLocalNdcg:
         scores = rng.normal(size=25)
         wide = metrics.l_ndcg(y, scores, 10.0, (5, 5))
         assert wide == pytest.approx(metrics.ndcg_at_k(y, scores, 25), abs=1e-12)
+
+    def test_cutoff_above_location_count_means_no_cutoff(self, rng):
+        y = rng.poisson(1.0, size=12).astype(float)
+        y[5] = 2.0
+        scores = rng.normal(size=12)
+        uncut = metrics.l_ndcg(y, scores, 1.5, (3, 4))
+        for k in (12, 13, 1000):
+            assert metrics.l_ndcg(y, scores, 1.5, (3, 4), k=k) == uncut
 
 
 def stencil_lists(rows, cols, radius):

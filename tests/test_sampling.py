@@ -58,7 +58,7 @@ class TestGaussianSmooth:
         smoothed = sampling.gaussian_smooth(scores, 0.01, (6, 6))
         assert np.argmax(smoothed) == np.argmax(scores)
         # Off-diagonal kernel entries are at most exp(-1 / (2 * 0.01**2)) = exp(-5000),
-        # which underflows to 0.0 in float64, so the kernel is exactly I / (2 pi b^2).
+        # which underflows to 0.0 in float64, so the kernel is exactly I.
         dist = smoothed / smoothed.sum()
         assert np.abs(dist - scores / scores.sum()).max() <= 1e-12
 
@@ -67,7 +67,7 @@ class TestGaussianSmooth:
         scores = rng.uniform(0, 3, size=rows * cols)
         rr, cc = np.divmod(np.arange(rows * cols), cols)
         sq = (rr[:, None] - rr[None, :]) ** 2 + (cc[:, None] - cc[None, :]) ** 2
-        dense = np.exp(-sq / (2 * bandwidth ** 2)) / (2 * np.pi * bandwidth ** 2)
+        dense = np.exp(-sq / (2 * bandwidth ** 2))
         smoothed = sampling.gaussian_smooth(scores, bandwidth, (rows, cols))
         assert np.abs(smoothed - dense @ scores).max() <= 1e-12 * np.abs(dense @ scores).max()
 

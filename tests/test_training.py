@@ -255,9 +255,9 @@ def test_each_epoch_draws_from_the_previous_refresh(data, monkeypatch):
     events = []
     apply_importance, refresh = losses.apply_importance, sampling.refresh
 
-    def spy_apply(positives, probs, *args):
-        events.append(("draw", probs))
-        return apply_importance(positives, probs, *args)
+    def spy_apply(positives, dist, *args):
+        events.append(("draw", dist.probs))
+        return apply_importance(positives, dist, *args)
 
     def spy_refresh(*args):
         dist = refresh(*args)

@@ -7,11 +7,12 @@ For each checkout and each ``--grid`` (default: the 8x8x120 default grid,
 and 16x16x40, where S = 256 runs the thread pool), a fresh temporary
 directory runs ``gen-data``, then ``train`` with
 
-    train.epochs=3 train.warmup_epochs=1 train.batch_size=8
+    train.epochs=4 train.warmup_epochs=1 train.batch_size=8
     train.lr_warmup=0.01 train.lr_main=0.003
 
-then ``evaluate`` and ``crossk`` on its checkpoint, with the checkout's
-``src`` on PYTHONPATH and every BLAS pool on one thread. The hashes
+so that two of its three surrogate epochs draw from a refreshed importance
+distribution, then ``evaluate`` and ``crossk`` on its checkpoint, with the
+checkout's ``src`` on PYTHONPATH and every BLAS pool on one thread. The hashes
 compared are those of the dataset ``gen-data`` writes (``manifest.json``
 and the tensor file ``tensors.bin`` with its index ``tensors.json``, so a
 change to the dataset writer or to the tensor-file format shows), then of
@@ -36,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-TRAIN = ["train.epochs=3", "train.warmup_epochs=1", "train.batch_size=8",
+TRAIN = ["train.epochs=4", "train.warmup_epochs=1", "train.batch_size=8",
          "train.lr_warmup=0.01", "train.lr_main=0.003"]
 DATASET = ("manifest.json", "tensors.bin", "tensors.json")
 CHECKPOINT = ("checkpoint.bin", "checkpoint.json")
