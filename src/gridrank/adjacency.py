@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 
 def pearson_static(risk: np.ndarray) -> np.ndarray:
@@ -56,8 +56,6 @@ def pearson_static(risk: np.ndarray) -> np.ndarray:
     Zero-variance locations get zero rows/columns (including the
     diagonal); all other diagonal entries are exactly 1.
     """
-    if risk.ndim != 3:
-        raise ShapeError(f"pearson_static expects (rows, cols, T), got {risk.shape}")
     series = risk.reshape(-1, risk.shape[-1])
     if series.shape[1] < 2:
         raise DataError(f"correlation needs at least 2 training periods, got {series.shape[1]}")

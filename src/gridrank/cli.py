@@ -52,6 +52,13 @@ class DataConfig:
     d_st: int = 3
     train_fraction: float = 0.75
 
+    def validate(self) -> "DataConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        return self
+
 
 @dataclass
 class EvalConfig:
@@ -64,6 +71,29 @@ class EvalConfig:
     crossk_seed: int = 0
     envelope: str = "minmax"
 
+    def validate(self) -> "EvalConfig":
+        if not self.ks or min(self.ks) < 1:
+            raise ConfigError(f"ks must be a non-empty list of cutoffs >= 1, got {self.ks}")
+        if self.radius < 0:
+            raise ConfigError(f"radius must be >= 0, got {self.radius}")
+        for name in ("crossk_k", "crossk_sims"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.crossk_sims > MAX_CROSSK_SIMS:
+            raise ConfigError(f"crossk_sims must be at most {MAX_CROSSK_SIMS}, got {self.crossk_sims}")
+        if self.crossk_seed < 0:
+            raise ConfigError(f"crossk_seed must be >= 0, got {self.crossk_seed}")
+        if self.envelope not in crossk.ENVELOPE_METHODS:
+            raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}, got {self.envelope!r}")
+        if self.crossk_step <= 0:
+            raise ConfigError(f"crossk_step must be > 0, got {self.crossk_step}")
+        if self.crossk_max_distance < 0:
+            raise ConfigError(f"crossk_max_distance must be >= 0, got {self.crossk_max_distance}")
+        if (self.crossk_max_distance + 1e-9) / self.crossk_step > MAX_CROSSK_DISTANCES:
+            raise ConfigError(f"crossk_max_distance gives more than {MAX_CROSSK_DISTANCES} cross-K distances "
+                              f"at crossk_step {self.crossk_step:g}, got {self.crossk_max_distance:g}")
+        return self
+
 
 @dataclass
 class RunConfig:
@@ -72,35 +102,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     out_dir: str = "runs/default"
-
-    def validate(self) -> "RunConfig":
-        self.model.validate()
-        self.train.validate()
-        for name, seed in (("data.seed", self.data.seed), ("eval.crossk_seed", self.eval.crossk_seed)):
-            if seed < 0:
-                raise ConfigError(f"{name} must be >= 0, got {seed}")
-        if not 0.0 < self.data.train_fraction < 1.0:
-            raise ConfigError(f"data.train_fraction must be in (0, 1), got {self.data.train_fraction}")
-        if not self.eval.ks or min(self.eval.ks) < 1:
-            raise ConfigError(f"eval.ks must be a non-empty list of cutoffs >= 1, got {self.eval.ks}")
-        if self.eval.radius < 0:
-            raise ConfigError(f"eval.radius must be >= 0, got {self.eval.radius}")
-        if self.eval.crossk_k < 1 or self.eval.crossk_sims < 1:
-            raise ConfigError(f"eval.crossk_k and eval.crossk_sims must be >= 1, got "
-                              f"{self.eval.crossk_k} and {self.eval.crossk_sims}")
-        if self.eval.crossk_sims > MAX_CROSSK_SIMS:
-            raise ConfigError(f"eval.crossk_sims must be at most {MAX_CROSSK_SIMS}, got {self.eval.crossk_sims}")
-        if self.eval.envelope not in crossk.ENVELOPE_METHODS:
-            raise ConfigError(f"envelope must be one of {crossk.ENVELOPE_METHODS}")
-        if self.eval.crossk_step <= 0:
-            raise ConfigError(f"eval.crossk_step must be > 0, got {self.eval.crossk_step}")
-        if self.eval.crossk_max_distance < 0:
-            raise ConfigError(f"eval.crossk_max_distance must be >= 0, got {self.eval.crossk_max_distance}")
-        if (self.eval.crossk_max_distance + 1e-9) / self.eval.crossk_step > MAX_CROSSK_DISTANCES:
-            raise ConfigError(f"eval.crossk_max_distance / eval.crossk_step gives more than "
-                              f"{MAX_CROSSK_DISTANCES} cross-K distances, got "
-                              f"{self.eval.crossk_max_distance:g} / {self.eval.crossk_step:g}")
-        return self
 
 
 def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
@@ -117,7 +118,7 @@ def load_run_config(config_path: str | None, overrides: list[str]) -> RunConfig:
             raise ConfigError("config root must be a JSON object")
     for override in overrides:
         _apply_override(payload, override)
-    return from_dict(RunConfig, payload).validate()
+    return from_dict(RunConfig, payload)
 
 
 def _apply_override(payload: dict, assignment: str) -> None:

@@ -43,14 +43,8 @@ class CrossKCurve:
 
 
 def _cells(points: np.ndarray) -> np.ndarray:
-    """A non-empty set of points as (n, 2) int64 cells; float points must hold integers."""
-    points = np.asarray(points).reshape(-1, 2)
-    if points.shape[0] == 0:
-        raise DataError("cross-K needs non-empty point sets (skip this day)")
-    cells = points.astype(np.int64, copy=False)
-    if points.dtype.kind != "i" and not np.array_equal(cells, points):
-        raise DataError("points must be grid cells with integer (row, col)")
-    return cells
+    """Points, integer cells or floats holding integers, as (n, 2) int64 cells."""
+    return np.asarray(points).reshape(-1, 2).astype(np.int64, copy=False)
 
 
 def _counted_values(distances: np.ndarray, points: np.ndarray) -> int:
@@ -76,11 +70,9 @@ def cross_k(pred_points: np.ndarray, true_points: np.ndarray,
 
     Counted from integer squared distances v: a pair lies within d exactly
     when sqrt(v) <= d, so one histogram of v times that 0/1 table gives
-    every count. Integer points are used as given; float points must hold
-    integers. The count holds one (t, n) array.
+    every count. Both sets are non-empty; integer points are used as given.
+    The count holds one (t, n) array.
     """
-    if area <= 0:
-        raise DataError(f"area must be positive, got {area}")
     truths, pred = _cells(true_points), _cells(pred_points)
     distances = np.asarray(distances, dtype=np.float64)
     top = _counted_values(distances, np.concatenate([truths, pred]))
@@ -115,12 +107,6 @@ def csr_envelope(n_pred: int, true_points: np.ndarray, distances: np.ndarray,
     beside T. Each K(d) count is that row times the 0/1 table of
     sqrt(v) <= d per group, exact in integers.
     """
-    if n_sim < 1:
-        raise DataError(f"n_sim must be >= 1, got {n_sim}")
-    if method not in ENVELOPE_METHODS:
-        raise DataError(f"envelope method must be one of {ENVELOPE_METHODS}")
-    if n_pred < 1:
-        raise DataError("cross-K needs non-empty point sets (skip this day)")
     rows, cols = shape
     truths = _cells(true_points)
     distances = np.asarray(distances, dtype=np.float64)
@@ -169,13 +155,11 @@ def daily_average_curve(actual: np.ndarray, predicted: np.ndarray, k: int,
 
     ``actual``/``predicted`` are (days, S); days without events are
     skipped. Per-day envelope seeds derive from ``seed`` + day index.
-    ``distances`` must be finite, non-negative and non-decreasing, since a
-    curve is read in order of distance.
+    The caller passes finite, non-negative, non-decreasing ``distances``,
+    since a curve is read in order of distance, and a ``method`` of
+    ``ENVELOPE_METHODS``.
     """
     distances = np.asarray(distances, dtype=np.float64)
-    if not (np.all(np.isfinite(distances)) and np.all(distances >= 0.0) and np.all(np.diff(distances) >= 0.0)):
-        raise DataError(f"cross-K distances must be finite, non-negative and non-decreasing, "
-                        f"got {distances.tolist()}")
     rows, cols = shape
     area = float(rows * cols)
     value_rows, lo_rows, hi_rows = [], [], []

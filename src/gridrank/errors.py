@@ -4,7 +4,24 @@ the JSON files the program writes.
 
 Each maps to a CLI exit code: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4. ShapeError marks a caller's programming error and
-has no exit code: outside input that does not fit fails earlier.
+has no exit code; it is raised only by autodiff's API guards (a
+non-scalar loss or checked function, ``item`` of a non-scalar).
+
+Each outside input is checked once, where it enters the program:
+- a run config, by ``from_dict`` and each section's ``validate``, then
+  against the loaded grid by the CLI and ``training.train`` (cutoffs
+  above S, a ``--day`` outside the study period);
+- a file, by ``read_json``, ``read_tensors`` and ``grid._load_keyed``,
+  then by ``load_grid`` (sizes, the recorded split) and
+  ``StGrid.validate`` (finite, non-negative and non-zero risk, a finite
+  total gain), and a checkpoint by ``model.load_checkpoint``;
+- a grid handed to the model, by ``model._check_inputs``, and a split
+  by ``training.split_windows``.
+Library functions below those boundaries trust their callers: the
+metrics, the cross-K curve, the importance refresh, the surrogate losses
+and the Adam step take arrays the program built from a checked grid and
+config, and do not check them again. A value that overflows in a run is
+a NumericalError where it is computed.
 """
 
 import dataclasses
@@ -66,7 +83,7 @@ def _schema(cls, written: bool) -> tuple[dict, frozenset, bool]:
     forms = {name: _form(hint) for name, hint in typing.get_type_hints(cls).items()}
     if typing.is_typeddict(cls):
         return forms, cls.__required_keys__, False
-    return forms, frozenset(forms) if written else frozenset(), written and hasattr(cls, "validate")
+    return forms, frozenset(forms) if written else frozenset(), hasattr(cls, "validate")
 
 
 def from_dict(cls, payload, prefix: str = "", written: bool = False):
@@ -74,7 +91,9 @@ def from_dict(cls, payload, prefix: str = "", written: bool = False):
     coercing each value by its annotated type and rejecting unknown keys.
     A TypedDict needs its required keys. A run config may leave out any
     dataclass field; a file the program wrote (``written``) must hold
-    every one, and a ``validate`` error is named with its section."""
+    every one. A dataclass with a ``validate`` is validated as built, and
+    its error is named with the key path, as in ``model.hidden must be
+    positive, got 0``."""
     forms, required, validate = _schema(cls, written)
     if not (isinstance(payload, dict) and forms.keys() >= payload.keys() >= required):
         section = prefix.rstrip(".") or "root"

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError
 from .grid import neighbourhood_stencil
 from .sampling import ImportanceDist
 
@@ -91,9 +91,7 @@ def _rank_bounds(values: np.ndarray, targets: np.ndarray, margin: float,
     A padded target's own self term is kept, so every bound is at least
     margin^2.
     """
-    (n_lists, q), t = values.shape, targets.shape[1]
-    if targets.size and (targets.min() < 0 or targets.max() >= q):
-        raise DataError(f"target positions outside the candidate lists of size {q}")
+    q = values.shape[1]
     hinge = values[:, :, None] - np.take_along_axis(values, targets, axis=1)[:, None, :]
     hinge += margin
     np.maximum(hinge, 0.0, out=hinge)
@@ -144,24 +142,6 @@ def _bounded_gain(scores: Tensor, groups: list[tuple | None], margin: float) -> 
     return ad.fused("bounded_gain", np.asarray(value), (scores,), grads, kinks=kinks)
 
 
-def _weighted_positives(relevance: np.ndarray, scores: Tensor,
-                        weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positives, their validated weights (default 1) and the float relevance."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if relevance.size != scores.size:
-        raise ShapeError(f"relevance length {relevance.size} vs scores length {scores.size}")
-    positives = positive_locations(relevance)
-    if weights is None:
-        weights = np.ones(positives.size)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (positives.size,):
-            raise ShapeError(f"weights shape {weights.shape} does not match positives {positives.size}")
-        if np.any(weights < 0):
-            raise DataError("weights must be non-negative")
-    return positives, weights, relevance
-
-
 def _global_group(positives: np.ndarray, weights: np.ndarray, relevance: np.ndarray) -> tuple | None:
     """The global objective's one list of all S cells, or None when no
     positive has a nonzero weight."""
@@ -177,10 +157,7 @@ def _local_group(positives: np.ndarray, weights: np.ndarray, relevance: np.ndarr
                  shape: tuple[int, int]) -> tuple | None:
     """The local objective's padded neighbourhood lists, one per active
     centre, or None when there is no active centre."""
-    rows, cols = shape
-    if relevance.size != rows * cols:
-        raise ShapeError(f"relevance and scores length {relevance.size}, grid {shape}")
-    members, valid = neighbourhood_stencil(rows, cols, float(radius))
+    members, valid = neighbourhood_stencil(*shape, float(radius))
     local_rel = np.where(valid[positives], relevance[members[positives]], 0.0)
     z = metrics.ideal_dcg(local_rel, local_rel.shape[1])
     active = (weights > 0) & (z > 0)
@@ -196,15 +173,18 @@ def hybrid_objective(relevance: np.ndarray, scores: Tensor, config: SurrogateCon
                      weights: np.ndarray | None = None, shape: tuple[int, int] = (0, 0)) -> Tensor:
     """(1 - local_weight) * global objective + local_weight * local objective.
 
-    Positives and weights are validated once for both parts, and both
-    use the gain 2^y - 1 of the float relevance. An empty positive set
+    ``weights`` holds one non-negative weight per positive, as
+    ``apply_importance`` draws them (default 1). Positives are found once
+    for both parts, and both use the gain 2^y - 1 of the float relevance. An empty positive set
     or all-zero weights give 0; local neighbourhoods with zero ideal gain
     contribute 0. The mix enters as a factor on the per-positive weights,
     and both parts are list groups of one tape node; a part with mix 0 is
     never built (a purely global objective needs no grid shape). Value to
     maximize.
     """
-    positives, weights, relevance = _weighted_positives(relevance, scores, weights)
+    relevance = np.asarray(relevance, dtype=np.float64)
+    positives = positive_locations(relevance)
+    weights = np.ones(positives.size) if weights is None else np.asarray(weights, dtype=np.float64)
     sigma = config.local_weight
     groups = [_global_group(positives, (1.0 - sigma) * weights, relevance)]
     if sigma != 0.0:

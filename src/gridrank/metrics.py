@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
 from .grid import neighbourhood_stencil, save_csv, save_json
 
 EVAL_RADIUS = 2.0  # local-NDCG radius of reports and the training log unless eval.radius differs
@@ -151,28 +150,19 @@ def metric_report(actual: np.ndarray, predicted: np.ndarray, ks: list[int],
                   day_periods: list[int] | None = None) -> RankingReport:
     """Ranking quality table over days: ndcg/prec/local ndcg at each cutoff.
 
-    ``actual`` and ``predicted`` are (days, S). Undefined days are kept
-    as ``None`` in per-day lists and excluded from means. Each day is
-    ranked once for every cutoff.
+    ``actual`` and ``predicted`` are (days, S) on the ``shape`` grid, each
+    k of ``ks`` lies in [1, S], ``radius`` is non-negative and
+    ``day_periods`` names every day; the callers build them so, from a
+    checked grid and config. Undefined days are kept as ``None`` in
+    per-day lists and excluded from means. Each day is ranked once for
+    every cutoff.
     """
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
-    if actual.shape != predicted.shape:
-        raise DataError(f"split mismatch: actual {actual.shape} vs predicted {predicted.shape}")
-    n_days, n_locations = actual.shape
-    for k in ks:
-        if k < 1 or k > n_locations:
-            raise DataError(f"cutoff k={k} outside [1, {n_locations}]")
+    n_days = actual.shape[0]
     if day_periods is None:
         day_periods = list(range(n_days))
-    elif len(day_periods) != n_days:
-        raise DataError(f"day_periods has {len(day_periods)} entries for {n_days} days")
-    rows, cols = shape
-    if n_locations != rows * cols:
-        raise DataError(f"shape mismatch: relevance {actual.shape[1:]}, scores {predicted.shape[1:]}, grid {shape}")
-    if radius < 0:
-        raise DataError(f"radius must be non-negative, got {radius}")
-    stencil = neighbourhood_stencil(rows, cols, float(radius))
+    stencil = neighbourhood_stencil(*shape, float(radius))
     days = [_day(actual[d], predicted[d], ks, stencil) for d in range(n_days)]
     summaries = []
     for i, k in enumerate(ks):
@@ -196,8 +186,6 @@ def l_ndcg(relevance: np.ndarray, scores: np.ndarray, radius: float,
     of the ranking quality inside each neighbourhood, ``None`` when every
     neighbourhood has zero ideal gain. A k of None or above S means no
     cutoff. Kept for the benchmark's tracer, which spans it."""
-    if k is not None and k < 1:
-        raise DataError(f"cutoff k={k} must be >= 1")
     relevance = np.asarray(relevance, dtype=np.float64)
     k = relevance.size if k is None else min(k, relevance.size)
     report = metric_report(relevance[None], np.asarray(scores)[None], [k], shape, radius)

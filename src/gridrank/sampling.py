@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericalError
 from .metrics import ranks
 
 
@@ -45,8 +45,6 @@ def importance_scores(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
-    if actual.shape != predicted.shape or actual.ndim != 2:
-        raise ShapeError(f"day matrices must share shape (days, S); got {actual.shape} and {predicted.shape}")
     n_days = actual.shape[0]
     scores = np.zeros(actual.shape[1])
     for d in range(n_days):
@@ -85,12 +83,8 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
       the normalized result is the normalized raw scores
       ``scores / scores.sum()``, not a one-hot vector.
     """
-    if bandwidth <= 0:
-        raise DataError(f"bandwidth must be positive, got {bandwidth}")
     scores = np.asarray(scores, dtype=np.float64)
     rows, cols = shape
-    if scores.size != rows * cols:
-        raise ShapeError(f"scores length {scores.size} does not match grid {shape}")
     smoothed = _axis_kernel(rows, bandwidth) @ scores.reshape(rows, cols) @ _axis_kernel(cols, bandwidth)
     return smoothed.reshape(-1)
 
@@ -98,8 +92,6 @@ def gaussian_smooth(scores: np.ndarray, bandwidth: float, shape: tuple[int, int]
 def normalize(smoothed: np.ndarray) -> ImportanceDist:
     """Scale smoothed scores into probabilities; uniform fallback at zero."""
     smoothed = np.asarray(smoothed, dtype=np.float64)
-    if np.any(smoothed < 0):
-        raise DataError("smoothed importance scores must be non-negative")
     total = smoothed.sum()
     if total <= 0.0:
         return uniform_distribution(smoothed.size)
@@ -108,5 +100,11 @@ def normalize(smoothed: np.ndarray) -> ImportanceDist:
 
 def refresh(actual: np.ndarray, predicted: np.ndarray, bandwidth: float,
             shape: tuple[int, int]) -> ImportanceDist:
-    """One full update: score, smooth, normalize."""
-    return normalize(gaussian_smooth(importance_scores(actual, predicted), bandwidth, shape))
+    """One full update: score, smooth, normalize. Smoothed scores whose sum
+    overflows float64, as 2^|risk - score| does from a gap of 1024, are a
+    NumericalError naming the largest gap."""
+    smoothed = gaussian_smooth(importance_scores(actual, predicted), bandwidth, shape)
+    if not np.isfinite(smoothed.sum()):
+        gap = float(np.max(np.abs(np.asarray(actual, dtype=np.float64) - predicted)))
+        raise NumericalError(f"importance 2^|risk - score| - 1 overflows float64 (largest |risk - score| {gap:g})")
+    return normalize(smoothed)

@@ -97,22 +97,19 @@ class TrainConfig(SurrogateConfig):
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ConfigError("epoch counts must be non-negative")
+        for name in ("epochs", "warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.warmup_epochs > self.epochs:
-            raise ConfigError(f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}")
-        if self.lr_warmup <= 0 or self.lr_main <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.eval_k < 1:
-            raise ConfigError("eval_k must be >= 1")
+            raise ConfigError(f"warmup_epochs must be at most epochs ({self.epochs}), got {self.warmup_epochs}")
+        for name in ("lr_warmup", "lr_main", "bandwidth"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("batch_size", "eval_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ConfigError(f"train.early_stop_patience must be >= 1 or null, got {self.early_stop_patience}")
-        if self.seed < 0:
-            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"early_stop_patience must be >= 1 or null, got {self.early_stop_patience}")
         super().validate()
         return self
 
@@ -141,8 +138,6 @@ def adam_step(params: ModelParams, state: AdamState, grads: dict[str, np.ndarray
         grad = grads.get(name)
         if grad is None:
             grad = np.zeros_like(tensor.data)
-        if grad.shape != tensor.data.shape:
-            raise DataError(f"gradient shape {grad.shape} does not match parameter {name} {tensor.data.shape}")
         m = state.first[name]
         v = state.second[name]
         m *= beta1
@@ -159,10 +154,7 @@ def warmup_loss(relevance: np.ndarray, scores: Tensor) -> Tensor:
     """Mean squared error against the raw risk, the objective minimized
     during warm-up, as one tape node: cell i's gradient is
     2 (s_i - y_i) / n."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if relevance.shape != scores.shape:
-        raise DataError(f"shape mismatch: relevance {relevance.shape} vs scores {scores.shape}")
-    diff = scores.data - relevance
+    diff = scores.data - np.asarray(relevance, dtype=np.float64)
     slope = 2.0 * diff
     count = diff.size
     return ad.fused("warmup_mse", np.asarray((diff * diff).mean()), (scores,), lambda g: ((g / count) * slope,))

@@ -16,12 +16,21 @@ from conftest import write_csv_dataset, write_old_layout
     ("train.batch_size=2.5", "train.batch_size must be of type int, got 2.5"),
     ("train.margin=0", "margin must be > 0"),
     ("train.margin=1e-8", "margin must leave 1 + margin^2 > 1 in float64, got 1e-08"),
+    ("train.epochs=-1", "train.epochs must be >= 0, got -1"),
+    ("train.warmup_epochs=-1", "train.warmup_epochs must be >= 0, got -1"),
+    ("train.warmup_epochs=101", "train.warmup_epochs must be at most epochs (100), got 101"),
+    ("train.lr_warmup=0", "train.lr_warmup must be positive, got 0.0"),
+    ("train.lr_main=-1", "train.lr_main must be positive, got -1.0"),
+    ("train.bandwidth=0", "train.bandwidth must be positive, got 0.0"),
+    ("train.batch_size=0", "train.batch_size must be >= 1, got 0"),
+    ("train.eval_k=0", "train.eval_k must be >= 1, got 0"),
+    ("eval.envelope=box", "eval.envelope must be one of ('minmax', 'quantile'), got 'box'"),
     ("train.early_stop_patience=0", "train.early_stop_patience must be >= 1 or null, got 0"),
     ("eval.ks=[0,5]", "eval.ks must be a non-empty list of cutoffs >= 1, got [0, 5]"),
     ("eval.ks=[]", "eval.ks must be a non-empty list of cutoffs >= 1, got []"),
     ("eval.radius=-1", "eval.radius must be >= 0, got -1.0"),
-    ("eval.crossk_k=0", "eval.crossk_k and eval.crossk_sims must be >= 1, got 0 and 99"),
-    ("eval.crossk_sims=0", "eval.crossk_k and eval.crossk_sims must be >= 1, got 10 and 0"),
+    ("eval.crossk_k=0", "eval.crossk_k must be >= 1, got 0"),
+    ("eval.crossk_sims=0", "eval.crossk_sims must be >= 1, got 0"),
     ("data.train_fraction=1.5", "data.train_fraction must be in (0, 1), got 1.5"),
     ("data.train_fraction=0", "data.train_fraction must be in (0, 1), got 0.0"),
     ("train.radius=NaN", "train.radius must be a finite number, got nan"),
@@ -42,9 +51,12 @@ from conftest import write_csv_dataset, write_old_layout
     ("train.epochs", "override 'train.epochs' must look like section.key=value"),
 ])
 def test_bad_override_exits_with_config_error(override, message, capsys):
+    """Each message names the key it refuses by its section.key path, and the value."""
     assert cli.main(["--set", override, "config-schema"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    if "=" in override:
+        assert err.startswith(f"config error: {override.split('=')[0]} ") and ", got " in err
 
 
 def test_default_config_round_trips_with_an_unchanged_hash(tmp_path, capsys):
@@ -131,7 +143,8 @@ def test_crossk_distance_grid_above_the_limit_is_a_config_error(manifest, tmp_pa
     code = cli.main(["--set", f"eval.crossk_max_distance={max_distance}", "--set", f"eval.crossk_step={step}",
                      "crossk", "--data", manifest, "--predictor", "ha", "--out", str(tmp_path / "crossk")])
     assert code == cli.EXIT_CONFIG
-    assert "gives more than 1000 cross-K distances" in one_line_error(capsys, "config error:")
+    assert "eval.crossk_max_distance gives more than 1000 cross-K distances at crossk_step " in \
+        one_line_error(capsys, "config error:")
     assert not (tmp_path / "crossk").exists()
 
 
@@ -580,6 +593,9 @@ BAD_BLOB = "tensors.bin does not match the sha256 digest in tensors.json"
 GAIN_OVERFLOW = "total gain sum(2^y - 1) of period"
 DIVERGING_WARMUP = ["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "--set", "train.lr_warmup=1e300"]
 HUGE_MARGIN = ["--set", "train.epochs=1", "--set", "train.warmup_epochs=0", "--set", "train.margin=1e308"]
+# The third importance refresh sees |risk - score| = 1039 while the loss is still finite.
+IMPORTANCE_OVERFLOW = ["--set", "model.window=3", "--set", "train.eval_k=5", "--set", "train.epochs=6",
+                       "--set", "train.warmup_epochs=1", "--set", "train.batch_size=8", "--set", "train.lr_main=10"]
 # The model predictor's commands with the 4 x 4 checkpoint, less the dataset.
 ON_CHECKPOINT = {"evaluate": ["--set", "eval.ks=[5, 10]", "evaluate", "--out", "{out}", "--checkpoint", "{checkpoint}"],
                  "crossk": ["crossk", "--out", "{out}", "--checkpoint", "{checkpoint}"],
@@ -655,6 +671,8 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
     (DIVERGING_WARMUP + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (HUGE_MARGIN + TRAIN + ["{data}"], cli.EXIT_NUMERIC, "non-finite"),
     (SMALL_MODEL + DIVERGING_WARMUP + TRAIN + ["{data16}"], cli.EXIT_NUMERIC, "non-finite"),
+    (IMPORTANCE_OVERFLOW + TRAIN + ["{data}"], cli.EXIT_NUMERIC,
+     "importance 2^|risk - score| - 1 overflows float64 (largest |risk - score| 1039.38)"),
     (["--set", "eval.crossk_sims=100000000"] + CROSSK_HA + ["{data}"], cli.EXIT_CONFIG,
      f"eval.crossk_sims must be at most {cli.MAX_CROSSK_SIMS}, got 100000000"),
     (["--config", "{config_absent}", "config-schema"], cli.EXIT_CONFIG,
@@ -686,7 +704,7 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
         "evaluate-blob-byte-flipped", "evaluate-index-garbled", "crossk-index-garbled", "evaluate-index-missing",
         "evaluate-manifest-without-files-or-index", "evaluate-risk-x200", "train-risk-x200", "crossk-risk-x200",
         "train-diverging-warmup",
-        "train-huge-margin", "train-diverging-warmup-pooled", "crossk-sims-past-limit",
+        "train-huge-margin", "train-diverging-warmup-pooled", "train-importance-overflow", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
         "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint",
         "manifest-train-end-string"] + [f"manifest-train-end-{value}" for value in TRAIN_END_OUTSIDE]

@@ -67,8 +67,10 @@ class TestSyntheticGenerator:
         assert distance <= 2.0 * truth.widths[0]
 
     def test_all_zero_rate_rejected(self):
+        g = grid.generate_synthetic(3, 4, 4, 30, 1)
+        g.risk[:] = 0.0
         with pytest.raises(DataError, match="zero everywhere"):
-            grid.generate_synthetic(3, 4, 4, 30, 1, base_rate=0.0, amplitude=0.0)
+            g.validate()
 
     @pytest.mark.parametrize("dims", [(3, 4, 30, 1), (4, 3, 30, 1), (4, 4, 29, 1), (4, 4, 30, 0)])
     def test_invalid_dimensions(self, dims):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrank import grid, metrics
-from gridrank.errors import DataError
 from oracles import (brute_l_ndcg, brute_ndcg, brute_neighborhood, brute_order, brute_rank,
                      metric_report_per_cutoff)
 
@@ -55,14 +54,6 @@ class TestNdcg:
 
     def test_all_zero_relevance_undefined(self):
         assert metrics.ndcg_at_k(np.zeros(4), np.arange(4.0), 2) is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="split mismatch"):
-            metrics.ndcg_at_k(np.zeros(3), np.zeros(4), 2)
-
-    def test_cutoff_bounds(self):
-        with pytest.raises(DataError):
-            metrics.ndcg_at_k(np.ones(3), np.ones(3), 4)
 
     def test_uncut_matches_brute_force(self, rng):
         for _ in range(100):
@@ -222,15 +213,6 @@ class TestMetricReport:
         b = metrics.metric_report(actual, index_order, [4], (4, 4))
         assert a.lookup("ndcg", 4).mean == pytest.approx(b.lookup("ndcg", 4).mean, abs=1e-12)
 
-    def test_cutoff_above_location_count_is_error(self, rng):
-        actual = rng.poisson(1.0, size=(2, 16)).astype(float)
-        with pytest.raises(DataError, match="outside"):
-            metrics.metric_report(actual, actual, [17], (4, 4))
-
-    def test_split_mismatch(self, rng):
-        with pytest.raises(DataError, match="split mismatch"):
-            metrics.metric_report(np.zeros((3, 16)), np.zeros((2, 16)), [4], (4, 4))
-
     def test_undefined_days_excluded(self):
         actual = np.zeros((3, 4))
         actual[0] = [1.0, 0.0, 0.0, 2.0]
@@ -295,17 +277,3 @@ class TestMetricReportOracle:
                 assert metrics.l_ndcg(actual[d], predicted[d], 2.0, (8, 8), k=k) == \
                     report.lookup("lndcg", k).per_day[d]
 
-
-class TestMetricReportInputs:
-    def test_negative_radius(self, rng):
-        with pytest.raises(DataError, match="radius must be non-negative, got -1.0"):
-            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (4, 4), radius=-1.0)
-
-    def test_grid_shape_must_hold_every_location(self, rng):
-        with pytest.raises(DataError, match=r"shape mismatch: relevance \(16,\), scores \(16,\), grid \(3, 5\)"):
-            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (3, 5))
-
-    @pytest.mark.parametrize("periods", [[7], [7, 8, 9], []])
-    def test_day_periods_must_name_every_day(self, rng, periods):
-        with pytest.raises(DataError, match=f"day_periods has {len(periods)} entries for 2 days"):
-            metrics.metric_report(np.ones((2, 16)), rng.normal(size=(2, 16)), [4], (4, 4), day_periods=periods)

@@ -62,7 +62,7 @@ def test_any_difference_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(same_bits, "gradcheck_hash", lambda checkout: gradchecks[checkout.name])
     assert same_bits.main(["--parent", "parent", "--change", "change"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * len(same_bits.OUTPUTS) + 1
+    assert len(lines) == 3 * len(same_bits.OUTPUTS) + 1
     assert [line.split()[:2] for line in lines if line.endswith("DIFFERENT")] == [["8x8x120", "report.json:"]]
     assert same_bits.main(["--parent", "parent", "--change", "change", "--grid", "16x16x40"]) == 0
     gradchecks["change"] = "3" * 64

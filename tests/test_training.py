@@ -245,7 +245,7 @@ def test_each_batch_draws_its_weights_in_window_order_before_its_windows_run(dat
 
 @pytest.mark.parametrize("patience", [0, -3])
 def test_early_stop_patience_below_one_is_rejected(patience):
-    with pytest.raises(ConfigError, match=f"^train.early_stop_patience must be >= 1 or null, got {patience}$"):
+    with pytest.raises(ConfigError, match=f"^early_stop_patience must be >= 1 or null, got {patience}$"):
         training.TrainConfig(early_stop_patience=patience).validate()
     for accepted in (None, 1):
         assert training.TrainConfig(early_stop_patience=accepted).validate().early_stop_patience == accepted

@@ -3,9 +3,11 @@ on each and compare the sha256 of what it writes.
 
     python3 tools/same_bits.py --parent ../parent --change .
 
-For each checkout and each ``--grid`` (default: the 8x8x120 default grid,
-and 16x16x40, where S = 256 runs the thread pool), a fresh temporary
-directory runs ``gen-data``, then ``train`` with
+For each checkout and each ``--grid`` (default: the 8x8x120 default grid;
+16x16x40, where S = 256 runs the thread pool; and 32x32x32, where S = 1024
+is the benchmark's size and a float32 graph build spans several row
+blocks), a fresh temporary directory runs ``gen-data``, then ``train``
+with
 
     train.epochs=4 train.warmup_epochs=1 train.batch_size=8
     train.lr_warmup=0.01 train.lr_main=0.003
@@ -120,10 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="the changed checkout")
     parser.add_argument("--grid", type=parse_grid, action="append",
-                        help="ROWSxCOLSxPERIODS, repeatable (default 8x8x120 and 16x16x40)")
+                        help="ROWSxCOLSxPERIODS, repeatable (default 8x8x120, 16x16x40 and 32x32x32)")
     args = parser.parse_args(argv)
     differ = False
-    for grid in args.grid or [(8, 8, 120), (16, 16, 40)]:
+    for grid in args.grid or [(8, 8, 120), (16, 16, 40), (32, 32, 32)]:
         parent, change = pipeline_hashes(args.parent, grid), pipeline_hashes(args.change, grid)
         for name in OUTPUTS:
             differ |= not compare("x".join(map(str, grid)), name, parent[name], change[name])
