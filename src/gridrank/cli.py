@@ -2,10 +2,12 @@
 
 One JSON config file drives every subcommand; ``--set section.key=value``
 flags override file values (flags win). Unknown config keys are
-rejected. Outputs land under one run directory together with a
-``run.json`` provenance record (resolved config, its hash, versions);
-the resolved config holds every seed. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure, 5 gradient-check failure.
+rejected. Only ``gen-data`` reads the ``data`` section (``gradcheck`` its
+seed); the others take the grid's shape and split from the dataset.
+Outputs land under one run directory together with a ``run.json``
+provenance record: the whole resolved config, read or not, with every
+seed, its hash and the versions. Exit codes: 0 success, 2 config error,
+3 data error, 4 numerical failure, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ MAX_CROSSK_SIMS = 10_000
 
 @dataclass
 class DataConfig:
+    """The grid ``gen-data`` writes; ``gradcheck`` reads the seed alone. Other
+    subcommands take shape and split from the dataset, though ``run.json`` records this section."""
+
     seed: int = 7
     rows: int = 8
     cols: int = 8
@@ -55,6 +60,10 @@ class DataConfig:
     def validate(self) -> "DataConfig":
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("rows", 4), ("cols", 4), ("periods", 30), ("hotspots", 1),
+                            ("d_t", 1), ("d_s", 1), ("d_st", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         return self
@@ -146,29 +155,20 @@ def config_hash(config: RunConfig) -> str:
 
 def write_run_record(config: RunConfig, command: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = {
+    griddata.save_json(out_dir / "run.json", {
         "command": command,
         "config": asdict(config),
         "config_sha256": config_hash(config),
         "versions": {"gridrank": __version__,
                      "python": ".".join(str(v) for v in sys.version_info[:3]),
                      "numpy": np.__version__},
-    }
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
-def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
-    """The chronological split at ``data.train_fraction``; it must agree
-    with the split the dataset's features were normalized on, if the
-    manifest records one."""
-    train_end = griddata.split_boundary(dataset.periods, config.data.train_fraction)
-    normalized = dataset.normalization.get("train_end")
-    if normalized is not None and normalized != train_end:
-        raise ConfigError(f"data.train_fraction={config.data.train_fraction} splits at period {train_end}, "
-                          f"but the dataset's features were normalized on periods before {normalized}")
-    return Splits(train_end=train_end).validate(dataset.periods)
+def _splits_for(dataset: griddata.StGrid) -> Splits:
+    """The split the dataset's features were normalized on, as its
+    manifest records it (``load_grid`` checks it)."""
+    return Splits(train_end=dataset.normalization["train_end"])
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +177,9 @@ def _splits_for(config: RunConfig, dataset: griddata.StGrid) -> Splits:
 
 def cmd_gen_data(args, config: RunConfig) -> int:
     data = config.data
-    try:
-        dataset = griddata.generate_synthetic(data.seed, data.rows, data.cols, data.periods,
-                                              data.hotspots, d_t=data.d_t, d_s=data.d_s,
-                                              d_st=data.d_st, train_fraction=data.train_fraction)
-    except DataError as exc:  # every argument comes from the data section
-        raise ConfigError(f"data section: {exc}") from None
+    dataset = griddata.generate_synthetic(data.seed, data.rows, data.cols, data.periods, data.hotspots,
+                                          d_t=data.d_t, d_s=data.d_s, d_st=data.d_st,
+                                          train_fraction=data.train_fraction)
     out_dir = Path(args.out or config.out_dir)
     manifest = griddata.save_grid(dataset, out_dir)
     write_run_record(config, "gen-data", out_dir)
@@ -192,7 +189,7 @@ def cmd_gen_data(args, config: RunConfig) -> int:
 
 def cmd_train(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
-    splits = _splits_for(config, dataset)
+    splits = _splits_for(dataset)
     model_config = ModelConfig.for_grid(dataset, **asdict(config.model))
     state = training.train(dataset, splits, model_config, config.train, eval_radius=config.eval.radius)
     out_dir = Path(args.out or config.out_dir)
@@ -200,14 +197,14 @@ def cmd_train(args, config: RunConfig) -> int:
     save_checkpoint(out_dir / "checkpoint", state.best_params())
     training.write_training_log(state, out_dir / "training_log.csv")
     best = "n/a" if state.best_metric in (None, -np.inf) else f"{state.best_metric:.4f}"
-    print(f"trained {state.epochs_run} epochs; best val ndcg@{config.train.eval_k} = {best} "
+    print(f"trained {len(state.log)} epochs; best val ndcg@{config.train.eval_k} = {best} "
           f"(epoch {state.best_epoch}); checkpoint in {out_dir}")
     return EXIT_OK
 
 
 def cmd_evaluate(args, config: RunConfig) -> int:
     dataset = griddata.load_grid(args.data)
-    splits = _splits_for(config, dataset)
+    splits = _splits_for(dataset)
     ks = list(config.eval.ks)
     too_large = [k for k in ks if k > dataset.n_locations]
     if too_large:
@@ -236,7 +233,7 @@ def _scores_for_day(args, config: RunConfig, dataset: griddata.StGrid, day: int)
     if args.predictor == "oracle":
         return dataset.risk_by_location()[:, day].astype(float)
     if args.predictor == "ha":
-        splits = _splits_for(config, dataset)
+        splits = _splits_for(dataset)
         return training.historical_average(dataset, splits)
     params = load_checkpoint(Path(args.checkpoint))
     if day < params.config.window:
@@ -271,7 +268,7 @@ def cmd_crossk(args, config: RunConfig) -> int:
     if config.eval.crossk_k > dataset.n_locations:
         raise ConfigError(f"eval.crossk_k={config.eval.crossk_k} exceeds the grid's "
                           f"{dataset.n_locations} locations")
-    splits = _splits_for(config, dataset)
+    splits = _splits_for(dataset)
     params = load_checkpoint(Path(args.checkpoint)) if args.predictor == "model" else None
     window = config.model.window if params is None else params.config.window
     _, actual, predicted = training.scored_split(dataset, splits, window, params)
@@ -307,7 +304,7 @@ def cmd_gradcheck(args, config: RunConfig) -> int:
         lambda: training.warmup_loss(day, forward(params, dataset, window)),
         tensors, eps=1e-5, tol=1e-4, max_coords=args.coords,
         rng=np.random.default_rng(config.data.seed))
-    surrogate = SurrogateConfig(margin=1.0, local_weight=0.5, radius=2.0).validate()
+    surrogate = SurrogateConfig(margin=1.0, local_weight=0.5, radius=2.0)
     report_loss = autodiff.grad_check(
         lambda: hybrid_objective(day, forward(params, dataset, window), surrogate,
                                  None, (dataset.rows, dataset.cols)),

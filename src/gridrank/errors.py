@@ -12,7 +12,7 @@ Each outside input is checked once, where it enters the program:
   against the loaded grid by the CLI and ``training.train`` (cutoffs
   above S, a ``--day`` outside the study period);
 - a file, by ``read_json``, ``read_tensors`` and ``grid._load_keyed``,
-  then by ``load_grid`` (sizes, the recorded split) and
+  then by ``load_grid`` (sizes, the split every manifest records) and
   ``StGrid.validate`` (finite, non-negative and non-zero risk, a finite
   total gain), and a checkpoint by ``model.load_checkpoint``;
 - a grid handed to the model, by ``model._check_inputs``, and a split

@@ -6,16 +6,17 @@ non-negative risk score per cell and period. Locations are indexed
 row-major: ``location = row * cols + col``, fixed across the whole
 package.
 
-On disk a dataset is ``manifest.json`` (its sizes and normalization
-record) plus its four arrays in the one tensor-file format, which
-checkpoints share: :func:`write_tensors` writes them to a raw
-little-endian float64 blob (``tensors.bin``) in order, contiguous from
-offset 0, and returns its index (``tensors.json``: the dtype, each
-array's name, shape and offset, and the blob's sha256). :func:`read_tensors`
-accepts that one layout alone, and ``errors.read_json`` reads every JSON
-file, naming the file and the key path of any fault in one DataError
-line. A hand-written manifest may name one keyed CSV per array instead
-(see :func:`load_grid`). Loading never writes.
+On disk a dataset is ``manifest.json`` (its sizes, and its normalization
+record with the train/validation split) plus its four arrays in the one
+tensor-file format, which checkpoints share: :func:`write_tensors` writes
+them to a raw little-endian float64 blob (``tensors.bin``) in order,
+contiguous from offset 0, and returns its index (``tensors.json``: the
+dtype, each array's name, shape and offset, and the blob's sha256).
+:func:`read_tensors` accepts that one layout alone, and
+``errors.read_json`` reads every JSON file, naming the file and the key
+path of any fault in one DataError line. A hand-written manifest may name
+one keyed CSV per array instead (see :func:`load_grid`). Loading never
+writes.
 """
 
 from __future__ import annotations
@@ -90,18 +91,28 @@ class StGrid:
     """Immutable-by-convention container for one gridded dataset.
 
     temporal: (T, d_t), spatial: (rows, cols, d_s),
-    spatiotemporal: (rows, cols, T, d_st), risk: (rows, cols, T).
+    spatiotemporal: (rows, cols, T, d_st), risk: (rows, cols, T); every
+    size is read from the arrays.
     """
 
-    rows: int
-    cols: int
-    periods: int
     temporal: np.ndarray
     spatial: np.ndarray
     spatiotemporal: np.ndarray
     risk: np.ndarray
     normalization: dict = field(default_factory=dict)
     attrs: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def rows(self) -> int:
+        return self.risk.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.risk.shape[1]
+
+    @property
+    def periods(self) -> int:
+        return self.risk.shape[2]
 
     @property
     def n_locations(self) -> int:
@@ -133,8 +144,6 @@ class StGrid:
     def validate(self) -> "StGrid":
         """Check the values; the shapes are the builder's (``load_grid``
         reads each array in the manifest's shape, the generator makes its own)."""
-        if min(self.rows, self.cols, self.periods) < 1:
-            raise DataError(f"invalid dimensions rows={self.rows} cols={self.cols} periods={self.periods}")
         for name, arr in (("f_t", self.temporal), ("f_s", self.spatial), ("f_st", self.spatiotemporal),
                           ("y", self.risk)):
             if not np.all(np.isfinite(arr)):
@@ -199,13 +208,8 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
     Risk is Poisson around that rate, so the true ranking is known up to
     sampling noise. Features expose the ingredients: weekly/holiday
     calendar channels, per-group hotspot intensity maps, and traffic-like
-    spatiotemporal channels.
+    spatiotemporal channels. The sizes must pass ``cli.DataConfig.validate``.
     """
-    if rows < 4 or cols < 4 or periods < 30 or n_hotspots < 1:
-        raise DataError(f"invalid dimensions: need rows,cols >= 4, periods >= 30, hotspots >= 1; "
-                        f"got {rows}x{cols}x{periods}, {n_hotspots} hotspots")
-    if min(d_t, d_s, d_st) < 1:
-        raise DataError(f"feature widths must be positive, got d_t={d_t} d_s={d_s} d_st={d_st}")
     rng = np.random.default_rng(seed)
 
     rr, cc = np.indices((rows, cols), dtype=np.float64)
@@ -285,9 +289,8 @@ def generate_synthetic(seed: int, rows: int = 8, cols: int = 8, periods: int = 1
             arr[..., j] = _scale_unit(arr[..., j], lo, hi)
             normalization[name].append({"min": lo, "max": hi})
 
-    grid = StGrid(rows=rows, cols=cols, periods=periods, temporal=temporal,
-                  spatial=spatial, spatiotemporal=st, risk=risk,
-                  normalization=normalization).validate()
+    grid = StGrid(temporal=temporal, spatial=spatial, spatiotemporal=st, risk=risk,
+                  normalization=normalization)
     if return_truth:
         truth = SyntheticTruth(rate=rate, centers=centers, widths=widths,
                                amplitudes=amplitudes, group=group, base=base)
@@ -305,17 +308,17 @@ INDEX_NAME = "tensors.json"
 _AXES = {"f_t": ("t",), "f_s": ("row", "col"), "f_st": ("row", "col", "t"), "y": ("row", "col", "t")}
 
 
-# the range each channel was scaled from, and the first period the ranges left out
-Normalization = TypedDict("Normalization", {"f_t": list[dict], "f_s": list[dict], "f_st": list[dict],
-                                            "train_end": int}, total=False)
+# the first validation period, and the range each channel was scaled from
+class Normalization(TypedDict("_Ranges", {"f_t": list[dict], "f_s": list[dict], "f_st": list[dict]}, total=False)):
+    train_end: int
 
 
 _SIZES = ("M", "N", "T", "d_t", "d_s", "d_st")
 Files = TypedDict("Files", dict.fromkeys(_AXES, str))  # a hand-written dataset's CSVs
 
 
-class Manifest(TypedDict("_Sizes", dict.fromkeys(_SIZES, int)), total=False):  # manifest.json
-    normalization: Normalization
+class Manifest(TypedDict("_Dataset", {**dict.fromkeys(_SIZES, int), "normalization": Normalization}),
+               total=False):  # manifest.json
     files: Files
 
 
@@ -485,9 +488,9 @@ def load_grid(manifest_path) -> StGrid:
     tensor file beside it alone. A hand-written dataset names one CSV per
     array instead, relative to the manifest (``"files": {"f_t": ...,
     "f_s": ..., "f_st": ..., "y": ...}``), keyed by ``t`` (f_t), ``row,col``
-    (f_s) or ``row,col,t`` (f_st and y); see :func:`_load_keyed`. A
-    recorded ``normalization.train_end`` must lie in [2, T - 1], as
-    :func:`split_boundary` puts it. Nothing is written.
+    (f_s) or ``row,col,t`` (f_st and y); see :func:`_load_keyed`. Every
+    manifest records the split, ``normalization.train_end``, in [2, T - 1]
+    as :func:`split_boundary` puts it. Nothing is written.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -496,8 +499,8 @@ def load_grid(manifest_path) -> StGrid:
     for key in _SIZES:
         if manifest[key] < 1:
             raise DataError(f"malformed dataset manifest {manifest_path}: {key} must be >= 1, got {manifest[key]}")
-    train_end = manifest.get("normalization", {}).get("train_end")
-    if train_end is not None and not 2 <= train_end <= manifest["T"] - 1:
+    train_end = manifest["normalization"]["train_end"]
+    if not 2 <= train_end <= manifest["T"] - 1:
         raise DataError(f"malformed dataset manifest {manifest_path}: normalization.train_end must lie in "
                         f"[2, {manifest['T'] - 1}], got {train_end}")
 
@@ -513,6 +516,5 @@ def load_grid(manifest_path) -> StGrid:
         arrays = read_tensors(read_json(index_path, TensorIndex, label), index_path,
                               manifest_path.parent / BLOB_NAME, shapes, label)
 
-    return StGrid(rows=sizes["row"], cols=sizes["col"], periods=sizes["t"], temporal=arrays["f_t"],
-                  spatial=arrays["f_s"], spatiotemporal=arrays["f_st"], risk=arrays["y"][:, :, :, 0],
-                  normalization=manifest.get("normalization", {})).validate()
+    return StGrid(temporal=arrays["f_t"], spatial=arrays["f_s"], spatiotemporal=arrays["f_st"],
+                  risk=arrays["y"][:, :, :, 0], normalization=manifest["normalization"]).validate()

@@ -249,7 +249,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     nothing (``np.broadcast_to``) until the trainer supplies the
     correlation graph. ``seed`` alone seeds the draw; ``training.train``
     passes ``train.seed``."""
-    config.validate()
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in _shapes(config).items():

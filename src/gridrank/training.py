@@ -187,15 +187,12 @@ def contiguous_batches(n: int, batch_size: int, rng: np.random.Generator) -> lis
 
 def historical_average(grid: StGrid, splits: Splits) -> np.ndarray:
     """Per-location mean risk over the training periods (constant forecast)."""
-    splits.validate(grid.periods)
     return grid.risk_by_location()[:, :splits.train_end].mean(axis=1)
 
 
 @dataclass
 class TrainState:
     params: ModelParams
-    epochs_run: int
-    importance: sampling.ImportanceDist
     best_epoch: int | None = None
     best_metric: float | None = None
     best_snapshot: dict[str, np.ndarray] | None = field(default=None, repr=False)
@@ -229,7 +226,6 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     are ``contiguous_batches`` from the training seed's generator:
     consecutive windows share their input periods, and the offset drawn
     per epoch moves the runs' boundaries."""
-    model_config.validate()
     train_config.validate()
     shape = (grid.rows, grid.cols)
 
@@ -252,7 +248,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
     compute = params.cast(_COMPUTE_DTYPE)  # each batch's copy of the masters; its static graph is cast once
     train_scores = np.empty_like(y_train)  # each training window's scores from its batch, in window order
 
-    state = TrainState(params=params, epochs_run=0, importance=importance)
+    state = TrainState(params=params)
     stale = 0
     for epoch in range(train_config.epochs):
         started = time.perf_counter()
@@ -280,7 +276,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
                 for window in windows:
                     positives = losses.positive_locations(risk[:, window.target])
                     if positives.size:
-                        drawn[window.target] = losses.apply_importance(positives, state.importance, train_config, rng)
+                        drawn[window.target] = losses.apply_importance(positives, importance, train_config, rng)
             for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
                 copy.data = master.data.astype(_COMPUTE_DTYPE)
             ad.zero_grads(compute.tensors())
@@ -293,7 +289,7 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             adam_step(params, adam, grads, lr)
 
         if not warm and train_config.use_importance:
-            state.importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
+            importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
 
         report = evaluate_split(params, grid, splits, [train_config.eval_k], eval_radius)
         val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
@@ -307,7 +303,6 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
             f"val_prec@{train_config.eval_k}": val_prec,
             "wall_time_s": elapsed,
         })
-        state.epochs_run = epoch + 1
 
         candidate = -np.inf if val_ndcg is None else val_ndcg
         if state.best_metric is None or candidate > state.best_metric:

@@ -202,7 +202,7 @@ class TestBlend:
     def test_gate_gradient(self):
         """The gate's gradient, through the period step that applies the blend."""
         rng = np.random.default_rng(17)
-        data = griddata.StGrid(rows=3, cols=3, periods=2, temporal=np.array([[0.5, 1.0, -0.5]] * 2),
+        data = griddata.StGrid(temporal=np.array([[0.5, 1.0, -0.5]] * 2),
                                spatial=rng.uniform(size=(3, 3, 2)), spatiotemporal=rng.uniform(size=(3, 3, 2, 2)),
                                risk=np.ones((3, 3, 2))).validate()
         params = model.init_params(model.ModelConfig.for_grid(data, hidden=3, embed_dim=4, window=1), seed=16)

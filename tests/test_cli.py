@@ -33,6 +33,13 @@ from conftest import write_csv_dataset, write_old_layout
     ("eval.crossk_sims=0", "eval.crossk_sims must be >= 1, got 0"),
     ("data.train_fraction=1.5", "data.train_fraction must be in (0, 1), got 1.5"),
     ("data.train_fraction=0", "data.train_fraction must be in (0, 1), got 0.0"),
+    ("data.rows=3", "data.rows must be >= 4, got 3"),
+    ("data.cols=3", "data.cols must be >= 4, got 3"),
+    ("data.periods=29", "data.periods must be >= 30, got 29"),
+    ("data.hotspots=0", "data.hotspots must be >= 1, got 0"),
+    ("data.d_t=0", "data.d_t must be >= 1, got 0"),
+    ("data.d_s=0", "data.d_s must be >= 1, got 0"),
+    ("data.d_st=0", "data.d_st must be >= 1, got 0"),
     ("train.radius=NaN", "train.radius must be a finite number, got nan"),
     ("eval.radius=NaN", "eval.radius must be a finite number, got nan"),
     ("train.bandwidth=NaN", "train.bandwidth must be a finite number, got nan"),
@@ -176,8 +183,8 @@ def test_evaluate_ha_reports_the_tiled_historical_average(manifest, tmp_path):
     assert cli.main(["--set", "eval.ks=[3, 5]", "evaluate", "--data", manifest, "--predictor", "ha",
                      "--out", str(out)]) == cli.EXIT_OK
     config, data = cli.RunConfig(), grid.load_grid(manifest)
-    splits = training.Splits(train_end=grid.split_boundary(data.periods, config.data.train_fraction))
-    _, windows = training.split_windows(data, splits.validate(data.periods), config.model.window)
+    splits = training.Splits(train_end=data.normalization["train_end"])
+    _, windows = training.split_windows(data, splits, config.model.window)
     days = [w.target for w in windows]
     predicted = np.tile(training.historical_average(data, splits), (len(days), 1))
     want = metrics.metric_report(data.risk_by_location()[:, days].T, predicted, [3, 5], (data.rows, data.cols),
@@ -388,13 +395,27 @@ def test_rank_checks_the_day_against_the_checkpoint_window(manifest, window3_che
     assert "day 2 has no length-3 input window" in one_line_error(capsys, "config error:")
 
 
-def test_split_that_disagrees_with_the_normalization_is_a_config_error(manifest, tmp_path, capsys):
-    code = cli.main(SMALL_MODEL + ["--set", "data.train_fraction=0.5", "train", "--data", manifest,
-                                   "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_CONFIG
-    err = one_line_error(capsys, "config error:")
-    assert "data.train_fraction=0.5 splits at period 15" in err and "before 22" in err
-    assert not (tmp_path / "run").exists()
+def test_every_subcommand_takes_the_split_the_dataset_records(tmp_path, capsys):
+    """A dataset normalized on the periods before 15 trains, evaluates,
+    runs cross-K and ranks on that split, with no data override."""
+    sizes = ["--set", "data.rows=4", "--set", "data.cols=4", "--set", "data.periods=30"]
+    manifest = str(tmp_path / "data" / "manifest.json")
+    gen_data = sizes + ["--set", "data.train_fraction=0.5", "gen-data", "--out", str(tmp_path / "data")]
+    assert cli.main(gen_data) == cli.EXIT_OK
+    data, splits = grid.load_grid(manifest), training.Splits(15)
+    assert data.normalization["train_end"] == 15
+    for argv in (["--set", "train.epochs=2", "--set", "train.warmup_epochs=1", "train", "--out", str(tmp_path / "run")],
+                 ["--set", "eval.ks=[5, 10]", "evaluate", "--predictor", "ha", "--out", str(tmp_path / "eval")],
+                 ["crossk", "--predictor", "ha", "--out", str(tmp_path / "crossk")],
+                 ["rank", "--predictor", "ha", "--k", "16"]):
+        assert cli.main(argv + ["--data", manifest]) == cli.EXIT_OK, argv
+    config = cli.RunConfig()
+    want = training.baseline_report(data, splits, config.model.window, [5, 10], config.eval.radius)
+    assert (tmp_path / "eval" / "report_ha.json").read_bytes() == want.write_json(tmp_path / "want.json").read_bytes()
+    ranked = [line.split(",") for line in capsys.readouterr().out.splitlines()[-16:]]
+    average = training.historical_average(data, splits)
+    assert all(row[4] == f"{average[int(row[1])]:.6f}" for row in ranked)
+
 
 
 def edited_copy(path, name, edit):
@@ -556,6 +577,8 @@ def bad_inputs(manifest, manifest16, mismatched, tmp_path):
         "{window_true}": edited_copy(checkpoint, "window_true.json", lambda m: m["config"].update(window=True)),
         "{M_float}": edited_copy(dataset, "M_float.json", lambda m: m.update(M=4.5)),
         "{train_end_x}": edited_copy(dataset, "train_end_x.json", lambda m: m["normalization"].update(train_end="x")),
+        "{no_train_end}": edited_copy(dataset, "no_train_end.json", lambda m: m["normalization"].pop("train_end")),
+        "{no_normalization}": edited_copy(dataset, "no_normalization.json", lambda m: m.pop("normalization")),
         **{f"{{train_end_{value}}}": edited_copy(dataset, f"train_end_{value}.json",
                                                  lambda m, value=value: m["normalization"].update(train_end=value))
            for value in TRAIN_END_OUTSIDE},
@@ -688,6 +711,8 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
      "--checkpoint is required with the model predictor"),
     (EVALUATE_HA + ["{train_end_x}"], cli.EXIT_DATA,
      "train_end_x.json: normalization.train_end must be of type int, got 'x'"),
+    (EVALUATE_HA + ["{no_train_end}"], cli.EXIT_DATA, "no_train_end.json: normalization lacks keys ['train_end']"),
+    (TRAIN + ["{no_normalization}"], cli.EXIT_DATA, "no_normalization.json: root lacks keys ['normalization']"),
 ] + [(EVALUATE_HA + [f"{{train_end_{value}}}"], cli.EXIT_DATA,
       f"train_end_{value}.json: normalization.train_end must lie in [2, 29], got {value}")
      for value in TRAIN_END_OUTSIDE] + MISMATCH_CASES + SWAP_CASES, ids=[
@@ -707,7 +732,7 @@ SWAP_IDS = [f"{file}-{placeholder[1:-1]}-swapped" for placeholder, (file, *_) in
         "train-huge-margin", "train-diverging-warmup-pooled", "train-importance-overflow", "crossk-sims-past-limit",
         "config-absent", "config-root-list", "config-section-int", "config-section-int-with-override",
         "config-malformed-json", "rank-day-500", "evaluate-model-without-checkpoint",
-        "manifest-train-end-string"] + [f"manifest-train-end-{value}" for value in TRAIN_END_OUTSIDE]
+        "manifest-train-end-string", "manifest-no-train-end", "train-manifest-no-normalization"] + [f"manifest-train-end-{value}" for value in TRAIN_END_OUTSIDE]
     + MISMATCH_IDS + SWAP_IDS)
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(bad_inputs, argv, code, message, capsys):

@@ -19,9 +19,9 @@ config is set to each of ``MANIFEST_VALUES`` or deleted, under
 ``evaluate --predictor model`` (exit 0, 2 or 3; a deleted key always 3),
 and so is the blob cut short, grown or emptied. The same edits of the
 dataset's ``tensors.json``, and of each key of its ``manifest.json``,
-make ``evaluate --predictor ha`` exit 3, or 2 for a split the manifest's
-normalization contradicts; a dataset without a normalization record
-writes the intact dataset's report. The edits of an old-layout dataset's
+make ``evaluate --predictor ha`` exit 3: a dataset without a
+normalization record, or whose record lacks ``train_end``, has no split
+to score. The edits of an old-layout dataset's
 ``tensors.json`` leave its CSVs read, and that report written.
 """
 
@@ -282,13 +282,11 @@ def test_every_bad_index_value_is_a_data_error(trained, tmp_path, key):
 
 @pytest.mark.parametrize("key", DATASET_KEYS)
 def test_every_bad_manifest_value_exits_2_or_3(trained, tmp_path, key):
-    """A manifest with no normalization record, or an empty one, is a
-    dataset whose split no record contradicts: it writes the intact
-    report."""
+    """The manifest fixes the grid and its split, so every edit is a data
+    error, a dropped normalization record or ``train_end`` too."""
     manifest, _, intact = trained
-    failures = evaluate_edited_copies(
-        Path(manifest).parent, grid.MANIFEST_NAME, (key,), tmp_path, intact,
-        lambda edited: (cli.EXIT_OK,) if edited.get("normalization", {}) == {} else (cli.EXIT_CONFIG, cli.EXIT_DATA))
+    failures = evaluate_edited_copies(Path(manifest).parent, grid.MANIFEST_NAME, (key,), tmp_path, intact,
+                                      lambda edited: (cli.EXIT_DATA,))
     assert not failures, "\n".join(failures)
 
 

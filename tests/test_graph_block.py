@@ -24,8 +24,7 @@ def step_case(rows, cols, negative, fixed_gate, seed=0, conv_layers=2):
     output weights for a scalar objective."""
     s = rows * cols
     rng = np.random.default_rng(seed)
-    grid = griddata.StGrid(rows=rows, cols=cols, periods=T + 1,
-                           temporal=rng.normal(size=(T + 1, D_T)),
+    grid = griddata.StGrid(temporal=rng.normal(size=(T + 1, D_T)),
                            spatial=rng.uniform(0, 1, size=(rows, cols, D_S)),
                            spatiotemporal=rng.uniform(0, 1, size=(rows, cols, T + 1, D_ST)),
                            risk=np.ones((rows, cols, T + 1))).validate()

@@ -22,9 +22,8 @@ def small():
 class TestWindows:
     def test_counts_and_targets(self):
         g = grid.generate_synthetic(1, 4, 4, 30, 1)
-        g10 = grid.StGrid(rows=g.rows, cols=g.cols, periods=10, temporal=g.temporal[:10],
-                          spatial=g.spatial, spatiotemporal=g.spatiotemporal[:, :, :10],
-                          risk=g.risk[:, :, :10])
+        g10 = grid.StGrid(temporal=g.temporal[:10], spatial=g.spatial,
+                          spatiotemporal=g.spatiotemporal[:, :, :10], risk=g.risk[:, :, :10])
         train, val = training.split_windows(g10, training.Splits(train_end=8), 7)
         assert [w.target for w in train] == [7] and [w.target for w in val] == [8, 9]
         assert all(list(w.inputs()) == list(range(w.target - 7, w.target)) for w in train + val)
@@ -72,11 +71,6 @@ class TestSyntheticGenerator:
         with pytest.raises(DataError, match="zero everywhere"):
             g.validate()
 
-    @pytest.mark.parametrize("dims", [(3, 4, 30, 1), (4, 3, 30, 1), (4, 4, 29, 1), (4, 4, 30, 0)])
-    def test_invalid_dimensions(self, dims):
-        with pytest.raises(DataError, match="invalid dimensions"):
-            grid.generate_synthetic(1, *dims)
-
 
 PINNED = {  # a hand-built 2x3x4 grid's files, as datasets were written with a binary copy beside their CSVs
     "f_t.csv": "6f106825d335fe59721d51bea618eeff36f0ebdbac92ad72d97bed85decf369d",
@@ -91,7 +85,7 @@ PINNED = {  # a hand-built 2x3x4 grid's files, as datasets were written with a b
 
 def hand_built() -> grid.StGrid:
     rng = np.random.default_rng(11)
-    return grid.StGrid(rows=2, cols=3, periods=4, temporal=rng.normal(size=(4, 2)),
+    return grid.StGrid(temporal=rng.normal(size=(4, 2)),
                        spatial=rng.normal(size=(2, 3, 2)), spatiotemporal=rng.normal(size=(2, 3, 4, 1)),
                        risk=rng.poisson(1.5, size=(2, 3, 4)).astype(float) / 3.0,
                        normalization={"train_end": 3}).validate()
@@ -243,8 +237,8 @@ class TestManifestIO:
         extremes = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.30000000000000004]
         st = small.spatiotemporal.copy()
         st.reshape(-1)[:len(extremes)] = extremes
-        edited = grid.StGrid(rows=small.rows, cols=small.cols, periods=small.periods, temporal=small.temporal,
-                             spatial=small.spatial, spatiotemporal=st, risk=small.risk).validate()
+        edited = grid.StGrid(temporal=small.temporal, spatial=small.spatial, spatiotemporal=st, risk=small.risk,
+                             normalization=small.normalization).validate()
         loaded = grid.load_grid(grid.save_grid(edited, tmp_path / "ds"))
         assert loaded.spatiotemporal.tobytes() == st.tobytes()
 
@@ -362,8 +356,7 @@ class TestBinaryCopy:
         extremes = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.30000000000000004]
         st = small.spatiotemporal.copy()
         st.reshape(-1)[:len(extremes)] = extremes
-        edited = grid.StGrid(rows=small.rows, cols=small.cols, periods=small.periods, temporal=small.temporal,
-                             spatial=small.spatial, spatiotemporal=st, risk=small.risk,
+        edited = grid.StGrid(temporal=small.temporal, spatial=small.spatial, spatiotemporal=st, risk=small.risk,
                              normalization=small.normalization).validate()
         binary = grid.load_grid(grid.save_grid(edited, tmp_path / "ds"))
         assert parses == []

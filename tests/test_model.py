@@ -122,7 +122,6 @@ class TestForward:
         perm[[i, j]] = [j, i]
 
         swapped = griddata.StGrid(
-            rows=dataset.rows, cols=dataset.cols, periods=dataset.periods,
             temporal=dataset.temporal.copy(),
             spatial=dataset.spatial.reshape(16, -1)[perm].reshape(dataset.spatial.shape),
             spatiotemporal=dataset.spatiotemporal.reshape(16, dataset.periods, -1)[perm]

@@ -67,7 +67,7 @@ def scripted_validation(monkeypatch, values):
 def test_early_stopping_after_patience_epochs_without_gain(data, monkeypatch):
     scripted_validation(monkeypatch, [0.1, 0.3, 0.2, 0.25, 0.5, 0.6])
     state = run(data, epochs=6, warmup_epochs=1, early_stop_patience=2)
-    assert state.epochs_run == 4 and len(state.log) == 4
+    assert len(state.log) == 4
     assert state.best_epoch == 1 and state.best_metric == 0.3
 
 
@@ -266,7 +266,7 @@ def test_each_epoch_draws_from_the_previous_refresh(data, monkeypatch):
 
     monkeypatch.setattr(losses, "apply_importance", spy_apply)
     monkeypatch.setattr(sampling, "refresh", spy_refresh)
-    state = run(data, epochs=3, warmup_epochs=0)
+    run(data, epochs=3, warmup_epochs=0)
 
     kinds = [kind for kind, _ in events]
     assert kinds.count("refresh") == 3 and kinds[0] == "draw" and kinds[-1] == "refresh"
@@ -279,7 +279,6 @@ def test_each_epoch_draws_from_the_previous_refresh(data, monkeypatch):
             assert np.array_equal(probs, np.full(data.n_locations, 1.0 / data.n_locations))
         else:
             assert probs is current
-    assert state.importance.probs is current
 
 
 def test_training_log_has_one_header_and_one_row_per_epoch(data, tmp_path):
@@ -298,7 +297,7 @@ def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, mon
     alone and builds only their periods; each refresh reads the scores
     ``batch_backward`` returned that epoch, stacked in training-window
     order; the logged metrics are those of the final parameters."""
-    builds, calls, inside, batch_scores, refreshed = [], [], [], {}, []
+    builds, calls, inside, batch_scores, refreshed, dists = [], [], [], {}, [], []
     dynamic_adjacency, predictions_for = adjacency.dynamic_adjacency, training.predictions_for
     batch_backward, refresh = training.batch_backward, sampling.refresh
 
@@ -321,7 +320,8 @@ def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, mon
 
     def spy_refresh(actual, predicted, *args):
         refreshed.append(predicted.copy())
-        return refresh(actual, predicted, *args)
+        dists.append(refresh(actual, predicted, *args))
+        return dists[-1]
 
     monkeypatch.setattr(adjacency, "dynamic_adjacency", spy_dynamic)
     monkeypatch.setattr(training, "predictions_for", spy_predictions)
@@ -342,7 +342,7 @@ def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, mon
     y_train = risk[:, [w.target for w in train_windows]].T
     y_val = risk[:, [w.target for w in val_windows]].T
     want = sampling.refresh(y_train, stacked, training.TrainConfig().bandwidth, shape)
-    assert state.importance.probs.tobytes() == want.probs.tobytes()
+    assert dists[-1].probs.tobytes() == want.probs.tobytes()
     report = metrics.metric_report(y_val, predictions_for(state.params, data, val_windows), [3], shape,
                                    training.TrainConfig().radius)
     for name in ("ndcg", "lndcg", "prec"):

@@ -60,10 +60,10 @@ def score_one(job: dict) -> dict:
 
     rows, cols, periods = job["grid"]
     full = griddata.generate_synthetic(job["seed"], rows, cols, periods, train_fraction=TRAIN_FRACTION)
-    train_end = griddata.split_boundary(periods, TRAIN_FRACTION)
+    train_end = full.normalization["train_end"]
     test_start = periods - int(round(TEST_FRACTION * periods))
-    cut = griddata.StGrid(rows=rows, cols=cols, periods=test_start, temporal=full.temporal[:test_start],
-                          spatial=full.spatial, spatiotemporal=full.spatiotemporal[:, :, :test_start],
+    cut = griddata.StGrid(temporal=full.temporal[:test_start], spatial=full.spatial,
+                          spatiotemporal=full.spatiotemporal[:, :, :test_start],
                           risk=full.risk[:, :, :test_start], normalization=full.normalization).validate()
     model_config = model.ModelConfig.for_grid(full)
     train_config = training.TrainConfig(epochs=job["epochs"], warmup_epochs=job["warmup_epochs"],
