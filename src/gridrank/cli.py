@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, autodiff, crossk, grid as griddata, metrics, training
+from . import __version__, autodiff, crossk, grid as griddata, metrics, pool, training
 from .errors import ConfigError, DataError, NumericalError, from_dict
 from .losses import SurrogateConfig, hybrid_objective
 from .model import (ModelConfig, ModelSection, forward, init_params, load_checkpoint, predictions_for,
@@ -153,12 +153,17 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_run_record(config: RunConfig, command: str, out_dir: Path) -> None:
+def write_run_record(config: RunConfig, command: str, out_dir: Path, ran_on: dict | None = None) -> None:
+    """``run.json``: the command, the resolved config and its hash, the pool
+    the command's model calls ran on (serial when none ran) beside the CPUs
+    available, and the versions."""
     out_dir.mkdir(parents=True, exist_ok=True)
     griddata.save_json(out_dir / "run.json", {
         "command": command,
         "config": asdict(config),
         "config_sha256": config_hash(config),
+        "pool": ran_on or {"kind": "serial", "workers": 1},
+        "cpus": pool.cpus(),
         "versions": {"gridrank": __version__,
                      "python": ".".join(str(v) for v in sys.version_info[:3]),
                      "numpy": np.__version__},
@@ -193,7 +198,7 @@ def cmd_train(args, config: RunConfig) -> int:
     model_config = ModelConfig.for_grid(dataset, **asdict(config.model))
     state = training.train(dataset, splits, model_config, config.train, eval_radius=config.eval.radius)
     out_dir = Path(args.out or config.out_dir)
-    write_run_record(config, "train", out_dir)  # creates out_dir
+    write_run_record(config, "train", out_dir, state.pool)  # creates out_dir
     save_checkpoint(out_dir / "checkpoint", state.best_params())
     training.write_training_log(state, out_dir / "training_log.csv")
     best = "n/a" if state.best_metric in (None, -np.inf) else f"{state.best_metric:.4f}"
@@ -218,7 +223,8 @@ def cmd_evaluate(args, config: RunConfig) -> int:
                                           config.eval.radius)
         stem = "report_ha"
     out_dir = Path(args.out or config.out_dir)
-    write_run_record(config, "evaluate", out_dir)  # creates out_dir
+    ran_on = pool.describe(dataset.n_locations, False) if args.predictor == "model" else None
+    write_run_record(config, "evaluate", out_dir, ran_on)  # creates out_dir
     report.write_json(out_dir / f"{stem}.json")
     report.write_csv(out_dir / f"{stem}.csv")
     for k in ks:
@@ -280,7 +286,8 @@ def cmd_crossk(args, config: RunConfig) -> int:
                                        seed=config.eval.crossk_seed,
                                        method=config.eval.envelope)
     out_dir = Path(args.out or config.out_dir)
-    write_run_record(config, "crossk", out_dir)  # creates out_dir
+    ran_on = None if params is None else pool.describe(dataset.n_locations, False)
+    write_run_record(config, "crossk", out_dir, ran_on)  # creates out_dir
     path = crossk.write_curve_csv(curve, out_dir / f"{stem}.csv")
     print(f"wrote {path}")
     return EXIT_OK

@@ -32,20 +32,6 @@ for the backward took a second S x S array per build: two threads
 rebuilding at once with two each peaked at 119.5 against 106 MB on
 train-32x32.
 
-From S x S = ``_POOL_MIN_ENTRIES`` = 2^16 entries (S = 256), every stage
-that builds periods or runs windows runs its jobs on min(``_POOL_WORKERS``
-= 2, CPUs available) threads of a ``ThreadPoolExecutor`` started for the
-stage, and ``_in_order`` hands their results back to the calling thread
-in job order. Each running job has its own workspace, taken from a free
-list of one per worker, so two workers hold two S x S arrays, as many as
-the serial rebuilds held when a build kept A. Each result lands in its
-own slot, so outputs equal the serial ones bit for bit. The pooled to
-serial time of ``predictions_for`` (2-vCPU VM, one BLAS thread) was 1.24
-at S = 64, 1.02 at S = 144, 0.82 at S = 256 and 0.53 at S = 1024. Before
-the first thread starts, glibc's ``mallopt(M_ARENA_MAX, 1)`` makes every
-thread allocate from the main arena: per-thread arenas took eval-32x32's
-peak RSS from 185 to 236 MB.
-
 ``batch_backward`` is one mini-batch's training step, checkpointed at
 the period boundary (Chen et al. 2016): (1) without gradients, each
 distinct input period's step is built once and held as a detached leaf:
@@ -61,34 +47,24 @@ training windows again; (3) in
 ascending order, each period whose leaf got a gradient is rebuilt with
 gradients, one tape node whose parents are all parameters, so one
 ``autodiff.vjp`` call with that gradient gives its parameter gradients.
-Stages (2) and (3) run on the pool too, and the calling thread adds
-each window's and each period's pairs to ``.grad`` as it takes them, in
-job order, so each ``.grad`` sums its terms in the serial order, bit for
-bit, whichever job finishes first. ``loss_of`` must be a pure function of
-the window and its scores: it may run on any thread, in any order
-(``training`` draws the importance weights before the batch). A failure
-raises the first failing job's error in the calling thread; the pairs
-taken before it stay, and the caller drops the batch. Stage (1) and
-``predictions_for`` submit every job, since their results are kept; in
-stages (2) and (3) at most ``workers`` + 1 jobs are submitted and not yet
-taken, so a thread that finishes early starts the next job, and at most
-one window's pairs (about 2 MB at S = 1024) wait beyond those running.
-Each running job holds one window's recurrent node or one period's tape,
-so from S = 256 two windows' nodes (about 12 MB each at S = 1024) can be
-alive at once. Each backward frees its activations as it goes, and after
-a pooled stage (2) ``_trim_malloc`` hands the arena's free pages back.
-Both are needed: on train-32x32 (2-vCPU VM, one BLAS thread, three runs
-each) the pooled stage peaked at 104.0-109.1 MB, at 116.5-118.5 MB
-without the trim and at 119.5-124.2 MB without either, against
-104.3-107.4 MB for a serial stage (2). The gradients equal the per-window
-sum up to summation order. Keeping the period tapes, or stacking the
-windows into one (B S)-row recurrent pass, costs memory: prototypes on
-the benchmark workloads peaked at 59.1 against 49.6 MB on train-8x8 when
-keeping tapes, and at 886 against 330 MB on train-32x32 (67-92 MB on
-train-8x8) when stacking; stacking in ``predictions_for`` took
-eval-32x32 from 196 to 255 MB. Stacking a call's periods on a leading
-axis does not pay at S = 64: 42 periods took 8.2 against 6.9 ms without
-gradients and 24.1 against 16.2 ms with them.
+Every stage runs its jobs on the call's pool (``pool`` module: threads
+from S = 256, a helper process below it during training), and the
+calling thread adds each window's and each period's pairs to ``.grad``
+as it takes them, in job order, so each ``.grad`` sums its terms in the
+serial order, bit for bit, whichever job finishes first. ``loss_of``
+must be a pure function of the window and its scores: it may run on any
+thread or in the helper, in any order (``training`` draws the importance
+weights before the batch). A failure raises the first failing job's
+error in the calling thread; the pairs taken before it stay, and the
+caller drops the batch. Each backward frees its activations as it goes.
+The gradients equal the per-window sum up to summation order. Keeping
+the period tapes, or stacking the windows into one (B S)-row recurrent
+pass, costs memory: prototypes on the benchmark workloads peaked at 59.1
+against 49.6 MB on train-8x8 when keeping tapes, and at 886 against 330
+MB on train-32x32 (67-92 MB on train-8x8) when stacking; stacking in
+``predictions_for`` took eval-32x32 from 196 to 255 MB. Stacking a
+call's periods on a leading axis does not pay at S = 64: 42 periods took
+8.2 against 6.9 ms without gradients and 24.1 against 16.2 ms with them.
 
 Every build and window computes in the dtype of the parameters it is
 given (``ModelParams.dtype``): workspaces, period inputs, activations and
@@ -120,19 +96,15 @@ and the step computes the blend gate.
 
 from __future__ import annotations
 
-import collections
-import contextvars
-import ctypes
 import functools
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import adjacency
+from . import adjacency, pool
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, read_json
@@ -221,6 +193,12 @@ class ModelParams:
         state = {name: t.data.copy() for name, t in self.named_tensors()}
         state["static_graph"] = self.static_graph
         return state
+
+    def __reduce__(self):
+        """Pickled as its config and arrays (a helper process gets it so);
+        the copy's tensors are fresh leaves without gradients."""
+        return ModelParams.from_arrays, (self.config, {**{n: t.data for n, t in self.named_tensors()},
+                                                       "static_graph": self.static_graph})
 
     def restore(self, state: dict[str, np.ndarray], dtype=np.float64) -> "ModelParams":
         """New parameters of this config holding ``dtype`` copies of a
@@ -488,81 +466,11 @@ def forward(params: ModelParams, grid: StGrid, window: Window) -> Tensor:
     return _recurrent(params, steps)
 
 
-# The thread rule of ``_pool_workers`` (S >= 256); the module docstring
-# gives the timings behind it.
-_POOL_MIN_ENTRIES = 1 << 16
-_POOL_WORKERS = 2
-
-
-def _pool_workers(s: int) -> int:
-    """Threads for the builds and windows of one call: one below
-    ``_POOL_MIN_ENTRIES`` or while a kink trace is installed (its masks
-    would arrive in thread order), else min(``_POOL_WORKERS``, CPUs
-    available to the process)."""
-    if s * s < _POOL_MIN_ENTRIES or ad.tracing_kinks():
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_POOL_WORKERS, cpus)
-
-
-@functools.cache
-def _libc(name: str, *argtypes):
-    """The C library's function ``name`` taking ``argtypes`` and returning
-    an int, or None where the C library has no such function."""
-    try:
-        function = getattr(ctypes.CDLL(None), name)
-    except (AttributeError, OSError, TypeError):
-        return None
-    function.argtypes, function.restype = argtypes, ctypes.c_int
-    return function
-
-
-@functools.cache
-def _one_malloc_arena() -> None:
-    """Have every thread allocate from glibc's main arena:
-    mallopt(M_ARENA_MAX, 1), with M_ARENA_MAX = -8 from malloc.h. Per-thread
-    arenas took eval-32x32's peak RSS from 185 to 236 MB. A no-op where
-    the C library has no ``mallopt``."""
-    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
-    if mallopt is not None:
-        mallopt(-8, 1)
-
-
-def _trim_malloc() -> None:
-    """Return the main arena's free pages to the system: glibc's
-    malloc_trim(0), a no-op where the C library has none. The arena keeps
-    freed heap resident otherwise, and a later transient that lands on
-    fresh pages instead raises the peak RSS."""
-    trim = _libc("malloc_trim", ctypes.c_size_t)
-    if trim is not None:
-        trim(0)
-
-
-def _in_order(workers: int, jobs, ahead: int | None = None):
-    """Yield ``job()`` for each of ``jobs`` in job order, on the calling
-    thread. With one worker the jobs run inline and no thread starts.
-    Otherwise they run on a ``ThreadPoolExecutor`` of ``workers`` threads,
-    each in a copy of the caller's context (numpy's ``errstate`` is a
-    context variable); at most ``ahead`` jobs (all when None) are submitted
-    and not yet taken. A failing job's error is raised when its turn comes,
-    so the lowest failing job's; jobs not started are cancelled, and every
-    thread has ended by the time the error is raised or the iteration
-    ends."""
-    if workers == 1:
-        yield from (job() for job in jobs)
-        return
-    _one_malloc_arena()
-    from concurrent.futures import ThreadPoolExecutor  # here: it loads logging, 0.4 MB a serial run never needs
-    pool, pending = ThreadPoolExecutor(workers), collections.deque()
-    try:
-        for job in jobs:
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-            pending.append(pool.submit(contextvars.copy_context().run, job))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+def helper_process(grid: StGrid):
+    """A context in which the calls on ``grid`` below S = 256 run half their
+    jobs on one forked helper process (``pool.Helper``); ``training.train``
+    holds one for each run."""
+    return pool.Helper.open(grid, _serve)
 
 
 def _in_workspace(free: list[dict[str, np.ndarray]], build: Callable, *args):
@@ -576,23 +484,59 @@ def _in_workspace(free: list[dict[str, np.ndarray]], build: Callable, *args):
         free.append(work)
 
 
+def _in_order(helper: pool.Helper | None, count: int, jobs: list, decode: Callable, ahead: bool = False):
+    """Each job's result in job order: split with the helper, whose
+    results come through ``decode``, or on ``count`` threads, at most
+    ``count`` + 1 of them submitted and not yet taken when ``ahead``."""
+    if helper is not None:
+        return helper.in_order(jobs, decode)
+    return pool.in_order(count, jobs, count + 1 if ahead else None)
+
+
 def _add_pairs(pairs: list[tuple[Tensor, np.ndarray]]) -> None:
+    """Add each pair into its tensor's ``.grad``. A gradient the helper
+    sent is a read-only view of its arena, copied when it would become
+    ``.grad`` itself."""
     for param, grad in pairs:
-        ad._accum(param, grad)
+        ad._accum(param, grad if param.grad is not None or grad.flags.writeable else grad.copy())
 
 
-def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window]) -> dict[int, Tensor]:
+def _packed(pairs: list[tuple[Tensor, np.ndarray]], keys: dict[Tensor, str | int]) -> tuple:
+    """``pairs`` as the helper sends them: each tensor's key (a parameter's
+    name or a leaf's period), in order, and the gradients end to end in
+    one array, so a message carries one array, not one per pair."""
+    flat = np.concatenate([grad.reshape(-1) for _, grad in pairs]) if pairs else np.empty(0)
+    return tuple(keys[tensor] for tensor, _ in pairs), flat
+
+
+def _unpacked(packed: tuple, tensors: dict[str | int, Tensor]) -> list[tuple[Tensor, np.ndarray]]:
+    """``_packed`` pairs with their tensors again; each gradient is a view
+    of the received array and has its tensor's shape."""
+    pairs, end = [], 0
+    for key in packed[0]:
+        tensor = tensors[key]
+        start, end = end, end + tensor.data.size
+        pairs.append((tensor, packed[1][start:end].reshape(tensor.shape)))
+    return pairs
+
+
+def _shared_steps(params: ModelParams, grid: StGrid, windows: list[Window],
+                  helper: pool.Helper | None = None) -> dict[int, Tensor]:
     """Each distinct input period's step of ``windows``, built once and
-    without gradients, keyed in order of first use, on ``_pool_workers``
-    threads with a workspace each; the threads see the caller's
-    ``no_grad``, which is process-wide."""
+    without gradients, keyed in order of first use: on ``pool.threads``
+    threads with a workspace each (the threads see the caller's
+    ``no_grad``, which is process-wide), or, with the helper, half on each
+    side, which then both hold every step."""
     _check_inputs(params, grid, windows)
     periods = list(dict.fromkeys(t for window in windows for t in window.inputs()))
-    workers = _pool_workers(params.config.n_locations)
-    free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(workers)]
-    jobs = (functools.partial(_in_workspace, free, _period_step, params, grid, t) for t in periods)
+    count = 1 if helper is not None else pool.threads(params.config.n_locations)
+    free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(count)]
+    jobs = [functools.partial(_in_workspace, free, _period_step, params, grid, t) for t in periods]
     with ad.no_grad():
-        built = list(_in_order(workers, jobs))  # to the end, so the pool has shut down
+        if helper is not None:
+            built = helper.gather(jobs, lambda step: step.data, Tensor)
+        else:
+            built = list(pool.in_order(count, jobs))  # to the end, so the pool has shut down
     return dict(zip(periods, built))
 
 
@@ -601,15 +545,32 @@ def predictions_for(params: ModelParams, grid: StGrid, windows: list[Window]) ->
 
     Each distinct input period's step is computed once per call and reused
     by every window that contains it; the values equal ``forward``'s. The
-    windows are scored on ``_pool_workers`` threads.
+    windows are scored on the call's pool (``pool`` module).
     """
-    out = np.empty((len(windows), params.config.n_locations))
-    steps = _shared_steps(params, grid, windows)
-    jobs = (functools.partial(_recurrent, params, [steps[t] for t in window.inputs()]) for window in windows)
-    with ad.no_grad():
-        for i, scores in enumerate(_in_order(_pool_workers(params.config.n_locations), jobs)):
-            out[i] = scores.data
+    s = params.config.n_locations
+    out = np.empty((len(windows), s))
+    with pool.Helper.for_call(s, grid, "predict", params, windows) as helper:
+        steps = _shared_steps(params, grid, windows, helper)
+        jobs = [functools.partial(_recurrent, params, [steps[t] for t in window.inputs()]) for window in windows]
+        with ad.no_grad():
+            for i, scores in enumerate(_in_order(helper, pool.threads(s), jobs, Tensor)):
+                out[i] = scores.data
     return out
+
+
+def _window_pass(params: ModelParams, leaves: dict[int, Tensor], loss_of: Callable,
+                 window: Window) -> tuple[float, np.ndarray, list]:
+    """Stage (2) for one window: its loss value, its scores and its loss's
+    (leaf, gradient) pairs; the tape is freed, the pairs are kept."""
+    scores = _recurrent(params, [leaves[t] for t in window.inputs()])
+    loss = loss_of(window, scores)
+    return loss.item(), scores.data, ad.backward_pairs(loss)
+
+
+def _rebuild(params: ModelParams, grid: StGrid, seeds: dict[int, np.ndarray], t: int,
+             work: dict[str, np.ndarray]) -> list:
+    """Stage (3) for period t: its parameter pairs for its seed gradient."""
+    return ad.vjp(_period_step(params, grid, t, work), seeds.pop(t))  # the vjp still reads the workspace
 
 
 def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
@@ -621,36 +582,63 @@ def batch_backward(params: ModelParams, grid: StGrid, windows: list[Window],
 
     ``loss_of(window, scores)`` gives one window's scalar loss; it may
     raise to abort the batch. It must be a pure function of its arguments:
-    it may run on any thread, in any order. The three stages are described
-    in the module docstring.
+    it may run on any thread, in any order, and with a helper process in
+    the helper, which gets it pickled. The three stages are described in
+    the module docstring.
     """
-    leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows).items()}
-    workers = _pool_workers(params.config.n_locations)
+    s = params.config.n_locations
+    with pool.Helper.for_call(s, grid, "batch", params, windows, loss_of) as helper:
+        count = 1 if helper is not None else pool.threads(s)
+        leaves = {t: ad.parameter(step.data) for t, step in _shared_steps(params, grid, windows, helper).items()}
+        tensors = {**params.table, **leaves}
 
-    def window_pass(window: Window) -> tuple[float, np.ndarray, list]:
-        scores = _recurrent(params, [leaves[t] for t in window.inputs()])
-        loss = loss_of(window, scores)
-        return loss.item(), scores.data, ad.backward_pairs(loss)  # the tape is freed; the leaves' pairs are kept
+        def taken(result: tuple) -> tuple:
+            value, scores, packed = result
+            return value, scores, _unpacked(packed, tensors)
 
-    values, scored = [], np.empty((len(windows), params.config.n_locations))
-    jobs = (functools.partial(window_pass, w) for w in windows)
-    for i, (value, scores, pairs) in enumerate(_in_order(workers, jobs, workers + 1)):
-        values.append(value)
-        scored[i] = scores
-        _add_pairs(pairs)
-    if workers > 1:
-        _trim_malloc()
-    seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
-    del leaves  # stage (3) needs the leaves' gradients only, not their values
-    free = [adjacency.workspace(params.config.n_locations, params.dtype) for _ in range(workers)]
-
-    def rebuild(t: int, work: dict[str, np.ndarray]) -> list:
-        return ad.vjp(_period_step(params, grid, t, work), seeds.pop(t))  # the vjp still reads the workspace
-
-    for pairs in _in_order(workers, (functools.partial(_in_workspace, free, rebuild, t) for t in list(seeds)),
-                           workers + 1):
-        _add_pairs(pairs)  # in ascending t, the serial order
+        values, scored = [], np.empty((len(windows), s))
+        jobs = [functools.partial(_window_pass, params, leaves, loss_of, window) for window in windows]
+        for i, (value, scores, pairs) in enumerate(_in_order(helper, count, jobs, taken, ahead=True)):
+            values.append(value)
+            scored[i] = scores
+            _add_pairs(pairs)
+        if count > 1:
+            pool.trim_malloc()
+        seeds = {t: leaves[t].grad for t in sorted(leaves) if leaves[t].grad is not None}
+        del leaves, tensors  # stage (3) needs the leaves' gradients only, not their values
+        if helper is not None:
+            helper.send(seeds)  # the helper claims its rebuilds as it goes
+        free = [adjacency.workspace(s, params.dtype) for _ in range(count)]
+        jobs = [functools.partial(_in_workspace, free, _rebuild, params, grid, seeds, t) for t in list(seeds)]
+        for pairs in _in_order(helper, count, jobs, lambda packed: _unpacked(packed, params.table), ahead=True):
+            _add_pairs(pairs)  # in ascending t, the serial order
     return values, scored
+
+
+def _serve(helper: pool.Helper, kind: str, params: ModelParams, windows: list[Window],
+           loss_of: Callable | None = None) -> None:
+    """The helper's half of a ``predictions_for`` ("predict") or
+    ``batch_backward`` ("batch") call on its grid: its share of the steps,
+    then of the windows and, for a batch, of the rebuilds, whose seeds the
+    caller sends once stage (2) is summed. Pairs go back keyed by
+    parameter name or period."""
+    steps = _shared_steps(params, helper.grid, windows, helper)
+    if kind == "predict":
+        with ad.no_grad():
+            helper.serve_jobs([functools.partial(_recurrent, params, [steps[t] for t in window.inputs()])
+                               for window in windows], lambda scores: scores.data)
+        return
+    leaves = {t: ad.parameter(step.data) for t, step in steps.items()}
+    names = {tensor: name for name, tensor in params.table.items()}
+    keys = {**names, **{leaf: t for t, leaf in leaves.items()}}
+    del steps
+    helper.serve_jobs([functools.partial(_window_pass, params, leaves, loss_of, window) for window in windows],
+                      lambda result: (*result[:2], _packed(result[2], keys)))
+    del leaves, keys
+    seeds = helper.receive()
+    free = [adjacency.workspace(params.config.n_locations, params.dtype)]
+    helper.serve_jobs([functools.partial(_in_workspace, free, _rebuild, params, helper.grid, seeds, t)
+                       for t in list(seeds)], lambda pairs: _packed(pairs, names))
 
 
 # ---------------------------------------------------------------------------

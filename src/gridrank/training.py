@@ -22,15 +22,19 @@ node: the LSTM steps and the score head) to those periods' outputs, and
 each period is then rebuilt once to carry its gradient into the graph
 parameters. Windows are not stacked into one recurrent pass, and period
 tapes are not kept, because both raised peak memory beyond the
-benchmark's bound (figures in the ``model`` docstring). From S = 256 the
-builds without gradients, the windows' recurrent passes and backwards,
-the rebuilds with gradients and the window scoring of each epoch's
-validation ``predictions_for`` run on two threads, each build with one
-S x S buffer. A batch's importance weights are drawn from the epoch's
-generator in window order before ``batch_backward`` runs, so the loss
-each window gets is a pure function of the window and its scores and may
-run on any thread, in any order; the gradients are added in the serial
-order, so a run's bits do not depend on the thread count.
+benchmark's bound (figures in the ``model`` docstring). Each stage of
+a batch, and the window scoring of each epoch's validation
+``predictions_for``, runs on the call's pool (``pool`` module): from
+S = 256 on two threads, each build with one S x S buffer; below it on
+this process and one helper process that ``train`` forks at its first
+batch and ends when it returns. A batch's importance weights are drawn
+from the epoch's generator in window order before ``batch_backward``
+runs, so each window's loss (``window_loss``, a module function of the
+window, its scores and the batch's ``BatchState``, which the helper gets
+pickled) may run on any worker, in any order; the gradients are added in
+the serial order, so a run's bits do not depend on the pool. The draws,
+the Adam step, the importance refresh and the validation metrics run on
+this process alone.
 
 The gradient step runs in float32 (``_COMPUTE_DTYPE``), the standard
 mixed-precision split (Micikevicius et al., "Mixed Precision Training",
@@ -45,6 +49,7 @@ masters. The importance refresh reads the float32 copy's scores, which
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,13 +57,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import losses, metrics, sampling
+from . import losses, metrics, pool, sampling
 from .adjacency import pearson_static
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericalError
 from .grid import StGrid, Window, save_csv
 from .losses import SurrogateConfig
-from .model import ModelConfig, ModelParams, batch_backward, init_params, predictions_for
+from .model import ModelConfig, ModelParams, batch_backward, helper_process, init_params, predictions_for
 
 # The dtype of each batch's gradient step; the master parameters are float64.
 _COMPUTE_DTYPE = np.float32
@@ -160,6 +165,38 @@ def warmup_loss(relevance: np.ndarray, scores: Tensor) -> Tensor:
     return ad.fused("warmup_mse", np.asarray((diff * diff).mean()), (scores,), lambda g: ((g / count) * slope,))
 
 
+@dataclass(frozen=True)
+class BatchState:
+    """What one batch's window losses read besides the window and its
+    scores: the grid, the config, the epoch (named by the divergence
+    error), the warm-up flag and the importance weights drawn for the
+    batch's positive windows, keyed by target. A helper process gets it
+    pickled: the grid by name, the arrays through its arena."""
+
+    grid: StGrid
+    config: TrainConfig
+    epoch: int
+    warm: bool
+    drawn: dict[int, np.ndarray]
+
+
+def window_loss(batch: BatchState, window: Window, scores: Tensor) -> Tensor:
+    """One window's loss from its scores: the warm-up MSE, or the negated
+    hybrid surrogate with the window's drawn weights. It draws nothing, so
+    it may run on any worker, in any order."""
+    grid = batch.grid
+    day_risk = grid.risk_by_location()[:, window.target]
+    if batch.warm:
+        loss = warmup_loss(day_risk, scores)
+    else:
+        objective = losses.hybrid_objective(day_risk, scores, batch.config, batch.drawn.get(window.target),
+                                            (grid.rows, grid.cols))
+        loss = ad.fused("neg", -objective.data, (objective,), lambda g: (-g,))
+    if not np.isfinite(loss.item()):
+        raise NumericalError(f"training diverged: non-finite loss at epoch {batch.epoch}")
+    return loss
+
+
 def split_windows(grid: StGrid, splits: Splits, length: int) -> tuple[list[Window], list[Window]]:
     """Training windows (targets before train_end) and validation windows.
     The training side may be empty, since evaluation scores only the
@@ -197,6 +234,7 @@ class TrainState:
     best_metric: float | None = None
     best_snapshot: dict[str, np.ndarray] | None = field(default=None, repr=False)
     log: list[dict] = field(default_factory=list, repr=False)
+    pool: dict | None = None  # the pool the run's calls ran on, as ``pool.describe`` gives it
 
     def best_params(self) -> ModelParams:
         """Parameters of the best validation epoch (current if none logged)."""
@@ -250,71 +288,62 @@ def train(grid: StGrid, splits: Splits, model_config: ModelConfig,
 
     state = TrainState(params=params)
     stale = 0
-    for epoch in range(train_config.epochs):
-        started = time.perf_counter()
-        warm = epoch < train_config.warmup_epochs
-        lr = train_config.lr_warmup if warm else train_config.lr_main
+    with helper_process(grid) as helper:  # forked at the first batch below S = 256
+        for epoch in range(train_config.epochs):
+            started = time.perf_counter()
+            warm = epoch < train_config.warmup_epochs
+            lr = train_config.lr_warmup if warm else train_config.lr_main
 
-        def loss_of(window: Window, scores: Tensor) -> Tensor:
-            day_risk = risk[:, window.target]
-            if warm:
-                loss = warmup_loss(day_risk, scores)
-            else:
-                weights = drawn.get(window.target)  # drawn before the batch, so loss_of draws nothing
-                objective = losses.hybrid_objective(day_risk, scores, train_config, weights, shape)
-                loss = ad.fused("neg", -objective.data, (objective,), lambda g: (-g,))
-            if not np.isfinite(loss.item()):
-                raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
-            return loss
+            epoch_loss = 0.0
+            seen = 0
+            for batch in contiguous_batches(len(train_windows), train_config.batch_size, rng):
+                windows = [train_windows[i] for i in batch]
+                drawn = {}  # each positive window's importance weights, drawn in window order
+                if not warm and train_config.use_importance:
+                    for window in windows:
+                        positives = losses.positive_locations(risk[:, window.target])
+                        if positives.size:
+                            drawn[window.target] = losses.apply_importance(positives, importance, train_config, rng)
+                for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
+                    copy.data = master.data.astype(_COMPUTE_DTYPE)
+                ad.zero_grads(compute.tensors())
+                loss_of = functools.partial(window_loss, BatchState(grid, train_config, epoch, warm, drawn))
+                values, scores = batch_backward(compute, grid, windows, loss_of)
+                train_scores[batch.start:batch.stop] = scores
+                epoch_loss = sum(values, epoch_loss)
+                seen += len(values)
+                grads = {name: tensor.grad.astype(np.float64) / len(batch)
+                         for name, tensor in compute.named_tensors() if tensor.grad is not None}
+                adam_step(params, adam, grads, lr)
 
-        epoch_loss = 0.0
-        seen = 0
-        for batch in contiguous_batches(len(train_windows), train_config.batch_size, rng):
-            windows = [train_windows[i] for i in batch]
-            drawn = {}  # each positive window's importance weights, drawn in window order
             if not warm and train_config.use_importance:
-                for window in windows:
-                    positives = losses.positive_locations(risk[:, window.target])
-                    if positives.size:
-                        drawn[window.target] = losses.apply_importance(positives, importance, train_config, rng)
-            for (_, copy), (_, master) in zip(compute.named_tensors(), params.named_tensors()):
-                copy.data = master.data.astype(_COMPUTE_DTYPE)
-            ad.zero_grads(compute.tensors())
-            values, scores = batch_backward(compute, grid, windows, loss_of)
-            train_scores[batch.start:batch.stop] = scores
-            epoch_loss = sum(values, epoch_loss)
-            seen += len(values)
-            grads = {name: tensor.grad.astype(np.float64) / len(batch)
-                     for name, tensor in compute.named_tensors() if tensor.grad is not None}
-            adam_step(params, adam, grads, lr)
+                importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
 
-        if not warm and train_config.use_importance:
-            importance = sampling.refresh(y_train, train_scores, train_config.bandwidth, shape)
+            report = evaluate_split(params, grid, splits, [train_config.eval_k], eval_radius)
+            val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
+                                             for name in ("ndcg", "lndcg", "prec"))
+            elapsed = time.perf_counter() - started
+            state.log.append({
+                "epoch": epoch,
+                "train_obj": epoch_loss / max(seen, 1),
+                f"val_ndcg@{train_config.eval_k}": val_ndcg,
+                f"val_lndcg@{train_config.eval_k}": val_local,
+                f"val_prec@{train_config.eval_k}": val_prec,
+                "wall_time_s": elapsed,
+            })
 
-        report = evaluate_split(params, grid, splits, [train_config.eval_k], eval_radius)
-        val_ndcg, val_local, val_prec = (report.lookup(name, train_config.eval_k).mean
-                                         for name in ("ndcg", "lndcg", "prec"))
-        elapsed = time.perf_counter() - started
-        state.log.append({
-            "epoch": epoch,
-            "train_obj": epoch_loss / max(seen, 1),
-            f"val_ndcg@{train_config.eval_k}": val_ndcg,
-            f"val_lndcg@{train_config.eval_k}": val_local,
-            f"val_prec@{train_config.eval_k}": val_prec,
-            "wall_time_s": elapsed,
-        })
-
-        candidate = -np.inf if val_ndcg is None else val_ndcg
-        if state.best_metric is None or candidate > state.best_metric:
-            state.best_metric = candidate
-            state.best_epoch = epoch
-            state.best_snapshot = params.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if (train_config.early_stop_patience is not None
-                    and stale >= train_config.early_stop_patience):
-                break
+            candidate = -np.inf if val_ndcg is None else val_ndcg
+            if state.best_metric is None or candidate > state.best_metric:
+                state.best_metric = candidate
+                state.best_epoch = epoch
+                state.best_snapshot = params.snapshot()
+                stale = 0
+            else:
+                stale += 1
+                if (train_config.early_stop_patience is not None
+                        and stale >= train_config.early_stop_patience):
+                    break
+    state.pool = pool.describe(grid.n_locations, helper.ran)
     return state
 
 

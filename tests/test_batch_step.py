@@ -10,7 +10,7 @@ import pytest
 
 from gridrank import autodiff as ad
 from gridrank import grid as griddata
-from gridrank import losses, model, training
+from gridrank import losses, model, pool, training
 from gridrank.adjacency import pearson_static
 from gridrank.errors import ShapeError
 from gridrank.grid import Window
@@ -181,7 +181,7 @@ def test_batch_step_returns_the_scores_of_its_recurrent_passes(size, dtype, monk
             both.wait(timeout=10)
         return recurrent(params, steps)
 
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 2 if pooled else 1)
+    monkeypatch.setattr(pool, "workers", lambda: 2 if pooled else 1)
     monkeypatch.setattr(model, "_recurrent", spy_recurrent)
     values, scores = model.batch_backward(params, grid, windows, loss_maker("hybrid", grid))
     assert len(threads) == (2 if pooled else 1) and (threading.get_ident() in threads) != pooled

@@ -1,12 +1,13 @@
 import csv
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridrank import cli, grid, metrics, model, training
+from gridrank import cli, grid, metrics, model, pool, training
 
 from conftest import write_csv_dataset, write_old_layout
 
@@ -120,6 +121,7 @@ def one_line_error(capsys, prefix):
 
 def test_eval_k_above_grid_size_exits_before_any_epoch(manifest, tmp_path, capsys, monkeypatch):
     built = []
+    monkeypatch.setattr(pool, "workers", lambda: 1)  # every batch in this process, where the spy sees it
     monkeypatch.setattr(training, "batch_backward", lambda *args: built.append(args))
     code = cli.main(SMALL_MODEL + ["--set", "train.epochs=1", "--set", "train.warmup_epochs=1",
                                    "--set", "train.eval_k=17", "train", "--data", manifest,
@@ -328,6 +330,28 @@ def test_untrained_checkpoint_holds_the_train_seed_draw(manifest, tmp_path):
     assert not all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(saved, other))
     record = json.loads((tmp_path / "run" / "run.json").read_text())
     assert "seed" not in record and record["config"]["train"]["seed"] == 5
+
+
+def test_run_json_records_the_pool_each_command_ran_on(manifest, tmp_path, monkeypatch):
+    """Two workers: training below S = 256 runs with the helper process,
+    evaluating with the model below it runs serially, both at S = 256 on
+    threads, and the historical average and ``gen-data`` run no pool."""
+    monkeypatch.setattr(pool, "workers", lambda: 2)
+    sizes = ["--set", "data.rows=16", "--set", "data.cols=16", "--set", "data.periods=30"]
+    assert cli.main(sizes + ["gen-data", "--out", str(tmp_path / "big")]) == cli.EXIT_OK
+    for data, epochs in ((manifest, "2"), (str(tmp_path / "big" / "manifest.json"), "0")):
+        run = tmp_path / f"train{epochs}"
+        schedule = ["--set", f"train.epochs={epochs}", "--set", "train.warmup_epochs=0", "--set", "eval.ks=[5]"]
+        assert cli.main(SMALL_MODEL + schedule + ["train", "--data", data, "--out", str(run)]) == cli.EXIT_OK
+        for predictor in ("model", "ha"):
+            assert cli.main(schedule + ["evaluate", "--data", data, "--checkpoint", str(run / "checkpoint"),
+                                        "--predictor", predictor, "--out", str(run / predictor)]) == cli.EXIT_OK
+    serial, threads = {"kind": "serial", "workers": 1}, {"kind": "threads", "workers": 2}
+    want = {"big": serial, "train2": {"kind": "processes", "workers": 2}, "train2/model": serial,
+            "train2/ha": serial, "train0": threads, "train0/model": threads, "train0/ha": serial}
+    read = {name: json.loads((tmp_path / name / "run.json").read_text()) for name in want}
+    assert {name: record["pool"] for name, record in read.items()} == want
+    assert {record["cpus"] for record in read.values()} == {len(os.sched_getaffinity(0))}
 
 
 def test_train_seed_alone_fixes_the_checkpoint_bytes(manifest, tmp_path):

@@ -281,7 +281,7 @@ def test_every_bad_index_value_is_a_data_error(trained, tmp_path, key):
 
 
 @pytest.mark.parametrize("key", DATASET_KEYS)
-def test_every_bad_manifest_value_exits_2_or_3(trained, tmp_path, key):
+def test_every_bad_manifest_value_exits_3(trained, tmp_path, key):
     """The manifest fixes the grid and its split, so every edit is a data
     error, a dropped normalization record or ``train_end`` too."""
     manifest, _, intact = trained

@@ -15,7 +15,7 @@ import pytest
 
 from gridrank import adjacency, autodiff as ad, cli, training
 from gridrank import grid as griddata
-from gridrank import model
+from gridrank import model, pool
 from gridrank.adjacency import pearson_static
 from gridrank.errors import NumericalError
 from gridrank.grid import Window
@@ -39,7 +39,7 @@ def pooled(monkeypatch):
     """Two workers at S = 256, as the rule gives on two or more CPUs, also on
     a one-CPU runner, where the threads still interleave under the GIL;
     ``test_worker_rule`` checks the rule itself."""
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 2)
+    monkeypatch.setattr(pool, "workers", lambda: 2)
 
 
 def pool_params(data, negative, fixed_gate):
@@ -109,10 +109,19 @@ def pool_threads(threads):
 
 
 def test_worker_rule():
-    assert model._pool_workers(255) == 1
-    assert model._pool_workers(256) == model._pool_workers(1024) == min(2, len(os.sched_getaffinity(0)))
+    """Threads from 2^16 entries, two workers at most, and one while a kink
+    trace is installed, for threads and the helper process alike."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    assert pool.workers() == workers
+    assert pool.threads(255) == 1
+    assert pool.threads(256) == pool.threads(1024) == workers
+    serial = {"kind": "serial", "workers": 1}
+    assert pool.describe(255, True) == (serial if workers == 1 else {"kind": "processes", "workers": workers})
+    assert pool.describe(256, False) == (serial if workers == 1 else {"kind": "threads", "workers": workers})
+    assert pool.describe(255, False) == serial
     with ad._kink_tracing():
-        assert model._pool_workers(1024) == 1
+        assert pool.workers() == pool.threads(1024) == 1
+        assert pool.describe(1024, True) == pool.describe(255, True) == serial
 
 
 CASES = [(negative, fixed_gate) for negative in (True, False) for fixed_gate in (None, 0.5)]
@@ -148,7 +157,7 @@ def test_pooled_batch_step_equals_the_serial_one(data, negative, fixed_gate, poo
     # stages (1) and (3) each run on two threads of their own
     assert pool_threads(spy.threads[False]) and pool_threads(spy.threads[True])
     assert len(spy.threads[False] | spy.threads[True]) == 4 and threading.active_count() == 1
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
     serial_values, serial_grads = step()
     assert pooled_values == serial_values
     assert pooled_grads == serial_grads
@@ -224,7 +233,7 @@ def test_pooled_stage_2_equals_the_serial_one(data, pooled, monkeypatch):
     pooled_order, pooled_values, pooled_grads = step()
     assert pool_threads(threads) and threading.active_count() == 1
     assert sorted(pooled_order) == TARGETS[:5] and pooled_order != TARGETS[:5]
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
     serial_order, serial_values, serial_grads = step()
     assert serial_order == TARGETS[:5]
     assert pooled_values == serial_values
@@ -269,7 +278,7 @@ def test_pooled_stage_3_equals_the_serial_one(data, pooled, monkeypatch):
     monkeypatch.setattr(ad, "vjp", spy_vjp)
     pooled_order, pooled_values, pooled_grads = step()
     assert sorted(pooled_order) == periods and pooled_order != periods
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
     serial_order, serial_values, serial_grads = step()
     assert serial_order == periods
     assert pooled_values == serial_values
@@ -313,7 +322,7 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_scores(data,
     with ad.no_grad():
         serial = np.stack([model.forward(params, data, w).data for w in windows])
     spy = BuildSpy(monkeypatch)
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
+    monkeypatch.setattr(pool, "workers", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -338,10 +347,10 @@ def test_more_threads_than_cpus_with_short_switches_give_the_serial_batch_step(d
         values = values, scores.tobytes()
         return values, {name: t.grad.tobytes() for name, t in params.named_tensors()}
 
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 1)
+    monkeypatch.setattr(pool, "workers", lambda: 1)
     serial = step()
     threads = spy_windows(monkeypatch)
-    monkeypatch.setattr(model, "_pool_workers", lambda s: 5)
+    monkeypatch.setattr(pool, "workers", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -456,14 +465,14 @@ def test_small_grids_start_no_thread():
     it is."""
     script = (
         "import threading\n"
-        "from gridrank import grid, model\n"
+        "from gridrank import grid, model, pool\n"
         "started = []\n"
         "threading.Thread.start = lambda thread: started.append(thread)\n"
         "data = grid.generate_synthetic(3, 15, 17, 30, 2)\n"
         "params = model.init_params(model.ModelConfig.for_grid(data, hidden=4, recurrent_hidden=3, window=3,"
         " embed_dim=3))\n"
         "model.predictions_for(params, data, [grid.Window(t, 3) for t in (4, 5, 9)])\n"
-        "print(len(started), model._one_malloc_arena.cache_info().currsize)\n")
+        "print(len(started), pool._one_malloc_arena.cache_info().currsize)\n")
     src = Path(model.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridrank import adjacency, autodiff as ad, grid, losses, metrics, model, sampling, training
+from gridrank import adjacency, autodiff as ad, grid, losses, metrics, model, pool, sampling, training
 from gridrank.adjacency import pearson_static
 from gridrank.errors import ConfigError
 from gridrank.model import ModelConfig, init_params, predictions_for
@@ -18,6 +18,13 @@ SPLITS = training.Splits(train_end=22)
 @pytest.fixture(scope="module")
 def data():
     return grid.generate_synthetic(7, 5, 5, 30, 2)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """One worker: a test that spies inside ``train`` on builds, windows or
+    batches sees every one of them in this process, none in a helper."""
+    monkeypatch.setattr(pool, "workers", lambda: 1)
 
 
 def small_model(data):
@@ -110,7 +117,7 @@ def test_warmup_grad_check(rng):
     assert report.passed and report.checked == 12, report.max_rel_error
 
 
-def test_window_losses_put_one_node_in_warm_up_and_two_after(data, monkeypatch):
+def test_window_losses_put_one_node_in_warm_up_and_two_after(data, serial, monkeypatch):
     """The loss above the scores is the warm-up node, or the hybrid node
     and its negation."""
     nodes = []
@@ -182,7 +189,7 @@ def test_contiguous_batches_cover_every_window_once_in_runs():
             assert len(offsets) > 1, (n, batch_size, seed)
 
 
-def test_each_batch_builds_its_run_of_input_periods_once(data, monkeypatch):
+def test_each_batch_builds_its_run_of_input_periods_once(data, serial, monkeypatch):
     """Stage (1) of a batch of consecutive targets a..b builds periods
     a - window .. b - 1, each once."""
     built, batches = [], []
@@ -208,7 +215,7 @@ def test_each_batch_builds_its_run_of_input_periods_once(data, monkeypatch):
         assert sorted(stage_one) == list(range(targets[0] - 3, targets[-1]))
 
 
-def test_each_batch_draws_its_weights_in_window_order_before_its_windows_run(data, monkeypatch):
+def test_each_batch_draws_its_weights_in_window_order_before_its_windows_run(data, serial, monkeypatch):
     """Every positive window of a batch gets its importance weights from
     ``losses.apply_importance`` in batch order, all of them before the
     batch's first recurrent pass."""
@@ -292,7 +299,7 @@ def test_training_log_has_one_header_and_one_row_per_epoch(data, tmp_path):
         assert [float(value) for value in row[1:]] == list(logged.values())[1:]
 
 
-def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, monkeypatch):
+def test_refresh_reads_the_batch_scores_and_validation_alone_is_scored(data, serial, monkeypatch):
     """Each epoch's ``predictions_for`` call scores the validation windows
     alone and builds only their periods; each refresh reads the scores
     ``batch_backward`` returned that epoch, stacked in training-window

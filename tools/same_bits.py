@@ -3,8 +3,9 @@ on each and compare the sha256 of what it writes.
 
     python3 tools/same_bits.py --parent ../parent --change .
 
-For each checkout and each ``--grid`` (default: the 8x8x120 default grid;
-16x16x40, where S = 256 runs the thread pool; and 32x32x32, where S = 1024
+For each checkout and each ``--grid`` (default: the 8x8x120 default grid,
+whose training runs the helper process; 16x16x40, where S = 256 runs the
+thread pool; and 32x32x32, where S = 1024
 is the benchmark's size and a float32 graph build spans several row
 blocks), a fresh temporary directory runs ``gen-data``, then ``train``
 with
